@@ -3,7 +3,7 @@
 //! Runs the tier-1 workloads through the widened candidate space
 //! (occupancy level × L1/shared split × split granularity, see
 //! [`CandidateSpace`]) under both shipped
-//! [`SearchPolicy`](orion_core::policy::SearchPolicy)
+//! [`SearchPolicy`]
 //! implementations — the paper's Figure 9 walk and the bound-pruned
 //! UCB bandit — across clean and seeded-chaos measurement streams,
 //! and records two axes per (workload, seed, policy) cell:

@@ -36,8 +36,8 @@
 //! throughput gate on regardless of core count — the run must exit 2,
 //! demonstrating the ≥2× gate actually fires when concurrency is lost.
 //!
-//! Writes `BENCH_service.json` with the in-flight limits, scheduler
-//! mode, dispatch order, per-phase (backend queue-wait vs execute)
+//! Writes `BENCH_service.json` with the in-flight limits, the
+//! longest-job-first dispatch order, per-phase (backend queue-wait vs execute)
 //! wall-time split, per-kernel latency quantiles, and per-shard
 //! compile-cache hit rates (the concurrent run's deltas). `--quick`
 //! shrinks iterations and reps for the CI smoke job.
@@ -121,8 +121,6 @@ struct ServiceDoc {
     reps: u32,
     batch: usize,
     iterations_per_kernel: u32,
-    /// Scheduler mode both runs used (longest-job-first by default).
-    scheduler: String,
     /// Session dispatch order of the concurrent run (job indices) — a
     /// pure function of the job set; the sequential run must match.
     dispatch_order: Vec<usize>,
@@ -350,7 +348,6 @@ fn main() {
         reps,
         batch: batch_size,
         iterations_per_kernel: iterations,
-        scheduler: conc_report.scheduler.name().to_string(),
         dispatch_order: conc_report.dispatch_order.clone(),
         sequential_wall_ms: seq_ms,
         concurrent_wall_ms: conc_ms,
@@ -378,14 +375,13 @@ fn main() {
 
     let mut text = format!(
         "Service bench: {batch_size} kernels × {iterations} iterations on {} \
-         ({host_cores} host cores, {reps} rep(s), {} scheduler)\n\
+         ({host_cores} host cores, {reps} rep(s))\n\
          sequential(in-flight 1) {seq_ms:.1}ms, concurrent(in-flight {}, {} workers) \
          {conc_ms:.1}ms → {speedup:.2}x{}{}\n\
          phase split (concurrent): queue-wait {}us, execute {}us, compile {}us\n\
          cache (concurrent run): {} hits / {} misses ({:.0}% hit rate, {} coalesced); \
          outcomes bit-identical: {bit_identical}; histograms bit-identical: {hist_identical}\n",
         dev.name,
-        doc.scheduler,
         doc.concurrent_in_flight_limit,
         doc.concurrent_workers,
         if throughput_gated { "" } else { " (not gated: <4 cores)" },

@@ -4,10 +4,10 @@
 //! For each workload × fault-rate point we run the tuning walk twice
 //! over the same compiled candidates:
 //!
-//! 1. a **fault-free reference** with the plain
-//!    [`tune_loop`];
-//! 2. a **chaotic run** through
-//!    [`resilient_tune_loop`]
+//! 1. a **fault-free reference** with a
+//!    [`SessionMode::Simple`](orion_core::session::SessionMode) session;
+//! 2. a **chaotic run** through a
+//!    [`SessionMode::Resilient`](orion_core::session::SessionMode) one,
 //!    with a seeded [`FaultPlan`] injecting transient launch failures,
 //!    perturbed-device resource rejections, stuck-warp hangs, and timing
 //!    jitter/outliers.
@@ -27,8 +27,8 @@ use crate::experiment::{run_version_once, ExperimentError, DOWNWARD_THRESHOLD};
 use crate::figures::Figure;
 use crate::report::render_table;
 use orion_core::orion::Orion;
-use orion_core::resilient::{resilient_tune_loop, ResiliencePolicy, ResilienceStats};
-use orion_core::runtime::tune_loop;
+use orion_core::resilient::{ResiliencePolicy, ResilienceStats};
+use orion_core::session::TuningSession;
 use orion_gpusim::device::DeviceSpec;
 use orion_gpusim::faults::{FaultInjector, FaultPlan, FaultSnapshot};
 use orion_gpusim::sim::{run_launch_faulty, LaunchOptions};
@@ -112,28 +112,8 @@ pub fn chaos_run(
     // Fault-free reference walk.
     let mut global = w.init_global.clone();
     let mut iter_no = 0u32;
-    let reference = tune_loop(&compiled, iters, orion.cfg.slowdown_threshold, |v| {
-        let params = w.params_for(iter_no);
-        iter_no += 1;
-        run_launch_faulty(
-            dev,
-            &v.machine,
-            w.launch(),
-            params,
-            &mut global,
-            opts(v.extra_smem),
-            None,
-        )
-        .map(|r| r.cycles)
-    })?;
-
-    // Chaotic walk through the resilient executor.
-    let injector = FaultInjector::new(FaultPlan::chaos(seed, fault_rate, jitter_frac));
-    let mut global = w.init_global.clone();
-    let mut iter_no = 0u32;
-    let policy = ResiliencePolicy::default();
-    let chaotic =
-        resilient_tune_loop(w.name, &compiled, iters, orion.cfg.slowdown_threshold, &policy, |v| {
+    let reference =
+        TuningSession::simple(&compiled, iters, orion.cfg.slowdown_threshold).drive(|v| {
             let params = w.params_for(iter_no);
             iter_no += 1;
             run_launch_faulty(
@@ -143,11 +123,34 @@ pub fn chaos_run(
                 params,
                 &mut global,
                 opts(v.extra_smem),
-                Some(&injector),
+                None,
             )
             .map(|r| r.cycles)
             .map_err(orion_core::OrionError::from)
-        });
+        })?;
+
+    // Chaotic walk through the resilient executor.
+    let injector = FaultInjector::new(FaultPlan::chaos(seed, fault_rate, jitter_frac));
+    let mut global = w.init_global.clone();
+    let mut iter_no = 0u32;
+    let policy = ResiliencePolicy::default();
+    let chaotic =
+        TuningSession::resilient(w.name, &compiled, iters, orion.cfg.slowdown_threshold, policy)
+            .drive(|v| {
+                let params = w.params_for(iter_no);
+                iter_no += 1;
+                run_launch_faulty(
+                    dev,
+                    &v.machine,
+                    w.launch(),
+                    params,
+                    &mut global,
+                    opts(v.extra_smem),
+                    Some(&injector),
+                )
+                .map(|r| r.cycles)
+                .map_err(orion_core::OrionError::from)
+            });
     // Candidate exhaustion at a stress rate is a *result*, not a sweep
     // failure: record the row as gave-up (the app falls back to its
     // original kernel) instead of aborting the whole bench.

@@ -4,7 +4,7 @@
 use orion_alloc::realize::{allocate, AllocOptions, SlotBudget};
 use orion_core::compiler::KernelVersion;
 use orion_core::orion::Orion;
-use orion_core::runtime::tune_loop;
+use orion_core::session::TuningSession;
 use orion_gpusim::device::DeviceSpec;
 use orion_gpusim::exec::SimError;
 use orion_gpusim::power::{energy, EnergyReport, PowerModel};
@@ -186,24 +186,26 @@ fn orion_select_impl(
     let mut global = w.init_global.clone();
     let iters = w.iterations.max(1);
     let mut iter_no = 0u32;
-    let outcome = tune_loop(&compiled, iters, orion.cfg.slowdown_threshold, |v| {
-        let params = w.params_for(iter_no);
-        iter_no += 1;
-        run_launch_opts(
-            dev,
-            &v.machine,
-            w.launch(),
-            params,
-            &mut global,
-            LaunchOptions {
-                extra_smem_per_block: v.extra_smem,
-                cta_range: None,
-                cycle_budget: None,
-                ..LaunchOptions::default()
-            },
-        )
-        .map(|r| r.cycles)
-    })?;
+    let outcome =
+        TuningSession::simple(&compiled, iters, orion.cfg.slowdown_threshold).drive(|v| {
+            let params = w.params_for(iter_no);
+            iter_no += 1;
+            run_launch_opts(
+                dev,
+                &v.machine,
+                w.launch(),
+                params,
+                &mut global,
+                LaunchOptions {
+                    extra_smem_per_block: v.extra_smem,
+                    cta_range: None,
+                    cycle_budget: None,
+                    ..LaunchOptions::default()
+                },
+            )
+            .map(|r| r.cycles)
+            .map_err(orion_core::OrionError::from)
+        })?;
     let selected = &compiled.versions[outcome.selected];
     let sel_run = run_version_once(dev, w, selected)?;
     let nvcc_run = run_version_once(dev, w, &baseline)?;

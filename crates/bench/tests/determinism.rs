@@ -9,7 +9,7 @@
 //! bit-for-bit.
 
 use orion_core::orion::Orion;
-use orion_core::runtime::{tune_loop, TuneOutcome};
+use orion_core::session::{SessionOutcome, TuningSession};
 use orion_gpusim::device::DeviceSpec;
 use orion_gpusim::exec::Launch;
 use orion_gpusim::faults::{FaultInjector, FaultPlan};
@@ -92,21 +92,23 @@ fn parallel_matches_serial_across_workloads_and_occupancy() {
     }
 }
 
-fn tune_with(orion: &Orion, w: &orion_workloads::Workload, opts: LaunchOptions) -> TuneOutcome {
+fn tune_with(orion: &Orion, w: &orion_workloads::Workload, opts: LaunchOptions) -> SessionOutcome {
     let compiled = orion.compile(&w.module).expect("compile");
-    tune_loop(&compiled, w.iterations, 0.02, |v| {
-        let mut global = w.init_global.clone();
-        run_launch_opts(
-            &orion.dev,
-            &v.machine,
-            w.launch(),
-            &w.params,
-            &mut global,
-            LaunchOptions { extra_smem_per_block: v.extra_smem, ..opts },
-        )
-        .map(|r| r.cycles)
-    })
-    .expect("tune loop")
+    TuningSession::simple(&compiled, w.iterations, 0.02)
+        .drive(|v| {
+            let mut global = w.init_global.clone();
+            run_launch_opts(
+                &orion.dev,
+                &v.machine,
+                w.launch(),
+                &w.params,
+                &mut global,
+                LaunchOptions { extra_smem_per_block: v.extra_smem, ..opts },
+            )
+            .map(|r| r.cycles)
+            .map_err(orion_core::OrionError::from)
+        })
+        .expect("tune loop")
 }
 
 /// The tuner's full decision log (selection, per-iteration walk,

@@ -6,11 +6,22 @@ use orion_bench::experiment::run_version_once;
 use orion_core::orion::Orion;
 use orion_gpusim::DeviceSpec;
 use orion_telemetry::metrics::{aggregate_counters, MetricsReport};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Telemetry's on/off switch and event buffer are process-global, and
+/// the test harness runs this file's tests in parallel: every test that
+/// toggles or drains them holds this lock for its whole body.
+static TELEMETRY: Mutex<()> = Mutex::new(());
+
+fn telemetry_lock() -> MutexGuard<'static, ()> {
+    TELEMETRY.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The exporter output parses as JSON, carries the required
 /// trace_event keys, and is sorted by timestamp.
 #[test]
 fn chrome_trace_exports_valid_sorted_json() {
+    let _serial = telemetry_lock();
     orion_telemetry::set_enabled(true);
     if !orion_telemetry::is_enabled() {
         return; // probes compiled out (--no-default-features)
@@ -56,6 +67,7 @@ fn chrome_trace_exports_valid_sorted_json() {
 
 #[test]
 fn counter_aggregation_rolls_up_by_category() {
+    let _serial = telemetry_lock();
     orion_telemetry::set_enabled(true);
     if !orion_telemetry::is_enabled() {
         return; // probes compiled out (--no-default-features)

@@ -1,6 +1,6 @@
-//! Tuning equivalence on the tier-1 workloads: the session-driven
-//! entry points (`tune_loop`, `resilient_tune_loop`) must be
-//! **bit-identical** to the frozen pre-refactor loops in
+//! Tuning equivalence on the tier-1 workloads: `TuningSession::drive`,
+//! in simple and resilient mode, must be **bit-identical** to the
+//! frozen closure loops in
 //! [`orion_core::reference`] when the launches come from the real
 //! simulator — clean walks and seeded chaos alike.
 //!
@@ -17,9 +17,9 @@
 //! (if weaker) equivalence check, so the suite runs in every build.
 
 use orion_core::orion::Orion;
-use orion_core::reference;
-use orion_core::resilient::{resilient_tune_loop, ResiliencePolicy, ResilientOutcome};
-use orion_core::runtime::tune_loop;
+use orion_core::reference::{self, ResilientWalkOutcome, WalkOutcome};
+use orion_core::resilient::ResiliencePolicy;
+use orion_core::session::TuningSession;
 use orion_core::{CompiledKernel, KernelVersion, OrionError};
 use orion_gpusim::device::DeviceSpec;
 use orion_gpusim::faults::{FaultInjector, FaultPlan};
@@ -82,10 +82,12 @@ fn resilient_pair(
     w: &Workload,
     ck: &CompiledKernel,
     plan: impl Fn() -> Option<FaultPlan>,
-) -> (Result<ResilientOutcome, OrionError>, Result<ResilientOutcome, OrionError>) {
+) -> (Result<ResilientWalkOutcome, OrionError>, Result<ResilientWalkOutcome, OrionError>) {
     let policy = ResiliencePolicy::default();
     let mut app = App::new(dev, w, plan());
-    let live = resilient_tune_loop(w.name, ck, ITERS, THRESHOLD, &policy, |v| app.launch(v));
+    let live = TuningSession::resilient(w.name, ck, ITERS, THRESHOLD, policy)
+        .drive(|v| app.launch(v))
+        .map(ResilientWalkOutcome::from);
     let mut app = App::new(dev, w, plan());
     let oracle =
         reference::resilient_tune_loop(w.name, ck, ITERS, THRESHOLD, &policy, |v| app.launch(v));
@@ -102,7 +104,9 @@ fn plain_walk_is_bit_identical_to_reference_on_workloads() {
         let w = by_name(name).expect("workload");
         let ck = compile(&dev, &w);
         let mut app = App::new(&dev, &w, None);
-        let live = tune_loop(&ck, ITERS, THRESHOLD, |v| app.launch(v));
+        let live = TuningSession::simple(&ck, ITERS, THRESHOLD)
+            .drive(|v| app.launch(v))
+            .map(WalkOutcome::from);
         let mut app = App::new(&dev, &w, None);
         let oracle = reference::tune_loop(&ck, ITERS, THRESHOLD, |v| app.launch(v));
         assert_eq!(live, oracle, "{name}: plain walk diverged from reference");

@@ -75,12 +75,12 @@
 //! # }
 //! ```
 //!
-//! Single kernels can drive a [`session::TuningSession`] directly (the
-//! pull-based `next_step()` / `on_launch_result()` loop), and the legacy
-//! closure APIs — [`runtime::tune_loop`] and
-//! [`resilient::resilient_tune_loop`] — remain as thin drivers over
-//! the same machine, pinned bit-equal to their pre-refactor behavior
-//! by the [`reference`](mod@reference) equivalence suite.
+//! Single kernels drive a [`session::TuningSession`] directly: with a
+//! launch closure ([`session::TuningSession::drive`]), or through the
+//! pull-based `next_step()` / `on_launch_result()` loop. Either way the
+//! result is a [`session::SessionOutcome`], pinned bit-equal to the
+//! frozen walks of the [`reference`](mod@reference) equivalence
+//! suite.
 
 pub mod backend;
 pub mod budget;
@@ -96,6 +96,8 @@ pub mod service;
 pub mod session;
 pub mod sharded;
 pub mod splitting;
+#[cfg(test)]
+mod testutil;
 pub mod version;
 
 pub use backend::{
@@ -110,14 +112,11 @@ pub use policy::{
     analytic_bound, BanditConfig, BanditPolicy, BoundCtx, Measurement, PaperWalkPolicy, PolicyKind,
     PolicyVerdict, SearchPolicy,
 };
-pub use resilient::{
-    resilient_tune_loop, robust_cycles, robust_measure, ResiliencePolicy, ResilienceStats,
-    ResilientOutcome, RobustMeasure,
-};
-pub use runtime::{tune_loop, DynamicTuner, TuneDecision, TuneOutcome, TuneReason};
+pub use resilient::{robust_measure, ResiliencePolicy, ResilienceStats, RobustMeasure};
+pub use runtime::{TuneDecision, TuneReason};
 pub use service::{
-    DegradeReason, JobDisposition, JobPolicy, KernelJob, KernelReport, OrionService, SchedulerMode,
-    ServiceConfig, ServiceReport,
+    DegradeReason, JobDisposition, JobPolicy, KernelJob, KernelReport, OrionService, ServiceConfig,
+    ServiceReport,
 };
 pub use session::{
     SessionMode, SessionObs, SessionOutcome, SessionState, SessionStep, TuningSession,

@@ -1,21 +1,20 @@
 //! Pluggable search policies over a compiled kernel's candidates.
 //!
-//! PR 5 unified the three runtime walks onto one state machine
-//! ([`TuningSession`](crate::session::TuningSession)); this module pulls
-//! the *decision core* out of that machine behind the [`SearchPolicy`]
-//! trait, so the Figure 9 walk becomes one strategy among several
-//! instead of the only one. The session keeps everything operational —
+//! Every tuning run is one state machine
+//! ([`TuningSession`](crate::session::TuningSession)); this module holds
+//! its *decision core* behind the [`SearchPolicy`] trait, so the
+//! Figure 9 walk is one strategy among several instead of the only
+//! one. The session keeps everything operational —
 //! retries, robust measurement, strikes, deadlines, degraded fallback —
 //! and delegates only the questions "which candidate next?", "what did
 //! this measurement mean?", and "are we done?" to the policy.
 //!
 //! Two policies ship:
 //!
-//! * [`PaperWalkPolicy`] — the paper's Figure 9 walk, a delegating
-//!   wrapper over the untouched [`DynamicTuner`]. It is the default
-//!   everywhere and is pinned **bit-equal** to the frozen
-//!   [`crate::reference`] oracle by the equivalence suites: the refactor
-//!   is invisible unless a non-default policy is requested.
+//! * [`PaperWalkPolicy`] — the paper's Figure 9 walk, with its rules
+//!   and state held in the policy itself. It is the default everywhere
+//!   and is pinned **bit-equal** to the frozen [`crate::reference`]
+//!   oracle by the equivalence suites.
 //! * [`BanditPolicy`] — a seeded, deterministic UCB search intended for
 //!   wider candidate spaces ([`CandidateSpace`]): arms are pre-pruned by
 //!   a cheap analytic performance bound derived from the compile-probe
@@ -34,8 +33,8 @@
 //!
 //! [`CandidateSpace`]: crate::version::CandidateSpace
 
-use crate::compiler::{CompiledKernel, KernelVersion};
-use crate::runtime::{DynamicTuner, TuneDecision, TuneReason};
+use crate::compiler::{CompiledKernel, Direction, KernelVersion};
+use crate::runtime::{TuneDecision, TuneReason};
 use orion_telemetry::journal::{self, JournalEvent};
 use orion_telemetry::registry;
 use serde::{Deserialize, Serialize};
@@ -194,93 +193,383 @@ impl PolicyKind {
     }
 }
 
-/// The paper's Figure 9 walk as a [`SearchPolicy`]: a delegating
-/// wrapper over the untouched [`DynamicTuner`], so its decision
-/// sequence is *definitionally* the pre-refactor one. The equivalence
-/// suites pin it bit-equal to the frozen [`crate::reference`] oracle.
+/// The paper's Figure 9 walk (§3.4) as a [`SearchPolicy`]: the
+/// feedback-driven version selector.
+///
+/// The first iteration runs the original version; each later one runs
+/// the next candidate in the compiler's tuning order until performance
+/// degrades — strictly worse when tuning upward, more than the
+/// threshold over the best when tuning downward — and the surviving
+/// version is finalized. Launch failures quarantine a candidate (the
+/// walk continues over the survivors), and a dead finalized version
+/// falls back to the fail-safe, then the original. The equivalence
+/// suites pin the walk bit-equal to the frozen [`crate::reference`]
+/// oracle.
 #[derive(Debug, Clone)]
 pub struct PaperWalkPolicy {
-    tuner: DynamicTuner,
+    order: Vec<usize>,
+    direction: Direction,
+    threshold: f64,
+    /// Position in `order` currently being evaluated.
+    pos: usize,
+    /// Measured (work-normalized) cycles per version (by version index).
+    times: Vec<Option<u64>>,
+    finalized: Option<usize>,
+    trials: usize,
+    decisions: Vec<TuneDecision>,
+    /// Versions removed from consideration after launch failures.
+    quarantined: Vec<bool>,
+    /// The compiler's opposite-direction fail-safe version, if any.
+    fail_safe: Option<usize>,
+    /// The original (untuned) version index.
+    original: usize,
 }
 
 impl PaperWalkPolicy {
-    /// The walk over `ck`'s tuning order at the paper's threshold.
+    /// The walk over `ck`'s tuning order at the given slowdown
+    /// threshold (the paper's 2%).
     #[must_use]
     pub fn new(ck: &CompiledKernel, threshold: f64) -> Self {
-        PaperWalkPolicy { tuner: DynamicTuner::new(ck, threshold) }
+        PaperWalkPolicy {
+            order: ck.tuning_order.clone(),
+            direction: ck.direction,
+            threshold,
+            pos: 0,
+            times: vec![None; ck.versions.len()],
+            finalized: if ck.tuning_order.len() == 1 { Some(ck.tuning_order[0]) } else { None },
+            trials: 0,
+            decisions: Vec::new(),
+            quarantined: vec![false; ck.versions.len()],
+            fail_safe: ck.versions.iter().position(|v| v.fail_safe),
+            original: ck.original,
+        }
+    }
+
+    /// Report the measured cycles of the version [`SearchPolicy::select`]
+    /// named — the paper's exact rule.
+    pub(crate) fn record(&mut self, cycles: u64) {
+        self.record_inner(cycles, 1, 0.0);
+    }
+
+    /// Report a noise-robust measurement (e.g. a mean-of-k) together
+    /// with its observed relative noise margin. The degradation test's
+    /// tolerance becomes `max(base, noise_margin)` for this sample —
+    /// base 0 for the upward walk (whose stop rule is otherwise "any
+    /// increase", a coin flip on a noisy plateau) and the slowdown
+    /// threshold for the downward walk (already noise-sized, so the
+    /// margin only takes over when the observed noise is larger).
+    /// [`PaperWalkPolicy::record`] is the margin-zero special case.
+    pub(crate) fn record_noisy(&mut self, cycles: u64, noise_margin: f64) {
+        self.record_inner(cycles, 1, noise_margin.max(0.0));
+    }
+
+    /// The degradation test. `work` normalizes the measurement by the
+    /// invocation's amount of work (e.g. the BFS frontier size): the
+    /// paper observes that bfs "does different amounts of work in each
+    /// iteration, making it difficult to compare consecutive
+    /// invocations" and proposes exactly this multiplicative correction
+    /// as future work (§4.2). Callers guarantee `work > 0`.
+    fn record_inner(&mut self, cycles: u64, work: u64, margin: f64) {
+        // Normalize to cycles per 2^20 work items to keep integer math.
+        let raw_cycles = cycles;
+        let cycles = cycles.saturating_mul(1 << 20) / work;
+        if self.finalized.is_some() {
+            return;
+        }
+        // Clamped lookup: a caller that keeps recording after the walk
+        // ran off the end (or after quarantines emptied the order)
+        // finalizes on the survivors instead of panicking.
+        let Some(&cur) = self.order.get(self.pos) else {
+            self.finalized = self.best_survivor();
+            if let Some(f) = self.finalized {
+                self.push_decision(TuneDecision {
+                    trial: self.trials,
+                    version: f,
+                    cycles: raw_cycles,
+                    norm_cycles: cycles,
+                    reason: TuneReason::Exhausted,
+                    finalized: self.finalized,
+                });
+            }
+            return;
+        };
+        self.times[cur] = Some(cycles);
+        self.trials += 1;
+        let reason;
+        if self.pos == 0 {
+            self.pos += 1;
+            reason = TuneReason::Baseline;
+        } else {
+            let prev = self.order[self.pos - 1];
+            let cur_t = cycles as f64;
+            let degraded = match self.direction {
+                Direction::Increasing => match self.times[prev] {
+                    // The margin keeps measurement noise from mimicking
+                    // a slowdown; 0 restores the paper's exact "any
+                    // increase stops the walk" rule.
+                    Some(t) => cur_t > t as f64 * (1.0 + margin),
+                    // The comparison anchor was quarantined away;
+                    // nothing to regress against, keep walking.
+                    None => false,
+                },
+                Direction::Decreasing => {
+                    // `cur` was just recorded, so the minimum exists.
+                    let best = self.times.iter().flatten().copied().min().unwrap_or(cycles) as f64;
+                    // The paper's threshold already absorbs noise up to
+                    // its own size — widening it *additively* would let
+                    // a margin mask a genuine just-over-threshold
+                    // degradation. The margin only takes over when the
+                    // observed noise exceeds the threshold itself.
+                    cur_t / best - 1.0 > self.threshold.max(margin)
+                }
+            };
+            if degraded {
+                self.finalized = Some(prev);
+                reason = TuneReason::SlowdownExceeded;
+            } else if self.pos + 1 >= self.order.len() {
+                self.finalized = Some(match self.direction {
+                    // Exhausted upward: keep the fastest observed.
+                    Direction::Increasing => self
+                        .order
+                        .iter()
+                        .copied()
+                        .min_by_key(|&v| self.times[v].unwrap_or(u64::MAX))
+                        .unwrap_or(cur),
+                    // Exhausted downward: the current (lowest acceptable).
+                    Direction::Decreasing => cur,
+                });
+                reason = TuneReason::Exhausted;
+            } else {
+                self.pos += 1;
+                reason = TuneReason::NotDegraded;
+            }
+        }
+        self.push_decision(TuneDecision {
+            trial: self.trials - 1,
+            version: cur,
+            cycles: raw_cycles,
+            norm_cycles: cycles,
+            reason,
+            finalized: self.finalized,
+        });
+    }
+
+    /// The fastest measured survivor, else the first unmeasured one.
+    fn best_survivor(&self) -> Option<usize> {
+        self.order
+            .iter()
+            .copied()
+            .filter(|&v| self.times[v].is_some())
+            .min_by_key(|&v| self.times[v].unwrap_or(u64::MAX))
+            .or_else(|| self.order.first().copied())
+    }
+
+    /// Last-resort replacement when the finalized version dies:
+    /// fail-safe, then original, then best measured survivor.
+    fn fallback_survivor(&self) -> Option<usize> {
+        let alive = |v: usize| !self.quarantined.get(v).copied().unwrap_or(true);
+        self.fail_safe
+            .filter(|&v| alive(v))
+            .or_else(|| Some(self.original).filter(|&v| alive(v)))
+            .or_else(|| self.best_survivor())
+    }
+
+    /// True once every runnable version (candidates and fallbacks) has
+    /// been quarantined.
+    pub(crate) fn all_quarantined(&self) -> bool {
+        self.order.is_empty() && self.finalized.is_none()
+    }
+
+    /// The finalized version, once the walk is done.
+    pub(crate) fn finalized(&self) -> Option<usize> {
+        self.finalized
+    }
+
+    /// Consume the walk, keeping its decision log.
+    pub(crate) fn into_decisions(self) -> Vec<TuneDecision> {
+        self.decisions
+    }
+
+    fn push_decision(&mut self, decision: TuneDecision) {
+        if orion_telemetry::is_enabled() {
+            orion_telemetry::instant(
+                "tuner",
+                "decision",
+                vec![
+                    ("trial", decision.trial.into()),
+                    ("version", decision.version.into()),
+                    ("cycles", decision.cycles.into()),
+                    ("norm_cycles", decision.norm_cycles.into()),
+                    ("reason", format!("{:?}", decision.reason).into()),
+                    (
+                        "finalized",
+                        decision.finalized.map_or(orion_telemetry::ArgValue::Bool(false), |v| {
+                            orion_telemetry::ArgValue::U64(v as u64)
+                        }),
+                    ),
+                ],
+            );
+        }
+        self.decisions.push(decision);
     }
 }
 
 impl SearchPolicy for PaperWalkPolicy {
     fn propose(&self) -> Option<usize> {
-        if self.tuner.all_quarantined() {
+        if self.all_quarantined() {
             None
         } else {
-            Some(self.tuner.select())
+            Some(self.select())
         }
     }
 
     fn observe(&mut self, candidate: usize, m: Measurement) {
-        debug_assert_eq!(candidate, self.tuner.select(), "walk measurements arrive in order");
-        if orion_telemetry::is_enabled() && self.tuner.finalized().is_none() {
+        debug_assert_eq!(candidate, self.select(), "walk measurements arrive in order");
+        if orion_telemetry::is_enabled() && self.finalized.is_none() {
             search_metrics().launches.inc();
         }
         match (m.work, m.noise_margin) {
-            // The session validates `work > 0` before the measurement
-            // reaches the policy, preserving the tuner's own contract.
-            (Some(work), _) => self
-                .tuner
-                .record_with_work(m.cycles, work)
-                .expect("session rejects zero work before observe"),
-            (None, Some(margin)) => self.tuner.record_noisy(m.cycles, margin),
-            (None, None) => self.tuner.record(m.cycles),
+            // The session rejects `work == 0` before the measurement
+            // reaches the policy.
+            (Some(work), _) => self.record_inner(m.cycles, work, 0.0),
+            (None, Some(margin)) => self.record_noisy(m.cycles, margin),
+            (None, None) => self.record(m.cycles),
         }
     }
 
     fn verdict(&self) -> PolicyVerdict {
-        if self.tuner.all_quarantined() {
+        if self.all_quarantined() {
             PolicyVerdict::Dead
-        } else if let Some(v) = self.tuner.finalized() {
+        } else if let Some(v) = self.finalized {
             PolicyVerdict::Finalized(v)
         } else {
             PolicyVerdict::Exploring
         }
     }
 
+    /// The version to run for the current iteration. Never indexes out
+    /// of bounds: a position that walked past the end of the order (or
+    /// an order emptied by quarantines) clamps to the last survivor.
+    /// With every candidate quarantined this names the fail-safe (or
+    /// original) as a last resort.
     fn select(&self) -> usize {
-        self.tuner.select()
+        if let Some(v) = self.finalized {
+            return v;
+        }
+        match self.order.get(self.pos.min(self.order.len().saturating_sub(1))) {
+            Some(&v) => v,
+            None => self.fail_safe.unwrap_or(self.original),
+        }
     }
 
+    /// The relative slowdown `cycles / anchor - 1` of a prospective
+    /// (unit-work) measurement against the walk's current comparison
+    /// anchor — the previous version's time when tuning upward, the
+    /// best time so far when tuning downward. `None` on the baseline
+    /// trial, a finalized walk, or a quarantined-away anchor.
     fn probe_slowdown(&self, cycles: u64) -> Option<f64> {
-        self.tuner.probe_slowdown(cycles)
+        if self.finalized.is_some() || self.pos == 0 || self.pos >= self.order.len() {
+            return None;
+        }
+        // Match record_inner's unit-work normalization: stored times
+        // carry the 2^20 scale factor.
+        let cur_t = cycles.saturating_mul(1 << 20) as f64;
+        let anchor = match self.direction {
+            Direction::Increasing => self.times[self.order[self.pos - 1]],
+            Direction::Decreasing => self.times.iter().flatten().copied().min(),
+        }?;
+        Some(cur_t / anchor.max(1) as f64 - 1.0)
     }
 
-    fn quarantine(&mut self, candidate: usize) {
-        self.tuner.quarantine(candidate);
+    /// Its measurement (if any) is discarded so it can never win a
+    /// best-of comparison ([`TuneReason::Quarantined`]). If the
+    /// quarantined version was already finalized, the walk *falls back*
+    /// — to the fail-safe version, else the original, else the best
+    /// measured survivor ([`TuneReason::FellBack`]).
+    fn quarantine(&mut self, version: usize) {
+        if self.quarantined.get(version).copied().unwrap_or(true) {
+            return; // already quarantined, or out of range
+        }
+        self.quarantined[version] = true;
+        self.times[version] = None;
+        if let Some(idx) = self.order.iter().position(|&v| v == version) {
+            self.order.remove(idx);
+            if idx < self.pos {
+                self.pos -= 1;
+            }
+        }
+        let was_final = self.finalized == Some(version);
+        let reason = if was_final {
+            self.finalized = self.fallback_survivor();
+            TuneReason::FellBack
+        } else {
+            if self.finalized.is_none() && self.pos >= self.order.len() {
+                // The walk ran out of candidates; settle on a survivor,
+                // or engage the last-resort fallback if none remain.
+                self.finalized = self.best_survivor().or_else(|| self.fallback_survivor());
+            }
+            TuneReason::Quarantined
+        };
+        if orion_telemetry::is_enabled() {
+            orion_telemetry::counter(
+                "resilience",
+                if was_final { "fellback" } else { "quarantined" },
+                1,
+            );
+        }
+        self.push_decision(TuneDecision {
+            trial: self.trials,
+            version,
+            cycles: 0,
+            norm_cycles: 0,
+            reason,
+            finalized: self.finalized,
+        });
     }
 
+    /// An already finalized version is kept; an unfinished walk
+    /// resolves to the *original* version when it is still alive — the
+    /// paper's fail-safe answer, not the best guess from a walk that was
+    /// cut short — else to the usual fallback chain. Records a
+    /// [`TuneReason::Degraded`] decision either way.
     fn degrade_to_fallback(&mut self) -> Option<usize> {
-        self.tuner.degrade_to_fallback()
+        if self.finalized.is_none() {
+            let alive = |v: usize| !self.quarantined.get(v).copied().unwrap_or(true);
+            self.finalized =
+                Some(self.original).filter(|&v| alive(v)).or_else(|| self.fallback_survivor());
+        }
+        if orion_telemetry::is_enabled() {
+            orion_telemetry::counter("resilience", "degraded", 1);
+        }
+        self.push_decision(TuneDecision {
+            trial: self.trials,
+            version: self.finalized.unwrap_or(self.original),
+            cycles: 0,
+            norm_cycles: 0,
+            reason: TuneReason::Degraded,
+            finalized: self.finalized,
+        });
+        self.finalized
     }
 
-    fn is_quarantined(&self, candidate: usize) -> bool {
-        self.tuner.is_quarantined(candidate)
+    fn is_quarantined(&self, version: usize) -> bool {
+        self.quarantined.get(version).copied().unwrap_or(false)
     }
 
     fn quarantined_count(&self) -> usize {
-        self.tuner.quarantined_count()
+        self.quarantined.iter().filter(|&&q| q).count()
     }
 
     fn trials(&self) -> usize {
-        self.tuner.trials()
+        self.trials
     }
 
     fn decisions(&self) -> &[TuneDecision] {
-        self.tuner.decisions()
+        &self.decisions
     }
 
     fn into_decisions(self: Box<Self>) -> Vec<TuneDecision> {
-        self.tuner.into_decisions()
+        self.decisions
     }
 
     fn name(&self) -> &'static str {
@@ -365,7 +654,7 @@ const SPILL_MOVE_WEIGHT: u64 = 4;
 /// * Each resident block retires the version's static instruction
 ///   stream once per grid block it serves; spill traffic (the
 ///   allocator's compressible-stack moves, which grow as occupancy
-///   tuning squeezes registers) is weighted [`SPILL_MOVE_WEIGHT`]×.
+///   tuning squeezes registers) is weighted `SPILL_MOVE_WEIGHT`×.
 /// * A version resident at `b` blocks/SM serves `ceil(blocks_per_sm /
 ///   b)` sequential *rounds* — the same quantization the occupancy
 ///   calculator applies. This is what makes the bound non-monotone in
@@ -418,7 +707,7 @@ impl Arm {
 pub struct BanditPolicy {
     cfg: BanditConfig,
     arms: Vec<Arm>,
-    /// Fallback chain anchors (mirroring [`DynamicTuner`]).
+    /// Fallback chain anchors (mirroring [`PaperWalkPolicy`]).
     fail_safe: Option<usize>,
     original: usize,
     finalized: Option<usize>,
@@ -627,7 +916,7 @@ impl BanditPolicy {
     }
 
     /// Last-resort replacement chain, mirroring
-    /// [`DynamicTuner::degrade_to_fallback`]: fail-safe, then original,
+    /// [`PaperWalkPolicy`]'s: fail-safe, then original,
     /// then best measured survivor.
     fn fallback_survivor(&self) -> Option<usize> {
         let alive = |v: usize| self.arms.get(v).is_some_and(|a| !a.quarantined);
@@ -828,6 +1117,284 @@ fn search_metrics() -> SearchMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{SessionOutcome, TuningSession};
+    use crate::testutil::{fake_compiled, fake_compiled_with_fail_safe, fake_version};
+
+    /// A fault-free session over the paper walk, measuring `times[v]`
+    /// for version `v`.
+    fn walk(ck: &CompiledKernel, iterations: u32, times: &[u64]) -> SessionOutcome {
+        TuningSession::simple(ck, iterations, 0.02)
+            .drive(|v| Ok(times[ck.index_of(&v.label).unwrap()]))
+            .unwrap()
+    }
+
+    #[test]
+    fn increasing_stops_at_first_degradation() {
+        // Times: v0=100, v1=80, v2=90 → picks v1 after 3 trials.
+        let ck = fake_compiled(&[8, 16, 32, 48], Direction::Increasing);
+        let out = walk(&ck, 10, &[100, 80, 90, 70]);
+        assert_eq!(out.selected, 1);
+        assert_eq!(out.converged_after, 3);
+        // Remaining iterations run the finalized version.
+        assert!(out.iterations[3..].iter().all(|&(v, _)| v == 1));
+    }
+
+    #[test]
+    fn decreasing_walks_through_plateau() {
+        // order: 48, 36, 24, 12 warps; 24 is within 2% of best, 12 not.
+        let ck = fake_compiled(&[48, 36, 24, 12], Direction::Decreasing);
+        let out = walk(&ck, 8, &[100, 100, 101, 140]);
+        assert_eq!(out.selected, 2, "lowest occupancy within the 2% band");
+    }
+
+    #[test]
+    fn noise_margin_widens_the_stop_rules() {
+        // Increasing, plateau with +1% wobble on the second version.
+        // With margin 0 the literal "any increase stops" rule fires and
+        // the walk finalizes v0; a 5% margin rides through the wobble
+        // and keeps walking to the genuinely better v2.
+        let ck = fake_compiled(&[8, 16, 32], Direction::Increasing);
+        let times = [100u64, 101, 80];
+
+        let mut strict = PaperWalkPolicy::new(&ck, 0.02);
+        for &t in &times {
+            strict.record_noisy(t, 0.0);
+            if strict.finalized().is_some() {
+                break;
+            }
+        }
+        assert_eq!(strict.finalized(), Some(0), "margin 0 keeps the paper rule");
+
+        let mut tolerant = PaperWalkPolicy::new(&ck, 0.02);
+        for &t in &times {
+            tolerant.record_noisy(t, 0.05);
+        }
+        assert_eq!(tolerant.finalized(), Some(2), "5% margin absorbs a 1% wobble");
+
+        // Decreasing: 2.5% slip is over the 2% threshold alone, but
+        // inside a 5% noise margin, which takes over when larger than
+        // the threshold (max semantics, never additive).
+        let ck = fake_compiled(&[48, 36, 24], Direction::Decreasing);
+        let times = [1000u64, 1025, 1100];
+
+        let mut strict = PaperWalkPolicy::new(&ck, 0.02);
+        for &t in &times {
+            strict.record_noisy(t, 0.0);
+            if strict.finalized().is_some() {
+                break;
+            }
+        }
+        assert_eq!(strict.finalized(), Some(0), "2.5% over best degrades at margin 0");
+
+        let mut tolerant = PaperWalkPolicy::new(&ck, 0.02);
+        for &t in &times {
+            tolerant.record_noisy(t, 0.05);
+            if tolerant.finalized().is_some() {
+                break;
+            }
+        }
+        assert_eq!(
+            tolerant.finalized(),
+            Some(1),
+            "within max(threshold, margin) counts as plateau; 10% slip still stops the walk"
+        );
+    }
+
+    #[test]
+    fn exhausting_upward_takes_best() {
+        let ck = fake_compiled(&[8, 16, 32], Direction::Increasing);
+        let out = walk(&ck, 6, &[100, 90, 70]);
+        assert_eq!(out.selected, 2);
+        assert_eq!(out.converged_after, 3);
+    }
+
+    #[test]
+    fn single_candidate_finalizes_immediately() {
+        let ck = fake_compiled(&[48], Direction::Decreasing);
+        let out = walk(&ck, 4, &[55]);
+        assert_eq!(out.selected, 0);
+        assert_eq!(out.converged_after, 0);
+        assert_eq!(out.total_cycles, 4 * 55);
+    }
+
+    #[test]
+    fn work_normalization_rescues_variable_work_apps() {
+        // Decreasing direction. True per-work cost is identical for the
+        // first two versions, but raw times differ 4x because the work
+        // differs (a growing BFS frontier). Without normalization the
+        // walk would see a huge "slowdown" and finalize immediately at
+        // the original; with it, tuning continues down the candidate
+        // list until the genuinely slower version.
+        let ck = fake_compiled(&[48, 36, 24], Direction::Decreasing);
+        let work = [1000u64, 4000, 4000];
+        let per_work = [50u64, 50, 80]; // version 2 is really 60% slower
+        let mut walk = PaperWalkPolicy::new(&ck, 0.02);
+        for _ in 0..4 {
+            let v = walk.select();
+            walk.observe(v, Measurement::with_work(per_work[v] * work[v], work[v]));
+            if walk.finalized().is_some() {
+                break;
+            }
+        }
+        assert_eq!(walk.finalized(), Some(1), "lowest occupancy at equal per-work cost");
+
+        // The naive walk stops at the original because raw times differ.
+        let mut naive = PaperWalkPolicy::new(&ck, 0.02);
+        for _ in 0..4 {
+            let v = naive.select();
+            naive.record(per_work[v] * work[v]);
+            if naive.finalized().is_some() {
+                break;
+            }
+        }
+        assert_eq!(naive.finalized(), Some(0));
+    }
+
+    #[test]
+    fn convergence_within_three_trials_typical() {
+        // Bell-shaped times: best in the middle of the order.
+        let ck = fake_compiled(&[8, 16, 24, 32, 48], Direction::Increasing);
+        let out = walk(&ck, 20, &[120, 95, 80, 88, 99]);
+        assert_eq!(out.selected, 2);
+        assert!(out.converged_after <= 4);
+    }
+
+    #[test]
+    fn decision_log_records_converging_run() {
+        // Times: v0=100, v1=80, v2=90 → degradation on trial 2 finalizes
+        // v1 after 3 trials total.
+        let ck = fake_compiled(&[8, 16, 32, 48], Direction::Increasing);
+        let out = walk(&ck, 10, &[100, 80, 90, 70]);
+        // One decision per tuning trial, none for post-convergence runs.
+        assert_eq!(out.decisions.len(), 3);
+        assert!(out.converged_after <= 3, "typical convergence is <= ~3 trials");
+        assert_eq!(out.decisions[0].reason, TuneReason::Baseline);
+        assert_eq!(out.decisions[0].version, 0);
+        assert_eq!(out.decisions[0].cycles, 100);
+        assert_eq!(out.decisions[0].finalized, None);
+        assert_eq!(out.decisions[1].reason, TuneReason::NotDegraded);
+        assert_eq!(out.decisions[1].finalized, None);
+        let last = out.decisions.last().unwrap();
+        assert_eq!(last.reason, TuneReason::SlowdownExceeded);
+        assert_eq!(last.finalized, Some(1), "backs off to the previous version");
+        assert_eq!(last.trial, 2);
+    }
+
+    #[test]
+    fn quarantine_skips_version_and_tuning_continues() {
+        // v1 dies after its measurement; the walk continues over v2/v3
+        // and v1's time can never win a comparison.
+        let ck = fake_compiled(&[8, 16, 32, 48], Direction::Increasing);
+        let times = [100u64, 10, 90, 95];
+        let mut walk = PaperWalkPolicy::new(&ck, 0.02);
+        // Measure v0, then v1 (suspiciously fast — it then crashes).
+        walk.record(times[0]);
+        assert_eq!(walk.select(), 1);
+        walk.record(times[1]);
+        walk.quarantine(1);
+        assert!(walk.is_quarantined(1));
+        // Walk resumes at v2; v2 at 90 beats v0's 100, v3 at 95 degrades.
+        while walk.finalized().is_none() {
+            let v = walk.select();
+            assert_ne!(v, 1, "quarantined version must never be selected");
+            walk.record(times[v]);
+        }
+        assert_eq!(walk.finalized(), Some(2), "best survivor, not the dead v1");
+        assert!(walk
+            .decisions()
+            .iter()
+            .any(|d| d.reason == TuneReason::Quarantined && d.version == 1));
+    }
+
+    #[test]
+    fn quarantining_finalized_version_falls_back_to_fail_safe() {
+        let ck = fake_compiled_with_fail_safe(&[8, 16, 32], Direction::Increasing);
+        let times = [100u64, 80, 90];
+        let mut walk = PaperWalkPolicy::new(&ck, 0.02);
+        for _ in 0..3 {
+            let v = walk.select();
+            walk.record(times[v]);
+        }
+        assert_eq!(walk.finalized(), Some(1));
+        walk.quarantine(1);
+        assert_eq!(walk.finalized(), Some(3), "fail-safe version takes over");
+        let last = walk.decisions().last().unwrap();
+        assert_eq!(last.reason, TuneReason::FellBack);
+        assert!(!walk.all_quarantined());
+    }
+
+    #[test]
+    fn quarantining_everything_is_detectable_and_select_stays_total() {
+        let ck = fake_compiled(&[8, 16], Direction::Increasing);
+        let mut walk = PaperWalkPolicy::new(&ck, 0.02);
+        walk.quarantine(0);
+        walk.quarantine(1);
+        assert_eq!(walk.verdict(), PolicyVerdict::Dead);
+        assert!(walk.propose().is_none());
+        assert_eq!(walk.quarantined_count(), 2);
+        // select() still returns a last-resort index without panicking.
+        let _ = walk.select();
+    }
+
+    #[test]
+    fn quarantine_before_first_measurement_keeps_walk_sound() {
+        // Quarantine the version currently under evaluation before it
+        // was ever measured: select() moves on, no panic, and the
+        // degradation test still anchors correctly.
+        let ck = fake_compiled(&[8, 16, 32, 48], Direction::Increasing);
+        let times = [100u64, 0, 90, 95];
+        let mut walk = PaperWalkPolicy::new(&ck, 0.02);
+        walk.record(times[0]);
+        assert_eq!(walk.select(), 1);
+        walk.quarantine(1); // died on launch, never measured
+        assert_eq!(walk.select(), 2);
+        walk.record(times[2]);
+        walk.record(times[3]);
+        assert_eq!(walk.finalized(), Some(2));
+    }
+
+    #[test]
+    fn degrade_mid_walk_settles_on_original_and_logs_it() {
+        let ck = fake_compiled(&[8, 16, 32, 48], Direction::Increasing);
+        let mut walk = PaperWalkPolicy::new(&ck, 0.02);
+        walk.record(100); // baseline measured, walk in flight
+        assert_eq!(walk.finalized(), None);
+        let settled = walk.degrade_to_fallback();
+        assert_eq!(settled, Some(0), "unfinished walk degrades to the original");
+        assert_eq!(walk.finalized(), Some(0));
+        let last = walk.decisions().last().unwrap();
+        assert_eq!(last.reason, TuneReason::Degraded);
+        assert_eq!(last.finalized, Some(0));
+    }
+
+    #[test]
+    fn degrade_keeps_finalized_and_prefers_fail_safe_over_dead_original() {
+        // Already finalized: degrade is a no-op on the selection.
+        let ck = fake_compiled(&[8, 16, 32], Direction::Increasing);
+        let times = [100u64, 80, 90];
+        let mut walk = PaperWalkPolicy::new(&ck, 0.02);
+        for _ in 0..3 {
+            let v = walk.select();
+            walk.record(times[v]);
+        }
+        assert_eq!(walk.finalized(), Some(1));
+        assert_eq!(walk.degrade_to_fallback(), Some(1), "finalized selection is kept");
+
+        // Dead original: the fail-safe takes over.
+        let ck = fake_compiled_with_fail_safe(&[8, 16, 32], Direction::Increasing);
+        let mut walk = PaperWalkPolicy::new(&ck, 0.02);
+        walk.quarantine(0); // the original
+        assert_eq!(walk.degrade_to_fallback(), Some(3), "fail-safe replaces a dead original");
+    }
+
+    #[test]
+    fn decision_log_records_exhausted_run() {
+        let ck = fake_compiled(&[8, 16, 32], Direction::Increasing);
+        let out = walk(&ck, 6, &[100, 90, 70]);
+        let last = out.decisions.last().unwrap();
+        assert_eq!(last.reason, TuneReason::Exhausted, "final decision carries a finalize reason");
+        assert_eq!(last.finalized, Some(2), "exhausting the list keeps the best version");
+    }
 
     fn bandit(bounds: &[u64], cfg: BanditConfig) -> BanditPolicy {
         let b: Vec<Option<u64>> = bounds.iter().map(|&x| Some(x)).collect();
@@ -913,34 +1480,10 @@ mod tests {
 
     #[test]
     fn analytic_bound_flattens_once_residency_covers_the_grid() {
-        use crate::compiler::KernelVersion;
-        use orion_alloc::realize::AllocReport;
-        use orion_kir::mir::MModule;
-        use orion_kir::types::FuncId;
-        let v = |warps: u32, moves: u32| KernelVersion {
-            machine: MModule {
-                funcs: vec![],
-                entry: FuncId(0),
-                regs_per_thread: 16,
-                smem_slots_per_thread: 0,
-                local_slots_per_thread: 0,
-                user_smem_bytes: 0,
-                static_stack_moves: moves,
-            },
-            target_warps: warps,
-            achieved_warps: warps,
-            occupancy: f64::from(warps) / 48.0,
-            extra_smem: 0,
-            report: AllocReport {
-                kernel_max_live: 0,
-                regs_per_thread: 16,
-                smem_slots_per_thread: 0,
-                local_slots_per_thread: 0,
-                static_moves: 0,
-                per_func: vec![],
-            },
-            fail_safe: false,
-            label: String::new(),
+        let v = |warps: u32, moves: u32| {
+            let mut v = fake_version(warps, false);
+            v.machine.static_stack_moves = moves;
+            v
         };
         let ctx = BoundCtx::new(64, 16, 8, 32); // 2 blocks per SM
                                                 // 8 warps = 4 blocks resident: one round. 2 warps = 1 block: two.

@@ -1,27 +1,90 @@
-//! Frozen pre-refactor runtime walks — the behavioral oracle for the
-//! [`TuningSession`](crate::session::TuningSession) refactor.
+//! Frozen runtime walks — the behavioral oracle for
+//! [`TuningSession`](crate::session::TuningSession).
 //!
-//! PR 5 collapsed the three copy-adjacent runtime walks
-//! ([`tune_loop`](crate::runtime::tune_loop),
-//! [`resilient_tune_loop`](crate::resilient::resilient_tune_loop), and
-//! the splitting path) onto one typed state machine, with the old entry
-//! points surviving as thin drivers. This module is the *frozen* copy of
-//! the pre-refactor loop bodies, kept verbatim (same statement order,
-//! same counter updates, same telemetry) so the equivalence suite can
-//! prove the unified session reproduces the exact decision logs,
-//! finalized picks, and [`TuneReason`]s of the code it replaced — the
-//! same technique `orion_alloc::reference` uses to pin the allocation
+//! The session is the one implementation of the Figure 9 walk, in both
+//! its fault-free and its resilient mode. This module is a *frozen*
+//! copy of the two closure loops it replaced, kept statement for
+//! statement (same statement order, same counter updates, same
+//! telemetry) over [`PaperWalkPolicy`], so the equivalence suites can
+//! prove [`TuningSession::drive`] reproduces the exact decision logs,
+//! finalized picks, [`TuneReason`]s, stats and errors — the same
+//! technique `orion_alloc::reference` uses to pin the allocation
 //! pipeline.
 //!
 //! Nothing outside tests should call these; they exist to be compared
 //! against, not to run production traffic.
+//!
+//! [`TuningSession::drive`]: crate::session::TuningSession::drive
 
 use crate::compiler::{CompiledKernel, KernelVersion};
 use crate::error::OrionError;
-use crate::resilient::{robust_measure, ResiliencePolicy, ResilienceStats, ResilientOutcome};
-use crate::runtime::{DynamicTuner, TuneOutcome, TuneReason};
+use crate::policy::{PaperWalkPolicy, SearchPolicy};
+use crate::resilient::{robust_measure, ResiliencePolicy, ResilienceStats};
+use crate::runtime::{TuneDecision, TuneReason};
+use crate::session::SessionOutcome;
 
-/// Frozen copy of the pre-refactor [`crate::runtime::tune_loop`].
+/// What the frozen fault-free walk reports: the fields of a
+/// [`SessionOutcome`] it computes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WalkOutcome {
+    /// The selected version index.
+    pub selected: usize,
+    /// `(version, cycles)` per application iteration, in order.
+    pub iterations: Vec<(usize, u64)>,
+    /// Iterations spent exploring before the selection was final.
+    pub converged_after: usize,
+    /// Total simulated cycles across all iterations.
+    pub total_cycles: u64,
+    /// Per-measurement decision log.
+    pub decisions: Vec<TuneDecision>,
+}
+
+/// What the frozen resilient walk reports: [`WalkOutcome`]'s fields
+/// plus the absorbed-failure accounting.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ResilientWalkOutcome {
+    /// The selected version index.
+    pub selected: usize,
+    /// `(version, cycles)` per successful application iteration.
+    pub iterations: Vec<(usize, u64)>,
+    /// Iterations spent exploring before the selection was final.
+    pub converged_after: usize,
+    /// Total simulated cycles, backoff waits included.
+    pub total_cycles: u64,
+    /// Per-decision log, including quarantine and fallback entries.
+    pub decisions: Vec<TuneDecision>,
+    /// Failure accounting.
+    pub stats: ResilienceStats,
+}
+
+/// The oracle's view of a live outcome, for field-by-field comparison.
+impl From<SessionOutcome> for WalkOutcome {
+    fn from(o: SessionOutcome) -> Self {
+        WalkOutcome {
+            selected: o.selected,
+            iterations: o.iterations,
+            converged_after: o.converged_after,
+            total_cycles: o.total_cycles,
+            decisions: o.decisions,
+        }
+    }
+}
+
+/// The oracle's view of a live outcome, for field-by-field comparison.
+impl From<SessionOutcome> for ResilientWalkOutcome {
+    fn from(o: SessionOutcome) -> Self {
+        ResilientWalkOutcome {
+            selected: o.selected,
+            iterations: o.iterations,
+            converged_after: o.converged_after,
+            total_cycles: o.total_cycles,
+            decisions: o.decisions,
+            stats: o.stats,
+        }
+    }
+}
+
+/// Frozen copy of the fault-free closure loop.
 ///
 /// # Errors
 /// Propagates the first launch error.
@@ -30,8 +93,8 @@ pub fn tune_loop<E>(
     iterations: u32,
     threshold: f64,
     mut run: impl FnMut(&KernelVersion) -> Result<u64, E>,
-) -> Result<TuneOutcome, E> {
-    let mut tuner = DynamicTuner::new(ck, threshold);
+) -> Result<WalkOutcome, E> {
+    let mut tuner = PaperWalkPolicy::new(ck, threshold);
     let mut iters = Vec::with_capacity(iterations as usize);
     let mut total = 0u64;
     for _ in 0..iterations {
@@ -42,7 +105,7 @@ pub fn tune_loop<E>(
         tuner.record(cycles);
     }
     let selected = tuner.finalized().unwrap_or_else(|| tuner.select());
-    Ok(TuneOutcome {
+    Ok(WalkOutcome {
         selected,
         iterations: iters,
         converged_after: tuner.trials(),
@@ -87,11 +150,11 @@ fn run_with_retry(
     }
 }
 
-/// Frozen copy of the pre-refactor
-/// [`crate::resilient::resilient_tune_loop`].
+/// Frozen copy of the resilient closure loop.
 ///
 /// # Errors
-/// Same contract as the live entry point.
+/// Same contract as a resilient
+/// [`TuningSession::drive`](crate::session::TuningSession::drive).
 #[allow(clippy::too_many_lines)]
 pub fn resilient_tune_loop(
     kernel: &str,
@@ -100,9 +163,9 @@ pub fn resilient_tune_loop(
     threshold: f64,
     policy: &ResiliencePolicy,
     mut run: impl FnMut(&KernelVersion) -> Result<u64, OrionError>,
-) -> Result<ResilientOutcome, OrionError> {
+) -> Result<ResilientWalkOutcome, OrionError> {
     use crate::compiler::Direction;
-    let mut tuner = DynamicTuner::new(ck, threshold);
+    let mut tuner = PaperWalkPolicy::new(ck, threshold);
     let mut stats = ResilienceStats::default();
     let mut strikes = vec![0u32; ck.versions.len()];
     let mut iters: Vec<(usize, u64)> = Vec::with_capacity(iterations as usize);
@@ -113,7 +176,7 @@ pub fn resilient_tune_loop(
         strikes: &mut [u32],
         v: usize,
         policy: &ResiliencePolicy,
-        tuner: &mut DynamicTuner,
+        tuner: &mut PaperWalkPolicy,
         stats: &mut ResilienceStats,
     ) -> bool {
         stats.strikes += 1;
@@ -205,7 +268,7 @@ pub fn resilient_tune_loop(
     stats.quarantined =
         decisions.iter().filter(|d| d.reason == TuneReason::Quarantined).count() as u64;
     stats.fellback = decisions.iter().filter(|d| d.reason == TuneReason::FellBack).count() as u64;
-    Ok(ResilientOutcome {
+    Ok(ResilientWalkOutcome {
         selected,
         converged_after: converged_after.unwrap_or(iters.len()),
         total_cycles: total.saturating_add(stats.backoff_cycles),

@@ -1,12 +1,13 @@
-//! Resilient runtime adaptation — the chaos-hardened Figure 9 loop.
+//! Resilient runtime adaptation — the chaos-hardened Figure 9 walk.
 //!
-//! [`tune_loop`](crate::runtime::tune_loop) assumes every launch
-//! succeeds and every measurement is trustworthy. Real devices violate
-//! both: launches fail transiently (driver hiccups, ECC retries),
-//! kernels hang (watchdog), perturbed resource limits reject a version
-//! outright, and timing is noisy. [`resilient_tune_loop`] wraps the
-//! same [`DynamicTuner`](crate::runtime::DynamicTuner) walk with four
-//! defenses:
+//! A [`SessionMode::Simple`](crate::session::SessionMode) session
+//! assumes every launch succeeds and every measurement is trustworthy.
+//! Real devices violate both: launches fail transiently (driver
+//! hiccups, ECC retries), kernels hang (watchdog), perturbed resource
+//! limits reject a version outright, and timing is noisy. A
+//! [`SessionMode::Resilient`](crate::session::SessionMode) session
+//! wraps the same walk with four defenses, configured by
+//! [`ResiliencePolicy`]:
 //!
 //! * **bounded retry with backoff** — transient launch failures are
 //!   retried up to [`ResiliencePolicy::max_retries`] times, charging an
@@ -15,15 +16,15 @@
 //!   mean-of-k with multiplicative outlier rejection
 //!   ([`robust_measure`]) before feeding the degradation test; the
 //!   observed sample spread sets a noise margin on the test
-//!   ([`DynamicTuner::record_noisy`](crate::runtime::DynamicTuner::record_noisy))
-//!   so jitter on a performance
+//!   ([`Measurement::noisy`](crate::policy::Measurement::noisy)) so
+//!   jitter on a performance
 //!   plateau cannot mimic a real slowdown, and a verdict landing
 //!   within half a margin of the stop boundary earns one extension
 //!   round of k more samples before the walk commits;
 //! * **per-candidate quarantine** — a version accumulating
 //!   [`ResiliencePolicy::quarantine_strikes`] *consecutive* hard
 //!   failures is removed from the walk
-//!   ([`DynamicTuner::quarantine`](crate::runtime::DynamicTuner::quarantine))
+//!   ([`SearchPolicy::quarantine`](crate::policy::SearchPolicy::quarantine))
 //!   and tuning continues over the survivors. Successes reset the
 //!   count (circuit-breaker style), so sporadic unlucky hangs are
 //!   forgiven no matter how long the run — only persistent breakage
@@ -40,21 +41,18 @@
 //! [`OrionError::with_context`].
 //!
 //! All four defenses live in the *session* layer
-//! ([`TuningSession`](crate::session::TuningSession) in
-//! [`SessionMode::Resilient`](crate::session::SessionMode)), not in
-//! the search policy: a session running any
+//! ([`TuningSession`](crate::session::TuningSession)), not in the
+//! search policy: a session running any
 //! [`SearchPolicy`](crate::policy::SearchPolicy) — the default
 //! [`PaperWalkPolicy`](crate::policy::PaperWalkPolicy) or the
 //! [`BanditPolicy`](crate::policy::BanditPolicy) — gets identical
 //! retry, robust-measurement, quarantine, and fallback semantics; the
 //! policy only chooses which candidate each exploration step measures.
 
-use crate::compiler::{CompiledKernel, KernelVersion};
 use crate::error::OrionError;
-use crate::runtime::TuneDecision;
 use serde::{Deserialize, Serialize};
 
-/// Knobs for the resilient executor.
+/// Knobs for resilient sessions.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ResiliencePolicy {
     /// Maximum relaunches after a transient failure (per invocation).
@@ -85,9 +83,8 @@ pub struct ResiliencePolicy {
     /// through its budget.
     pub quarantine_strikes: u32,
     /// Scale factor from a measurement's observed relative spread
-    /// ([`RobustMeasure::rel_spread`]) to the noise margin passed to
-    /// [`DynamicTuner::record_noisy`](crate::runtime::DynamicTuner::record_noisy).
-    /// At ±5% uniform jitter the
+    /// ([`RobustMeasure::rel_spread`]) to the noise margin of the
+    /// walk's degradation test. At ±5% uniform jitter the
     /// expected spread of 7 samples is ~7.5%, so 0.75 yields a ~5.6%
     /// margin — several σ of the clipped-mean error — while clean data
     /// keeps a zero margin and the paper's exact walk. The margin
@@ -113,7 +110,7 @@ impl Default for ResiliencePolicy {
     }
 }
 
-/// What the resilient executor had to absorb.
+/// What a resilient session had to absorb.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ResilienceStats {
     /// Launch attempts issued (including retries).
@@ -134,29 +131,9 @@ pub struct ResilienceStats {
     pub fellback: u64,
 }
 
-/// A completed resilient tuning run — [`TuneOutcome`] fields plus the
-/// absorbed-failure accounting.
-///
-/// [`TuneOutcome`]: crate::runtime::TuneOutcome
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ResilientOutcome {
-    /// The selected version index.
-    pub selected: usize,
-    /// `(version, cycles)` per successful application iteration.
-    pub iterations: Vec<(usize, u64)>,
-    /// Iterations spent exploring before the selection was final.
-    pub converged_after: usize,
-    /// Total simulated cycles, backoff waits included.
-    pub total_cycles: u64,
-    /// Per-decision log, including quarantine and fallback entries.
-    pub decisions: Vec<TuneDecision>,
-    /// Failure accounting.
-    pub stats: ResilienceStats,
-}
-
 /// A noise-robust measurement: the clipped mean after outlier
 /// rejection, plus the relative spread (`(max - min) / mean`) of the
-/// kept samples. The spread is the executor's live noise estimate — it
+/// kept samples. The spread is the session's live noise estimate — it
 /// sets the noise margin on the tuner's degradation test so jitter
 /// cannot mimic a real slowdown, and is exactly zero on clean data.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -198,12 +175,6 @@ pub fn robust_measure(samples: &mut [u64], outlier_factor: f64) -> RobustMeasure
     }
 }
 
-/// The cycles of [`robust_measure`], for callers that don't need the
-/// spread.
-pub fn robust_cycles(samples: &mut [u64], outlier_factor: f64) -> u64 {
-    robust_measure(samples, outlier_factor).cycles
-}
-
 /// Should this failure remove the candidate from the walk (as opposed
 /// to aborting the application)? Quarantineable: resource rejection,
 /// watchdog trips, unlaunchable configurations — and transient failures
@@ -216,91 +187,33 @@ pub(crate) fn should_quarantine(e: &OrionError) -> bool {
     }
 }
 
-/// Drive the full tuning loop under faults: `iterations` invocations of
-/// the kernel, tuning per Figure 9 with retry / robust measurement /
-/// quarantine / fallback as described in the module docs.
-///
-/// `run` executes one launch of a version and returns its cycles.
-///
-/// This is the legacy closure API — a thin driver over
-/// [`TuningSession`](crate::session::TuningSession), pinned bit-equal
-/// to the pre-refactor loop by the equivalence suite (see
-/// [`crate::reference`]).
-///
-/// # Errors
-/// * [`OrionError::AllCandidatesFailed`] when every version (fallbacks
-///   included) has been quarantined;
-/// * any non-transient, non-quarantineable launch error, immediately —
-///   both wrapped with the kernel name and cycle of failure.
-pub fn resilient_tune_loop(
-    kernel: &str,
-    ck: &CompiledKernel,
-    iterations: u32,
-    threshold: f64,
-    policy: &ResiliencePolicy,
-    mut run: impl FnMut(&KernelVersion) -> Result<u64, OrionError>,
-) -> Result<ResilientOutcome, OrionError> {
-    use crate::session::{SessionStep, TuningSession};
-    let mut session = TuningSession::resilient(kernel, ck, iterations, threshold, *policy);
-    while let SessionStep::Launch(v) = session.next_step()? {
-        session.on_launch_result(run(&ck.versions[v]))?;
-    }
-    Ok(session.finish().into_resilient_outcome())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compiler::{CompiledKernel, Direction, KernelVersion};
     use crate::runtime::TuneReason;
-    use orion_alloc::realize::AllocReport;
+    use crate::session::{SessionOutcome, TuningSession};
+    use crate::testutil::fake_compiled_with_fail_safe;
     use orion_gpusim::exec::SimError;
-    use orion_kir::mir::MModule;
-    use orion_kir::types::FuncId;
 
-    fn fake_version(warps: u32, fail_safe: bool) -> KernelVersion {
-        KernelVersion {
-            machine: MModule {
-                funcs: vec![],
-                entry: FuncId(0),
-                regs_per_thread: 16,
-                smem_slots_per_thread: 0,
-                local_slots_per_thread: 0,
-                user_smem_bytes: 0,
-                static_stack_moves: 0,
-            },
-            target_warps: warps,
-            achieved_warps: warps,
-            occupancy: f64::from(warps) / 48.0,
-            extra_smem: 0,
-            report: AllocReport {
-                kernel_max_live: 0,
-                regs_per_thread: 16,
-                smem_slots_per_thread: 0,
-                local_slots_per_thread: 0,
-                static_moves: 0,
-                per_func: vec![],
-            },
-            fail_safe,
-            label: format!("occ={warps}"),
-        }
-    }
-
+    /// Upward-tuned candidates at `warp_levels`, plus a fail-safe.
     fn fake_compiled(warp_levels: &[u32]) -> CompiledKernel {
-        let mut versions: Vec<KernelVersion> =
-            warp_levels.iter().map(|&w| fake_version(w, false)).collect();
-        versions.push(fake_version(4, true)); // fail-safe, not in the order
-        CompiledKernel {
-            tuning_order: (0..warp_levels.len()).collect(),
-            versions,
-            direction: Direction::Increasing,
-            original: 0,
-            max_live: 40,
-        }
+        fake_compiled_with_fail_safe(warp_levels, Direction::Increasing)
     }
 
     fn idx_of(ck: &CompiledKernel, v: &KernelVersion) -> usize {
         ck.index_of(&v.label).unwrap()
+    }
+
+    /// A resilient session named `kernel` over `ck`, driven by `run`.
+    fn resilient_run(
+        kernel: &str,
+        ck: &CompiledKernel,
+        iterations: u32,
+        policy: &ResiliencePolicy,
+        run: impl FnMut(&KernelVersion) -> Result<u64, OrionError>,
+    ) -> Result<SessionOutcome, OrionError> {
+        TuningSession::resilient(kernel, ck, iterations, 0.02, *policy).drive(run)
     }
 
     #[test]
@@ -309,7 +222,7 @@ mod tests {
         let times = [100u64, 80, 90, 70, 120];
         let mut flaky = 0u32;
         let policy = ResiliencePolicy::default();
-        let out = resilient_tune_loop("k", &ck, 20, 0.02, &policy, |v| {
+        let out = resilient_run("k", &ck, 20, &policy, |v| {
             flaky += 1;
             if flaky.is_multiple_of(4) {
                 // Every 4th launch fails transiently, then succeeds.
@@ -334,7 +247,7 @@ mod tests {
         let ck = fake_compiled(&[8, 16, 32]);
         let mut calls = std::collections::HashMap::new();
         let policy = ResiliencePolicy { samples: 3, ..ResiliencePolicy::default() };
-        let out = resilient_tune_loop("k", &ck, 30, 0.02, &policy, |v| {
+        let out = resilient_run("k", &ck, 30, &policy, |v| {
             let i = idx_of(&ck, v);
             let n = calls.entry(i).or_insert(0u32);
             *n += 1;
@@ -350,7 +263,7 @@ mod tests {
         let ck = fake_compiled(&[8, 16, 32, 48]);
         let times = [100u64, 0, 90, 95, 120];
         let policy = ResiliencePolicy::default();
-        let out = resilient_tune_loop("k", &ck, 24, 0.02, &policy, |v| {
+        let out = resilient_run("k", &ck, 24, &policy, |v| {
             let i = idx_of(&ck, v);
             if i == 1 {
                 return Err(SimError::Watchdog { budget: 1000 }.into());
@@ -373,7 +286,7 @@ mod tests {
         let times = [100u64, 80, 90, 120];
         let mut steady_runs = 0u32;
         let policy = ResiliencePolicy { samples: 1, ..ResiliencePolicy::default() };
-        let out = resilient_tune_loop("k", &ck, 12, 0.02, &policy, |v| {
+        let out = resilient_run("k", &ck, 12, &policy, |v| {
             let i = idx_of(&ck, v);
             if i == 1 {
                 steady_runs += 1;
@@ -399,7 +312,7 @@ mod tests {
         let times = [100u64, 80, 90, 120];
         let mut n = 0u32;
         let policy = ResiliencePolicy { samples: 1, ..ResiliencePolicy::default() };
-        let out = resilient_tune_loop("k", &ck, 60, 0.02, &policy, |v| {
+        let out = resilient_run("k", &ck, 60, &policy, |v| {
             let i = idx_of(&ck, v);
             if i == 1 {
                 n += 1;
@@ -420,7 +333,7 @@ mod tests {
     fn all_candidates_failing_reports_all_candidates_failed() {
         let ck = fake_compiled(&[8, 16]);
         let policy = ResiliencePolicy::default();
-        let err = resilient_tune_loop("matmul", &ck, 8, 0.02, &policy, |_| {
+        let err = resilient_run("matmul", &ck, 8, &policy, |_| {
             Err(SimError::ResourceExceeded { detail: "regs".into() }.into())
         })
         .unwrap_err();
@@ -436,21 +349,20 @@ mod tests {
         let ck = fake_compiled(&[8, 16]);
         let policy = ResiliencePolicy::default();
         let err =
-            resilient_tune_loop("srad", &ck, 8, 0.02, &policy, |_| Err(SimError::Deadlock.into()))
-                .unwrap_err();
+            resilient_run("srad", &ck, 8, &policy, |_| Err(SimError::Deadlock.into())).unwrap_err();
         assert!(matches!(err.root_cause(), OrionError::Sim(SimError::Deadlock)));
         assert!(err.to_string().contains("srad"));
     }
 
     #[test]
-    fn robust_cycles_rejects_outliers() {
+    fn robust_measure_rejects_outliers() {
         // [100, 102] survive the ×4 band around the median; their mean.
         let mut s = [100, 102, 5000];
-        assert_eq!(robust_cycles(&mut s, 4.0), 101);
+        assert_eq!(robust_measure(&mut s, 4.0).cycles, 101);
         let mut s = [100];
-        assert_eq!(robust_cycles(&mut s, 4.0), 100);
+        assert_eq!(robust_measure(&mut s, 4.0).cycles, 100);
         let mut s = [90, 100, 110];
-        assert_eq!(robust_cycles(&mut s, 4.0), 100);
-        assert_eq!(robust_cycles(&mut [], 4.0), 0);
+        assert_eq!(robust_measure(&mut s, 4.0).cycles, 100);
+        assert_eq!(robust_measure(&mut [], 4.0).cycles, 0);
     }
 }

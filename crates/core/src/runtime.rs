@@ -14,13 +14,13 @@
 //! * the surviving version is **finalized** and runs for the remaining
 //!   iterations. Convergence typically takes ~3 iterations.
 //!
-//! [`tune_loop`] drives one kernel synchronously. Whole applications
-//! go through [`OrionService`](crate::service::OrionService), whose
-//! event loop runs this same walk for many kernels at once, ordered
-//! longest-job-first from the probe-time occupancy curves.
+//! The walk itself is [`PaperWalkPolicy`](crate::policy::PaperWalkPolicy);
+//! [`TuningSession::drive`](crate::session::TuningSession::drive) runs
+//! it for one kernel, and [`OrionService`](crate::service::OrionService)
+//! runs it for many kernels at once, ordered longest-job-first from the
+//! probe-time occupancy curves. This module holds the vocabulary every
+//! search policy logs its steps in.
 
-use crate::compiler::{CompiledKernel, Direction, KernelVersion};
-use crate::error::OrionError;
 use serde::{Deserialize, Serialize};
 
 /// Why the tuner took a step or finalized — the reason codes of the
@@ -52,7 +52,9 @@ pub enum TuneReason {
 }
 
 /// One recorded tuner step: what was measured and what the tuner did
-/// with it. [`TuneOutcome::decisions`] carries the full log.
+/// with it. [`SessionOutcome::decisions`] carries the full log.
+///
+/// [`SessionOutcome::decisions`]: crate::session::SessionOutcome::decisions
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TuneDecision {
     /// Exploration trial index (0-based).
@@ -67,780 +69,4 @@ pub struct TuneDecision {
     pub reason: TuneReason,
     /// Set when this measurement finalized a version.
     pub finalized: Option<usize>,
-}
-
-/// The feedback-driven version selector (Figure 9).
-#[derive(Debug, Clone)]
-pub struct DynamicTuner {
-    order: Vec<usize>,
-    direction: Direction,
-    threshold: f64,
-    /// Position in `order` currently being evaluated.
-    pos: usize,
-    /// Measured cycles per version (by version index).
-    times: Vec<Option<u64>>,
-    finalized: Option<usize>,
-    trials: usize,
-    decisions: Vec<TuneDecision>,
-    /// Versions removed from consideration after launch failures.
-    quarantined: Vec<bool>,
-    /// The compiler's opposite-direction fail-safe version, if any.
-    fail_safe: Option<usize>,
-    /// The original (untuned) version index.
-    original: usize,
-}
-
-impl DynamicTuner {
-    /// Build a tuner over a compiled kernel's candidates.
-    pub fn new(ck: &CompiledKernel, threshold: f64) -> Self {
-        DynamicTuner {
-            order: ck.tuning_order.clone(),
-            direction: ck.direction,
-            threshold,
-            pos: 0,
-            times: vec![None; ck.versions.len()],
-            finalized: if ck.tuning_order.len() == 1 { Some(ck.tuning_order[0]) } else { None },
-            trials: 0,
-            decisions: Vec::new(),
-            quarantined: vec![false; ck.versions.len()],
-            fail_safe: ck.versions.iter().position(|v| v.fail_safe),
-            original: ck.original,
-        }
-    }
-
-    /// The version to run for the current iteration.
-    ///
-    /// Never indexes out of bounds: a position that walked past the end
-    /// of the order (or an order emptied by quarantines) clamps to the
-    /// last survivor. With every candidate quarantined this names the
-    /// fail-safe (or original) as a last resort — executors should
-    /// check [`DynamicTuner::all_quarantined`] before launching.
-    pub fn select(&self) -> usize {
-        if let Some(v) = self.finalized {
-            return v;
-        }
-        match self.order.get(self.pos.min(self.order.len().saturating_sub(1))) {
-            Some(&v) => v,
-            None => self.fail_safe.unwrap_or(self.original),
-        }
-    }
-
-    /// Report the measured cycles of the version returned by the last
-    /// [`DynamicTuner::select`].
-    pub fn record(&mut self, cycles: u64) {
-        // A unit work factor always satisfies the normalization
-        // contract, so this path is infallible.
-        self.record_inner(cycles, 1, 0.0);
-    }
-
-    /// Report a noise-robust measurement (e.g. a mean-of-k) together
-    /// with its observed relative noise margin. The degradation test's
-    /// tolerance becomes `max(base, noise_margin)` for this sample —
-    /// base 0 for the upward walk (whose stop rule is otherwise "any
-    /// increase", a coin flip on a noisy plateau) and the slowdown
-    /// threshold for the downward walk (already noise-sized, so the
-    /// margin only takes over when the observed noise is larger).
-    /// [`DynamicTuner::record`] is the margin-zero special case (the
-    /// paper's exact behavior).
-    pub fn record_noisy(&mut self, cycles: u64, noise_margin: f64) {
-        self.record_inner(cycles, 1, noise_margin.max(0.0));
-    }
-
-    /// Read-only preview of the degradation comparison: the relative
-    /// slowdown `cycles / anchor - 1` of a prospective (unit-work)
-    /// measurement against the walk's current comparison anchor — the
-    /// previous version's time when tuning upward, the best time so far
-    /// when tuning downward. `None` when there is nothing to compare
-    /// against (baseline trial, finalized walk, or a quarantined-away
-    /// anchor). Executors use this to detect a *borderline* verdict —
-    /// one that measurement noise could flip — and spend extra samples
-    /// on it before committing via [`DynamicTuner::record_noisy`].
-    pub fn probe_slowdown(&self, cycles: u64) -> Option<f64> {
-        if self.finalized.is_some() || self.pos == 0 || self.pos >= self.order.len() {
-            return None;
-        }
-        // Match record_inner's unit-work normalization: stored times
-        // carry the 2^20 scale factor.
-        let cur_t = cycles.saturating_mul(1 << 20) as f64;
-        let anchor = match self.direction {
-            Direction::Increasing => self.times[self.order[self.pos - 1]],
-            Direction::Decreasing => self.times.iter().flatten().copied().min(),
-        }?;
-        Some(cur_t / anchor.max(1) as f64 - 1.0)
-    }
-
-    /// Report a measurement normalized by the invocation's amount of
-    /// work (e.g. the BFS frontier size). The paper observes that bfs
-    /// "does different amounts of work in each iteration, making it
-    /// difficult to compare consecutive invocations" and proposes
-    /// exactly this multiplicative correction as future work (§4.2);
-    /// with it, variable-work applications tune reliably.
-    ///
-    /// # Errors
-    /// Returns [`OrionError::Tuner`] if `work` is zero.
-    pub fn record_with_work(&mut self, cycles: u64, work: u64) -> Result<(), OrionError> {
-        if work == 0 {
-            return Err(OrionError::Tuner("work normalization factor must be positive".into()));
-        }
-        self.record_inner(cycles, work, 0.0);
-        Ok(())
-    }
-
-    fn record_inner(&mut self, cycles: u64, work: u64, margin: f64) {
-        // Normalize to cycles per 2^20 work items to keep integer math.
-        let raw_cycles = cycles;
-        let cycles = cycles.saturating_mul(1 << 20) / work;
-        if self.finalized.is_some() {
-            return;
-        }
-        // Clamped lookup: a caller that keeps recording after the walk
-        // ran off the end (or after quarantines emptied the order)
-        // finalizes on the survivors instead of panicking.
-        let Some(&cur) = self.order.get(self.pos) else {
-            self.finalized = self.best_survivor();
-            if let Some(f) = self.finalized {
-                self.push_decision(TuneDecision {
-                    trial: self.trials,
-                    version: f,
-                    cycles: raw_cycles,
-                    norm_cycles: cycles,
-                    reason: TuneReason::Exhausted,
-                    finalized: self.finalized,
-                });
-            }
-            return;
-        };
-        self.times[cur] = Some(cycles);
-        self.trials += 1;
-        let reason;
-        if self.pos == 0 {
-            self.pos += 1;
-            reason = TuneReason::Baseline;
-        } else {
-            let prev = self.order[self.pos - 1];
-            let cur_t = cycles as f64;
-            let degraded = match self.direction {
-                Direction::Increasing => match self.times[prev] {
-                    // The margin keeps measurement noise from mimicking
-                    // a slowdown; 0 restores the paper's exact "any
-                    // increase stops the walk" rule.
-                    Some(t) => cur_t > t as f64 * (1.0 + margin),
-                    // The comparison anchor was quarantined away;
-                    // nothing to regress against, keep walking.
-                    None => false,
-                },
-                Direction::Decreasing => {
-                    // `cur` was just recorded, so the minimum exists.
-                    let best = self.times.iter().flatten().copied().min().unwrap_or(cycles) as f64;
-                    // The paper's threshold already absorbs noise up to
-                    // its own size — widening it *additively* would let
-                    // a margin mask a genuine just-over-threshold
-                    // degradation. The margin only takes over when the
-                    // observed noise exceeds the threshold itself.
-                    cur_t / best - 1.0 > self.threshold.max(margin)
-                }
-            };
-            if degraded {
-                self.finalized = Some(prev);
-                reason = TuneReason::SlowdownExceeded;
-            } else if self.pos + 1 >= self.order.len() {
-                self.finalized = Some(match self.direction {
-                    // Exhausted upward: keep the fastest observed.
-                    Direction::Increasing => self
-                        .order
-                        .iter()
-                        .copied()
-                        .min_by_key(|&v| self.times[v].unwrap_or(u64::MAX))
-                        .unwrap_or(cur),
-                    // Exhausted downward: the current (lowest acceptable).
-                    Direction::Decreasing => cur,
-                });
-                reason = TuneReason::Exhausted;
-            } else {
-                self.pos += 1;
-                reason = TuneReason::NotDegraded;
-            }
-        }
-        self.push_decision(TuneDecision {
-            trial: self.trials - 1,
-            version: cur,
-            cycles: raw_cycles,
-            norm_cycles: cycles,
-            reason,
-            finalized: self.finalized,
-        });
-    }
-
-    /// Remove a version from tuning consideration after a launch
-    /// failure. Its measurement (if any) is discarded so it can never
-    /// win a best-of comparison, and tuning continues over the
-    /// survivors ([`TuneReason::Quarantined`]). If the quarantined
-    /// version was already finalized, the tuner *falls back* — to the
-    /// fail-safe version, else the original, else the best measured
-    /// survivor ([`TuneReason::FellBack`]). Quarantining the last
-    /// survivor leaves [`DynamicTuner::all_quarantined`] true; the
-    /// executor is expected to stop driving the kernel at that point.
-    pub fn quarantine(&mut self, version: usize) {
-        if self.quarantined.get(version).copied().unwrap_or(true) {
-            return; // already quarantined, or out of range
-        }
-        self.quarantined[version] = true;
-        self.times[version] = None;
-        if let Some(idx) = self.order.iter().position(|&v| v == version) {
-            self.order.remove(idx);
-            if idx < self.pos {
-                self.pos -= 1;
-            }
-        }
-        let was_final = self.finalized == Some(version);
-        let reason = if was_final {
-            self.finalized = self.fallback_survivor();
-            TuneReason::FellBack
-        } else {
-            if self.finalized.is_none() && self.pos >= self.order.len() {
-                // The walk ran out of candidates; settle on a survivor,
-                // or engage the last-resort fallback if none remain.
-                self.finalized = self.best_survivor().or_else(|| self.fallback_survivor());
-            }
-            TuneReason::Quarantined
-        };
-        if orion_telemetry::is_enabled() {
-            orion_telemetry::counter(
-                "resilience",
-                if was_final { "fellback" } else { "quarantined" },
-                1,
-            );
-        }
-        self.push_decision(TuneDecision {
-            trial: self.trials,
-            version,
-            cycles: 0,
-            norm_cycles: 0,
-            reason,
-            finalized: self.finalized,
-        });
-    }
-
-    /// Settle the walk immediately because a service policy budget
-    /// (deadline, wall budget, retry budget) expired. An already
-    /// finalized version is kept; an unfinished walk resolves to the
-    /// *original* version when it is still alive — the paper's fail-safe
-    /// answer, not the best guess from a walk that was cut short — else
-    /// to the usual fallback chain (fail-safe, then best measured
-    /// survivor). Returns the settled version, or `None` when every
-    /// version is quarantined. Records a [`TuneReason::Degraded`]
-    /// decision either way, so the log explains the cut.
-    pub fn degrade_to_fallback(&mut self) -> Option<usize> {
-        if self.finalized.is_none() {
-            let alive = |v: usize| !self.quarantined.get(v).copied().unwrap_or(true);
-            self.finalized =
-                Some(self.original).filter(|&v| alive(v)).or_else(|| self.fallback_survivor());
-        }
-        if orion_telemetry::is_enabled() {
-            orion_telemetry::counter("resilience", "degraded", 1);
-        }
-        self.push_decision(TuneDecision {
-            trial: self.trials,
-            version: self.finalized.unwrap_or(self.original),
-            cycles: 0,
-            norm_cycles: 0,
-            reason: TuneReason::Degraded,
-            finalized: self.finalized,
-        });
-        self.finalized
-    }
-
-    /// The fastest measured survivor, else the first unmeasured one.
-    fn best_survivor(&self) -> Option<usize> {
-        self.order
-            .iter()
-            .copied()
-            .filter(|&v| self.times[v].is_some())
-            .min_by_key(|&v| self.times[v].unwrap_or(u64::MAX))
-            .or_else(|| self.order.first().copied())
-    }
-
-    /// Last-resort replacement when the finalized version dies:
-    /// fail-safe, then original, then best measured survivor.
-    fn fallback_survivor(&self) -> Option<usize> {
-        let alive = |v: usize| !self.quarantined.get(v).copied().unwrap_or(true);
-        self.fail_safe
-            .filter(|&v| alive(v))
-            .or_else(|| Some(self.original).filter(|&v| alive(v)))
-            .or_else(|| self.best_survivor())
-    }
-
-    /// True once every runnable version (candidates and fallbacks) has
-    /// been quarantined.
-    pub fn all_quarantined(&self) -> bool {
-        self.order.is_empty() && self.finalized.is_none()
-    }
-
-    /// Whether a given version index has been quarantined.
-    pub fn is_quarantined(&self, version: usize) -> bool {
-        self.quarantined.get(version).copied().unwrap_or(false)
-    }
-
-    /// How many versions have been quarantined so far.
-    pub fn quarantined_count(&self) -> usize {
-        self.quarantined.iter().filter(|&&q| q).count()
-    }
-
-    fn push_decision(&mut self, decision: TuneDecision) {
-        if orion_telemetry::is_enabled() {
-            orion_telemetry::instant(
-                "tuner",
-                "decision",
-                vec![
-                    ("trial", decision.trial.into()),
-                    ("version", decision.version.into()),
-                    ("cycles", decision.cycles.into()),
-                    ("norm_cycles", decision.norm_cycles.into()),
-                    ("reason", format!("{:?}", decision.reason).into()),
-                    (
-                        "finalized",
-                        decision.finalized.map_or(orion_telemetry::ArgValue::Bool(false), |v| {
-                            orion_telemetry::ArgValue::U64(v as u64)
-                        }),
-                    ),
-                ],
-            );
-        }
-        self.decisions.push(decision);
-    }
-
-    /// The decision log so far, one entry per exploration measurement.
-    pub fn decisions(&self) -> &[TuneDecision] {
-        &self.decisions
-    }
-
-    /// Consume the tuner, keeping its decision log.
-    pub fn into_decisions(self) -> Vec<TuneDecision> {
-        self.decisions
-    }
-
-    /// The finalized version, once tuning is done.
-    pub fn finalized(&self) -> Option<usize> {
-        self.finalized
-    }
-
-    /// Iterations spent measuring before finalizing.
-    pub fn trials(&self) -> usize {
-        self.trials
-    }
-}
-
-/// A completed tuning run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TuneOutcome {
-    /// The selected version index.
-    pub selected: usize,
-    /// `(version, cycles)` per application iteration, in order.
-    pub iterations: Vec<(usize, u64)>,
-    /// Iterations spent exploring before the selection was final.
-    pub converged_after: usize,
-    /// Total simulated cycles across all iterations (tuning overhead
-    /// included — this is what Orion-Select reports in Figure 11).
-    pub total_cycles: u64,
-    /// Per-measurement decision log (why each step was taken).
-    pub decisions: Vec<TuneDecision>,
-}
-
-/// Drive the full tuning loop: `iterations` invocations of the kernel,
-/// tuning per Figure 9, then running the finalized version.
-///
-/// `run` executes one launch of a version and returns its cycles.
-///
-/// This is the legacy closure API — a thin driver over
-/// [`TuningSession`](crate::session::TuningSession), pinned bit-equal
-/// to the pre-refactor loop by the equivalence suite (see
-/// [`crate::reference`]).
-///
-/// # Errors
-/// Propagates the first launch error.
-pub fn tune_loop<E>(
-    ck: &CompiledKernel,
-    iterations: u32,
-    threshold: f64,
-    mut run: impl FnMut(&KernelVersion) -> Result<u64, E>,
-) -> Result<TuneOutcome, E> {
-    use crate::session::{SessionStep, TuningSession};
-    let mut session = TuningSession::simple(ck, iterations, threshold);
-    loop {
-        let step = session
-            .next_step()
-            .expect("invariant violated: a Simple-mode session never errors from next_step");
-        match step {
-            SessionStep::Launch(v) => session.on_cycles(run(&ck.versions[v])?),
-            SessionStep::Done => break,
-        }
-    }
-    Ok(session.finish().into_tune_outcome())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::compiler::{CompiledKernel, Direction, KernelVersion};
-    use orion_alloc::realize::AllocReport;
-    use orion_kir::mir::MModule;
-    use orion_kir::types::FuncId;
-
-    fn fake_version(warps: u32) -> KernelVersion {
-        KernelVersion {
-            machine: MModule {
-                funcs: vec![],
-                entry: FuncId(0),
-                regs_per_thread: 16,
-                smem_slots_per_thread: 0,
-                local_slots_per_thread: 0,
-                user_smem_bytes: 0,
-                static_stack_moves: 0,
-            },
-            target_warps: warps,
-            achieved_warps: warps,
-            occupancy: f64::from(warps) / 48.0,
-            extra_smem: 0,
-            report: AllocReport {
-                kernel_max_live: 0,
-                regs_per_thread: 16,
-                smem_slots_per_thread: 0,
-                local_slots_per_thread: 0,
-                static_moves: 0,
-                per_func: vec![],
-            },
-            fail_safe: false,
-            label: format!("occ={warps}"),
-        }
-    }
-
-    fn fake_compiled(warp_levels: &[u32], direction: Direction) -> CompiledKernel {
-        CompiledKernel {
-            versions: warp_levels.iter().map(|&w| fake_version(w)).collect(),
-            direction,
-            original: 0,
-            max_live: 40,
-            tuning_order: (0..warp_levels.len()).collect(),
-        }
-    }
-
-    #[test]
-    fn increasing_stops_at_first_degradation() {
-        // Times: v0=100, v1=80, v2=90 → picks v1 after 3 trials.
-        let ck = fake_compiled(&[8, 16, 32, 48], Direction::Increasing);
-        let times = [100u64, 80, 90, 70];
-        let out = tune_loop::<()>(&ck, 10, 0.02, |v| {
-            let idx = ck.index_of(&v.label).unwrap();
-            Ok(times[idx])
-        })
-        .unwrap();
-        assert_eq!(out.selected, 1);
-        assert_eq!(out.converged_after, 3);
-        // Remaining iterations run the finalized version.
-        assert!(out.iterations[3..].iter().all(|&(v, _)| v == 1));
-    }
-
-    #[test]
-    fn decreasing_walks_through_plateau() {
-        // order: 48, 36, 24, 12 warps; 24 is within 2% of best, 12 not.
-        let ck = fake_compiled(&[48, 36, 24, 12], Direction::Decreasing);
-        let times = [100u64, 100, 101, 140];
-        let out = tune_loop::<()>(&ck, 8, 0.02, |v| {
-            let idx = ck.index_of(&v.label).unwrap();
-            Ok(times[idx])
-        })
-        .unwrap();
-        assert_eq!(out.selected, 2, "lowest occupancy within the 2% band");
-    }
-
-    #[test]
-    fn noise_margin_widens_the_stop_rules() {
-        // Increasing, plateau with +1% wobble on the second version.
-        // With margin 0 the literal "any increase stops" rule fires and
-        // the walk finalizes v0; a 5% margin rides through the wobble
-        // and keeps walking to the genuinely better v2.
-        let ck = fake_compiled(&[8, 16, 32], Direction::Increasing);
-        let times = [100u64, 101, 80];
-
-        let mut strict = DynamicTuner::new(&ck, 0.02);
-        for &t in &times {
-            strict.record_noisy(t, 0.0);
-            if strict.finalized().is_some() {
-                break;
-            }
-        }
-        assert_eq!(strict.finalized(), Some(0), "margin 0 keeps the paper rule");
-
-        let mut tolerant = DynamicTuner::new(&ck, 0.02);
-        for &t in &times {
-            tolerant.record_noisy(t, 0.05);
-        }
-        assert_eq!(tolerant.finalized(), Some(2), "5% margin absorbs a 1% wobble");
-
-        // Decreasing: 2.5% slip is over the 2% threshold alone, but
-        // inside a 5% noise margin, which takes over when larger than
-        // the threshold (max semantics, never additive).
-        let ck = fake_compiled(&[48, 36, 24], Direction::Decreasing);
-        let times = [1000u64, 1025, 1100];
-
-        let mut strict = DynamicTuner::new(&ck, 0.02);
-        for &t in &times {
-            strict.record_noisy(t, 0.0);
-            if strict.finalized().is_some() {
-                break;
-            }
-        }
-        assert_eq!(strict.finalized(), Some(0), "2.5% over best degrades at margin 0");
-
-        let mut tolerant = DynamicTuner::new(&ck, 0.02);
-        for &t in &times {
-            tolerant.record_noisy(t, 0.05);
-            if tolerant.finalized().is_some() {
-                break;
-            }
-        }
-        assert_eq!(
-            tolerant.finalized(),
-            Some(1),
-            "within max(threshold, margin) counts as plateau; 10% slip still stops the walk"
-        );
-    }
-
-    #[test]
-    fn exhausting_upward_takes_best() {
-        let ck = fake_compiled(&[8, 16, 32], Direction::Increasing);
-        let times = [100u64, 90, 70];
-        let out = tune_loop::<()>(&ck, 6, 0.02, |v| {
-            let idx = ck.index_of(&v.label).unwrap();
-            Ok(times[idx])
-        })
-        .unwrap();
-        assert_eq!(out.selected, 2);
-        assert_eq!(out.converged_after, 3);
-    }
-
-    #[test]
-    fn single_candidate_finalizes_immediately() {
-        let ck = fake_compiled(&[48], Direction::Decreasing);
-        let out = tune_loop::<()>(&ck, 4, 0.02, |_| Ok(55)).unwrap();
-        assert_eq!(out.selected, 0);
-        assert_eq!(out.converged_after, 0);
-        assert_eq!(out.total_cycles, 4 * 55);
-    }
-
-    #[test]
-    fn work_normalization_rescues_variable_work_apps() {
-        // Decreasing direction. True per-work cost is identical for the
-        // first two versions, but raw times differ 4x because the work
-        // differs (a growing BFS frontier). Without normalization the
-        // tuner would see a huge "slowdown" and finalize immediately at
-        // the original; with it, tuning continues down the candidate
-        // list until the genuinely slower version.
-        let ck = fake_compiled(&[48, 36, 24], Direction::Decreasing);
-        let work = [1000u64, 4000, 4000];
-        let per_work = [50u64, 50, 80]; // version 2 is really 60% slower
-        let mut tuner = DynamicTuner::new(&ck, 0.02);
-        for _ in 0..4 {
-            let v = tuner.select();
-            tuner.record_with_work(per_work[v] * work[v], work[v]).expect("positive work");
-            if tuner.finalized().is_some() {
-                break;
-            }
-        }
-        assert_eq!(tuner.finalized(), Some(1), "lowest occupancy at equal per-work cost");
-
-        // The naive tuner stops at the original because raw times differ.
-        let mut naive = DynamicTuner::new(&ck, 0.02);
-        for _ in 0..4 {
-            let v = naive.select();
-            naive.record(per_work[v] * work[v]);
-            if naive.finalized().is_some() {
-                break;
-            }
-        }
-        assert_eq!(naive.finalized(), Some(0));
-    }
-
-    #[test]
-    fn convergence_within_three_trials_typical() {
-        // Bell-shaped times: best in the middle of the order.
-        let ck = fake_compiled(&[8, 16, 24, 32, 48], Direction::Increasing);
-        let times = [120u64, 95, 80, 88, 99];
-        let out = tune_loop::<()>(&ck, 20, 0.02, |v| {
-            let idx = ck.index_of(&v.label).unwrap();
-            Ok(times[idx])
-        })
-        .unwrap();
-        assert_eq!(out.selected, 2);
-        assert!(out.converged_after <= 4);
-    }
-
-    #[test]
-    fn decision_log_records_converging_run() {
-        // Times: v0=100, v1=80, v2=90 → degradation on trial 2 finalizes
-        // v1 after 3 trials total.
-        let ck = fake_compiled(&[8, 16, 32, 48], Direction::Increasing);
-        let times = [100u64, 80, 90, 70];
-        let out = tune_loop::<()>(&ck, 10, 0.02, |v| {
-            let idx = ck.index_of(&v.label).unwrap();
-            Ok(times[idx])
-        })
-        .unwrap();
-        // One decision per tuning trial, none for post-convergence runs.
-        assert_eq!(out.decisions.len(), 3);
-        assert!(out.converged_after <= 3, "typical convergence is <= ~3 trials");
-        assert_eq!(out.decisions[0].reason, TuneReason::Baseline);
-        assert_eq!(out.decisions[0].version, 0);
-        assert_eq!(out.decisions[0].cycles, 100);
-        assert_eq!(out.decisions[0].finalized, None);
-        assert_eq!(out.decisions[1].reason, TuneReason::NotDegraded);
-        assert_eq!(out.decisions[1].finalized, None);
-        let last = out.decisions.last().unwrap();
-        assert_eq!(last.reason, TuneReason::SlowdownExceeded);
-        assert_eq!(last.finalized, Some(1), "backs off to the previous version");
-        assert_eq!(last.trial, 2);
-    }
-
-    fn fake_compiled_with_fail_safe(warp_levels: &[u32], direction: Direction) -> CompiledKernel {
-        let mut ck = fake_compiled(warp_levels, direction);
-        let mut fs = fake_version(4);
-        fs.fail_safe = true;
-        fs.label = "fail-safe".into();
-        ck.versions.push(fs); // present in versions, absent from tuning_order
-        ck
-    }
-
-    #[test]
-    fn record_with_zero_work_is_an_error_not_a_panic() {
-        let ck = fake_compiled(&[8, 16], Direction::Increasing);
-        let mut tuner = DynamicTuner::new(&ck, 0.02);
-        let err = tuner.record_with_work(100, 0).unwrap_err();
-        assert!(matches!(err, crate::error::OrionError::Tuner(_)));
-        assert_eq!(tuner.trials(), 0, "rejected measurement must not count");
-    }
-
-    #[test]
-    fn quarantine_skips_version_and_tuning_continues() {
-        // v1 dies after its measurement; the walk continues over v2/v3
-        // and v1's time can never win a comparison.
-        let ck = fake_compiled(&[8, 16, 32, 48], Direction::Increasing);
-        let times = [100u64, 10, 90, 95];
-        let mut tuner = DynamicTuner::new(&ck, 0.02);
-        // Measure v0, then v1 (suspiciously fast — it then crashes).
-        tuner.record(times[0]);
-        assert_eq!(tuner.select(), 1);
-        tuner.record(times[1]);
-        tuner.quarantine(1);
-        assert!(tuner.is_quarantined(1));
-        // Walk resumes at v2; v2 at 90 beats v0's 100, v3 at 95 degrades.
-        while tuner.finalized().is_none() {
-            let v = tuner.select();
-            assert_ne!(v, 1, "quarantined version must never be selected");
-            tuner.record(times[v]);
-        }
-        assert_eq!(tuner.finalized(), Some(2), "best survivor, not the dead v1");
-        assert!(tuner
-            .decisions()
-            .iter()
-            .any(|d| d.reason == TuneReason::Quarantined && d.version == 1));
-    }
-
-    #[test]
-    fn quarantining_finalized_version_falls_back_to_fail_safe() {
-        let ck = fake_compiled_with_fail_safe(&[8, 16, 32], Direction::Increasing);
-        let times = [100u64, 80, 90];
-        let mut tuner = DynamicTuner::new(&ck, 0.02);
-        for _ in 0..3 {
-            let v = tuner.select();
-            tuner.record(times[v]);
-        }
-        assert_eq!(tuner.finalized(), Some(1));
-        tuner.quarantine(1);
-        assert_eq!(tuner.finalized(), Some(3), "fail-safe version takes over");
-        let last = tuner.decisions().last().unwrap();
-        assert_eq!(last.reason, TuneReason::FellBack);
-        assert!(!tuner.all_quarantined());
-    }
-
-    #[test]
-    fn quarantining_everything_is_detectable_and_select_stays_total() {
-        let ck = fake_compiled(&[8, 16], Direction::Increasing);
-        let mut tuner = DynamicTuner::new(&ck, 0.02);
-        tuner.quarantine(0);
-        tuner.quarantine(1);
-        assert!(tuner.all_quarantined());
-        assert_eq!(tuner.quarantined_count(), 2);
-        // select() still returns a last-resort index without panicking.
-        let _ = tuner.select();
-    }
-
-    #[test]
-    fn quarantine_before_first_measurement_keeps_walk_sound() {
-        // Quarantine the version currently under evaluation before it
-        // was ever measured: select() moves on, no panic, and the
-        // degradation test still anchors correctly.
-        let ck = fake_compiled(&[8, 16, 32, 48], Direction::Increasing);
-        let times = [100u64, 0, 90, 95];
-        let mut tuner = DynamicTuner::new(&ck, 0.02);
-        tuner.record(times[0]);
-        assert_eq!(tuner.select(), 1);
-        tuner.quarantine(1); // died on launch, never measured
-        assert_eq!(tuner.select(), 2);
-        tuner.record(times[2]);
-        tuner.record(times[3]);
-        assert_eq!(tuner.finalized(), Some(2));
-    }
-
-    #[test]
-    fn degrade_mid_walk_settles_on_original_and_logs_it() {
-        let ck = fake_compiled(&[8, 16, 32, 48], Direction::Increasing);
-        let mut tuner = DynamicTuner::new(&ck, 0.02);
-        tuner.record(100); // baseline measured, walk in flight
-        assert_eq!(tuner.finalized(), None);
-        let settled = tuner.degrade_to_fallback();
-        assert_eq!(settled, Some(0), "unfinished walk degrades to the original");
-        assert_eq!(tuner.finalized(), Some(0));
-        let last = tuner.decisions().last().unwrap();
-        assert_eq!(last.reason, TuneReason::Degraded);
-        assert_eq!(last.finalized, Some(0));
-    }
-
-    #[test]
-    fn degrade_keeps_finalized_and_prefers_fail_safe_over_dead_original() {
-        // Already finalized: degrade is a no-op on the selection.
-        let ck = fake_compiled(&[8, 16, 32], Direction::Increasing);
-        let times = [100u64, 80, 90];
-        let mut tuner = DynamicTuner::new(&ck, 0.02);
-        for _ in 0..3 {
-            let v = tuner.select();
-            tuner.record(times[v]);
-        }
-        assert_eq!(tuner.finalized(), Some(1));
-        assert_eq!(tuner.degrade_to_fallback(), Some(1), "finalized selection is kept");
-
-        // Dead original: the fail-safe takes over.
-        let ck = fake_compiled_with_fail_safe(&[8, 16, 32], Direction::Increasing);
-        let mut tuner = DynamicTuner::new(&ck, 0.02);
-        tuner.quarantine(0); // the original
-        assert_eq!(tuner.degrade_to_fallback(), Some(3), "fail-safe replaces a dead original");
-    }
-
-    #[test]
-    fn decision_log_records_exhausted_run() {
-        let ck = fake_compiled(&[8, 16, 32], Direction::Increasing);
-        let times = [100u64, 90, 70];
-        let out = tune_loop::<()>(&ck, 6, 0.02, |v| {
-            let idx = ck.index_of(&v.label).unwrap();
-            Ok(times[idx])
-        })
-        .unwrap();
-        let last = out.decisions.last().unwrap();
-        assert!(
-            matches!(last.reason, TuneReason::SlowdownExceeded | TuneReason::Exhausted),
-            "final decision must carry a finalize reason, got {:?}",
-            last.reason
-        );
-        assert_eq!(last.reason, TuneReason::Exhausted);
-        assert_eq!(last.finalized, Some(2), "exhausting the list keeps the best version");
-    }
 }

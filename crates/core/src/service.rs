@@ -22,8 +22,8 @@
 //! same code path degenerates to strictly sequential execution — the
 //! service bench's apples-to-apples baseline.
 //!
-//! Sessions start in **longest-job-first** order
-//! ([`SchedulerMode::Ljf`]): per-job costs are estimated from the
+//! Sessions start in **longest-job-first** order within each admission
+//! priority class: per-job costs are estimated from the
 //! probe-time occupancy curves (grid lanes × iterations, scaled by the
 //! deepest candidate's occupancy rounds), so tail kernels are dispatched
 //! early and don't strand backend workers at the end of the batch. The
@@ -60,6 +60,12 @@
 //!   with each session stamped onto its own lane
 //!   ([`orion_telemetry::set_scope`]) so traces stay separable.
 //!
+//! One per-job state machine drives every job, whether it arrives
+//! through [`OrionService::run`] or [`OrionService::tune_one`]: it
+//! builds the session, gates each launch on the job's budgets, injects
+//! chaos, and derives the disposition and metrics. The two entry points
+//! differ only in how they execute the launches it asks for.
+//!
 //! ## Job lifecycle
 //!
 //! ```text
@@ -81,7 +87,7 @@
 //!
 //! [`TuningSession`]: crate::session::TuningSession
 
-use crate::backend::{AsyncBackend, Completion, LaunchRequest, TicketId};
+use crate::backend::{AsyncBackend, LaunchRequest, TicketId};
 use crate::cache;
 use crate::compiler::{CompiledKernel, TuningConfig};
 use crate::error::OrionError;
@@ -199,31 +205,6 @@ impl JobDisposition {
     }
 }
 
-/// How the event loop orders session starts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerMode {
-    /// Longest-job-first: within an admission-priority class, sessions
-    /// with the largest estimated cost (probe-time occupancy curve ×
-    /// iterations) start first, so tail kernels don't strand backend
-    /// workers at the end of the batch. The default.
-    #[default]
-    Ljf,
-    /// Submission order within an admission-priority class (the
-    /// pre-event-loop claim order).
-    Fifo,
-}
-
-impl SchedulerMode {
-    /// Stable lowercase name (reports, bench artifacts).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulerMode::Ljf => "ljf",
-            SchedulerMode::Fifo => "fifo",
-        }
-    }
-}
-
 /// Service-wide knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceConfig {
@@ -238,8 +219,6 @@ pub struct ServiceConfig {
     /// next is dispatched, on the very same code path. Results on a
     /// deterministic backend are bit-identical at any limit.
     pub in_flight_limit: usize,
-    /// Session-start ordering (see [`SchedulerMode`]).
-    pub scheduler: SchedulerMode,
     /// Slowdown threshold for every session (the paper's 2%).
     pub threshold: f64,
     /// `Some` drives resilient sessions (retry/quarantine/fallback);
@@ -267,7 +246,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 0,
             in_flight_limit: 0,
-            scheduler: SchedulerMode::Ljf,
             threshold: 0.02,
             policy: Some(ResiliencePolicy::default()),
             queue_capacity: None,
@@ -395,11 +373,9 @@ pub struct ServiceReport {
     /// The in-flight session cap the batch actually ran with (the
     /// configured limit, or the admitted count when configured `0`).
     pub in_flight_limit: usize,
-    /// The scheduler mode the batch ran with.
-    pub scheduler: SchedulerMode,
     /// Job indices in the order the event loop started their sessions —
-    /// a pure function of the job set (priorities, then estimated cost
-    /// under [`SchedulerMode::Ljf`]), independent of completion
+    /// a pure function of the job set (priorities, then estimated
+    /// cost, longest first), independent of completion
     /// interleaving. Rejected and compile-failed jobs don't appear.
     pub dispatch_order: Vec<usize>,
 }
@@ -439,52 +415,6 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// The definite report for a job whose session step (or completion
-/// callback) unwound on the scheduler: counted, journaled, quarantined.
-fn panic_report(
-    name: &str,
-    lane: u32,
-    payload: &(dyn std::any::Any + Send),
-    compile_wall_us: u64,
-) -> KernelReport {
-    let detail = panic_detail(payload);
-    orion_telemetry::counter("resilience", "session_panic", 1);
-    journal::record(JournalEvent::SessionPanic { kernel: name.to_string() });
-    KernelReport {
-        name: name.to_string(),
-        lane,
-        outcome: Err(OrionError::SessionPanicked { detail }.with_context(name.to_string(), None)),
-        disposition: JobDisposition::Quarantined,
-        metrics: KernelMetrics { compile_wall_us, ..KernelMetrics::default() },
-    }
-}
-
-/// Which [`JobPolicy`] budget (if any) has expired for `session`.
-/// `deadline` is the effective cycle deadline (policy composed with any
-/// injected deadline pressure; the tighter one).
-fn blown_budget(
-    session: &TuningSession<'_>,
-    deadline: Option<u64>,
-    policy: &JobPolicy,
-    wall_start: Instant,
-) -> Option<DegradeReason> {
-    deadline
-        .filter(|&d| session.total_cycles_so_far() >= d)
-        .map(|_| DegradeReason::DeadlineCycles)
-        .or_else(|| {
-            policy
-                .wall_budget
-                .filter(|&w| wall_start.elapsed() >= w)
-                .map(|_| DegradeReason::WallBudget)
-        })
-        .or_else(|| {
-            policy
-                .retry_budget
-                .filter(|&r| session.stats().retries > u64::from(r))
-                .map(|_| DegradeReason::RetryBudget)
-        })
-}
-
 /// The error an injected launch fault stands in for, if the draw `f`
 /// injects one. Deterministic per draw — identical at any worker count
 /// or in-flight limit.
@@ -518,28 +448,22 @@ fn estimate_cost(ck: &CompiledKernel, job: &KernelJob) -> u64 {
     lanes * rounds * u64::from(job.iterations.max(1))
 }
 
-/// One admitted job being multiplexed by the event loop: the session,
-/// its launch ingredients, policy/chaos state, and running wall-clock
-/// phase accumulators. The session borrows its compiled kernel from the
-/// scheduler's frozen candidate table (`'k`); the `Arc` clone feeds
-/// [`LaunchRequest`]s.
+/// One admitted job's tuning state machine — the one per-job driver
+/// behind both [`OrionService::run`] and [`OrionService::tune_one`]. It
+/// owns session construction, the budget gate, chaos injection, the
+/// disposition and the metrics; the caller only executes the launches
+/// it asks for. The session borrows its compiled kernel (`'k`).
 struct ActiveJob<'k> {
     name: String,
     lane: u32,
     session: TuningSession<'k>,
-    ck: Arc<CompiledKernel>,
-    launch: Launch,
-    params: Vec<u32>,
-    /// The job's global-memory image; moved into each [`LaunchRequest`]
-    /// and restored from its [`Completion`].
-    global: Vec<u8>,
     policy: JobPolicy,
     /// Effective cycle deadline (policy ∧ injected pressure).
     deadline: Option<u64>,
     injector: Option<FaultInjector>,
     panic_after: Option<u32>,
     /// Fault draw for the launch currently in flight, applied to its
-    /// completion ([`FaultInjector::perturb_cycles`]).
+    /// result ([`FaultInjector::perturb_cycles`]).
     pending_fault: Option<LaunchFaults>,
     wall_start: Instant,
     degrade_reason: Option<DegradeReason>,
@@ -549,14 +473,55 @@ struct ActiveJob<'k> {
     execute_us: u64,
 }
 
-/// What one pump of a session produced: a launch in flight, or a
-/// definite report.
+/// What one pump of a job produced: a launch for the caller to execute
+/// (a version index), or a definite report.
 enum Pump {
-    Submitted(TicketId),
+    Launch(usize),
     Finished(Box<KernelReport>),
 }
 
-impl ActiveJob<'_> {
+impl<'k> ActiveJob<'k> {
+    /// Open `job`'s session over its compiled candidates `ck` under the
+    /// service configuration and the chaos drawn for it.
+    fn start(
+        cfg: &ServiceConfig,
+        job: &KernelJob,
+        lane: u32,
+        ck: &'k CompiledKernel,
+        faults: &JobFaults,
+        compile_wall_us: u64,
+    ) -> Self {
+        let (kernel, mode) = match cfg.policy {
+            Some(policy) => (job.name.as_str(), SessionMode::Resilient(policy)),
+            None => ("", SessionMode::Simple),
+        };
+        let search = job.policy.search.unwrap_or(cfg.search);
+        let session =
+            TuningSession::with_policy(kernel, ck, job.iterations, cfg.threshold, mode, search);
+        // Injected deadline pressure composes with the job's own
+        // deadline: the tighter one wins.
+        let deadline = match (job.policy.deadline_cycles, faults.deadline_cycles) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        ActiveJob {
+            name: job.name.clone(),
+            lane,
+            session,
+            policy: job.policy,
+            deadline,
+            injector: faults.plan.map(FaultInjector::new),
+            panic_after: faults.panic_after_launches,
+            pending_fault: None,
+            wall_start: Instant::now(),
+            degrade_reason: None,
+            launches_done: 0,
+            compile_wall_us,
+            dispatch_wait_us: 0,
+            execute_us: 0,
+        }
+    }
+
     /// Resolve this job to its definite report.
     fn seal(
         &mut self,
@@ -579,9 +544,29 @@ impl ActiveJob<'_> {
         }))
     }
 
-    /// Finish a session the driver stopped cleanly (walk done, or a
-    /// budget degrade) and derive its disposition exactly as the
-    /// synchronous driver does.
+    /// The definite report after a step of this job (or its completion
+    /// callback) unwound on the scheduler: counted, journaled,
+    /// quarantined.
+    fn panic_report(&self, payload: &(dyn std::any::Any + Send)) -> Box<KernelReport> {
+        let detail = panic_detail(payload);
+        orion_telemetry::counter("resilience", "session_panic", 1);
+        journal::record(JournalEvent::SessionPanic { kernel: self.name.clone() });
+        Box::new(KernelReport {
+            name: self.name.clone(),
+            lane: self.lane,
+            outcome: Err(
+                OrionError::SessionPanicked { detail }.with_context(self.name.clone(), None)
+            ),
+            disposition: JobDisposition::Quarantined,
+            metrics: KernelMetrics {
+                compile_wall_us: self.compile_wall_us,
+                ..KernelMetrics::default()
+            },
+        })
+    }
+
+    /// Finish a session that stopped cleanly (walk done, or a budget
+    /// degrade) and derive its disposition.
     fn seal_settled(&mut self) -> Pump {
         let outcome = self.session.clone().finish();
         let disposition = match (self.degrade_reason, outcome.state) {
@@ -594,15 +579,94 @@ impl ActiveJob<'_> {
         self.seal(Ok(outcome), disposition)
     }
 
-    /// Injected worker-panic chaos: unwinds once the launch count
-    /// reaches the plan's threshold. The message is deterministic, so
-    /// panic reports stay bit-identical across worker counts.
-    fn check_panic_fault(&self) {
+    /// Which [`JobPolicy`] budget (if any) has expired, against the
+    /// effective cycle deadline.
+    fn blown_budget(&self) -> Option<DegradeReason> {
+        self.deadline
+            .filter(|&d| self.session.total_cycles_so_far() >= d)
+            .map(|_| DegradeReason::DeadlineCycles)
+            .or_else(|| {
+                self.policy
+                    .wall_budget
+                    .filter(|&w| self.wall_start.elapsed() >= w)
+                    .map(|_| DegradeReason::WallBudget)
+            })
+            .or_else(|| {
+                self.policy
+                    .retry_budget
+                    .filter(|&r| self.session.stats().retries > u64::from(r))
+                    .map(|_| DegradeReason::RetryBudget)
+            })
+    }
+
+    /// Advance the session until it asks for a launch or resolves to a
+    /// definite report. May unwind (injected chaos, a hostile session).
+    fn pump(&mut self) -> Pump {
+        loop {
+            // Policy gates come first: a blown budget resolves the
+            // session to Degraded *before* the next launch is issued,
+            // so a deadline can never be overshot by more than one
+            // launch chain.
+            if let Some(reason) = self.blown_budget() {
+                self.session.degrade(reason.tag());
+                self.degrade_reason = Some(reason);
+                return self.seal_settled();
+            }
+            let step = match self.session.next_step() {
+                Ok(step) => step,
+                Err(e) => return self.seal(Err(e), JobDisposition::Quarantined),
+            };
+            let SessionStep::Launch(v) = step else {
+                return self.seal_settled();
+            };
+            // Service-boundary chaos: injected faults replace (or
+            // perturb) the real launch, deterministically per
+            // (job, launch index) — identical at any worker count or
+            // in-flight limit.
+            if let Some(inj) = &self.injector {
+                let f = inj.draw();
+                if let Some(err) = injected_error(&f, self.deadline) {
+                    if let Some(report) = self.fold(Err(err)) {
+                        return report;
+                    }
+                    continue;
+                }
+                self.pending_fault = Some(f);
+            }
+            return Pump::Launch(v);
+        }
+    }
+
+    /// Fold the result of the launch the last pump asked for into the
+    /// session, then pump onward. May unwind (injected chaos).
+    fn resume(&mut self, result: Result<u64, OrionError>) -> Pump {
+        let result = match (self.pending_fault.take(), result) {
+            (Some(f), Ok(cycles)) => Ok(self
+                .injector
+                .as_ref()
+                .expect("a fault draw implies an injector")
+                .perturb_cycles(&f, cycles)),
+            (_, r) => r,
+        };
+        self.fold(result).unwrap_or_else(|| self.pump())
+    }
+
+    /// Count one launch and fold its result; `Some` when that resolved
+    /// the job.
+    fn fold(&mut self, result: Result<u64, OrionError>) -> Option<Pump> {
+        self.launches_done += 1;
+        if let Err(e) = self.session.on_launch_result(result) {
+            return Some(self.seal(Err(e), JobDisposition::Quarantined));
+        }
+        // Injected worker-panic chaos: unwinds once the launch count
+        // reaches the plan's threshold. The message is deterministic,
+        // so panic reports stay bit-identical across worker counts.
         if let Some(after) = self.panic_after {
             if self.launches_done >= after {
                 panic!("chaos: injected worker panic after {} launches", self.launches_done);
             }
         }
+        None
     }
 }
 
@@ -624,235 +688,68 @@ impl<B: AsyncBackend> OrionService<B> {
         &self.backend
     }
 
-    /// Tune one job to completion on the current thread (no telemetry
-    /// lane is assigned; used by the workers and handy in tests). The
-    /// job's [`JobPolicy`] budgets are enforced; admission control and
-    /// panic isolation are `run`-only (there is no queue here, and a
-    /// panic on the caller's own thread is the caller's to catch).
+    /// Tune one job to completion on the current thread, on the same
+    /// per-job state machine as [`OrionService::run`]. Each launch runs
+    /// inline through [`Backend::launch`](crate::backend::Backend::launch)
+    /// with default options (so one launch may fan out across SMs), and
+    /// mutates `job.global` in place. The job's [`JobPolicy`] budgets
+    /// are enforced; admission control, chaos, telemetry lanes and panic
+    /// isolation are `run`-only (there is no queue here, and a panic on
+    /// the caller's own thread is the caller's to catch).
     ///
     /// # Errors
     /// Compile failures, fatal launch errors, or
     /// [`OrionError::AllCandidatesFailed`], wrapped with the kernel
     /// name where the session applies context.
     pub fn tune_one(&self, job: &mut KernelJob) -> Result<SessionOutcome, OrionError> {
-        self.tune_one_observed(job).0
-    }
-
-    /// [`OrionService::tune_one`] plus the session's latency metrics
-    /// (collected even when the session errors out — partial
-    /// distributions are still diagnostic).
-    pub fn tune_one_observed(
-        &self,
-        job: &mut KernelJob,
-    ) -> (Result<SessionOutcome, OrionError>, KernelMetrics) {
-        let (outcome, metrics, _) = self.tune_job(job, &JobFaults::NONE);
-        (outcome, metrics)
-    }
-
-    /// The full per-job driver: compile, open a session, drive it to a
-    /// definite disposition under the job's [`JobPolicy`] budgets and
-    /// any injected chaos (`faults`).
-    fn tune_job(
-        &self,
-        job: &mut KernelJob,
-        faults: &JobFaults,
-    ) -> (Result<SessionOutcome, OrionError>, KernelMetrics, JobDisposition) {
-        let compile_start = Instant::now();
-        let ck = match self.backend.compile_probe(&job.module, &job.tuning) {
-            Ok(ck) => ck,
-            Err(e) => {
-                return (
-                    Err(e),
-                    KernelMetrics {
-                        compile_wall_us: compile_start.elapsed().as_micros() as u64,
-                        ..KernelMetrics::default()
-                    },
-                    JobDisposition::Quarantined,
-                )
-            }
-        };
-        let compile_wall_us = compile_start.elapsed().as_micros() as u64;
-        let search = job.policy.search.unwrap_or(self.cfg.search);
-        let mut session = match self.cfg.policy {
-            Some(policy) => TuningSession::with_policy(
-                job.name.as_str(),
-                &ck,
-                job.iterations,
-                self.cfg.threshold,
-                SessionMode::Resilient(policy),
-                search,
-            ),
-            None => TuningSession::with_policy(
-                "",
-                &ck,
-                job.iterations,
-                self.cfg.threshold,
-                SessionMode::Simple,
-                search,
-            ),
-        };
-        let policy = job.policy;
-        // Injected deadline pressure composes with the job's own
-        // deadline: the tighter one wins.
-        let deadline = match (policy.deadline_cycles, faults.deadline_cycles) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        let injector = faults.plan.map(FaultInjector::new);
-        let wall_start = Instant::now();
-        let mut degrade_reason: Option<DegradeReason> = None;
-        let mut launches_done: u32 = 0;
-        let mut drive = |session: &mut TuningSession| -> Result<(), OrionError> {
-            loop {
-                // Policy gates come first: a blown budget resolves the
-                // session to Degraded *before* the next launch is issued,
-                // so a deadline can never be overshot by more than one
-                // launch chain.
-                if let Some(reason) = blown_budget(session, deadline, &policy, wall_start) {
-                    session.degrade(reason.tag());
-                    degrade_reason = Some(reason);
-                    return Ok(());
-                }
-                let SessionStep::Launch(v) = session.next_step()? else {
-                    return Ok(());
-                };
-                // Service-boundary chaos: injected faults replace (or
-                // perturb) the real launch, deterministically per
-                // (job, launch index) — identical at any worker count.
-                let result = match &injector {
-                    Some(inj) => {
-                        let f = inj.draw();
-                        match injected_error(&f, deadline) {
-                            Some(err) => Err(err),
-                            None => self
-                                .backend
-                                .launch(
-                                    &ck.versions[v],
-                                    job.launch,
-                                    &job.params,
-                                    &mut job.global,
-                                    LaunchOptions::default(),
-                                )
-                                .map(|c| inj.perturb_cycles(&f, c)),
-                        }
-                    }
-                    None => self.backend.launch(
+        let ck = self.backend.compile_probe(&job.module, &job.tuning)?;
+        let mut a = ActiveJob::start(&self.cfg, job, 0, &ck, &JobFaults::NONE, 0);
+        let mut pump = a.pump();
+        loop {
+            match pump {
+                Pump::Launch(v) => {
+                    let result = self.backend.launch(
                         &ck.versions[v],
                         job.launch,
                         &job.params,
                         &mut job.global,
                         LaunchOptions::default(),
-                    ),
-                };
-                launches_done += 1;
-                session.on_launch_result(result)?;
-                if let Some(after) = faults.panic_after_launches {
-                    if launches_done >= after {
-                        panic!("chaos: injected worker panic after {launches_done} launches");
-                    }
+                    );
+                    pump = a.resume(result);
                 }
+                Pump::Finished(report) => return report.outcome,
             }
-        };
-        let driven = drive(&mut session);
-        let obs = session.observations().clone();
-        let metrics = KernelMetrics {
-            launch_cycles: obs.launch_cycles,
-            queue_wait_cycles: obs.queue_wait_cycles,
-            compile_wall_us,
-            ..KernelMetrics::default()
-        };
-        match driven {
-            Ok(()) => {
-                let outcome = session.finish();
-                let disposition = match (degrade_reason, outcome.state) {
-                    (Some(reason), SessionState::Degraded) => JobDisposition::Degraded(reason),
-                    // A degrade with every version quarantined (or a
-                    // session that died on its own) is a quarantine.
-                    _ if outcome.state == SessionState::Quarantined => JobDisposition::Quarantined,
-                    _ => JobDisposition::Finalized,
-                };
-                (Ok(outcome), metrics, disposition)
-            }
-            Err(e) => (Err(e), metrics, JobDisposition::Quarantined),
         }
     }
 
-    /// Pump one session until it either submits a launch to the backend
-    /// or resolves to a definite report. May unwind (injected chaos, a
-    /// hostile session) — the event loop catches per step.
-    fn pump(&self, a: &mut ActiveJob<'_>) -> Pump {
-        loop {
-            // Policy gates come first: a blown budget resolves the
-            // session to Degraded *before* the next launch is issued,
-            // so a deadline can never be overshot by more than one
-            // launch chain.
-            if let Some(reason) = blown_budget(&a.session, a.deadline, &a.policy, a.wall_start) {
-                a.session.degrade(reason.tag());
-                a.degrade_reason = Some(reason);
-                return a.seal_settled();
-            }
-            let step = match a.session.next_step() {
-                Ok(step) => step,
-                Err(e) => return a.seal(Err(e), JobDisposition::Quarantined),
-            };
-            let SessionStep::Launch(v) = step else {
-                return a.seal_settled();
-            };
-            // Service-boundary chaos: injected faults replace (or
-            // perturb) the real launch, deterministically per
-            // (job, launch index) — identical at any in-flight limit.
-            if let Some(inj) = &a.injector {
-                let f = inj.draw();
-                if let Some(err) = injected_error(&f, a.deadline) {
-                    a.launches_done += 1;
-                    if let Err(e) = a.session.on_launch_result(Err(err)) {
-                        return a.seal(Err(e), JobDisposition::Quarantined);
-                    }
-                    a.check_panic_fault();
-                    continue;
-                }
-                a.pending_fault = Some(f);
-            }
-            let global = std::mem::take(&mut a.global);
-            let ticket = self.backend.submit(LaunchRequest {
-                kernel: Arc::clone(&a.ck),
-                version: v,
-                launch: a.launch,
-                params: a.params.clone(),
-                global,
-                // Inner launch parallelism stays at 1: the service's
-                // parallelism is *across* in-flight sessions, one
-                // backend worker per launch. Sim results are
-                // bit-identical at every parallelism setting, so this
-                // is a resource choice, not a semantic one.
-                opts: LaunchOptions { parallelism: 1, ..LaunchOptions::default() },
-                lane: a.lane,
-            });
-            return Pump::Submitted(ticket);
-        }
-    }
-
-    /// Fold one completion back into its session, then pump it onward.
-    /// May unwind (injected completion-callback panics) — the event
-    /// loop catches per step.
-    fn resume(&self, a: &mut ActiveJob<'_>, c: Completion) -> Pump {
-        a.global = c.global;
-        a.dispatch_wait_us += c.queue_wait_us;
-        a.execute_us += c.exec_us;
-        let result = match (a.pending_fault.take(), c.result) {
-            (Some(f), Ok(cycles)) => Ok(a
-                .injector
-                .as_ref()
-                .expect("a fault draw implies an injector")
-                .perturb_cycles(&f, cycles)),
-            (_, r) => r,
+    /// Submit the launch a pump asked for through the async backend; a
+    /// pump that resolved the job hands back its report instead.
+    fn submit(
+        &self,
+        pump: Pump,
+        ck: &Arc<CompiledKernel>,
+        job: &mut KernelJob,
+        lane: u32,
+    ) -> Result<TicketId, Box<KernelReport>> {
+        let v = match pump {
+            Pump::Launch(v) => v,
+            Pump::Finished(report) => return Err(report),
         };
-        a.launches_done += 1;
-        if let Err(e) = a.session.on_launch_result(result) {
-            return a.seal(Err(e), JobDisposition::Quarantined);
-        }
-        a.check_panic_fault();
-        self.pump(a)
+        Ok(self.backend.submit(LaunchRequest {
+            kernel: Arc::clone(ck),
+            version: v,
+            launch: job.launch,
+            params: job.params.clone(),
+            // Moved out for the launch; restored from its completion.
+            global: std::mem::take(&mut job.global),
+            // Inner launch parallelism stays at 1: the service's
+            // parallelism is *across* in-flight sessions, one backend
+            // worker per launch. Sim results are bit-identical at every
+            // parallelism setting, so this is a resource choice, not a
+            // semantic one.
+            opts: LaunchOptions { parallelism: 1, ..LaunchOptions::default() },
+            lane,
+        }))
     }
 
     /// Tune every job on the event loop and report in submission order.
@@ -879,9 +776,9 @@ impl<B: AsyncBackend> OrionService<B> {
             "",
         );
         let cache_before = cache::stats();
-        // Names and priorities outlive the jobs themselves: panic
-        // reports and shed reports need them after (or without) the job
-        // value being consumed by the event loop.
+        // Names and priorities outlive the job slots: shed,
+        // compile-failure and backstop reports need them after a slot
+        // has been emptied.
         let names: Vec<String> = jobs.iter().map(|j| j.name.clone()).collect();
         let priorities: Vec<u8> = jobs.iter().map(|j| j.policy.priority).collect();
         let lane_of = |i: usize| u32::try_from(i).unwrap_or(u32::MAX).saturating_add(1);
@@ -949,7 +846,7 @@ impl<B: AsyncBackend> OrionService<B> {
                 jobs[i] = None;
                 continue;
             }
-            let job = jobs[i].as_ref().expect("admitted slot holds its job until dispatch");
+            let job = jobs[i].as_ref().expect("an admitted slot holds its job");
             orion_telemetry::set_scope(lane_of(i));
             let compile_start = Instant::now();
             let caught = catch_unwind(AssertUnwindSafe(|| {
@@ -987,16 +884,14 @@ impl<B: AsyncBackend> OrionService<B> {
         // downstream outcome) is deterministic.
         let mut order: Vec<usize> =
             (0..submitted).filter(|&i| cks[i].is_some() && jobs[i].is_some()).collect();
-        match self.cfg.scheduler {
-            SchedulerMode::Ljf => order.sort_by_key(|&i| {
-                let cost = estimate_cost(
-                    cks[i].as_deref().expect("order is filtered to compiled jobs"),
-                    jobs[i].as_ref().expect("order is filtered to live jobs"),
-                );
-                (Reverse(priorities[i]), Reverse(cost), i)
-            }),
-            SchedulerMode::Fifo => order.sort_by_key(|&i| (Reverse(priorities[i]), i)),
-        }
+        // Longest job first within each priority class.
+        order.sort_by_key(|&i| {
+            let cost = estimate_cost(
+                cks[i].as_deref().expect("order is filtered to compiled jobs"),
+                jobs[i].as_ref().expect("order is filtered to live jobs"),
+            );
+            (Reverse(priorities[i]), Reverse(cost), i)
+        });
         let dispatch_order = order.clone();
         // The event loop: keep up to `in_flight_limit` sessions with a
         // launch in flight; pump each ready session until it submits or
@@ -1010,79 +905,29 @@ impl<B: AsyncBackend> OrionService<B> {
             // its slot immediately, so the head keeps draining.
             while pending.len() < in_flight_limit {
                 let Some(i) = queue.pop_front() else { break };
-                let job = jobs[i].take().expect("dispatch queue holds live jobs");
-                let ck: &CompiledKernel =
-                    cks[i].as_deref().expect("dispatch queue holds compiled jobs");
+                let job = jobs[i].as_mut().expect("dispatch queue holds live jobs");
+                let ck = cks[i].as_ref().expect("dispatch queue holds compiled jobs");
                 let faults = match &self.cfg.chaos {
                     Some(plan) => plan.job_faults(i),
                     None => JobFaults::NONE,
                 };
-                // Injected deadline pressure composes with the job's
-                // own deadline: the tighter one wins.
-                let deadline = match (job.policy.deadline_cycles, faults.deadline_cycles) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-                let search = job.policy.search.unwrap_or(self.cfg.search);
-                let session = match self.cfg.policy {
-                    Some(policy) => TuningSession::with_policy(
-                        names[i].as_str(),
-                        ck,
-                        job.iterations,
-                        self.cfg.threshold,
-                        SessionMode::Resilient(policy),
-                        search,
-                    ),
-                    None => TuningSession::with_policy(
-                        "",
-                        ck,
-                        job.iterations,
-                        self.cfg.threshold,
-                        SessionMode::Simple,
-                        search,
-                    ),
-                };
-                let mut a = ActiveJob {
-                    name: names[i].clone(),
-                    lane: lane_of(i),
-                    session,
-                    ck: Arc::clone(cks[i].as_ref().expect("dispatch queue holds compiled jobs")),
-                    launch: job.launch,
-                    params: job.params,
-                    global: job.global,
-                    policy: job.policy,
-                    deadline,
-                    injector: faults.plan.map(FaultInjector::new),
-                    panic_after: faults.panic_after_launches,
-                    pending_fault: None,
-                    wall_start: Instant::now(),
-                    degrade_reason: None,
-                    launches_done: 0,
-                    compile_wall_us: compile_us[i],
-                    dispatch_wait_us: 0,
-                    execute_us: 0,
-                };
+                let mut a =
+                    ActiveJob::start(&self.cfg, job, lane_of(i), ck, &faults, compile_us[i]);
                 orion_telemetry::set_scope(a.lane);
                 sessions_gauge.inc();
                 // Panic isolation, boundary one: a session step that
                 // unwinds on the scheduler resolves only its own job.
-                match catch_unwind(AssertUnwindSafe(|| self.pump(&mut a))) {
-                    Ok(Pump::Submitted(t)) => {
+                let step =
+                    catch_unwind(AssertUnwindSafe(|| self.submit(a.pump(), ck, job, a.lane)))
+                        .unwrap_or_else(|payload| Err(a.panic_report(payload.as_ref())));
+                match step {
+                    Ok(t) => {
                         pending.insert(t, i);
                         active[i] = Some(a);
                     }
-                    Ok(Pump::Finished(report)) => {
+                    Err(report) => {
                         sessions_gauge.dec();
                         reports[i] = Some(*report);
-                    }
-                    Err(payload) => {
-                        sessions_gauge.dec();
-                        reports[i] = Some(panic_report(
-                            &names[i],
-                            a.lane,
-                            payload.as_ref(),
-                            a.compile_wall_us,
-                        ));
                     }
                 }
             }
@@ -1119,26 +964,26 @@ impl<B: AsyncBackend> OrionService<B> {
                 // backend) are not ours to resolve.
                 let Some(i) = pending.remove(&c.ticket) else { continue };
                 let mut a = active[i].take().expect("pending ticket has an active session");
+                let job = jobs[i].as_mut().expect("an active session keeps its job");
+                let ck = cks[i].as_ref().expect("an active session has its candidates");
                 orion_telemetry::set_scope(a.lane);
+                job.global = c.global;
+                a.dispatch_wait_us += c.queue_wait_us;
+                a.execute_us += c.exec_us;
                 // Panic isolation, boundary two: a completion callback
                 // that unwinds (injected chaos) resolves only its job.
-                match catch_unwind(AssertUnwindSafe(|| self.resume(&mut a, c))) {
-                    Ok(Pump::Submitted(t)) => {
+                let step = catch_unwind(AssertUnwindSafe(|| {
+                    self.submit(a.resume(c.result), ck, job, a.lane)
+                }))
+                .unwrap_or_else(|payload| Err(a.panic_report(payload.as_ref())));
+                match step {
+                    Ok(t) => {
                         pending.insert(t, i);
                         active[i] = Some(a);
                     }
-                    Ok(Pump::Finished(report)) => {
+                    Err(report) => {
                         sessions_gauge.dec();
                         reports[i] = Some(*report);
-                    }
-                    Err(payload) => {
-                        sessions_gauge.dec();
-                        reports[i] = Some(panic_report(
-                            &names[i],
-                            a.lane,
-                            payload.as_ref(),
-                            a.compile_wall_us,
-                        ));
                     }
                 }
             }
@@ -1216,7 +1061,6 @@ impl<B: AsyncBackend> OrionService<B> {
             host_cores,
             workers,
             in_flight_limit,
-            scheduler: self.cfg.scheduler,
             dispatch_order,
         }
     }
@@ -1487,22 +1331,36 @@ mod tests {
             ServiceConfig { workers: 4, in_flight_limit: 0, ..ServiceConfig::default() },
         )
         .run(with_priority);
-        assert_eq!(a.scheduler, SchedulerMode::Ljf);
         assert_eq!(a.dispatch_order, b.dispatch_order);
         // Priority dominates; within a class, larger estimated cost
         // (more iterations here) dispatches first.
         assert_eq!(a.dispatch_order, vec![3, 1, 2, 0]);
-        // FIFO keeps submission order within a priority class.
-        let c = OrionService::new(
-            SimBackend::new(DeviceSpec::gtx680()),
-            ServiceConfig { scheduler: SchedulerMode::Fifo, ..ServiceConfig::default() },
-        )
-        .run({
-            let mut j = mk();
-            j[3].policy.priority = 200;
-            j
-        });
-        assert_eq!(c.dispatch_order, vec![3, 0, 1, 2]);
+    }
+
+    /// The two entry points share one per-job driver and differ only in
+    /// how a launch executes (inline with default options vs. through
+    /// the async queue at parallelism 1), so the same job yields the
+    /// same outcome through either: both session modes, both search
+    /// policies, and a deadline that degrades the job.
+    #[test]
+    fn tune_one_and_run_agree_on_every_outcome() {
+        let bandit = PolicyKind::Bandit(crate::policy::BanditConfig::default());
+        for resilience in [None, Some(ResiliencePolicy::default())] {
+            for search in [PolicyKind::PaperWalk, bandit] {
+                for deadline_cycles in [None, Some(100)] {
+                    let cfg = ServiceConfig { policy: resilience, search, ..Default::default() };
+                    let svc = OrionService::new(SimBackend::new(DeviceSpec::gtx680()), cfg);
+                    let mut j = job("parity", 3, 12);
+                    j.policy.deadline_cycles = deadline_cycles;
+                    let run = svc.run(vec![j.clone()]);
+                    let inline = svc.tune_one(&mut j).expect("toy jobs tune");
+                    let case = format!("{resilience:?} {search:?} deadline {deadline_cycles:?}");
+                    assert_eq!(run.kernels[0].outcome.as_ref().unwrap(), &inline, "{case}");
+                    let degraded = deadline_cycles.is_some();
+                    assert_eq!(inline.state == SessionState::Degraded, degraded, "{case}");
+                }
+            }
+        }
     }
 
     /// A backend whose launches always panic — the hostile case panic

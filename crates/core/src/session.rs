@@ -1,20 +1,17 @@
-//! The unified tuning state machine.
+//! The tuning state machine.
 //!
-//! Before PR 5 the repo carried three near-copies of the Figure 9 walk:
-//! [`tune_loop`](crate::runtime::tune_loop) (fault-free),
-//! [`resilient_tune_loop`](crate::resilient::resilient_tune_loop)
-//! (retry / robust measurement / quarantine / fallback), and the
-//! splitting path. [`TuningSession`] subsumes all of them behind one
-//! *pull-based* interface: the session never launches anything itself —
-//! it hands out [`SessionStep::Launch`] requests, the caller executes
-//! them however it likes (a [`Backend`](crate::backend::Backend), a
-//! closure, a replay log) and feeds the result back. That inversion is
-//! what lets one state machine serve a closure-driven legacy API, a
-//! backend-driven service, and a deterministic replay test equally —
-//! and, since PR 9, what lets [`OrionService`](crate::service::OrionService)'s
-//! event loop multiplex many suspended sessions over one async
-//! submission queue: a session parked at a [`SessionStep::Launch`] is
-//! just a value, costing nothing while its ticket is in flight.
+//! [`TuningSession`] is the one implementation of the Figure 9 runtime
+//! walk — fault-free ([`SessionMode::Simple`]) or chaos-hardened
+//! ([`SessionMode::Resilient`]: retry, robust measurement, quarantine,
+//! fallback) — behind one *pull-based* interface: the session never
+//! launches anything itself — it hands out [`SessionStep::Launch`]
+//! requests, the caller executes them however it likes (a
+//! [`Backend`](crate::backend::Backend), a closure, a replay log) and
+//! feeds the result back. [`TuningSession::drive`] is the closure
+//! driver; [`OrionService`](crate::service::OrionService)'s event loop
+//! multiplexes many suspended sessions over one async submission queue:
+//! a session parked at a [`SessionStep::Launch`] is just a value,
+//! costing nothing while its ticket is in flight.
 //!
 //! The session is a typed state machine:
 //!
@@ -44,23 +41,20 @@
 //!
 //! # Equivalence contract
 //!
-//! The legacy entry points are thin drivers over this machine, and the
-//! crate pins them **bit-equal** to the frozen pre-refactor loops in
-//! [`crate::reference`]: same decision log, same finalized pick, same
-//! [`TuneReason`]s, same stats, across fault-free, noisy, and
-//! fault-injected runs. Any behavioral change here must update the
-//! reference module deliberately, with the equivalence suite as the
-//! tripwire.
+//! The equivalence suites pin this machine **bit-equal** to the frozen
+//! walks in [`crate::reference`]: same decision log, same finalized
+//! pick, same [`TuneReason`]s, same stats, same errors, across
+//! fault-free, noisy, and fault-injected runs. Any behavioral change
+//! here must update the reference module deliberately, with the
+//! equivalence suite as the tripwire.
 //!
 //! [`TuneReason`]: crate::runtime::TuneReason
 
-use crate::compiler::{CompiledKernel, Direction};
+use crate::compiler::{CompiledKernel, Direction, KernelVersion};
 use crate::error::OrionError;
 use crate::policy::{Measurement, PolicyKind, PolicyVerdict, SearchPolicy};
-use crate::resilient::{
-    robust_measure, should_quarantine, ResiliencePolicy, ResilienceStats, ResilientOutcome,
-};
-use crate::runtime::{TuneDecision, TuneOutcome};
+use crate::resilient::{robust_measure, should_quarantine, ResiliencePolicy, ResilienceStats};
+use crate::runtime::{TuneDecision, TuneReason};
 use orion_telemetry::hist::Histogram;
 use orion_telemetry::journal::{self, JournalEvent};
 use serde::{Deserialize, Serialize};
@@ -146,14 +140,12 @@ pub struct SessionObs {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SessionMode {
     /// The paper's exact walk: one raw measurement per iteration, first
-    /// launch error aborts ([`tune_loop`](crate::runtime::tune_loop)
-    /// semantics).
+    /// launch error aborts.
     Simple,
     /// The chaos-hardened walk: retry with backoff, mean-of-k robust
     /// measurement with noise margins and borderline extension rounds,
-    /// consecutive-strike quarantine, fail-safe fallback
-    /// ([`resilient_tune_loop`](crate::resilient::resilient_tune_loop)
-    /// semantics).
+    /// consecutive-strike quarantine, fail-safe fallback (see
+    /// [`crate::resilient`]).
     Resilient(ResiliencePolicy),
 }
 
@@ -172,8 +164,7 @@ pub enum SessionStep {
     Done,
 }
 
-/// A completed session: the union of [`TuneOutcome`] and
-/// [`ResilientOutcome`], plus the final state.
+/// A completed session — the one outcome type of every tuning run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionOutcome {
     /// The selected version index.
@@ -190,33 +181,6 @@ pub struct SessionOutcome {
     pub stats: ResilienceStats,
     /// State at [`TuningSession::finish`] time.
     pub state: SessionState,
-}
-
-impl SessionOutcome {
-    /// View as the legacy fault-free outcome.
-    #[must_use]
-    pub fn into_tune_outcome(self) -> TuneOutcome {
-        TuneOutcome {
-            selected: self.selected,
-            iterations: self.iterations,
-            converged_after: self.converged_after,
-            total_cycles: self.total_cycles,
-            decisions: self.decisions,
-        }
-    }
-
-    /// View as the legacy resilient outcome.
-    #[must_use]
-    pub fn into_resilient_outcome(self) -> ResilientOutcome {
-        ResilientOutcome {
-            selected: self.selected,
-            iterations: self.iterations,
-            converged_after: self.converged_after,
-            total_cycles: self.total_cycles,
-            decisions: self.decisions,
-            stats: self.stats,
-        }
-    }
 }
 
 /// An in-flight launch request: version index plus the retry attempt
@@ -246,7 +210,8 @@ struct SamplePass {
 
 /// The unified pull-based tuning state machine. See the module docs.
 ///
-/// Drive it with the two-call loop:
+/// Drive it with [`TuningSession::drive`], or with the two-call loop
+/// that method is:
 ///
 /// ```text
 /// while let SessionStep::Launch(v) = session.next_step()? {
@@ -266,7 +231,7 @@ pub struct TuningSession<'k> {
     /// [`PaperWalkPolicy`](crate::policy::PaperWalkPolicy).
     policy: Box<dyn SearchPolicy>,
     state: SessionState,
-    /// Completed application iterations (`it` in the legacy loops).
+    /// Completed application iterations (`it` in the frozen loops).
     it: u32,
     iters: Vec<(usize, u64)>,
     total: u64,
@@ -336,15 +301,13 @@ impl<'k> TuningSession<'k> {
         }
     }
 
-    /// A fault-free session ([`tune_loop`](crate::runtime::tune_loop)
-    /// semantics).
+    /// A fault-free session over the paper walk.
     pub fn simple(ck: &'k CompiledKernel, iterations: u32, threshold: f64) -> Self {
         TuningSession::new("", ck, iterations, threshold, SessionMode::Simple)
     }
 
-    /// A chaos-hardened session
-    /// ([`resilient_tune_loop`](crate::resilient::resilient_tune_loop)
-    /// semantics); `kernel` names the kernel in error context.
+    /// A chaos-hardened session over the paper walk; `kernel` names the
+    /// kernel in error context.
     pub fn resilient(
         kernel: impl Into<String>,
         ck: &'k CompiledKernel,
@@ -558,7 +521,7 @@ impl<'k> TuningSession<'k> {
                 self.current = None;
                 match result {
                     Ok(cycles) => {
-                        self.record_simple(pending.version, cycles);
+                        self.record_simple(pending.version, Measurement::raw(cycles));
                         Ok(())
                     }
                     Err(e) => {
@@ -579,8 +542,7 @@ impl<'k> TuningSession<'k> {
     }
 
     /// Report a successful measurement normalized by the invocation's
-    /// amount of work (§4.2; see
-    /// [`DynamicTuner::record_with_work`](crate::runtime::DynamicTuner::record_with_work)).
+    /// amount of work (§4.2; see [`Measurement::with_work`]).
     /// Simple-mode only — the resilient sampling pass aggregates raw
     /// cycles and has no per-sample work channel.
     ///
@@ -598,27 +560,22 @@ impl<'k> TuningSession<'k> {
             return Err(OrionError::Tuner("work normalization requires a simple session".into()));
         }
         if work == 0 {
-            // Mirror the legacy tuner's rejection: the measurement is
-            // refused before any state moves, so the launch stays
-            // outstanding and the iteration is not consumed.
+            // The measurement is refused before any state moves, so the
+            // launch stays outstanding and the iteration is not consumed.
             return Err(OrionError::Tuner("work normalization factor must be positive".into()));
         }
-        self.policy.observe(pending.version, Measurement::with_work(cycles, work));
         self.current = None;
-        self.total += cycles;
-        self.iters.push((pending.version, cycles));
-        self.it += 1;
-        self.obs.launch_cycles.record(cycles);
-        self.obs.queue_wait_cycles.record(0);
-        self.refresh_state();
+        self.record_simple(pending.version, Measurement::with_work(cycles, work));
         Ok(())
     }
 
-    /// Simple-mode success path: exactly the legacy `tune_loop` body.
-    fn record_simple(&mut self, version: usize, cycles: u64) {
+    /// Simple-mode success path: exactly the frozen
+    /// [`crate::reference::tune_loop`] body.
+    fn record_simple(&mut self, version: usize, m: Measurement) {
+        let cycles = m.cycles;
         self.total += cycles;
         self.iters.push((version, cycles));
-        self.policy.observe(version, Measurement::raw(cycles));
+        self.policy.observe(version, m);
         self.it += 1;
         self.obs.launch_cycles.record(cycles);
         self.obs.queue_wait_cycles.record(0);
@@ -730,11 +687,8 @@ impl<'k> TuningSession<'k> {
                 // The policy logs a FellBack decision when the dead
                 // version was the finalized one; mirror it as a typed
                 // journal record naming the replacement.
-                if let Some(d) = self
-                    .policy
-                    .decisions()
-                    .last()
-                    .filter(|d| d.reason == crate::runtime::TuneReason::FellBack)
+                if let Some(d) =
+                    self.policy.decisions().last().filter(|d| d.reason == TuneReason::FellBack)
                 {
                     if let Some(to) = d.finalized {
                         journal::record(JournalEvent::Fallback {
@@ -753,7 +707,7 @@ impl<'k> TuningSession<'k> {
     /// After a successful sample: keep sampling, extend on a borderline
     /// verdict, or settle the pass.
     fn advance_pass(&mut self, pass: SamplePass, policy: &ResiliencePolicy) {
-        // Mirrors the legacy inner loop's exit conditions exactly.
+        // Mirrors the frozen inner loop's exit conditions exactly.
         if pass.samples.len() < pass.target && self.it < self.iterations {
             self.pass = Some(pass); // keep sampling
             return;
@@ -798,11 +752,29 @@ impl<'k> TuningSession<'k> {
         self.pass = None;
     }
 
-    /// Consume the session into its outcome. Callable at any point; the
-    /// legacy drivers call it after [`SessionStep::Done`].
+    /// Run the session to completion, executing each requested launch
+    /// with `run`.
+    ///
+    /// # Errors
+    /// * Simple mode: the first launch error, returned unchanged.
+    /// * Resilient mode: [`OrionError::AllCandidatesFailed`] once every
+    ///   version (fallbacks included) is quarantined, or the first
+    ///   launch error that is neither transient nor quarantineable —
+    ///   both wrapped with the kernel name and cycle of failure.
+    pub fn drive(
+        mut self,
+        mut run: impl FnMut(&KernelVersion) -> Result<u64, OrionError>,
+    ) -> Result<SessionOutcome, OrionError> {
+        while let SessionStep::Launch(v) = self.next_step()? {
+            self.on_launch_result(run(&self.ck.versions[v]))?;
+        }
+        Ok(self.finish())
+    }
+
+    /// Consume the session into its outcome. Callable at any point;
+    /// [`TuningSession::drive`] calls it after [`SessionStep::Done`].
     #[must_use]
     pub fn finish(mut self) -> SessionOutcome {
-        use crate::runtime::TuneReason;
         let selected = self.finalized().unwrap_or_else(|| self.policy.select());
         let converged_after = match self.mode {
             SessionMode::Simple => self.policy.trials(),
@@ -810,7 +782,7 @@ impl<'k> TuningSession<'k> {
         };
         let decisions = self.policy.into_decisions();
         // Reconcile quarantine/fallback stats with the decision log, as
-        // the legacy resilient loop did.
+        // the frozen resilient loop does.
         self.stats.quarantined =
             decisions.iter().filter(|d| d.reason == TuneReason::Quarantined).count() as u64;
         self.stats.fellback =
@@ -834,49 +806,8 @@ impl<'k> TuningSession<'k> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiler::{CompiledKernel, Direction, KernelVersion};
-    use orion_alloc::realize::AllocReport;
+    use crate::testutil::fake_compiled;
     use orion_gpusim::exec::SimError;
-    use orion_kir::mir::MModule;
-    use orion_kir::types::FuncId;
-
-    fn fake_version(warps: u32, fail_safe: bool) -> KernelVersion {
-        KernelVersion {
-            machine: MModule {
-                funcs: vec![],
-                entry: FuncId(0),
-                regs_per_thread: 16,
-                smem_slots_per_thread: 0,
-                local_slots_per_thread: 0,
-                user_smem_bytes: 0,
-                static_stack_moves: 0,
-            },
-            target_warps: warps,
-            achieved_warps: warps,
-            occupancy: f64::from(warps) / 48.0,
-            extra_smem: 0,
-            report: AllocReport {
-                kernel_max_live: 0,
-                regs_per_thread: 16,
-                smem_slots_per_thread: 0,
-                local_slots_per_thread: 0,
-                static_moves: 0,
-                per_func: vec![],
-            },
-            fail_safe,
-            label: format!("occ={warps}"),
-        }
-    }
-
-    fn fake_compiled(warp_levels: &[u32], direction: Direction) -> CompiledKernel {
-        CompiledKernel {
-            versions: warp_levels.iter().map(|&w| fake_version(w, false)).collect(),
-            direction,
-            original: 0,
-            max_live: 40,
-            tuning_order: (0..warp_levels.len()).collect(),
-        }
-    }
 
     #[test]
     fn simple_session_walks_and_settles() {
@@ -944,6 +875,17 @@ mod tests {
     }
 
     #[test]
+    fn zero_work_is_rejected_without_consuming_the_iteration() {
+        let ck = fake_compiled(&[8, 16], Direction::Increasing);
+        let mut s = TuningSession::simple(&ck, 4, 0.02);
+        let first = s.next_step().unwrap();
+        let err = s.on_cycles_with_work(100, 0).unwrap_err();
+        assert!(matches!(err, OrionError::Tuner(_)));
+        assert_eq!(s.iterations_done(), 0, "rejected measurement must not count");
+        assert_eq!(s.next_step().unwrap(), first, "the launch stays outstanding");
+    }
+
+    #[test]
     fn simple_session_aborts_on_first_error() {
         let ck = fake_compiled(&[8, 16], Direction::Increasing);
         let mut s = TuningSession::simple(&ck, 4, 0.02);
@@ -984,7 +926,6 @@ mod tests {
 
     #[test]
     fn quarantining_everything_is_terminal_with_coherent_log() {
-        use crate::runtime::TuneReason;
         let ck = fake_compiled(&[8, 16], Direction::Increasing);
         let policy = ResiliencePolicy::default();
         let mut s = TuningSession::resilient("dead", &ck, 12, 0.02, policy);
@@ -1050,7 +991,7 @@ mod tests {
         assert_eq!(out.selected, 0);
         assert_eq!(
             out.decisions.last().unwrap().reason,
-            crate::runtime::TuneReason::Degraded,
+            TuneReason::Degraded,
             "the log explains the cut: {:?}",
             out.decisions
         );

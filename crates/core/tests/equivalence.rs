@@ -1,9 +1,7 @@
-//! Equivalence suite: the legacy closure entry points —
-//! [`orion_core::runtime::tune_loop`] and
-//! [`orion_core::resilient::resilient_tune_loop`] — are now thin
-//! drivers over [`orion_core::session::TuningSession`]. These tests pin
-//! them **bit-equal** (full `PartialEq` on outcomes, decision logs and
-//! errors included) to the frozen pre-refactor loops preserved in
+//! Equivalence suite: [`orion_core::session::TuningSession::drive`],
+//! in simple and resilient mode, is pinned **bit-equal** (every field
+//! the frozen loops report, decision logs, stats and errors included)
+//! to the frozen closure loops preserved in
 //! [`orion_core::reference`], across clean, noisy, and fault-injected
 //! closures, both tuning directions, and the degenerate shapes (zero
 //! iterations, single candidate, every candidate dead).
@@ -16,9 +14,9 @@
 use orion_alloc::realize::AllocReport;
 use orion_core::compiler::{CompiledKernel, Direction, KernelVersion};
 use orion_core::error::OrionError;
-use orion_core::reference;
-use orion_core::resilient::{resilient_tune_loop, ResiliencePolicy};
-use orion_core::runtime::tune_loop;
+use orion_core::reference::{self, ResilientWalkOutcome, WalkOutcome};
+use orion_core::resilient::ResiliencePolicy;
+use orion_core::session::TuningSession;
 use orion_gpusim::exec::SimError;
 use orion_kir::mir::MModule;
 use orion_kir::types::FuncId;
@@ -114,6 +112,28 @@ fn faulty_run<'c>(
     }
 }
 
+/// The live fault-free walk, in the oracle's terms.
+fn live_walk(
+    ck: &CompiledKernel,
+    iterations: u32,
+    run: impl FnMut(&KernelVersion) -> Result<u64, OrionError>,
+) -> Result<WalkOutcome, OrionError> {
+    TuningSession::simple(ck, iterations, 0.02).drive(run).map(WalkOutcome::from)
+}
+
+/// The live resilient walk, in the oracle's terms.
+fn live_resilient(
+    kernel: &str,
+    ck: &CompiledKernel,
+    iterations: u32,
+    policy: &ResiliencePolicy,
+    run: impl FnMut(&KernelVersion) -> Result<u64, OrionError>,
+) -> Result<ResilientWalkOutcome, OrionError> {
+    TuningSession::resilient(kernel, ck, iterations, 0.02, *policy)
+        .drive(run)
+        .map(ResilientWalkOutcome::from)
+}
+
 const DIRECTIONS: [Direction; 2] = [Direction::Increasing, Direction::Decreasing];
 
 #[test]
@@ -122,9 +142,7 @@ fn plain_loop_is_bit_identical_to_reference_on_clean_runs() {
         for iterations in [0u32, 1, 3, 10, 40] {
             let ck = fake_compiled(&[8, 16, 24, 32, 48], dir);
             let idx = |v: &KernelVersion| ck.index_of(&v.label).unwrap();
-            let live =
-                tune_loop::<std::convert::Infallible>(&ck, iterations, 0.02, |v| Ok(BASE[idx(v)]))
-                    .unwrap();
+            let live = live_walk(&ck, iterations, |v| Ok(BASE[idx(v)])).unwrap();
             let oracle =
                 reference::tune_loop::<std::convert::Infallible>(&ck, iterations, 0.02, |v| {
                     Ok(BASE[idx(v)])
@@ -142,10 +160,7 @@ fn plain_loop_is_bit_identical_to_reference_under_noise() {
             let ck = fake_compiled(&[8, 16, 24, 32, 48], dir);
             let idx = |v: &KernelVersion| ck.index_of(&v.label).unwrap();
             let mut rng_a = seed ^ 0xab5e;
-            let live = tune_loop::<std::convert::Infallible>(&ck, 30, 0.02, |v| {
-                Ok(noisy(&mut rng_a, BASE[idx(v)], 0.05))
-            })
-            .unwrap();
+            let live = live_walk(&ck, 30, |v| Ok(noisy(&mut rng_a, BASE[idx(v)], 0.05))).unwrap();
             let mut rng_b = seed ^ 0xab5e;
             let oracle = reference::tune_loop::<std::convert::Infallible>(&ck, 30, 0.02, |v| {
                 Ok(noisy(&mut rng_b, BASE[idx(v)], 0.05))
@@ -168,7 +183,7 @@ fn plain_loop_propagates_the_same_error_at_the_same_point() {
         Ok(BASE[ck.index_of(&v.label).unwrap()])
     };
     let mut a = 0;
-    let live = tune_loop(&ck, 20, 0.02, |v| run(&mut a, v));
+    let live = live_walk(&ck, 20, |v| run(&mut a, v));
     let mut b = 0;
     let oracle = reference::tune_loop(&ck, 20, 0.02, |v| run(&mut b, v));
     assert_eq!(live.unwrap_err(), oracle.unwrap_err());
@@ -183,8 +198,7 @@ fn resilient_loop_is_bit_identical_to_reference_on_clean_runs() {
             let ck = fake_compiled(&[8, 16, 24, 32, 48], dir);
             let idx = |v: &KernelVersion| ck.index_of(&v.label).unwrap();
             let live =
-                resilient_tune_loop("eq", &ck, iterations, 0.02, &policy, |v| Ok(BASE[idx(v)]))
-                    .unwrap();
+                live_resilient("eq", &ck, iterations, &policy, |v| Ok(BASE[idx(v)])).unwrap();
             let oracle =
                 reference::resilient_tune_loop("eq", &ck, iterations, 0.02, &policy, |v| {
                     Ok(BASE[idx(v)])
@@ -202,8 +216,7 @@ fn resilient_loop_is_bit_identical_to_reference_under_noise() {
         for seed in 0..40u64 {
             let ck = fake_compiled(&[8, 16, 24, 32, 48], dir);
             let live =
-                resilient_tune_loop("eq", &ck, 60, 0.02, &policy, faulty_run(&ck, seed, 0, 0, 0))
-                    .unwrap();
+                live_resilient("eq", &ck, 60, &policy, faulty_run(&ck, seed, 0, 0, 0)).unwrap();
             let oracle = reference::resilient_tune_loop(
                 "eq",
                 &ck,
@@ -230,14 +243,7 @@ fn resilient_loop_is_bit_identical_to_reference_under_faults() {
     for dir in DIRECTIONS {
         for seed in 0..60u64 {
             let ck = fake_compiled(&[8, 16, 24, 32, 48], dir);
-            let live = resilient_tune_loop(
-                "eq",
-                &ck,
-                60,
-                0.02,
-                &policy,
-                faulty_run(&ck, seed, 80, 30, 30),
-            );
+            let live = live_resilient("eq", &ck, 60, &policy, faulty_run(&ck, seed, 80, 30, 30));
             let oracle = reference::resilient_tune_loop(
                 "eq",
                 &ck,
@@ -260,14 +266,7 @@ fn resilient_loop_matches_reference_when_candidates_die() {
     let mut died = 0u32;
     for seed in 0..40u64 {
         let ck = fake_compiled(&[8, 16, 24], Direction::Increasing);
-        let live = resilient_tune_loop(
-            "storm",
-            &ck,
-            40,
-            0.02,
-            &policy,
-            faulty_run(&ck, seed, 100, 300, 300),
-        );
+        let live = live_resilient("storm", &ck, 40, &policy, faulty_run(&ck, seed, 100, 300, 300));
         let oracle = reference::resilient_tune_loop(
             "storm",
             &ck,
@@ -290,21 +289,13 @@ fn single_candidate_kernels_match() {
     for dir in DIRECTIONS {
         let ck = fake_compiled(&[16], dir);
         let idx = |v: &KernelVersion| ck.index_of(&v.label).unwrap();
-        let live =
-            tune_loop::<std::convert::Infallible>(&ck, 12, 0.02, |v| Ok(BASE[idx(v)])).unwrap();
+        let live = live_walk(&ck, 12, |v| Ok(BASE[idx(v)])).unwrap();
         let oracle =
             reference::tune_loop::<std::convert::Infallible>(&ck, 12, 0.02, |v| Ok(BASE[idx(v)]))
                 .unwrap();
         assert_eq!(live, oracle, "plain, dir {dir:?}");
         for seed in 0..10u64 {
-            let live = resilient_tune_loop(
-                "solo",
-                &ck,
-                12,
-                0.02,
-                &policy,
-                faulty_run(&ck, seed, 50, 20, 20),
-            );
+            let live = live_resilient("solo", &ck, 12, &policy, faulty_run(&ck, seed, 50, 20, 20));
             let oracle = reference::resilient_tune_loop(
                 "solo",
                 &ck,
@@ -331,14 +322,7 @@ fn resilient_loop_matches_reference_across_policies() {
     for policy in &policies {
         for seed in 0..15u64 {
             let ck = fake_compiled(&[8, 16, 24, 32], Direction::Decreasing);
-            let live = resilient_tune_loop(
-                "pol",
-                &ck,
-                50,
-                0.02,
-                policy,
-                faulty_run(&ck, seed, 60, 25, 25),
-            );
+            let live = live_resilient("pol", &ck, 50, policy, faulty_run(&ck, seed, 60, 25, 25));
             let oracle = reference::resilient_tune_loop(
                 "pol",
                 &ck,

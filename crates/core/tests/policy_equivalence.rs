@@ -22,10 +22,10 @@ use orion_alloc::realize::AllocReport;
 use orion_core::compiler::{CompiledKernel, Direction, KernelVersion};
 use orion_core::error::OrionError;
 use orion_core::policy::{BanditConfig, PolicyKind};
-use orion_core::reference;
-use orion_core::resilient::{ResiliencePolicy, ResilientOutcome};
-use orion_core::runtime::{TuneOutcome, TuneReason};
-use orion_core::session::{SessionMode, SessionStep, TuningSession};
+use orion_core::reference::{self, ResilientWalkOutcome, WalkOutcome};
+use orion_core::resilient::ResiliencePolicy;
+use orion_core::runtime::TuneReason;
+use orion_core::session::{SessionMode, TuningSession};
 use orion_gpusim::exec::SimError;
 use orion_kir::mir::MModule;
 use orion_kir::types::FuncId;
@@ -112,46 +112,31 @@ fn faulty_run<'c>(
     }
 }
 
-/// Drive a simple-mode session under an explicitly requested policy —
-/// the same two-call loop `tune_loop` uses, minus its default-policy
-/// shortcut.
+/// Drive a simple-mode session under an explicitly requested policy,
+/// viewed in the oracle's terms.
 fn drive_simple(
     ck: &CompiledKernel,
     iterations: u32,
     kind: PolicyKind,
-    mut run: impl FnMut(&KernelVersion) -> Result<u64, OrionError>,
-) -> Result<TuneOutcome, OrionError> {
-    let mut session =
-        TuningSession::with_policy("", ck, iterations, 0.02, SessionMode::Simple, kind);
-    while let SessionStep::Launch(v) =
-        session.next_step().expect("simple sessions never error from next_step")
-    {
-        let r = run(&ck.versions[v]);
-        session.on_launch_result(r)?;
-    }
-    Ok(session.finish().into_tune_outcome())
+    run: impl FnMut(&KernelVersion) -> Result<u64, OrionError>,
+) -> Result<WalkOutcome, OrionError> {
+    TuningSession::with_policy("", ck, iterations, 0.02, SessionMode::Simple, kind)
+        .drive(run)
+        .map(WalkOutcome::from)
 }
 
-/// Drive a resilient-mode session under an explicitly requested policy.
+/// Drive a resilient-mode session under an explicitly requested policy,
+/// viewed in the oracle's terms.
 fn drive_resilient(
     ck: &CompiledKernel,
     iterations: u32,
     policy: &ResiliencePolicy,
     kind: PolicyKind,
-    mut run: impl FnMut(&KernelVersion) -> Result<u64, OrionError>,
-) -> Result<ResilientOutcome, OrionError> {
-    let mut session = TuningSession::with_policy(
-        "eq",
-        ck,
-        iterations,
-        0.02,
-        SessionMode::Resilient(*policy),
-        kind,
-    );
-    while let SessionStep::Launch(v) = session.next_step()? {
-        session.on_launch_result(run(&ck.versions[v]))?;
-    }
-    Ok(session.finish().into_resilient_outcome())
+    run: impl FnMut(&KernelVersion) -> Result<u64, OrionError>,
+) -> Result<ResilientWalkOutcome, OrionError> {
+    TuningSession::with_policy("eq", ck, iterations, 0.02, SessionMode::Resilient(*policy), kind)
+        .drive(run)
+        .map(ResilientWalkOutcome::from)
 }
 
 const DIRECTIONS: [Direction; 2] = [Direction::Increasing, Direction::Decreasing];

@@ -4,8 +4,9 @@
 
 use orion_alloc::realize::AllocReport;
 use orion_core::compiler::{CompiledKernel, Direction, KernelVersion};
-use orion_core::resilient::{resilient_tune_loop, ResiliencePolicy};
-use orion_core::runtime::DynamicTuner;
+use orion_core::policy::{Measurement, PaperWalkPolicy, PolicyVerdict, SearchPolicy};
+use orion_core::resilient::ResiliencePolicy;
+use orion_core::session::TuningSession;
 use orion_kir::mir::MModule;
 use orion_kir::types::FuncId;
 
@@ -77,11 +78,12 @@ fn convergence_is_stable_under_5pct_noise() {
     let policy = ResiliencePolicy::default();
     for seed in 0..50u64 {
         let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xdead_beef;
-        let out = resilient_tune_loop("noisy", &ck, 60, 0.02, &policy, |v| {
-            let i = ck.index_of(&v.label).unwrap();
-            Ok(noisy(&mut rng, base[i], 0.05))
-        })
-        .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let out = TuningSession::resilient("noisy", &ck, 60, 0.02, policy)
+            .drive(|v| {
+                let i = ck.index_of(&v.label).unwrap();
+                Ok(noisy(&mut rng, base[i], 0.05))
+            })
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         let picked = base[out.selected] as f64;
         assert!(
             picked / best - 1.0 <= 0.05,
@@ -104,21 +106,18 @@ fn never_finalizes_a_quarantined_version() {
         let mut rng = seed ^ 0x5eed;
         let victim = (splitmix64(&mut rng) % 5) as usize;
         let kill_at = splitmix64(&mut rng) % 8;
-        let mut tuner = DynamicTuner::new(&ck, 0.02);
+        let mut tuner = PaperWalkPolicy::new(&ck, 0.02);
         for step in 0..40u64 {
             if step == kill_at {
                 tuner.quarantine(victim);
             }
-            if tuner.all_quarantined() {
-                break;
-            }
-            let v = tuner.select();
+            let Some(v) = tuner.propose() else { break };
             if step >= kill_at {
                 assert_ne!(v, victim, "seed {seed}: selected the quarantined version");
             }
-            tuner.record(noisy(&mut rng, base[v], 0.05));
+            tuner.observe(v, Measurement::raw(noisy(&mut rng, base[v], 0.05)));
         }
-        if let Some(f) = tuner.finalized() {
+        if let PolicyVerdict::Finalized(f) = tuner.verdict() {
             assert_ne!(f, victim, "seed {seed}: finalized the quarantined version");
         }
         assert!(tuner.is_quarantined(victim));
@@ -132,12 +131,10 @@ fn noise_free_resilient_walk_matches_plain_tuner() {
     let ck = fake_compiled(&[8, 16, 24, 32, 48], Direction::Increasing);
     let base = [120u64, 100, 88, 92, 105];
     let idx = |v: &KernelVersion| ck.index_of(&v.label).unwrap();
-    let plain = orion_core::runtime::tune_loop::<std::convert::Infallible>(&ck, 60, 0.02, |v| {
-        Ok(base[idx(v)])
-    })
-    .unwrap();
+    let plain = TuningSession::simple(&ck, 60, 0.02).drive(|v| Ok(base[idx(v)])).unwrap();
     let policy = ResiliencePolicy::default();
-    let resilient =
-        resilient_tune_loop("clean", &ck, 60, 0.02, &policy, |v| Ok(base[idx(v)])).unwrap();
+    let resilient = TuningSession::resilient("clean", &ck, 60, 0.02, policy)
+        .drive(|v| Ok(base[idx(v)]))
+        .unwrap();
     assert_eq!(plain.selected, resilient.selected);
 }

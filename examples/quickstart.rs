@@ -6,7 +6,7 @@
 //! ```
 
 use orion::core::orion::Orion;
-use orion::core::runtime::tune_loop;
+use orion::core::session::TuningSession;
 use orion::gpusim::device::DeviceSpec;
 use orion::gpusim::exec::Launch;
 use orion::kir::builder::FunctionBuilder;
@@ -56,9 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n: u32 = 64 * 256;
     let launch = Launch { grid: 64, block: 256 };
     let mut global = vec![0u8; (8 * n) as usize];
-    let outcome = tune_loop(&compiled, 8, 0.02, |v| {
-        orion.run_version(v, launch, &[0, 4 * n], &mut global).map(|r| r.cycles)
-    })?;
+    let outcome = TuningSession::simple(&compiled, 8, 0.02)
+        .drive(|v| orion.run_version(v, launch, &[0, 4 * n], &mut global).map(|r| r.cycles))?;
     let sel = &compiled.versions[outcome.selected];
     println!(
         "\nselected after {} trials: {} (occupancy {:.2})",

@@ -6,7 +6,7 @@
 //! ```
 
 use orion::core::orion::Orion;
-use orion::core::runtime::DynamicTuner;
+use orion::core::policy::{Measurement, PaperWalkPolicy, PolicyVerdict, SearchPolicy};
 use orion::gpusim::device::DeviceSpec;
 use orion::gpusim::sim::{run_launch_opts, LaunchOptions};
 
@@ -30,10 +30,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         compiled.max_live
     );
 
-    let mut tuner = DynamicTuner::new(&compiled, 0.02);
+    let mut walk = PaperWalkPolicy::new(&compiled, 0.02);
     let mut global = w.init_global.clone();
     for iter in 0..w.iterations {
-        let vidx = tuner.select();
+        let vidx = walk.select();
         let v = &compiled.versions[vidx];
         let r = run_launch_opts(
             &dev,
@@ -43,23 +43,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &mut global,
             LaunchOptions { extra_smem_per_block: v.extra_smem, ..Default::default() },
         )?;
-        let status = match tuner.finalized() {
-            Some(_) => "steady",
-            None => "tuning",
+        let status = match walk.verdict() {
+            PolicyVerdict::Finalized(_) => "steady",
+            _ => "tuning",
         };
         println!(
             "iter {:>2}: ran {:<14} (occ {:>5.2})  {:>9} cycles  [{status}]",
             iter, v.label, v.occupancy, r.cycles
         );
-        tuner.record(r.cycles);
+        walk.observe(vidx, Measurement::raw(r.cycles));
     }
-    let sel = &compiled.versions[tuner.finalized().unwrap_or(tuner.select())];
+    let sel = &compiled.versions[walk.select()];
     println!(
         "\nfinal: {} at occupancy {:.2} using {} regs/thread ({} trials)",
         sel.label,
         sel.occupancy,
         sel.machine.regs_per_thread,
-        tuner.trials()
+        walk.trials()
     );
     Ok(())
 }

@@ -165,18 +165,20 @@ fn downward_selection_saves_registers_or_keeps_speed() {
     orion.cfg.can_tune = true;
     let ck = orion.compile(&w.module).unwrap();
     let mut global = w.init_global.clone();
-    let outcome = orion::core::runtime::tune_loop(&ck, w.iterations, 0.02, |v| {
-        run_launch_opts(
-            &dev,
-            &v.machine,
-            launch,
-            &w.params,
-            &mut global,
-            LaunchOptions { extra_smem_per_block: v.extra_smem, ..Default::default() },
-        )
-        .map(|r| r.cycles)
-    })
-    .unwrap();
+    let outcome = orion::core::session::TuningSession::simple(&ck, w.iterations, 0.02)
+        .drive(|v| {
+            run_launch_opts(
+                &dev,
+                &v.machine,
+                launch,
+                &w.params,
+                &mut global,
+                LaunchOptions { extra_smem_per_block: v.extra_smem, ..Default::default() },
+            )
+            .map(|r| r.cycles)
+            .map_err(orion::core::OrionError::from)
+        })
+        .unwrap();
     let sel = &ck.versions[outcome.selected];
     let orig = &ck.versions[ck.original];
     assert!(sel.achieved_warps <= orig.achieved_warps);
