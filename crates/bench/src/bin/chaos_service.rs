@@ -25,8 +25,8 @@
 //!   in flight) at every fault rate (fault draws are pure in
 //!   `(seed, job index)`; only sim-cycle deadlines are used, never
 //!   wall-clock budgets).
-//! * **Poison recovery** — after a deliberately poisoned compile-cache
-//!   shard, subsequent batches tune cleanly and
+//! * **Poison recovery** — after a deliberately poisoned compile
+//!   cache, subsequent batches tune cleanly and
 //!   `cache/poison_recovered` counts the event.
 //! * **Fault visibility** — with injection compiled in, the sweep must
 //!   actually draw worker panics and shed jobs (a chaos gate that
@@ -331,7 +331,7 @@ fn main() {
         }
     }
 
-    // Poison recovery: poison a cache shard on purpose, then run a
+    // Poison recovery: poison the cache on purpose, then run a
     // clean batch — every job must still tune, and the recovery must be
     // counted.
     cache::reset();

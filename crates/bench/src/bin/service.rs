@@ -38,8 +38,8 @@
 //!
 //! Writes `BENCH_service.json` with the in-flight limits, the
 //! longest-job-first dispatch order, per-phase (backend queue-wait vs execute)
-//! wall-time split, per-kernel latency quantiles, and per-shard
-//! compile-cache hit rates (the concurrent run's deltas). `--quick`
+//! wall-time split, per-kernel latency quantiles, and the
+//! compile-cache hit rate (the concurrent run's deltas). `--quick`
 //! shrinks iterations and reps for the CI smoke job.
 //!
 //! [`KernelMetrics`]: orion_core::service::KernelMetrics
@@ -83,14 +83,6 @@ struct KernelRow {
     dispatch_wait_us: u64,
     /// Wall µs this kernel's launches spent executing (concurrent run).
     execute_us: u64,
-}
-
-#[derive(Serialize)]
-struct ShardRow {
-    shard: usize,
-    hits: u64,
-    misses: u64,
-    hit_rate: f64,
 }
 
 /// Per-run phase split: where the batch's wall time went, summed over
@@ -156,7 +148,6 @@ struct ServiceDoc {
     cache_misses: u64,
     cache_hit_rate: f64,
     cache_coalesced: u64,
-    per_shard: Vec<ShardRow>,
     /// Batch-wide launch-latency p50/p99 (simulated cycles).
     batch_launch_p50: u64,
     batch_launch_p99: u64,
@@ -334,13 +325,6 @@ fn main() {
         })
         .collect();
 
-    let per_shard: Vec<ShardRow> = cache_stats
-        .per_shard
-        .iter()
-        .enumerate()
-        .map(|(i, s)| ShardRow { shard: i, hits: s.hits, misses: s.misses, hit_rate: s.hit_rate() })
-        .collect();
-
     let doc = ServiceDoc {
         device: dev.name.clone(),
         num_sms: dev.num_sms,
@@ -367,7 +351,6 @@ fn main() {
         cache_misses: cache_stats.misses,
         cache_hit_rate: cache_stats.hit_rate(),
         cache_coalesced: cache_stats.coalesced,
-        per_shard,
         batch_launch_p50: conc_report.metrics.launch_cycles.p50(),
         batch_launch_p99: conc_report.metrics.launch_cycles.p99(),
         kernels,
@@ -394,15 +377,6 @@ fn main() {
         cache_stats.hit_rate() * 100.0,
         cache_stats.coalesced,
     );
-    for r in &doc.per_shard {
-        text.push_str(&format!(
-            "  shard {:>2}: {:>4} hits / {:>3} misses ({:.0}%)\n",
-            r.shard,
-            r.hits,
-            r.misses,
-            r.hit_rate * 100.0
-        ));
-    }
     for r in &doc.kernels {
         text.push_str(&format!(
             "{:<14} lane {:>2}  selected v{} after {:>2} trials  {:>12} cycles  \

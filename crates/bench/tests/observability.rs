@@ -111,9 +111,6 @@ fn service_observability_end_to_end() {
     // must be all hits, zero misses.
     assert_eq!(conc.cache.misses, 0, "warm concurrent run must not re-allocate");
     assert!(conc.cache.hits > 0);
-    assert!(!conc.cache.per_shard.is_empty(), "per-shard counters are exposed");
-    let shard_hits: u64 = conc.cache.per_shard.iter().map(|s| s.hits).sum();
-    assert_eq!(shard_hits, conc.cache.hits, "per-shard counters sum to the aggregate");
 
     // --- Journal: session transitions reach the report --------------
     // Only with the telemetry feature compiled in AND switched on;

@@ -11,8 +11,8 @@
 //!
 //! Two implementations ship:
 //!
-//! * [`SimBackend`] — the `orion-gpusim` simulated device, optionally
-//!   wrapped in a fault injector for chaos runs;
+//! * [`SimBackend`] — the `orion-gpusim` simulated device (chaos runs
+//!   inject faults at the service boundary, `ServiceConfig::chaos`);
 //! * [`ReplayBackend`] — a scripted backend that plays back a recorded
 //!   (or hand-written) sequence of per-version launch outcomes. It
 //!   never executes anything, which makes session-level tests — e.g.
@@ -42,8 +42,7 @@ use crate::compiler::{compile, CompiledKernel, KernelVersion, TuningConfig};
 use crate::error::OrionError;
 use orion_gpusim::device::DeviceSpec;
 use orion_gpusim::exec::{Launch, SimError};
-use orion_gpusim::faults::FaultInjector;
-use orion_gpusim::sim::{run_launch_faulty, LaunchOptions};
+use orion_gpusim::sim::{run_launch_opts, LaunchOptions};
 use orion_kir::function::Module;
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -284,7 +283,6 @@ impl Mailbox {
 #[derive(Debug)]
 struct SimCore {
     dev: DeviceSpec,
-    injector: Option<FaultInjector>,
 }
 
 impl SimCore {
@@ -296,14 +294,13 @@ impl SimCore {
         global: &mut [u8],
         opts: LaunchOptions,
     ) -> Result<u64, OrionError> {
-        let r = run_launch_faulty(
+        let r = run_launch_opts(
             &self.dev,
             &version.machine,
             launch,
             params,
             global,
             opts.with_extra_smem(version.extra_smem),
-            self.injector.as_ref(),
         )?;
         Ok(r.cycles)
     }
@@ -317,9 +314,7 @@ struct PoolQueue {
     shutdown: AtomicBool,
 }
 
-/// The `orion-gpusim` simulated device as a [`Backend`], optionally
-/// fault-injected (chaos runs share one injector so the fault stream
-/// is keyed by global launch index, matching the chaos harness).
+/// The `orion-gpusim` simulated device as a [`Backend`].
 ///
 /// As an [`AsyncBackend`] it owns a lazily-spawned worker pool:
 /// [`AsyncBackend::configure_pool`] sets the target size, submissions
@@ -328,11 +323,6 @@ struct PoolQueue {
 /// (the default)
 /// submissions execute inline on the submitter thread — the exact
 /// sequential semantics of [`Backend::launch`].
-///
-/// A backend-level fault injector draws per *global launch index*, so
-/// pooled submission makes its fault stream depend on thread
-/// interleaving; chaos runs that must stay deterministic inject at the
-/// service boundary instead (see `ServiceConfig::chaos`).
 #[derive(Debug)]
 pub struct SimBackend {
     core: Arc<SimCore>,
@@ -343,36 +333,16 @@ pub struct SimBackend {
 }
 
 impl SimBackend {
-    /// A clean (fault-free) simulator backend.
+    /// A simulator backend.
     #[must_use]
     pub fn new(dev: DeviceSpec) -> Self {
         SimBackend {
-            core: Arc::new(SimCore { dev, injector: None }),
+            core: Arc::new(SimCore { dev }),
             mailbox: Arc::new(Mailbox::default()),
             pool: Arc::new(PoolQueue::default()),
             workers: Mutex::new(Vec::new()),
             pool_target: AtomicUsize::new(0),
         }
-    }
-
-    /// A fault-injected simulator backend. Without the `faults`
-    /// feature on `orion-gpusim` the injector degrades to a no-op and
-    /// this behaves like [`SimBackend::new`].
-    #[must_use]
-    pub fn with_injector(dev: DeviceSpec, injector: FaultInjector) -> Self {
-        SimBackend {
-            core: Arc::new(SimCore { dev, injector: Some(injector) }),
-            mailbox: Arc::new(Mailbox::default()),
-            pool: Arc::new(PoolQueue::default()),
-            workers: Mutex::new(Vec::new()),
-            pool_target: AtomicUsize::new(0),
-        }
-    }
-
-    /// The fault injector, if any (for reading fault stats after a run).
-    #[must_use]
-    pub fn injector(&self) -> Option<&FaultInjector> {
-        self.core.injector.as_ref()
     }
 
     /// Ensure the worker pool matches the configured target (spawn-only;
@@ -438,11 +408,7 @@ impl Backend for SimBackend {
     }
 
     fn caps(&self) -> BackendCaps {
-        BackendCaps {
-            deterministic: true,
-            supports_splitting: true,
-            faulty: self.core.injector.is_some(),
-        }
+        BackendCaps { deterministic: true, supports_splitting: true, faulty: false }
     }
 
     fn compile_probe(

@@ -40,26 +40,6 @@ pub fn budget_for_warps(
     Some(SlotBudget { reg_slots, smem_slots })
 }
 
-/// Occupancy actually achieved by a binary compiled at `budget` (the
-/// budget is an upper bound; the binary may use fewer registers).
-pub fn occupancy_of_budget(
-    dev: &DeviceSpec,
-    block: u32,
-    user_smem: u32,
-    regs_used: u16,
-    smem_slots_used: u16,
-) -> f64 {
-    occupancy(
-        dev,
-        &KernelResources {
-            regs_per_thread: regs_used,
-            smem_per_block: user_smem + u32::from(smem_slots_used) * 4 * block,
-            block_size: block,
-        },
-    )
-    .occupancy
-}
-
 /// Extra per-block shared-memory padding that caps residency at
 /// `target_warps` for a binary with the given resources — the paper's
 /// recompilation-free downward-tuning mechanism. Returns `None` if the

@@ -11,7 +11,7 @@
 //! [`allocate_cached`], so a version is realized once per process and
 //! then served as a clone of the cached binary.
 //!
-//! ## Key and sharding
+//! ## Key
 //!
 //! The realized binary is a pure function of `(module, SlotBudget,
 //! AllocOptions)` — the allocator never consults the device, the
@@ -24,53 +24,49 @@
 //! ([`orion_kir::function::Module::fingerprint`]) because workload
 //! builders construct a fresh `Module` value per call.
 //!
-//! The cache is **lock-striped**: entries land on one of
-//! [`CacheConfig::shards`] shards selected by mixing the module
-//! fingerprint, so concurrent sessions tuning different kernels never
-//! contend on one mutex. ([`ShardedService`](crate::sharded::ShardedService)'s
-//! hash placement routes by the same fingerprint, so a multi-device
-//! batch keeps each kernel's compiles on one device's shard walk.) Each shard keeps its own FIFO order and its
-//! own hit/miss/eviction/coalesce counters, surfaced per shard in
-//! [`CompileCacheStats::per_shard`] (and from there in
-//! `ServiceReport::cache`).
+//! The cache is **one mutex** over the entry map, its FIFO order, and
+//! the counters. Compiles run on one thread at a time in practice:
+//! `OrionService::run` compiles its batch sequentially on the scheduler
+//! thread and `OrionService::tune_one` on the caller's thread, while
+//! the backend pool only runs launches. Compiling is a fraction of a
+//! percent of a tuning run's wall time, so there is no contention to
+//! stripe away.
 //!
 //! ## In-flight coalescing
 //!
-//! Allocation runs *outside* the shard lock (it is the expensive part),
-//! so two threads racing on a cold key would both allocate — and worse,
-//! split the hit/miss accounting nondeterministically. Each shard
+//! Allocation runs *outside* the lock (it is the expensive part), so
+//! two threads racing on a cold key would both allocate — and worse,
+//! split the hit/miss accounting nondeterministically. The cache
 //! therefore tracks in-flight keys: the first requester registers the
 //! key and allocates; concurrent requesters for the same key wait on
-//! the shard's condvar and are served the freshly inserted entry as a
-//! **hit** (also counted under [`ShardStats::coalesced`]). Hit/miss
-//! totals are thus a pure function of the request multiset, whatever
-//! the thread interleaving — the observability suite's bit-identical
-//! sequential-vs-concurrent gate leans on exactly this. If the
-//! allocation fails (or capacity is 0 and nothing is retained), waiters
-//! simply retry the protocol themselves.
+//! the cache's condvar and are served the freshly inserted entry as a
+//! **hit** (also counted under [`CompileCacheStats::coalesced`]).
+//! Hit/miss totals are thus a pure function of the request multiset,
+//! whatever the thread interleaving — the observability suite's
+//! bit-identical sequential-vs-concurrent gate leans on exactly this.
+//! If the allocation fails, waiters simply retry the protocol
+//! themselves.
 //!
 //! ## Poison recovery
 //!
-//! A thread that panics while holding a shard lock must not wedge every
-//! future compile. All shard locking goes through one poison-tolerant
-//! helper: a poisoned shard is *cleared* (entries are pure memoization,
-//! so dropping them is always safe — the next request simply
-//! recompiles), the event is counted
-//! ([`ShardStats::poison_recovered`], the `cache/poison_recovered`
-//! gauge, a journal record) and the mutex is un-poisoned. In-flight
-//! markers are cleaned up by an unwind-safe drop guard plus a bounded
-//! condvar wait, so coalesced waiters can never strand on an
-//! allocation whose owner died.
+//! A thread that panics while holding the lock must not wedge every
+//! future compile. All locking goes through one poison-tolerant helper:
+//! a poisoned cache is *cleared* (entries are pure memoization, so
+//! dropping them is always safe — the next request simply recompiles),
+//! the event is counted ([`CompileCacheStats::poison_recovered`], the
+//! `cache/poison_recovered` gauge, a journal record) and the mutex is
+//! un-poisoned. In-flight markers are cleaned up by an unwind-safe drop
+//! guard plus a bounded condvar wait, so coalesced waiters can never
+//! strand on an allocation whose owner died.
 //!
 //! ## Invalidation
 //!
 //! Entries never go stale — the key captures every input of the
-//! allocation function — so the only invalidation is capacity-bound
-//! FIFO eviction per shard (total capacity set by [`CacheConfig`],
-//! default [`CACHE_CAPACITY`], split evenly across shards) plus the
-//! explicit [`reset`] used by benches to measure cold-cache behavior.
-//! Allocation *errors* are not cached; they are deterministic but cheap
-//! (they fail early), and callers treat them as exceptional.
+//! allocation function — so the only invalidation is FIFO eviction at
+//! [`CACHE_CAPACITY`] entries plus the explicit [`reset`] used by
+//! benches to measure cold-cache behavior. Allocation *errors* are not
+//! cached; they are deterministic but cheap (they fail early), and
+//! callers treat them as exceptional.
 //!
 //! Hit/miss/eviction counters are exported programmatically
 //! ([`stats`]), as `orion-telemetry` counters under the `compile_cache`
@@ -82,7 +78,7 @@ use orion_alloc::realize::{allocate, AllocError, AllocOptions, Allocated, SlotBu
 use orion_kir::function::Module;
 use orion_telemetry::journal::{self, JournalEvent};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// Upper bound on one coalescing condvar wait. The in-flight guard
@@ -91,51 +87,16 @@ use std::time::Duration;
 /// can never strand a waiter forever.
 const COALESCE_WAIT: Duration = Duration::from_millis(50);
 
-/// Default maximum resident entries across all shards; far above any
-/// single tuning session in this repo (a sweep realizes ≤ 16 versions
-/// per kernel), so eviction only matters to unbounded multi-kernel
-/// processes.
+/// Maximum resident entries; past it the oldest entry is evicted
+/// (FIFO). Far above any single tuning session in this repo (a sweep
+/// realizes ≤ 16 versions per kernel), so eviction only matters to
+/// unbounded multi-kernel processes.
 pub const CACHE_CAPACITY: usize = 256;
-
-/// Default shard count. Eight shards keep mutex contention negligible
-/// for the service's default worker pool while per-shard capacity
-/// (256 / 8 = 32) still dwarfs a single kernel's candidate set.
-pub const CACHE_SHARDS: usize = 8;
-
-/// Tunable parameters of the process-wide compile cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheConfig {
-    /// Maximum resident entries summed across shards; `0` disables
-    /// caching entirely (every allocation is a miss and nothing is
-    /// retained).
-    pub capacity: usize,
-    /// Lock stripes. Clamped to at least 1. Use `1` for strict global
-    /// FIFO eviction order; with more shards, eviction is FIFO *per
-    /// shard* (each shard holding `capacity / shards`, rounded up).
-    pub shards: usize,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig { capacity: CACHE_CAPACITY, shards: CACHE_SHARDS }
-    }
-}
-
-impl CacheConfig {
-    fn shard_count(&self) -> usize {
-        self.shards.max(1)
-    }
-
-    /// Per-shard entry budget: total capacity split evenly, rounded up.
-    fn per_shard_capacity(&self) -> usize {
-        self.capacity.div_ceil(self.shard_count())
-    }
-}
 
 type Key = (u64, SlotBudget, AllocOptions);
 
 #[derive(Default)]
-struct ShardState {
+struct State {
     map: HashMap<Key, Arc<Allocated>>,
     /// Insertion order, for FIFO eviction at capacity.
     order: VecDeque<Key>,
@@ -145,46 +106,60 @@ struct ShardState {
     misses: u64,
     evictions: u64,
     coalesced: u64,
-    /// Times this shard's mutex was found poisoned and recovered.
+    /// Times the mutex was found poisoned and recovered.
     poisoned: u64,
 }
 
-impl ShardState {
-    /// FIFO-evict until at most `room_for` more entries fit in
-    /// `capacity`. Returns how many entries were evicted.
-    fn evict_to_fit(&mut self, room_for: usize, capacity: usize) -> u64 {
+impl State {
+    /// Insert a freshly allocated entry, FIFO-evicting down to
+    /// capacity first (and journaling the eviction).
+    fn insert(&mut self, key: Key, value: Allocated) {
         let mut evicted = 0;
-        while self.map.len() + room_for > capacity {
+        while self.map.len() >= CACHE_CAPACITY {
             let Some(oldest) = self.order.pop_front() else { break };
             self.map.remove(&oldest);
-            self.evictions += 1;
             evicted += 1;
             orion_telemetry::counter("compile_cache", "evictions", 1);
         }
-        evicted
+        if evicted > 0 {
+            self.evictions += evicted;
+            journal::record(JournalEvent::CacheEvicted { entries: evicted });
+        }
+        self.order.push_back(key);
+        self.map.insert(key, Arc::new(value));
     }
 }
 
 #[derive(Default)]
-struct Shard {
-    state: Mutex<ShardState>,
+struct Cache {
+    state: Mutex<State>,
     /// Wakes coalesced waiters when an in-flight allocation resolves.
     resolved: Condvar,
 }
 
-/// Lock a shard, recovering from poison instead of propagating it.
+static CACHE: OnceLock<Cache> = OnceLock::new();
+
+fn cache() -> &'static Cache {
+    CACHE.get_or_init(|| {
+        register_gauges();
+        Cache::default()
+    })
+}
+
+/// Lock the cache, recovering from poison instead of propagating it.
 ///
-/// A thread that panics while holding the shard lock leaves the shard's
-/// contents in an unknown state (a half-finished insert, an in-flight
-/// key whose allocation will never resolve). Recovery therefore
-/// *clears* the shard — resident entries, FIFO order, and in-flight
-/// markers — which is always safe because entries are pure memoization,
-/// then counts the event ([`ShardStats::poison_recovered`], journal
+/// A thread that panics while holding the lock leaves the contents in
+/// an unknown state (a half-finished insert, an in-flight key whose
+/// allocation will never resolve). Recovery therefore *clears* the
+/// cache — resident entries, FIFO order, and in-flight markers — which
+/// is always safe because entries are pure memoization, then counts the
+/// event ([`CompileCacheStats::poison_recovered`], journal
 /// [`JournalEvent::PoisonRecovered`]), un-poisons the mutex so every
 /// future compile proceeds normally, and wakes any waiters coalesced on
 /// a cleared in-flight key so they retry their own allocation.
-fn lock_shard<'a>(shard: &'a Shard, idx: usize) -> MutexGuard<'a, ShardState> {
-    match shard.state.lock() {
+fn lock() -> MutexGuard<'static, State> {
+    let cache = cache();
+    match cache.state.lock() {
         Ok(st) => st,
         Err(poisoned) => {
             let mut st = poisoned.into_inner();
@@ -192,10 +167,10 @@ fn lock_shard<'a>(shard: &'a Shard, idx: usize) -> MutexGuard<'a, ShardState> {
             st.order.clear();
             st.inflight.clear();
             st.poisoned += 1;
-            shard.state.clear_poison();
+            cache.state.clear_poison();
             orion_telemetry::counter("compile_cache", "poison_recovered", 1);
-            journal::record(JournalEvent::PoisonRecovered { shard: idx });
-            shard.resolved.notify_all();
+            journal::record(JournalEvent::PoisonRecovered);
+            cache.resolved.notify_all();
             st
         }
     }
@@ -204,188 +179,35 @@ fn lock_shard<'a>(shard: &'a Shard, idx: usize) -> MutexGuard<'a, ShardState> {
 /// Clears `key`'s in-flight marker and wakes coalesced waiters when
 /// dropped — *including* by unwind — so a panicking allocation can
 /// never strand the threads waiting on it.
-struct InflightGuard<'a> {
-    shard: &'a Shard,
-    idx: usize,
+struct InflightGuard {
     key: Key,
 }
 
-impl Drop for InflightGuard<'_> {
+impl Drop for InflightGuard {
     fn drop(&mut self) {
-        let mut st = lock_shard(self.shard, self.idx);
-        st.inflight.remove(&self.key);
-        drop(st);
-        self.shard.resolved.notify_all();
+        lock().inflight.remove(&self.key);
+        cache().resolved.notify_all();
     }
-}
-
-struct ShardedCache {
-    shards: Vec<Shard>,
-    cfg: CacheConfig,
-}
-
-impl ShardedCache {
-    fn new(cfg: CacheConfig) -> Self {
-        ShardedCache { shards: (0..cfg.shard_count()).map(|_| Shard::default()).collect(), cfg }
-    }
-
-    /// Shard index for a key: multiplicative fingerprint mix, so
-    /// structurally similar modules still spread.
-    fn shard_index(&self, key: &Key) -> usize {
-        let mixed = key.0.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        ((mixed >> 32) as usize) % self.shards.len()
-    }
-}
-
-static STATE: OnceLock<RwLock<ShardedCache>> = OnceLock::new();
-
-fn state() -> &'static RwLock<ShardedCache> {
-    STATE.get_or_init(|| {
-        register_gauges();
-        RwLock::new(ShardedCache::new(CacheConfig::default()))
-    })
-}
-
-/// Read the stripe set, tolerating poison. The outer `RwLock` only
-/// guards the shard *vector* (shard contents live behind per-shard
-/// mutexes with their own recovery), so a reader can safely continue
-/// after a writer panicked mid-`configure`: the vector is replaced
-/// atomically and is structurally valid at every point.
-fn read_state() -> std::sync::RwLockReadGuard<'static, ShardedCache> {
-    let lock = state();
-    lock.clear_poison();
-    lock.read().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Register the cache's live registry gauges (sampled at snapshot time).
 fn register_gauges() {
     let scope = orion_telemetry::registry::global().scope("cache");
-    scope.register_gauge_fn(
-        "entries",
-        "Resident compile-cache entries across shards",
-        "entries",
-        || STATE.get().map_or(0.0, |_| stats().entries as f64),
-    );
-    scope.register_gauge_fn("hit_rate", "Lifetime compile-cache hit rate", "", || {
-        STATE.get().map_or(0.0, |_| stats().hit_rate())
+    scope.register_gauge_fn("entries", "Resident compile-cache entries", "entries", || {
+        CACHE.get().map_or(0.0, |_| stats().entries as f64)
     });
-    scope.register_gauge_fn("shards", "Configured compile-cache shard count", "", || {
-        STATE.get().map_or(0.0, |_| config().shard_count() as f64)
+    scope.register_gauge_fn("hit_rate", "Lifetime compile-cache hit rate", "", || {
+        CACHE.get().map_or(0.0, |_| stats().hit_rate())
     });
     scope.register_gauge_fn(
         "poison_recovered",
-        "Poisoned compile-cache shard mutexes recovered",
+        "Poisoned compile-cache mutexes recovered",
         "events",
-        || STATE.get().map_or(0.0, |_| stats().poison_recovered as f64),
+        || CACHE.get().map_or(0.0, |_| stats().poison_recovered as f64),
     );
 }
 
-/// Replace the cache configuration. Changing the shard count rehashes
-/// every resident entry into the new stripes (preserving each old
-/// shard's FIFO order during the migration); shrinking the capacity
-/// evicts (FIFO per shard) down to the new budget. Counters are
-/// aggregated into shard 0's tally if the shard count shrinks, so
-/// process-lifetime totals are never lost.
-pub fn configure(cfg: CacheConfig) {
-    let lock = state();
-    lock.clear_poison();
-    let mut cache = lock.write().unwrap_or_else(PoisonError::into_inner);
-    if cfg.shard_count() == cache.cfg.shard_count() {
-        cache.cfg = cfg;
-        let capacity = cfg.per_shard_capacity();
-        for (i, shard) in cache.shards.iter().enumerate() {
-            let mut st = lock_shard(shard, i);
-            let evicted = st.evict_to_fit(0, capacity);
-            if evicted > 0 {
-                journal::record(JournalEvent::CacheEvicted { shard: i, entries: evicted });
-            }
-        }
-        return;
-    }
-    // Shard count changed: rebuild the stripe set and migrate entries.
-    let old = std::mem::replace(&mut *cache, ShardedCache::new(cfg));
-    let mut totals = (0u64, 0u64, 0u64, 0u64, 0u64);
-    let mut resident: Vec<(Key, Arc<Allocated>)> = Vec::new();
-    for (i, shard) in old.shards.iter().enumerate() {
-        let mut st = lock_shard(shard, i);
-        totals.0 += st.hits;
-        totals.1 += st.misses;
-        totals.2 += st.evictions;
-        totals.3 += st.coalesced;
-        totals.4 += st.poisoned;
-        for key in std::mem::take(&mut st.order) {
-            if let Some(v) = st.map.remove(&key) {
-                resident.push((key, v));
-            }
-        }
-    }
-    // Lifetime counters survive reconfiguration, parked on shard 0.
-    {
-        let mut st = lock_shard(&cache.shards[0], 0);
-        (st.hits, st.misses, st.evictions, st.coalesced, st.poisoned) = totals;
-    }
-    let capacity = cfg.per_shard_capacity();
-    if cfg.capacity > 0 {
-        for (key, value) in resident {
-            let idx = cache.shard_index(&key);
-            let mut st = lock_shard(&cache.shards[idx], idx);
-            if !st.map.contains_key(&key) {
-                let evicted = st.evict_to_fit(1, capacity);
-                if evicted > 0 {
-                    journal::record(JournalEvent::CacheEvicted { shard: idx, entries: evicted });
-                }
-                st.order.push_back(key);
-                st.map.insert(key, value);
-            }
-        }
-    }
-}
-
-/// The currently active cache configuration.
-pub fn config() -> CacheConfig {
-    read_state().cfg
-}
-
-/// Counters of one cache shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardStats {
-    /// Allocations served from this shard.
-    pub hits: u64,
-    /// Allocations this shard actually performed.
-    pub misses: u64,
-    /// Entries dropped by this shard's FIFO eviction.
-    pub evictions: u64,
-    /// Hits that were coalesced onto another thread's in-flight
-    /// allocation (a subset of `hits`).
-    pub coalesced: u64,
-    /// Times this shard's mutex was found poisoned (a thread panicked
-    /// while holding it) and recovered by clearing the shard. Counts
-    /// resilience events, so [`reset`] preserves it.
-    pub poison_recovered: u64,
-    /// Entries currently resident in this shard.
-    pub entries: usize,
-}
-
-impl ShardStats {
-    /// Total lookups against this shard.
-    #[must_use]
-    pub fn lookups(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Hit fraction (0.0 when the shard was never touched).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups() == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups() as f64
-        }
-    }
-}
-
-/// Counter snapshot of the process-wide compile cache: aggregate
-/// totals plus the per-shard breakdown.
+/// Counter snapshot of the process-wide compile cache.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CompileCacheStats {
     /// Allocations served from the cache.
@@ -394,14 +216,15 @@ pub struct CompileCacheStats {
     pub misses: u64,
     /// Entries dropped by capacity-bound FIFO eviction.
     pub evictions: u64,
-    /// Hits coalesced onto a concurrent in-flight allocation.
+    /// Hits coalesced onto a concurrent in-flight allocation (a subset
+    /// of `hits`).
     pub coalesced: u64,
-    /// Poisoned shard mutexes recovered (cleared and un-poisoned).
+    /// Times the mutex was found poisoned (a thread panicked while
+    /// holding it) and recovered by clearing the cache. Counts
+    /// resilience events, so [`reset`] preserves it.
     pub poison_recovered: u64,
     /// Entries currently resident.
     pub entries: usize,
-    /// Per-shard counters, indexed by shard.
-    pub per_shard: Vec<ShardStats>,
 }
 
 impl CompileCacheStats {
@@ -418,26 +241,9 @@ impl CompileCacheStats {
 
     /// The activity between `before` and `self` (both from [`stats`]):
     /// counters are subtracted, `entries` keeps the *after* value (it is
-    /// a level, not a flow). Per-shard deltas require an unchanged shard
-    /// count; otherwise the after-snapshot's shards are returned as-is.
+    /// a level, not a flow).
     #[must_use]
     pub fn delta_since(&self, before: &CompileCacheStats) -> CompileCacheStats {
-        let per_shard = if self.per_shard.len() == before.per_shard.len() {
-            self.per_shard
-                .iter()
-                .zip(&before.per_shard)
-                .map(|(a, b)| ShardStats {
-                    hits: a.hits.saturating_sub(b.hits),
-                    misses: a.misses.saturating_sub(b.misses),
-                    evictions: a.evictions.saturating_sub(b.evictions),
-                    coalesced: a.coalesced.saturating_sub(b.coalesced),
-                    poison_recovered: a.poison_recovered.saturating_sub(b.poison_recovered),
-                    entries: a.entries,
-                })
-                .collect()
-        } else {
-            self.per_shard.clone()
-        };
         CompileCacheStats {
             hits: self.hits.saturating_sub(before.hits),
             misses: self.misses.saturating_sub(before.misses),
@@ -445,14 +251,13 @@ impl CompileCacheStats {
             coalesced: self.coalesced.saturating_sub(before.coalesced),
             poison_recovered: self.poison_recovered.saturating_sub(before.poison_recovered),
             entries: self.entries,
-            per_shard,
         }
     }
 }
 
 /// [`orion_alloc::realize::allocate`] memoized over
-/// `(module fingerprint, budget, options)`, lock-striped with in-flight
-/// coalescing (see the module docs).
+/// `(module fingerprint, budget, options)`, with in-flight coalescing
+/// (see the module docs).
 ///
 /// # Errors
 /// Propagates allocation failures (which are never cached).
@@ -462,11 +267,7 @@ pub fn allocate_cached(
     opts: &AllocOptions,
 ) -> Result<Allocated, AllocError> {
     let key = (module.fingerprint(), budget, *opts);
-    let cache = read_state();
-    let idx = cache.shard_index(&key);
-    let shard = &cache.shards[idx];
-    let retain = cache.cfg.capacity > 0;
-    let mut st = lock_shard(shard, idx);
+    let mut st = lock();
     let mut waited = false;
     loop {
         if let Some(hit) = st.map.get(&key).cloned() {
@@ -478,18 +279,18 @@ pub fn allocate_cached(
             orion_telemetry::counter("compile_cache", "hit", 1);
             return Ok((*hit).clone());
         }
-        if !retain || !st.inflight.contains(&key) {
+        if !st.inflight.contains(&key) {
             break;
         }
         waited = true;
         // Bounded wait: the in-flight guard signals on resolve *and*
         // on unwind; the timeout just re-checks in case a recovery
         // cleared the in-flight key between our test and the wait.
-        st = match shard.resolved.wait_timeout(st, COALESCE_WAIT) {
+        st = match cache().resolved.wait_timeout(st, COALESCE_WAIT) {
             Ok((st, _timed_out)) => st,
             Err(poisoned) => {
                 drop(poisoned); // releases the poisoned guard...
-                lock_shard(shard, idx) // ...and recovers the shard
+                lock() // ...and recovers the cache
             }
         };
     }
@@ -498,85 +299,59 @@ pub fn allocate_cached(
     // between here and return) unwinds, the guard still clears the
     // in-flight marker and wakes waiters, so nobody coalesces forever
     // on a corpse.
-    let _inflight = retain.then(|| {
-        st.inflight.insert(key);
-        InflightGuard { shard, idx, key }
-    });
+    st.inflight.insert(key);
+    let _inflight = InflightGuard { key };
     drop(st);
     orion_telemetry::counter("compile_cache", "miss", 1);
     let out = allocate(module, budget, opts);
-    if retain {
-        let mut st = lock_shard(shard, idx);
-        if let Ok(v) = &out {
-            if !st.map.contains_key(&key) {
-                let capacity = cache.cfg.per_shard_capacity();
-                let evicted = st.evict_to_fit(1, capacity);
-                if evicted > 0 {
-                    journal::record(JournalEvent::CacheEvicted { shard: idx, entries: evicted });
-                }
-                st.order.push_back(key);
-                st.map.insert(key, Arc::new(v.clone()));
-            }
+    if let Ok(v) = &out {
+        let mut st = lock();
+        if !st.map.contains_key(&key) {
+            st.insert(key, v.clone());
         }
-        // `_inflight` drops on return: marker cleared, waiters woken —
-        // after the entry above is visible, so they resolve as hits.
     }
+    // `_inflight` drops on return: marker cleared, waiters woken —
+    // after the entry above is visible, so they resolve as hits.
     out
 }
 
-/// Snapshot the hit/miss/eviction/coalesce counters and resident entry
-/// counts, aggregate and per shard.
+/// Snapshot the hit/miss/eviction/coalesce counters and the resident
+/// entry count.
 pub fn stats() -> CompileCacheStats {
-    let cache = read_state();
-    let mut total = CompileCacheStats::default();
-    for (i, shard) in cache.shards.iter().enumerate() {
-        let st = lock_shard(shard, i);
-        let s = ShardStats {
-            hits: st.hits,
-            misses: st.misses,
-            evictions: st.evictions,
-            coalesced: st.coalesced,
-            poison_recovered: st.poisoned,
-            entries: st.map.len(),
-        };
-        total.hits += s.hits;
-        total.misses += s.misses;
-        total.evictions += s.evictions;
-        total.coalesced += s.coalesced;
-        total.poison_recovered += s.poison_recovered;
-        total.entries += s.entries;
-        total.per_shard.push(s);
+    let st = lock();
+    CompileCacheStats {
+        hits: st.hits,
+        misses: st.misses,
+        evictions: st.evictions,
+        coalesced: st.coalesced,
+        poison_recovered: st.poisoned,
+        entries: st.map.len(),
     }
-    total
 }
 
 /// Drop every entry and zero the performance counters (cold-cache
-/// measurements). The configured capacity and shard count are kept, as
-/// is the poison-recovery count — that one tallies resilience events,
-/// not cache effectiveness, and reports assert on its lifetime value.
+/// measurements). The poison-recovery count is kept — it tallies
+/// resilience events, not cache effectiveness, and reports assert on
+/// its lifetime value.
 pub fn reset() {
-    let cache = read_state();
-    for (i, shard) in cache.shards.iter().enumerate() {
-        let mut st = lock_shard(shard, i);
-        st.map.clear();
-        st.order.clear();
-        st.hits = 0;
-        st.misses = 0;
-        st.evictions = 0;
-        st.coalesced = 0;
-    }
+    let mut st = lock();
+    st.map.clear();
+    st.order.clear();
+    st.hits = 0;
+    st.misses = 0;
+    st.evictions = 0;
+    st.coalesced = 0;
 }
 
-/// Deliberately poison shard 0's mutex: spawn a thread that takes the
+/// Deliberately poison the cache's mutex: spawn a thread that takes the
 /// lock and panics. Chaos/test helper proving poison recovery end to
-/// end — the *next* cache operation on that shard clears it, increments
-/// [`ShardStats::poison_recovered`], and proceeds normally. The
+/// end — the *next* cache operation clears the cache, increments
+/// [`CompileCacheStats::poison_recovered`], and proceeds normally. The
 /// panicking thread prints through the process panic hook; callers that
 /// want silence install a quiet hook first.
 pub fn poison_for_chaos() {
     let poisoner = std::thread::spawn(|| {
-        let cache = read_state();
-        let _guard = cache.shards[0].state.lock().unwrap_or_else(PoisonError::into_inner);
+        let _guard = cache().state.lock().unwrap_or_else(PoisonError::into_inner);
         panic!("chaos: poisoning the compile cache on purpose");
     });
     // The join error *is* the panic we induced; swallowing it keeps the
@@ -646,24 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn per_shard_stats_aggregate_to_totals() {
-        let _ = allocate_cached(
-            &module(),
-            SlotBudget { reg_slots: 12, smem_slots: 0 },
-            &AllocOptions::default(),
-        );
-        let st = stats();
-        assert_eq!(st.per_shard.len(), config().shard_count());
-        assert_eq!(st.hits, st.per_shard.iter().map(|s| s.hits).sum::<u64>());
-        assert_eq!(st.misses, st.per_shard.iter().map(|s| s.misses).sum::<u64>());
-        assert_eq!(st.entries, st.per_shard.iter().map(|s| s.entries).sum::<usize>());
-        for s in &st.per_shard {
-            assert!(s.coalesced <= s.hits, "{s:?}");
-            assert!((0.0..=1.0).contains(&s.hit_rate()));
-        }
-    }
-
-    #[test]
     fn delta_since_subtracts_counters_and_keeps_levels() {
         let before = CompileCacheStats {
             hits: 10,
@@ -672,14 +429,6 @@ mod tests {
             coalesced: 2,
             poison_recovered: 0,
             entries: 3,
-            per_shard: vec![ShardStats {
-                hits: 10,
-                misses: 4,
-                evictions: 1,
-                coalesced: 2,
-                poison_recovered: 0,
-                entries: 3,
-            }],
         };
         let after = CompileCacheStats {
             hits: 25,
@@ -688,21 +437,11 @@ mod tests {
             coalesced: 5,
             poison_recovered: 1,
             entries: 7,
-            per_shard: vec![ShardStats {
-                hits: 25,
-                misses: 9,
-                evictions: 1,
-                coalesced: 5,
-                poison_recovered: 1,
-                entries: 7,
-            }],
         };
         let d = after.delta_since(&before);
         assert_eq!((d.hits, d.misses, d.evictions, d.coalesced), (15, 5, 0, 3));
         assert_eq!(d.poison_recovered, 1);
         assert_eq!(d.entries, 7);
-        assert_eq!(d.per_shard[0].hits, 15);
-        assert_eq!(d.per_shard[0].entries, 7);
     }
 
     // Exact-count coalescing behavior is asserted in the own-process

@@ -23,8 +23,7 @@
 //! kernels, one device — go through [`service::OrionService`], an
 //! event loop multiplexing one session per kernel over the backend's
 //! async submission queue, sharing one compile cache and telemetry
-//! stream; multi-device deployments wrap one service per device in
-//! [`sharded::ShardedService`]:
+//! stream:
 //!
 //! ```
 //! use orion_core::backend::SimBackend;
@@ -94,7 +93,6 @@ pub mod resilient;
 pub mod runtime;
 pub mod service;
 pub mod session;
-pub mod sharded;
 pub mod splitting;
 #[cfg(test)]
 mod testutil;
@@ -104,7 +102,7 @@ pub use backend::{
     AsyncBackend, Backend, BackendCaps, Completion, InlineAsync, LaunchRequest, Recorder,
     ReplayBackend, SimBackend, TicketId,
 };
-pub use cache::{allocate_cached, CacheConfig, CompileCacheStats, ShardStats};
+pub use cache::{allocate_cached, CompileCacheStats};
 pub use compiler::{compile, CompiledKernel, Direction, KernelVersion, TuningConfig};
 pub use error::{ErrorContext, OrionError};
 pub use orion::{Orion, SpaceOutcome};
@@ -121,6 +119,5 @@ pub use service::{
 pub use session::{
     SessionMode, SessionObs, SessionOutcome, SessionState, SessionStep, TuningSession,
 };
-pub use sharded::{Placement, ShardedReport, ShardedService};
 pub use splitting::{tune_by_splitting, SplitConfig};
 pub use version::{CandidateSpace, SpaceArm, VersionBuilder};

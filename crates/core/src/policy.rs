@@ -161,8 +161,7 @@ impl Clone for Box<dyn SearchPolicy> {
 /// Which [`SearchPolicy`] a session (or service job) runs.
 ///
 /// `Copy + Eq` on purpose: it rides inside
-/// [`JobPolicy`](crate::service::JobPolicy) and
-/// [`ServiceConfig`](crate::service::ServiceConfig), which tests compare
+/// [`JobPolicy`](crate::service::JobPolicy), which tests compare
 /// wholesale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum PolicyKind {

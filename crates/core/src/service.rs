@@ -133,11 +133,11 @@ pub struct JobPolicy {
     /// Admission priority; higher survives shedding longer. Ties shed
     /// the later submission first.
     pub priority: u8,
-    /// Per-job [`SearchPolicy`](crate::policy::SearchPolicy) override;
-    /// `None` inherits [`ServiceConfig::search`]. The policy only
-    /// changes *which* candidate the session measures next — budgets,
-    /// quarantine, fallback, and scheduling are session-level and apply
-    /// identically under any search policy.
+    /// Per-job [`SearchPolicy`](crate::policy::SearchPolicy); `None`
+    /// is [`PolicyKind::PaperWalk`], the paper's exact Figure 9 walk.
+    /// The policy only changes *which* candidate the session measures
+    /// next — budgets, quarantine, fallback, and scheduling are
+    /// session-level and apply identically under any search policy.
     pub search: Option<PolicyKind>,
 }
 
@@ -235,10 +235,6 @@ pub struct ServiceConfig {
     /// deterministically per submission index. Inert when `None` (and
     /// compiled out without the `faults` feature on `orion-gpusim`).
     pub chaos: Option<ServiceFaultPlan>,
-    /// Search policy for every session ([`PolicyKind::PaperWalk`] by
-    /// default — the paper's exact Figure 9 walk); individual jobs may
-    /// override it via [`JobPolicy::search`].
-    pub search: PolicyKind,
 }
 
 impl Default for ServiceConfig {
@@ -250,7 +246,6 @@ impl Default for ServiceConfig {
             policy: Some(ResiliencePolicy::default()),
             queue_capacity: None,
             chaos: None,
-            search: PolicyKind::PaperWalk,
         }
     }
 }
@@ -351,7 +346,7 @@ pub struct ServiceReport {
     /// Per-kernel reports, in submission order.
     pub kernels: Vec<KernelReport>,
     /// Compile-cache activity **during this batch** (the delta between
-    /// the before/after [`cache::stats`] snapshots, per shard included;
+    /// the before/after [`cache::stats`] snapshots;
     /// `entries` is the resident count after the batch). With in-flight
     /// coalescing, hit/miss totals are a pure function of the job set,
     /// not the interleaving.
@@ -495,7 +490,7 @@ impl<'k> ActiveJob<'k> {
             Some(policy) => (job.name.as_str(), SessionMode::Resilient(policy)),
             None => ("", SessionMode::Simple),
         };
-        let search = job.policy.search.unwrap_or(cfg.search);
+        let search = job.policy.search.unwrap_or_default();
         let session =
             TuningSession::with_policy(kernel, ck, job.iterations, cfg.threshold, mode, search);
         // Injected deadline pressure composes with the job's own
@@ -1348,9 +1343,10 @@ mod tests {
         for resilience in [None, Some(ResiliencePolicy::default())] {
             for search in [PolicyKind::PaperWalk, bandit] {
                 for deadline_cycles in [None, Some(100)] {
-                    let cfg = ServiceConfig { policy: resilience, search, ..Default::default() };
+                    let cfg = ServiceConfig { policy: resilience, ..Default::default() };
                     let svc = OrionService::new(SimBackend::new(DeviceSpec::gtx680()), cfg);
                     let mut j = job("parity", 3, 12);
+                    j.policy.search = Some(search);
                     j.policy.deadline_cycles = deadline_cycles;
                     let run = svc.run(vec![j.clone()]);
                     let inline = svc.tune_one(&mut j).expect("toy jobs tune");

@@ -1,5 +1,5 @@
-//! Capacity/eviction/coalescing behavior of the process-global compile
-//! cache.
+//! Capacity/eviction/coalescing/poison behavior of the process-global
+//! compile cache.
 //!
 //! Lives in its own integration-test binary (one process, one cache) so
 //! the counters are not raced by the crate's unit tests. The whole
@@ -7,23 +7,23 @@
 //! test functions concurrently within a binary.
 
 use orion_alloc::realize::{AllocOptions, SlotBudget};
-use orion_core::cache::{self, CacheConfig, CACHE_CAPACITY, CACHE_SHARDS};
+use orion_core::cache::{self, CACHE_CAPACITY};
 use orion_kir::builder::FunctionBuilder;
 use orion_kir::function::Module;
 use orion_kir::inst::Operand;
 use orion_kir::types::{MemSpace, SpecialReg, Width};
 
-fn module(tag: i64) -> Module {
+fn module(tag: usize) -> Module {
     let mut b = FunctionBuilder::kernel("cfg");
     let tid = b.mov(Operand::Special(SpecialReg::TidX));
     let a = b.imad(tid, Operand::Imm(4), Operand::Param(0));
     let x = b.ld(MemSpace::Global, Width::W32, a, 0);
-    let y = b.iadd(x, Operand::Imm(tag)); // distinct fingerprint per tag
+    let y = b.iadd(x, Operand::Imm(tag as i64)); // distinct fingerprint per tag
     b.st(MemSpace::Global, Width::W32, a, y, 0);
     Module::new(b.finish())
 }
 
-fn alloc(tag: i64) {
+fn alloc(tag: usize) {
     cache::allocate_cached(
         &module(tag),
         SlotBudget { reg_slots: 8, smem_slots: 0 },
@@ -34,79 +34,40 @@ fn alloc(tag: i64) {
 
 #[test]
 fn capacity_bounds_entries_and_counts_evictions() {
-    assert_eq!(cache::config(), CacheConfig::default());
-    assert_eq!(cache::config().capacity, CACHE_CAPACITY);
-    assert_eq!(cache::config().shards, CACHE_SHARDS);
-
-    // A single stripe gives strict global FIFO order, which the exact
-    // eviction assertions below rely on.
+    // Fill the cache to capacity plus two: exactly the two oldest
+    // entries are evicted.
     cache::reset();
-    cache::configure(CacheConfig { capacity: 3, shards: 1 });
-    for tag in 0..5 {
+    for tag in 0..CACHE_CAPACITY + 2 {
         alloc(tag);
     }
     let st = cache::stats();
-    assert_eq!(st.entries, 3, "{st:?}");
-    assert_eq!(st.misses, 5, "{st:?}");
+    assert_eq!(st.entries, CACHE_CAPACITY, "{st:?}");
+    assert_eq!(st.misses, CACHE_CAPACITY as u64 + 2, "{st:?}");
+    assert_eq!(st.hits, 0, "{st:?}");
     assert_eq!(st.evictions, 2, "{st:?}");
-    assert_eq!(st.per_shard.len(), 1, "{st:?}");
-    assert_eq!(st.per_shard[0].entries, 3, "{st:?}");
 
-    // FIFO: tags 0 and 1 were evicted, tag 4 is resident.
+    // FIFO, not LRU: tags 0 and 1 are gone, tag 2 (now the oldest) and
+    // the newest tag are resident. Hitting tag 2 does not protect it —
+    // the next insertion evicts it all the same.
     let before = cache::stats();
-    alloc(4);
+    alloc(2);
+    alloc(CACHE_CAPACITY + 1);
+    let st = cache::stats().delta_since(&before);
+    assert_eq!((st.hits, st.misses, st.evictions), (2, 0, 0), "{st:?}");
     alloc(0);
-    let st = cache::stats();
-    assert_eq!(st.hits, before.hits + 1, "{st:?}");
-    assert_eq!(st.misses, before.misses + 1, "{st:?}");
+    alloc(2);
+    let st = cache::stats().delta_since(&before);
+    assert_eq!((st.hits, st.misses, st.evictions), (2, 2, 2), "{st:?}");
+    assert_eq!(st.entries, CACHE_CAPACITY, "{st:?}");
 
-    // Shrinking evicts down immediately.
-    cache::configure(CacheConfig { capacity: 1, shards: 1 });
-    assert_eq!(cache::stats().entries, 1);
-
-    // Capacity 0 disables retention: repeat allocations all miss.
-    cache::configure(CacheConfig { capacity: 0, shards: 1 });
-    assert_eq!(cache::stats().entries, 0);
-    let before = cache::stats();
-    alloc(7);
-    alloc(7);
-    let st = cache::stats();
-    assert_eq!(st.misses, before.misses + 2, "{st:?}");
-    assert_eq!(st.hits, before.hits, "{st:?}");
-    assert_eq!(st.entries, 0, "{st:?}");
-
-    // Reset keeps the configured capacity but zeroes counters.
-    cache::configure(CacheConfig { capacity: 2, shards: 1 });
+    // Reset drops every entry and zeroes the counters.
     cache::reset();
     let st = cache::stats();
     assert_eq!((st.hits, st.misses, st.evictions, st.entries), (0, 0, 0, 0));
-    assert_eq!(cache::config().capacity, 2);
-
-    // Re-sharding migrates resident entries instead of dropping them,
-    // and keeps lifetime counters.
-    cache::reset();
-    cache::configure(CacheConfig { capacity: 64, shards: 1 });
-    for tag in 0..6 {
-        alloc(tag);
-    }
-    let before = cache::stats();
-    cache::configure(CacheConfig { capacity: 64, shards: 4 });
-    let st = cache::stats();
-    assert_eq!(st.per_shard.len(), 4, "{st:?}");
-    assert_eq!(st.entries, before.entries, "{st:?}");
-    assert_eq!(st.misses, before.misses, "{st:?}");
-    // Every migrated entry still hits.
-    for tag in 0..6 {
-        alloc(tag);
-    }
-    let after = cache::stats();
-    assert_eq!(after.hits, st.hits + 6, "{after:?}");
 
     // Concurrent cold-key requests coalesce onto one allocation:
     // exactly 1 miss and N-1 hits, whatever the thread interleaving.
-    cache::reset();
-    cache::configure(CacheConfig::default());
-    let m = module(99);
+    let m = module(9_999);
     let before = cache::stats();
     std::thread::scope(|scope| {
         for _ in 0..6 {
@@ -129,31 +90,26 @@ fn capacity_bounds_entries_and_counts_evictions() {
     // coalesced waits than hits.
     assert!(d.coalesced <= d.hits, "{d:?}");
 
-    // A poisoned shard (a thread panicked while holding the lock) is
-    // recovered, not propagated: the next operation clears the shard,
-    // counts the recovery, and subsequent compiles succeed.
+    // A poisoned cache (a thread panicked while holding the lock) is
+    // recovered, not propagated: the next operation clears it, counts
+    // the recovery, and subsequent compiles succeed.
     cache::reset();
-    cache::configure(CacheConfig::default());
+    let before_poison = cache::stats().poison_recovered;
     // Quiet hook: the induced panic is part of the test, not noise.
     let prior_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     cache::poison_for_chaos();
     std::panic::set_hook(prior_hook);
-    let before_poison = cache::stats().poison_recovered;
-    assert!(before_poison >= 1, "stats() itself recovers the poisoned shard");
+    let recovered = cache::stats().poison_recovered;
+    assert_eq!(recovered, before_poison + 1, "stats() itself recovers the poisoned cache");
     for tag in 200..204 {
         alloc(tag); // compiles succeed after recovery
         alloc(tag);
     }
     let st = cache::stats();
-    assert!(st.hits >= 4, "warm repeats hit again after recovery: {st:?}");
-    assert_eq!(st.poison_recovered, before_poison, "one poison event, one recovery");
+    assert_eq!((st.hits, st.misses), (4, 4), "warm repeats hit again after recovery: {st:?}");
+    assert_eq!(st.poison_recovered, recovered, "one poison event, one recovery");
     // reset() preserves the resilience counter.
     cache::reset();
-    assert_eq!(cache::stats().poison_recovered, before_poison);
-
-    // Leave the cache in its default configuration for any test binary
-    // reusing the process (none today, but cheap insurance).
-    cache::reset();
-    cache::configure(CacheConfig::default());
+    assert_eq!(cache::stats().poison_recovered, recovered);
 }

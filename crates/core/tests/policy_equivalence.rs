@@ -281,8 +281,12 @@ fn bandit_jobs_are_bit_identical_across_worker_counts() {
                 iterations: 6 + i,
                 tuning: TuningConfig::new(32),
                 policy: JobPolicy {
-                    // Alternate per-job override and service default.
-                    search: (i % 2 == 0).then_some(PolicyKind::Bandit(BanditConfig::default())),
+                    // Alternate two bandit seeds across the batch.
+                    search: Some(PolicyKind::Bandit(if i % 2 == 0 {
+                        BanditConfig::default()
+                    } else {
+                        BanditConfig { seed: 99, ..BanditConfig::default() }
+                    })),
                     ..JobPolicy::default()
                 },
             })
@@ -291,8 +295,6 @@ fn bandit_jobs_are_bit_identical_across_worker_counts() {
     let mk_cfg = |workers, in_flight_limit| ServiceConfig {
         workers,
         in_flight_limit,
-        // The service-wide default is the bandit here; odd jobs inherit.
-        search: PolicyKind::Bandit(BanditConfig { seed: 99, ..BanditConfig::default() }),
         ..ServiceConfig::default()
     };
     let seq = OrionService::new(SimBackend::new(DeviceSpec::gtx680()), mk_cfg(1, 1)).run(batch());

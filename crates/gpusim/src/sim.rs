@@ -72,42 +72,6 @@ impl LaunchOptions {
         self.cache_config = Some(cfg);
         self
     }
-
-    /// This template restricted to a contiguous CTA slice (kernel
-    /// splitting); `None` launches the whole grid.
-    #[must_use]
-    pub fn with_cta_range(mut self, range: Option<(u32, u32)>) -> Self {
-        self.cta_range = range;
-        self
-    }
-
-    /// This template with an explicit watchdog cycle budget.
-    #[must_use]
-    pub fn with_cycle_budget(mut self, budget: Option<u64>) -> Self {
-        self.cycle_budget = budget;
-        self
-    }
-
-    /// This template with the SM fan-out worker count set.
-    #[must_use]
-    pub fn with_parallelism(mut self, workers: u32) -> Self {
-        self.parallelism = workers;
-        self
-    }
-
-    /// This template with the warp-scheduler implementation set.
-    #[must_use]
-    pub fn with_scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// This template with the lane-state memory layout set.
-    #[must_use]
-    pub fn with_layout(mut self, layout: LaneLayout) -> Self {
-        self.layout = layout;
-        self
-    }
 }
 
 /// Per-SM execution summary for one launch.

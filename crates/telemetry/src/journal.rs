@@ -38,8 +38,8 @@ pub enum JournalEvent {
     Retry { kernel: String, version: usize, attempt: u32, backoff_cycles: u64 },
     /// The runtime fell back to a safer kernel version.
     Fallback { kernel: String, version: usize },
-    /// A compile-cache shard evicted entries to stay within capacity.
-    CacheEvicted { shard: usize, entries: u64 },
+    /// The compile cache evicted entries to stay within capacity.
+    CacheEvicted { entries: u64 },
     /// The simulator injected a fault into a launch.
     FaultInjected { kind: &'static str, launch: u64 },
     /// A launch exceeded its watchdog cycle budget.
@@ -50,8 +50,8 @@ pub enum JournalEvent {
     Degraded { kernel: String, reason: &'static str },
     /// A worker panicked mid-session; the kernel was quarantined.
     SessionPanic { kernel: String },
-    /// A poisoned compile-cache shard was cleared and returned to service.
-    PoisonRecovered { shard: usize },
+    /// The poisoned compile cache was cleared and returned to service.
+    PoisonRecovered,
     /// A search policy committed a decision: pruned its arm set,
     /// finalized a candidate, or fell back. `policy` names the policy
     /// ("paper_walk", "bandit"), `action` the decision kind
@@ -78,7 +78,7 @@ impl JournalEvent {
             JournalEvent::Shed { .. } => "shed",
             JournalEvent::Degraded { .. } => "degraded",
             JournalEvent::SessionPanic { .. } => "session_panic",
-            JournalEvent::PoisonRecovered { .. } => "poison_recovered",
+            JournalEvent::PoisonRecovered => "poison_recovered",
             JournalEvent::PolicyDecision { .. } => "policy_decision",
             JournalEvent::Note { .. } => "note",
         }
@@ -169,8 +169,8 @@ fn write_record(out: &mut String, r: &JournalRecord) {
             escape_json(out, kernel);
             let _ = write!(out, ",\"version\":{version}");
         }
-        JournalEvent::CacheEvicted { shard, entries } => {
-            let _ = write!(out, ",\"shard\":{shard},\"entries\":{entries}");
+        JournalEvent::CacheEvicted { entries } => {
+            let _ = write!(out, ",\"entries\":{entries}");
         }
         JournalEvent::FaultInjected { kind, launch } => {
             let _ = write!(out, ",\"kind\":\"{kind}\",\"launch\":{launch}");
@@ -194,9 +194,7 @@ fn write_record(out: &mut String, r: &JournalRecord) {
             out.push_str(",\"kernel\":");
             escape_json(out, kernel);
         }
-        JournalEvent::PoisonRecovered { shard } => {
-            let _ = write!(out, ",\"shard\":{shard}");
-        }
+        JournalEvent::PoisonRecovered => {}
         JournalEvent::PolicyDecision { policy, action, candidate } => {
             let _ = write!(
                 out,
@@ -388,12 +386,12 @@ mod tests {
                 version: 3,
                 strikes: 3,
             });
-            record_always(JournalEvent::CacheEvicted { shard: 5, entries: 2 });
+            record_always(JournalEvent::CacheEvicted { entries: 2 });
             let d = drain();
             let j = d.to_json();
             assert!(j.contains("\"event\":\"quarantine\""), "{j}");
             assert!(j.contains("\"kernel\":\"bp\\\"1\""), "{j}");
-            assert!(j.contains("\"shard\":5"), "{j}");
+            assert!(j.contains("\"entries\":2"), "{j}");
             assert!(j.trim_start().starts_with('['));
         });
     }
