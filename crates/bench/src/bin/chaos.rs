@@ -1,18 +1,10 @@
 //! Chaos bench: sweep seeded fault rates across three workloads and
 //! check the resilient tuner still converges near the fault-free pick.
-//! Writes `BENCH_chaos.json`. Build with `--features faults` (forwarding
-//! `orion-gpusim/faults`) for actual injection; without it the sweep
-//! degenerates to a fault-free control run.
+//! Writes `BENCH_chaos.json`.
 
 use orion_gpusim::device::DeviceSpec;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    if !orion_gpusim::faults::INJECTION_COMPILED {
-        eprintln!(
-            "note: built without the `faults` feature; no faults will be injected \
-             (rebuild with `--features faults` for the real chaos sweep)"
-        );
-    }
     let fig = orion_bench::chaos::chaos_figure(&DeviceSpec::c2075())?;
     orion_bench::emit(&fig)?;
     Ok(())

@@ -28,18 +28,15 @@
 //! * **Poison recovery** — after a deliberately poisoned compile
 //!   cache, subsequent batches tune cleanly and
 //!   `cache/poison_recovered` counts the event.
-//! * **Fault visibility** — with injection compiled in, the sweep must
-//!   actually draw worker panics and shed jobs (a chaos gate that
-//!   never injects anything gates nothing).
+//! * **Fault visibility** — the sweep must actually draw worker panics
+//!   and shed jobs (a chaos gate that never injects anything gates
+//!   nothing).
 //!
 //! Writes `BENCH_chaos_service.json`. `--quick` shrinks the sweep for
 //! CI. `--inject-hang` gives every job a 1-cycle deadline: every job
 //! must resolve `Degraded` and the binary exits **non-zero**, proving
 //! the deadline gate actually fires (CI inverts the exit code, exactly
 //! like `regress --inject`).
-//!
-//! Build with `--features faults` for real injection; without it the
-//! sweep degenerates to a fault-free control run of the same invariant.
 //!
 //! [`JobDisposition`]: orion_core::service::JobDisposition
 
@@ -48,10 +45,10 @@ use orion_core::backend::SimBackend;
 use orion_core::cache;
 use orion_core::compiler::TuningConfig;
 use orion_core::service::{
-    JobDisposition, JobPolicy, KernelJob, KernelReport, OrionService, ServiceConfig, ServiceReport,
+    FaultStorm, JobDisposition, JobPolicy, KernelJob, KernelReport, OrionService, ServiceConfig,
+    ServiceFaultPlan, ServiceReport,
 };
 use orion_gpusim::device::DeviceSpec;
-use orion_gpusim::faults::{FaultStorm, ServiceFaultPlan};
 use orion_workloads::by_name;
 use serde::Serialize;
 
@@ -80,7 +77,6 @@ struct ScenarioRow {
 #[derive(Serialize)]
 struct ChaosServiceDoc {
     device: String,
-    injection_compiled: bool,
     seed: u64,
     host_cores: usize,
     iterations_per_kernel: u32,
@@ -193,12 +189,6 @@ fn main() {
     let dev = DeviceSpec::gtx680();
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     orion_telemetry::set_enabled(false);
-    if !orion_gpusim::faults::INJECTION_COMPILED {
-        eprintln!(
-            "note: built without the `faults` feature; the sweep is a fault-free \
-             control run (rebuild with `--features faults` for real chaos)"
-        );
-    }
     // Injected worker panics are the test subject; keep the default
     // hook's backtrace spam out of the logs without hiding anything
     // else.
@@ -319,16 +309,14 @@ fn main() {
         });
     }
 
-    // A chaos gate that never injects anything gates nothing: with
-    // injection compiled, the sweep must have produced at least one
-    // caught panic and one shed job.
-    if orion_gpusim::faults::INJECTION_COMPILED {
-        if total_panics == 0 {
-            failures.push("sweep drew zero worker panics despite a 25% panic rate".into());
-        }
-        if total_shed == 0 {
-            failures.push("sweep shed zero jobs despite a saturated queue".into());
-        }
+    // A chaos gate that never injects anything gates nothing: the
+    // sweep must have produced at least one caught panic and one shed
+    // job.
+    if total_panics == 0 {
+        failures.push("sweep drew zero worker panics despite a 25% panic rate".into());
+    }
+    if total_shed == 0 {
+        failures.push("sweep shed zero jobs despite a saturated queue".into());
     }
 
     // Poison recovery: poison the cache on purpose, then run a
@@ -351,7 +339,6 @@ fn main() {
 
     let doc = ChaosServiceDoc {
         device: dev.name.clone(),
-        injection_compiled: orion_gpusim::faults::INJECTION_COMPILED,
         seed: SEED,
         host_cores,
         iterations_per_kernel: iterations,
@@ -360,13 +347,8 @@ fn main() {
         all_jobs_accounted: failures.is_empty(),
     };
     let mut text = format!(
-        "Chaos-service gate on {} ({} host cores, injection {}): \
-         {} jobs/batch x {} iterations\n",
-        dev.name,
-        host_cores,
-        if doc.injection_compiled { "ON" } else { "OFF (control)" },
-        jobs_per_batch,
-        iterations,
+        "Chaos-service gate on {} ({} host cores): {} jobs/batch x {} iterations\n",
+        dev.name, host_cores, jobs_per_batch, iterations,
     );
     for s in &doc.scenarios {
         text.push_str(&format!(

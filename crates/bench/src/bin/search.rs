@@ -41,8 +41,8 @@ use orion_core::splitting::{split_ranges, SplitConfig};
 use orion_core::version::CandidateSpace;
 use orion_core::CompiledKernel;
 use orion_gpusim::device::DeviceSpec;
-use orion_gpusim::faults::{FaultInjector, FaultPlan};
-use orion_gpusim::sim::{run_launch_faulty, LaunchOptions};
+use orion_gpusim::faults::{FaultInjector, FaultPlan, LaunchFaults};
+use orion_gpusim::sim::{run_launch_opts, LaunchOptions};
 use orion_workloads::{by_name, Workload};
 use serde::Serialize;
 
@@ -151,6 +151,7 @@ fn drive(
             let opts = LaunchOptions {
                 extra_smem_per_block: arm.version.extra_smem,
                 cta_range: Some(range),
+                faults: injector.map_or(LaunchFaults::NONE, FaultInjector::draw),
                 ..LaunchOptions::default()
             };
             let opts = match arm.cache_config {
@@ -158,15 +159,8 @@ fn drive(
                 None => opts,
             };
             launches += 1;
-            match run_launch_faulty(
-                dev,
-                &arm.version.machine,
-                w.launch(),
-                params,
-                &mut global,
-                opts,
-                injector,
-            ) {
+            match run_launch_opts(dev, &arm.version.machine, w.launch(), params, &mut global, opts)
+            {
                 Ok(r) => cycles = cycles.saturating_add(r.cycles),
                 Err(_) => {
                     failed = true;
@@ -197,17 +191,9 @@ fn final_pick_cycles(dev: &DeviceSpec, w: &Workload, space: &CandidateSpace, arm
         Some(c) => opts.with_cache_config(c),
         None => opts,
     };
-    run_launch_faulty(
-        dev,
-        &arm.version.machine,
-        w.launch(),
-        w.params_for(0),
-        &mut global,
-        opts,
-        None,
-    )
-    .expect("clean steady-state run")
-    .cycles
+    run_launch_opts(dev, &arm.version.machine, w.launch(), w.params_for(0), &mut global, opts)
+        .expect("clean steady-state run")
+        .cycles
 }
 
 fn compile(dev: &DeviceSpec, w: &Workload) -> CompiledKernel {

@@ -17,11 +17,6 @@
 //! pick at a ≤10% fault rate. Injected, retried, and quarantined counts
 //! are recorded per row so `BENCH_chaos.json` reconciles exactly with
 //! the telemetry counters the injector and tuner emit.
-//!
-//! Without the `faults` cargo feature (`orion-gpusim/faults`) the
-//! injector draws nothing and every row degenerates to a second
-//! fault-free walk — the harness still runs, making the feature safe to
-//! leave off in default builds.
 
 use crate::experiment::{run_version_once, ExperimentError, DOWNWARD_THRESHOLD};
 use crate::figures::Figure;
@@ -31,7 +26,7 @@ use orion_core::resilient::{ResiliencePolicy, ResilienceStats};
 use orion_core::session::TuningSession;
 use orion_gpusim::device::DeviceSpec;
 use orion_gpusim::faults::{FaultInjector, FaultPlan, FaultSnapshot};
-use orion_gpusim::sim::{run_launch_faulty, LaunchOptions};
+use orion_gpusim::sim::{run_launch_opts, LaunchOptions};
 use orion_workloads::Workload;
 use serde::{Deserialize, Serialize};
 
@@ -116,17 +111,9 @@ pub fn chaos_run(
         TuningSession::simple(&compiled, iters, orion.cfg.slowdown_threshold).drive(|v| {
             let params = w.params_for(iter_no);
             iter_no += 1;
-            run_launch_faulty(
-                dev,
-                &v.machine,
-                w.launch(),
-                params,
-                &mut global,
-                opts(v.extra_smem),
-                None,
-            )
-            .map(|r| r.cycles)
-            .map_err(orion_core::OrionError::from)
+            run_launch_opts(dev, &v.machine, w.launch(), params, &mut global, opts(v.extra_smem))
+                .map(|r| r.cycles)
+                .map_err(orion_core::OrionError::from)
         })?;
 
     // Chaotic walk through the resilient executor.
@@ -139,17 +126,10 @@ pub fn chaos_run(
             .drive(|v| {
                 let params = w.params_for(iter_no);
                 iter_no += 1;
-                run_launch_faulty(
-                    dev,
-                    &v.machine,
-                    w.launch(),
-                    params,
-                    &mut global,
-                    opts(v.extra_smem),
-                    Some(&injector),
-                )
-                .map(|r| r.cycles)
-                .map_err(orion_core::OrionError::from)
+                let opts = LaunchOptions { faults: injector.draw(), ..opts(v.extra_smem) };
+                run_launch_opts(dev, &v.machine, w.launch(), params, &mut global, opts)
+                    .map(|r| r.cycles)
+                    .map_err(orion_core::OrionError::from)
             });
     // Candidate exhaustion at a stress rate is a *result*, not a sweep
     // failure: record the row as gave-up (the app falls back to its
@@ -249,9 +229,6 @@ pub struct ChaosSummary {
     pub telemetry_reconciled: bool,
     /// Whether telemetry was actually collected for the reconciliation.
     pub telemetry_active: bool,
-    /// Whether the simulator was built with the `faults` feature — when
-    /// false every row is a fault-free control run.
-    pub faults_compiled: bool,
     pub total_injected: u64,
     pub total_retries: u64,
     pub total_quarantined: u64,
@@ -303,7 +280,6 @@ pub fn chaos_figure(dev: &DeviceSpec) -> Result<Figure, ExperimentError> {
             .all(|r| r.chaos_selected == r.fault_free_selected),
         telemetry_reconciled: reconciled_all,
         telemetry_active: telemetry,
-        faults_compiled: orion_gpusim::faults::INJECTION_COMPILED,
         total_injected: rows.iter().map(|r| r.injected.total_faults()).sum(),
         total_retries: rows.iter().map(|r| r.absorbed.retries).sum(),
         total_quarantined: rows.iter().map(|r| r.absorbed.quarantined).sum(),

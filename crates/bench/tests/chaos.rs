@@ -101,16 +101,8 @@ fn ten_pct_faults_converge_and_reconcile_with_telemetry() {
     // Every retry corresponds to a drawn transient fault.
     assert!(row.absorbed.retries <= row.injected.transient + row.absorbed.failed_launches);
 
-    // With injection compiled into the simulator (CI chaos job), a 10%
-    // rate over dozens of launches must actually inject something;
-    // without it the injector draws nothing and the sweep is a control
-    // run. Branch on the simulator's gate, not this crate's `faults`
-    // feature — unification can enable one without the other.
-    if orion_gpusim::faults::INJECTION_COMPILED {
-        assert!(row.injected.total_faults() > 0, "10% rate injected nothing: {:?}", row.injected);
-    } else {
-        assert_eq!(row.injected.total_faults(), 0);
-    }
+    // A 10% rate over dozens of launches must actually inject something.
+    assert!(row.injected.total_faults() > 0, "10% rate injected nothing: {:?}", row.injected);
 }
 
 /// Certain launch failure on every candidate must surface as a clean
@@ -118,9 +110,6 @@ fn ten_pct_faults_converge_and_reconcile_with_telemetry() {
 /// panic, an infinite loop, or an aborted sweep.
 #[test]
 fn total_fault_storm_fails_closed_without_panicking() {
-    if !orion_gpusim::faults::INJECTION_COMPILED {
-        return; // the injector draws nothing; there is no storm to survive
-    }
     let _g = lock();
     orion_telemetry::set_enabled(false);
     let row = chaos_run(&DeviceSpec::c2075(), &tiny_workload(), 1, 1.0, 0.0)

@@ -13,7 +13,7 @@ use orion_core::session::{SessionOutcome, TuningSession};
 use orion_gpusim::device::DeviceSpec;
 use orion_gpusim::exec::Launch;
 use orion_gpusim::faults::{FaultInjector, FaultPlan};
-use orion_gpusim::sim::{run_launch_faulty, run_launch_opts, LaunchOptions, RunResult};
+use orion_gpusim::sim::{run_launch_opts, LaunchOptions, RunResult};
 use orion_gpusim::{Scheduler, SimError};
 use orion_kir::builder::FunctionBuilder;
 use orion_kir::function::Module;
@@ -155,8 +155,7 @@ fn tiny_kernel() -> Module {
 /// applied at the driver layer, so a fresh injector with the same plan
 /// must produce the same launch-by-launch outcome — success cycles,
 /// transient failures, watchdog hangs, memory — whether the SMs below
-/// it run serially or fanned out. (Without the `faults` feature the
-/// injector draws nothing and this degenerates to a fault-free check.)
+/// it run serially or fanned out.
 #[test]
 fn fault_outcomes_identical_across_fanout() {
     let dev = DeviceSpec::gtx680();
@@ -176,15 +175,8 @@ fn fault_outcomes_identical_across_fanout() {
             (0..launches)
                 .map(|_| {
                     let mut global = vec![0u8; 4 * n];
-                    let r = run_launch_faulty(
-                        &dev,
-                        &machine,
-                        launch,
-                        &[0],
-                        &mut global,
-                        opts,
-                        Some(&injector),
-                    );
+                    let opts = LaunchOptions { faults: injector.draw(), ..opts };
+                    let r = run_launch_opts(&dev, &machine, launch, &[0], &mut global, opts);
                     (r, global)
                 })
                 .collect()

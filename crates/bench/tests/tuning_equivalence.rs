@@ -11,10 +11,6 @@
 //! launch sequence, any divergence in the walk shows up as a full
 //! outcome mismatch — selection, per-iteration trace, decision log,
 //! stats, or error.
-//!
-//! Without the `faults` cargo feature the injector draws nothing and
-//! the chaos cases degenerate to a second clean walk — still a valid
-//! (if weaker) equivalence check, so the suite runs in every build.
 
 use orion_core::orion::Orion;
 use orion_core::reference::{self, ResilientWalkOutcome, WalkOutcome};
@@ -22,8 +18,8 @@ use orion_core::resilient::ResiliencePolicy;
 use orion_core::session::TuningSession;
 use orion_core::{CompiledKernel, KernelVersion, OrionError};
 use orion_gpusim::device::DeviceSpec;
-use orion_gpusim::faults::{FaultInjector, FaultPlan};
-use orion_gpusim::sim::{run_launch_faulty, LaunchOptions};
+use orion_gpusim::faults::{FaultInjector, FaultPlan, LaunchFaults};
+use orion_gpusim::sim::{run_launch_opts, LaunchOptions};
 use orion_workloads::{by_name, Workload};
 
 const WORKLOADS: [&str; 3] = ["matrixMul", "backprop", "hotspot"];
@@ -62,18 +58,14 @@ impl<'w> App<'w> {
     fn launch(&mut self, v: &KernelVersion) -> Result<u64, OrionError> {
         let params = self.w.params_for(self.iter_no);
         self.iter_no += 1;
-        let opts = LaunchOptions { extra_smem_per_block: v.extra_smem, ..LaunchOptions::default() };
-        run_launch_faulty(
-            self.dev,
-            &v.machine,
-            self.w.launch(),
-            params,
-            &mut self.global,
-            opts,
-            self.injector.as_ref(),
-        )
-        .map(|r| r.cycles)
-        .map_err(OrionError::from)
+        let opts = LaunchOptions {
+            extra_smem_per_block: v.extra_smem,
+            faults: self.injector.as_ref().map_or(LaunchFaults::NONE, FaultInjector::draw),
+            ..LaunchOptions::default()
+        };
+        run_launch_opts(self.dev, &v.machine, self.w.launch(), params, &mut self.global, opts)
+            .map(|r| r.cycles)
+            .map_err(OrionError::from)
     }
 }
 

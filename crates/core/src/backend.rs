@@ -11,8 +11,9 @@
 //!
 //! Two implementations ship:
 //!
-//! * [`SimBackend`] — the `orion-gpusim` simulated device (chaos runs
-//!   inject faults at the service boundary, `ServiceConfig::chaos`);
+//! * [`SimBackend`] — the `orion-gpusim` simulated device; it applies
+//!   the fault draw a launch carries in [`LaunchOptions::faults`]
+//!   (chaos runs draw them per job, `ServiceConfig::chaos`);
 //! * [`ReplayBackend`] — a scripted backend that plays back a recorded
 //!   (or hand-written) sequence of per-version launch outcomes. It
 //!   never executes anything, which makes session-level tests — e.g.
@@ -61,9 +62,6 @@ pub struct BackendCaps {
     /// Honors [`LaunchOptions::cta_range`], enabling kernel splitting
     /// (§3.4).
     pub supports_splitting: bool,
-    /// Launches may fail spuriously (fault injection or a real,
-    /// fallible device); drivers should prefer the resilient walk.
-    pub faulty: bool,
 }
 
 /// A device that can compile Orion candidate versions and launch them.
@@ -96,7 +94,7 @@ pub trait Backend: Sync {
     /// Launch one version once and return its cycle count. The
     /// version's driver-side shared-memory padding is wired in by the
     /// backend; `opts` carries everything else (CTA range for
-    /// splitting, cycle budgets, scheduler choice).
+    /// splitting, cycle budgets, scheduler choice, injected faults).
     ///
     /// # Errors
     /// Propagates launch/execution failures.
@@ -133,7 +131,8 @@ pub struct LaunchRequest {
     /// Global-memory image; mutated by the launch and returned in the
     /// completion (possibly torn if the launch panicked).
     pub global: Vec<u8>,
-    /// Launch options (CTA range, budgets, scheduler, parallelism).
+    /// Launch options (CTA range, budgets, scheduler, parallelism,
+    /// injected faults).
     pub opts: LaunchOptions,
     /// Telemetry lane the executing thread stamps
     /// ([`orion_telemetry::set_scope`]) so traces stay attributable.
@@ -408,7 +407,7 @@ impl Backend for SimBackend {
     }
 
     fn caps(&self) -> BackendCaps {
-        BackendCaps { deterministic: true, supports_splitting: true, faulty: false }
+        BackendCaps { deterministic: true, supports_splitting: true }
     }
 
     fn compile_probe(
@@ -553,7 +552,7 @@ impl Backend for ReplayBackend {
     }
 
     fn caps(&self) -> BackendCaps {
-        BackendCaps { deterministic: true, supports_splitting: false, faulty: true }
+        BackendCaps { deterministic: true, supports_splitting: false }
     }
 
     fn compile_probe(
@@ -784,7 +783,7 @@ mod tests {
     #[test]
     fn sim_backend_compiles_and_launches() {
         let be = SimBackend::new(DeviceSpec::gtx680());
-        assert!(be.caps().deterministic && !be.caps().faulty);
+        assert!(be.caps().deterministic && be.caps().supports_splitting);
         let ck = be.compile_probe(&toy_module(), &TuningConfig::new(32)).unwrap();
         let mut g = vec![0u8; 4 * 64];
         let c = be

@@ -62,9 +62,23 @@
 //!
 //! One per-job state machine drives every job, whether it arrives
 //! through [`OrionService::run`] or [`OrionService::tune_one`]: it
-//! builds the session, gates each launch on the job's budgets, injects
+//! builds the session, gates each launch on the job's budgets, draws
 //! chaos, and derives the disposition and metrics. The two entry points
 //! differ only in how they execute the launches it asks for.
+//!
+//! ## Chaos
+//!
+//! [`ServiceConfig::chaos`] takes a [`ServiceFaultPlan`]: per-job
+//! launch faults plus the failure modes only a service has — worker
+//! panics mid-session and injected deadline pressure — and an optional
+//! [`FaultStorm`]. Each job's [`JobFaults`] is a pure function of
+//! `(seed, job index)`, and each launch's fault draw is a pure function
+//! of `(job, launch index)`, so a chaos batch replays bit-identically
+//! at any worker count. The service only *draws* launch faults: each
+//! draw rides to the backend in [`LaunchOptions::faults`], and the
+//! simulator applies it exactly as for any direct caller
+//! ([`orion_gpusim::sim::run_launch_opts`]). Backends that never run
+//! the simulator (e.g. [`crate::backend::ReplayBackend`]) ignore it.
 //!
 //! ## Job lifecycle
 //!
@@ -95,13 +109,14 @@ use crate::policy::PolicyKind;
 use crate::resilient::ResiliencePolicy;
 use crate::runtime::TuneDecision;
 use crate::session::{SessionMode, SessionOutcome, SessionState, SessionStep, TuningSession};
-use orion_gpusim::exec::{Launch, SimError};
-use orion_gpusim::faults::{FaultInjector, JobFaults, LaunchFaults, ServiceFaultPlan};
+use orion_gpusim::exec::Launch;
+use orion_gpusim::faults::{splitmix64, unit, FaultInjector, FaultPlan, LaunchFaults};
 use orion_gpusim::sim::LaunchOptions;
 use orion_kir::function::Module;
 use orion_telemetry::hist::Histogram;
 use orion_telemetry::journal::{self, JournalDrain, JournalEvent};
 use orion_telemetry::registry;
+use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -232,8 +247,7 @@ pub struct ServiceConfig {
     pub queue_capacity: Option<usize>,
     /// Service-boundary chaos plan: per-job launch-fault injection,
     /// injected worker panics, and injected deadline pressure, drawn
-    /// deterministically per submission index. Inert when `None` (and
-    /// compiled out without the `faults` feature on `orion-gpusim`).
+    /// deterministically per submission index. Inert when `None`.
     pub chaos: Option<ServiceFaultPlan>,
 }
 
@@ -248,6 +262,136 @@ impl Default for ServiceConfig {
             chaos: None,
         }
     }
+}
+
+/// A window of jobs hit by elevated fault rates — modeling a *fault
+/// storm* (a flaky driver episode, thermal throttling, a bad rack
+/// neighbour) rather than uniformly sprinkled failures. Jobs whose
+/// submission index falls in `[start_job, start_job + len)` have their
+/// launch-fault rates multiplied by `multiplier` (clamped to
+/// probability 1) and their panic/deadline pressure doubled.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct FaultStorm {
+    /// First job index inside the storm window.
+    pub start_job: usize,
+    /// Number of consecutive jobs in the window.
+    pub len: usize,
+    /// Rate multiplier applied to the per-launch fault plan.
+    pub multiplier: f64,
+}
+
+impl FaultStorm {
+    /// Whether `job_index` falls inside the storm window.
+    #[must_use]
+    pub fn covers(&self, job_index: usize) -> bool {
+        job_index >= self.start_job && job_index - self.start_job < self.len
+    }
+}
+
+/// Service-boundary chaos scenario: a per-launch [`FaultPlan`] template
+/// plus job-granular failure modes the launch path cannot express —
+/// worker panics mid-session and injected deadline pressure — and an
+/// optional [`FaultStorm`] window. Every per-job decision is a pure
+/// function of `(seed, job index)`, drawn from the same
+/// [`splitmix64`] stream as the launch-level injector.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct ServiceFaultPlan {
+    /// Seed for the per-job fault streams.
+    pub seed: u64,
+    /// Template for each job's launch-level faults; the per-job plan
+    /// gets its own derived seed (and storm-scaled rates).
+    pub launch: FaultPlan,
+    /// Probability a job's session panics mid-walk (after a
+    /// deterministic number of launches).
+    pub panic_rate: f64,
+    /// Probability a job is put under deadline pressure: its sim-cycle
+    /// deadline is overridden with [`ServiceFaultPlan::deadline_cycles`].
+    pub deadline_rate: f64,
+    /// The injected tight deadline (simulated cycles).
+    pub deadline_cycles: u64,
+    /// Optional elevated-rate window over the job sequence.
+    pub storm: Option<FaultStorm>,
+}
+
+impl ServiceFaultPlan {
+    /// A plan that injects nothing at the service boundary.
+    #[must_use]
+    pub fn none(seed: u64) -> Self {
+        ServiceFaultPlan {
+            seed,
+            launch: FaultPlan::none(seed),
+            panic_rate: 0.0,
+            deadline_rate: 0.0,
+            deadline_cycles: 0,
+            storm: None,
+        }
+    }
+
+    /// The chaos-service scenario: launch faults per
+    /// [`FaultPlan::chaos`] at `rate`, worker panics at `panic_rate`,
+    /// and 10% deadline pressure with a 50k-cycle injected deadline.
+    #[must_use]
+    pub fn chaos(seed: u64, rate: f64, panic_rate: f64) -> Self {
+        ServiceFaultPlan {
+            seed,
+            launch: FaultPlan::chaos(seed, rate, 0.05),
+            panic_rate,
+            deadline_rate: 0.1,
+            deadline_cycles: 50_000,
+            storm: None,
+        }
+    }
+
+    /// Fault decisions for the job at `job_index`. Pure in
+    /// `(self.seed, job_index)`; independent of scheduling, worker
+    /// count, and every other job.
+    #[must_use]
+    pub fn job_faults(&self, job_index: usize) -> JobFaults {
+        let mut s = self.seed ^ (job_index as u64).wrapping_mul(0xa076_1d64_78bd_642f);
+        let _ = splitmix64(&mut s); // burn one to mix the xor in
+        let stormy = self.storm.is_some_and(|w| w.covers(job_index));
+        let scale = if stormy { self.storm.map_or(1.0, |w| w.multiplier.max(0.0)) } else { 1.0 };
+        let pressure = if stormy { 2.0 } else { 1.0 };
+        let rate = |r: f64| (r * scale).clamp(0.0, 1.0);
+        // Per-job launch plan: derived seed, storm-scaled rates.
+        let plan = FaultPlan {
+            seed: splitmix64(&mut s),
+            transient_rate: rate(self.launch.transient_rate),
+            resource_rate: rate(self.launch.resource_rate),
+            jitter_frac: self.launch.jitter_frac,
+            outlier_rate: rate(self.launch.outlier_rate),
+            hang_rate: rate(self.launch.hang_rate),
+        };
+        let panics = unit(&mut s) < (self.panic_rate * pressure).clamp(0.0, 1.0);
+        // Panic after 1..=8 launches — deep enough to catch sessions
+        // mid-walk, deterministic per job.
+        let panic_after = (splitmix64(&mut s) % 8 + 1) as u32;
+        let deadline = unit(&mut s) < (self.deadline_rate * pressure).clamp(0.0, 1.0);
+        JobFaults {
+            plan: (!plan.is_quiet()).then_some(plan),
+            panic_after_launches: panics.then_some(panic_after),
+            deadline_cycles: (deadline && self.deadline_cycles > 0).then_some(self.deadline_cycles),
+        }
+    }
+}
+
+/// The per-job slice of a [`ServiceFaultPlan`] draw: what the service
+/// injects into one job's session.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct JobFaults {
+    /// Launch-level fault plan, drawn per launch through a per-job
+    /// [`FaultInjector`] (`None` = clean).
+    pub plan: Option<FaultPlan>,
+    /// Panic the session after this many launches.
+    pub panic_after_launches: Option<u32>,
+    /// Override the job's sim-cycle deadline with this tight budget.
+    pub deadline_cycles: Option<u64>,
+}
+
+impl JobFaults {
+    /// No service-level faults.
+    pub const NONE: JobFaults =
+        JobFaults { plan: None, panic_after_launches: None, deadline_cycles: None };
 }
 
 /// One kernel the service should tune: the module plus everything
@@ -410,21 +554,6 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// The error an injected launch fault stands in for, if the draw `f`
-/// injects one. Deterministic per draw — identical at any worker count
-/// or in-flight limit.
-fn injected_error(f: &LaunchFaults, deadline: Option<u64>) -> Option<OrionError> {
-    if f.transient {
-        Some(SimError::TransientLaunchFailure { code: 7 }.into())
-    } else if f.resource {
-        Some(SimError::ResourceExceeded { detail: "chaos: injected resource fault".into() }.into())
-    } else if f.hang {
-        Some(SimError::Watchdog { budget: deadline.unwrap_or(0) }.into())
-    } else {
-        None
-    }
-}
-
 /// Estimated whole-session cost for longest-job-first dispatch, from
 /// the probe-time occupancy curve: grid lanes × the deepest (non
 /// fail-safe) candidate's execution rounds × application iterations.
@@ -447,7 +576,7 @@ fn estimate_cost(ck: &CompiledKernel, job: &KernelJob) -> u64 {
 /// behind both [`OrionService::run`] and [`OrionService::tune_one`]. It
 /// owns session construction, the budget gate, chaos injection, the
 /// disposition and the metrics; the caller only executes the launches
-/// it asks for. The session borrows its compiled kernel (`'k`).
+/// it asks for, with the fault draw each one carries. The session borrows its compiled kernel (`'k`).
 struct ActiveJob<'k> {
     name: String,
     lane: u32,
@@ -457,9 +586,6 @@ struct ActiveJob<'k> {
     deadline: Option<u64>,
     injector: Option<FaultInjector>,
     panic_after: Option<u32>,
-    /// Fault draw for the launch currently in flight, applied to its
-    /// result ([`FaultInjector::perturb_cycles`]).
-    pending_fault: Option<LaunchFaults>,
     wall_start: Instant,
     degrade_reason: Option<DegradeReason>,
     launches_done: u32,
@@ -469,9 +595,9 @@ struct ActiveJob<'k> {
 }
 
 /// What one pump of a job produced: a launch for the caller to execute
-/// (a version index), or a definite report.
+/// (a version index and its fault draw), or a definite report.
 enum Pump {
-    Launch(usize),
+    Launch(usize, LaunchFaults),
     Finished(Box<KernelReport>),
 }
 
@@ -507,7 +633,6 @@ impl<'k> ActiveJob<'k> {
             deadline,
             injector: faults.plan.map(FaultInjector::new),
             panic_after: faults.panic_after_launches,
-            pending_fault: None,
             wall_start: Instant::now(),
             degrade_reason: None,
             launches_done: 0,
@@ -597,61 +722,34 @@ impl<'k> ActiveJob<'k> {
     /// Advance the session until it asks for a launch or resolves to a
     /// definite report. May unwind (injected chaos, a hostile session).
     fn pump(&mut self) -> Pump {
-        loop {
-            // Policy gates come first: a blown budget resolves the
-            // session to Degraded *before* the next launch is issued,
-            // so a deadline can never be overshot by more than one
-            // launch chain.
-            if let Some(reason) = self.blown_budget() {
-                self.session.degrade(reason.tag());
-                self.degrade_reason = Some(reason);
-                return self.seal_settled();
-            }
-            let step = match self.session.next_step() {
-                Ok(step) => step,
-                Err(e) => return self.seal(Err(e), JobDisposition::Quarantined),
-            };
-            let SessionStep::Launch(v) = step else {
-                return self.seal_settled();
-            };
-            // Service-boundary chaos: injected faults replace (or
-            // perturb) the real launch, deterministically per
-            // (job, launch index) — identical at any worker count or
-            // in-flight limit.
-            if let Some(inj) = &self.injector {
-                let f = inj.draw();
-                if let Some(err) = injected_error(&f, self.deadline) {
-                    if let Some(report) = self.fold(Err(err)) {
-                        return report;
-                    }
-                    continue;
-                }
-                self.pending_fault = Some(f);
-            }
-            return Pump::Launch(v);
+        // Policy gates come first: a blown budget resolves the session
+        // to Degraded *before* the next launch is issued, so a deadline
+        // can never be overshot by more than one launch chain.
+        if let Some(reason) = self.blown_budget() {
+            self.session.degrade(reason.tag());
+            self.degrade_reason = Some(reason);
+            return self.seal_settled();
         }
-    }
-
-    /// Fold the result of the launch the last pump asked for into the
-    /// session, then pump onward. May unwind (injected chaos).
-    fn resume(&mut self, result: Result<u64, OrionError>) -> Pump {
-        let result = match (self.pending_fault.take(), result) {
-            (Some(f), Ok(cycles)) => Ok(self
-                .injector
-                .as_ref()
-                .expect("a fault draw implies an injector")
-                .perturb_cycles(&f, cycles)),
-            (_, r) => r,
+        let step = match self.session.next_step() {
+            Ok(step) => step,
+            Err(e) => return self.seal(Err(e), JobDisposition::Quarantined),
         };
-        self.fold(result).unwrap_or_else(|| self.pump())
+        let SessionStep::Launch(v) = step else {
+            return self.seal_settled();
+        };
+        // Service-boundary chaos: the draw is deterministic per
+        // (job, launch index) — identical at any worker count or
+        // in-flight limit — and the launch itself applies it.
+        let faults = self.injector.as_ref().map_or(LaunchFaults::NONE, FaultInjector::draw);
+        Pump::Launch(v, faults)
     }
 
-    /// Count one launch and fold its result; `Some` when that resolved
-    /// the job.
-    fn fold(&mut self, result: Result<u64, OrionError>) -> Option<Pump> {
+    /// Count the launch the last pump asked for, fold its result into
+    /// the session, then pump onward. May unwind (injected chaos).
+    fn resume(&mut self, result: Result<u64, OrionError>) -> Pump {
         self.launches_done += 1;
         if let Err(e) = self.session.on_launch_result(result) {
-            return Some(self.seal(Err(e), JobDisposition::Quarantined));
+            return self.seal(Err(e), JobDisposition::Quarantined);
         }
         // Injected worker-panic chaos: unwinds once the launch count
         // reaches the plan's threshold. The message is deterministic,
@@ -661,7 +759,7 @@ impl<'k> ActiveJob<'k> {
                 panic!("chaos: injected worker panic after {} launches", self.launches_done);
             }
         }
-        None
+        self.pump()
     }
 }
 
@@ -702,13 +800,13 @@ impl<B: AsyncBackend> OrionService<B> {
         let mut pump = a.pump();
         loop {
             match pump {
-                Pump::Launch(v) => {
+                Pump::Launch(v, faults) => {
                     let result = self.backend.launch(
                         &ck.versions[v],
                         job.launch,
                         &job.params,
                         &mut job.global,
-                        LaunchOptions::default(),
+                        LaunchOptions { faults, ..LaunchOptions::default() },
                     );
                     pump = a.resume(result);
                 }
@@ -726,8 +824,8 @@ impl<B: AsyncBackend> OrionService<B> {
         job: &mut KernelJob,
         lane: u32,
     ) -> Result<TicketId, Box<KernelReport>> {
-        let v = match pump {
-            Pump::Launch(v) => v,
+        let (v, faults) = match pump {
+            Pump::Launch(v, faults) => (v, faults),
             Pump::Finished(report) => return Err(report),
         };
         Ok(self.backend.submit(LaunchRequest {
@@ -742,7 +840,7 @@ impl<B: AsyncBackend> OrionService<B> {
             // worker per launch. Sim results are bit-identical at every
             // parallelism setting, so this is a resource choice, not a
             // semantic one.
-            opts: LaunchOptions { parallelism: 1, ..LaunchOptions::default() },
+            opts: LaunchOptions { parallelism: 1, faults, ..LaunchOptions::default() },
             lane,
         }))
     }
@@ -1357,6 +1455,107 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn quiet_service_plan_draws_no_job_faults() {
+        let plan = ServiceFaultPlan::none(11);
+        for i in 0..64 {
+            assert_eq!(plan.job_faults(i), JobFaults::NONE, "quiet plan, job {i}");
+        }
+    }
+
+    #[test]
+    fn job_faults_are_deterministic_and_per_job() {
+        let plan = ServiceFaultPlan::chaos(42, 0.2, 0.3);
+        let a: Vec<JobFaults> = (0..128).map(|i| plan.job_faults(i)).collect();
+        let b: Vec<JobFaults> = (0..128).map(|i| plan.job_faults(i)).collect();
+        assert_eq!(a, b, "draws must be pure in (seed, job index)");
+        let other = ServiceFaultPlan::chaos(43, 0.2, 0.3);
+        let c: Vec<JobFaults> = (0..128).map(|i| other.job_faults(i)).collect();
+        assert_ne!(a, c, "different seeds must give different job streams");
+        // Per-job launch plans carry distinct derived seeds.
+        let seeds: std::collections::HashSet<u64> =
+            a.iter().filter_map(|f| f.plan.map(|p| p.seed)).collect();
+        assert!(seeds.len() > 100, "per-job plans must not share a seed");
+        // Panic and deadline pressure land at roughly the configured rates.
+        let panics = a.iter().filter(|f| f.panic_after_launches.is_some()).count();
+        assert!((20..=60).contains(&panics), "panic draws at 30%: {panics}/128");
+        assert!(a.iter().all(|f| f.panic_after_launches.is_none_or(|n| (1..=8).contains(&n))));
+    }
+
+    #[test]
+    fn storm_window_elevates_rates() {
+        let mut plan = ServiceFaultPlan::chaos(7, 0.05, 0.1);
+        plan.storm = Some(FaultStorm { start_job: 10, len: 10, multiplier: 8.0 });
+        assert!(plan.storm.unwrap().covers(10) && plan.storm.unwrap().covers(19));
+        assert!(!plan.storm.unwrap().covers(9) && !plan.storm.unwrap().covers(20));
+        let inside = plan.job_faults(12).plan.expect("stormy job has a launch plan");
+        let outside = plan.job_faults(30).plan.expect("chaos plan is never quiet");
+        assert!(inside.transient_rate > outside.transient_rate);
+        assert!(inside.transient_rate <= 1.0, "storm rates clamp to probability 1");
+    }
+
+    /// Service chaos end to end on the simulator: launch faults, worker
+    /// panics and deadline pressure, at two scheduler shapes.
+    #[test]
+    fn chaos_batch_is_accounted_and_deterministic() {
+        let plan = ServiceFaultPlan::chaos(0x0710_2024, 0.25, 0.25);
+        let run = |workers, in_flight_limit| {
+            let cfg = ServiceConfig {
+                workers,
+                in_flight_limit,
+                chaos: Some(plan),
+                ..ServiceConfig::default()
+            };
+            let jobs = (1..=8).map(|i| job(&format!("c{i}"), i64::from(i), 12)).collect();
+            OrionService::new(SimBackend::new(DeviceSpec::gtx680()), cfg).run(jobs)
+        };
+        let seq = run(1, 1);
+        let conc = run(4, 0);
+        for r in [&seq, &conc] {
+            assert_eq!(r.kernels.len(), 8, "jobs in == reports out");
+            for k in &r.kernels {
+                let definite = match k.disposition {
+                    JobDisposition::Finalized => k.outcome.is_ok(),
+                    JobDisposition::Degraded(_) => {
+                        k.outcome.as_ref().is_ok_and(|o| o.state == SessionState::Degraded)
+                    }
+                    JobDisposition::Quarantined => {
+                        k.outcome.as_ref().map_or(true, |o| o.state == SessionState::Quarantined)
+                    }
+                    JobDisposition::Rejected => false,
+                };
+                assert!(definite, "{}: {:?} vs {:?}", k.name, k.disposition, k.outcome);
+            }
+        }
+        assert_eq!(seq.dispatch_order, conc.dispatch_order);
+        for (a, b) in seq.kernels.iter().zip(&conc.kernels) {
+            assert_eq!(a.disposition, b.disposition, "{}", a.name);
+            assert_eq!(a.metrics.cycle_domain(), b.metrics.cycle_domain(), "{}", a.name);
+            match (&a.outcome, &b.outcome) {
+                (Ok(x), Ok(y)) => assert_eq!(x, y, "{}", a.name),
+                (Err(x), Err(y)) => assert_eq!(x.to_string(), y.to_string(), "{}", a.name),
+                _ => panic!("{}: outcome kind diverged across worker counts", a.name),
+            }
+        }
+        let panics = conc
+            .kernels
+            .iter()
+            .filter(|k| {
+                k.outcome
+                    .as_ref()
+                    .is_err_and(|e| matches!(e.root_cause(), OrionError::SessionPanicked { .. }))
+            })
+            .count();
+        assert!(panics > 0, "a 25% panic rate caught no panic");
+        let launch_faults: u64 = conc
+            .kernels
+            .iter()
+            .filter_map(|k| k.outcome.as_ref().ok())
+            .map(|o| o.stats.retries + o.stats.quarantined)
+            .sum();
+        assert!(launch_faults > 0, "a 25% fault rate caused no retry or quarantine");
     }
 
     /// A backend whose launches always panic — the hostile case panic

@@ -4,39 +4,31 @@
 //! invocation launches successfully and every timing sample is
 //! noise-free. Real drivers are not so kind: launches fail transiently,
 //! device resources shrink under contention, kernels hang, and timers
-//! jitter. This module injects exactly those failure modes into
-//! [`crate::sim::run_launch_faulty`] so the resilient runtime
-//! (`orion-core`) can be exercised — and regression-tested — under
-//! chaos.
+//! jitter. A [`FaultInjector`] draws exactly those failure modes as a
+//! [`LaunchFaults`] per launch; [`crate::sim::run_launch_opts`] applies
+//! the draw it finds in [`crate::sim::LaunchOptions::faults`], so the
+//! resilient runtime (`orion-core`) can be exercised — and
+//! regression-tested — under chaos.
 //!
 //! # Gating
 //!
-//! Injection is double-gated, mirroring `orion-telemetry`:
-//!
-//! * **Compile time** — the `faults` cargo feature. Without it,
-//!   [`FaultInjector::draw`] always returns [`LaunchFaults::NONE`] and
-//!   the injection hooks in the launch path fold to nothing; production
-//!   builds carry no chaos code on the hot path.
-//! * **Run time** — an injector is only consulted when the caller
-//!   explicitly passes one to `run_launch_faulty`. The plain
-//!   [`crate::sim::run_launch`]/[`crate::sim::run_launch_opts`] entry
-//!   points never inject.
+//! Injection is always compiled in and gated at run time only: a launch
+//! injects nothing unless its caller puts a drawn [`LaunchFaults`] into
+//! its options. The default, [`LaunchFaults::NONE`], leaves the launch
+//! exact, so callers that never draw never pay for chaos.
 //!
 //! # Determinism
 //!
 //! Every fault decision is a pure function of `(plan.seed, launch
-//! index)` via splitmix64, so a chaos run replays bit-identically for a
-//! given plan regardless of scheduling: the injector's only mutable
-//! state is a monotone launch counter and the fault tally.
+//! index)` via [`splitmix64`], so a chaos run replays bit-identically
+//! for a given plan regardless of scheduling: the injector's only
+//! mutable state is a monotone launch counter and the fault tally.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Whether the `faults` cargo feature was compiled into this build of
-/// the simulator. Downstream crates (the chaos bench, its tests) branch
-/// on this rather than on their *own* feature flags, which may disagree
-/// with the simulator's under cargo feature unification.
-pub const INJECTION_COMPILED: bool = cfg!(feature = "faults");
+/// Multiplier applied to outlier measurements ([`LaunchFaults::outlier`]).
+pub const OUTLIER_SCALE: f64 = 8.0;
 
 /// Fault rates and magnitudes for one chaos scenario. All rates are
 /// probabilities in `[0, 1]` applied independently per launch.
@@ -59,11 +51,9 @@ pub struct FaultPlan {
     /// modeling timer noise on real hardware.
     pub jitter_frac: f64,
     /// Probability a measurement is a gross outlier (scaled by
-    /// [`FaultPlan::outlier_scale`]) — a context switch or ECC scrub
-    /// landing mid-measurement.
+    /// [`OUTLIER_SCALE`]) — a context switch or ECC scrub landing
+    /// mid-measurement.
     pub outlier_rate: f64,
-    /// Multiplier applied to outlier measurements.
-    pub outlier_scale: f64,
     /// Probability a launch hangs: one warp never becomes ready and the
     /// launch only terminates via the simulator watchdog
     /// ([`crate::exec::SimError::Watchdog`]).
@@ -79,7 +69,6 @@ impl FaultPlan {
             resource_rate: 0.0,
             jitter_frac: 0.0,
             outlier_rate: 0.0,
-            outlier_scale: 1.0,
             hang_rate: 0.0,
         }
     }
@@ -96,7 +85,7 @@ impl FaultPlan {
 
     /// The chaos-bench scenario: `rate` transient failures, `rate / 4`
     /// resource and hang faults, ±`jitter_frac` timing jitter and a 2%
-    /// outlier rate at 8x.
+    /// outlier rate.
     pub fn chaos(seed: u64, rate: f64, jitter_frac: f64) -> Self {
         FaultPlan {
             seed,
@@ -104,14 +93,14 @@ impl FaultPlan {
             resource_rate: rate / 4.0,
             jitter_frac,
             outlier_rate: if jitter_frac > 0.0 { 0.02 } else { 0.0 },
-            outlier_scale: 8.0,
             hang_rate: rate / 4.0,
         }
     }
 }
 
-/// Fault decisions for one launch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Fault decisions for one launch, carried to the simulator in
+/// [`crate::sim::LaunchOptions::faults`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LaunchFaults {
     /// Fail the launch with a transient error before simulating.
     pub transient: bool,
@@ -122,12 +111,12 @@ pub struct LaunchFaults {
     /// Signed measurement perturbation in parts-per-million applied to
     /// the reported cycles (`0` = exact).
     pub jitter_ppm: i64,
-    /// Scale the measurement by the plan's outlier factor.
+    /// Scale the measurement by [`OUTLIER_SCALE`].
     pub outlier: bool,
 }
 
 impl LaunchFaults {
-    /// No faults (what disabled builds always draw).
+    /// No faults: the launch runs and measures exactly.
     pub const NONE: LaunchFaults = LaunchFaults {
         transient: false,
         resource: false,
@@ -135,6 +124,23 @@ impl LaunchFaults {
         jitter_ppm: 0,
         outlier: false,
     };
+
+    /// Apply the measurement-side faults to a cycle count. A draw with
+    /// neither jitter nor an outlier leaves the count exact.
+    #[must_use]
+    pub fn perturb_cycles(&self, cycles: u64) -> u64 {
+        if self.jitter_ppm == 0 && !self.outlier {
+            return cycles;
+        }
+        let mut c = cycles as i128;
+        if self.jitter_ppm != 0 {
+            c += c * i128::from(self.jitter_ppm) / 1_000_000;
+        }
+        if self.outlier {
+            c = (c as f64 * OUTLIER_SCALE) as i128;
+        }
+        u64::try_from(c.max(1)).unwrap_or(u64::MAX)
+    }
 }
 
 /// Monotone tally of injected faults, for reconciliation against
@@ -170,7 +176,7 @@ impl FaultSnapshot {
 
 /// The per-run fault source: a [`FaultPlan`] plus the launch counter and
 /// tally. Shared by reference across launches; interior mutability keeps
-/// the launch path `&self`.
+/// drawing `&self`.
 #[derive(Debug)]
 pub struct FaultInjector {
     plan: FaultPlan,
@@ -179,9 +185,9 @@ pub struct FaultInjector {
 }
 
 /// splitmix64 — tiny, seedable, and statistically fine for fault draws.
-#[cfg_attr(not(feature = "faults"), allow(dead_code))]
+/// The one stream every fault decision in the workspace is drawn from.
 #[inline]
-fn splitmix64(state: &mut u64) -> u64 {
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -189,10 +195,9 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A uniform draw in `[0, 1)` from the stream.
-#[cfg_attr(not(feature = "faults"), allow(dead_code))]
+/// A uniform draw in `[0, 1)` from a [`splitmix64`] stream.
 #[inline]
-fn unit(state: &mut u64) -> f64 {
+pub fn unit(state: &mut u64) -> f64 {
     // 53 random mantissa bits.
     (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
 }
@@ -202,89 +207,74 @@ impl FaultInjector {
         FaultInjector { plan, next_launch: AtomicU64::new(0), stats: FaultStats::default() }
     }
 
-    /// The plan this injector draws from.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Draw the fault decisions for the next launch. Deterministic in
-    /// `(plan.seed, launch index)`; a build without the `faults` feature
-    /// always returns [`LaunchFaults::NONE`] and counts nothing.
+    /// `(plan.seed, launch index)`.
     pub fn draw(&self) -> LaunchFaults {
         let idx = self.next_launch.fetch_add(1, Ordering::Relaxed);
-        #[cfg(not(feature = "faults"))]
-        {
-            let _ = idx;
-            LaunchFaults::NONE
+        self.stats.launches.fetch_add(1, Ordering::Relaxed);
+        // Decorrelate the per-launch stream from the seed stream.
+        let mut s = self.plan.seed ^ idx.wrapping_mul(0xd134_2543_de82_ef95);
+        let _ = splitmix64(&mut s); // burn one to mix the xor in
+        let mut f = LaunchFaults::NONE;
+        if unit(&mut s) < self.plan.transient_rate {
+            f.transient = true;
         }
-        #[cfg(feature = "faults")]
-        {
-            self.stats.launches.fetch_add(1, Ordering::Relaxed);
-            // Decorrelate the per-launch stream from the seed stream.
-            let mut s = self.plan.seed ^ idx.wrapping_mul(0xd134_2543_de82_ef95);
-            let _ = splitmix64(&mut s); // burn one to mix the xor in
-            let mut f = LaunchFaults::NONE;
-            if unit(&mut s) < self.plan.transient_rate {
-                f.transient = true;
+        if unit(&mut s) < self.plan.resource_rate {
+            f.resource = true;
+        }
+        if unit(&mut s) < self.plan.hang_rate {
+            f.hang = true;
+        }
+        if self.plan.jitter_frac > 0.0 {
+            let u = unit(&mut s) * 2.0 - 1.0; // [-1, 1)
+            f.jitter_ppm = (u * self.plan.jitter_frac * 1e6) as i64;
+        }
+        if unit(&mut s) < self.plan.outlier_rate {
+            f.outlier = true;
+        }
+        // A launch that fails before running never produces a
+        // measurement, so measurement faults are tallied only when the
+        // launch can reach one. Tally launch faults in priority order
+        // (transient masks the rest, matching the order the launch path
+        // applies them). Journal the injected fault kinds (typed, per
+        // launch) next to the aggregate telemetry counters.
+        let tally = |kind: &'static str| {
+            orion_telemetry::counter("faults", kind, 1);
+            if orion_telemetry::is_enabled() {
+                orion_telemetry::journal::record(
+                    orion_telemetry::journal::JournalEvent::FaultInjected { kind, launch: idx },
+                );
             }
-            if unit(&mut s) < self.plan.resource_rate {
-                f.resource = true;
+        };
+        if f.transient {
+            self.stats.transient.fetch_add(1, Ordering::Relaxed);
+            tally("transient");
+            f.resource = false;
+            f.hang = false;
+            f.jitter_ppm = 0;
+            f.outlier = false;
+        } else {
+            if f.resource {
+                self.stats.resource.fetch_add(1, Ordering::Relaxed);
+                tally("resource");
             }
-            if unit(&mut s) < self.plan.hang_rate {
-                f.hang = true;
-            }
-            if self.plan.jitter_frac > 0.0 {
-                let u = unit(&mut s) * 2.0 - 1.0; // [-1, 1)
-                f.jitter_ppm = (u * self.plan.jitter_frac * 1e6) as i64;
-            }
-            if unit(&mut s) < self.plan.outlier_rate {
-                f.outlier = true;
-            }
-            // A launch that fails before running never produces a
-            // measurement, so measurement faults are tallied only when
-            // the launch can reach one. Tally launch faults in priority
-            // order (transient masks the rest, matching the injection
-            // order in the launch path).
-            // Journal the injected fault kinds (typed, per launch) next
-            // to the aggregate telemetry counters.
-            let tally = |kind: &'static str| {
-                orion_telemetry::counter("faults", kind, 1);
-                if orion_telemetry::is_enabled() {
-                    orion_telemetry::journal::record(
-                        orion_telemetry::journal::JournalEvent::FaultInjected { kind, launch: idx },
-                    );
-                }
-            };
-            if f.transient {
-                self.stats.transient.fetch_add(1, Ordering::Relaxed);
-                tally("transient");
-                f.resource = false;
-                f.hang = false;
+            if f.hang {
+                self.stats.hangs.fetch_add(1, Ordering::Relaxed);
+                tally("hang");
                 f.jitter_ppm = 0;
                 f.outlier = false;
             } else {
-                if f.resource {
-                    self.stats.resource.fetch_add(1, Ordering::Relaxed);
-                    tally("resource");
+                if f.jitter_ppm != 0 {
+                    self.stats.jitter.fetch_add(1, Ordering::Relaxed);
+                    tally("jitter");
                 }
-                if f.hang {
-                    self.stats.hangs.fetch_add(1, Ordering::Relaxed);
-                    tally("hang");
-                    f.jitter_ppm = 0;
-                    f.outlier = false;
-                } else {
-                    if f.jitter_ppm != 0 {
-                        self.stats.jitter.fetch_add(1, Ordering::Relaxed);
-                        tally("jitter");
-                    }
-                    if f.outlier {
-                        self.stats.outliers.fetch_add(1, Ordering::Relaxed);
-                        tally("outlier");
-                    }
+                if f.outlier {
+                    self.stats.outliers.fetch_add(1, Ordering::Relaxed);
+                    tally("outlier");
                 }
             }
-            f
         }
+        f
     }
 
     /// Snapshot the tally.
@@ -297,173 +287,6 @@ impl FaultInjector {
             outliers: self.stats.outliers.load(Ordering::Relaxed),
             hangs: self.stats.hangs.load(Ordering::Relaxed),
         }
-    }
-
-    /// Apply the measurement-side faults to a cycle count.
-    pub fn perturb_cycles(&self, faults: &LaunchFaults, cycles: u64) -> u64 {
-        let mut c = cycles as i128;
-        if faults.jitter_ppm != 0 {
-            c += c * i128::from(faults.jitter_ppm) / 1_000_000;
-        }
-        if faults.outlier {
-            c = (c as f64 * self.plan.outlier_scale.max(1.0)) as i128;
-        }
-        u64::try_from(c.max(1)).unwrap_or(u64::MAX)
-    }
-}
-
-/// A window of jobs hit by elevated fault rates — modeling a *fault
-/// storm* (a flaky driver episode, thermal throttling, a bad rack
-/// neighbour) rather than uniformly sprinkled failures. Jobs whose
-/// submission index falls in `[start_job, start_job + len)` have their
-/// launch-fault rates multiplied by `multiplier` (clamped to
-/// probability 1) and their panic/deadline pressure doubled.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FaultStorm {
-    /// First job index inside the storm window.
-    pub start_job: usize,
-    /// Number of consecutive jobs in the window.
-    pub len: usize,
-    /// Rate multiplier applied to the per-launch fault plan.
-    pub multiplier: f64,
-}
-
-impl FaultStorm {
-    /// Whether `job_index` falls inside the storm window.
-    #[must_use]
-    pub fn covers(&self, job_index: usize) -> bool {
-        job_index >= self.start_job && job_index - self.start_job < self.len
-    }
-}
-
-/// Service-boundary chaos scenario: a per-launch [`FaultPlan`] template
-/// plus job-granular failure modes the launch path cannot express —
-/// worker panics mid-session and injected deadline pressure — and an
-/// optional [`FaultStorm`] window. Every per-job decision is a pure
-/// function of `(seed, job index)` (same splitmix64 streams as the
-/// launch-level injector), so a chaos batch replays bit-identically at
-/// any service worker count.
-///
-/// Consumed by `orion_core::service::OrionService` (via
-/// `ServiceConfig::chaos`) and the `chaos-service` bench; like the
-/// launch-level injector it is double-gated — without the `faults`
-/// cargo feature [`ServiceFaultPlan::job_faults`] always returns the
-/// all-quiet [`JobFaults`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ServiceFaultPlan {
-    /// Seed for the per-job fault streams.
-    pub seed: u64,
-    /// Template for each job's launch-level faults; the per-job plan
-    /// gets its own derived seed (and storm-scaled rates).
-    pub launch: FaultPlan,
-    /// Probability a job's worker thread panics mid-session (after a
-    /// deterministic number of successful launches).
-    pub panic_rate: f64,
-    /// Probability a job is put under deadline pressure: its sim-cycle
-    /// deadline is overridden with [`ServiceFaultPlan::deadline_cycles`].
-    pub deadline_rate: f64,
-    /// The injected tight deadline (simulated cycles).
-    pub deadline_cycles: u64,
-    /// Optional elevated-rate window over the job sequence.
-    pub storm: Option<FaultStorm>,
-}
-
-impl ServiceFaultPlan {
-    /// A plan that injects nothing at the service boundary.
-    #[must_use]
-    pub fn none(seed: u64) -> Self {
-        ServiceFaultPlan {
-            seed,
-            launch: FaultPlan::none(seed),
-            panic_rate: 0.0,
-            deadline_rate: 0.0,
-            deadline_cycles: 0,
-            storm: None,
-        }
-    }
-
-    /// The chaos-service scenario: launch faults per
-    /// [`FaultPlan::chaos`] at `rate`, worker panics at `panic_rate`,
-    /// and 10% deadline pressure with a 50k-cycle injected deadline.
-    #[must_use]
-    pub fn chaos(seed: u64, rate: f64, panic_rate: f64) -> Self {
-        ServiceFaultPlan {
-            seed,
-            launch: FaultPlan::chaos(seed, rate, 0.05),
-            panic_rate,
-            deadline_rate: 0.1,
-            deadline_cycles: 50_000,
-            storm: None,
-        }
-    }
-
-    /// Fault decisions for the job at `job_index`. Pure in
-    /// `(self.seed, job_index)`; independent of scheduling, worker
-    /// count, and every other job. A build without the `faults`
-    /// feature always returns [`JobFaults::NONE`].
-    #[must_use]
-    pub fn job_faults(&self, job_index: usize) -> JobFaults {
-        #[cfg(not(feature = "faults"))]
-        {
-            let _ = job_index;
-            JobFaults::NONE
-        }
-        #[cfg(feature = "faults")]
-        {
-            let mut s = self.seed ^ (job_index as u64).wrapping_mul(0xa076_1d64_78bd_642f);
-            let _ = splitmix64(&mut s); // burn one to mix the xor in
-            let stormy = self.storm.is_some_and(|w| w.covers(job_index));
-            let scale =
-                if stormy { self.storm.map_or(1.0, |w| w.multiplier.max(0.0)) } else { 1.0 };
-            let pressure = if stormy { 2.0 } else { 1.0 };
-            let rate = |r: f64| (r * scale).clamp(0.0, 1.0);
-            // Per-job launch plan: derived seed, storm-scaled rates.
-            let plan = FaultPlan {
-                seed: splitmix64(&mut s),
-                transient_rate: rate(self.launch.transient_rate),
-                resource_rate: rate(self.launch.resource_rate),
-                jitter_frac: self.launch.jitter_frac,
-                outlier_rate: rate(self.launch.outlier_rate),
-                outlier_scale: self.launch.outlier_scale,
-                hang_rate: rate(self.launch.hang_rate),
-            };
-            let panics = unit(&mut s) < (self.panic_rate * pressure).clamp(0.0, 1.0);
-            // Panic after 1..=8 successful launches — deep enough to
-            // catch sessions mid-walk, deterministic per job.
-            let panic_after = (splitmix64(&mut s) % 8 + 1) as u32;
-            let deadline = unit(&mut s) < (self.deadline_rate * pressure).clamp(0.0, 1.0);
-            JobFaults {
-                plan: (!plan.is_quiet()).then_some(plan),
-                panic_after_launches: panics.then_some(panic_after),
-                deadline_cycles: (deadline && self.deadline_cycles > 0)
-                    .then_some(self.deadline_cycles),
-            }
-        }
-    }
-}
-
-/// The per-job slice of a [`ServiceFaultPlan`] draw: what the service
-/// should inject into one job's session.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JobFaults {
-    /// Launch-level fault plan to drive through a per-job
-    /// [`FaultInjector`] at the service boundary (`None` = clean).
-    pub plan: Option<FaultPlan>,
-    /// Panic the worker after this many successful launches.
-    pub panic_after_launches: Option<u32>,
-    /// Override the job's sim-cycle deadline with this tight budget.
-    pub deadline_cycles: Option<u64>,
-}
-
-impl JobFaults {
-    /// No service-level faults (what disabled builds always draw).
-    pub const NONE: JobFaults =
-        JobFaults { plan: None, panic_after_launches: None, deadline_cycles: None };
-
-    /// Whether this job draws any injection at all.
-    #[must_use]
-    pub fn is_none(&self) -> bool {
-        self.plan.is_none() && self.panic_after_launches.is_none() && self.deadline_cycles.is_none()
     }
 }
 
@@ -482,7 +305,6 @@ mod tests {
         assert_eq!(s.jitter, 0);
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn draws_are_deterministic_per_seed() {
         let plan = FaultPlan::chaos(42, 0.2, 0.05);
@@ -500,7 +322,6 @@ mod tests {
         assert_ne!(a, c, "different seeds must give different streams");
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn rates_are_approximately_respected() {
         let inj = FaultInjector::new(FaultPlan {
@@ -509,7 +330,6 @@ mod tests {
             resource_rate: 0.0,
             jitter_frac: 0.0,
             outlier_rate: 0.0,
-            outlier_scale: 1.0,
             hang_rate: 0.0,
         });
         let n = 10_000;
@@ -520,48 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn quiet_service_plan_draws_no_job_faults() {
-        let plan = ServiceFaultPlan::none(11);
-        for i in 0..64 {
-            assert!(plan.job_faults(i).is_none(), "job {i} drew faults from a quiet plan");
-        }
-    }
-
-    #[cfg(feature = "faults")]
-    #[test]
-    fn job_faults_are_deterministic_and_per_job() {
-        let plan = ServiceFaultPlan::chaos(42, 0.2, 0.3);
-        let a: Vec<JobFaults> = (0..128).map(|i| plan.job_faults(i)).collect();
-        let b: Vec<JobFaults> = (0..128).map(|i| plan.job_faults(i)).collect();
-        assert_eq!(a, b, "draws must be pure in (seed, job index)");
-        let other = ServiceFaultPlan::chaos(43, 0.2, 0.3);
-        let c: Vec<JobFaults> = (0..128).map(|i| other.job_faults(i)).collect();
-        assert_ne!(a, c, "different seeds must give different job streams");
-        // Per-job launch plans carry distinct derived seeds.
-        let seeds: std::collections::HashSet<u64> =
-            a.iter().filter_map(|f| f.plan.map(|p| p.seed)).collect();
-        assert!(seeds.len() > 100, "per-job plans must not share a seed");
-        // Panic and deadline pressure land at roughly the configured rates.
-        let panics = a.iter().filter(|f| f.panic_after_launches.is_some()).count();
-        assert!((20..=60).contains(&panics), "panic draws at 30%: {panics}/128");
-        assert!(a.iter().all(|f| f.panic_after_launches.is_none_or(|n| (1..=8).contains(&n))));
-    }
-
-    #[cfg(feature = "faults")]
-    #[test]
-    fn storm_window_elevates_rates() {
-        let mut plan = ServiceFaultPlan::chaos(7, 0.05, 0.1);
-        plan.storm = Some(FaultStorm { start_job: 10, len: 10, multiplier: 8.0 });
-        assert!(plan.storm.unwrap().covers(10) && plan.storm.unwrap().covers(19));
-        assert!(!plan.storm.unwrap().covers(9) && !plan.storm.unwrap().covers(20));
-        let inside = plan.job_faults(12).plan.expect("stormy job has a launch plan");
-        let outside = plan.job_faults(30).plan.expect("chaos plan is never quiet");
-        assert!(inside.transient_rate > outside.transient_rate);
-        assert!(inside.transient_rate <= 1.0, "storm rates clamp to probability 1");
-    }
-
-    #[cfg(feature = "faults")]
-    #[test]
     fn jitter_stays_in_band_and_perturbs_cycles() {
         let inj = FaultInjector::new(FaultPlan {
             seed: 3,
@@ -569,13 +347,12 @@ mod tests {
             resource_rate: 0.0,
             jitter_frac: 0.05,
             outlier_rate: 0.0,
-            outlier_scale: 1.0,
             hang_rate: 0.0,
         });
         for _ in 0..512 {
             let f = inj.draw();
             assert!(f.jitter_ppm.abs() <= 50_000, "{}", f.jitter_ppm);
-            let c = inj.perturb_cycles(&f, 1_000_000);
+            let c = f.perturb_cycles(1_000_000);
             assert!((950_000..=1_050_000).contains(&c), "{c}");
         }
     }

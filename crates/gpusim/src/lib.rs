@@ -68,6 +68,6 @@ pub use faults::{FaultInjector, FaultPlan, FaultSnapshot, LaunchFaults};
 pub use occupancy::{occupancy, KernelResources, Limiter, OccupancyInfo};
 pub use power::{energy, EnergyReport, PowerModel};
 pub use sim::{
-    run_launch, run_launch_faulty, run_launch_opts, DerivedMetrics, LaunchOptions, RunResult,
-    SmSummary, DEFAULT_CYCLE_BUDGET,
+    run_launch, run_launch_opts, DerivedMetrics, LaunchOptions, RunResult, SmSummary,
+    DEFAULT_CYCLE_BUDGET,
 };

@@ -1,12 +1,14 @@
 //! Whole-device simulation: distribute blocks over SMs, run each SM's
-//! engine, and aggregate cycles and counters.
+//! engine, and aggregate cycles and counters. A launch also applies the
+//! chaos faults its options carry ([`crate::faults`]), at the driver
+//! stage each one models.
 
 use crate::device::{CacheConfig, DeviceSpec};
 use crate::exec::{
     EngineGuards, LaneLayout, Launch, LinkedProgram, Scheduler, SimError, SimStats, SmEngine,
     StallStats,
 };
-use crate::faults::FaultInjector;
+use crate::faults::LaunchFaults;
 use crate::occupancy::{occupancy, KernelResources, OccupancyInfo};
 use orion_kir::mir::MModule;
 use serde::{Deserialize, Serialize};
@@ -24,6 +26,8 @@ use serde::{Deserialize, Serialize};
 ///   shared memory for this launch only — the `cudaFuncSetCacheConfig`
 ///   analog. It changes both the occupancy calculation (shared-memory
 ///   capacity) and the L1 capacity the memory system simulates.
+/// * `faults` injects one drawn set of chaos faults into this launch
+///   (see [`run_launch_opts`]); the default injects nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct LaunchOptions {
     /// Extra shared-memory bytes the driver reserves per block.
@@ -55,6 +59,10 @@ pub struct LaunchOptions {
     /// (`cudaFuncSetCacheConfig`); `None` keeps the device's configured
     /// split.
     pub cache_config: Option<CacheConfig>,
+    /// Faults to inject into this launch, typically one
+    /// [`crate::faults::FaultInjector::draw`]; [`LaunchFaults::NONE`]
+    /// (the default) runs and measures exactly.
+    pub faults: LaunchFaults,
 }
 
 impl LaunchOptions {
@@ -214,24 +222,8 @@ pub fn run_launch(
 
 /// [`run_launch`] with driver-level [`LaunchOptions`].
 ///
-/// # Errors
-/// Same as [`run_launch`]; additionally rejects empty or out-of-range
-/// CTA slices.
-pub fn run_launch_opts(
-    dev: &DeviceSpec,
-    module: &MModule,
-    launch: Launch,
-    params: &[u32],
-    global: &mut [u8],
-    opts: LaunchOptions,
-) -> Result<RunResult, SimError> {
-    run_launch_faulty(dev, module, launch, params, global, opts, None)
-}
-
-/// [`run_launch_opts`] with an optional fault injector — the chaos entry
-/// point. When `injector` is `Some`, one set of fault decisions is drawn
-/// per call (deterministic in the injector's seed and launch counter)
-/// and applied at the matching driver stage:
+/// The fault draw in [`LaunchOptions::faults`] is applied at the
+/// matching driver stage, in this order:
 ///
 /// * **transient** — the launch fails with
 ///   [`SimError::TransientLaunchFailure`] before touching the device;
@@ -247,15 +239,15 @@ pub fn run_launch_opts(
 ///   cycles × SMs` still describes the simulation.
 ///
 /// # Errors
-/// Same as [`run_launch_opts`], plus the injected failures above.
-pub fn run_launch_faulty(
+/// Same as [`run_launch`]; additionally rejects empty or out-of-range
+/// CTA slices, and returns the injected failures above.
+pub fn run_launch_opts(
     dev: &DeviceSpec,
     module: &MModule,
     launch: Launch,
     params: &[u32],
     global: &mut [u8],
     opts: LaunchOptions,
-    injector: Option<&FaultInjector>,
 ) -> Result<RunResult, SimError> {
     // Apply the per-launch cache split before anything reads capacities:
     // the occupancy checks (including the contended-device fault path)
@@ -268,7 +260,7 @@ pub fn run_launch_faulty(
         }
         _ => dev,
     };
-    let faults = injector.map(|i| i.draw()).unwrap_or(crate::faults::LaunchFaults::NONE);
+    let faults = opts.faults;
     if faults.transient {
         // The code is the launch ordinal-ish discriminator: enough to
         // tell independent failures apart in logs, stable across runs.
@@ -295,14 +287,9 @@ pub fn run_launch_faulty(
         }
         // Still fits: the contention is invisible to this launch.
     }
-    let result = run_launch_impl(dev, module, launch, params, global, opts, faults.hang);
-    match (injector, result) {
-        (Some(inj), Ok(mut r)) => {
-            r.cycles = inj.perturb_cycles(&faults, r.cycles);
-            Ok(r)
-        }
-        (_, r) => r,
-    }
+    let mut r = run_launch_impl(dev, module, launch, params, global, opts)?;
+    r.cycles = faults.perturb_cycles(r.cycles);
+    Ok(r)
 }
 
 fn run_launch_impl(
@@ -312,7 +299,6 @@ fn run_launch_impl(
     params: &[u32],
     global: &mut [u8],
     opts: LaunchOptions,
-    stuck_warp: bool,
 ) -> Result<RunResult, SimError> {
     let mut res = resources_of(module, launch.block);
     res.smem_per_block += opts.extra_smem_per_block;
@@ -354,7 +340,7 @@ fn run_launch_impl(
         cycle_budget: opts.cycle_budget.unwrap_or(DEFAULT_CYCLE_BUDGET),
         // A hang wedges one warp on SM 0; the other SMs' results
         // are discarded with the failed launch either way.
-        stuck_warp: stuck_warp && sm == 0,
+        stuck_warp: opts.faults.hang && sm == 0,
         scheduler: opts.scheduler,
         layout: opts.layout,
     };

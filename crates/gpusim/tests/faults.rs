@@ -1,7 +1,5 @@
 //! Fault-injection and watchdog integration tests: a real kernel, the
-//! real launch path. The watchdog tests run in every build; the
-//! injection tests need the `faults` feature
-//! (`cargo test -p orion-gpusim --features faults`).
+//! real launch path.
 
 use orion_alloc::realize::{allocate, AllocOptions, SlotBudget};
 use orion_gpusim::device::DeviceSpec;
@@ -58,11 +56,14 @@ fn default_budget_is_generous_enough() {
     assert_eq!(global[0], 1);
 }
 
-#[cfg(feature = "faults")]
 mod injection {
     use super::*;
     use orion_gpusim::faults::{FaultInjector, FaultPlan};
-    use orion_gpusim::sim::run_launch_faulty;
+
+    /// `opts` carrying the injector's next fault draw.
+    fn drawn(inj: &FaultInjector, budget: Option<u64>) -> LaunchOptions {
+        LaunchOptions { faults: inj.draw(), ..opts(budget) }
+    }
 
     #[test]
     fn transient_fault_fails_launch_before_simulation() {
@@ -72,9 +73,8 @@ mod injection {
         plan.transient_rate = 1.0;
         let inj = FaultInjector::new(plan);
         let mut global = vec![0u8; 4 * 128];
-        let err =
-            run_launch_faulty(&dev, &machine, LAUNCH, &[0], &mut global, opts(None), Some(&inj))
-                .expect_err("certain transient fault");
+        let err = run_launch_opts(&dev, &machine, LAUNCH, &[0], &mut global, drawn(&inj, None))
+            .expect_err("certain transient fault");
         assert!(matches!(err, SimError::TransientLaunchFailure { .. }));
         assert!(err.is_transient());
         // The launch never ran: memory untouched, fault tallied.
@@ -91,18 +91,52 @@ mod injection {
         let inj = FaultInjector::new(plan);
         let budget = 100_000;
         let mut global = vec![0u8; 4 * 128];
-        let err = run_launch_faulty(
-            &dev,
-            &machine,
-            LAUNCH,
-            &[0],
-            &mut global,
-            opts(Some(budget)),
-            Some(&inj),
-        )
-        .expect_err("a wedged warp can only end at the watchdog");
+        let err =
+            run_launch_opts(&dev, &machine, LAUNCH, &[0], &mut global, drawn(&inj, Some(budget)))
+                .expect_err("a wedged warp can only end at the watchdog");
         assert_eq!(err, SimError::Watchdog { budget });
         assert_eq!(inj.snapshot().hangs, 1);
+    }
+
+    #[test]
+    fn resource_fault_is_absorbed_when_the_kernel_still_fits() {
+        let dev = DeviceSpec::gtx680();
+        let machine = inc_kernel();
+        let mut clean_global = vec![0u8; 4 * 128];
+        let clean = run_launch_opts(&dev, &machine, LAUNCH, &[0], &mut clean_global, opts(None))
+            .expect("clean run");
+        let mut plan = FaultPlan::none(4);
+        plan.resource_rate = 1.0;
+        let inj = FaultInjector::new(plan);
+        let mut global = vec![0u8; 4 * 128];
+        let r = run_launch_opts(&dev, &machine, LAUNCH, &[0], &mut global, drawn(&inj, None))
+            .expect("16 regs/thread and no smem fit the contended device");
+        assert_eq!(r, clean, "an absorbed resource fault leaves the launch exact");
+        assert_eq!(global, clean_global);
+        assert_eq!(inj.snapshot().resource, 1);
+    }
+
+    #[test]
+    fn resource_fault_rejects_a_launch_that_no_longer_fits() {
+        let dev = DeviceSpec::gtx680();
+        let machine = inc_kernel();
+        // Fits the whole device, but not once shared memory is halved.
+        let padded =
+            LaunchOptions { extra_smem_per_block: dev.smem_per_sm() * 3 / 4, ..opts(None) };
+        let mut clean_global = vec![0u8; 4 * 128];
+        run_launch_opts(&dev, &machine, LAUNCH, &[0], &mut clean_global, padded)
+            .expect("the padded kernel fits the uncontended device");
+        let mut plan = FaultPlan::none(5);
+        plan.resource_rate = 1.0;
+        let inj = FaultInjector::new(plan);
+        let mut global = vec![0u8; 4 * 128];
+        let contended = LaunchOptions { faults: inj.draw(), ..padded };
+        let err = run_launch_opts(&dev, &machine, LAUNCH, &[0], &mut global, contended)
+            .expect_err("doubled shared memory no longer fits");
+        assert!(matches!(err, SimError::ResourceExceeded { .. }), "{err:?}");
+        // The launch never ran: memory untouched.
+        assert!(global.iter().all(|&b| b == 0));
+        assert_eq!(inj.snapshot().resource, 1);
     }
 
     #[test]
@@ -116,9 +150,8 @@ mod injection {
         plan.jitter_frac = 0.05;
         let inj = FaultInjector::new(plan);
         let mut global = vec![0u8; 4 * 128];
-        let r =
-            run_launch_faulty(&dev, &machine, LAUNCH, &[0], &mut global, opts(None), Some(&inj))
-                .expect("jitter never fails a launch");
+        let r = run_launch_opts(&dev, &machine, LAUNCH, &[0], &mut global, drawn(&inj, None))
+            .expect("jitter never fails a launch");
         // Execution identical; only the reported cycles wobble within
         // the ±5% band.
         assert_eq!(global, clean_global);
@@ -142,16 +175,9 @@ mod injection {
             (0..16)
                 .map(|_| {
                     let mut global = vec![0u8; 4 * 128];
-                    run_launch_faulty(
-                        &dev,
-                        &machine,
-                        LAUNCH,
-                        &[0],
-                        &mut global,
-                        opts(Some(100_000)),
-                        Some(&inj),
-                    )
-                    .map(|r| r.cycles)
+                    let opts = drawn(&inj, Some(100_000));
+                    run_launch_opts(&dev, &machine, LAUNCH, &[0], &mut global, opts)
+                        .map(|r| r.cycles)
                 })
                 .collect()
         };

@@ -366,11 +366,9 @@ fn layouts_agree_on_bank_conflicts() {
 /// same outcome at the same cycle, for every seed. Fresh injectors with
 /// equal seeds draw identical fault streams, so any divergence is the
 /// layout's fault.
-#[cfg(feature = "faults")]
 mod fault_sweep {
     use super::*;
     use orion_gpusim::faults::{FaultInjector, FaultPlan};
-    use orion_gpusim::sim::run_launch_faulty;
 
     #[test]
     fn layouts_agree_under_fault_injection() {
@@ -413,17 +411,10 @@ mod fault_sweep {
                         scheduler: Scheduler::LinearScan,
                         parallelism: 1,
                         cycle_budget: Some(2_000_000),
+                        faults: inj.draw(),
                         ..LaunchOptions::default()
                     };
-                    let r = run_launch_faulty(
-                        &dev,
-                        machine,
-                        *launch,
-                        params,
-                        &mut global,
-                        opts,
-                        Some(&inj),
-                    );
+                    let r = run_launch_opts(&dev, machine, *launch, params, &mut global, opts);
                     (r, global, inj.snapshot())
                 };
                 let (ra, ga, sa) = run(LaneLayout::Aos);
