@@ -4,9 +4,14 @@
 #[derive(Debug, Clone)]
 pub struct Cache {
     sets: usize,
+    ways: usize,
     line_shift: u32,
-    /// `tags[set][way] = Some((tag, last_use))`.
-    tags: Vec<Vec<Option<(u64, u64)>>>,
+    /// `tags[set * ways + way]`: the tag held by a way (meaningful only
+    /// while the way is valid).
+    tags: Vec<u64>,
+    /// `last_use[set * ways + way]`: the tick of the way's latest access,
+    /// `0` for an empty way (ticks start at 1).
+    last_use: Vec<u64>,
     tick: u64,
     /// Hit/miss counters.
     pub hits: u64,
@@ -28,8 +33,10 @@ impl Cache {
         let sets = (lines / ways).max(1);
         Cache {
             sets,
+            ways,
             line_shift: line.trailing_zeros(),
-            tags: vec![vec![None; ways]; sets],
+            tags: vec![0; sets * ways],
+            last_use: vec![0; sets * ways],
             tick: 0,
             hits: 0,
             misses: 0,
@@ -42,23 +49,24 @@ impl Cache {
         let line = addr >> self.line_shift;
         let set = (line as usize) % self.sets;
         let tag = line / self.sets as u64;
-        let ways = &mut self.tags[set];
-        for (t, last) in ways.iter_mut().flatten() {
-            if *t == tag {
-                *last = self.tick;
+        let range = set * self.ways..(set + 1) * self.ways;
+        let (tags, last_use) = (&mut self.tags[range.clone()], &mut self.last_use[range]);
+        // One pass finds a hit or the victim: the first way with the
+        // smallest `last_use` (an empty way, else the LRU one).
+        let mut victim = 0;
+        for w in 0..tags.len() {
+            if last_use[w] != 0 && tags[w] == tag {
+                last_use[w] = self.tick;
                 self.hits += 1;
                 return true;
             }
+            if last_use[w] < last_use[victim] {
+                victim = w;
+            }
         }
         self.misses += 1;
-        // Evict LRU (or fill an empty way).
-        let victim = ways
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, w)| w.map_or(0, |(_, last)| last))
-            .map(|(i, _)| i)
-            .expect("nonzero ways");
-        ways[victim] = Some((tag, self.tick));
+        tags[victim] = tag;
+        last_use[victim] = self.tick;
         false
     }
 
@@ -66,11 +74,7 @@ impl Cache {
     /// cold-ish caches conservatively; the paper's kernels are large
     /// enough that cross-launch reuse is negligible).
     pub fn flush(&mut self) {
-        for set in &mut self.tags {
-            for w in set {
-                *w = None;
-            }
-        }
+        self.last_use.fill(0);
     }
 
     /// Hit rate so far (0 when no accesses).

@@ -158,6 +158,32 @@ impl SoaCta {
         }
     }
 
+    /// Warp-wide 32-bit load into on-chip slot word `slot`: each lane
+    /// in `exec` takes the little-endian word at `base + offset` in
+    /// `buf`. On an out-of-bounds lane, returns its address; lanes are
+    /// visited in ascending order, so that is the lowest such lane.
+    pub fn load_w32(
+        &mut self,
+        slot: usize,
+        warp: u32,
+        exec: u32,
+        base: &WarpOperand,
+        offset: i32,
+        buf: &[u8],
+    ) -> Result<(), u64> {
+        let plane = self.plane_mut(slot, warp);
+        let mut m = exec;
+        while m != 0 {
+            let lane = m.trailing_zeros() as usize;
+            let addr = (i64::from(base.w0(lane) as i32) + i64::from(offset)) as u64;
+            let a = addr as usize;
+            let word = a.checked_add(4).and_then(|end| buf.get(a..end)).ok_or(addr)?;
+            plane[lane] = u32::from_le_bytes(word.try_into().expect("4-byte word"));
+            m &= m - 1;
+        }
+        Ok(())
+    }
+
     /// Gather one operand into a warp-wide register file: all 32 lanes'
     /// values, word-plane-major.
     pub fn gather(&self, op: &MOperand, ctx: &WarpCtx, out: &mut WarpOperand) {
@@ -327,13 +353,7 @@ pub(crate) fn warp_alu(op: &Opcode, srcs: &[WarpOperand], out: &mut WarpOperand)
         FMul => bin_f32(srcs, out, |a, b| a * b),
         FMin => bin_f32(srcs, out, f32::min),
         FMax => bin_f32(srcs, out, f32::max),
-        FFma => {
-            for l in 0..32 {
-                let v = f32::from_bits(srcs[0].w0(l))
-                    .mul_add(f32::from_bits(srcs[1].w0(l)), f32::from_bits(srcs[2].w0(l)));
-                out.planes[0][l] = v.to_bits();
-            }
-        }
+        FFma => ffma_plane(&srcs[0].planes[0], &srcs[1].planes[0], &srcs[2].planes[0], out),
         Mov if srcs[0].words <= 1 => out.planes[0] = srcs[0].planes[0],
         // Wide moves, doubles, conversions, pack/unpack, rcp/sqrt, …:
         // per-lane through the shared scalar semantics.
@@ -351,6 +371,63 @@ pub(crate) fn warp_alu(op: &Opcode, srcs: &[WarpOperand], out: &mut WarpOperand)
             }
         }
     }
+}
+
+/// `FFma` over one word plane: `out[l] = fma(a[l], b[l], c[l])`.
+///
+/// Without the `fma` target feature each `f32::mul_add` is a call to
+/// libm's `fmaf`, and the call keeps the loop from vectorizing. On hosts
+/// with FMA the loop runs in [`ffma_plane_fma`] instead. A fused
+/// multiply-add is correctly rounded either way, so every non-NaN result
+/// is the same; only NaN payloads differ.
+fn ffma_plane(a: &[u32; 32], b: &[u32; 32], c: &[u32; 32], out: &mut WarpOperand) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::is_x86_feature_detected!("fma") {
+            // SAFETY: the running CPU supports FMA (checked just above).
+            unsafe { ffma_plane_fma(a, b, c, &mut out.planes[0]) };
+            return;
+        }
+    }
+    for l in 0..32 {
+        out.planes[0][l] =
+            f32::from_bits(a[l]).mul_add(f32::from_bits(b[l]), f32::from_bits(c[l])).to_bits();
+    }
+}
+
+/// The `FFma` plane loop compiled with hardware FMA. The loop body must
+/// sit here: an `#[inline]` helper is not inlined into a target-feature
+/// function and would keep its `fmaf` call.
+///
+/// The instruction propagates NaN payloads differently from `fmaf`, so
+/// every lane whose result is NaN is recomputed by [`ffma_reference`].
+///
+/// # Safety
+/// The running CPU must support FMA (`is_x86_feature_detected!("fma")`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+unsafe fn ffma_plane_fma(a: &[u32; 32], b: &[u32; 32], c: &[u32; 32], out: &mut [u32; 32]) {
+    let mut any_nan = false;
+    for l in 0..32 {
+        let v = f32::from_bits(a[l]).mul_add(f32::from_bits(b[l]), f32::from_bits(c[l]));
+        out[l] = v.to_bits();
+        any_nan |= v.is_nan();
+    }
+    if any_nan {
+        for l in 0..32 {
+            if f32::from_bits(out[l]).is_nan() {
+                out[l] = ffma_reference(a[l], b[l], c[l]);
+            }
+        }
+    }
+}
+
+/// One lane of `FFma` through the scalar semantics ([`eval_alu`]). Kept
+/// out of line so it compiles without the `fma` target feature.
+#[cfg(target_arch = "x86_64")]
+#[inline(never)]
+fn ffma_reference(a: u32, b: u32, c: u32) -> u32 {
+    eval_alu(&Opcode::FFma, &[Val::scalar(a), Val::scalar(b), Val::scalar(c)]).w[0]
 }
 
 #[inline]
@@ -372,5 +449,85 @@ fn bin_f32(srcs: &[WarpOperand], out: &mut WarpOperand, f: impl Fn(f32, f32) -> 
     for l in 0..32 {
         out.planes[0][l] =
             f(f32::from_bits(srcs[0].w0(l)), f32::from_bits(srcs[1].w0(l))).to_bits();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Run `FFma` over up to 32 triples through the warp-wide path.
+    fn warp_ffma(triples: &[(u32, u32, u32)]) -> [u32; 32] {
+        let mut srcs = [WarpOperand { words: 1, ..WarpOperand::default() }; 3];
+        for (l, &(a, b, c)) in triples.iter().enumerate() {
+            srcs[0].planes[0][l] = a;
+            srcs[1].planes[0][l] = b;
+            srcs[2].planes[0][l] = c;
+        }
+        let mut out = WarpOperand::default();
+        warp_alu(&Opcode::FFma, &srcs, &mut out);
+        out.planes[0]
+    }
+
+    fn assert_matches_scalar(triples: &[(u32, u32, u32)]) {
+        for chunk in triples.chunks(32) {
+            let got = warp_ffma(chunk);
+            for (l, &(a, b, c)) in chunk.iter().enumerate() {
+                let want =
+                    eval_alu(&Opcode::FFma, &[Val::scalar(a), Val::scalar(b), Val::scalar(c)]).w[0];
+                assert_eq!(
+                    got[l], want,
+                    "fma({a:#010x}, {b:#010x}, {c:#010x}): warp {:#010x} vs scalar {want:#010x}",
+                    got[l]
+                );
+            }
+        }
+    }
+
+    /// The warp-wide `FFma` (hardware FMA where the host has it) is
+    /// bit-identical to the scalar semantics, NaN payloads included.
+    /// Only an optimized build inlines `mul_add` into the target-feature
+    /// loop, so run this in release to test the `vfmadd` path.
+    #[test]
+    fn ffma_plane_matches_scalar_semantics_bit_for_bit() {
+        let special: Vec<u32> = [
+            0x0000_0000, // +0
+            0x0000_0001, // smallest subnormal
+            0x007f_ffff, // largest subnormal
+            0x0080_0000, // smallest normal
+            0x3f80_0000, // 1.0
+            0x3f00_0001, // just above 0.5
+            0x7f7f_ffff, // max finite
+            0x7f80_0000, // +inf
+            0x7fc0_0000, // quiet NaN
+            0x7fc1_2345, // quiet NaN with payload
+            0x7f80_0001, // signalling NaN
+            0x7fa5_a5a5, // signalling NaN with payload
+        ]
+        .iter()
+        .flat_map(|&v| [v, v | 0x8000_0000])
+        .collect();
+        let mut triples = Vec::new();
+        for &a in &special {
+            for &b in &special {
+                for &c in &special {
+                    triples.push((a, b, c));
+                }
+            }
+        }
+        // SplitMix64: random bit patterns cover every exponent, and about
+        // 1 in 256 of them are NaNs.
+        let mut state = 0x0f1a_2024_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as u32
+        };
+        for _ in 0..100_000 {
+            triples.push((next(), next(), next()));
+        }
+        assert_matches_scalar(&triples);
     }
 }

@@ -5,8 +5,8 @@
 
 use crate::device::{CacheConfig, DeviceSpec};
 use crate::exec::{
-    EngineGuards, LaneLayout, Launch, LinkedProgram, Scheduler, SimError, SimStats, SmEngine,
-    StallStats,
+    DirtyChunks, EngineGuards, LaneLayout, Launch, LinkedProgram, Scheduler, SimError, SimStats,
+    SmEngine, StallStats,
 };
 use crate::faults::LaunchFaults;
 use crate::occupancy::{occupancy, KernelResources, OccupancyInfo};
@@ -442,9 +442,10 @@ fn effective_workers(parallelism: u32, num_sms: u32) -> u32 {
 /// against the pristine pre-launch buffer.
 type WriteRuns = Vec<(usize, Vec<u8>)>;
 
-fn diff_runs(base: &[u8], new: &[u8]) -> WriteRuns {
+/// Append the maximal runs of `new` that differ from `base`, offsetting
+/// their positions by `at` (where the slices start in the buffer).
+fn diff_runs(base: &[u8], new: &[u8], at: usize, runs: &mut WriteRuns) {
     debug_assert_eq!(base.len(), new.len());
-    let mut runs = WriteRuns::new();
     let mut i = 0;
     while i < base.len() {
         if base[i] == new[i] {
@@ -455,9 +456,8 @@ fn diff_runs(base: &[u8], new: &[u8]) -> WriteRuns {
         while i < base.len() && base[i] != new[i] {
             i += 1;
         }
-        runs.push((start, new[start..i].to_vec()));
+        runs.push((at + start, new[start..i].to_vec()));
     }
-    runs
 }
 
 fn apply_runs(global: &mut [u8], runs: &WriteRuns) {
@@ -468,13 +468,19 @@ fn apply_runs(global: &mut [u8], runs: &WriteRuns) {
 
 /// Fan the per-SM engines out over `workers` scoped threads.
 ///
-/// Each worker owns a private copy of the pristine global buffer,
-/// reset per SM, and reports the byte runs its SMs wrote; the caller's
-/// buffer is untouched until every engine has finished, then the runs
-/// are applied in sm-id order — reproducing the serial engine order
-/// exactly. On failure, serial semantics are preserved the same way:
-/// the lowest-sm-id error wins, writes of the SMs before it (plus the
-/// failing SM's partial writes) land, and later SMs' work is discarded.
+/// Each worker copies the pristine global buffer once and reports the
+/// byte runs each of its SMs wrote. An engine marks the 64-byte chunks
+/// its global stores touch (`DirtyChunks`); after the SM finishes,
+/// only those chunks are diffed against the pristine buffer and then
+/// reset from it for the worker's next SM. Chunks no store touched equal
+/// the pristine bytes, so the runs are exactly those a whole-buffer diff
+/// would find (a store of the pristine value leaves no run).
+/// The caller's buffer is untouched until every engine has finished,
+/// then the runs are applied in sm-id order — reproducing the serial
+/// engine order exactly. On failure, serial semantics are preserved the
+/// same way: the lowest-sm-id error wins, writes of the SMs before it
+/// (plus the failing SM's partial writes) land, and later SMs' work is
+/// discarded.
 #[allow(clippy::too_many_arguments)]
 fn run_sms_parallel(
     dev: &DeviceSpec,
@@ -498,12 +504,16 @@ fn run_sms_parallel(
                 handles.push(scope.spawn(move || {
                     let mut out = Vec::new();
                     let mut buf: Vec<u8> = Vec::new();
+                    let mut dirty = DirtyChunks::new(pristine.len());
                     for sm in (k..num_sms).step_by(workers as usize) {
                         if partition[sm].is_empty() {
                             continue;
                         }
-                        buf.clear();
-                        buf.extend_from_slice(pristine);
+                        // One copy per worker, made for its first SM
+                        // with blocks; `drain` below restores it after each.
+                        if buf.is_empty() {
+                            buf.extend_from_slice(pristine);
+                        }
                         let mut engine = SmEngine::new(
                             dev,
                             prog,
@@ -512,12 +522,22 @@ fn run_sms_parallel(
                             &mut buf,
                             sm as u32,
                             guards_for(sm as u32),
-                        );
+                        )
+                        .track_writes(&mut dirty);
                         let r = engine.run(&partition[sm], residency);
                         let stats = engine.stats;
                         let per_warp = std::mem::take(&mut engine.per_warp_issued);
                         drop(engine);
-                        let runs = diff_runs(pristine, &buf);
+                        let mut runs = WriteRuns::new();
+                        dirty.drain(buf.len(), |range| {
+                            diff_runs(
+                                &pristine[range.clone()],
+                                &buf[range.clone()],
+                                range.start,
+                                &mut runs,
+                            );
+                            buf[range.clone()].copy_from_slice(&pristine[range]);
+                        });
                         let run = r.map(|c| SmRun { cycles: c, stats, per_warp });
                         out.push((sm, run, runs));
                     }
