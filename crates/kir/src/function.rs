@@ -240,21 +240,12 @@ impl Module {
     /// caches (workload builders construct a fresh `Module` per call, so
     /// pointer identity is useless as a cache key). Hashes the complete
     /// `Debug` rendering — which covers every instruction, operand, and
-    /// module attribute — through a streaming writer, so equal modules
-    /// always agree and distinct ones collide only with ~2^-64
-    /// probability.
+    /// module attribute — through the streaming FNV-1a writer
+    /// ([`crate::fnv::Fnv64`]), so equal modules always agree, distinct
+    /// ones collide only with ~2^-64 probability, and the value does
+    /// not change with the toolchain.
     pub fn fingerprint(&self) -> u64 {
-        use std::hash::Hasher;
-        struct HashWriter(std::collections::hash_map::DefaultHasher);
-        impl std::fmt::Write for HashWriter {
-            fn write_str(&mut self, s: &str) -> std::fmt::Result {
-                self.0.write(s.as_bytes());
-                Ok(())
-            }
-        }
-        let mut w = HashWriter(std::collections::hash_map::DefaultHasher::new());
-        let _ = std::fmt::write(&mut w, format_args!("{self:?}"));
-        w.0.finish()
+        crate::fnv::Fnv64::of_debug(self)
     }
 
     /// Total static `Call` instructions across all functions — the

@@ -11,6 +11,7 @@
 //!   pipeline front half);
 //! * live-variable analysis and the *max-live* metric (§3.3);
 //! * an untimed reference interpreter used as the semantic oracle;
+//! * a toolchain-stable FNV-1a-64 digest ([`fnv`]);
 //! * the machine IR ([`mir`]) produced by the allocator and executed by
 //!   the GPU simulator.
 //!
@@ -42,6 +43,7 @@ pub mod bitset;
 pub mod builder;
 pub mod callgraph;
 pub mod cfg;
+pub mod fnv;
 pub mod function;
 pub mod inst;
 pub mod interp;
