@@ -8,7 +8,7 @@
 use std::fmt;
 use std::path::PathBuf;
 
-/// An error from rendering or writing a bench artifact.
+/// An error from rendering, writing or reading a bench artifact.
 #[derive(Debug)]
 pub enum BenchError {
     /// A filesystem operation failed.
@@ -45,9 +45,9 @@ impl fmt::Display for BenchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BenchError::Io { what, path, .. } => {
-                write!(f, "failed to write {what} at {}", path.display())
+                write!(f, "I/O failed on {what} at {}", path.display())
             }
-            BenchError::Json { what, .. } => write!(f, "failed to serialize {what}"),
+            BenchError::Json { what, .. } => write!(f, "JSON (de)serialization failed for {what}"),
         }
     }
 }
