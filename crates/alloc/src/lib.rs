@@ -16,9 +16,7 @@
 //!   spill → stack-plan → layout → lower → mir-verify) with typed
 //!   per-stage artifacts and verified stage boundaries;
 //! * [`realize`] — the end-to-end entry point producing a machine-code
-//!   [`orion_kir::mir::MModule`] for a given per-thread slot budget;
-//! * [`mod@reference`] — the frozen single-function implementation kept as
-//!   a behavioral oracle for the pipeline.
+//!   [`orion_kir::mir::MModule`] for a given per-thread slot budget.
 //!
 //! ```
 //! use orion_alloc::realize::{allocate, AllocOptions, SlotBudget};
@@ -49,7 +47,6 @@ pub mod layout;
 pub mod matching;
 pub mod pipeline;
 pub mod realize;
-pub mod reference;
 pub mod stack;
 
 pub use pipeline::{Pass, Pipeline};

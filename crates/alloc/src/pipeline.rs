@@ -1039,7 +1039,7 @@ mod tests {
     use crate::realize::allocate;
     use orion_kir::builder::{build_fdiv_device, FunctionBuilder};
     use orion_kir::inst::Operand;
-    use orion_kir::types::{MemSpace, SpecialReg};
+    use orion_kir::types::MemSpace;
 
     fn call_module() -> Module {
         let kb = FunctionBuilder::kernel("k");
@@ -1054,16 +1054,6 @@ mod tests {
         kb.st(MemSpace::Global, Width::W32, Operand::Imm(0), s, 0);
         m.funcs[0] = kb.finish();
         m
-    }
-
-    fn simple_module() -> Module {
-        let mut b = FunctionBuilder::kernel("k");
-        let tid = b.mov(Operand::Special(SpecialReg::TidX));
-        let a = b.imad(tid, Operand::Imm(4), Operand::Param(0));
-        let x = b.ld(MemSpace::Global, Width::W32, a, 0);
-        let y = b.iadd(x, Operand::Imm(5));
-        b.st(MemSpace::Global, Width::W32, a, y, 0);
-        Module::new(b.finish())
     }
 
     #[test]
@@ -1105,25 +1095,6 @@ mod tests {
         let via_edit = edited.run(&m, budget).unwrap();
         assert_eq!(via_opts.machine, via_edit.machine);
         assert_eq!(via_opts.report, via_edit.report);
-    }
-
-    #[test]
-    fn matches_reference_oracle() {
-        for m in [simple_module(), call_module()] {
-            for opts in [
-                AllocOptions::default(),
-                AllocOptions { compress_stack: true, optimize_layout: false },
-                AllocOptions { compress_stack: false, optimize_layout: false },
-            ] {
-                for regs in [4u16, 8, 32] {
-                    let budget = SlotBudget { reg_slots: regs, smem_slots: 4 };
-                    let new = allocate(&m, budget, &opts).unwrap();
-                    let old = crate::reference::allocate_reference(&m, budget, &opts).unwrap();
-                    assert_eq!(new.machine, old.machine, "regs={regs} opts={opts:?}");
-                    assert_eq!(new.report, old.report, "regs={regs} opts={opts:?}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! [`allocate`] is a thin driver over [`Pipeline::standard`]; the
 //! Figure 5 ablations in [`AllocOptions`] select passes rather than
 //! branching inside them, and custom experiments can edit the pipeline
-//! directly. [`crate::reference::allocate_reference`] keeps the original
-//! single-function implementation as a behavioral oracle.
+//! directly. The golden compile fixtures (`orion-bench`) pin its output
+//! on the tier-1 workloads.
 //!
 //! The absolute on-chip slot index decides physical placement per word:
 //! indices below the register budget are registers, the rest are private
@@ -194,8 +194,7 @@ pub struct CallSiteCtx {
     pub live_units: Vec<bool>,
 }
 
-/// The per-function lowering view assembled from the pipeline artifacts
-/// (or built inline by the reference implementation).
+/// The per-function lowering view assembled from the pipeline artifacts.
 #[derive(Debug, Clone)]
 pub(crate) struct FuncCtx {
     pub(crate) nf: Function,

@@ -35,8 +35,8 @@
 //! Writes `BENCH_chaos_service.json`. `--quick` shrinks the sweep for
 //! CI. `--inject-hang` gives every job a 1-cycle deadline: every job
 //! must resolve `Degraded` and the binary exits **non-zero**, proving
-//! the deadline gate actually fires (CI inverts the exit code, exactly
-//! like `regress --inject`).
+//! the deadline gate actually fires (CI inverts the exit code, as it
+//! does for `search --inject-greedy`).
 //!
 //! [`JobDisposition`]: orion_core::service::JobDisposition
 

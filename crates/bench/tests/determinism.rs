@@ -1,50 +1,35 @@
-//! Fan-out determinism property tests: the parallel event-heap engine
-//! must be observationally identical to the serial seed engine — same
-//! cycles, same stall buckets, same per-SM rollups, same memory, same
-//! tuner decision log, same injected-fault outcomes — across real
-//! workloads, occupancy levels, and fault seeds.
+//! Fan-out determinism property tests: SM engines fanned out over
+//! worker threads must be observationally identical to the serial
+//! engine — same cycles, same stall buckets, same per-SM rollups, same
+//! memory, same tuner decision log, same injected-fault outcomes —
+//! across real workloads, hand-built kernels, occupancy levels, and
+//! fault seeds.
 //!
-//! `parallelism: 1` + `Scheduler::LinearScan` is the exact seed code
-//! path; everything else is the new engine and must reproduce it
-//! bit-for-bit.
+//! `parallelism: 1` runs the engines in SM order over the shared global
+//! buffer; the golden launch fixtures pin its results.
 
+use orion_bench::golden;
 use orion_core::orion::Orion;
 use orion_core::session::{SessionOutcome, TuningSession};
 use orion_gpusim::device::DeviceSpec;
 use orion_gpusim::exec::Launch;
 use orion_gpusim::faults::{FaultInjector, FaultPlan};
 use orion_gpusim::sim::{run_launch_opts, LaunchOptions, RunResult};
-use orion_gpusim::{Scheduler, SimError};
-use orion_kir::builder::FunctionBuilder;
-use orion_kir::function::Module;
-use orion_kir::inst::Operand;
-use orion_kir::types::{MemSpace, SpecialReg, Width};
+use orion_gpusim::SimError;
 use orion_workloads::by_name;
 
 const WORKLOADS: [&str; 3] = ["matrixMul", "backprop", "hotspot"];
 
-/// The seed configuration and the configurations that must match it.
-fn seed_opts() -> LaunchOptions {
-    LaunchOptions { parallelism: 1, scheduler: Scheduler::LinearScan, ..LaunchOptions::default() }
+/// The serial configuration and the fan-out configurations that must
+/// match it (`0` = one worker per host core).
+fn serial_opts() -> LaunchOptions {
+    LaunchOptions { parallelism: 1, ..LaunchOptions::default() }
 }
 
-fn fanout_opts() -> [LaunchOptions; 3] {
+fn fanout_opts() -> [LaunchOptions; 2] {
     [
-        LaunchOptions {
-            parallelism: 1,
-            scheduler: Scheduler::EventHeap,
-            ..LaunchOptions::default()
-        },
-        LaunchOptions {
-            parallelism: 2,
-            scheduler: Scheduler::EventHeap,
-            ..LaunchOptions::default()
-        },
-        LaunchOptions {
-            parallelism: 0,
-            scheduler: Scheduler::EventHeap,
-            ..LaunchOptions::default()
-        },
+        LaunchOptions { parallelism: 2, ..LaunchOptions::default() },
+        LaunchOptions { parallelism: 0, ..LaunchOptions::default() },
     ]
 }
 
@@ -74,18 +59,18 @@ fn parallel_matches_serial_across_workloads_and_occupancy() {
                 .expect("launch");
                 (r, global)
             };
-            let (reference, ref_global) = run(seed_opts());
+            let (reference, ref_global) = run(serial_opts());
             for opts in fanout_opts() {
                 let (r, global) = run(opts);
                 assert_eq!(
                     r, reference,
-                    "{name}/{}: {:?}/parallelism={} diverged from the seed engine",
-                    v.label, opts.scheduler, opts.parallelism
+                    "{name}/{}: parallelism={} diverged from the serial engine",
+                    v.label, opts.parallelism
                 );
                 assert_eq!(
                     global, ref_global,
-                    "{name}/{}: {:?}/parallelism={} produced different memory",
-                    v.label, opts.scheduler, opts.parallelism
+                    "{name}/{}: parallelism={} produced different memory",
+                    v.label, opts.parallelism
                 );
             }
         }
@@ -121,7 +106,7 @@ fn tuner_decisions_identical_across_fanout() {
     for name in WORKLOADS {
         let w = by_name(name).expect("workload");
         let orion = Orion::new(dev.clone(), w.block);
-        let reference = tune_with(&orion, &w, seed_opts());
+        let reference = tune_with(&orion, &w, serial_opts());
         for opts in fanout_opts() {
             let outcome = tune_with(&orion, &w, opts);
             assert_eq!(outcome.selected, reference.selected, "{name}: selected version");
@@ -136,21 +121,6 @@ fn tuner_decisions_identical_across_fanout() {
     }
 }
 
-/// out[gid] = in[gid]² + gid — tiny (debug-build fast) but with a real
-/// load/store per lane so hang and jitter faults have something to bite.
-fn tiny_kernel() -> Module {
-    let mut b = FunctionBuilder::kernel("tiny");
-    let tid = b.mov(Operand::Special(SpecialReg::TidX));
-    let cta = b.mov(Operand::Special(SpecialReg::CtaIdX));
-    let nt = b.mov(Operand::Special(SpecialReg::NTidX));
-    let gid = b.imad(cta, nt, tid);
-    let addr = b.imad(gid, Operand::Imm(4), Operand::Param(0));
-    let x = b.ld(MemSpace::Global, Width::W32, addr, 0);
-    let y = b.imad(x, x, gid);
-    b.st(MemSpace::Global, Width::W32, addr, y, 0);
-    Module::new(b.finish())
-}
-
 /// Injected faults are drawn per launch from `(seed, launch index)` and
 /// applied at the driver layer, so a fresh injector with the same plan
 /// must produce the same launch-by-launch outcome — success cycles,
@@ -160,7 +130,7 @@ fn tiny_kernel() -> Module {
 fn fault_outcomes_identical_across_fanout() {
     let dev = DeviceSpec::gtx680();
     let machine = orion_alloc::realize::allocate(
-        &tiny_kernel(),
+        &golden::tiny_kernel(),
         orion_alloc::realize::SlotBudget { reg_slots: 12, smem_slots: 0 },
         &orion_alloc::realize::AllocOptions::default(),
     )
@@ -181,16 +151,32 @@ fn fault_outcomes_identical_across_fanout() {
                 })
                 .collect()
         };
-        let reference = run_seq(seed_opts());
+        let reference = run_seq(serial_opts());
         for opts in fanout_opts() {
             let seq = run_seq(opts);
             for (i, (got, want)) in seq.iter().zip(&reference).enumerate() {
                 assert_eq!(
                     got, want,
-                    "seed {seed}, launch {i}: {:?}/parallelism={} diverged",
-                    opts.scheduler, opts.parallelism
+                    "seed {seed}, launch {i}: parallelism={} diverged",
+                    opts.parallelism
                 );
             }
+        }
+    }
+}
+
+/// The hand-built kernels of the golden launch fixture — latency-bound
+/// streaming, barriers, spills, divergence, 32-way bank conflicts, and
+/// an out-of-bounds store on SM 3 — give the serial outcome and memory
+/// at every fan-out width.
+#[test]
+fn micro_kernels_fan_out_identically() {
+    for (name, launch) in golden::micro_launches() {
+        let (serial, serial_global) = launch.run(serial_opts());
+        for parallelism in [2u32, 3, launch.dev.num_sms] {
+            let (r, global) = launch.run(LaunchOptions { parallelism, ..LaunchOptions::default() });
+            assert_eq!(r, serial, "{name}: parallelism={parallelism} outcome");
+            assert_eq!(global, serial_global, "{name}: parallelism={parallelism} memory");
         }
     }
 }

@@ -77,9 +77,8 @@
 //! Single kernels drive a [`session::TuningSession`] directly: with a
 //! launch closure ([`session::TuningSession::drive`]), or through the
 //! pull-based `next_step()` / `on_launch_result()` loop. Either way the
-//! result is a [`session::SessionOutcome`], pinned bit-equal to the
-//! frozen walks of the [`reference`](mod@reference) equivalence
-//! suite.
+//! result is a [`session::SessionOutcome`], pinned by the golden walk
+//! fixtures of `orion-bench`.
 
 pub mod backend;
 pub mod budget;
@@ -88,7 +87,6 @@ pub mod compiler;
 pub mod error;
 pub mod orion;
 pub mod policy;
-pub mod reference;
 pub mod resilient;
 pub mod runtime;
 pub mod service;

@@ -13,8 +13,7 @@
 //!
 //! * [`PaperWalkPolicy`] — the paper's Figure 9 walk, with its rules
 //!   and state held in the policy itself. It is the default everywhere
-//!   and is pinned **bit-equal** to the frozen [`crate::reference`]
-//!   oracle by the equivalence suites.
+//!   and is pinned by the golden walk fixtures of `orion-bench`.
 //! * [`BanditPolicy`] — a seeded, deterministic UCB search intended for
 //!   wider candidate spaces ([`CandidateSpace`]): arms are pre-pruned by
 //!   a cheap analytic performance bound derived from the compile-probe
@@ -201,9 +200,8 @@ impl PolicyKind {
 /// threshold over the best when tuning downward — and the surviving
 /// version is finalized. Launch failures quarantine a candidate (the
 /// walk continues over the survivors), and a dead finalized version
-/// falls back to the fail-safe, then the original. The equivalence
-/// suites pin the walk bit-equal to the frozen [`crate::reference`]
-/// oracle.
+/// falls back to the fail-safe, then the original. The golden walk
+/// fixtures of `orion-bench` pin its outcomes.
 #[derive(Debug, Clone)]
 pub struct PaperWalkPolicy {
     order: Vec<usize>,
@@ -380,13 +378,9 @@ impl PaperWalkPolicy {
     }
 
     /// The finalized version, once the walk is done.
+    #[cfg(test)]
     pub(crate) fn finalized(&self) -> Option<usize> {
         self.finalized
-    }
-
-    /// Consume the walk, keeping its decision log.
-    pub(crate) fn into_decisions(self) -> Vec<TuneDecision> {
-        self.decisions
     }
 
     fn push_decision(&mut self, decision: TuneDecision) {

@@ -39,14 +39,15 @@
 //! Transitions outside the arrows above are illegal and asserted
 //! against ([`SessionState::can_transition`]).
 //!
-//! # Equivalence contract
+//! # Golden contract
 //!
-//! The equivalence suites pin this machine **bit-equal** to the frozen
-//! walks in [`crate::reference`]: same decision log, same finalized
-//! pick, same [`TuneReason`]s, same stats, same errors, across
-//! fault-free, noisy, and fault-injected runs. Any behavioral change
-//! here must update the reference module deliberately, with the
-//! equivalence suite as the tripwire.
+//! The golden walk fixtures of `orion-bench` (`crates/bench/golden/
+//! walk.json`) pin this machine's outcomes — decision log, finalized
+//! pick, [`TuneReason`]s, stats and errors — over fault-free, noisy,
+//! and fault-injected measurement streams. A behavioral change here
+//! shows up as changed fixture entries; re-bless them deliberately
+//! (`cargo run --release -p orion-bench --bin bless`) and review the
+//! diff.
 //!
 //! [`TuneReason`]: crate::runtime::TuneReason
 
@@ -231,7 +232,7 @@ pub struct TuningSession<'k> {
     /// [`PaperWalkPolicy`](crate::policy::PaperWalkPolicy).
     policy: Box<dyn SearchPolicy>,
     state: SessionState,
-    /// Completed application iterations (`it` in the frozen loops).
+    /// Completed application iterations.
     it: u32,
     iters: Vec<(usize, u64)>,
     total: u64,
@@ -569,8 +570,8 @@ impl<'k> TuningSession<'k> {
         Ok(())
     }
 
-    /// Simple-mode success path: exactly the frozen
-    /// [`crate::reference::tune_loop`] body.
+    /// Simple-mode success path: record the measurement and let the
+    /// policy observe it.
     fn record_simple(&mut self, version: usize, m: Measurement) {
         let cycles = m.cycles;
         self.total += cycles;
@@ -707,7 +708,8 @@ impl<'k> TuningSession<'k> {
     /// After a successful sample: keep sampling, extend on a borderline
     /// verdict, or settle the pass.
     fn advance_pass(&mut self, pass: SamplePass, policy: &ResiliencePolicy) {
-        // Mirrors the frozen inner loop's exit conditions exactly.
+        // Keep sampling while the pass lacks samples and iterations
+        // remain.
         if pass.samples.len() < pass.target && self.it < self.iterations {
             self.pass = Some(pass); // keep sampling
             return;
@@ -781,8 +783,7 @@ impl<'k> TuningSession<'k> {
             SessionMode::Resilient(_) => self.converged_after.unwrap_or(self.iters.len()),
         };
         let decisions = self.policy.into_decisions();
-        // Reconcile quarantine/fallback stats with the decision log, as
-        // the frozen resilient loop does.
+        // Reconcile quarantine/fallback stats with the decision log.
         self.stats.quarantined =
             decisions.iter().filter(|d| d.reason == TuneReason::Quarantined).count() as u64;
         self.stats.fellback =

@@ -19,19 +19,12 @@ use orion_core::version::CandidateSpace;
 use orion_core::Orion;
 use orion_gpusim::device::DeviceSpec;
 use orion_gpusim::exec::Launch;
+use orion_gpusim::faults::splitmix64;
 use orion_gpusim::sim::{run_launch_opts, LaunchOptions};
 use orion_kir::builder::FunctionBuilder;
 use orion_kir::function::Module;
 use orion_kir::inst::Operand;
 use orion_kir::types::{MemSpace, SpecialReg, Width};
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// A kernel whose register pressure scales with `live` — same shape the
 /// facade tests use, so the allocator produces a multi-level space.

@@ -8,6 +8,8 @@
 
 use orion_alloc::realize::{AllocOptions, SlotBudget};
 use orion_core::cache::{self, CACHE_CAPACITY};
+use orion_core::orion::Orion;
+use orion_gpusim::device::DeviceSpec;
 use orion_kir::builder::FunctionBuilder;
 use orion_kir::function::Module;
 use orion_kir::inst::Operand;
@@ -112,4 +114,22 @@ fn capacity_bounds_entries_and_counts_evictions() {
     // reset() preserves the resilience counter.
     cache::reset();
     assert_eq!(cache::stats().poison_recovered, recovered);
+
+    // A warm rebuild of a kernel's candidate set re-allocates nothing:
+    // every lookup of the second compile hits. (A reset between the two
+    // compiles zeroes the counters, so the warm delta would read no hits.)
+    let orion = Orion::new(DeviceSpec::gtx680(), 128);
+    let m = module(300);
+    let before = cache::stats();
+    orion.compile(&m).expect("cold compile");
+    let after_cold = cache::stats();
+    orion.compile(&m).expect("warm compile");
+    let cold = after_cold.delta_since(&before);
+    let warm = cache::stats().delta_since(&after_cold);
+    assert!(cold.misses > 0, "the cold compile allocates: {cold:?}");
+    assert_eq!(
+        (warm.hits, warm.misses),
+        (cold.hits + cold.misses, 0),
+        "the warm rebuild re-allocated a candidate: {warm:?}"
+    );
 }

@@ -1,32 +1,22 @@
-//! Policy-level equivalence and determinism suite (ISSUE 10).
+//! Search-policy determinism suite.
 //!
-//! The decision core of [`orion_core::session::TuningSession`] now
-//! lives behind [`orion_core::policy::SearchPolicy`]. These tests pin
-//! the refactor at the *policy seam*:
+//! A session constructed with [`PolicyKind::Bandit`] is a deterministic
+//! function of its seed: same seed, same arm sequence, same outcome,
+//! bit for bit — including through the service at any worker count.
 //!
-//! * A session explicitly constructed with
-//!   [`PolicyKind::PaperWalk`] is **bit-equal** to the frozen
-//!   pre-refactor loops in [`orion_core::reference`] across clean,
-//!   noisy, and fault-injected measurement streams — the default
-//!   policy is the paper's exact Figure 9 walk, not an approximation.
-//! * A session constructed with [`PolicyKind::Bandit`] is a
-//!   deterministic function of its seed: same seed, same arm sequence,
-//!   same outcome, bit for bit — including through the service at any
-//!   worker count.
-//!
-//! The closures are deterministic functions of a seed, so oracle and
-//! live runs see the same measurement stream if and only if they issue
-//! the same launch sequence — exactly the property being pinned.
+//! The paper's walk requested explicitly through the policy seam
+//! ([`PolicyKind::PaperWalk`]) is pinned by the golden walk fixtures
+//! of `orion-bench`.
 
 use orion_alloc::realize::AllocReport;
 use orion_core::compiler::{CompiledKernel, Direction, KernelVersion};
 use orion_core::error::OrionError;
 use orion_core::policy::{BanditConfig, PolicyKind};
-use orion_core::reference::{self, ResilientWalkOutcome, WalkOutcome};
 use orion_core::resilient::ResiliencePolicy;
 use orion_core::runtime::TuneReason;
-use orion_core::session::{SessionMode, TuningSession};
+use orion_core::session::{SessionMode, SessionOutcome, TuningSession};
 use orion_gpusim::exec::SimError;
+use orion_gpusim::faults::splitmix64;
 use orion_kir::mir::MModule;
 use orion_kir::types::FuncId;
 
@@ -71,14 +61,6 @@ fn fake_compiled(warp_levels: &[u32], direction: Direction) -> CompiledKernel {
     }
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 fn noisy(state: &mut u64, base: u64, amp: f64) -> u64 {
     let u = (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64; // [0,1)
     let factor = 1.0 + (u * 2.0 - 1.0) * amp;
@@ -112,95 +94,26 @@ fn faulty_run<'c>(
     }
 }
 
-/// Drive a simple-mode session under an explicitly requested policy,
-/// viewed in the oracle's terms.
+/// Drive a simple-mode session under an explicitly requested policy.
 fn drive_simple(
     ck: &CompiledKernel,
     iterations: u32,
     kind: PolicyKind,
     run: impl FnMut(&KernelVersion) -> Result<u64, OrionError>,
-) -> Result<WalkOutcome, OrionError> {
-    TuningSession::with_policy("", ck, iterations, 0.02, SessionMode::Simple, kind)
-        .drive(run)
-        .map(WalkOutcome::from)
+) -> Result<SessionOutcome, OrionError> {
+    TuningSession::with_policy("", ck, iterations, 0.02, SessionMode::Simple, kind).drive(run)
 }
 
-/// Drive a resilient-mode session under an explicitly requested policy,
-/// viewed in the oracle's terms.
+/// Drive a resilient-mode session under an explicitly requested policy.
 fn drive_resilient(
     ck: &CompiledKernel,
     iterations: u32,
     policy: &ResiliencePolicy,
     kind: PolicyKind,
     run: impl FnMut(&KernelVersion) -> Result<u64, OrionError>,
-) -> Result<ResilientWalkOutcome, OrionError> {
+) -> Result<SessionOutcome, OrionError> {
     TuningSession::with_policy("eq", ck, iterations, 0.02, SessionMode::Resilient(*policy), kind)
         .drive(run)
-        .map(ResilientWalkOutcome::from)
-}
-
-const DIRECTIONS: [Direction; 2] = [Direction::Increasing, Direction::Decreasing];
-
-#[test]
-fn paper_walk_policy_matches_reference_on_clean_runs() {
-    for dir in DIRECTIONS {
-        for iterations in [0u32, 1, 3, 10, 40] {
-            let ck = fake_compiled(&[8, 16, 24, 32, 48], dir);
-            let idx = |v: &KernelVersion| ck.index_of(&v.label).unwrap();
-            let live =
-                drive_simple(&ck, iterations, PolicyKind::PaperWalk, |v| Ok(BASE[idx(v)])).unwrap();
-            let oracle =
-                reference::tune_loop::<std::convert::Infallible>(&ck, iterations, 0.02, |v| {
-                    Ok(BASE[idx(v)])
-                })
-                .unwrap();
-            assert_eq!(live, oracle, "dir {dir:?}, {iterations} iterations");
-        }
-    }
-}
-
-#[test]
-fn paper_walk_policy_matches_reference_under_noise() {
-    for dir in DIRECTIONS {
-        for seed in 0..40u64 {
-            let ck = fake_compiled(&[8, 16, 24, 32, 48], dir);
-            let live = drive_simple(&ck, 30, PolicyKind::PaperWalk, faulty_run(&ck, seed, 0, 0, 0))
-                .unwrap();
-            let oracle =
-                reference::tune_loop(&ck, 30, 0.02, faulty_run(&ck, seed, 0, 0, 0)).unwrap();
-            assert_eq!(live, oracle, "dir {dir:?}, seed {seed}");
-        }
-    }
-}
-
-/// The full chaos gauntlet at the policy seam: transient failures,
-/// hangs, resource exhaustion, timing noise, both directions, many
-/// seeds. The explicitly-requested PaperWalkPolicy must match the
-/// frozen loop bit for bit — Ok and Err alike.
-#[test]
-fn paper_walk_policy_matches_reference_under_chaos() {
-    let policy = ResiliencePolicy::default();
-    for dir in DIRECTIONS {
-        for seed in 0..60u64 {
-            let ck = fake_compiled(&[8, 16, 24, 32, 48], dir);
-            let live = drive_resilient(
-                &ck,
-                60,
-                &policy,
-                PolicyKind::PaperWalk,
-                faulty_run(&ck, seed, 80, 30, 30),
-            );
-            let oracle = reference::resilient_tune_loop(
-                "eq",
-                &ck,
-                60,
-                0.02,
-                &policy,
-                faulty_run(&ck, seed, 80, 30, 30),
-            );
-            assert_eq!(live, oracle, "dir {dir:?}, seed {seed}");
-        }
-    }
 }
 
 #[test]

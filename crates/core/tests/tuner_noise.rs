@@ -7,6 +7,7 @@ use orion_core::compiler::{CompiledKernel, Direction, KernelVersion};
 use orion_core::policy::{Measurement, PaperWalkPolicy, PolicyVerdict, SearchPolicy};
 use orion_core::resilient::ResiliencePolicy;
 use orion_core::session::TuningSession;
+use orion_gpusim::faults::splitmix64;
 use orion_kir::mir::MModule;
 use orion_kir::types::FuncId;
 
@@ -49,14 +50,6 @@ fn fake_compiled(warp_levels: &[u32], direction: Direction) -> CompiledKernel {
         original: 0,
         max_live: 40,
     }
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// A multiplicative noise factor in `[1 - amp, 1 + amp)`.

@@ -18,9 +18,7 @@
 //!   (immediate post-dominator) folded into `Branch`, so the engine
 //!   neither clones terminators nor consults the ipdom table per step.
 //!
-//! Decoding is a faithful re-encoding — it cannot change behavior, and
-//! both lane layouts ([`LaneLayout`](crate::exec::LaneLayout)) execute
-//! from the same tables.
+//! Decoding is a faithful re-encoding — it cannot change behavior.
 
 use orion_kir::function::Terminator;
 use orion_kir::inst::Opcode;

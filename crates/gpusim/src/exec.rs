@@ -8,14 +8,15 @@
 //! costs, so semantic-preservation tests can compare global memory
 //! bit-for-bit.
 //!
-//! Execution runs over predecoded instruction tables (`decode`) and,
-//! by default, pooled structure-of-arrays lane state (`lanes`):
-//! warp-wide register-file gathers, packed predicate masks, and masked
-//! slice write-backs replace the seed engine's per-lane scalar loops,
-//! and 32-bit global and shared loads fill the destination register
-//! plane in one warp-wide pass. The seed array-of-structs layout is
-//! retained as [`LaneLayout::Aos`] — the frozen reference both for perf
-//! baselines and for the bit-identity suites in `tests/schedule.rs`.
+//! Execution runs over predecoded instruction tables (`decode`) and
+//! pooled structure-of-arrays lane state (`lanes`): warp-wide
+//! register-file gathers, packed predicate masks, and masked slice
+//! write-backs, with 32-bit global and shared loads filling the
+//! destination register plane in one warp-wide pass. Warps issue in one
+//! total order — the runnable warp minimizing `(ready_cycle, warp_id)`
+//! — from an event heap; debug builds cross-check every pick against a
+//! linear scan. The golden launch fixtures (`orion-bench`) pin the
+//! engine's observable results.
 //!
 //! An engine can record which 64-byte chunks of global memory its
 //! stores touched (`DirtyChunks`), so the SM fan-out in `sim` diffs
@@ -28,9 +29,9 @@ use crate::memory::{MemKind, MemStats, MemSystem};
 use orion_kir::cfg::{Cfg, PostDominators};
 use orion_kir::function::{FuncKind, Function};
 use orion_kir::inst::Opcode;
-use orion_kir::mir::{MLoc, MModule, MOperand, Place};
-use orion_kir::sem::{eval_alu, eval_setp, Val};
-use orion_kir::types::{BlockId, FuncId, MemSpace, SpecialReg, Width, NUM_PRED_REGS};
+use orion_kir::mir::{MLoc, MModule, Place};
+use orion_kir::sem::{eval_setp, Val};
+use orion_kir::types::{BlockId, FuncId, MemSpace, Width, NUM_PRED_REGS};
 use serde::{Deserialize, Serialize};
 
 /// Kernel launch shape.
@@ -177,55 +178,6 @@ impl StallStats {
     }
 }
 
-/// Warp-scheduler implementation for the per-SM engine.
-///
-/// Both schedulers realize the same **total order**: among runnable
-/// warps (not done, not at a barrier), issue the one minimizing the
-/// pair `(ready_cycle, warp_id)` lexicographically. The linear scan
-/// realizes it by keeping the *first* index on ties (its comparison is
-/// strict, `r < br`); the event heap realizes it by keying its entries
-/// on exactly that pair, packed into one integer
-/// `(ready_cycle << 64) | warp_id`. Results are therefore
-/// bit-identical; a debug assertion cross-checks the heap's pick
-/// against the reference scan on every issue, and
-/// `tests/schedule.rs` pins the equivalence end to end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum Scheduler {
-    /// Monotone ready-queue: a `BinaryHeap` of packed
-    /// `(ready_cycle << 64) | warp_id` keys with lazy invalidation (an
-    /// entry is live while it equals its warp's current key). The issued
-    /// warp's entry is replaced in place at the top. O(log W) per issue
-    /// instead of O(W).
-    #[default]
-    EventHeap,
-    /// The seed engine's O(W) per-issue scan, kept as the reference
-    /// implementation for perf baselines and equivalence tests.
-    LinearScan,
-}
-
-/// Lane-state memory layout for the per-SM engine.
-///
-/// Both layouts execute the same predecoded program and are
-/// **bit-identical** in every observable: cycles, stall buckets, memory
-/// state and counters, and error variant + cycle. `tests/schedule.rs`
-/// pins the equivalence across workloads × occupancy × schedulers ×
-/// fault seeds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum LaneLayout {
-    /// Pooled structure-of-arrays lane state (`crate::lanes`): one
-    /// slot-major on-chip arena per CTA (`onchip[slot * stride + tid]`),
-    /// one lane-strided local arena, and predicates packed as one `u32`
-    /// mask per (warp, pred-reg). Warp instructions execute as
-    /// gather → warp-wide compute → masked scatter.
-    #[default]
-    Soa,
-    /// The seed engine's array-of-structs layout: each lane owns its own
-    /// register/local vectors and `bool` predicate file. Kept as the
-    /// reference implementation for perf baselines and equivalence
-    /// tests.
-    Aos,
-}
-
 /// Why a warp's earliest-ready time is what it is — the binding
 /// constraint used to classify scheduling gaps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -321,13 +273,6 @@ struct Frame {
     stack: Vec<SimtEntry>,
 }
 
-/// One lane's state in the reference array-of-structs layout.
-struct LaneState {
-    onchip: Vec<u32>,
-    local: Vec<u8>,
-    preds: [bool; NUM_PRED_REGS as usize],
-}
-
 struct Warp {
     /// Index into the SM's resident-CTA table.
     cta: usize,
@@ -360,26 +305,12 @@ struct Warp {
     ready_why: Wait,
 }
 
-/// A CTA's lane state in whichever layout the launch selected.
-enum LaneArena {
-    /// Per-lane structs (reference layout).
-    Aos(Vec<LaneState>),
-    /// Pooled slot-major arenas (default layout).
-    Soa(SoaCta),
-}
-
-impl Default for LaneArena {
-    fn default() -> Self {
-        LaneArena::Aos(Vec::new())
-    }
-}
-
 struct Cta {
     grid_idx: u32,
     /// Index of the CTA's first warp in the SM's warp table; its
     /// `warps_per_block` warps are admitted contiguously from here.
     first_warp: usize,
-    lanes: LaneArena,
+    lanes: SoaCta,
     shared: Vec<u8>,
     warps_left: usize,
     /// Cycle at which this CTA was admitted (telemetry timeline).
@@ -394,8 +325,6 @@ struct Cta {
 /// coalesced line lists, warp-wide operand files).
 #[derive(Default)]
 struct Scratch {
-    /// Retired CTA lane tables (each lane keeps its own vectors).
-    lanes: Vec<Vec<LaneState>>,
     /// Retired CTA user shared-memory buffers.
     shared: Vec<Vec<u8>>,
     /// Retired warp readiness scoreboards (`onchip_ready`/`local_ready`).
@@ -455,10 +384,6 @@ pub(crate) struct SmEngine<'m, 'g> {
     /// pushed past the cycle budget, so the launch can only end via the
     /// watchdog — a deterministic stand-in for a stuck-warp hang).
     stuck_warp: bool,
-    /// Warp-scheduler implementation (bit-identical alternatives).
-    scheduler: Scheduler,
-    /// Lane-state layout (bit-identical alternatives).
-    layout: LaneLayout,
     /// Resident-CTA limit of the current launch (per-warp-slot rollup).
     residency: u32,
     /// Recycled per-CTA/per-warp buffers.
@@ -475,10 +400,6 @@ pub struct EngineGuards {
     pub cycle_budget: u64,
     /// Injected hang: wedge the first admitted warp past the budget.
     pub stuck_warp: bool,
-    /// Warp-scheduler implementation.
-    pub scheduler: Scheduler,
-    /// Lane-state memory layout.
-    pub layout: LaneLayout,
 }
 
 impl<'m, 'g> SmEngine<'m, 'g> {
@@ -514,8 +435,6 @@ impl<'m, 'g> SmEngine<'m, 'g> {
             steps_left: guards.step_limit,
             cycle_budget: guards.cycle_budget,
             stuck_warp: guards.stuck_warp,
-            scheduler: guards.scheduler,
-            layout: guards.layout,
             residency: 1,
             scratch: Scratch::default(),
         }
@@ -548,10 +467,7 @@ impl<'m, 'g> SmEngine<'m, 'g> {
                 w.free_reason = Wait::Mem;
             }
         }
-        match self.scheduler {
-            Scheduler::EventHeap => self.run_heap(&mut pending, &mut ctas, &mut warps)?,
-            Scheduler::LinearScan => self.run_scan(&mut pending, &mut ctas, &mut warps)?,
-        }
+        self.run_heap(&mut pending, &mut ctas, &mut warps)?;
         self.stats.mem = self.mem.stats;
         // Close the per-SM accounting: everything between the last issue
         // and engine completion is latency drain. `last_event` can in
@@ -566,10 +482,11 @@ impl<'m, 'g> SmEngine<'m, 'g> {
         Ok(end)
     }
 
-    /// Reference scheduler: O(W) scan for the runnable warp minimizing
-    /// `(ready_cycle, warp_id)` — the strict `r < br` comparison keeps
-    /// the first (lowest-id) warp on ready-time ties, which is exactly
-    /// the lexicographic order the event heap reproduces.
+    /// O(W) scan for the runnable warp minimizing `(ready_cycle,
+    /// warp_id)` — the strict `r < br` comparison keeps the first
+    /// (lowest-id) warp on ready-time ties. Debug builds check every
+    /// event-heap pick against it.
+    #[cfg(debug_assertions)]
     fn scan_best(&self, warps: &[Warp]) -> Option<(u64, usize, Wait)> {
         let mut best: Option<(u64, usize, Wait)> = None;
         for (i, w) in warps.iter().enumerate() {
@@ -582,27 +499,6 @@ impl<'m, 'g> SmEngine<'m, 'g> {
             }
         }
         best
-    }
-
-    fn run_scan<I: Iterator<Item = u32>>(
-        &mut self,
-        pending: &mut I,
-        ctas: &mut Vec<Cta>,
-        warps: &mut Vec<Warp>,
-    ) -> Result<(), SimError> {
-        let mut touched: Vec<usize> = Vec::new();
-        loop {
-            let Some((ready, wi, wait)) = self.scan_best(warps) else {
-                // No runnable warps: all done, or all at barriers (which
-                // release eagerly), or deadlock.
-                if warps.iter().all(|w| w.done) {
-                    return Ok(());
-                }
-                return Err(SimError::Deadlock);
-            };
-            touched.clear();
-            self.issue_at(pending, ctas, warps, wi, ready, wait, &mut touched)?;
-        }
     }
 
     /// Warp `i`'s ready-queue key at its current ready time, caching the
@@ -642,8 +538,9 @@ impl<'m, 'g> SmEngine<'m, 'g> {
         }
         loop {
             let Some(mut top) = heap.peek_mut() else {
-                // Queue drained with no runnable warp left — same
-                // terminal condition as the reference scan.
+                // Queue drained with no runnable warp left: every warp
+                // is done, or the rest wait at barriers that (releasing
+                // eagerly) can never open.
                 if warps.iter().all(|w| w.done) {
                     return Ok(());
                 }
@@ -659,13 +556,12 @@ impl<'m, 'g> SmEngine<'m, 'g> {
             let wait = warps[wi].ready_why;
             #[cfg(debug_assertions)]
             {
-                // The heap must reproduce the reference scan's
-                // `(ready, warp_id)` total order pick for pick.
-                let reference = self.scan_best(warps);
+                // The heap must reproduce the scan's `(ready, warp_id)`
+                // total order pick for pick.
                 debug_assert_eq!(
-                    reference,
+                    self.scan_best(warps),
                     Some((ready, wi, wait)),
-                    "event heap diverged from the reference scan order"
+                    "event heap diverged from the scan order"
                 );
             }
             touched.clear();
@@ -696,8 +592,7 @@ impl<'m, 'g> SmEngine<'m, 'g> {
     /// bookkeeping, the warp step itself, then barrier release and CTA
     /// retirement/admission. Indices of warps whose scheduling state
     /// changed (beyond `wi` going done/to-barrier) are appended to
-    /// `touched` so the event heap can re-queue them; the scan scheduler
-    /// ignores the list.
+    /// `touched` so the event heap can re-queue them.
     #[allow(clippy::too_many_arguments)]
     fn issue_at<I: Iterator<Item = u32>>(
         &mut self,
@@ -803,15 +698,10 @@ impl<'m, 'g> SmEngine<'m, 'g> {
                         vec![("grid_idx", ctas[c].grid_idx.into())],
                     );
                 }
-                match std::mem::take(&mut ctas[c].lanes) {
-                    LaneArena::Aos(lanes) => self.scratch.lanes.push(lanes),
-                    LaneArena::Soa(soa) => {
-                        let (onchip, local, preds) = soa.into_parts();
-                        self.scratch.soa_onchip.push(onchip);
-                        self.scratch.soa_local.push(local);
-                        self.scratch.soa_preds.push(preds);
-                    }
-                }
+                let (onchip, local, preds) = std::mem::take(&mut ctas[c].lanes).into_parts();
+                self.scratch.soa_onchip.push(onchip);
+                self.scratch.soa_local.push(local);
+                self.scratch.soa_preds.push(preds);
                 self.scratch.shared.push(std::mem::take(&mut ctas[c].shared));
                 if let Some(b) = pending.next() {
                     let start = self.last_event.max(t);
@@ -837,47 +727,20 @@ impl<'m, 'g> SmEngine<'m, 'g> {
         v
     }
 
-    /// Build the lane-state arena for a newly admitted CTA in the
-    /// engine's layout, reusing retired buffers where possible.
-    fn build_arena(&mut self) -> LaneArena {
-        match self.layout {
-            LaneLayout::Aos => {
-                let block = self.launch.block.max(1) as usize;
-                let mut lanes = self.scratch.lanes.pop().unwrap_or_default();
-                lanes.truncate(block);
-                for lane in &mut lanes {
-                    lane.onchip.clear();
-                    lane.onchip.resize(self.onchip_words, 0);
-                    lane.local.clear();
-                    lane.local.resize(self.local_words * 4, 0);
-                    lane.preds = [false; NUM_PRED_REGS as usize];
-                }
-                while lanes.len() < block {
-                    lanes.push(LaneState {
-                        onchip: vec![0u32; self.onchip_words],
-                        local: vec![0u8; self.local_words * 4],
-                        preds: [false; NUM_PRED_REGS as usize],
-                    });
-                }
-                LaneArena::Aos(lanes)
-            }
-            LaneLayout::Soa => {
-                // Arenas cover whole warps (`warps_per_block * 32` lanes)
-                // even when the block is not a multiple of 32: the tail
-                // lanes are dead (never in `alive`), but warp-wide
-                // gathers may read their zeros.
-                let stride = self.warps_per_block as usize * 32;
-                let onchip =
-                    Self::recycled(&mut self.scratch.soa_onchip, self.onchip_words * stride);
-                let local =
-                    Self::recycled(&mut self.scratch.soa_local, self.local_words * 4 * stride);
-                let preds = Self::recycled(
-                    &mut self.scratch.soa_preds,
-                    usize::from(NUM_PRED_REGS) * self.warps_per_block as usize,
-                );
-                LaneArena::Soa(SoaCta::new(onchip, local, preds, stride, self.local_words * 4))
-            }
-        }
+    /// Build the lane-state arenas for a newly admitted CTA, reusing
+    /// retired buffers where possible.
+    fn build_arena(&mut self) -> SoaCta {
+        // Arenas cover whole warps (`warps_per_block * 32` lanes) even
+        // when the block is not a multiple of 32: the tail lanes are dead
+        // (never in `alive`), but warp-wide gathers may read their zeros.
+        let stride = self.warps_per_block as usize * 32;
+        let onchip = Self::recycled(&mut self.scratch.soa_onchip, self.onchip_words * stride);
+        let local = Self::recycled(&mut self.scratch.soa_local, self.local_words * 4 * stride);
+        let preds = Self::recycled(
+            &mut self.scratch.soa_preds,
+            usize::from(NUM_PRED_REGS) * self.warps_per_block as usize,
+        );
+        SoaCta::new(onchip, local, preds, stride, self.local_words * 4)
     }
 
     fn admit_cta(&mut self, ctas: &mut Vec<Cta>, warps: &mut Vec<Warp>, grid_idx: u32, start: u64) {
@@ -1007,50 +870,6 @@ impl<'m, 'g> SmEngine<'m, 'g> {
         }
     }
 
-    fn read_loc(lane: &LaneState, l: MLoc) -> Val {
-        let mut v = Val::default();
-        for k in 0..l.width.words() as usize {
-            let idx = usize::from(l.slot) + k;
-            v.w[k] = match l.place {
-                Place::Onchip => lane.onchip[idx],
-                Place::Local => {
-                    let b = idx * 4;
-                    u32::from_le_bytes(lane.local[b..b + 4].try_into().expect("local word"))
-                }
-            };
-        }
-        v
-    }
-
-    fn write_loc(lane: &mut LaneState, l: MLoc, v: Val) {
-        for k in 0..l.width.words() as usize {
-            let idx = usize::from(l.slot) + k;
-            match l.place {
-                Place::Onchip => lane.onchip[idx] = v.w[k],
-                Place::Local => {
-                    let b = idx * 4;
-                    lane.local[b..b + 4].copy_from_slice(&v.w[k].to_le_bytes());
-                }
-            }
-        }
-    }
-
-    fn operand(&self, lane: &LaneState, op: &MOperand, cta_grid: u32, tid: u32) -> Val {
-        match op {
-            MOperand::Loc(l) => Self::read_loc(lane, *l),
-            MOperand::Imm(i) => Val::scalar(*i as u32),
-            MOperand::Param(p) => Val::scalar(self.params.get(*p as usize).copied().unwrap_or(0)),
-            MOperand::Special(s) => Val::scalar(match s {
-                SpecialReg::TidX => tid,
-                SpecialReg::CtaIdX => cta_grid,
-                SpecialReg::NTidX => self.launch.block,
-                SpecialReg::NCtaIdX => self.launch.grid,
-                SpecialReg::LaneId => tid % 32,
-                SpecialReg::WarpId => tid / 32,
-            }),
-        }
-    }
-
     /// Interleaved local-memory address of `word` for a thread, unique
     /// per (grid block, thread): warp accesses to one spill word coalesce
     /// into a single 128-byte line.
@@ -1160,27 +979,8 @@ impl<'m, 'g> SmEngine<'m, 'g> {
                     self.transfer(w, frame_idx, target);
                 }
                 DecTerm::Branch { pred, neg, then_bb, else_bb, reconv } => {
-                    let t_mask = match &ctas[w.cta].lanes {
-                        LaneArena::Aos(lanes) => {
-                            let mut tm = 0u32;
-                            for lane in 0..32u32 {
-                                if mask & (1 << lane) != 0 {
-                                    let p = lanes[(warp_base_tid + lane) as usize].preds
-                                        [pred.0 as usize]
-                                        ^ neg;
-                                    if p {
-                                        tm |= 1 << lane;
-                                    }
-                                }
-                            }
-                            tm
-                        }
-                        // One mask op instead of 32 bool loads.
-                        LaneArena::Soa(soa) => {
-                            let pb = soa.pred_bits(w.warp_in_block, pred);
-                            mask & if neg { !pb } else { pb }
-                        }
-                    };
+                    let pb = ctas[w.cta].lanes.pred_bits(w.warp_in_block, pred);
+                    let t_mask = mask & if neg { !pb } else { pb };
                     let nt_mask = mask & !t_mask;
                     if nt_mask == 0 {
                         self.transfer(w, frame_idx, then_bb);
@@ -1311,44 +1111,20 @@ impl<'m, 'g> SmEngine<'m, 'g> {
             }
             Opcode::Ld { space, width, offset } => {
                 // Phase 1: gather per-lane addresses into the recycled
-                // scratch buffer (ascending lane order in both layouts).
+                // scratch buffer, in ascending lane order.
                 let mut completions = t;
                 let mut addrs = std::mem::take(&mut self.scratch.addrs);
                 addrs.clear();
-                let Cta { lanes, shared, .. } = &mut ctas[w.cta];
-                let soa_gather = match lanes {
-                    LaneArena::Aos(lanes) => {
-                        for lane in 0..32u32 {
-                            if mask & (1 << lane) == 0 {
-                                continue;
-                            }
-                            let tid = warp_base_tid + lane;
-                            let lane_state = &lanes[tid as usize];
-                            if let Some(p) = inst.pred {
-                                if !(lane_state.preds[p.0 as usize] ^ inst.pred_neg) {
-                                    continue;
-                                }
-                            }
-                            let base =
-                                self.operand(lane_state, &inst.srcs()[0], cta_grid, tid).as_i32();
-                            addrs.push((i64::from(base) + i64::from(offset)) as u64);
-                        }
-                        None
-                    }
-                    LaneArena::Soa(soa) => {
-                        let exec = soa.exec_mask(ctx.warp, mask, inst.pred, inst.pred_neg);
-                        let mut base = WarpOperand::default();
-                        soa.gather(&inst.srcs()[0], &ctx, &mut base);
-                        let mut m = exec;
-                        while m != 0 {
-                            let lane = m.trailing_zeros() as usize;
-                            addrs
-                                .push((i64::from(base.w0(lane) as i32) + i64::from(offset)) as u64);
-                            m &= m - 1;
-                        }
-                        Some((exec, base))
-                    }
-                };
+                let Cta { lanes: soa, shared, .. } = &mut ctas[w.cta];
+                let exec = soa.exec_mask(ctx.warp, mask, inst.pred, inst.pred_neg);
+                let mut base = WarpOperand::default();
+                soa.gather(&inst.srcs()[0], &ctx, &mut base);
+                let mut m = exec;
+                while m != 0 {
+                    let lane = m.trailing_zeros() as usize;
+                    addrs.push((i64::from(base.w0(lane) as i32) + i64::from(offset)) as u64);
+                    m &= m - 1;
+                }
                 // Phase 2: timing over the gathered addresses.
                 match space {
                     MemSpace::Global => {
@@ -1372,79 +1148,36 @@ impl<'m, 'g> SmEngine<'m, 'g> {
                 }
                 self.scratch.addrs = addrs;
                 // Phase 3: execute values (ascending lane order).
-                match lanes {
-                    LaneArena::Aos(lanes) => {
-                        for lane in 0..32u32 {
-                            if mask & (1 << lane) == 0 {
-                                continue;
-                            }
-                            let tid = warp_base_tid + lane;
-                            if let Some(p) = inst.pred {
-                                if !(lanes[tid as usize].preds[p.0 as usize] ^ inst.pred_neg) {
-                                    continue;
-                                }
-                            }
-                            let base = self
-                                .operand(&lanes[tid as usize], &inst.srcs()[0], cta_grid, tid)
-                                .as_i32();
-                            let addr = (i64::from(base) + i64::from(offset)) as u64;
+                match inst.dst {
+                    // Warp-wide fast path: 32-bit global/shared loads land
+                    // straight in the register plane.
+                    Some(d)
+                        if space != MemSpace::Local
+                            && width == Width::W32
+                            && d.width == Width::W32
+                            && d.place == Place::Onchip =>
+                    {
+                        let buf: &[u8] =
+                            if space == MemSpace::Global { self.global } else { shared };
+                        soa.load_w32(usize::from(d.slot), ctx.warp, exec, &base, offset, buf)
+                            .map_err(|addr| SimError::OutOfBounds { space, addr })?;
+                    }
+                    _ => {
+                        let mut m = exec;
+                        while m != 0 {
+                            let lane = m.trailing_zeros() as usize;
+                            let tid = warp_base_tid + lane as u32;
+                            let addr = (i64::from(base.w0(lane) as i32) + i64::from(offset)) as u64;
                             let v = match space {
                                 MemSpace::Global => read_bytes(self.global, addr, width),
                                 MemSpace::Shared => read_bytes(shared, addr, width),
-                                MemSpace::Local => {
-                                    read_bytes(&lanes[tid as usize].local, addr, width)
-                                }
+                                MemSpace::Local => read_bytes(soa.local_region(tid), addr, width),
                             }
                             .ok_or_else(|| SimError::OutOfBounds { space, addr })?;
                             if let Some(d) = inst.dst {
-                                Self::write_loc(&mut lanes[tid as usize], d, v);
+                                soa.write_val(d, ctx.warp, tid, v);
                             }
-                        }
-                    }
-                    LaneArena::Soa(soa) => {
-                        let (exec, base) = soa_gather.expect("soa gather state");
-                        match inst.dst {
-                            // Warp-wide fast path: 32-bit global/shared
-                            // loads land straight in the register plane.
-                            Some(d)
-                                if space != MemSpace::Local
-                                    && width == Width::W32
-                                    && d.width == Width::W32
-                                    && d.place == Place::Onchip =>
-                            {
-                                let buf: &[u8] =
-                                    if space == MemSpace::Global { self.global } else { shared };
-                                soa.load_w32(
-                                    usize::from(d.slot),
-                                    ctx.warp,
-                                    exec,
-                                    &base,
-                                    offset,
-                                    buf,
-                                )
-                                .map_err(|addr| SimError::OutOfBounds { space, addr })?;
-                            }
-                            _ => {
-                                let mut m = exec;
-                                while m != 0 {
-                                    let lane = m.trailing_zeros() as usize;
-                                    let tid = warp_base_tid + lane as u32;
-                                    let addr = (i64::from(base.w0(lane) as i32) + i64::from(offset))
-                                        as u64;
-                                    let v = match space {
-                                        MemSpace::Global => read_bytes(self.global, addr, width),
-                                        MemSpace::Shared => read_bytes(shared, addr, width),
-                                        MemSpace::Local => {
-                                            read_bytes(soa.local_region(tid), addr, width)
-                                        }
-                                    }
-                                    .ok_or_else(|| SimError::OutOfBounds { space, addr })?;
-                                    if let Some(d) = inst.dst {
-                                        soa.write_val(d, ctx.warp, tid, v);
-                                    }
-                                    m &= m - 1;
-                                }
-                            }
+                            m &= m - 1;
                         }
                     }
                 }
@@ -1460,64 +1193,31 @@ impl<'m, 'g> SmEngine<'m, 'g> {
             Opcode::St { space, width, offset } => {
                 let mut addrs = std::mem::take(&mut self.scratch.addrs);
                 addrs.clear();
-                let Cta { lanes, shared, .. } = &mut ctas[w.cta];
-                match lanes {
-                    LaneArena::Aos(lanes) => {
-                        for lane in 0..32u32 {
-                            if mask & (1 << lane) == 0 {
-                                continue;
-                            }
-                            let tid = warp_base_tid + lane;
-                            let lane_state = &lanes[tid as usize];
-                            if let Some(p) = inst.pred {
-                                if !(lane_state.preds[p.0 as usize] ^ inst.pred_neg) {
-                                    continue;
-                                }
-                            }
-                            let base =
-                                self.operand(lane_state, &inst.srcs()[0], cta_grid, tid).as_i32();
-                            let addr = (i64::from(base) + i64::from(offset)) as u64;
-                            let v = self.operand(lane_state, &inst.srcs()[1], cta_grid, tid);
-                            match space {
-                                MemSpace::Global => self.store_global(addr, width, v),
-                                MemSpace::Shared => write_bytes(shared, addr, width, v),
-                                MemSpace::Local => {
-                                    write_bytes(&mut lanes[tid as usize].local, addr, width, v)
-                                }
-                            }
-                            .ok_or_else(|| SimError::OutOfBounds { space, addr })?;
-                            addrs.push(addr);
-                        }
+                let Cta { lanes: soa, shared, .. } = &mut ctas[w.cta];
+                // Gather base + value warp-wide, then write in ascending
+                // lane order. Safe to pre-gather: store targets
+                // (global/shared/lane-local bytes) are never operand
+                // sources, and each lane's write happens after its own
+                // reads.
+                let exec = soa.exec_mask(ctx.warp, mask, inst.pred, inst.pred_neg);
+                let mut base = WarpOperand::default();
+                let mut value = WarpOperand::default();
+                soa.gather(&inst.srcs()[0], &ctx, &mut base);
+                soa.gather(&inst.srcs()[1], &ctx, &mut value);
+                let mut m = exec;
+                while m != 0 {
+                    let lane = m.trailing_zeros() as usize;
+                    let tid = warp_base_tid + lane as u32;
+                    let addr = (i64::from(base.w0(lane) as i32) + i64::from(offset)) as u64;
+                    let v = value.val(lane);
+                    match space {
+                        MemSpace::Global => self.store_global(addr, width, v),
+                        MemSpace::Shared => write_bytes(shared, addr, width, v),
+                        MemSpace::Local => write_bytes(soa.local_region_mut(tid), addr, width, v),
                     }
-                    LaneArena::Soa(soa) => {
-                        // Gather base + value warp-wide, then write in
-                        // ascending lane order. Safe to pre-gather: store
-                        // targets (global/shared/lane-local bytes) are
-                        // never operand sources, and each lane's write
-                        // happens after its own reads.
-                        let exec = soa.exec_mask(ctx.warp, mask, inst.pred, inst.pred_neg);
-                        let mut base = WarpOperand::default();
-                        let mut value = WarpOperand::default();
-                        soa.gather(&inst.srcs()[0], &ctx, &mut base);
-                        soa.gather(&inst.srcs()[1], &ctx, &mut value);
-                        let mut m = exec;
-                        while m != 0 {
-                            let lane = m.trailing_zeros() as usize;
-                            let tid = warp_base_tid + lane as u32;
-                            let addr = (i64::from(base.w0(lane) as i32) + i64::from(offset)) as u64;
-                            let v = value.val(lane);
-                            match space {
-                                MemSpace::Global => self.store_global(addr, width, v),
-                                MemSpace::Shared => write_bytes(shared, addr, width, v),
-                                MemSpace::Local => {
-                                    write_bytes(soa.local_region_mut(tid), addr, width, v)
-                                }
-                            }
-                            .ok_or_else(|| SimError::OutOfBounds { space, addr })?;
-                            addrs.push(addr);
-                            m &= m - 1;
-                        }
-                    }
+                    .ok_or_else(|| SimError::OutOfBounds { space, addr })?;
+                    addrs.push(addr);
+                    m &= m - 1;
                 }
                 // Bandwidth accounting (fire-and-forget stores).
                 match space {
@@ -1541,124 +1241,58 @@ impl<'m, 'g> SmEngine<'m, 'g> {
                 Ok(())
             }
             Opcode::ISetp(_) | Opcode::FSetp(_) => {
-                match &mut ctas[w.cta].lanes {
-                    LaneArena::Aos(lanes) => {
-                        for lane in 0..32u32 {
-                            if mask & (1 << lane) == 0 {
-                                continue;
-                            }
-                            let tid = warp_base_tid + lane;
-                            let lane_state = &lanes[tid as usize];
-                            if let Some(p) = inst.pred {
-                                if !(lane_state.preds[p.0 as usize] ^ inst.pred_neg) {
-                                    continue;
-                                }
-                            }
-                            let s: Vec<Val> = inst
-                                .srcs()
-                                .iter()
-                                .map(|o| self.operand(lane_state, o, cta_grid, tid))
-                                .collect();
-                            let r = eval_setp(&inst.op, &s);
-                            let p = inst.pdst.expect("setp pdst");
-                            lanes[tid as usize].preds[p.0 as usize] = r;
-                        }
-                    }
-                    LaneArena::Soa(soa) => {
-                        // Gather both operands, compare all 32 lanes
-                        // (compares are pure — inactive lanes' results
-                        // are masked out by the merge), pack into one
-                        // predicate-mask merge.
-                        debug_assert_eq!(inst.srcs().len(), 2, "setp has two sources");
-                        let exec = soa.exec_mask(ctx.warp, mask, inst.pred, inst.pred_neg);
-                        let Scratch { ops, .. } = &mut self.scratch;
-                        soa.gather(&inst.srcs()[0], &ctx, &mut ops[0]);
-                        soa.gather(&inst.srcs()[1], &ctx, &mut ops[1]);
-                        let mut bits = 0u32;
-                        for lane in 0..32 {
-                            if eval_setp(&inst.op, &[ops[0].val(lane), ops[1].val(lane)]) {
-                                bits |= 1 << lane;
-                            }
-                        }
-                        let p = inst.pdst.expect("setp pdst");
-                        soa.merge_pred(ctx.warp, p, bits, exec);
+                // Gather both operands, compare all 32 lanes (compares are
+                // pure — inactive lanes' results are masked out by the
+                // merge), pack into one predicate-mask merge.
+                debug_assert_eq!(inst.srcs().len(), 2, "setp has two sources");
+                let soa = &mut ctas[w.cta].lanes;
+                let exec = soa.exec_mask(ctx.warp, mask, inst.pred, inst.pred_neg);
+                let Scratch { ops, .. } = &mut self.scratch;
+                soa.gather(&inst.srcs()[0], &ctx, &mut ops[0]);
+                soa.gather(&inst.srcs()[1], &ctx, &mut ops[1]);
+                let mut bits = 0u32;
+                for lane in 0..32 {
+                    if eval_setp(&inst.op, &[ops[0].val(lane), ops[1].val(lane)]) {
+                        bits |= 1 << lane;
                     }
                 }
+                let p = inst.pdst.expect("setp pdst");
+                soa.merge_pred(ctx.warp, p, bits, exec);
                 let done = local_ready_max.max(t) + result_latency;
-                if let Some(p) = inst.pdst {
-                    w.pred_ready[p.0 as usize] = done;
-                }
+                w.pred_ready[p.0 as usize] = done;
                 w.next_free = t + issue_cost;
                 self.last_event = self.last_event.max(done);
                 Ok(())
             }
             _ => {
                 // ALU / Mov / Sel / conversions (incl. Nop).
-                match &mut ctas[w.cta].lanes {
-                    LaneArena::Aos(lanes) => {
-                        for lane in 0..32u32 {
-                            if mask & (1 << lane) == 0 {
-                                continue;
-                            }
-                            let tid = warp_base_tid + lane;
-                            let lane_state = &lanes[tid as usize];
-                            if let Some(p) = inst.pred {
-                                if !(lane_state.preds[p.0 as usize] ^ inst.pred_neg) {
-                                    continue;
-                                }
-                            }
-                            if inst.op == Opcode::Nop {
-                                continue;
-                            }
-                            let s: Vec<Val> = inst
-                                .srcs()
-                                .iter()
-                                .map(|o| self.operand(lane_state, o, cta_grid, tid))
-                                .collect();
-                            let v = if inst.op == Opcode::Sel {
-                                let p = inst.sel_pred.expect("sel pred");
-                                if lane_state.preds[p.0 as usize] {
-                                    s[0]
-                                } else {
-                                    s[1]
-                                }
-                            } else {
-                                eval_alu(&inst.op, &s)
-                            };
-                            if let Some(d) = inst.dst {
-                                Self::write_loc(&mut lanes[tid as usize], d, v);
-                            }
-                        }
+                let soa = &mut ctas[w.cta].lanes;
+                let exec = soa.exec_mask(ctx.warp, mask, inst.pred, inst.pred_neg);
+                if inst.op != Opcode::Nop && exec != 0 {
+                    let srcs = inst.srcs();
+                    let Scratch { ops, out, .. } = &mut self.scratch;
+                    for (k, s) in srcs.iter().enumerate() {
+                        soa.gather(s, &ctx, &mut ops[k]);
                     }
-                    LaneArena::Soa(soa) => {
-                        let exec = soa.exec_mask(ctx.warp, mask, inst.pred, inst.pred_neg);
-                        if inst.op != Opcode::Nop && exec != 0 {
-                            let srcs = inst.srcs();
-                            let Scratch { ops, out, .. } = &mut self.scratch;
-                            for (k, s) in srcs.iter().enumerate() {
-                                soa.gather(s, &ctx, &mut ops[k]);
-                            }
-                            if inst.op == Opcode::Sel {
-                                let p = inst.sel_pred.expect("sel pred");
-                                let pb = soa.pred_bits(ctx.warp, p);
-                                out.words = 4;
-                                for lane in 0..32 {
-                                    let v = if pb & (1 << lane) != 0 {
-                                        ops[0].val(lane)
-                                    } else {
-                                        ops[1].val(lane)
-                                    };
-                                    for j in 0..4 {
-                                        out.planes[j][lane] = v.w[j];
-                                    }
-                                }
+                    if inst.op == Opcode::Sel {
+                        let p = inst.sel_pred.expect("sel pred");
+                        let pb = soa.pred_bits(ctx.warp, p);
+                        out.words = 4;
+                        for lane in 0..32 {
+                            let v = if pb & (1 << lane) != 0 {
+                                ops[0].val(lane)
                             } else {
-                                warp_alu(&inst.op, &ops[..srcs.len()], out);
-                            }
-                            if let Some(d) = inst.dst {
-                                soa.scatter(d, &ctx, exec, out);
+                                ops[1].val(lane)
+                            };
+                            for j in 0..4 {
+                                out.planes[j][lane] = v.w[j];
                             }
                         }
+                    } else {
+                        warp_alu(&inst.op, &ops[..srcs.len()], out);
+                    }
+                    if let Some(d) = inst.dst {
+                        soa.scatter(d, &ctx, exec, out);
                     }
                 }
                 let done = local_ready_max.max(t) + result_latency;

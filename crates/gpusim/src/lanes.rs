@@ -1,10 +1,10 @@
 //! Structure-of-arrays lane state: the batched execution layout.
 //!
-//! The seed engine kept an array-of-structs `LaneState` per thread —
-//! every lane owned a heap-allocated register vector, a local-memory
-//! vector, and a `bool` predicate file — so each warp instruction
-//! chased 32 separate allocations and re-matched its operands per lane.
-//! This module stores a CTA's lane state in three pooled arenas instead:
+//! In an array-of-structs layout every lane owns a heap-allocated
+//! register vector, a local-memory vector, and a `bool` predicate file,
+//! so each warp instruction chases 32 separate allocations and
+//! re-matches its operands per lane. This module stores a CTA's lane
+//! state in three pooled arenas instead:
 //!
 //! * **On-chip slots, slot-major**: one contiguous `Vec<u32>` indexed
 //!   `onchip[slot * stride + tid]` with `stride = warps_per_block * 32`.
@@ -101,8 +101,8 @@ impl SoaCta {
         &mut self.onchip[base..base + 32]
     }
 
-    /// Lane `tid`'s local-memory region (same length the AoS lane's
-    /// private buffer had, so bounds behavior is identical).
+    /// Lane `tid`'s local-memory region, `local_bytes` long: a local
+    /// access past it is out of bounds.
     #[inline]
     pub fn local_region(&self, tid: u32) -> &[u8] {
         &self.local[tid as usize * self.local_bytes..][..self.local_bytes]

@@ -63,7 +63,7 @@ pub mod power;
 pub mod sim;
 
 pub use device::{CacheConfig, DeviceSpec};
-pub use exec::{LaneLayout, Launch, Scheduler, SimError, SimStats, StallStats};
+pub use exec::{Launch, SimError, SimStats, StallStats};
 pub use faults::{FaultInjector, FaultPlan, FaultSnapshot, LaunchFaults};
 pub use occupancy::{occupancy, KernelResources, Limiter, OccupancyInfo};
 pub use power::{energy, EnergyReport, PowerModel};

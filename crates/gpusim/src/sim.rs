@@ -5,8 +5,7 @@
 
 use crate::device::{CacheConfig, DeviceSpec};
 use crate::exec::{
-    DirtyChunks, EngineGuards, LaneLayout, Launch, LinkedProgram, Scheduler, SimError, SimStats,
-    SmEngine, StallStats,
+    DirtyChunks, EngineGuards, Launch, LinkedProgram, SimError, SimStats, SmEngine, StallStats,
 };
 use crate::faults::LaunchFaults;
 use crate::occupancy::{occupancy, KernelResources, OccupancyInfo};
@@ -47,14 +46,6 @@ pub struct LaunchOptions {
     /// bit-identical at every setting for conforming kernels (CUDA
     /// forbids inter-block communication within a launch).
     pub parallelism: u32,
-    /// Warp-scheduler implementation for each SM engine; the default
-    /// event heap and the reference linear scan are bit-identical (see
-    /// [`Scheduler`]).
-    pub scheduler: Scheduler,
-    /// Lane-state memory layout for each SM engine; the default pooled
-    /// SoA arenas and the reference AoS layout are bit-identical (see
-    /// [`LaneLayout`]).
-    pub layout: LaneLayout,
     /// Per-launch L1/shared-memory split override
     /// (`cudaFuncSetCacheConfig`); `None` keeps the device's configured
     /// split.
@@ -341,8 +332,6 @@ fn run_launch_impl(
         // A hang wedges one warp on SM 0; the other SMs' results
         // are discarded with the failed launch either way.
         stuck_warp: opts.faults.hang && sm == 0,
-        scheduler: opts.scheduler,
-        layout: opts.layout,
     };
     let workers = effective_workers(opts.parallelism, dev.num_sms);
     let outcomes: Vec<Option<SmRun>> = if workers <= 1 {
