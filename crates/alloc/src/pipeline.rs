@@ -277,7 +277,7 @@ impl Pass for ColorPass {
             let graph = InterferenceGraph::build(nf, &cfg, &live);
             let base = bases[fid.0 as usize];
             let fbudget = total.saturating_sub(base);
-            let coloring = color(&graph, fbudget, base, &[])?;
+            let coloring = color(&graph, fbudget, base)?;
             let units = extract_units(&coloring, &nf.vreg_widths)?;
 
             let mut calls = Vec::new();

@@ -79,7 +79,7 @@ fn bench_coloring(c: &mut Criterion) {
     let mut g = c.benchmark_group("chaitin_color");
     for budget in [16u16, 32, 64] {
         g.bench_with_input(BenchmarkId::from_parameter(budget), &budget, |b, &budget| {
-            b.iter(|| color(black_box(&graph), budget, 0, &[]))
+            b.iter(|| color(black_box(&graph), budget, 0))
         });
     }
     g.finish();

@@ -22,7 +22,9 @@
 //! device/padding combination and reuses one binary across all of
 //! them. The module half of the key is a structural fingerprint
 //! ([`orion_kir::function::Module::fingerprint`]) because workload
-//! builders construct a fresh `Module` value per call.
+//! builders construct a fresh `Module` value per call. Fingerprinting
+//! renders the whole module, so callers compute it once per module
+//! ([`FingerprintedModule::new`]) and reuse it for every budget.
 //!
 //! The cache is **one mutex** over the entry map, its FIFO order, and
 //! the counters. Compiles run on one thread at a time in practice:
@@ -255,6 +257,30 @@ impl CompileCacheStats {
     }
 }
 
+/// A module paired with its structural fingerprint, computed once.
+///
+/// The only constructor takes the module itself, so a cache key can
+/// never be paired with a different module.
+#[derive(Debug, Clone, Copy)]
+pub struct FingerprintedModule<'a> {
+    module: &'a Module,
+    fingerprint: u64,
+}
+
+impl<'a> FingerprintedModule<'a> {
+    /// Fingerprint `module` ([`Module::fingerprint`]).
+    #[must_use]
+    pub fn new(module: &'a Module) -> Self {
+        FingerprintedModule { module, fingerprint: module.fingerprint() }
+    }
+
+    /// The module.
+    #[must_use]
+    pub fn module(&self) -> &'a Module {
+        self.module
+    }
+}
+
 /// [`orion_alloc::realize::allocate`] memoized over
 /// `(module fingerprint, budget, options)`, with in-flight coalescing
 /// (see the module docs).
@@ -262,11 +288,11 @@ impl CompileCacheStats {
 /// # Errors
 /// Propagates allocation failures (which are never cached).
 pub fn allocate_cached(
-    module: &Module,
+    module: FingerprintedModule<'_>,
     budget: SlotBudget,
     opts: &AllocOptions,
 ) -> Result<Allocated, AllocError> {
-    let key = (module.fingerprint(), budget, *opts);
+    let key = (module.fingerprint, budget, *opts);
     let mut st = lock();
     let mut waited = false;
     loop {
@@ -303,7 +329,7 @@ pub fn allocate_cached(
     let _inflight = InflightGuard { key };
     drop(st);
     orion_telemetry::counter("compile_cache", "miss", 1);
-    let out = allocate(module, budget, opts);
+    let out = allocate(module.module, budget, opts);
     if let Ok(v) = &out {
         let mut st = lock();
         if !st.map.contains_key(&key) {
@@ -391,11 +417,15 @@ mod tests {
         let m = module();
         let budget = SlotBudget { reg_slots: 12, smem_slots: 0 };
         let before = stats();
-        let cold = allocate_cached(&m, budget, &AllocOptions::default()).expect("alloc");
-        let warm = allocate_cached(&m, budget, &AllocOptions::default()).expect("alloc");
+        let fm = FingerprintedModule::new(&m);
+        let cold = allocate_cached(fm, budget, &AllocOptions::default()).expect("alloc");
+        let warm = allocate_cached(fm, budget, &AllocOptions::default()).expect("alloc");
         assert_eq!(cold.machine, warm.machine);
         // A structurally equal but separately built module still hits.
-        let again = allocate_cached(&module(), budget, &AllocOptions::default()).expect("alloc");
+        let m2 = module();
+        let again =
+            allocate_cached(FingerprintedModule::new(&m2), budget, &AllocOptions::default())
+                .expect("alloc");
         assert_eq!(again.machine, cold.machine);
         let after = stats();
         assert!(after.hits >= before.hits + 2, "{after:?} vs {before:?}");
@@ -404,14 +434,15 @@ mod tests {
     #[test]
     fn distinct_budgets_are_distinct_entries() {
         let m = module();
+        let fm = FingerprintedModule::new(&m);
         let a = allocate_cached(
-            &m,
+            fm,
             SlotBudget { reg_slots: 12, smem_slots: 0 },
             &AllocOptions::default(),
         )
         .expect("alloc");
         let b = allocate_cached(
-            &m,
+            fm,
             SlotBudget { reg_slots: 2, smem_slots: 0 },
             &AllocOptions::default(),
         )

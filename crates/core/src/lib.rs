@@ -100,7 +100,7 @@ pub use backend::{
     AsyncBackend, Backend, BackendCaps, Completion, InlineAsync, LaunchRequest, Recorder,
     ReplayBackend, SimBackend, TicketId,
 };
-pub use cache::{allocate_cached, CompileCacheStats};
+pub use cache::{allocate_cached, CompileCacheStats, FingerprintedModule};
 pub use compiler::{compile, CompiledKernel, Direction, KernelVersion, TuningConfig};
 pub use error::{ErrorContext, OrionError};
 pub use orion::{Orion, SpaceOutcome};

@@ -6,10 +6,11 @@
 //! will schedule it at. [`VersionBuilder`] is the single place that
 //! assembles one, always through the compile cache
 //! ([`crate::cache::allocate_cached`]), so every caller shares both the
-//! construction logic and the cached allocations.
+//! construction logic and the cached allocations. It fingerprints its
+//! module once, and every version it realizes reuses that cache key.
 
 use crate::budget::{budget_for_warps, smem_padding_for_warps};
-use crate::cache::allocate_cached;
+use crate::cache::{allocate_cached, FingerprintedModule};
 use crate::compiler::{CompiledKernel, Direction, KernelVersion};
 use crate::error::OrionError;
 use crate::splitting::{can_split, SplitConfig};
@@ -24,14 +25,14 @@ use orion_kir::function::Module;
 pub struct VersionBuilder<'a> {
     dev: &'a DeviceSpec,
     block: u32,
-    module: &'a Module,
+    module: FingerprintedModule<'a>,
 }
 
 impl<'a> VersionBuilder<'a> {
     /// A builder for `module` on `dev` launched with `block` threads per
     /// block.
     pub fn new(dev: &'a DeviceSpec, block: u32, module: &'a Module) -> Self {
-        VersionBuilder { dev, block, module }
+        VersionBuilder { dev, block, module: FingerprintedModule::new(module) }
     }
 
     /// Driver-visible resources of a compiled binary plus `extra_smem`
@@ -78,9 +79,12 @@ impl<'a> VersionBuilder<'a> {
     /// # Errors
     /// Propagates allocation failures.
     pub fn sweep_level(&self, target_warps: u32) -> Result<Option<KernelVersion>, OrionError> {
-        let Some(budget) =
-            budget_for_warps(self.dev, self.block, self.module.user_smem_bytes, target_warps)
-        else {
+        let Some(budget) = budget_for_warps(
+            self.dev,
+            self.block,
+            self.module.module().user_smem_bytes,
+            target_warps,
+        ) else {
             return Ok(None);
         };
         let alloc = allocate_cached(self.module, budget, &AllocOptions::default())?;

@@ -7,7 +7,7 @@
 //! test functions concurrently within a binary.
 
 use orion_alloc::realize::{AllocOptions, SlotBudget};
-use orion_core::cache::{self, CACHE_CAPACITY};
+use orion_core::cache::{self, FingerprintedModule, CACHE_CAPACITY};
 use orion_core::orion::Orion;
 use orion_gpusim::device::DeviceSpec;
 use orion_kir::builder::FunctionBuilder;
@@ -27,7 +27,7 @@ fn module(tag: usize) -> Module {
 
 fn alloc(tag: usize) {
     cache::allocate_cached(
-        &module(tag),
+        FingerprintedModule::new(&module(tag)),
         SlotBudget { reg_slots: 8, smem_slots: 0 },
         &AllocOptions::default(),
     )
@@ -70,13 +70,13 @@ fn capacity_bounds_entries_and_counts_evictions() {
     // Concurrent cold-key requests coalesce onto one allocation:
     // exactly 1 miss and N-1 hits, whatever the thread interleaving.
     let m = module(9_999);
+    let fm = FingerprintedModule::new(&m);
     let before = cache::stats();
     std::thread::scope(|scope| {
         for _ in 0..6 {
-            let m = &m;
             scope.spawn(move || {
                 cache::allocate_cached(
-                    m,
+                    fm,
                     SlotBudget { reg_slots: 8, smem_slots: 0 },
                     &AllocOptions::default(),
                 )
