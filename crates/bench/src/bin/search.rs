@@ -1,369 +1,14 @@
-//! `orion-bench --bin search` — the search-policy ablation.
-//!
-//! Runs the tier-1 workloads through the widened candidate space
-//! (occupancy level × L1/shared split × split granularity, see
-//! [`CandidateSpace`]) under both shipped
-//! [`SearchPolicy`]
-//! implementations — the paper's Figure 9 walk and the bound-pruned
-//! UCB bandit — across clean and seeded-chaos measurement streams,
-//! and records two axes per (workload, seed, policy) cell:
-//!
-//! * **launches-to-converge** — simulated launches (each grid slice
-//!   counts) spent before the policy finalizes;
-//! * **final-pick cycles** — one clean whole-grid run of the selected
-//!   arm under its steady-state launch options, so picks are compared
-//!   on quality, not on the noise they were measured under.
-//!
-//! Two gates:
-//!
-//! 1. **Quality** (hard, every cell): the bandit's final pick is never
-//!    more than 2% slower than the walk's on the same (workload, seed).
-//! 2. **Convergence cost** (hard, aggregate): the bandit's mean
-//!    launches-to-converge is ≤ the walk's on at least 2 of the 3
-//!    workloads. Bound pruning is the whole point — dominated arms
-//!    must never be launched.
-//!
-//! `--inject-greedy` is the gate-inversion proof: it disables pruning
-//! and inflates the exploration schedule so the bandit sweeps and
-//! re-pulls every arm — the run must then exit 2, demonstrating the
-//! convergence gate actually fires. `--quick` shrinks the seed sweep
-//! for the CI smoke job.
-//!
-//! Writes `BENCH_search.json`.
+//! `orion-bench --bin search` — records the search-policy ablation
+//! (see [`orion_bench::search`]) over the canonical seeds as
+//! `BENCH_search.json`. `tests/search.rs` gates the run and pins the
+//! committed record; re-record it with this bin after an intended
+//! change.
 
-use orion_bench::figures::Figure;
-use orion_core::orion::Orion;
-use orion_core::policy::{
-    analytic_bound, BanditConfig, BanditPolicy, BoundCtx, Measurement, PolicyKind, PolicyVerdict,
-    SearchPolicy,
-};
-use orion_core::splitting::{split_ranges, SplitConfig};
-use orion_core::version::CandidateSpace;
-use orion_core::CompiledKernel;
+use orion_bench::search::{ablation, bandit_config, search_figure, SEEDS};
 use orion_gpusim::device::DeviceSpec;
-use orion_gpusim::faults::{FaultInjector, FaultPlan, LaunchFaults};
-use orion_gpusim::sim::{run_launch_opts, LaunchOptions};
-use orion_workloads::{by_name, Workload};
-use serde::Serialize;
 
-const TIER1: [&str; 3] = ["matrixMul", "backprop", "hotspot"];
-const SEEDS: [u64; 3] = [0, 7, 1337]; // 0 = clean, rest = chaos plans
-const THRESHOLD: f64 = 0.05;
-/// Per-arm launch-failure strikes before the bench quarantines it —
-/// mirrors the session's strike policy.
-const STRIKES: u32 = 2;
-
-/// The bandit schedule the ablation ships: prune on the analytic bound
-/// at default slack, confirm the incumbent once, and stop after at most
-/// two pulls per surviving arm. Deterministic for a fixed seed.
-fn bandit_config() -> BanditConfig {
-    BanditConfig {
-        seed: 0x5EA_2C4,
-        exploration_milli: 200,
-        prune_slack_pct: 15,
-        confirm_pulls: 1,
-        max_pulls: 2,
-    }
-}
-
-/// `--inject-greedy`: no pruning, every arm swept, incumbent confirmed
-/// over and over — the convergence gate must catch this.
-fn greedy_config() -> BanditConfig {
-    BanditConfig {
-        seed: 0x5EA_2C4,
-        exploration_milli: 4000,
-        prune_slack_pct: u32::MAX,
-        confirm_pulls: 16,
-        max_pulls: 16,
-    }
-}
-
-#[derive(Serialize)]
-struct Cell {
-    workload: String,
-    seed: u64,
-    policy: String,
-    arms: usize,
-    arms_pruned: usize,
-    launches_to_converge: u64,
-    quarantined: usize,
-    selected_label: String,
-    final_pick_cycles: u64,
-}
-
-#[derive(Serialize)]
-struct WorkloadSummary {
-    workload: String,
-    arms: usize,
-    walk_mean_launches: f64,
-    bandit_mean_launches: f64,
-    /// Convergence-cost axis: bandit mean ≤ walk mean on this workload.
-    bandit_converges_no_slower: bool,
-    /// Worst bandit/walk final-pick cycle ratio across seeds.
-    worst_pick_ratio: f64,
-}
-
-#[derive(Serialize)]
-struct SearchDoc {
-    device: String,
-    seeds: Vec<u64>,
-    threshold: f64,
-    bandit: BanditConfig,
-    inject_greedy: bool,
-    /// Gate 1: bandit pick ≤ 1.02 × walk pick on every cell.
-    quality_gate_ok: bool,
-    /// Gate 2: bandit launches ≤ walk launches on ≥ 2 of 3 workloads.
-    convergence_gate_ok: bool,
-    workloads: Vec<WorkloadSummary>,
-    cells: Vec<Cell>,
-}
-
-struct SearchRun {
-    launches: u64,
-    quarantined: usize,
-    selected: usize,
-}
-
-/// Drive one policy over the space: the same propose → launch slices →
-/// observe loop `Orion::tune_space` runs, plus the fault seam — a
-/// failed slice aborts the pull, and `STRIKES` failed pulls quarantine
-/// the arm (the session's strike policy, at bench scale).
-fn drive(
-    dev: &DeviceSpec,
-    w: &Workload,
-    space: &CandidateSpace,
-    policy: &mut dyn SearchPolicy,
-    injector: Option<&FaultInjector>,
-) -> SearchRun {
-    let mut global = w.init_global.clone();
-    let mut iter_no = 0u32;
-    let mut launches = 0u64;
-    let mut strikes = vec![0u32; space.arms.len()];
-    let budget = 32 * space.arms.len().max(1) as u64;
-    while matches!(policy.verdict(), PolicyVerdict::Exploring) && launches < budget {
-        let Some(i) = policy.propose() else { break };
-        let arm = &space.arms[i];
-        let mut cycles = 0u64;
-        let mut failed = false;
-        for range in split_ranges(w.launch().grid, arm.pieces, 1) {
-            let params = w.params_for(iter_no);
-            iter_no += 1;
-            let opts = LaunchOptions {
-                extra_smem_per_block: arm.version.extra_smem,
-                cta_range: Some(range),
-                faults: injector.map_or(LaunchFaults::NONE, FaultInjector::draw),
-                ..LaunchOptions::default()
-            };
-            let opts = match arm.cache_config {
-                Some(c) => opts.with_cache_config(c),
-                None => opts,
-            };
-            launches += 1;
-            match run_launch_opts(dev, &arm.version.machine, w.launch(), params, &mut global, opts)
-            {
-                Ok(r) => cycles = cycles.saturating_add(r.cycles),
-                Err(_) => {
-                    failed = true;
-                    break;
-                }
-            }
-        }
-        if failed {
-            strikes[i] += 1;
-            if strikes[i] >= STRIKES {
-                policy.quarantine(i);
-            }
-        } else {
-            policy.observe(i, Measurement::raw(cycles));
-        }
-    }
-    SearchRun { launches, quarantined: policy.quarantined_count(), selected: policy.select() }
-}
-
-/// One clean whole-grid run of the selected arm under its steady-state
-/// launch options — the quality axis, noise-free on both sides.
-fn final_pick_cycles(dev: &DeviceSpec, w: &Workload, space: &CandidateSpace, arm: usize) -> u64 {
-    let arm = &space.arms[arm];
-    let mut global = w.init_global.clone();
-    let opts =
-        LaunchOptions { extra_smem_per_block: arm.version.extra_smem, ..LaunchOptions::default() };
-    let opts = match arm.cache_config {
-        Some(c) => opts.with_cache_config(c),
-        None => opts,
-    };
-    run_launch_opts(dev, &arm.version.machine, w.launch(), w.params_for(0), &mut global, opts)
-        .expect("clean steady-state run")
-        .cycles
-}
-
-fn compile(dev: &DeviceSpec, w: &Workload) -> CompiledKernel {
-    let mut orion = Orion::new(dev.clone(), w.block);
-    orion.cfg.can_tune = w.can_tune;
-    orion.compile(&w.module).expect("tier-1 workload compiles")
-}
-
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let inject_greedy = std::env::args().any(|a| a == "--inject-greedy");
-    let seeds: Vec<u64> = if quick { vec![0, 7] } else { SEEDS.to_vec() };
-    let dev = DeviceSpec::gtx680();
-    orion_telemetry::set_enabled(false);
-    let cfg = if inject_greedy { greedy_config() } else { bandit_config() };
-
-    let mut cells: Vec<Cell> = Vec::new();
-    let mut summaries: Vec<WorkloadSummary> = Vec::new();
-    let mut quality_ok = true;
-
-    for name in TIER1 {
-        let w = by_name(name).expect("tier-1 workload");
-        let ck = compile(&dev, &w);
-        let space = CandidateSpace::enumerate(
-            &dev,
-            w.block,
-            &w.module,
-            ck.direction,
-            w.launch().grid,
-            SplitConfig::default(),
-        )
-        .expect("candidate space enumerates");
-        let synthetic = space.to_compiled(ck.max_live);
-        let ctx = BoundCtx::new(w.block, w.launch().grid, dev.num_sms, dev.warp_size);
-        // Launch-economy bounds: one pull of a `pieces`-way split arm
-        // costs `pieces` simulated launches for the same steady-state
-        // behavior as its unsplit twin (split granularity only shapes
-        // measurement), so the bound is cost-weighted by the split
-        // factor. Under the default slack this prunes split twins
-        // unless their unsplit version is itself dominated.
-        let bounds: Vec<Option<u64>> = space
-            .arms
-            .iter()
-            .map(|a| {
-                Some(analytic_bound(&a.version, &ctx).saturating_mul(u64::from(a.pieces.max(1))))
-            })
-            .collect();
-
-        let mut walk_launches = Vec::new();
-        let mut bandit_launches = Vec::new();
-        let mut worst_ratio = 0.0f64;
-        for &seed in &seeds {
-            let plan = (seed != 0).then(|| FaultPlan::chaos(seed, 0.10, 0.05));
-            let mut per_policy: Vec<(String, SearchRun, usize)> = Vec::new();
-            for kind in ["paper_walk", "bandit"] {
-                let (mut policy, arms_pruned): (Box<dyn SearchPolicy>, usize) = match kind {
-                    "bandit" => {
-                        let p = BanditPolicy::new(&bounds, space.original, cfg);
-                        let pruned = p.pruned_arms();
-                        (Box::new(p), pruned)
-                    }
-                    _ => (PolicyKind::PaperWalk.build(&synthetic, THRESHOLD), 0),
-                };
-                let injector = plan.map(FaultInjector::new);
-                let run = drive(&dev, &w, &space, policy.as_mut(), injector.as_ref());
-                per_policy.push((kind.to_string(), run, arms_pruned));
-            }
-            let mut pick = [0u64; 2];
-            for (k, (kind, run, arms_pruned)) in per_policy.iter().enumerate() {
-                let cycles = final_pick_cycles(&dev, &w, &space, run.selected);
-                pick[k] = cycles;
-                cells.push(Cell {
-                    workload: name.to_string(),
-                    seed,
-                    policy: kind.clone(),
-                    arms: space.arms.len(),
-                    arms_pruned: *arms_pruned,
-                    launches_to_converge: run.launches,
-                    quarantined: run.quarantined,
-                    selected_label: space.arms[run.selected].version.label.clone(),
-                    final_pick_cycles: cycles,
-                });
-            }
-            let (walk_run, bandit_run) = (&per_policy[0].1, &per_policy[1].1);
-            walk_launches.push(walk_run.launches as f64);
-            bandit_launches.push(bandit_run.launches as f64);
-            let ratio = pick[1] as f64 / pick[0].max(1) as f64;
-            worst_ratio = worst_ratio.max(ratio);
-            if ratio > 1.02 {
-                eprintln!(
-                    "FAIL {name} seed {seed}: bandit pick {} cycles vs walk {} ({:.1}% worse)",
-                    pick[1],
-                    pick[0],
-                    (ratio - 1.0) * 100.0
-                );
-                quality_ok = false;
-            }
-        }
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-        let wm = mean(&walk_launches);
-        let bm = mean(&bandit_launches);
-        summaries.push(WorkloadSummary {
-            workload: name.to_string(),
-            arms: space.arms.len(),
-            walk_mean_launches: wm,
-            bandit_mean_launches: bm,
-            bandit_converges_no_slower: bm <= wm,
-            worst_pick_ratio: worst_ratio,
-        });
-    }
-
-    let no_slower = summaries.iter().filter(|s| s.bandit_converges_no_slower).count();
-    let convergence_ok = no_slower >= 2;
-    if !convergence_ok {
-        eprintln!(
-            "FAIL: bandit converged within the walk's launch budget on only {no_slower} of \
-             {} workloads (need >= 2)",
-            summaries.len()
-        );
-    }
-
-    let mut text = format!(
-        "Search-policy ablation on {} ({} seeds, threshold {THRESHOLD}){}\n",
-        dev.name,
-        seeds.len(),
-        if inject_greedy { " [--inject-greedy]" } else { "" },
-    );
-    for s in &summaries {
-        text.push_str(&format!(
-            "{:<10} {:>2} arms  walk {:>6.1} launches  bandit {:>6.1} launches  \
-             worst pick ratio {:.3}  {}\n",
-            s.workload,
-            s.arms,
-            s.walk_mean_launches,
-            s.bandit_mean_launches,
-            s.worst_pick_ratio,
-            if s.bandit_converges_no_slower { "ok" } else { "SLOWER" },
-        ));
-    }
-    text.push_str(&format!(
-        "quality gate (bandit pick <= 1.02x walk, every cell): {}\n\
-         convergence gate (bandit <= walk launches on >= 2/3 workloads): {}\n",
-        if quality_ok { "ok" } else { "FAIL" },
-        if convergence_ok { "ok" } else { "FAIL" },
-    ));
-
-    let doc = SearchDoc {
-        device: dev.name.clone(),
-        seeds,
-        threshold: THRESHOLD,
-        bandit: cfg,
-        inject_greedy,
-        quality_gate_ok: quality_ok,
-        convergence_gate_ok: convergence_ok,
-        workloads: summaries,
-        cells,
-    };
-    let data = match serde_json::to_value(&doc) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("FAIL: search doc does not serialize: {e}");
-            std::process::exit(1);
-        }
-    };
-    let fig = Figure::new("search", text, data);
-    if let Err(e) = orion_bench::emit(&fig) {
-        eprintln!("FAIL: {e}");
-        std::process::exit(1);
-    }
-    if !(quality_ok && convergence_ok) {
-        std::process::exit(2);
-    }
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let doc = ablation(&DeviceSpec::gtx680(), &SEEDS, bandit_config());
+    orion_bench::emit(&search_figure(&doc)?)?;
+    Ok(())
 }

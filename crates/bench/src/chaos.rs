@@ -237,18 +237,23 @@ pub struct ChaosSummary {
     pub total_gave_up: u64,
 }
 
-#[derive(Serialize)]
-struct ChaosArtifact {
-    device: String,
-    rows: Vec<ChaosRow>,
-    summary: ChaosSummary,
+/// The full chaos sweep: one row per [`CHAOS_WORKLOADS`] ×
+/// [`CHAOS_RATES`] point and the summary over them (the
+/// `BENCH_chaos.json` document).
+#[derive(Debug, Clone, Serialize)]
+pub struct ChaosSweep {
+    pub device: String,
+    pub rows: Vec<ChaosRow>,
+    pub summary: ChaosSummary,
 }
 
-/// Run the full chaos sweep ([`CHAOS_WORKLOADS`] × [`CHAOS_RATES`]) and
-/// render it as the `BENCH_chaos.json` figure. Telemetry (when compiled
-/// in) is captured per row and reconciled against the injector/executor
-/// tallies.
-pub fn chaos_figure(dev: &DeviceSpec) -> Result<Figure, ExperimentError> {
+/// Run the full chaos sweep ([`CHAOS_WORKLOADS`] × [`CHAOS_RATES`]).
+/// Telemetry (when compiled in) is switched on, captured per row and
+/// reconciled against the injector/executor tallies.
+///
+/// # Errors
+/// A row's compile or fault-free run failing.
+pub fn chaos_sweep(dev: &DeviceSpec) -> Result<ChaosSweep, ExperimentError> {
     orion_telemetry::set_enabled(true);
     let telemetry = orion_telemetry::is_enabled();
     let mut rows: Vec<ChaosRow> = Vec::new();
@@ -286,50 +291,65 @@ pub fn chaos_figure(dev: &DeviceSpec) -> Result<Figure, ExperimentError> {
         total_fellback: rows.iter().map(|r| r.absorbed.fellback).sum(),
         total_gave_up: rows.iter().filter(|r| r.gave_up).count() as u64,
     };
+    Ok(ChaosSweep { device: dev.name.clone(), rows, summary })
+}
 
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.workload.clone(),
-                format!("{:.0}%", r.fault_rate * 100.0),
-                r.fault_free_label.clone(),
-                r.chaos_label.clone(),
-                format!("{:+.1}%", r.rel_gap * 100.0),
-                format!("{}", r.injected.total_faults()),
-                format!("{}", r.absorbed.retries),
-                format!("{}", r.absorbed.quarantined),
-                if r.gave_up {
-                    "GAVE UP"
-                } else if r.within_tolerance {
-                    "yes"
-                } else {
-                    "NO"
-                }
-                .to_string(),
-            ]
-        })
-        .collect();
-    let text = format!(
-        "Chaos bench: resilient Figure 9 loop under injected faults ({})\n\
-         plan: seeded transients/resource/hangs at the listed rate, ±{:.0}% jitter at nonzero rates\n{}\
-         converges within {:.0}% of fault-free pick at ≤10% faults: {}\n\
-         telemetry reconciliation ({}): {}\n",
-        dev.name,
-        CHAOS_JITTER * 100.0,
-        render_table(
+impl ChaosSweep {
+    /// Render the sweep as the `chaos` figure (`BENCH_chaos.json`).
+    #[must_use]
+    pub fn figure(&self) -> Figure {
+        let (rows, summary) = (&self.rows, &self.summary);
+        let table: Vec<Vec<String>> = rows
+            .iter()
+            .map(|r| {
+                vec![
+                    r.workload.clone(),
+                    format!("{:.0}%", r.fault_rate * 100.0),
+                    r.fault_free_label.clone(),
+                    r.chaos_label.clone(),
+                    format!("{:+.1}%", r.rel_gap * 100.0),
+                    format!("{}", r.injected.total_faults()),
+                    format!("{}", r.absorbed.retries),
+                    format!("{}", r.absorbed.quarantined),
+                    if r.gave_up {
+                        "GAVE UP"
+                    } else if r.within_tolerance {
+                        "yes"
+                    } else {
+                        "NO"
+                    }
+                    .to_string(),
+                ]
+            })
+            .collect();
+        let table = render_table(
             &[
-                "workload", "rate", "fault-free", "chaos-pick", "gap", "injected", "retries",
-                "quarantined", "ok",
+                "workload",
+                "rate",
+                "fault-free",
+                "chaos-pick",
+                "gap",
+                "injected",
+                "retries",
+                "quarantined",
+                "ok",
             ],
-            &table
-        ),
-        CHAOS_TOLERANCE * 100.0,
-        if summary.converges_at_10pct { "PASS" } else { "FAIL" },
-        if telemetry { "active" } else { "telemetry off, vacuous" },
-        if summary.telemetry_reconciled { "exact" } else { "MISMATCH" },
-    );
-    let artifact = ChaosArtifact { device: dev.name.clone(), rows, summary };
-    let data = serde_json::to_value(&artifact).unwrap_or(serde_json::Value::Null);
-    Ok(Figure::new("chaos", text, data))
+            &table,
+        );
+        let text = format!(
+            "Chaos bench: resilient Figure 9 loop under injected faults ({})\n\
+             plan: seeded transients/resource/hangs at the listed rate, \
+             ±{:.0}% jitter at nonzero rates\n{table}\
+             converges within {:.0}% of fault-free pick at ≤10% faults: {}\n\
+             telemetry reconciliation ({}): {}\n",
+            self.device,
+            CHAOS_JITTER * 100.0,
+            CHAOS_TOLERANCE * 100.0,
+            if summary.converges_at_10pct { "PASS" } else { "FAIL" },
+            if summary.telemetry_active { "active" } else { "telemetry off, vacuous" },
+            if summary.telemetry_reconciled { "exact" } else { "MISMATCH" },
+        );
+        let data = serde_json::to_value(self).unwrap_or(serde_json::Value::Null);
+        Figure::new("chaos", text, data)
+    }
 }

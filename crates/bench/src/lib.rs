@@ -17,8 +17,9 @@ pub mod experiment;
 pub mod figures;
 pub mod golden;
 pub mod report;
+pub mod search;
 
-pub use chaos::{chaos_figure, chaos_run, ChaosRow, ChaosSummary};
+pub use chaos::{chaos_run, chaos_sweep, ChaosRow, ChaosSummary, ChaosSweep};
 pub use error::BenchError;
 pub use experiment::{orion_select, sweep_curve, CurvePoint, ExperimentError, SelectOutcome};
 pub use figures::Figure;

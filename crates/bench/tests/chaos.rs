@@ -1,7 +1,8 @@
 //! Chaos-bench integration tests: `chaos_run` on a tiny handcrafted
 //! workload (debug-build fast), checking convergence under a 10% fault
 //! rate and exact reconciliation of the injected/absorbed tallies with
-//! the telemetry counters.
+//! the telemetry counters; and, in release builds, the gates of the full
+//! sweep that `--bin chaos` records.
 //!
 //! The telemetry buffer and enable flag are process-global, so every
 //! test that launches kernels grabs `TELEMETRY_LOCK` — otherwise a
@@ -9,7 +10,7 @@
 
 use std::sync::Mutex;
 
-use orion_bench::chaos::{chaos_run, reconciles, CHAOS_TOLERANCE};
+use orion_bench::chaos::{chaos_run, chaos_sweep, reconciles, CHAOS_TOLERANCE};
 use orion_gpusim::device::DeviceSpec;
 use orion_kir::builder::FunctionBuilder;
 use orion_kir::function::Module;
@@ -118,4 +119,24 @@ fn total_fault_storm_fails_closed_without_panicking() {
     assert!(!row.within_tolerance, "a gave-up row never counts as converged");
     assert_eq!(row.chaos_label, "original", "after giving up the app runs the original kernel");
     assert!(row.injected.transient > 0);
+}
+
+/// The full sweep over the chaos workloads and rates: every row at a
+/// fault rate of 10% or less lands within tolerance of the fault-free
+/// pick, the zero-fault controls pick exactly, and every row's tallies
+/// reconcile with its telemetry counters.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "sim-heavy; run with --release")]
+fn full_sweep_converges_controls_exactly_and_reconciles() {
+    let _g = lock();
+    let sweep = chaos_sweep(&DeviceSpec::c2075());
+    orion_telemetry::set_enabled(false);
+    let sweep = sweep.expect("the sweep records every row");
+    let s = sweep.summary;
+    assert!(
+        s.converges_at_10pct && s.control_exact && s.telemetry_reconciled,
+        "{:?}\n{}",
+        s,
+        sweep.figure()
+    );
 }

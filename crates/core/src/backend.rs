@@ -690,79 +690,6 @@ impl<B: Backend> AsyncBackend for InlineAsync<B> {
     }
 }
 
-/// Wrap any backend and record each version's launch outcomes, in
-/// order, so a live run can later be replayed bit-for-bit on a
-/// [`ReplayBackend`] (via [`Recorder::into_replay`]).
-#[derive(Debug)]
-pub struct Recorder<B: Backend> {
-    inner: B,
-    log: Mutex<HashMap<String, VecDeque<Result<u64, SimError>>>>,
-}
-
-impl<B: Backend> Recorder<B> {
-    /// Record all launches going through `inner`.
-    #[must_use]
-    pub fn new(inner: B) -> Self {
-        Recorder { inner, log: Mutex::new(HashMap::new()) }
-    }
-
-    /// The recorded script as a replay backend on the same device.
-    /// Unrecorded versions fall back to `default_cycles`.
-    #[must_use]
-    pub fn into_replay(self, default_cycles: u64) -> ReplayBackend {
-        ReplayBackend {
-            dev: self.inner.device_spec().clone(),
-            script: Mutex::new(self.log.into_inner().unwrap()),
-            default_cycles,
-            mailbox: Mailbox::default(),
-        }
-    }
-}
-
-impl<B: Backend> Backend for Recorder<B> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn device_spec(&self) -> &DeviceSpec {
-        self.inner.device_spec()
-    }
-
-    fn caps(&self) -> BackendCaps {
-        self.inner.caps()
-    }
-
-    fn compile_probe(
-        &self,
-        module: &Module,
-        cfg: &TuningConfig,
-    ) -> Result<CompiledKernel, OrionError> {
-        self.inner.compile_probe(module, cfg)
-    }
-
-    fn launch(
-        &self,
-        version: &KernelVersion,
-        launch: Launch,
-        params: &[u32],
-        global: &mut [u8],
-        opts: LaunchOptions,
-    ) -> Result<u64, OrionError> {
-        let out = self.inner.launch(version, launch, params, global, opts);
-        let recorded = match &out {
-            Ok(c) => Ok(*c),
-            // Only simulator failures replay; other compile-side errors
-            // cannot occur at launch time on the shipped backends.
-            Err(e) => match e.root_cause() {
-                OrionError::Sim(s) => Err(s.clone()),
-                _ => Ok(0),
-            },
-        };
-        self.log.lock().unwrap().entry(version.label.clone()).or_default().push_back(recorded);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -958,23 +885,5 @@ mod tests {
             batch[0].result
         );
         assert_eq!(batch[0].global.len(), 4 * 64, "the global image survives the panic");
-    }
-
-    #[test]
-    fn recorder_round_trips_through_replay() {
-        let rec = Recorder::new(SimBackend::new(DeviceSpec::gtx680()));
-        let ck = rec.compile_probe(&toy_module(), &TuningConfig::new(32)).unwrap();
-        let launch = Launch { grid: 2, block: 32 };
-        let mut live = Vec::new();
-        for v in &ck.versions {
-            let mut g = vec![0u8; 4 * 64];
-            live.push(rec.launch(v, launch, &[0], &mut g, LaunchOptions::default()).unwrap());
-        }
-        let replay = rec.into_replay(0);
-        for (v, &want) in ck.versions.iter().zip(&live) {
-            let mut g = vec![0u8; 4 * 64];
-            let got = replay.launch(v, launch, &[0], &mut g, LaunchOptions::default()).unwrap();
-            assert_eq!(got, want, "replay reproduces the live run for {}", v.label);
-        }
     }
 }

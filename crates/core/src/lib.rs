@@ -97,8 +97,8 @@ mod testutil;
 pub mod version;
 
 pub use backend::{
-    AsyncBackend, Backend, BackendCaps, Completion, InlineAsync, LaunchRequest, Recorder,
-    ReplayBackend, SimBackend, TicketId,
+    AsyncBackend, Backend, BackendCaps, Completion, InlineAsync, LaunchRequest, ReplayBackend,
+    SimBackend, TicketId,
 };
 pub use cache::{allocate_cached, CompileCacheStats, FingerprintedModule};
 pub use compiler::{compile, CompiledKernel, Direction, KernelVersion, TuningConfig};

@@ -95,8 +95,8 @@ impl Orion {
     ///
     /// This is the search itself, not an application loop: steady-state
     /// execution of the winner is the caller's business
-    /// ([`Orion::run_version`] with
-    /// [`SpaceOutcome::launch_options`]).
+    /// (the selected arm's
+    /// [`launch_options(None)`](crate::version::SpaceArm::launch_options)).
     ///
     /// # Errors
     /// Space enumeration and simulator failures propagate.
@@ -143,15 +143,7 @@ impl Orion {
             let arm = &space.arms[i];
             let mut cycles = 0u64;
             for range in split_ranges(launch.grid, arm.pieces, 1) {
-                let opts = LaunchOptions {
-                    extra_smem_per_block: arm.version.extra_smem,
-                    cta_range: Some(range),
-                    ..LaunchOptions::default()
-                };
-                let opts = match arm.cache_config {
-                    Some(c) => opts.with_cache_config(c),
-                    None => opts,
-                };
+                let opts = arm.launch_options(Some(range));
                 let r =
                     run_launch_opts(&self.dev, &arm.version.machine, launch, params, global, opts)?;
                 cycles = cycles.saturating_add(r.cycles);
@@ -219,23 +211,6 @@ impl SpaceOutcome {
     #[must_use]
     pub fn selected_arm(&self) -> &crate::version::SpaceArm {
         &self.space.arms[self.selected]
-    }
-
-    /// Launch options reproducing the winning arm's execution shape for
-    /// steady-state whole-grid runs (the split-granularity axis only
-    /// shapes *measurement*, so it is not part of the steady-state
-    /// options).
-    #[must_use]
-    pub fn launch_options(&self) -> LaunchOptions {
-        let arm = self.selected_arm();
-        let opts = LaunchOptions {
-            extra_smem_per_block: arm.version.extra_smem,
-            ..LaunchOptions::default()
-        };
-        match arm.cache_config {
-            Some(c) => opts.with_cache_config(c),
-            None => opts,
-        }
     }
 }
 

@@ -47,7 +47,8 @@
 //!   exactly one [`JobDisposition`]: `Finalized`, `Quarantined`,
 //!   `Degraded`, or `Rejected`. Jobs in equals definite outcomes out,
 //!   whatever the backend, the allocator, or a worker thread does — the
-//!   chaos-service bench gates exactly this invariant.
+//!   chaos test `tests::chaos_batch_is_accounted_and_deterministic`
+//!   checks exactly this invariant.
 //! * **Deterministic merge** — reports come back in submission order
 //!   whatever the thread interleaving, and
 //!   [`ServiceReport::merged_decisions`] is a deterministic flattening
@@ -327,7 +328,7 @@ impl ServiceFaultPlan {
         }
     }
 
-    /// The chaos-service scenario: launch faults per
+    /// The service chaos scenario: launch faults per
     /// [`FaultPlan::chaos`] at `rate`, worker panics at `panic_rate`,
     /// and 10% deadline pressure with a 50k-cycle injected deadline.
     #[must_use]
@@ -502,10 +503,6 @@ pub struct ServiceReport {
     /// running several services concurrently shares one journal; records
     /// carry the session lane for attribution.
     pub journal: JournalDrain,
-    /// Host cores reported by `std::thread::available_parallelism` at
-    /// run time — makes single-core throughput artifacts self-explaining
-    /// and gate-skip conditions auditable.
-    pub host_cores: usize,
     /// Worker threads the batch actually ran on (after clamping to the
     /// admitted job count).
     pub workers: usize,
@@ -1151,7 +1148,6 @@ impl<B: AsyncBackend> OrionService<B> {
             cache: cache::stats().delta_since(&cache_before),
             metrics,
             journal: orion_telemetry::journal::drain(),
-            host_cores,
             workers,
             in_flight_limit,
             dispatch_order,
@@ -1215,7 +1211,6 @@ mod tests {
         // records where it ran.
         assert_eq!(report.count_dispositions(|d| d == JobDisposition::Finalized), 5);
         assert_eq!(report.workers, 2);
-        assert!(report.host_cores >= 1);
     }
 
     #[test]
@@ -1368,36 +1363,56 @@ mod tests {
             "{:?}",
             o.decisions
         );
+
+        // Inverted: a 1-cycle deadline on every job of a 2-worker batch
+        // degrades all of them, none lost or failed.
+        let svc = OrionService::new(
+            SimBackend::new(DeviceSpec::gtx680()),
+            ServiceConfig { workers: 2, ..ServiceConfig::default() },
+        );
+        let jobs = (1..=6)
+            .map(|i| {
+                let mut j = job(&format!("hang{i}"), i64::from(i), 8);
+                j.policy.deadline_cycles = Some(1);
+                j
+            })
+            .collect();
+        let report = svc.run(jobs);
+        assert_eq!(report.kernels.len(), 6);
+        for k in &report.kernels {
+            assert_eq!(k.disposition, JobDisposition::Degraded(DegradeReason::DeadlineCycles));
+            assert!(k.outcome.as_ref().is_ok_and(|o| o.state == SessionState::Degraded));
+        }
     }
 
     #[test]
     fn in_flight_limit_does_not_change_outcomes() {
         // The strictly sequential baseline (limit 1) and the fully
         // multiplexed run (limit 0 = every admitted session) are the
-        // same code path and must be bit-identical.
+        // same code path and must be bit-identical, in simple mode (the
+        // paper's exact walk) and in the resilient default.
         let mk = || (1..=6).map(|i| job(&format!("k{i}"), i64::from(i), 6)).collect::<Vec<_>>();
-        let seq = OrionService::new(
-            SimBackend::new(DeviceSpec::gtx680()),
-            ServiceConfig { workers: 4, in_flight_limit: 1, ..ServiceConfig::default() },
-        )
-        .run(mk());
-        let par = OrionService::new(
-            SimBackend::new(DeviceSpec::gtx680()),
-            ServiceConfig { workers: 4, in_flight_limit: 0, ..ServiceConfig::default() },
-        )
-        .run(mk());
-        assert_eq!(seq.in_flight_limit, 1);
-        assert_eq!(par.in_flight_limit, 6);
-        assert_eq!(seq.dispatch_order, par.dispatch_order);
-        for (a, b) in seq.kernels.iter().zip(&par.kernels) {
-            assert_eq!(
-                a.outcome.as_ref().unwrap(),
-                b.outcome.as_ref().unwrap(),
-                "kernel {} diverged across in-flight limits",
-                a.name
-            );
-            assert_eq!(a.disposition, b.disposition);
-            assert_eq!(a.metrics.cycle_domain(), b.metrics.cycle_domain());
+        for policy in [None, Some(ResiliencePolicy::default())] {
+            let run = |in_flight_limit| {
+                let cfg =
+                    ServiceConfig { workers: 4, in_flight_limit, policy, ..Default::default() };
+                OrionService::new(SimBackend::new(DeviceSpec::gtx680()), cfg).run(mk())
+            };
+            let (seq, par) = (run(1), run(0));
+            assert_eq!(seq.in_flight_limit, 1);
+            assert_eq!(par.in_flight_limit, 6);
+            assert_eq!(seq.dispatch_order, par.dispatch_order, "{policy:?}");
+            assert_eq!(seq.merged_decisions(), par.merged_decisions(), "{policy:?}");
+            for (a, b) in seq.kernels.iter().zip(&par.kernels) {
+                assert_eq!(
+                    a.outcome.as_ref().unwrap(),
+                    b.outcome.as_ref().unwrap(),
+                    "kernel {} diverged across in-flight limits ({policy:?})",
+                    a.name
+                );
+                assert_eq!(a.disposition, b.disposition);
+                assert_eq!(a.metrics.cycle_domain(), b.metrics.cycle_domain(), "{policy:?}");
+            }
         }
     }
 
@@ -1496,66 +1511,113 @@ mod tests {
         assert!(inside.transient_rate <= 1.0, "storm rates clamp to probability 1");
     }
 
-    /// Service chaos end to end on the simulator: launch faults, worker
-    /// panics and deadline pressure, at two scheduler shapes.
+    /// Service chaos end to end on the simulator, swept over launch-fault
+    /// rates 0, 10% and 25%: launch faults, worker panics and deadline
+    /// pressure, at two scheduler shapes. Every job comes back with one
+    /// definite disposition coherent with its outcome, bit-identically
+    /// at both shapes; the clean rate finalizes everything; the 25%
+    /// point adds a fault storm and a saturated admission queue, which
+    /// sheds exactly the overflow.
     #[test]
     fn chaos_batch_is_accounted_and_deterministic() {
-        let plan = ServiceFaultPlan::chaos(0x0710_2024, 0.25, 0.25);
-        let run = |workers, in_flight_limit| {
-            let cfg = ServiceConfig {
-                workers,
-                in_flight_limit,
-                chaos: Some(plan),
-                ..ServiceConfig::default()
+        const SEED: u64 = 0x0710_2024;
+        const JOBS: usize = 9;
+        let (mut panics, mut shed, mut launch_faults) = (0, 0, 0);
+        for rate in [0.0, 0.10, 0.25] {
+            let mut plan = if rate == 0.0 {
+                ServiceFaultPlan::none(SEED)
+            } else {
+                ServiceFaultPlan::chaos(SEED ^ (rate * 100.0) as u64, rate, 0.25)
             };
-            let jobs = (1..=8).map(|i| job(&format!("c{i}"), i64::from(i), 12)).collect();
-            OrionService::new(SimBackend::new(DeviceSpec::gtx680()), cfg).run(jobs)
-        };
-        let seq = run(1, 1);
-        let conc = run(4, 0);
-        for r in [&seq, &conc] {
-            assert_eq!(r.kernels.len(), 8, "jobs in == reports out");
-            for k in &r.kernels {
-                let definite = match k.disposition {
-                    JobDisposition::Finalized => k.outcome.is_ok(),
-                    JobDisposition::Degraded(_) => {
-                        k.outcome.as_ref().is_ok_and(|o| o.state == SessionState::Degraded)
-                    }
-                    JobDisposition::Quarantined => {
-                        k.outcome.as_ref().map_or(true, |o| o.state == SessionState::Quarantined)
-                    }
-                    JobDisposition::Rejected => false,
+            let mut queue_capacity = None;
+            if rate >= 0.25 {
+                plan.storm =
+                    Some(FaultStorm { start_job: JOBS / 3, len: JOBS / 3, multiplier: 2.0 });
+                queue_capacity = Some(JOBS - 2);
+            }
+            let run = |workers, in_flight_limit| {
+                let cfg = ServiceConfig {
+                    workers,
+                    in_flight_limit,
+                    queue_capacity,
+                    chaos: Some(plan),
+                    ..ServiceConfig::default()
                 };
-                assert!(definite, "{}: {:?} vs {:?}", k.name, k.disposition, k.outcome);
+                // Spread priorities so saturation sheds a non-trivial subset.
+                let jobs = (0..JOBS)
+                    .map(|i| {
+                        let mut j = job(&format!("c{i}"), i as i64 + 1, 12);
+                        j.policy.priority = 50 + (i as u8 % 3) * 50;
+                        j
+                    })
+                    .collect();
+                OrionService::new(SimBackend::new(DeviceSpec::gtx680()), cfg).run(jobs)
+            };
+            let seq = run(1, 1);
+            let conc = run(4, 0);
+            for r in [&seq, &conc] {
+                assert_eq!(r.kernels.len(), JOBS, "rate {rate}: jobs in == reports out");
+                for k in &r.kernels {
+                    let definite = match k.disposition {
+                        JobDisposition::Finalized => k.outcome.is_ok(),
+                        JobDisposition::Degraded(_) => {
+                            k.outcome.as_ref().is_ok_and(|o| o.state == SessionState::Degraded)
+                        }
+                        JobDisposition::Quarantined => k
+                            .outcome
+                            .as_ref()
+                            .map_or(true, |o| o.state == SessionState::Quarantined),
+                        JobDisposition::Rejected => k.outcome.as_ref().is_err_and(|e| {
+                            matches!(e.root_cause(), OrionError::Overloaded { .. })
+                        }),
+                    };
+                    assert!(
+                        definite,
+                        "rate {rate}, {}: {:?} vs {:?}",
+                        k.name, k.disposition, k.outcome
+                    );
+                }
             }
-        }
-        assert_eq!(seq.dispatch_order, conc.dispatch_order);
-        for (a, b) in seq.kernels.iter().zip(&conc.kernels) {
-            assert_eq!(a.disposition, b.disposition, "{}", a.name);
-            assert_eq!(a.metrics.cycle_domain(), b.metrics.cycle_domain(), "{}", a.name);
-            match (&a.outcome, &b.outcome) {
-                (Ok(x), Ok(y)) => assert_eq!(x, y, "{}", a.name),
-                (Err(x), Err(y)) => assert_eq!(x.to_string(), y.to_string(), "{}", a.name),
-                _ => panic!("{}: outcome kind diverged across worker counts", a.name),
+            assert_eq!(seq.dispatch_order, conc.dispatch_order, "rate {rate}");
+            for (a, b) in seq.kernels.iter().zip(&conc.kernels) {
+                assert_eq!(a.disposition, b.disposition, "rate {rate}, {}", a.name);
+                assert_eq!(a.metrics.cycle_domain(), b.metrics.cycle_domain(), "{}", a.name);
+                match (&a.outcome, &b.outcome) {
+                    (Ok(x), Ok(y)) => assert_eq!(x, y, "rate {rate}, {}", a.name),
+                    (Err(x), Err(y)) => assert_eq!(x.to_string(), y.to_string(), "{}", a.name),
+                    _ => panic!("rate {rate}, {}: outcome kind diverged across shapes", a.name),
+                }
             }
+            let rejected = conc.count_dispositions(|d| d == JobDisposition::Rejected);
+            assert_eq!(rejected, JOBS - queue_capacity.unwrap_or(JOBS), "rate {rate}: shed");
+            if rate == 0.0 {
+                assert_eq!(
+                    conc.count_dispositions(|d| d == JobDisposition::Finalized),
+                    JOBS,
+                    "a clean batch finalizes every job"
+                );
+            }
+            shed += rejected;
+            panics += conc
+                .kernels
+                .iter()
+                .filter(|k| {
+                    k.outcome.as_ref().is_err_and(|e| {
+                        matches!(e.root_cause(), OrionError::SessionPanicked { .. })
+                    })
+                })
+                .count();
+            launch_faults += conc
+                .kernels
+                .iter()
+                .filter_map(|k| k.outcome.as_ref().ok())
+                .map(|o| o.stats.retries + o.stats.quarantined)
+                .sum::<u64>();
         }
-        let panics = conc
-            .kernels
-            .iter()
-            .filter(|k| {
-                k.outcome
-                    .as_ref()
-                    .is_err_and(|e| matches!(e.root_cause(), OrionError::SessionPanicked { .. }))
-            })
-            .count();
-        assert!(panics > 0, "a 25% panic rate caught no panic");
-        let launch_faults: u64 = conc
-            .kernels
-            .iter()
-            .filter_map(|k| k.outcome.as_ref().ok())
-            .map(|o| o.stats.retries + o.stats.quarantined)
-            .sum();
-        assert!(launch_faults > 0, "a 25% fault rate caused no retry or quarantine");
+        // A chaos sweep that never injects anything checks nothing.
+        assert!(panics > 0, "the sweep caught no worker panic");
+        assert!(shed > 0, "the sweep shed no job");
+        assert!(launch_faults > 0, "the sweep caused no retry or quarantine");
     }
 
     /// A backend whose launches always panic — the hostile case panic

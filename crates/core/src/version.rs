@@ -17,6 +17,7 @@ use crate::splitting::{can_split, SplitConfig};
 use orion_alloc::realize::{AllocOptions, SlotBudget};
 use orion_gpusim::device::{CacheConfig, DeviceSpec};
 use orion_gpusim::occupancy::{occupancy, KernelResources};
+use orion_gpusim::sim::LaunchOptions;
 use orion_kir::function::Module;
 
 /// Builds [`KernelVersion`]s for one module on one device at one block
@@ -153,6 +154,21 @@ pub struct SpaceArm {
     /// launch). Slices cover the grid exactly once per pull, so arms of
     /// different granularity stay directly comparable by total cycles.
     pub pieces: u32,
+}
+
+impl SpaceArm {
+    /// Launch options running this arm's version under its L1/shared
+    /// split over `cta_range` (`None` = the whole grid, the steady-state
+    /// shape: split granularity only shapes *measurement*).
+    #[must_use]
+    pub fn launch_options(&self, cta_range: Option<(u32, u32)>) -> LaunchOptions {
+        LaunchOptions {
+            extra_smem_per_block: self.version.extra_smem,
+            cta_range,
+            cache_config: self.cache_config,
+            ..LaunchOptions::default()
+        }
+    }
 }
 
 /// The widened candidate space of the bandit search (ISSUE 10): the
