@@ -249,11 +249,21 @@ pub struct ChaosSweep {
 
 /// Run the full chaos sweep ([`CHAOS_WORKLOADS`] × [`CHAOS_RATES`]).
 /// Telemetry (when compiled in) is switched on, captured per row and
-/// reconciled against the injector/executor tallies.
+/// reconciled against the injector/executor tallies; on every exit the
+/// switch goes back to where the caller had it.
 ///
 /// # Errors
 /// A row's compile or fault-free run failing.
 pub fn chaos_sweep(dev: &DeviceSpec) -> Result<ChaosSweep, ExperimentError> {
+    /// Puts the telemetry switch back when dropped — on the `?` paths
+    /// and on a panic too.
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            orion_telemetry::set_enabled(self.0);
+        }
+    }
+    let _restore = Restore(orion_telemetry::is_enabled());
     orion_telemetry::set_enabled(true);
     let telemetry = orion_telemetry::is_enabled();
     let mut rows: Vec<ChaosRow> = Vec::new();

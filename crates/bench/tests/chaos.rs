@@ -129,8 +129,9 @@ fn total_fault_storm_fails_closed_without_panicking() {
 #[cfg_attr(debug_assertions, ignore = "sim-heavy; run with --release")]
 fn full_sweep_converges_controls_exactly_and_reconciles() {
     let _g = lock();
-    let sweep = chaos_sweep(&DeviceSpec::c2075());
     orion_telemetry::set_enabled(false);
+    let sweep = chaos_sweep(&DeviceSpec::c2075());
+    assert!(!orion_telemetry::is_enabled(), "the sweep left telemetry switched on");
     let sweep = sweep.expect("the sweep records every row");
     let s = sweep.summary;
     assert!(
@@ -139,4 +140,20 @@ fn full_sweep_converges_controls_exactly_and_reconciles() {
         s,
         sweep.figure()
     );
+}
+
+/// The sweep switches telemetry on for its rows and back to the
+/// caller's state afterwards, also when a row fails and the sweep
+/// returns early: here the first row cannot launch at all.
+#[test]
+fn sweep_restores_the_telemetry_switch_on_the_error_path() {
+    let _g = lock();
+    let no_blocks = DeviceSpec { max_blocks_per_sm: 0, ..DeviceSpec::c2075() };
+    for on in [false, true] {
+        orion_telemetry::set_enabled(on);
+        let before = orion_telemetry::is_enabled();
+        assert!(chaos_sweep(&no_blocks).is_err(), "no block fits an SM of this device");
+        assert_eq!(orion_telemetry::is_enabled(), before, "switch was {before} before the sweep");
+    }
+    orion_telemetry::set_enabled(false);
 }

@@ -6,17 +6,18 @@ pub struct Cache {
     sets: usize,
     ways: usize,
     line_shift: u32,
-    /// `tags[set * ways + way]`: the tag held by a way (meaningful only
-    /// while the way is valid).
+    /// `tags[set * ways + way]`: the tag held by a way, [`EMPTY`] while
+    /// the way holds none.
     tags: Vec<u64>,
     /// `last_use[set * ways + way]`: the tick of the way's latest access,
     /// `0` for an empty way (ticks start at 1).
     last_use: Vec<u64>,
     tick: u64,
-    /// Hit/miss counters.
-    pub hits: u64,
-    pub misses: u64,
 }
+
+/// The tag of an empty way. Tags are line numbers divided by the set
+/// count, so no address reaches it.
+const EMPTY: u64 = u64::MAX;
 
 impl Cache {
     /// Build a cache of `bytes` capacity with `line` bytes per line and
@@ -35,11 +36,9 @@ impl Cache {
             sets,
             ways,
             line_shift: line.trailing_zeros(),
-            tags: vec![0; sets * ways],
+            tags: vec![EMPTY; sets * ways],
             last_use: vec![0; sets * ways],
             tick: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -51,40 +50,21 @@ impl Cache {
         let tag = line / self.sets as u64;
         let range = set * self.ways..(set + 1) * self.ways;
         let (tags, last_use) = (&mut self.tags[range.clone()], &mut self.last_use[range]);
-        // One pass finds a hit or the victim: the first way with the
-        // smallest `last_use` (an empty way, else the LRU one).
+        if let Some(w) = tags.iter().position(|&t| t == tag) {
+            last_use[w] = self.tick;
+            return true;
+        }
+        // Miss: the victim is the first way with the smallest
+        // `last_use` (an empty way, else the LRU one).
         let mut victim = 0;
-        for w in 0..tags.len() {
-            if last_use[w] != 0 && tags[w] == tag {
-                last_use[w] = self.tick;
-                self.hits += 1;
-                return true;
-            }
+        for w in 1..last_use.len() {
             if last_use[w] < last_use[victim] {
                 victim = w;
             }
         }
-        self.misses += 1;
         tags[victim] = tag;
         last_use[victim] = self.tick;
         false
-    }
-
-    /// Invalidate everything (used between kernel launches to model
-    /// cold-ish caches conservatively; the paper's kernels are large
-    /// enough that cross-launch reuse is negligible).
-    pub fn flush(&mut self) {
-        self.last_use.fill(0);
-    }
-
-    /// Hit rate so far (0 when no accesses).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
     }
 }
 
@@ -99,8 +79,6 @@ mod tests {
         assert!(c.access(0x1000));
         assert!(c.access(0x1040), "same 128B line");
         assert!(!c.access(0x2000));
-        assert_eq!(c.hits, 2);
-        assert_eq!(c.misses, 2);
     }
 
     #[test]
@@ -118,25 +96,10 @@ mod tests {
     }
 
     #[test]
-    fn flush_clears() {
-        let mut c = Cache::new(1024, 128, 2);
-        c.access(0);
-        c.flush();
-        assert!(!c.access(0));
-    }
-
-    #[test]
     fn thrashing_working_set() {
         // Working set larger than capacity never hits with a strided scan.
         let mut c = Cache::new(1024, 128, 2);
-        for round in 0..4 {
-            for i in 0..16u64 {
-                let hit = c.access(i * 128);
-                if round == 0 {
-                    assert!(!hit);
-                }
-            }
-        }
-        assert!(c.hit_rate() < 0.01, "{}", c.hit_rate());
+        let hits = (0..4).flat_map(|_| 0..16u64).filter(|&i| c.access(i * 128)).count();
+        assert_eq!(hits, 0);
     }
 }

@@ -8,8 +8,10 @@
 //!
 //! * sources in a fixed inline array (no `Vec` indirection, no per-lane
 //!   `Vec<Val>` collects downstream);
-//! * the slot operands (`loc_srcs`) in source order, pre-extracted for
-//!   the scheduler's readiness scan;
+//! * the scoreboard words the sources read and the destination writes,
+//!   resolved to indices into a warp slot's scoreboard ([`Board`]: one
+//!   `u64` per on-chip slot word, then one per local word), so the
+//!   scheduler's readiness scan is one flat loop over words;
 //! * the local-memory (spill) sources, pre-extracted for the spill
 //!   traffic loop;
 //! * the static private-shared-memory word count (a pure function of
@@ -29,6 +31,50 @@ use orion_kir::types::{BlockId, PredReg, Width};
 /// one spare word keeps the layout future-proof).
 pub(crate) const MAX_SRCS: usize = 4;
 
+/// Most scoreboard words an instruction's sources can read.
+const MAX_SRC_WORDS: usize = 4 * MAX_SRCS;
+
+/// The scoreboard layout of a module: a warp's on-chip slot words come
+/// first, then its local (spill) words. Each word is `ready << 1 |
+/// from_memory`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Board {
+    /// On-chip slot words per thread (registers, then private
+    /// shared-memory slots).
+    pub onchip_words: usize,
+    /// Local-memory words per thread.
+    pub local_words: usize,
+}
+
+impl Board {
+    pub fn of(module: &MModule) -> Self {
+        Board {
+            onchip_words: usize::from(module.regs_per_thread)
+                + usize::from(module.smem_slots_per_thread),
+            local_words: usize::from(module.local_slots_per_thread),
+        }
+    }
+
+    /// Scoreboard words of a warp slot.
+    pub fn words(&self) -> usize {
+        self.onchip_words + self.local_words
+    }
+
+    /// The scoreboard indices of `l`'s words, in word order. Words past
+    /// the end of their place have no scoreboard entry (they always
+    /// read ready).
+    fn indices(&self, l: MLoc) -> impl Iterator<Item = u16> {
+        let (at, len) = match l.place {
+            Place::Onchip => (0, self.onchip_words),
+            Place::Local => (self.onchip_words, self.local_words),
+        };
+        (0..usize::from(l.width.words()))
+            .map(move |k| usize::from(l.slot) + k)
+            .filter(move |&i| i < len)
+            .map(move |i| u16::try_from(at + i).expect("scoreboard index fits u16"))
+    }
+}
+
 /// A machine instruction, decoded for execution.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DecInst {
@@ -42,10 +88,13 @@ pub(crate) struct DecInst {
     /// Sources, `srcs[..nsrcs]` valid (padding is `Imm(0)`).
     srcs: [MOperand; MAX_SRCS],
     nsrcs: u8,
-    /// Slot sources in source order, `loc_srcs[..n_loc_srcs]` valid —
-    /// the readiness scan's operand walk, pre-extracted.
-    loc_srcs: [MLoc; MAX_SRCS],
-    n_loc_srcs: u8,
+    /// Scoreboard words of the slot sources, in source and word order,
+    /// `src_words[..n_src_words]` valid — the readiness scan's walk.
+    src_words: [u16; MAX_SRC_WORDS],
+    n_src_words: u8,
+    /// Scoreboard words of the destination: `dst_words.0` onwards,
+    /// `dst_words.1` of them.
+    dst_words: (u16, u8),
     /// Local-place (spill) sources in source order.
     local_srcs: [MLoc; MAX_SRCS],
     n_local_srcs: u8,
@@ -61,10 +110,17 @@ impl DecInst {
         &self.srcs[..usize::from(self.nsrcs)]
     }
 
-    /// Slot operands among the sources, in source order.
+    /// Scoreboard words the sources read, in source order.
     #[inline]
-    pub fn loc_srcs(&self) -> &[MLoc] {
-        &self.loc_srcs[..usize::from(self.n_loc_srcs)]
+    pub fn src_words(&self) -> &[u16] {
+        &self.src_words[..usize::from(self.n_src_words)]
+    }
+
+    /// Scoreboard words the destination writes.
+    #[inline]
+    pub fn dst_words(&self) -> std::ops::Range<usize> {
+        let (at, n) = self.dst_words;
+        usize::from(at)..usize::from(at) + usize::from(n)
     }
 
     /// Local-memory (spill) operands among the sources, in source order.
@@ -104,15 +160,21 @@ pub(crate) struct DecodedFunc {
 }
 
 impl DecodedFunc {
-    /// Decode `f`, resolving reconvergence targets from `ipdom` and the
-    /// register/shared-memory boundary from `regs_per_thread`.
-    pub fn new(f: &MFunction, ipdom: &[Option<BlockId>], regs_per_thread: u16) -> Self {
+    /// Decode `f`, resolving reconvergence targets from `ipdom`, the
+    /// register/shared-memory boundary from `regs_per_thread` and
+    /// scoreboard words against `board`.
+    pub fn new(
+        f: &MFunction,
+        ipdom: &[Option<BlockId>],
+        regs_per_thread: u16,
+        board: Board,
+    ) -> Self {
         let mut insts = Vec::with_capacity(f.num_insts());
         let mut ranges = Vec::with_capacity(f.blocks.len());
         let mut terms = Vec::with_capacity(f.blocks.len());
         for (bi, b) in f.blocks.iter().enumerate() {
             let start = insts.len() as u32;
-            insts.extend(b.insts.iter().map(|i| decode_inst(i, regs_per_thread)));
+            insts.extend(b.insts.iter().map(|i| decode_inst(i, regs_per_thread, board)));
             ranges.push((start, b.insts.len() as u32));
             terms.push(match &b.term {
                 Terminator::Jump(t) => DecTerm::Jump(*t),
@@ -130,17 +192,19 @@ impl DecodedFunc {
         DecodedFunc { insts, ranges, terms }
     }
 
-    /// Number of instructions in `block`.
+    /// The instructions of `block` as a range of indices: its first
+    /// instruction's and one past its last.
     #[inline]
-    pub fn block_len(&self, block: BlockId) -> usize {
-        self.ranges[block.0 as usize].1 as usize
+    pub fn span(&self, block: BlockId) -> (u32, u32) {
+        let (start, len) = self.ranges[block.0 as usize];
+        (start, start + len)
     }
 
-    /// Instruction `idx` of `block`.
+    /// The instruction at index `pc` of a block whose span ends at
+    /// `end`, or `None` when `pc` has reached `end` (the terminator).
     #[inline]
-    pub fn inst(&self, block: BlockId, idx: usize) -> &DecInst {
-        let (start, _) = self.ranges[block.0 as usize];
-        &self.insts[start as usize + idx]
+    pub fn inst(&self, pc: u32, end: u32) -> Option<&DecInst> {
+        (pc < end).then(|| &self.insts[pc as usize])
     }
 
     /// The decoded terminator of `block`.
@@ -160,21 +224,23 @@ fn smem_words_of(l: MLoc, regs_per_thread: u16) -> u32 {
     (0..l.width.words()).filter(|k| l.slot + k >= regs_per_thread).count() as u32
 }
 
-fn decode_inst(i: &MInst, regs_per_thread: u16) -> DecInst {
+fn decode_inst(i: &MInst, regs_per_thread: u16, board: Board) -> DecInst {
     const PAD_OP: MOperand = MOperand::Imm(0);
     const PAD_LOC: MLoc = MLoc { place: Place::Onchip, slot: 0, width: Width::W32 };
     assert!(i.srcs.len() <= MAX_SRCS, "machine instruction with {} sources", i.srcs.len());
     let mut srcs = [PAD_OP; MAX_SRCS];
-    let mut loc_srcs = [PAD_LOC; MAX_SRCS];
+    let mut src_words = [0u16; MAX_SRC_WORDS];
     let mut local_srcs = [PAD_LOC; MAX_SRCS];
-    let mut n_loc = 0usize;
+    let mut n_words = 0usize;
     let mut n_local = 0usize;
     let mut smem = 0u32;
     for (k, s) in i.srcs.iter().enumerate() {
         srcs[k] = *s;
         if let MOperand::Loc(l) = s {
-            loc_srcs[n_loc] = *l;
-            n_loc += 1;
+            for w in board.indices(*l) {
+                src_words[n_words] = w;
+                n_words += 1;
+            }
             if l.place == Place::Local {
                 local_srcs[n_local] = *l;
                 n_local += 1;
@@ -182,8 +248,13 @@ fn decode_inst(i: &MInst, regs_per_thread: u16) -> DecInst {
             smem += smem_words_of(*l, regs_per_thread);
         }
     }
+    let mut dst_words = (0, 0);
     if let Some(d) = i.dst {
         smem += smem_words_of(d, regs_per_thread);
+        let mut words = board.indices(d);
+        if let Some(first) = words.next() {
+            dst_words = (first, 1 + words.count() as u8);
+        }
     }
     DecInst {
         op: i.op,
@@ -195,8 +266,9 @@ fn decode_inst(i: &MInst, regs_per_thread: u16) -> DecInst {
         is_stack_move: i.is_stack_move,
         srcs,
         nsrcs: i.srcs.len() as u8,
-        loc_srcs,
-        n_loc_srcs: n_loc as u8,
+        src_words,
+        n_src_words: n_words as u8,
+        dst_words,
         local_srcs,
         n_local_srcs: n_local as u8,
         smem_words: smem,
@@ -210,6 +282,6 @@ pub(crate) fn decode_module(module: &MModule, ipdom: &[Vec<Option<BlockId>>]) ->
         .funcs
         .iter()
         .zip(ipdom)
-        .map(|(f, ip)| DecodedFunc::new(f, ip, module.regs_per_thread))
+        .map(|(f, ip)| DecodedFunc::new(f, ip, module.regs_per_thread, Board::of(module)))
         .collect()
 }

@@ -9,28 +9,49 @@
 //! bit-for-bit.
 //!
 //! Execution runs over predecoded instruction tables (`decode`) and
-//! pooled structure-of-arrays lane state (`lanes`): warp-wide
-//! register-file gathers, packed predicate masks, and masked slice
-//! write-backs, with 32-bit global and shared loads filling the
-//! destination register plane in one warp-wide pass. Warps issue in one
-//! total order — the runnable warp minimizing `(ready_cycle, warp_id)`
-//! — from an event heap; debug builds cross-check every pick against a
-//! linear scan. The golden launch fixtures (`orion-bench`) pin the
-//! engine's observable results.
+//! structure-of-arrays lane state (`lanes`): warp-wide register-file
+//! gathers, packed predicate masks, and masked slice write-backs, with
+//! 32-bit global and shared loads filling the destination register
+//! plane in one warp-wide pass.
+//!
+//! **Slot table.** An SM holds a fixed table of `residency ×
+//! warps_per_block` warp slots (and one CTA slot per resident block),
+//! built once per launch. A retiring CTA's slots take the next block of
+//! the SM's share of the grid, resetting their buffers in place — the
+//! lane arena, shared memory, each warp's flattened SIMT stack (one
+//! `Vec<SimtEntry>` plus frame bases) and scoreboard — so admitting a
+//! block allocates nothing.
+//!
+//! **Scoreboard word.** A warp's scoreboard is one `u64` per on-chip
+//! slot word, then one per local word: `ready << 1 | from_memory`. The
+//! decoded instruction carries the indices of the words its sources
+//! read and its destination writes.
+//!
+//! **Issue key.** Warps issue in one total order: the runnable warp
+//! minimizing `(ready_cycle, admission sequence)`, where a warp's
+//! sequence is its CTA's admission index on the SM × warps-per-block +
+//! warp-in-block (the warp id of a table that appended every admitted
+//! warp). Each slot's `u64` key packs ready cycle, sequence and slot
+//! index (`IssueKeys`), the field widths taken from the launch, and a
+//! tournament tree over the slots (`ReadyQueue`) keeps the minimum at
+//! its root. Debug builds cross-check every pick against a linear scan
+//! of the table that compares unpacked `(ready, sequence)` pairs. The
+//! golden launch fixtures (`orion-bench`) pin the engine's observable
+//! results.
 //!
 //! An engine can record which 64-byte chunks of global memory its
 //! stores touched (`DirtyChunks`), so the SM fan-out in `sim` diffs
 //! and resets only those chunks of its private copy.
 
-use crate::decode::{decode_module, DecTerm, DecodedFunc, MAX_SRCS};
+use crate::decode::{decode_module, Board, DecInst, DecTerm, DecodedFunc, MAX_SRCS};
 use crate::device::DeviceSpec;
-use crate::lanes::{warp_alu, SoaCta, WarpCtx, WarpOperand};
-use crate::memory::{MemKind, MemStats, MemSystem};
+use crate::lanes::{warp_alu, warp_setp, SoaCta, WarpCtx, WarpOperand};
+use crate::memory::{bank_degree, coalesce_lines, MemKind, MemStats, MemSystem};
 use orion_kir::cfg::{Cfg, PostDominators};
 use orion_kir::function::{FuncKind, Function};
 use orion_kir::inst::Opcode;
 use orion_kir::mir::{MLoc, MModule, Place};
-use orion_kir::sem::{eval_setp, Val};
+use orion_kir::sem::Val;
 use orion_kir::types::{BlockId, FuncId, MemSpace, Width, NUM_PRED_REGS};
 use serde::{Deserialize, Serialize};
 
@@ -259,28 +280,60 @@ impl<'m> LinkedProgram<'m> {
 
 const FULL_MASK: u32 = u32::MAX;
 
+/// One entry of a warp's SIMT reconvergence stack: a path of `mask`
+/// lanes in `block` of `func`, at its instruction `pc` (an index into
+/// the function's decoded instructions; `end` is the block's end).
 #[derive(Debug, Clone, Copy)]
 struct SimtEntry {
+    func: FuncId,
     block: BlockId,
-    idx: usize,
+    pc: u32,
+    end: u32,
     reconv: Option<BlockId>,
     mask: u32,
 }
 
-#[derive(Debug, Clone)]
-struct Frame {
-    func: FuncId,
-    stack: Vec<SimtEntry>,
+impl SimtEntry {
+    /// A path of `mask` lanes entering `block` of `func` (decoded as
+    /// `df`), reconverging at `reconv`.
+    fn enter(
+        df: &DecodedFunc,
+        func: FuncId,
+        block: BlockId,
+        reconv: Option<BlockId>,
+        mask: u32,
+    ) -> Self {
+        let (pc, end) = df.span(block);
+        SimtEntry { func, block, pc, end, reconv, mask }
+    }
+
+    /// Move the path to the start of `block` (of the same function).
+    fn goto(&mut self, df: &DecodedFunc, block: BlockId) {
+        self.block = block;
+        (self.pc, self.end) = df.span(block);
+    }
 }
 
-struct Warp {
-    /// Index into the SM's resident-CTA table.
+/// One hardware warp slot of the SM's fixed table. A slot holds the
+/// warps of successive CTAs admitted into its CTA slot and keeps its
+/// buffers (SIMT stack, frames, scoreboard) across them.
+struct WarpSlot {
+    /// Admission sequence of the warp held: admission index of its CTA
+    /// on this SM × warps-per-block + warp-in-block. It breaks ready-time
+    /// ties in the issue order (the warp id of a table that appended one
+    /// entry per admitted warp).
+    seq: u64,
+    /// CTA-table slot of the warp's CTA.
     cta: usize,
     warp_in_block: u32,
-    /// Hardware warp slot (resident-CTA slot × warps-per-block +
-    /// warp-in-block), fixed at admission: the `per_warp_issued` index.
+    /// Per-warp-slot rollup index, `(admission index % residency) ×
+    /// warps-per-block + warp-in-block` (a recycled table slot may
+    /// differ from it).
     hw_slot: usize,
-    frames: Vec<Frame>,
+    /// SIMT stacks of every call frame, flattened: frame `f` owns
+    /// `simt[frames[f]..]` up to the next frame's base.
+    simt: Vec<SimtEntry>,
+    frames: Vec<usize>,
     alive: u32,
     done: bool,
     at_barrier: bool,
@@ -288,28 +341,48 @@ struct Warp {
     next_free: u64,
     /// Why `next_free` is what it is (stall attribution).
     free_reason: Wait,
-    onchip_ready: Vec<u64>,
-    /// Provenance of each `onchip_ready` entry: was the last writer a
-    /// memory access? (Local slots are always memory: spill traffic.)
-    onchip_mem: Vec<bool>,
-    local_ready: Vec<u64>,
+    /// Scoreboard: one word per on-chip slot word, then one per local
+    /// word, each `ready << 1 | from_memory` (local words are always
+    /// memory: spill traffic).
+    board: Vec<u64>,
     pred_ready: [u64; NUM_PRED_REGS as usize],
-    /// Key of this warp's live ready-queue entry,
-    /// `(ready << 64) | warp_id` (`u128::MAX` before the first push).
-    /// Ready times only grow, so every other entry of the warp in the
-    /// heap carries a smaller key and is discarded on pop.
-    sched_key: u128,
-    /// Binding constraint cached at the latest ready-queue push (the
+    /// Binding constraint cached when the slot was last queued (the
     /// `Wait` half of `warp_ready_info` at that instant; the warp has
-    /// not mutated since, or it would have been re-pushed).
+    /// not mutated since, or it would have been re-queued).
     ready_why: Wait,
+}
+
+impl WarpSlot {
+    /// An empty (done) slot with a scoreboard of `board_words` words.
+    fn new(board_words: usize) -> Self {
+        WarpSlot {
+            seq: 0,
+            cta: 0,
+            warp_in_block: 0,
+            hw_slot: 0,
+            simt: Vec::new(),
+            frames: Vec::new(),
+            alive: 0,
+            done: true,
+            at_barrier: false,
+            barrier_release: 0,
+            next_free: 0,
+            free_reason: Wait::Pipeline,
+            board: vec![0; board_words],
+            pred_ready: [0; NUM_PRED_REGS as usize],
+            ready_why: Wait::Pipeline,
+        }
+    }
+
+    /// Base of the current frame's entries in `simt`.
+    #[inline]
+    fn frame_base(&self) -> usize {
+        *self.frames.last().expect("live warp has a frame")
+    }
 }
 
 struct Cta {
     grid_idx: u32,
-    /// Index of the CTA's first warp in the SM's warp table; its
-    /// `warps_per_block` warps are admitted contiguously from here.
-    first_warp: usize,
     lanes: SoaCta,
     shared: Vec<u8>,
     warps_left: usize,
@@ -317,31 +390,121 @@ struct Cta {
     admitted_at: u64,
 }
 
-/// Free-pools recycling the per-CTA/per-warp buffers as CTAs retire —
-/// after warm-up the engine allocates nothing per admitted block, so a
-/// launch's allocation cost is bounded by its residency, not its grid —
-/// plus the per-instruction working buffers that used to be allocated
-/// per `step_warp` (Ld/St address gathers, bank-conflict word lists,
-/// coalesced line lists, warp-wide operand files).
+/// The ready queue's `u64` issue key: from high to low bits the ready
+/// cycle, the admission sequence and the table slot. Sequences are
+/// unique, so the slot bits never decide the order — they only let the
+/// pick find its warp. The field widths come from the launch: the
+/// sequence field holds every admission the SM's share of the grid can
+/// make, the slot field the table, and the ready field the rest. Ready
+/// times clamp at `cycle_budget + 1` (any later time ends the launch
+/// alike, through the watchdog) and count from `base`, which moves up
+/// only if a launch outlives the ready field.
+#[derive(Debug, Clone, Copy)]
+struct IssueKeys {
+    seq_shift: u32,
+    ready_shift: u32,
+    /// Largest ready-field value (one below all ones, so no key is
+    /// [`IDLE`]).
+    field_max: u64,
+    /// Cycle that ready field 0 stands for.
+    base: u64,
+    /// `cycle_budget + 1`: the clamp.
+    hung: u64,
+}
+
+impl IssueKeys {
+    /// Keys for `max_seq + 1` admissions into `slots` table slots under
+    /// `cycle_budget`.
+    fn new(max_seq: u64, slots: usize, cycle_budget: u64) -> Self {
+        let bits = |n: u64| u64::BITS - n.leading_zeros();
+        let seq_shift = bits(slots.saturating_sub(1) as u64);
+        let ready_shift = seq_shift + bits(max_seq);
+        assert!(ready_shift < u64::BITS - 1, "sequence and slot fields leave no ready field");
+        IssueKeys {
+            seq_shift,
+            ready_shift,
+            field_max: (u64::MAX >> ready_shift) - 1,
+            base: 0,
+            hung: cycle_budget.saturating_add(1),
+        }
+    }
+
+    #[inline]
+    fn key(&self, ready: u64, seq: u64, slot: usize) -> u64 {
+        let r = ready.min(self.hung);
+        debug_assert!(r >= self.base, "ready time {r} below the key base {}", self.base);
+        ((r - self.base).min(self.field_max) << self.ready_shift)
+            | (seq << self.seq_shift)
+            | slot as u64
+    }
+
+    #[inline]
+    fn slot(&self, key: u64) -> usize {
+        (key & ((1 << self.seq_shift) - 1)) as usize
+    }
+
+    #[inline]
+    fn ready(&self, key: u64) -> u64 {
+        self.base + (key >> self.ready_shift)
+    }
+
+    /// Whether `key`'s ready field is full below the clamp, so it no
+    /// longer tells ready times apart.
+    #[inline]
+    fn saturated(&self, key: u64) -> bool {
+        key >> self.ready_shift == self.field_max && self.base + self.field_max < self.hung
+    }
+}
+
+/// The key of a slot that is not runnable.
+const IDLE: u64 = u64::MAX;
+
+/// The ready queue: a tournament tree over the fixed slot table. Leaf
+/// `i` holds slot `i`'s issue key ([`IDLE`] while it is not runnable)
+/// and every inner node the smaller key of its two children, so the
+/// root is the next pick. Re-keying a slot rewrites the path from its
+/// leaf to the root: log2(slots) branch-free steps, and no stale
+/// entries to skip.
+struct ReadyQueue {
+    /// `nodes[1]` is the root, `nodes[leaves + i]` slot `i`'s leaf.
+    nodes: Vec<u64>,
+    leaves: usize,
+}
+
+impl ReadyQueue {
+    fn new(slots: usize) -> Self {
+        let leaves = slots.next_power_of_two();
+        ReadyQueue { nodes: vec![IDLE; 2 * leaves], leaves }
+    }
+
+    #[inline]
+    fn set(&mut self, slot: usize, key: u64) {
+        // Carry the path's minimum up: each step reads only the sibling.
+        let mut j = self.leaves + slot;
+        let mut min = key;
+        self.nodes[j] = min;
+        while j > 1 {
+            min = min.min(self.nodes[j ^ 1]);
+            j /= 2;
+            self.nodes[j] = min;
+        }
+    }
+
+    /// The smallest key ([`IDLE`] when no slot is runnable).
+    #[inline]
+    fn min(&self) -> u64 {
+        self.nodes[1]
+    }
+}
+
+/// The per-instruction working buffers (bank-conflict word lists,
+/// coalesced line lists, warp-wide operand files), reused across every
+/// step.
 #[derive(Default)]
 struct Scratch {
-    /// Retired CTA user shared-memory buffers.
-    shared: Vec<Vec<u8>>,
-    /// Retired warp readiness scoreboards (`onchip_ready`/`local_ready`).
-    ready_words: Vec<Vec<u64>>,
-    /// Retired warp provenance bitmaps (`onchip_mem`).
-    ready_flags: Vec<Vec<bool>>,
-    /// Retired SoA on-chip register arenas.
-    soa_onchip: Vec<Vec<u32>>,
-    /// Retired SoA local-memory arenas.
-    soa_local: Vec<Vec<u8>>,
-    /// Retired SoA packed-predicate tables.
-    soa_preds: Vec<Vec<u32>>,
-    /// Ld/St per-lane address gather (was a per-instruction `Vec`).
-    addrs: Vec<u64>,
-    /// Bank-conflict word list (was a per-instruction `Vec`).
+    /// Bank-conflict word list.
     words: Vec<u64>,
-    /// Coalesced cache-line list (was a per-instruction `Vec`).
+    /// Coalesced cache-line list.
     lines: Vec<u64>,
     /// Warp-wide operand register files (SoA ALU/Setp gather targets).
     ops: [WarpOperand; MAX_SRCS],
@@ -367,8 +530,7 @@ pub(crate) struct SmEngine<'m, 'g> {
     pub per_warp_issued: Vec<u64>,
     /// SM index on the device (telemetry lane id).
     sm_id: u32,
-    onchip_words: usize,
-    local_words: usize,
+    board: Board,
     warps_per_block: u32,
     // time bookkeeping
     cur_cycle: u64,
@@ -386,7 +548,10 @@ pub(crate) struct SmEngine<'m, 'g> {
     stuck_warp: bool,
     /// Resident-CTA limit of the current launch (per-warp-slot rollup).
     residency: u32,
-    /// Recycled per-CTA/per-warp buffers.
+    /// CTAs admitted so far (the next admission index).
+    admitted: u64,
+    keys: IssueKeys,
+    /// Per-instruction working buffers.
     scratch: Scratch,
 }
 
@@ -412,8 +577,6 @@ impl<'m, 'g> SmEngine<'m, 'g> {
         sm_id: u32,
         guards: EngineGuards,
     ) -> Self {
-        let m = prog.module;
-        let onchip_words = usize::from(m.regs_per_thread) + usize::from(m.smem_slots_per_thread);
         SmEngine {
             dev,
             prog,
@@ -425,8 +588,7 @@ impl<'m, 'g> SmEngine<'m, 'g> {
             stats: SimStats::default(),
             per_warp_issued: Vec::new(),
             sm_id,
-            onchip_words,
-            local_words: usize::from(m.local_slots_per_thread),
+            board: Board::of(prog.module),
             warps_per_block: launch.block.div_ceil(32),
             cur_cycle: 0,
             issued_this_cycle: 0,
@@ -436,6 +598,8 @@ impl<'m, 'g> SmEngine<'m, 'g> {
             cycle_budget: guards.cycle_budget,
             stuck_warp: guards.stuck_warp,
             residency: 1,
+            admitted: 0,
+            keys: IssueKeys::new(0, 1, guards.cycle_budget),
             scratch: Scratch::default(),
         }
     }
@@ -449,15 +613,46 @@ impl<'m, 'g> SmEngine<'m, 'g> {
     /// Run `blocks` (grid indices) with at most `residency` concurrent
     /// CTAs; returns the completion cycle.
     pub fn run(&mut self, blocks: &[u32], residency: u32) -> Result<u64, SimError> {
+        let wpb = u64::from(self.warps_per_block);
+        let slots = (residency as usize).min(blocks.len()) * wpb as usize;
+        let max_seq = (blocks.len() as u64 * wpb).saturating_sub(1);
+        self.run_keyed(blocks, residency, IssueKeys::new(max_seq, slots, self.cycle_budget))
+    }
+
+    /// [`run`](Self::run) under the issue keys `keys`.
+    fn run_keyed(
+        &mut self,
+        blocks: &[u32],
+        residency: u32,
+        keys: IssueKeys,
+    ) -> Result<u64, SimError> {
         self.residency = residency;
+        self.keys = keys;
+        let wpb = self.warps_per_block as usize;
+        // The fixed tables: one CTA slot per resident block, one warp
+        // slot per warp of each. Admitting a block allocates nothing.
+        let n_ctas = (residency as usize).min(blocks.len());
+        let stride = wpb * 32;
+        let smem = self.prog.module.user_smem_bytes as usize;
+        let mut ctas: Vec<Cta> = (0..n_ctas)
+            .map(|_| Cta {
+                grid_idx: 0,
+                lanes: SoaCta::new(self.board.onchip_words, self.board.local_words * 4, stride),
+                shared: vec![0; smem],
+                warps_left: 0,
+                admitted_at: 0,
+            })
+            .collect();
+        let mut warps: Vec<WarpSlot> =
+            (0..n_ctas * wpb).map(|_| WarpSlot::new(self.board.words())).collect();
+        // Every warp of the first `n_ctas` admissions issues, and later
+        // ones reuse their rollup slots.
+        self.per_warp_issued = vec![0; warps.len()];
         let mut pending = blocks.iter().copied();
-        let mut ctas: Vec<Cta> = Vec::with_capacity(residency as usize);
-        let mut warps: Vec<Warp> = Vec::new();
         // Seed initial residency.
-        for _ in 0..residency {
-            if let Some(b) = pending.next() {
-                self.admit_cta(&mut ctas, &mut warps, b, 0);
-            }
+        for c in 0..n_ctas {
+            let b = pending.next().expect("a block per seeded CTA slot");
+            self.admit_cta(&mut ctas[c], &mut warps[c * wpb..(c + 1) * wpb], c, b, 0);
         }
         // Injected hang: wedge the first warp past the cycle budget so
         // the launch can only terminate through the watchdog.
@@ -467,7 +662,7 @@ impl<'m, 'g> SmEngine<'m, 'g> {
                 w.free_reason = Wait::Mem;
             }
         }
-        self.run_heap(&mut pending, &mut ctas, &mut warps)?;
+        self.run_queue(&mut pending, &mut ctas, &mut warps)?;
         self.stats.mem = self.mem.stats;
         // Close the per-SM accounting: everything between the last issue
         // and engine completion is latency drain. `last_event` can in
@@ -482,107 +677,99 @@ impl<'m, 'g> SmEngine<'m, 'g> {
         Ok(end)
     }
 
-    /// O(W) scan for the runnable warp minimizing `(ready_cycle,
-    /// warp_id)` — the strict `r < br` comparison keeps the first
-    /// (lowest-id) warp on ready-time ties. Debug builds check every
-    /// event-heap pick against it.
+    /// O(W) scan of the table for the runnable warp minimizing
+    /// `(ready_cycle, admission sequence)`, ready times clamped at
+    /// `cycle_budget + 1` like the keys' — without the keys' bit
+    /// packing. Debug builds check every ready-queue pick against it.
     #[cfg(debug_assertions)]
-    fn scan_best(&self, warps: &[Warp]) -> Option<(u64, usize, Wait)> {
-        let mut best: Option<(u64, usize, Wait)> = None;
-        for (i, w) in warps.iter().enumerate() {
+    fn scan_best(&self, warps: &[WarpSlot]) -> Option<(u64, u64, Wait)> {
+        let mut best: Option<(u64, u64, Wait)> = None;
+        for w in warps {
             if w.done || w.at_barrier {
                 continue;
             }
             let (r, why) = self.warp_ready_info(w);
-            if best.is_none_or(|(br, _, _)| r < br) {
-                best = Some((r, i, why));
+            let r = r.min(self.keys.hung);
+            if best.is_none_or(|(br, bs, _)| (r, w.seq) < (br, bs)) {
+                best = Some((r, w.seq, why));
             }
         }
         best
     }
 
-    /// Warp `i`'s ready-queue key at its current ready time, caching the
-    /// binding constraint in `ready_why`; `None` when the warp is not
-    /// runnable (done, or waiting at a barrier).
-    fn heap_key(&self, warps: &mut [Warp], i: usize) -> Option<u128> {
-        if warps[i].done || warps[i].at_barrier {
-            return None;
-        }
-        let (r, why) = self.warp_ready_info(&warps[i]);
+    /// Put warp slot `i` in the ready queue at its current issue key,
+    /// caching the binding constraint in `ready_why`, or take it out
+    /// when it is not runnable (done, or waiting at a barrier).
+    fn requeue(&self, queue: &mut ReadyQueue, warps: &mut [WarpSlot], i: usize) {
         let w = &mut warps[i];
-        w.ready_why = why;
-        w.sched_key = (u128::from(r) << 64) | i as u128;
-        Some(w.sched_key)
+        let key = if w.done || w.at_barrier {
+            IDLE
+        } else {
+            let (r, why) = self.warp_ready_info(w);
+            w.ready_why = why;
+            self.keys.key(r, w.seq, i)
+        };
+        queue.set(i, key);
     }
 
-    fn run_heap<I: Iterator<Item = u32>>(
+    fn run_queue<I: Iterator<Item = u32>>(
         &mut self,
         pending: &mut I,
-        ctas: &mut Vec<Cta>,
-        warps: &mut Vec<Warp>,
+        ctas: &mut [Cta],
+        warps: &mut [WarpSlot],
     ) -> Result<(), SimError> {
-        use std::cmp::Reverse;
-        use std::collections::binary_heap::{BinaryHeap, PeekMut};
-        // Invariant: every runnable warp has exactly one *live* entry
-        // (equal to its `sched_key`). Every state change that can move a
-        // warp's ready time lands its index in `touched`, which pushes a
-        // new, larger key. Ready times only grow, so a warp's dead
-        // entries pop in front of its live one and are discarded there;
-        // when a live entry reaches the top, it is the warp's only one.
-        let mut heap: BinaryHeap<Reverse<u128>> = BinaryHeap::with_capacity(warps.len() + 1);
+        // Every state change that can move a warp's ready time lands
+        // its slot in `touched`, which re-keys it.
+        let mut queue = ReadyQueue::new(warps.len());
         let mut touched: Vec<usize> = Vec::new();
         for i in 0..warps.len() {
-            if let Some(key) = self.heap_key(warps, i) {
-                heap.push(Reverse(key));
-            }
+            self.requeue(&mut queue, warps, i);
         }
         loop {
-            let Some(mut top) = heap.peek_mut() else {
-                // Queue drained with no runnable warp left: every warp
-                // is done, or the rest wait at barriers that (releasing
-                // eagerly) can never open.
+            let key = queue.min();
+            if key == IDLE {
+                // No runnable warp left: every warp is done, or the rest
+                // wait at barriers that (releasing eagerly) can never
+                // open.
                 if warps.iter().all(|w| w.done) {
                     return Ok(());
                 }
                 return Err(SimError::Deadlock);
-            };
-            let Reverse(key) = *top;
-            let wi = key as u64 as usize;
-            if warps[wi].done || warps[wi].at_barrier || key != warps[wi].sched_key {
-                PeekMut::pop(top); // dead entry (lazy deletion)
+            }
+            if self.keys.saturated(key) {
+                // Every runnable warp is ready at or past the last cycle
+                // the ready field tells apart: count from the earliest
+                // and re-key them all.
+                self.keys.base = warps
+                    .iter()
+                    .filter(|w| !w.done && !w.at_barrier)
+                    .map(|w| self.warp_ready_info(w).0.min(self.keys.hung))
+                    .min()
+                    .expect("a queued key belongs to a runnable warp");
+                for i in 0..warps.len() {
+                    self.requeue(&mut queue, warps, i);
+                }
                 continue;
             }
-            let ready = (key >> 64) as u64;
+            let wi = self.keys.slot(key);
+            let ready = self.keys.ready(key);
             let wait = warps[wi].ready_why;
             #[cfg(debug_assertions)]
             {
-                // The heap must reproduce the scan's `(ready, warp_id)`
-                // total order pick for pick.
+                // The queue must reproduce the scan's total order pick
+                // for pick.
                 debug_assert_eq!(
                     self.scan_best(warps),
-                    Some((ready, wi, wait)),
-                    "event heap diverged from the scan order"
+                    Some((ready, warps[wi].seq, wait)),
+                    "ready queue diverged from the scan order"
                 );
             }
             touched.clear();
             self.issue_at(pending, ctas, warps, wi, ready, wait, &mut touched)?;
-            // The issued warp's entry is still on top: overwrite it with
-            // the warp's new key (sifting down on drop) rather than pop +
-            // push. Its ready time moved past `ready`, so the key grew.
-            match self.heap_key(warps, wi) {
-                Some(next) => {
-                    *top = Reverse(next);
-                    drop(top);
-                }
-                None => {
-                    PeekMut::pop(top);
-                }
-            }
+            self.requeue(&mut queue, warps, wi);
             for &k in &touched {
                 if k != wi {
-                    if let Some(key) = self.heap_key(warps, k) {
-                        heap.push(Reverse(key));
-                    }
+                    self.requeue(&mut queue, warps, k);
                 }
             }
         }
@@ -590,15 +777,15 @@ impl<'m, 'g> SmEngine<'m, 'g> {
 
     /// One issue step: step-limit/watchdog guards, issue-slot and stall
     /// bookkeeping, the warp step itself, then barrier release and CTA
-    /// retirement/admission. Indices of warps whose scheduling state
-    /// changed (beyond `wi` going done/to-barrier) are appended to
-    /// `touched` so the event heap can re-queue them.
+    /// retirement/admission. Other slots whose scheduling state changed
+    /// are appended to `touched` so the ready queue can re-key them (the
+    /// caller always re-keys `wi`).
     #[allow(clippy::too_many_arguments)]
     fn issue_at<I: Iterator<Item = u32>>(
         &mut self,
         pending: &mut I,
-        ctas: &mut Vec<Cta>,
-        warps: &mut Vec<Warp>,
+        ctas: &mut [Cta],
+        warps: &mut [WarpSlot],
         wi: usize,
         ready: u64,
         wait: Wait,
@@ -643,21 +830,16 @@ impl<'m, 'g> SmEngine<'m, 'g> {
             self.stats.stalls.issued += 1;
             self.acct_cursor = t + 1;
         }
-        // Per-warp-slot rollup: hardware slots are recycled as CTAs
-        // retire, so key by (resident slot, warp-in-block).
-        let slot = warps[wi].hw_slot;
-        if slot >= self.per_warp_issued.len() {
-            self.per_warp_issued.resize(slot + 1, 0);
-        }
-        self.per_warp_issued[slot] += 1;
+        self.per_warp_issued[warps[wi].hw_slot] += 1;
 
         self.step_warp(warps, wi, ctas, t)?;
 
         // Barrier release: if every live warp of the CTA is waiting.
-        // Only the CTA's own (contiguously admitted) warps are scanned.
+        // Only the CTA's own warp slots are scanned.
+        let c = warps[wi].cta;
+        let wpb = self.warps_per_block as usize;
+        let cta_warps = c * wpb..(c + 1) * wpb;
         if warps[wi].at_barrier {
-            let first = ctas[warps[wi].cta].first_warp;
-            let cta_warps = first..first + self.warps_per_block as usize;
             let live = || warps[cta_warps.clone()].iter().filter(|w| !w.done);
             if live().all(|w| w.at_barrier) {
                 let release = live().map(|w| w.barrier_release).max().unwrap_or(t);
@@ -668,123 +850,81 @@ impl<'m, 'g> SmEngine<'m, 'g> {
                     w.at_barrier = false;
                     w.next_free = w.next_free.max(release);
                     w.free_reason = Wait::Barrier;
-                    if first + i != wi {
-                        touched.push(first + i);
+                    if cta_warps.start + i != wi {
+                        touched.push(cta_warps.start + i);
                     }
                 }
             }
         }
-        // CTA completion: recycle its memory and admit the next block.
+        // CTA completion: admit the next block into its slots.
         // (memory counters are folded into stats on exit)
         if warps[wi].done {
-            // The warp will never be scheduled again: recycle its
-            // readiness scoreboards.
-            let w = &mut warps[wi];
-            self.scratch.ready_words.push(std::mem::take(&mut w.onchip_ready));
-            self.scratch.ready_words.push(std::mem::take(&mut w.local_ready));
-            self.scratch.ready_flags.push(std::mem::take(&mut w.onchip_mem));
-            let c = warps[wi].cta;
-            ctas[c].warps_left -= 1;
-            if ctas[c].warps_left == 0 {
+            let cta = &mut ctas[c];
+            cta.warps_left -= 1;
+            if cta.warps_left == 0 {
                 if orion_telemetry::is_enabled() {
-                    let begin = ctas[c].admitted_at;
+                    let begin = cta.admitted_at;
                     let end = self.last_event.max(t);
                     orion_telemetry::complete(
                         "sim",
-                        &format!("cta{}", ctas[c].grid_idx),
+                        &format!("cta{}", cta.grid_idx),
                         self.sm_id,
                         begin,
                         end.saturating_sub(begin),
-                        vec![("grid_idx", ctas[c].grid_idx.into())],
+                        vec![("grid_idx", cta.grid_idx.into())],
                     );
                 }
-                let (onchip, local, preds) = std::mem::take(&mut ctas[c].lanes).into_parts();
-                self.scratch.soa_onchip.push(onchip);
-                self.scratch.soa_local.push(local);
-                self.scratch.soa_preds.push(preds);
-                self.scratch.shared.push(std::mem::take(&mut ctas[c].shared));
                 if let Some(b) = pending.next() {
                     let start = self.last_event.max(t);
-                    let first_new = warps.len();
-                    self.admit_cta(ctas, warps, b, start);
-                    for i in first_new..warps.len() {
-                        touched.push(i);
-                    }
+                    self.admit_cta(cta, &mut warps[cta_warps.clone()], c, b, start);
+                    touched.extend(cta_warps);
                 }
             }
-        } else if !warps[wi].at_barrier {
-            touched.push(wi);
         }
         Ok(())
     }
 
-    /// Pop a recycled buffer (or a fresh one) and reset it to `n`
-    /// zeroed/default entries.
-    fn recycled<T: Clone + Default>(pool: &mut Vec<Vec<T>>, n: usize) -> Vec<T> {
-        let mut v = pool.pop().unwrap_or_default();
-        v.clear();
-        v.resize(n, T::default());
-        v
-    }
-
-    /// Build the lane-state arenas for a newly admitted CTA, reusing
-    /// retired buffers where possible.
-    fn build_arena(&mut self) -> SoaCta {
-        // Arenas cover whole warps (`warps_per_block * 32` lanes) even
-        // when the block is not a multiple of 32: the tail lanes are dead
-        // (never in `alive`), but warp-wide gathers may read their zeros.
-        let stride = self.warps_per_block as usize * 32;
-        let onchip = Self::recycled(&mut self.scratch.soa_onchip, self.onchip_words * stride);
-        let local = Self::recycled(&mut self.scratch.soa_local, self.local_words * 4 * stride);
-        let preds = Self::recycled(
-            &mut self.scratch.soa_preds,
-            usize::from(NUM_PRED_REGS) * self.warps_per_block as usize,
-        );
-        SoaCta::new(onchip, local, preds, stride, self.local_words * 4)
-    }
-
-    fn admit_cta(&mut self, ctas: &mut Vec<Cta>, warps: &mut Vec<Warp>, grid_idx: u32, start: u64) {
-        let cta_slot = ctas.len();
-        let lanes = self.build_arena();
-        let smem = self.prog.module.user_smem_bytes as usize;
-        let shared = Self::recycled(&mut self.scratch.shared, smem);
+    /// Admit grid block `grid_idx` into CTA slot `c` (table warp slots
+    /// `slots`) at cycle `start`, resetting the slot's buffers in place.
+    fn admit_cta(
+        &mut self,
+        cta: &mut Cta,
+        slots: &mut [WarpSlot],
+        c: usize,
+        grid_idx: u32,
+        start: u64,
+    ) {
+        let a = self.admitted;
+        self.admitted += 1;
+        cta.grid_idx = grid_idx;
+        cta.lanes.clear();
+        cta.shared.fill(0);
+        cta.warps_left = slots.len();
+        cta.admitted_at = start;
         let wpb = self.warps_per_block as usize;
-        let slot_base = (cta_slot % self.residency.max(1) as usize) * wpb;
-        ctas.push(Cta {
-            grid_idx,
-            first_warp: warps.len(),
-            lanes,
-            shared,
-            warps_left: self.warps_per_block as usize,
-            admitted_at: start,
-        });
-        for w in 0..self.warps_per_block {
-            let lanes_in_warp = (self.launch.block - w * 32).min(32);
+        let slot_base = (a as usize % self.residency.max(1) as usize) * wpb;
+        let entry = self.prog.module.entry;
+        let entry_df = &self.prog.dec[entry.0 as usize];
+        for (w, s) in slots.iter_mut().enumerate() {
+            let lanes_in_warp = (self.launch.block - w as u32 * 32).min(32);
             let alive = if lanes_in_warp == 32 { FULL_MASK } else { (1u32 << lanes_in_warp) - 1 };
-            let onchip_ready = Self::recycled(&mut self.scratch.ready_words, self.onchip_words);
-            let local_ready = Self::recycled(&mut self.scratch.ready_words, self.local_words);
-            let onchip_mem = Self::recycled(&mut self.scratch.ready_flags, self.onchip_words);
-            warps.push(Warp {
-                cta: cta_slot,
-                warp_in_block: w,
-                hw_slot: slot_base + w as usize,
-                frames: vec![Frame {
-                    func: self.prog.module.entry,
-                    stack: vec![SimtEntry { block: BlockId(0), idx: 0, reconv: None, mask: alive }],
-                }],
-                alive,
-                done: false,
-                at_barrier: false,
-                barrier_release: 0,
-                next_free: start,
-                free_reason: Wait::Pipeline,
-                onchip_ready,
-                onchip_mem,
-                local_ready,
-                pred_ready: [0; NUM_PRED_REGS as usize],
-                sched_key: u128::MAX,
-                ready_why: Wait::Pipeline,
-            });
+            s.seq = a * wpb as u64 + w as u64;
+            s.cta = c;
+            s.warp_in_block = w as u32;
+            s.hw_slot = slot_base + w;
+            s.simt.clear();
+            s.simt.push(SimtEntry::enter(entry_df, entry, BlockId(0), None, alive));
+            s.frames.clear();
+            s.frames.push(0);
+            s.alive = alive;
+            s.done = false;
+            s.at_barrier = false;
+            s.barrier_release = 0;
+            s.next_free = start;
+            s.free_reason = Wait::Pipeline;
+            s.board.fill(0);
+            s.pred_ready = [0; NUM_PRED_REGS as usize];
+            s.ready_why = Wait::Pipeline;
         }
     }
 
@@ -793,19 +933,19 @@ impl<'m, 'g> SmEngine<'m, 'g> {
     /// favour of the issue-side reason, then program order of operands.
     /// Walks the predecoded slot-operand list instead of re-matching
     /// `MOperand`s.
-    fn warp_ready_info(&self, w: &Warp) -> (u64, Wait) {
+    fn warp_ready_info(&self, w: &WarpSlot) -> (u64, Wait) {
         let mut t = w.next_free;
         let mut why = w.free_reason;
-        let frame = w.frames.last().expect("live warp has a frame");
-        let tos = frame.stack.last().expect("live warp has a path");
-        let df = &self.prog.dec[frame.func.0 as usize];
-        if tos.idx < df.block_len(tos.block) {
-            let inst = df.inst(tos.block, tos.idx);
-            for l in inst.loc_srcs() {
-                let (r, mem) = self.loc_ready_info(w, *l);
-                if r > t {
-                    t = r;
-                    why = if mem { Wait::Mem } else { Wait::Raw };
+        let tos = w.simt.last().expect("live warp has a path");
+        let df = &self.prog.dec[tos.func.0 as usize];
+        if let Some(inst) = df.inst(tos.pc, tos.end) {
+            // The latest source word binds; on ties the first in
+            // source order.
+            for &i in inst.src_words() {
+                let word = w.board[usize::from(i)];
+                if word >> 1 > t {
+                    t = word >> 1;
+                    why = if word & 1 != 0 { Wait::Mem } else { Wait::Raw };
                 }
             }
             if let Some(p) = inst.pred {
@@ -829,45 +969,12 @@ impl<'m, 'g> SmEngine<'m, 'g> {
         (t, why)
     }
 
-    /// Readiness of a location and whether the binding word was produced
-    /// by a memory access (local slots are spill traffic, always memory).
-    fn loc_ready_info(&self, w: &Warp, l: MLoc) -> (u64, bool) {
-        let mut t = 0;
-        let mut mem = false;
-        for k in 0..l.width.words() {
-            let idx = usize::from(l.slot + k);
-            let (r, m) = match l.place {
-                Place::Onchip => (
-                    w.onchip_ready.get(idx).copied().unwrap_or(0),
-                    w.onchip_mem.get(idx).copied().unwrap_or(false),
-                ),
-                Place::Local => (w.local_ready.get(idx).copied().unwrap_or(0), true),
-            };
-            if r > t || (r == t && m && k == 0) {
-                mem = m;
-            }
-            t = t.max(r);
-        }
-        (t, mem)
-    }
-
-    fn set_loc_ready(&self, w: &mut Warp, l: MLoc, t: u64, mem: bool) {
-        for k in 0..l.width.words() {
-            let idx = usize::from(l.slot + k);
-            match l.place {
-                Place::Onchip => {
-                    if idx < w.onchip_ready.len() {
-                        w.onchip_ready[idx] = t;
-                        w.onchip_mem[idx] = mem;
-                    }
-                }
-                Place::Local => {
-                    if idx < w.local_ready.len() {
-                        w.local_ready[idx] = t;
-                    }
-                }
-            }
-        }
+    /// Mark `inst`'s destination `d` ready at `t`, produced by a memory
+    /// access when `mem` (local words always are: spill traffic).
+    fn set_dst_ready(w: &mut WarpSlot, inst: &DecInst, d: MLoc, t: u64, mem: bool) {
+        debug_assert!(t < 1 << 63, "ready time {t} overflows a scoreboard word");
+        let word = t << 1 | u64::from(mem || d.place == Place::Local);
+        w.board[inst.dst_words()].fill(word);
     }
 
     /// Interleaved local-memory address of `word` for a thread, unique
@@ -883,10 +990,7 @@ impl<'m, 'g> SmEngine<'m, 'g> {
     /// completion cycle. Uses the recycled line buffer — no allocation.
     fn coalesced_access(&mut self, addrs: &[u64], width: Width, t: u64) -> u64 {
         let mut lines = std::mem::take(&mut self.scratch.lines);
-        self.mem.coalesce_into(
-            addrs.iter().flat_map(|&a| (0..width.words()).map(move |k| a + u64::from(k) * 4)),
-            &mut lines,
-        );
+        coalesce_lines(addrs, width, self.mem.line, &mut lines);
         let mut completions = t;
         for &line in &lines {
             completions = completions.max(self.mem.access(line, t, MemKind::Global));
@@ -906,22 +1010,10 @@ impl<'m, 'g> SmEngine<'m, 'g> {
         Some(())
     }
 
-    /// Shared-memory bank-conflict degree of a warp access: 32 banks of
-    /// 4 bytes; lanes reading the *same* word broadcast (no conflict),
-    /// so count distinct words per bank. Updates the conflict counters.
+    /// Shared-memory bank-conflict degree of a warp access (see
+    /// [`bank_degree`]); updates the conflict counters.
     fn bank_degree(&mut self, addrs: &[u64], width: Width) -> u64 {
-        let words = &mut self.scratch.words;
-        words.clear();
-        words.extend(
-            addrs.iter().flat_map(|&a| (0..width.words()).map(move |k| a / 4 + u64::from(k))),
-        );
-        words.sort_unstable();
-        words.dedup();
-        let mut per_bank = [0u32; 32];
-        for w in words.iter() {
-            per_bank[(w % 32) as usize] += 1;
-        }
-        let degree = u64::from(per_bank.iter().copied().max().unwrap_or(1)).max(1);
+        let degree = bank_degree(addrs, width, &mut self.scratch.words);
         self.stats.shared_mem_accesses += degree;
         self.stats.bank_conflict_extra += (degree - 1) * 2;
         degree
@@ -933,7 +1025,7 @@ impl<'m, 'g> SmEngine<'m, 'g> {
     #[allow(clippy::too_many_lines, clippy::unnecessary_lazy_evaluations)]
     fn step_warp(
         &mut self,
-        warps: &mut [Warp],
+        warps: &mut [WarpSlot],
         wi: usize,
         ctas: &mut [Cta],
         t: u64,
@@ -942,23 +1034,18 @@ impl<'m, 'g> SmEngine<'m, 'g> {
         // Whatever happens below, the warp's own `next_free` wait is an
         // issue-pipeline cost; data and barrier waits are tracked apart.
         w.free_reason = Wait::Pipeline;
-        let frame_idx = w.frames.len() - 1;
-        let (func_id, tos) = {
-            let f = &w.frames[frame_idx];
-            (f.func, *f.stack.last().expect("path"))
-        };
+        let tos = *w.simt.last().expect("path");
         // `prog` is a copied reference — borrows of the decoded tables
         // below do not pin `self`.
         let prog = self.prog;
-        let df = &prog.dec[func_id.0 as usize];
+        let df = &prog.dec[tos.func.0 as usize];
         let mask = tos.mask & w.alive;
         if mask == 0 {
             // All lanes of this path have exited: discard the path and
             // unwind empty frames. Never happens for the bottom entry of
             // a warp with live lanes.
-            let stack = &mut w.frames[frame_idx].stack;
-            stack.pop();
-            if stack.is_empty() {
+            w.simt.pop();
+            if w.simt.len() == w.frame_base() {
                 if w.frames.len() > 1 {
                     w.frames.pop();
                 } else {
@@ -970,84 +1057,65 @@ impl<'m, 'g> SmEngine<'m, 'g> {
         }
         let warp_base_tid = w.warp_in_block * 32;
 
-        if tos.idx >= df.block_len(tos.block) {
+        let Some(inst) = df.inst(tos.pc, tos.end) else {
             // ---- terminator ----
             w.next_free = t + 1;
             self.last_event = self.last_event.max(t + 1);
             match *df.term(tos.block) {
                 DecTerm::Jump(target) => {
-                    self.transfer(w, frame_idx, target);
+                    Self::transfer(w, df, target);
                 }
                 DecTerm::Branch { pred, neg, then_bb, else_bb, reconv } => {
                     let pb = ctas[w.cta].lanes.pred_bits(w.warp_in_block, pred);
                     let t_mask = mask & if neg { !pb } else { pb };
                     let nt_mask = mask & !t_mask;
                     if nt_mask == 0 {
-                        self.transfer(w, frame_idx, then_bb);
+                        Self::transfer(w, df, then_bb);
                     } else if t_mask == 0 {
-                        self.transfer(w, frame_idx, else_bb);
+                        Self::transfer(w, df, else_bb);
                     } else {
-                        let stack = &mut w.frames[frame_idx].stack;
+                        let stack = &mut w.simt;
                         // Current entry becomes the reconvergence entry.
                         let top = stack.last_mut().expect("path");
+                        let path = |block, reconv, mask| {
+                            SimtEntry::enter(df, tos.func, block, reconv, mask)
+                        };
                         if let Some(r) = reconv {
-                            top.block = r;
-                            top.idx = 0;
+                            top.goto(df, r);
                             // Pending else-path, then taken path on top.
                             if Some(else_bb) != reconv {
-                                stack.push(SimtEntry {
-                                    block: else_bb,
-                                    idx: 0,
-                                    reconv,
-                                    mask: nt_mask,
-                                });
+                                stack.push(path(else_bb, reconv, nt_mask));
                             }
                             if Some(then_bb) != reconv {
-                                stack.push(SimtEntry {
-                                    block: then_bb,
-                                    idx: 0,
-                                    reconv,
-                                    mask: t_mask,
-                                });
+                                stack.push(path(then_bb, reconv, t_mask));
                             }
                         } else {
                             // Paths never reconverge (both exit): replace
                             // the entry with two independent paths.
                             stack.pop();
-                            stack.push(SimtEntry {
-                                block: else_bb,
-                                idx: 0,
-                                reconv: None,
-                                mask: nt_mask,
-                            });
-                            stack.push(SimtEntry {
-                                block: then_bb,
-                                idx: 0,
-                                reconv: None,
-                                mask: t_mask,
-                            });
+                            stack.push(path(else_bb, None, nt_mask));
+                            stack.push(path(then_bb, None, t_mask));
                         }
                     }
                 }
                 DecTerm::Ret => {
-                    w.frames.pop();
+                    let base = w.frames.pop().expect("live warp has a frame");
+                    w.simt.truncate(base);
                     debug_assert!(!w.frames.is_empty(), "ret from kernel frame");
                 }
                 DecTerm::Exit => {
                     w.alive &= !mask;
-                    let stack = &mut w.frames[frame_idx].stack;
-                    stack.pop();
-                    if stack.is_empty() || w.alive == 0 {
+                    w.simt.pop();
+                    if w.simt.len() == w.frame_base() || w.alive == 0 {
                         w.done = true;
                     }
                 }
             }
             return Ok(());
-        }
+        };
 
         // ---- instruction ----
-        let inst = df.inst(tos.block, tos.idx);
-        w.frames[frame_idx].stack.last_mut().expect("path").idx += 1;
+        w.simt.last_mut().expect("path").pc += 1;
         self.stats.warp_insts += 1;
         self.stats.thread_insts += u64::from(mask.count_ones());
         if inst.is_stack_move {
@@ -1101,20 +1169,18 @@ impl<'m, 'g> SmEngine<'m, 'g> {
                 Ok(())
             }
             Opcode::Call(callee) => {
-                w.frames.push(Frame {
-                    func: callee,
-                    stack: vec![SimtEntry { block: BlockId(0), idx: 0, reconv: None, mask }],
-                });
+                w.frames.push(w.simt.len());
+                let callee_df = &prog.dec[callee.0 as usize];
+                w.simt.push(SimtEntry::enter(callee_df, callee, BlockId(0), None, mask));
                 w.next_free = t + 1;
                 self.last_event = self.last_event.max(t + 1);
                 Ok(())
             }
             Opcode::Ld { space, width, offset } => {
-                // Phase 1: gather per-lane addresses into the recycled
-                // scratch buffer, in ascending lane order.
+                // Phase 1: gather per-lane addresses, in ascending lane
+                // order.
                 let mut completions = t;
-                let mut addrs = std::mem::take(&mut self.scratch.addrs);
-                addrs.clear();
+                let (mut lane_addrs, mut n) = ([0u64; 32], 0);
                 let Cta { lanes: soa, shared, .. } = &mut ctas[w.cta];
                 let exec = soa.exec_mask(ctx.warp, mask, inst.pred, inst.pred_neg);
                 let mut base = WarpOperand::default();
@@ -1122,23 +1188,25 @@ impl<'m, 'g> SmEngine<'m, 'g> {
                 let mut m = exec;
                 while m != 0 {
                     let lane = m.trailing_zeros() as usize;
-                    addrs.push((i64::from(base.w0(lane) as i32) + i64::from(offset)) as u64);
+                    lane_addrs[n] = (i64::from(base.w0(lane) as i32) + i64::from(offset)) as u64;
+                    n += 1;
                     m &= m - 1;
                 }
+                let addrs = &lane_addrs[..n];
                 // Phase 2: timing over the gathered addresses.
                 match space {
                     MemSpace::Global => {
-                        completions = completions.max(self.coalesced_access(&addrs, width, t));
+                        completions = completions.max(self.coalesced_access(addrs, width, t));
                         result_latency = 0; // completion-driven
                     }
                     MemSpace::Shared => {
-                        let degree = self.bank_degree(&addrs, width);
+                        let degree = self.bank_degree(addrs, width);
                         completions = completions.max(t + self.dev.smem_latency + (degree - 1) * 2);
                         result_latency = 0;
                         issue_cost = degree.min(8);
                     }
                     MemSpace::Local => {
-                        for &a in &addrs {
+                        for &a in addrs {
                             let c = self.mem.access(a, t, MemKind::Local);
                             completions = completions.max(c);
                             self.stats.local_transactions += 1;
@@ -1146,7 +1214,6 @@ impl<'m, 'g> SmEngine<'m, 'g> {
                         result_latency = 0;
                     }
                 }
-                self.scratch.addrs = addrs;
                 // Phase 3: execute values (ascending lane order).
                 match inst.dst {
                     // Warp-wide fast path: 32-bit global/shared loads land
@@ -1184,15 +1251,14 @@ impl<'m, 'g> SmEngine<'m, 'g> {
                 let done = completions.max(local_ready_max) + result_latency;
                 if let Some(d) = inst.dst {
                     let dl = handle_local_dst(self, d, cta_grid, warp_base_tid, done);
-                    self.set_loc_ready(w, d, dl, true);
+                    Self::set_dst_ready(w, inst, d, dl, true);
                 }
                 w.next_free = t + issue_cost;
                 self.last_event = self.last_event.max(done);
                 Ok(())
             }
             Opcode::St { space, width, offset } => {
-                let mut addrs = std::mem::take(&mut self.scratch.addrs);
-                addrs.clear();
+                let (mut lane_addrs, mut n) = ([0u64; 32], 0);
                 let Cta { lanes: soa, shared, .. } = &mut ctas[w.cta];
                 // Gather base + value warp-wide, then write in ascending
                 // lane order. Safe to pre-gather: store targets
@@ -1216,26 +1282,27 @@ impl<'m, 'g> SmEngine<'m, 'g> {
                         MemSpace::Local => write_bytes(soa.local_region_mut(tid), addr, width, v),
                     }
                     .ok_or_else(|| SimError::OutOfBounds { space, addr })?;
-                    addrs.push(addr);
+                    lane_addrs[n] = addr;
+                    n += 1;
                     m &= m - 1;
                 }
+                let addrs = &lane_addrs[..n];
                 // Bandwidth accounting (fire-and-forget stores).
                 match space {
                     MemSpace::Global => {
-                        self.coalesced_access(&addrs, width, t);
+                        self.coalesced_access(addrs, width, t);
                     }
                     MemSpace::Shared => {
-                        let degree = self.bank_degree(&addrs, width);
+                        let degree = self.bank_degree(addrs, width);
                         issue_cost = degree.min(8);
                     }
                     MemSpace::Local => {
-                        for &a in &addrs {
+                        for &a in addrs {
                             self.mem.access(a, t, MemKind::Local);
                             self.stats.local_transactions += 1;
                         }
                     }
                 }
-                self.scratch.addrs = addrs;
                 w.next_free = t + issue_cost;
                 self.last_event = self.last_event.max(t + issue_cost);
                 Ok(())
@@ -1250,12 +1317,7 @@ impl<'m, 'g> SmEngine<'m, 'g> {
                 let Scratch { ops, .. } = &mut self.scratch;
                 soa.gather(&inst.srcs()[0], &ctx, &mut ops[0]);
                 soa.gather(&inst.srcs()[1], &ctx, &mut ops[1]);
-                let mut bits = 0u32;
-                for lane in 0..32 {
-                    if eval_setp(&inst.op, &[ops[0].val(lane), ops[1].val(lane)]) {
-                        bits |= 1 << lane;
-                    }
-                }
+                let bits = warp_setp(&inst.op, &ops[0], &ops[1]);
                 let p = inst.pdst.expect("setp pdst");
                 soa.merge_pred(ctx.warp, p, bits, exec);
                 let done = local_ready_max.max(t) + result_latency;
@@ -1298,7 +1360,7 @@ impl<'m, 'g> SmEngine<'m, 'g> {
                 let done = local_ready_max.max(t) + result_latency;
                 if let Some(d) = inst.dst {
                     let dl = handle_local_dst(self, d, cta_grid, warp_base_tid, done);
-                    self.set_loc_ready(w, d, dl, false);
+                    Self::set_dst_ready(w, inst, d, dl, false);
                 }
                 w.next_free = t + issue_cost;
                 self.last_event = self.last_event.max(done);
@@ -1308,16 +1370,13 @@ impl<'m, 'g> SmEngine<'m, 'g> {
     }
 
     /// Jump / fall-through transfer with reconvergence-pop handling.
-    fn transfer(&self, w: &mut Warp, frame_idx: usize, target: BlockId) {
-        let stack = &mut w.frames[frame_idx].stack;
-        let tos = stack.last().expect("path");
+    fn transfer(w: &mut WarpSlot, df: &DecodedFunc, target: BlockId) {
+        let tos = w.simt.last_mut().expect("path");
         if tos.reconv == Some(target) {
-            stack.pop();
-            debug_assert!(!stack.is_empty(), "reconvergence under empty stack");
+            w.simt.pop();
+            debug_assert!(w.simt.len() > w.frame_base(), "reconvergence under empty stack");
         } else {
-            let tos = stack.last_mut().expect("path");
-            tos.block = target;
-            tos.idx = 0;
+            tos.goto(df, target);
         }
     }
 }
@@ -1417,4 +1476,193 @@ fn write_bytes(buf: &mut [u8], addr: u64, width: Width, v: Val) -> Option<()> {
         buf[a + i * 4..a + i * 4 + take].copy_from_slice(&bytes[..take]);
     }
     Some(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sim::DEFAULT_CYCLE_BUDGET;
+    use orion_alloc::realize::{allocate, AllocOptions, SlotBudget};
+    use orion_kir::builder::FunctionBuilder;
+    use orion_kir::function::Module;
+    use orion_kir::inst::Operand;
+    use orion_kir::types::SpecialReg;
+
+    const BLOCK: u32 = 64;
+
+    /// `out[gid] = in[gid] + in[gid ^ 1]`, the neighbour's value passing
+    /// through shared memory across a barrier.
+    fn pair_sum_kernel() -> MModule {
+        let mut b = FunctionBuilder::kernel("pair_sum");
+        let tid = b.mov(Operand::Special(SpecialReg::TidX));
+        let cta = b.mov(Operand::Special(SpecialReg::CtaIdX));
+        let gid = b.imad(cta, Operand::Imm(i64::from(BLOCK)), tid);
+        let a = b.imad(gid, Operand::Imm(4), Operand::Param(0));
+        let x = b.ld(MemSpace::Global, Width::W32, a, 0);
+        let sa = b.shl(tid, Operand::Imm(2));
+        b.st(MemSpace::Shared, Width::W32, sa, x, 0);
+        b.bar();
+        let nb = b.xor(tid, Operand::Imm(1));
+        let na = b.shl(nb, Operand::Imm(2));
+        let y = b.ld(MemSpace::Shared, Width::W32, na, 0);
+        let z = b.iadd(x, y);
+        b.st(MemSpace::Global, Width::W32, a, z, 0);
+        let mut module = Module::new(b.finish());
+        module.user_smem_bytes = BLOCK * 4;
+        allocate(&module, SlotBudget { reg_slots: 16, smem_slots: 0 }, &AllocOptions::default())
+            .expect("alloc")
+            .machine
+    }
+
+    /// What one SM engine produced for `blocks`.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        end: Result<u64, SimError>,
+        stats: SimStats,
+        per_warp_issued: Vec<u64>,
+        global: Vec<u8>,
+    }
+
+    /// Run `blocks` (of a 4096-block grid) on one SM, four CTAs
+    /// resident, under `budget` (and a hang when `stuck`) with the
+    /// launch's own issue keys or `keys`.
+    fn run_sm(blocks: &[u32], budget: u64, stuck: bool, keys: Option<IssueKeys>) -> Outcome {
+        let dev = DeviceSpec::gtx680();
+        let module = pair_sum_kernel();
+        let prog = LinkedProgram::new(&module);
+        let launch = Launch { grid: 4096, block: BLOCK };
+        let mut global: Vec<u8> =
+            (0..launch.grid * BLOCK).flat_map(|i| (i * 7 % 1000).to_le_bytes()).collect();
+        let guards = EngineGuards { step_limit: 1 << 40, cycle_budget: budget, stuck_warp: stuck };
+        let mut engine = SmEngine::new(&dev, &prog, launch, &[0], &mut global, 0, guards);
+        let end = match keys {
+            None => engine.run(blocks, 4),
+            Some(k) => engine.run_keyed(blocks, 4, k),
+        };
+        let (stats, per_warp_issued) = (engine.stats, engine.per_warp_issued);
+        Outcome { end, stats, per_warp_issued, global }
+    }
+
+    /// The launch's own keys for `blocks` on one SM, four CTAs resident.
+    fn launch_keys(blocks: &[u32], budget: u64) -> IssueKeys {
+        let wpb = u64::from(BLOCK.div_ceil(32));
+        IssueKeys::new(blocks.len() as u64 * wpb - 1, 4 * wpb as usize, budget)
+    }
+
+    /// Keys order exactly like `(min(ready, budget + 1), sequence)`
+    /// tuples and decode back, at the edges of every field: the widest
+    /// sequence a launch needs, and a budget whose clamp is the top of
+    /// the ready field.
+    #[test]
+    fn issue_keys_order_like_tuples_at_the_field_edges() {
+        for (max_seq, slots) in
+            [(0, 1), (1023, 64), ((1 << 40) - 1, 48), (u64::from(u32::MAX) * 32, 64)]
+        {
+            let top = IssueKeys::new(max_seq, slots, 0).field_max - 1;
+            for budget in [0, 1, 1000, top - 1, top, DEFAULT_CYCLE_BUDGET, u64::MAX] {
+                let keys = IssueKeys::new(max_seq, slots, budget);
+                if budget.saturating_add(1) > keys.field_max {
+                    continue; // past the field: the rebase covers it
+                }
+                let readies =
+                    [0, 1, budget.saturating_sub(1), budget, budget.saturating_add(1), u64::MAX];
+                let seqs = [0, 1.min(max_seq), max_seq.saturating_sub(1), max_seq];
+                let mut all = Vec::new();
+                for &r in &readies {
+                    for (i, &q) in seqs.iter().enumerate() {
+                        let slot = i % slots;
+                        let key = keys.key(r, q, slot);
+                        assert_ne!(key, IDLE);
+                        assert!(!keys.saturated(key));
+                        assert_eq!(keys.slot(key), slot);
+                        assert_eq!(keys.ready(key), r.min(budget.saturating_add(1)));
+                        all.push(((r.min(budget.saturating_add(1)), q, slot), key));
+                    }
+                }
+                for (a, ka) in &all {
+                    for (b, kb) in &all {
+                        assert_eq!(a.cmp(b), ka.cmp(kb), "{a:?} vs {b:?} at budget {budget}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A launch whose admissions fill the sequence field (512 blocks of
+    /// two warps: sequences 0..=1023) issues exactly as under a field
+    /// 30 bits wider, and under a ready field so narrow that it rebases
+    /// every few cycles.
+    #[test]
+    fn widest_sequence_field_and_a_narrow_ready_field_change_nothing() {
+        let blocks: Vec<u32> = (0..512).map(|i| i * 8).collect();
+        let budget = DEFAULT_CYCLE_BUDGET;
+        let own = launch_keys(&blocks, budget);
+        assert_eq!(own.ready_shift - own.seq_shift, 10, "sequence field of 10 bits, all used");
+        let base = run_sm(&blocks, budget, false, None);
+        assert!(base.end.is_ok(), "{:?}", base.end);
+        let wide = IssueKeys::new((1 << 40) - 1, 8, budget);
+        assert_eq!(run_sm(&blocks, budget, false, Some(wide)), base);
+        let narrow = IssueKeys::new((1 << 57) - 1, 8, budget);
+        assert!(narrow.field_max < 16, "a ready field of 4 bits");
+        assert_eq!(run_sm(&blocks, budget, false, Some(narrow)), base);
+    }
+
+    /// A budget at the top of the launch's ready field (and the largest
+    /// budget of all) lets the launch finish exactly as the default one.
+    #[test]
+    fn budget_at_the_top_of_the_ready_field_changes_nothing() {
+        let blocks: Vec<u32> = (0..64).collect();
+        let base = run_sm(&blocks, DEFAULT_CYCLE_BUDGET, false, None);
+        assert!(base.end.is_ok(), "{:?}", base.end);
+        let top = launch_keys(&blocks, 0).field_max - 1;
+        assert_eq!(launch_keys(&blocks, top).hung, launch_keys(&blocks, top).field_max);
+        assert_eq!(run_sm(&blocks, top, false, None), base);
+        assert_eq!(run_sm(&blocks, u64::MAX, false, None), base);
+    }
+
+    /// An injected hang ends in the watchdog with the launch's budget —
+    /// at the top of the ready field, at a small budget, and with the
+    /// ready field narrowed so the hung warp's key saturates first.
+    #[test]
+    fn injected_hang_ends_in_the_watchdog_with_the_same_budget() {
+        let blocks: Vec<u32> = (0..64).collect();
+        let top = launch_keys(&blocks, 0).field_max - 1;
+        let narrow = |budget| IssueKeys::new((1 << 57) - 1, 8, budget);
+        for (budget, keys) in [(top, None), (20_000, None), (20_000, Some(narrow(20_000)))] {
+            let out = run_sm(&blocks, budget, true, keys);
+            assert_eq!(out.end, Err(SimError::Watchdog { budget }));
+        }
+    }
+
+    /// A 64-bit load at address -4 fails out of bounds at that address
+    /// (its second word wraps past the top of the address space while
+    /// the load is timed, before the bounds check).
+    #[test]
+    fn wide_load_below_address_zero_is_out_of_bounds() {
+        let mut b = FunctionBuilder::kernel("below_zero");
+        let x = b.ld(MemSpace::Global, Width::W64, Operand::Imm(-4), 0);
+        b.st(MemSpace::Global, Width::W64, Operand::Imm(0), x, 0);
+        let module = Module::new(b.finish());
+        let module = allocate(
+            &module,
+            SlotBudget { reg_slots: 16, smem_slots: 0 },
+            &AllocOptions::default(),
+        )
+        .expect("alloc")
+        .machine;
+        let prog = LinkedProgram::new(&module);
+        let dev = DeviceSpec::gtx680();
+        let mut global = vec![0u8; 64];
+        let guards = EngineGuards {
+            step_limit: 1000,
+            cycle_budget: DEFAULT_CYCLE_BUDGET,
+            stuck_warp: false,
+        };
+        let launch = Launch { grid: 1, block: 32 };
+        let mut engine = SmEngine::new(&dev, &prog, launch, &[], &mut global, 0, guards);
+        assert_eq!(
+            engine.run(&[0], 1),
+            Err(SimError::OutOfBounds { space: MemSpace::Global, addr: 4u64.wrapping_neg() })
+        );
+    }
 }

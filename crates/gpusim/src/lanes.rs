@@ -4,7 +4,9 @@
 //! register vector, a local-memory vector, and a `bool` predicate file,
 //! so each warp instruction chases 32 separate allocations and
 //! re-matches its operands per lane. This module stores a CTA's lane
-//! state in three pooled arenas instead:
+//! state in three arenas instead. Each CTA slot of an SM's fixed slot
+//! table (see `exec`) owns one set for the whole launch, zeroed in place
+//! ([`SoaCta::clear`]) when the next block takes the slot:
 //!
 //! * **On-chip slots, slot-major**: one contiguous `Vec<u32>` indexed
 //!   `onchip[slot * stride + tid]` with `stride = warps_per_block * 32`.
@@ -23,10 +25,12 @@
 //! The warp-wide register file ([`WarpOperand`]) gathers one operand's
 //! value for all 32 lanes into stack-resident word planes; [`warp_alu`]
 //! evaluates an opcode over those planes with the *same scalar
-//! semantics* as [`eval_alu`] (hot single-word opcodes get unrolled
-//! plane loops, everything else falls back to per-lane [`eval_alu`]),
-//! so results are bit-identical to the array-of-structs reference by
-//! construction — `tests/schedule.rs` pins this end to end.
+//! semantics* as [`eval_alu`] (single-word opcodes, unary ones included,
+//! get plane loops built from its expressions, everything else falls
+//! back to per-lane [`eval_alu`]), and [`warp_setp`] packs a compare's
+//! 32 lane results the same way, so results are bit-identical to the
+//! array-of-structs reference by construction — `tests/schedule.rs`
+//! pins this end to end.
 
 use orion_kir::inst::Opcode;
 use orion_kir::mir::{MLoc, MOperand, Place};
@@ -51,8 +55,8 @@ pub(crate) struct WarpCtx<'a> {
     pub params: &'a [u32],
 }
 
-/// One CTA's lane state in the pooled SoA layout.
-#[derive(Debug, Default)]
+/// One CTA slot's lane state in the SoA layout.
+#[derive(Debug)]
 pub(crate) struct SoaCta {
     /// Slot-major on-chip arena: `onchip[slot * stride + tid]`.
     onchip: Vec<u32>,
@@ -68,23 +72,24 @@ pub(crate) struct SoaCta {
 }
 
 impl SoaCta {
-    /// Assemble a CTA arena from (recycled) zeroed buffers.
-    pub fn new(
-        onchip: Vec<u32>,
-        local: Vec<u8>,
-        preds: Vec<u32>,
-        stride: usize,
-        local_bytes: usize,
-    ) -> Self {
-        debug_assert_eq!(onchip.len() % stride.max(1), 0);
-        debug_assert_eq!(local.len(), stride * local_bytes);
-        SoaCta { onchip, local, preds, stride, local_bytes }
+    /// A zeroed arena of `onchip_words` slot planes and `local_bytes`
+    /// bytes of local memory per lane, over `stride` lanes (whole warps).
+    pub fn new(onchip_words: usize, local_bytes: usize, stride: usize) -> Self {
+        debug_assert_eq!(stride % 32, 0);
+        SoaCta {
+            onchip: vec![0; onchip_words * stride],
+            local: vec![0; local_bytes * stride],
+            preds: vec![0; usize::from(NUM_PRED_REGS) * stride / 32],
+            stride,
+            local_bytes,
+        }
     }
 
-    /// Tear the arena back into its pooled buffers
-    /// `(onchip, local, preds)` on CTA retirement.
-    pub fn into_parts(self) -> (Vec<u32>, Vec<u8>, Vec<u32>) {
-        (self.onchip, self.local, self.preds)
+    /// Zero the arena for the next CTA admitted into its slot.
+    pub fn clear(&mut self) {
+        self.onchip.fill(0);
+        self.local.fill(0);
+        self.preds.fill(0);
     }
 
     /// The 32-lane word plane of on-chip slot word `slot` for `warp`.
@@ -354,6 +359,13 @@ pub(crate) fn warp_alu(op: &Opcode, srcs: &[WarpOperand], out: &mut WarpOperand)
         FMin => bin_f32(srcs, out, f32::min),
         FMax => bin_f32(srcs, out, f32::max),
         FFma => ffma_plane(&srcs[0].planes[0], &srcs[1].planes[0], &srcs[2].planes[0], out),
+        Not => un_u32(srcs, out, |a| !a),
+        FNeg => un_f32(srcs, out, |a| -a),
+        FAbs => un_f32(srcs, out, f32::abs),
+        FRcp => un_f32(srcs, out, |a| 1.0 / a),
+        FSqrt => un_f32(srcs, out, f32::sqrt),
+        I2F => un_u32(srcs, out, |a| (a as i32 as f32).to_bits()),
+        F2I => un_u32(srcs, out, |a| f32::from_bits(a) as i32 as u32),
         Mov if srcs[0].words <= 1 => out.planes[0] = srcs[0].planes[0],
         // Wide moves, doubles, conversions, pack/unpack, rcp/sqrt, …:
         // per-lane through the shared scalar semantics.
@@ -428,6 +440,42 @@ unsafe fn ffma_plane_fma(a: &[u32; 32], b: &[u32; 32], c: &[u32; 32], out: &mut 
 #[inline(never)]
 fn ffma_reference(a: u32, b: u32, c: u32) -> u32 {
     eval_alu(&Opcode::FFma, &[Val::scalar(a), Val::scalar(b), Val::scalar(c)]).w[0]
+}
+
+/// Predicate bits of a compare over warp-wide operands, bit `l` = lane
+/// `l` — [`eval_setp`](orion_kir::sem::eval_setp)'s expressions per lane.
+/// Every lane is compared; the caller's merge masks inactive ones out.
+pub(crate) fn warp_setp(op: &Opcode, a: &WarpOperand, b: &WarpOperand) -> u32 {
+    let mut bits = 0u32;
+    match *op {
+        Opcode::ISetp(c) => {
+            for l in 0..32 {
+                bits |= u32::from(c.eval_i32(a.w0(l) as i32, b.w0(l) as i32)) << l;
+            }
+        }
+        Opcode::FSetp(c) => {
+            for l in 0..32 {
+                bits |=
+                    u32::from(c.eval_f32(f32::from_bits(a.w0(l)), f32::from_bits(b.w0(l)))) << l;
+            }
+        }
+        ref other => panic!("warp_setp on {other:?}"),
+    }
+    bits
+}
+
+#[inline]
+fn un_u32(srcs: &[WarpOperand], out: &mut WarpOperand, f: impl Fn(u32) -> u32) {
+    for l in 0..32 {
+        out.planes[0][l] = f(srcs[0].w0(l));
+    }
+}
+
+#[inline]
+fn un_f32(srcs: &[WarpOperand], out: &mut WarpOperand, f: impl Fn(f32) -> f32) {
+    for l in 0..32 {
+        out.planes[0][l] = f(f32::from_bits(srcs[0].w0(l))).to_bits();
+    }
 }
 
 #[inline]

@@ -8,6 +8,7 @@
 
 use crate::cache::Cache;
 use crate::device::DeviceSpec;
+use orion_kir::types::Width;
 use serde::{Deserialize, Serialize};
 
 /// Which address space a transaction belongs to.
@@ -42,7 +43,8 @@ pub struct MemSystem {
     dram_service: u64,
     /// Next cycle at which the DRAM channel share is free.
     dram_free: u64,
-    line: u64,
+    /// Line size in bytes: the coalescing segment and the DRAM burst.
+    pub(crate) line: u64,
     pub stats: MemStats,
 }
 
@@ -90,34 +92,57 @@ impl MemSystem {
         self.stats.dram_bytes += self.line;
         start + self.dram_latency
     }
+}
 
-    /// Coalesce per-lane byte addresses into unique cache-line
-    /// transactions (the hardware's 128-byte segment rule).
-    pub fn coalesce(&self, addrs: impl Iterator<Item = u64>) -> Vec<u64> {
-        let mut lines = Vec::new();
-        self.coalesce_into(addrs, &mut lines);
-        lines
+/// Collect `f(a, k)` for each address `a` of `addrs` and word `k` of
+/// `width` into `out`, ascending and without duplicates. When the values
+/// arrive in ascending order — lanes accessing memory in order — that
+/// takes one compare per value; otherwise the list is sorted and
+/// deduplicated at the end. The result is the same either way.
+#[inline]
+fn sorted_unique(addrs: &[u64], width: Width, f: impl Fn(u64, u64) -> u64, out: &mut Vec<u64>) {
+    out.clear();
+    let mut in_order = true;
+    let mut last = None;
+    for &a in addrs {
+        for k in 0..u64::from(width.words()) {
+            let v = f(a, k);
+            match last {
+                Some(l) if v == l => continue,
+                Some(l) if v < l => in_order = false,
+                _ => {}
+            }
+            out.push(v);
+            last = Some(v);
+        }
     }
+    if !in_order {
+        out.sort_unstable();
+        out.dedup();
+    }
+}
 
-    /// [`coalesce`](Self::coalesce) into a caller-owned buffer, so hot
-    /// paths can recycle one allocation across every warp access.
-    pub fn coalesce_into(&self, addrs: impl Iterator<Item = u64>, lines: &mut Vec<u64>) {
-        lines.clear();
-        lines.extend(addrs.map(|a| a & !(self.line - 1)));
-        lines.sort_unstable();
-        lines.dedup();
-    }
+/// Coalesce a warp access into its unique cache-line transactions,
+/// ascending (the hardware's 128-byte segment rule): each lane address
+/// covers `width` words, every word touches the `line`-byte line it
+/// falls in. Loads are timed before their bounds check, so a wide load
+/// just below address 0 arrives here; its words wrap instead of
+/// overflowing, and the load then fails out of bounds.
+pub(crate) fn coalesce_lines(addrs: &[u64], width: Width, line: u64, lines: &mut Vec<u64>) {
+    sorted_unique(addrs, width, |a, k| a.wrapping_add(k * 4) & !(line - 1), lines);
+}
 
-    /// Drop all cached state (between launches).
-    pub fn flush(&mut self) {
-        self.l1.flush();
-        self.l2.flush();
+/// Shared-memory bank-conflict degree of a warp access: 32 banks of 4
+/// bytes; lanes reading the *same* word broadcast (no conflict), so the
+/// degree is the most distinct words any one bank serves (at least 1).
+/// `words` is a working buffer.
+pub(crate) fn bank_degree(addrs: &[u64], width: Width, words: &mut Vec<u64>) -> u64 {
+    sorted_unique(addrs, width, |a, k| a / 4 + k, words);
+    let mut per_bank = [0u32; 32];
+    for w in words.iter() {
+        per_bank[(w % 32) as usize] += 1;
     }
-
-    /// L1 hit/miss counters of this SM.
-    pub fn l1(&self) -> &Cache {
-        &self.l1
-    }
+    u64::from(per_bank.iter().copied().max().unwrap_or(1)).max(1)
 }
 
 #[cfg(test)]
@@ -170,12 +195,83 @@ mod tests {
 
     #[test]
     fn coalescing_dedups_lines() {
-        let m = sys(true);
+        let line = sys(true).line;
+        let mut lines = Vec::new();
         // 32 lanes × 4B stride from base 256: one 128B line.
-        let lines = m.coalesce((0..32u64).map(|i| 256 + i * 4));
+        let addrs: Vec<u64> = (0..32u64).map(|i| 256 + i * 4).collect();
+        coalesce_lines(&addrs, Width::W32, line, &mut lines);
         assert_eq!(lines, vec![256]);
         // Stride 128: 32 distinct lines.
-        let lines = m.coalesce((0..32u64).map(|i| i * 128));
+        let addrs: Vec<u64> = (0..32u64).map(|i| i * 128).collect();
+        coalesce_lines(&addrs, Width::W32, line, &mut lines);
         assert_eq!(lines.len(), 32);
+    }
+
+    /// The sorting transcription the in-order fast path must match:
+    /// expand every lane address to its words, map, sort, dedup.
+    fn reference(addrs: &[u64], width: Width, f: impl Fn(u64, u64) -> u64) -> Vec<u64> {
+        let mut v: Vec<u64> = addrs
+            .iter()
+            .flat_map(|&a| (0..u64::from(width.words())).map(move |k| (a, k)))
+            .map(|(a, k)| f(a, k))
+            .collect();
+        v.sort_unstable();
+        v.dedup();
+        v
+    }
+
+    fn reference_degree(addrs: &[u64], width: Width) -> u64 {
+        let mut per_bank = [0u32; 32];
+        for w in reference(addrs, width, |a, k| a / 4 + k) {
+            per_bank[(w % 32) as usize] += 1;
+        }
+        u64::from(per_bank.iter().copied().max().unwrap_or(1)).max(1)
+    }
+
+    /// Seeded property test: the sort-free coalescing and bank-degree
+    /// paths give exactly the reference's lists over ascending,
+    /// permuted, duplicated and 128-byte-strided lane addresses, at
+    /// every access width, under full and partial exec masks.
+    #[test]
+    fn sort_free_paths_match_the_sorting_reference() {
+        let line = sys(true).line;
+        let mut state = 0x5eed_c0a1_e5ce_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let (mut lines, mut words) = (Vec::new(), Vec::new());
+        for _ in 0..400 {
+            let base = next() % (1 << 20) * 4;
+            let stride = [4, 8, 16, 128, 132][(next() % 5) as usize];
+            let mut lanes: Vec<u64> = (0..32).map(|l| base + l * stride).collect();
+            match next() % 4 {
+                0 => {}                                                     // ascending
+                1 => lanes.reverse(),                                       // out of order
+                2 => lanes.iter_mut().for_each(|a| *a = base + *a % 3 * 4), // duplicated
+                _ => {
+                    // permuted
+                    for i in (1..lanes.len()).rev() {
+                        lanes.swap(i, (next() % (i as u64 + 1)) as usize);
+                    }
+                }
+            }
+            // Partial exec mask: the active lanes, in lane order.
+            let exec = if next() % 2 == 0 { u32::MAX } else { next() as u32 };
+            let addrs: Vec<u64> =
+                (0..32).filter(|&l| exec & (1 << l) != 0).map(|l| lanes[l]).collect();
+            for width in [Width::W32, Width::W64, Width::W96, Width::W128] {
+                coalesce_lines(&addrs, width, line, &mut lines);
+                assert_eq!(lines, reference(&addrs, width, |a, k| (a + k * 4) & !(line - 1)));
+                assert_eq!(
+                    bank_degree(&addrs, width, &mut words),
+                    reference_degree(&addrs, width),
+                    "{addrs:?} {width:?}"
+                );
+            }
+        }
     }
 }
