@@ -30,13 +30,15 @@
 
 use crate::error::BenchError;
 use crate::figures::Figure;
+use orion_core::compiler::CompiledKernel;
+use orion_core::error::OrionError;
 use orion_core::orion::Orion;
 use orion_core::policy::{
-    analytic_bound, BanditConfig, BanditPolicy, BoundCtx, Measurement, PolicyKind, PolicyVerdict,
-    SearchPolicy,
+    analytic_bound, BanditConfig, BanditPolicy, BoundCtx, PolicyKind, SearchPolicy,
 };
 use orion_core::resilient::ResiliencePolicy;
-use orion_core::splitting::{split_ranges, SplitConfig};
+use orion_core::session::{SessionMode, SessionStep, TuningSession};
+use orion_core::splitting::split_ranges;
 use orion_core::version::CandidateSpace;
 use orion_gpusim::device::DeviceSpec;
 use orion_gpusim::faults::{FaultInjector, FaultPlan, LaunchFaults};
@@ -131,54 +133,52 @@ struct SearchRun {
     selected: usize,
 }
 
-/// Drive one policy over the space: the same propose → launch slices →
-/// observe loop `Orion::tune_space` runs, plus the fault seam. A failed
-/// slice aborts the pull and strikes the arm; a successful pull clears
-/// its strikes; [`ResiliencePolicy::quarantine_strikes`] consecutive
-/// strikes quarantine it — the session's strike rule.
+/// Drive `policy` over the space on a [`TuningSession`] (version `i` of
+/// `ck` is arm `i`), through the fault seam. Each pull runs its arm's
+/// grid slices and reports their summed cycles, or the first failed
+/// slice's error, as one launch result. One sample per pass and no
+/// retries make every failed pull a strike: the session quarantines an
+/// arm after [`ResiliencePolicy::quarantine_strikes`] consecutive ones.
+/// Runs until the policy settles, or the launch budget (each slice
+/// counts) is spent.
 fn drive(
     dev: &DeviceSpec,
     w: &Workload,
     space: &CandidateSpace,
-    policy: &mut dyn SearchPolicy,
+    ck: &CompiledKernel,
+    policy: Box<dyn SearchPolicy>,
     injector: Option<&FaultInjector>,
 ) -> SearchRun {
-    let strike_limit = ResiliencePolicy::default().quarantine_strikes.max(1);
+    let budget = 32 * space.arms.len().max(1) as u64;
+    let mode = SessionMode::Resilient(ResiliencePolicy {
+        samples: 1,
+        max_retries: 0,
+        ..ResiliencePolicy::default()
+    });
+    let iterations = u32::try_from(budget).unwrap_or(u32::MAX);
+    let mut session = TuningSession::over(w.name, ck, iterations, THRESHOLD, mode, policy);
     let mut global = w.init_global.clone();
     let mut iter_no = 0u32;
     let mut launches = 0u64;
-    let mut strikes = vec![0u32; space.arms.len()];
-    let budget = 32 * space.arms.len().max(1) as u64;
-    while matches!(policy.verdict(), PolicyVerdict::Exploring) && launches < budget {
-        let Some(i) = policy.propose() else { break };
+    while !session.state().is_settled() && launches < budget {
+        let Ok(SessionStep::Launch(i)) = session.next_step() else { break };
         let arm = &space.arms[i];
-        let mut cycles = Some(0u64);
-        for range in split_ranges(w.launch().grid, arm.pieces, 1) {
-            let params = w.params_for(iter_no);
-            iter_no += 1;
-            let faults = injector.map_or(LaunchFaults::NONE, FaultInjector::draw);
-            let opts = LaunchOptions { faults, ..arm.launch_options(Some(range)) };
-            launches += 1;
-            match run_launch_opts(dev, &arm.version.machine, w.launch(), params, &mut global, opts)
-            {
-                Ok(r) => cycles = cycles.map(|c| c.saturating_add(r.cycles)),
-                Err(_) => {
-                    cycles = None;
-                    break;
-                }
-            }
-        }
-        if let Some(cycles) = cycles {
-            strikes[i] = 0;
-            policy.observe(i, Measurement::raw(cycles));
-        } else {
-            strikes[i] += 1;
-            if strikes[i] >= strike_limit {
-                policy.quarantine(i);
-            }
+        let cycles =
+            split_ranges(w.launch().grid, arm.pieces).into_iter().try_fold(0u64, |sum, range| {
+                let params = w.params_for(iter_no);
+                iter_no += 1;
+                let faults = injector.map_or(LaunchFaults::NONE, FaultInjector::draw);
+                let opts = LaunchOptions { faults, ..arm.launch_options(Some(range)) };
+                launches += 1;
+                run_launch_opts(dev, &arm.version.machine, w.launch(), params, &mut global, opts)
+                    .map(|r| sum.saturating_add(r.cycles))
+            });
+        if session.on_launch_result(cycles.map_err(OrionError::from)).is_err() {
+            break;
         }
     }
-    SearchRun { launches, quarantined: policy.quarantined_count(), selected: policy.select() }
+    let quarantined = session.policy().quarantined_count();
+    SearchRun { launches, quarantined, selected: session.finish().selected }
 }
 
 /// One clean whole-grid run of an arm under its steady-state launch
@@ -206,15 +206,9 @@ pub fn ablation(dev: &DeviceSpec, seeds: &[u64], cfg: BanditConfig) -> SearchDoc
         let mut orion = Orion::new(dev.clone(), w.block);
         orion.cfg.can_tune = w.can_tune;
         let ck = orion.compile(&w.module).expect("tier-1 workload compiles");
-        let space = CandidateSpace::enumerate(
-            dev,
-            w.block,
-            &w.module,
-            ck.direction,
-            w.launch().grid,
-            SplitConfig::default(),
-        )
-        .expect("candidate space enumerates");
+        let space =
+            CandidateSpace::enumerate(dev, w.block, &w.module, ck.direction, w.launch().grid)
+                .expect("candidate space enumerates");
         let synthetic = space.to_compiled(ck.max_live);
         let ctx = BoundCtx::new(w.block, w.launch().grid, dev.num_sms, dev.warp_size);
         // Launch-economy bounds: one pull of a `pieces`-way split arm
@@ -233,7 +227,7 @@ pub fn ablation(dev: &DeviceSpec, seeds: &[u64], cfg: BanditConfig) -> SearchDoc
         for &seed in seeds {
             let plan = (seed != 0).then(|| FaultPlan::chaos(seed, 0.10, 0.05));
             for kind in [WALK, BANDIT] {
-                let (mut policy, arms_pruned): (Box<dyn SearchPolicy>, usize) = if kind == BANDIT {
+                let (policy, arms_pruned): (Box<dyn SearchPolicy>, usize) = if kind == BANDIT {
                     let p = BanditPolicy::new(&bounds, space.original, cfg);
                     let pruned = p.pruned_arms();
                     (Box::new(p), pruned)
@@ -241,7 +235,7 @@ pub fn ablation(dev: &DeviceSpec, seeds: &[u64], cfg: BanditConfig) -> SearchDoc
                     (PolicyKind::PaperWalk.build(&synthetic, THRESHOLD), 0)
                 };
                 let injector = plan.map(FaultInjector::new);
-                let run = drive(dev, &w, &space, policy.as_mut(), injector.as_ref());
+                let run = drive(dev, &w, &space, &synthetic, policy, injector.as_ref());
                 cells.push(Cell {
                     workload: name.to_string(),
                     seed,

@@ -59,9 +59,6 @@ pub struct BackendCaps {
     /// Identical inputs produce bit-identical cycle counts. True for
     /// the simulator and replay; false for real hardware.
     pub deterministic: bool,
-    /// Honors [`LaunchOptions::cta_range`], enabling kernel splitting
-    /// (§3.4).
-    pub supports_splitting: bool,
 }
 
 /// A device that can compile Orion candidate versions and launch them.
@@ -407,7 +404,7 @@ impl Backend for SimBackend {
     }
 
     fn caps(&self) -> BackendCaps {
-        BackendCaps { deterministic: true, supports_splitting: true }
+        BackendCaps { deterministic: true }
     }
 
     fn compile_probe(
@@ -552,7 +549,7 @@ impl Backend for ReplayBackend {
     }
 
     fn caps(&self) -> BackendCaps {
-        BackendCaps { deterministic: true, supports_splitting: false }
+        BackendCaps { deterministic: true }
     }
 
     fn compile_probe(
@@ -710,7 +707,7 @@ mod tests {
     #[test]
     fn sim_backend_compiles_and_launches() {
         let be = SimBackend::new(DeviceSpec::gtx680());
-        assert!(be.caps().deterministic && be.caps().supports_splitting);
+        assert!(be.caps().deterministic);
         let ck = be.compile_probe(&toy_module(), &TuningConfig::new(32)).unwrap();
         let mut g = vec![0u8; 4 * 64];
         let c = be

@@ -14,7 +14,9 @@
 //!    candidates across application iterations, finalizing the best (or
 //!    the lowest occupancy within 2% of the best when tuning downward,
 //!    which saves registers and energy). Applications without an
-//!    iteration loop use [`splitting`] or the static selection.
+//!    iteration loop get the static selection; [`splitting`] holds the
+//!    §3.4 grid slicing that the search lattice's split arms
+//!    ([`version::CandidateSpace`]) measure with.
 //!
 //! The runtime walk is one typed state machine,
 //! [`session::TuningSession`], executed on a pluggable
@@ -103,7 +105,7 @@ pub use backend::{
 pub use cache::{allocate_cached, CompileCacheStats, FingerprintedModule};
 pub use compiler::{compile, CompiledKernel, Direction, KernelVersion, TuningConfig};
 pub use error::{ErrorContext, OrionError};
-pub use orion::{Orion, SpaceOutcome};
+pub use orion::Orion;
 pub use policy::{
     analytic_bound, BanditConfig, BanditPolicy, BoundCtx, Measurement, PaperWalkPolicy, PolicyKind,
     PolicyVerdict, SearchPolicy,
@@ -117,5 +119,4 @@ pub use service::{
 pub use session::{
     SessionMode, SessionObs, SessionOutcome, SessionState, SessionStep, TuningSession,
 };
-pub use splitting::{tune_by_splitting, SplitConfig};
 pub use version::{CandidateSpace, SpaceArm, VersionBuilder};

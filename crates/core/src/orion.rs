@@ -4,12 +4,7 @@
 
 use crate::compiler::{compile, CompiledKernel, KernelVersion, TuningConfig};
 use crate::error::OrionError;
-use crate::policy::{
-    analytic_bound, BanditPolicy, BoundCtx, Measurement, PolicyKind, PolicyVerdict,
-};
-use crate::runtime::TuneDecision;
-use crate::splitting::{split_ranges, SplitConfig};
-use crate::version::{CandidateSpace, VersionBuilder};
+use crate::version::VersionBuilder;
 use orion_alloc::realize::{kernel_max_live, SlotBudget};
 use orion_gpusim::device::DeviceSpec;
 use orion_gpusim::exec::Launch;
@@ -84,84 +79,6 @@ impl Orion {
         Ok(out)
     }
 
-    /// Search the widened candidate lattice (occupancy level ×
-    /// L1/shared split × split granularity;
-    /// [`CandidateSpace::enumerate`]) with `kind`'s policy, measuring
-    /// each proposed arm by covering `launch`'s grid exactly once per
-    /// pull — whole-grid for coarse arms, summed contiguous slices for
-    /// split arms — until the policy finalizes. Bandit policies get
-    /// their per-arm pruning bounds from the *real* launch shape here
-    /// (grid, SM count), not the nominal per-kernel context.
-    ///
-    /// This is the search itself, not an application loop: steady-state
-    /// execution of the winner is the caller's business
-    /// (the selected arm's
-    /// [`launch_options(None)`](crate::version::SpaceArm::launch_options)).
-    ///
-    /// # Errors
-    /// Space enumeration and simulator failures propagate.
-    pub fn tune_space(
-        &self,
-        module: &Module,
-        launch: Launch,
-        params: &[u32],
-        global: &mut [u8],
-        kind: PolicyKind,
-        split: SplitConfig,
-    ) -> Result<SpaceOutcome, OrionError> {
-        let ck = self.compile(module)?;
-        let space = CandidateSpace::enumerate(
-            &self.dev,
-            self.cfg.block,
-            module,
-            ck.direction,
-            launch.grid,
-            split,
-        )?;
-        let synthetic = space.to_compiled(ck.max_live);
-        let mut policy = match kind {
-            PolicyKind::Bandit(cfg) => {
-                let ctx = BoundCtx::new(
-                    self.cfg.block,
-                    launch.grid,
-                    self.dev.num_sms,
-                    self.dev.warp_size,
-                );
-                let bounds: Vec<Option<u64>> =
-                    space.arms.iter().map(|a| Some(analytic_bound(&a.version, &ctx))).collect();
-                Box::new(BanditPolicy::new(&bounds, space.original, cfg)) as Box<_>
-            }
-            PolicyKind::PaperWalk => kind.build(&synthetic, self.cfg.slowdown_threshold),
-        };
-        let mut launches = 0u64;
-        let mut total_cycles = 0u64;
-        // Generous runaway guard: every policy shipped converges in at
-        // most a few pulls per arm.
-        let budget = 16 * space.arms.len().max(1) as u64;
-        while matches!(policy.verdict(), PolicyVerdict::Exploring) && launches < budget {
-            let Some(i) = policy.propose() else { break };
-            let arm = &space.arms[i];
-            let mut cycles = 0u64;
-            for range in split_ranges(launch.grid, arm.pieces, 1) {
-                let opts = arm.launch_options(Some(range));
-                let r =
-                    run_launch_opts(&self.dev, &arm.version.machine, launch, params, global, opts)?;
-                cycles = cycles.saturating_add(r.cycles);
-                launches += 1;
-            }
-            total_cycles = total_cycles.saturating_add(cycles);
-            policy.observe(i, Measurement::raw(cycles));
-        }
-        let selected = policy.select();
-        Ok(SpaceOutcome {
-            selected,
-            launches,
-            total_cycles,
-            decisions: policy.into_decisions(),
-            space,
-        })
-    }
-
     /// Simulate one launch of a version (wires the version's driver-side
     /// shared-memory padding into the launch).
     ///
@@ -187,30 +104,6 @@ impl Orion {
                 ..LaunchOptions::default()
             },
         )?)
-    }
-}
-
-/// Result of an [`Orion::tune_space`] search.
-#[derive(Debug, Clone)]
-pub struct SpaceOutcome {
-    /// The enumerated lattice the search ran over.
-    pub space: CandidateSpace,
-    /// Index of the winning arm in [`CandidateSpace::arms`].
-    pub selected: usize,
-    /// Simulated launches spent (each grid slice counts as one) — the
-    /// convergence-cost axis of the `search` bench.
-    pub launches: u64,
-    /// Total simulated cycles across all exploration launches.
-    pub total_cycles: u64,
-    /// The policy's decision log.
-    pub decisions: Vec<TuneDecision>,
-}
-
-impl SpaceOutcome {
-    /// The selected arm.
-    #[must_use]
-    pub fn selected_arm(&self) -> &crate::version::SpaceArm {
-        &self.space.arms[self.selected]
     }
 }
 
@@ -270,56 +163,5 @@ mod tests {
         let mut g = vec![0u8; 4 * 64];
         let r = orion.run_version(&base, Launch { grid: 2, block: 32 }, &[0], &mut g).unwrap();
         assert!(r.cycles > 0);
-    }
-
-    #[test]
-    fn tune_space_converges_under_both_policies() {
-        use crate::splitting::SplitConfig;
-        let orion = Orion::new(DeviceSpec::gtx680(), 32);
-        let m = kernel(8);
-        let launch = Launch { grid: 16, block: 32 };
-        for kind in
-            [PolicyKind::PaperWalk, PolicyKind::Bandit(crate::policy::BanditConfig::default())]
-        {
-            let mut g = vec![0u8; 4 * 512];
-            let out = orion
-                .tune_space(&m, launch, &[0], &mut g, kind, SplitConfig::default())
-                .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
-            assert!(out.selected < out.space.arms.len(), "{kind:?}");
-            assert!(out.launches > 0, "{kind:?}");
-            assert!(!out.decisions.is_empty(), "{kind:?}");
-            // The search must actually terminate by decision, not by the
-            // runaway guard.
-            assert!(
-                out.launches < 16 * out.space.arms.len() as u64,
-                "{kind:?} hit the runaway guard at {} launches",
-                out.launches
-            );
-        }
-    }
-
-    #[test]
-    fn tune_space_search_is_deterministic_and_memory_safe() {
-        use crate::splitting::SplitConfig;
-        let orion = Orion::new(DeviceSpec::gtx680(), 32);
-        let m = kernel(6);
-        let launch = Launch { grid: 64, block: 32 };
-        let kind = PolicyKind::Bandit(crate::policy::BanditConfig::default());
-        let run = || {
-            crate::cache::reset();
-            let mut g = vec![0u8; 4 * 64 * 32];
-            let out =
-                orion.tune_space(&m, launch, &[0], &mut g, kind, SplitConfig::default()).unwrap();
-            (out.selected, out.launches, out.decisions, g)
-        };
-        let (sel_a, l_a, d_a, g_a) = run();
-        let (sel_b, l_b, d_b, g_b) = run();
-        assert_eq!(sel_a, sel_b);
-        assert_eq!(l_a, l_b);
-        assert_eq!(d_a, d_b);
-        // Every arm computes the same values, so exploring (including
-        // cache-split overrides and sliced pulls) leaves global memory
-        // exactly as a plain run would.
-        assert_eq!(g_a, g_b);
     }
 }

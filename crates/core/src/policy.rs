@@ -43,9 +43,8 @@ use serde::{Deserialize, Serialize};
 pub struct Measurement {
     /// Raw cycles of the invocation.
     pub cycles: u64,
-    /// §4.2 work normalization factor (split tuning); `None` compares
-    /// raw cycles. Validated positive by the session before it reaches
-    /// the policy.
+    /// §4.2 work normalization factor (e.g. a grid slice's block
+    /// count); `None` compares raw cycles. Policies read 0 as 1.
     pub work: Option<u64>,
     /// Relative noise margin from robust measurement (resilient mode);
     /// `None` is a noise-free single sample.
@@ -265,7 +264,7 @@ impl PaperWalkPolicy {
     /// paper observes that bfs "does different amounts of work in each
     /// iteration, making it difficult to compare consecutive
     /// invocations" and proposes exactly this multiplicative correction
-    /// as future work (§4.2). Callers guarantee `work > 0`.
+    /// as future work (§4.2). `work` is positive.
     fn record_inner(&mut self, cycles: u64, work: u64, margin: f64) {
         // Normalize to cycles per 2^20 work items to keep integer math.
         let raw_cycles = cycles;
@@ -422,9 +421,8 @@ impl SearchPolicy for PaperWalkPolicy {
             search_metrics().launches.inc();
         }
         match (m.work, m.noise_margin) {
-            // The session rejects `work == 0` before the measurement
-            // reaches the policy.
-            (Some(work), _) => self.record_inner(m.cycles, work, 0.0),
+            // A zero factor counts as one, as in the bandit.
+            (Some(work), _) => self.record_inner(m.cycles, work.max(1), 0.0),
             (None, Some(margin)) => self.record_noisy(m.cycles, margin),
             (None, None) => self.record(m.cycles),
         }
@@ -1469,6 +1467,14 @@ mod tests {
         let v = p.propose().unwrap();
         p.observe(v, Measurement::with_work(100, 1 << 20));
         assert_eq!(p.decisions()[0].norm_cycles, 100);
+        // A zero factor reads as one in both policies.
+        let mut p = bandit(&[100, 100], cfg);
+        let v = p.propose().unwrap();
+        p.observe(v, Measurement::with_work(100, 0));
+        let mut walk = PaperWalkPolicy::new(&fake_compiled(&[8, 16], Direction::Increasing), 0.02);
+        walk.observe(walk.select(), Measurement::with_work(100, 0));
+        assert_eq!(walk.decisions()[0].norm_cycles, 100 << 20);
+        assert_eq!(p.decisions()[0].norm_cycles, 100 << 20);
     }
 
     #[test]

@@ -274,7 +274,20 @@ impl<'k> TuningSession<'k> {
         mode: SessionMode,
         search: PolicyKind,
     ) -> Self {
-        let policy = search.build(ck, threshold);
+        TuningSession::over(kernel, ck, iterations, threshold, mode, search.build(ck, threshold))
+    }
+
+    /// A session driven by an already-built `policy` whose candidate
+    /// `i` is `ck.versions[i]` — for searches whose policy needs more
+    /// than `ck` to build, such as a bandit with launch-shaped bounds.
+    pub fn over(
+        kernel: impl Into<String>,
+        ck: &'k CompiledKernel,
+        iterations: u32,
+        threshold: f64,
+        mode: SessionMode,
+        policy: Box<dyn SearchPolicy>,
+    ) -> Self {
         let state = if matches!(policy.verdict(), PolicyVerdict::Finalized(_)) {
             SessionState::Finalized
         } else {
@@ -522,7 +535,13 @@ impl<'k> TuningSession<'k> {
                 self.current = None;
                 match result {
                     Ok(cycles) => {
-                        self.record_simple(pending.version, Measurement::raw(cycles));
+                        self.total += cycles;
+                        self.iters.push((pending.version, cycles));
+                        self.policy.observe(pending.version, Measurement::raw(cycles));
+                        self.it += 1;
+                        self.obs.launch_cycles.record(cycles);
+                        self.obs.queue_wait_cycles.record(0);
+                        self.refresh_state();
                         Ok(())
                     }
                     Err(e) => {
@@ -540,47 +559,6 @@ impl<'k> TuningSession<'k> {
     /// isn't [`OrionError`]).
     pub fn on_cycles(&mut self, cycles: u64) {
         self.on_launch_result(Ok(cycles)).expect("a successful measurement cannot fail");
-    }
-
-    /// Report a successful measurement normalized by the invocation's
-    /// amount of work (§4.2; see [`Measurement::with_work`]).
-    /// Simple-mode only — the resilient sampling pass aggregates raw
-    /// cycles and has no per-sample work channel.
-    ///
-    /// # Errors
-    /// [`OrionError::Tuner`] on zero `work`, on a resilient session, or
-    /// with no launch outstanding. A rejected measurement does not
-    /// consume the iteration.
-    pub fn on_cycles_with_work(&mut self, cycles: u64, work: u64) -> Result<(), OrionError> {
-        let Some(pending) = self.current else {
-            return Err(OrionError::Tuner(
-                "launch result reported with no launch outstanding".into(),
-            ));
-        };
-        if !matches!(self.mode, SessionMode::Simple) {
-            return Err(OrionError::Tuner("work normalization requires a simple session".into()));
-        }
-        if work == 0 {
-            // The measurement is refused before any state moves, so the
-            // launch stays outstanding and the iteration is not consumed.
-            return Err(OrionError::Tuner("work normalization factor must be positive".into()));
-        }
-        self.current = None;
-        self.record_simple(pending.version, Measurement::with_work(cycles, work));
-        Ok(())
-    }
-
-    /// Simple-mode success path: record the measurement and let the
-    /// policy observe it.
-    fn record_simple(&mut self, version: usize, m: Measurement) {
-        let cycles = m.cycles;
-        self.total += cycles;
-        self.iters.push((version, cycles));
-        self.policy.observe(version, m);
-        self.it += 1;
-        self.obs.launch_cycles.record(cycles);
-        self.obs.queue_wait_cycles.record(0);
-        self.refresh_state();
     }
 
     /// Resilient-mode result handling: retry, strike, sample, verdict.
@@ -873,17 +851,6 @@ mod tests {
         assert_eq!(out.selected, 0);
         assert_eq!(out.converged_after, 0);
         assert_eq!(out.total_cycles, 165);
-    }
-
-    #[test]
-    fn zero_work_is_rejected_without_consuming_the_iteration() {
-        let ck = fake_compiled(&[8, 16], Direction::Increasing);
-        let mut s = TuningSession::simple(&ck, 4, 0.02);
-        let first = s.next_step().unwrap();
-        let err = s.on_cycles_with_work(100, 0).unwrap_err();
-        assert!(matches!(err, OrionError::Tuner(_)));
-        assert_eq!(s.iterations_done(), 0, "rejected measurement must not count");
-        assert_eq!(s.next_step().unwrap(), first, "the launch stays outstanding");
     }
 
     #[test]

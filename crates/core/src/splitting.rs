@@ -3,21 +3,24 @@
 //! into several smaller ones so the runtime tuner gets iterations to
 //! measure. The split slices the grid; `%nctaid` keeps reporting the
 //! full grid so per-thread work assignments are unchanged.
+//!
+//! This module is the one home of that slicing: [`split_ranges`] cuts a
+//! grid into contiguous slices (run each with
+//! [`LaunchOptions::cta_range`](orion_gpusim::sim::LaunchOptions::cta_range)),
+//! and [`can_split`] says whether a grid is large enough to slice. The
+//! lattice's split arms ([`crate::version::CandidateSpace`]) measure in
+//! [`SPLIT_PIECES`] slices.
 
-use crate::backend::Backend;
-use crate::compiler::CompiledKernel;
-use crate::error::OrionError;
-use crate::session::{SessionOutcome, SessionStep, TuningSession};
-use orion_gpusim::exec::Launch;
-use orion_gpusim::sim::LaunchOptions;
+/// Grid slices per measurement pull of a split lattice arm.
+pub const SPLIT_PIECES: u32 = 8;
 
-/// Slice a grid of `grid` blocks into up to `pieces` contiguous ranges,
-/// each at least `min_blocks` blocks (fewer pieces if the grid is small).
-pub fn split_ranges(grid: u32, pieces: u32, min_blocks: u32) -> Vec<(u32, u32)> {
+/// Slice a grid of `grid` blocks into up to `pieces` contiguous ranges
+/// of `(first block, block count)`, fewer if the grid has fewer blocks.
+pub fn split_ranges(grid: u32, pieces: u32) -> Vec<(u32, u32)> {
     if grid == 0 {
         return Vec::new();
     }
-    let pieces = pieces.min(grid / min_blocks.max(1)).max(1);
+    let pieces = pieces.min(grid).max(1);
     let base = grid / pieces;
     let rem = grid % pieces;
     let mut out = Vec::with_capacity(pieces as usize);
@@ -30,81 +33,11 @@ pub fn split_ranges(grid: u32, pieces: u32, min_blocks: u32) -> Vec<(u32, u32)> 
     out
 }
 
-/// Launch options for one split piece.
-pub fn piece_options(range: (u32, u32), extra_smem: u32) -> LaunchOptions {
-    LaunchOptions {
-        extra_smem_per_block: extra_smem,
-        cta_range: Some(range),
-        cycle_budget: None,
-        ..LaunchOptions::default()
-    }
-}
-
 /// Does the launch have enough blocks to split into `pieces` that still
 /// fill the device? (Each piece should keep every SM busy with at least
 /// one block.)
 pub fn can_split(grid: u32, num_sms: u32, pieces: u32) -> bool {
     grid >= num_sms * pieces
-}
-
-/// How to slice a loop-less launch for [`tune_by_splitting`].
-#[derive(Clone, Copy, Debug)]
-pub struct SplitConfig {
-    /// Target number of grid slices (fewer if the grid is small).
-    pub pieces: u32,
-    /// Smallest slice worth measuring, in blocks.
-    pub min_blocks: u32,
-    /// Walk convergence threshold (the paper's 2% rule is `0.02`).
-    pub threshold: f64,
-}
-
-impl Default for SplitConfig {
-    fn default() -> Self {
-        SplitConfig { pieces: 8, min_blocks: 1, threshold: 0.02 }
-    }
-}
-
-/// Tune a loop-less kernel by splitting one invocation into grid
-/// slices: each slice becomes one "iteration" of a
-/// [`TuningSession`], and because slices can differ by one block when
-/// the grid doesn't divide evenly, every measurement is
-/// work-normalized by its slice's block count (§4.2). The slices
-/// together cover the grid exactly once, and every candidate computes
-/// identical memory, so the tuned invocation leaves `global` exactly
-/// as the untuned one would.
-///
-/// Callers should gate on [`can_split`]; an unsplittable grid
-/// degenerates to a single full-grid slice (one measurement, static
-/// pick).
-///
-/// # Errors
-/// Propagates launch failures from the backend; the fault-free walk
-/// itself cannot fail.
-pub fn tune_by_splitting<B: Backend>(
-    backend: &B,
-    ck: &CompiledKernel,
-    launch: Launch,
-    params: &[u32],
-    global: &mut [u8],
-    cfg: SplitConfig,
-) -> Result<SessionOutcome, OrionError> {
-    let ranges = split_ranges(launch.grid, cfg.pieces, cfg.min_blocks);
-    let mut session =
-        TuningSession::simple(ck, u32::try_from(ranges.len()).unwrap_or(u32::MAX), cfg.threshold);
-    let mut next_range = ranges.into_iter();
-    while let SessionStep::Launch(v) = session.next_step()? {
-        let range = next_range.next().expect("one slice per session iteration");
-        let version = &ck.versions[v];
-        let cycles = backend.launch(
-            version,
-            launch,
-            params,
-            global,
-            piece_options(range, version.extra_smem),
-        )?;
-        session.on_cycles_with_work(cycles, u64::from(range.1))?;
-    }
-    Ok(session.finish())
 }
 
 #[cfg(test)]
@@ -115,7 +48,7 @@ mod tests {
     fn ranges_cover_grid_exactly() {
         for grid in [1u32, 7, 64, 100, 257] {
             for pieces in [1u32, 2, 3, 5] {
-                let rs = split_ranges(grid, pieces, 1);
+                let rs = split_ranges(grid, pieces);
                 let total: u32 = rs.iter().map(|&(_, c)| c).sum();
                 assert_eq!(total, grid, "grid {grid} pieces {pieces}");
                 // Contiguous and ordered.
@@ -130,66 +63,8 @@ mod tests {
     }
 
     #[test]
-    fn min_blocks_limits_pieces() {
-        let rs = split_ranges(20, 8, 10);
-        assert_eq!(rs.len(), 2);
-        let rs = split_ranges(9, 8, 10);
-        assert_eq!(rs.len(), 1);
-    }
-
-    #[test]
     fn can_split_needs_enough_blocks() {
         assert!(can_split(64, 8, 4));
         assert!(!can_split(16, 8, 4));
-    }
-
-    #[test]
-    fn split_tuning_walks_candidates_and_preserves_memory() {
-        use crate::backend::SimBackend;
-        use crate::compiler::TuningConfig;
-        use orion_gpusim::device::DeviceSpec;
-        use orion_kir::builder::FunctionBuilder;
-        use orion_kir::function::Module;
-        use orion_kir::inst::Operand;
-        use orion_kir::types::{MemSpace, SpecialReg, Width};
-
-        let mut b = FunctionBuilder::kernel("split");
-        let tid = b.mov(Operand::Special(SpecialReg::TidX));
-        let cta = b.mov(Operand::Special(SpecialReg::CtaIdX));
-        let nt = b.mov(Operand::Special(SpecialReg::NTidX));
-        let gid = b.imad(cta, nt, tid);
-        let addr = b.imad(gid, Operand::Imm(4), Operand::Param(0));
-        let x = b.ld(MemSpace::Global, Width::W32, addr, 0);
-        let y = b.imad(x, gid, gid);
-        b.st(MemSpace::Global, Width::W32, addr, y, 0);
-        let module = Module::new(b.finish());
-
-        let grid = 24u32;
-        let block = 32u32;
-        let be = SimBackend::new(DeviceSpec::gtx680());
-        let ck = be.compile_probe(&module, &TuningConfig::new(block)).unwrap();
-        let launch = Launch { grid, block };
-        let bytes = (grid * block * 4) as usize;
-
-        // Unsplit reference: one full-grid launch of the original.
-        let mut want = vec![0u8; bytes];
-        be.launch(
-            &ck.versions[ck.original],
-            launch,
-            &[0],
-            &mut want,
-            piece_options((0, grid), ck.versions[ck.original].extra_smem),
-        )
-        .unwrap();
-
-        let mut got = vec![0u8; bytes];
-        let out =
-            tune_by_splitting(&be, &ck, launch, &[0], &mut got, SplitConfig::default()).unwrap();
-        assert_eq!(out.iterations.len(), 8, "one measurement per slice");
-        assert!(out.selected < ck.versions.len());
-        assert!(!out.decisions.is_empty());
-        // Every candidate is value-accurate, so the sliced, mixed-version
-        // invocation computes exactly what the unsplit launch does.
-        assert_eq!(got, want, "split tuning changed the computation");
     }
 }

@@ -13,7 +13,7 @@ use crate::budget::{budget_for_warps, smem_padding_for_warps};
 use crate::cache::{allocate_cached, FingerprintedModule};
 use crate::compiler::{CompiledKernel, Direction, KernelVersion};
 use crate::error::OrionError;
-use crate::splitting::{can_split, SplitConfig};
+use crate::splitting::{can_split, SPLIT_PIECES};
 use orion_alloc::realize::{AllocOptions, SlotBudget};
 use orion_gpusim::device::{CacheConfig, DeviceSpec};
 use orion_gpusim::occupancy::{occupancy, KernelResources};
@@ -198,8 +198,8 @@ impl CandidateSpace {
     /// from the same block-granular sweep as [`Orion::sweep`]
     /// (per split, since the split changes shared-memory capacity and
     /// with it which levels are achievable); the split-granularity axis
-    /// is gated by [`can_split`] so undersized grids only get
-    /// whole-grid arms.
+    /// (whole grid, or [`SPLIT_PIECES`] slices) is gated by
+    /// [`can_split`] so undersized grids only get whole-grid arms.
     ///
     /// [`Orion::sweep`]: crate::orion::Orion::sweep
     ///
@@ -212,18 +212,13 @@ impl CandidateSpace {
         module: &Module,
         direction: Direction,
         grid: u32,
-        split: SplitConfig,
     ) -> Result<CandidateSpace, OrionError> {
         let alt = match dev.cache_config {
             CacheConfig::SmallCache => CacheConfig::LargeCache,
             CacheConfig::LargeCache => CacheConfig::SmallCache,
         };
         let granularities: &[u32] =
-            if split.pieces > 1 && can_split(grid, dev.num_sms, split.pieces) {
-                &[1, split.pieces]
-            } else {
-                &[1]
-            };
+            if can_split(grid, dev.num_sms, SPLIT_PIECES) { &[1, SPLIT_PIECES] } else { &[1] };
         let mut arms: Vec<SpaceArm> = Vec::new();
         for cache in [None, Some(alt)] {
             let dev_c = cache.map_or_else(|| dev.clone(), |c| dev.with_cache_config(c));
@@ -365,15 +360,7 @@ mod tests {
         let dev = DeviceSpec::gtx680();
         let m = kernel(8);
         // grid 64 over 8 SMs supports 8-way splitting.
-        let space = CandidateSpace::enumerate(
-            &dev,
-            64,
-            &m,
-            Direction::Increasing,
-            64,
-            SplitConfig::default(),
-        )
-        .unwrap();
+        let space = CandidateSpace::enumerate(&dev, 64, &m, Direction::Increasing, 64).unwrap();
         assert!(
             space.arms.iter().any(|a| a.cache_config.is_none())
                 && space.arms.iter().any(|a| a.cache_config.is_some()),
@@ -412,15 +399,7 @@ mod tests {
     fn undersized_grids_get_no_split_arms() {
         let dev = DeviceSpec::gtx680(); // 8 SMs: 8-way split needs ≥ 64 blocks
         let m = kernel(4);
-        let space = CandidateSpace::enumerate(
-            &dev,
-            32,
-            &m,
-            Direction::Decreasing,
-            16,
-            SplitConfig::default(),
-        )
-        .unwrap();
+        let space = CandidateSpace::enumerate(&dev, 32, &m, Direction::Decreasing, 16).unwrap();
         assert!(space.arms.iter().all(|a| a.pieces == 1));
         assert!(space
             .arms
@@ -432,15 +411,7 @@ mod tests {
     fn to_compiled_preserves_arm_indices_and_walk_order() {
         let dev = DeviceSpec::c2075();
         let m = kernel(6);
-        let space = CandidateSpace::enumerate(
-            &dev,
-            192,
-            &m,
-            Direction::Increasing,
-            28,
-            SplitConfig::default(),
-        )
-        .unwrap();
+        let space = CandidateSpace::enumerate(&dev, 192, &m, Direction::Increasing, 28).unwrap();
         let ck = space.to_compiled(12);
         assert_eq!(ck.versions.len(), space.arms.len());
         assert_eq!(ck.original, space.original);

@@ -14,7 +14,6 @@
 //! asserts the measured winner is inside the default prune window.
 
 use orion_core::policy::{analytic_bound, BanditConfig, BoundCtx};
-use orion_core::splitting::SplitConfig;
 use orion_core::version::CandidateSpace;
 use orion_core::Orion;
 use orion_gpusim::device::DeviceSpec;
@@ -62,17 +61,10 @@ fn analytic_bound_never_prunes_the_exhaustive_winner() {
         let module = kernel(live);
         let orion = Orion::new(dev.clone(), block);
         let Ok(ck) = orion.compile(&module) else { continue };
-        // pieces = 1: the split axis re-measures the same work in
-        // slices, so the occupancy × cache lattice is where bound
-        // soundness is at stake.
-        let Ok(space) = CandidateSpace::enumerate(
-            &dev,
-            block,
-            &module,
-            ck.direction,
-            grid,
-            SplitConfig { pieces: 1, ..SplitConfig::default() },
-        ) else {
+        // Grids of at most 25 blocks never pass `can_split` on either
+        // device, so the space is the occupancy × cache lattice alone:
+        // the split axis only re-measures the same work in slices.
+        let Ok(space) = CandidateSpace::enumerate(&dev, block, &module, ck.direction, grid) else {
             continue;
         };
         if space.arms.len() < 2 {

@@ -798,8 +798,10 @@ impl<'m, 'g> SmEngine<'m, 'g> {
         // Watchdog: a warp whose earliest ready time lies beyond the
         // cycle budget will never issue within it — the launch is
         // hung (injected stuck warp, or a genuinely runaway stall).
-        // Bail out instead of simulating forever.
-        if ready.max(self.cur_cycle) > self.cycle_budget {
+        // Bail out instead of simulating forever. Hung is the keys'
+        // clamp, `cycle_budget + 1` saturating: at the maximal budget a
+        // wedged warp is ready at `u64::MAX`, which no launch reaches.
+        if ready.max(self.cur_cycle) >= self.keys.hung {
             return Err(SimError::Watchdog { budget: self.cycle_budget });
         }
         // Issue-slot bookkeeping: `schedulers_per_sm` issues/cycle.
@@ -1621,14 +1623,17 @@ mod tests {
     }
 
     /// An injected hang ends in the watchdog with the launch's budget —
-    /// at the top of the ready field, at a small budget, and with the
-    /// ready field narrowed so the hung warp's key saturates first.
+    /// at the top of the ready field, at a small budget, with the ready
+    /// field narrowed so the hung warp's key saturates first, and at the
+    /// largest budget of all.
     #[test]
     fn injected_hang_ends_in_the_watchdog_with_the_same_budget() {
         let blocks: Vec<u32> = (0..64).collect();
         let top = launch_keys(&blocks, 0).field_max - 1;
         let narrow = |budget| IssueKeys::new((1 << 57) - 1, 8, budget);
-        for (budget, keys) in [(top, None), (20_000, None), (20_000, Some(narrow(20_000)))] {
+        for (budget, keys) in
+            [(top, None), (20_000, None), (20_000, Some(narrow(20_000))), (u64::MAX, None)]
+        {
             let out = run_sm(&blocks, budget, true, keys);
             assert_eq!(out.end, Err(SimError::Watchdog { budget }));
         }

@@ -127,31 +127,44 @@ fn baseline_matches_semantics_too() {
 
 #[test]
 fn kernel_splitting_covers_grid_exactly() {
-    use orion::core::splitting::{piece_options, split_ranges};
+    use orion::core::splitting::split_ranges;
+    use orion::core::version::CandidateSpace;
     let w = by_name("particles").unwrap();
     let dev = DeviceSpec::c2075();
     let orion = Orion::new(dev.clone(), w.block);
     let base = orion.baseline(&w.module).unwrap();
     let launch = Launch { grid: 8, block: w.block };
+    // A lattice arm under another register budget, its padding and its
+    // L1/shared split override applied: the slices alternate between it
+    // and the baseline, the way a search mixes versions across the
+    // slices of one invocation.
+    let ck = orion.compile(&w.module).unwrap();
+    let space =
+        CandidateSpace::enumerate(&dev, w.block, &w.module, ck.direction, launch.grid).unwrap();
+    let other = space
+        .arms
+        .iter()
+        .find(|a| {
+            a.cache_config.is_some()
+                && a.version.machine.regs_per_thread != base.machine.regs_per_thread
+        })
+        .expect("an overridden-split arm with another register budget");
 
     // Whole launch.
     let mut whole = w.init_global.clone();
     run_launch_opts(&dev, &base.machine, launch, &w.params, &mut whole, LaunchOptions::default())
         .unwrap();
-    // Split into 4 pieces.
+    // Split into 4 pieces, alternating versions.
     let mut split = w.init_global.clone();
-    for range in split_ranges(launch.grid, 4, 1) {
-        run_launch_opts(
-            &dev,
-            &base.machine,
-            launch,
-            &w.params,
-            &mut split,
-            piece_options(range, 0),
-        )
-        .unwrap();
+    for (k, range) in split_ranges(launch.grid, 4).into_iter().enumerate() {
+        let (machine, opts) = if k % 2 == 0 {
+            (&base.machine, LaunchOptions { cta_range: Some(range), ..LaunchOptions::default() })
+        } else {
+            (&other.version.machine, other.launch_options(Some(range)))
+        };
+        run_launch_opts(&dev, machine, launch, &w.params, &mut split, opts).unwrap();
     }
-    assert_eq!(whole, split, "split launches must compute the same result");
+    assert_eq!(whole, split, "mixed-version split launches must compute the same result");
 }
 
 #[test]
