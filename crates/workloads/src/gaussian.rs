@@ -7,6 +7,12 @@
 //! DRAM traffic with plenty of memory-level parallelism per thread, so
 //! performance is *insensitive to occupancy* (Figure 14a) — the basis of
 //! its large register/energy saving in Figures 12/13.
+//!
+//! Each thread owns two consecutive float4 quads of the row-major
+//! matrix, quads `2g` and `2g+1` (eight floats), and writes nothing
+//! else: no two threads share a global word, so the result does not
+//! depend on block order. Its normalization result goes into the first
+//! word of its own first quad.
 
 use crate::common::{fdiv, gid, guard, ld_elem, zeros};
 use crate::{Table2Row, Workload};
@@ -14,8 +20,16 @@ use orion_kir::builder::{build_fdiv_device, FunctionBuilder};
 use orion_kir::function::Module;
 use orion_kir::inst::Operand;
 
-const DIM: u32 = 128; // matrix dimension
-const ROWS_PER_STEP: u32 = 672; // rows updated by one launch
+/// Matrix row length in floats (a power of two: `DIM/8` threads per row).
+const DIM: u32 = 256;
+/// Rows updated by one launch. At eight floats per thread the grid is
+/// `ROWS_PER_STEP*DIM/8` = 21,504 threads = 112 blocks of 192: the
+/// fewest that fill a C2075 (14 SMs × 8 blocks) at full occupancy, so
+/// every point of the occupancy sweep (Figure 14a) is reachable on
+/// both devices (a GTX680 holds 8 SMs × 10 such blocks).
+const ROWS_PER_STEP: u32 = 672;
+/// Floats each thread updates: two float4 quads.
+const FLOATS_PER_THREAD: u32 = 8;
 
 /// Build the workload.
 pub fn build() -> Workload {
@@ -32,22 +46,21 @@ pub fn build() -> Workload {
     // is insensitive to further warps — Figure 14a.
     let zero = b.mov_i32(0);
     let pivot = ld_elem(&mut b, 3, zero, 0);
-    let row = b.shr(g, Operand::Imm(7)); // 128 threads per row (DIM/1)
+    let threads_per_row = DIM / FLOATS_PER_THREAD;
+    let row = b.shr(g, Operand::Imm(i64::from(threads_per_row.trailing_zeros())));
     let m_rk = ld_elem(&mut b, 2, row, 0);
     let ratio = fdiv(&mut b, fdiv_id, m_rk, pivot);
     let mut acc = b.mov_f32(0.0);
     for e in 0..2i64 {
-        // Byte address of this thread's float4 in the matrix.
-        let eidx = {
-            let t = b.imad(g, Operand::Imm(2), Operand::Imm(e));
-            b.and(t, Operand::Imm(i64::from(ROWS_PER_STEP * DIM / 4 - 1)))
-        };
+        // Byte address of this thread's float4: quad `2g + e`.
+        let eidx = b.imad(g, Operand::Imm(2), Operand::Imm(e));
         let addr = b.imad(eidx, Operand::Imm(16), Operand::Param(0));
         let quad = b.ld(orion_kir::types::MemSpace::Global, orion_kir::types::Width::W128, addr, 0);
         // Update each lane of the quad: m -= ratio * pivot_row.
         let mut out = quad;
         for lane in 0..4u8 {
             let v = b.unpack(out, lane);
+            // Column within the row of this lane's float.
             let col = {
                 let t = b.imad(eidx, Operand::Imm(4), Operand::Imm(i64::from(lane)));
                 b.and(t, Operand::Imm(i64::from(DIM - 1)))
@@ -63,12 +76,11 @@ pub fn build() -> Workload {
         b.st(orion_kir::types::MemSpace::Global, orion_kir::types::Width::W128, addr, out, 0);
     }
     // Final normalization division (matches the source's two call
-    // sites); written into the thread's own first element.
+    // sites); written into the first word of the thread's quad `2g`.
     let norm = fdiv(&mut b, fdiv_id, acc, pivot);
     let own = {
         let t = b.imul(g, Operand::Imm(2));
-        let masked = b.and(t, Operand::Imm(i64::from(ROWS_PER_STEP * DIM / 4 - 1)));
-        b.imad(masked, Operand::Imm(16), Operand::Param(0))
+        b.imad(t, Operand::Imm(16), Operand::Param(0))
     };
     b.st(orion_kir::types::MemSpace::Global, orion_kir::types::Width::W32, own, norm, 0);
     b.exit();
@@ -89,7 +101,7 @@ pub fn build() -> Workload {
     init.extend(pivot);
     init.extend(zeros(4));
 
-    let count = ROWS_PER_STEP * DIM;
+    let count = ROWS_PER_STEP * DIM / FLOATS_PER_THREAD;
     Workload {
         name: "gaussian",
         domain: "Numer. analysis",

@@ -100,6 +100,34 @@ fn every_workload_runs_correctly_at_every_candidate() {
 }
 
 #[test]
+fn gaussian_full_grid_matches_reference() {
+    // The 4-block launches above cannot see a race between distant
+    // blocks; this one runs gaussian's whole grid with its SMs fanned
+    // out over two workers, so a cross-block write/write race shows as
+    // a divergence from the in-order interpreter.
+    let w = by_name("gaussian").unwrap();
+    let launch = Launch { grid: w.grid, block: w.block };
+    let mut ref_global = w.init_global.clone();
+    Interpreter::new(&w.module, &w.params)
+        .run(LaunchConfig { grid: launch.grid, block: launch.block }, &mut ref_global)
+        .unwrap();
+    for dev in [DeviceSpec::c2075(), DeviceSpec::gtx680()] {
+        let base = Orion::new(dev.clone(), w.block).baseline(&w.module).unwrap();
+        let mut global = w.init_global.clone();
+        run_launch_opts(
+            &dev,
+            &base.machine,
+            launch,
+            &w.params,
+            &mut global,
+            LaunchOptions { parallelism: 2, ..Default::default() },
+        )
+        .unwrap();
+        assert!(global == ref_global, "gaussian on {} diverged from the reference", dev.name);
+    }
+}
+
+#[test]
 fn baseline_matches_semantics_too() {
     let dev = DeviceSpec::gtx680();
     for name in ["srad", "cfd", "matrixMul"] {
