@@ -100,37 +100,34 @@ pub fn chaos_run(
 ) -> Result<ChaosRow, ExperimentError> {
     let mut orion = Orion::new(dev.clone(), w.block);
     orion.cfg.can_tune = w.can_tune;
-    orion.cfg.slowdown_threshold = DOWNWARD_THRESHOLD;
     let compiled = orion.compile(&w.module)?;
     let iters = w.iterations.max(CHAOS_ITERS);
 
     // Fault-free reference walk.
     let mut global = w.init_global.clone();
     let mut iter_no = 0u32;
-    let reference =
-        TuningSession::simple(&compiled, iters, orion.cfg.slowdown_threshold).drive(|v| {
-            let params = w.params_for(iter_no);
-            iter_no += 1;
-            run_launch_opts(dev, &v.machine, w.launch(), params, &mut global, opts(v.extra_smem))
-                .map(|r| r.cycles)
-                .map_err(orion_core::OrionError::from)
-        })?;
+    let reference = TuningSession::simple(&compiled, iters, DOWNWARD_THRESHOLD).drive(|v| {
+        let params = w.params_for(iter_no);
+        iter_no += 1;
+        run_launch_opts(dev, &v.machine, w.launch(), params, &mut global, opts(v.extra_smem))
+            .map(|r| r.cycles)
+            .map_err(orion_core::OrionError::from)
+    })?;
 
     // Chaotic walk through the resilient executor.
     let injector = FaultInjector::new(FaultPlan::chaos(seed, fault_rate, jitter_frac));
     let mut global = w.init_global.clone();
     let mut iter_no = 0u32;
     let policy = ResiliencePolicy::default();
-    let chaotic =
-        TuningSession::resilient(w.name, &compiled, iters, orion.cfg.slowdown_threshold, policy)
-            .drive(|v| {
-                let params = w.params_for(iter_no);
-                iter_no += 1;
-                let opts = LaunchOptions { faults: injector.draw(), ..opts(v.extra_smem) };
-                run_launch_opts(dev, &v.machine, w.launch(), params, &mut global, opts)
-                    .map(|r| r.cycles)
-                    .map_err(orion_core::OrionError::from)
-            });
+    let chaotic = TuningSession::resilient(w.name, &compiled, iters, DOWNWARD_THRESHOLD, policy)
+        .drive(|v| {
+            let params = w.params_for(iter_no);
+            iter_no += 1;
+            let opts = LaunchOptions { faults: injector.draw(), ..opts(v.extra_smem) };
+            run_launch_opts(dev, &v.machine, w.launch(), params, &mut global, opts)
+                .map(|r| r.cycles)
+                .map_err(orion_core::OrionError::from)
+        });
     // Candidate exhaustion at a stress rate is a *result*, not a sweep
     // failure: record the row as gave-up (the app falls back to its
     // original kernel) instead of aborting the whole bench.

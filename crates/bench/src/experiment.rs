@@ -174,7 +174,6 @@ fn orion_select_impl(
 ) -> Result<SelectOutcome, ExperimentError> {
     let mut orion = Orion::new(dev.clone(), w.block);
     orion.cfg.can_tune = w.can_tune;
-    orion.cfg.slowdown_threshold = DOWNWARD_THRESHOLD;
     let compiled = orion.compile(&w.module)?;
     let baseline = orion.baseline(&w.module)?;
     let sweep = if with_sweep { sweep_curve(dev, w)? } else { Vec::new() };
@@ -186,26 +185,25 @@ fn orion_select_impl(
     let mut global = w.init_global.clone();
     let iters = w.iterations.max(1);
     let mut iter_no = 0u32;
-    let outcome =
-        TuningSession::simple(&compiled, iters, orion.cfg.slowdown_threshold).drive(|v| {
-            let params = w.params_for(iter_no);
-            iter_no += 1;
-            run_launch_opts(
-                dev,
-                &v.machine,
-                w.launch(),
-                params,
-                &mut global,
-                LaunchOptions {
-                    extra_smem_per_block: v.extra_smem,
-                    cta_range: None,
-                    cycle_budget: None,
-                    ..LaunchOptions::default()
-                },
-            )
-            .map(|r| r.cycles)
-            .map_err(orion_core::OrionError::from)
-        })?;
+    let outcome = TuningSession::simple(&compiled, iters, DOWNWARD_THRESHOLD).drive(|v| {
+        let params = w.params_for(iter_no);
+        iter_no += 1;
+        run_launch_opts(
+            dev,
+            &v.machine,
+            w.launch(),
+            params,
+            &mut global,
+            LaunchOptions {
+                extra_smem_per_block: v.extra_smem,
+                cta_range: None,
+                cycle_budget: None,
+                ..LaunchOptions::default()
+            },
+        )
+        .map(|r| r.cycles)
+        .map_err(orion_core::OrionError::from)
+    })?;
     let selected = &compiled.versions[outcome.selected];
     let sel_run = run_version_once(dev, w, selected)?;
     let nvcc_run = run_version_once(dev, w, &baseline)?;

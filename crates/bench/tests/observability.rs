@@ -163,10 +163,7 @@ fn journal_overflow_under_concurrent_writers() {
         for w in 0..WRITERS {
             scope.spawn(move || {
                 for i in 0..PER_WRITER {
-                    journal::record_always(JournalEvent::Degraded {
-                        kernel: format!("w{w}#{i}"),
-                        reason: "overflow-test",
-                    });
+                    journal::record_always(JournalEvent::Degraded { kernel: format!("w{w}#{i}") });
                 }
             });
         }

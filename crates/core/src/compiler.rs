@@ -53,14 +53,12 @@ pub struct TuningConfig {
     pub can_tune: bool,
     /// Maximum candidate versions (the paper emits ≤ 5).
     pub max_versions: usize,
-    /// Relative slowdown tolerated while tuning downward (Figure 9).
-    pub slowdown_threshold: f64,
 }
 
 impl TuningConfig {
-    /// Defaults matching the paper: ≤5 versions, 2% threshold.
+    /// Defaults matching the paper: ≤5 versions.
     pub fn new(block: u32) -> Self {
-        TuningConfig { block, can_tune: true, max_versions: 5, slowdown_threshold: 0.02 }
+        TuningConfig { block, can_tune: true, max_versions: 5 }
     }
 }
 

@@ -33,9 +33,6 @@ pub enum OrionError {
     /// A version label that names no version of the compiled kernel
     /// (see [`crate::compiler::CompiledKernel::index_of`]).
     UnknownVersion { label: String },
-    /// Admission control rejected the job: the submission queue was full
-    /// and the job lost the priority-ordered shed.
-    Overloaded { capacity: usize, submitted: usize },
     /// The worker driving this kernel's session panicked; the panic was
     /// caught at the job boundary and the kernel quarantined.
     SessionPanicked { detail: String },
@@ -93,13 +90,6 @@ impl fmt::Display for OrionError {
             }
             OrionError::UnknownVersion { label } => {
                 write!(f, "no kernel version is labeled \"{label}\"")
-            }
-            OrionError::Overloaded { capacity, submitted } => {
-                write!(
-                    f,
-                    "service overloaded: {submitted} jobs submitted against an \
-                     admission queue of capacity {capacity}"
-                )
             }
             OrionError::SessionPanicked { detail } => {
                 write!(f, "session worker panicked: {detail}")

@@ -113,8 +113,7 @@ pub use policy::{
 pub use resilient::{robust_measure, ResiliencePolicy, ResilienceStats, RobustMeasure};
 pub use runtime::{TuneDecision, TuneReason};
 pub use service::{
-    DegradeReason, JobDisposition, JobPolicy, KernelJob, KernelReport, OrionService, ServiceConfig,
-    ServiceReport,
+    JobDisposition, JobPolicy, KernelJob, KernelReport, OrionService, ServiceConfig, ServiceReport,
 };
 pub use session::{
     SessionMode, SessionObs, SessionOutcome, SessionState, SessionStep, TuningSession,

@@ -11,7 +11,8 @@
 //!
 //! * **bounded retry with backoff** — transient launch failures are
 //!   retried up to [`ResiliencePolicy::max_retries`] times, charging an
-//!   exponentially growing simulated-cycle backoff to the run;
+//!   exponentially growing simulated-cycle backoff
+//!   ([`BACKOFF_BASE_CYCLES`]) to the run;
 //! * **noise-robust measurement** — each exploration step measures
 //!   mean-of-k with multiplicative outlier rejection
 //!   ([`robust_measure`]) before feeding the degradation test; the
@@ -52,14 +53,32 @@
 use crate::error::OrionError;
 use serde::{Deserialize, Serialize};
 
+/// Simulated-cycle cost of the first backoff wait; doubles per retry
+/// (exponential backoff).
+pub const BACKOFF_BASE_CYCLES: u64 = 1_000;
+
+/// Multiplicative band for outlier rejection: samples outside
+/// `[median / f, median * f]` are dropped before re-taking the median.
+pub const OUTLIER_FACTOR: f64 = 4.0;
+
+/// Scale factor from a measurement's observed relative spread
+/// ([`RobustMeasure::rel_spread`]) to the noise margin of the walk's
+/// degradation test. At ±5% uniform jitter the expected spread of 7
+/// samples is ~7.5%, so 0.75 yields a ~5.6% margin — several σ of the
+/// clipped-mean error — while clean data keeps a zero margin and the
+/// paper's exact walk. The margin replaces a smaller degradation
+/// threshold rather than adding to it, so it can never mask a genuine
+/// over-threshold slowdown on the downward walk.
+pub const NOISE_MARGIN_FACTOR: f64 = 0.75;
+
+/// Upper bound on the noise margin, whatever the observed spread.
+pub const NOISE_MARGIN_CAP: f64 = 0.15;
+
 /// Knobs for resilient sessions.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ResiliencePolicy {
     /// Maximum relaunches after a transient failure (per invocation).
     pub max_retries: u32,
-    /// Simulated-cycle cost of the first backoff wait; doubles per
-    /// retry (exponential backoff).
-    pub backoff_base_cycles: u64,
     /// Samples per exploration measurement (the k in mean-of-k). The
     /// default of 7 keeps the clipped-mean error near 1% under ±5%
     /// timing jitter — comfortably inside the paper's degradation
@@ -67,10 +86,6 @@ pub struct ResiliencePolicy {
     /// noise level. A borderline verdict gets one extension round of
     /// another k samples before the walk commits.
     pub samples: usize,
-    /// Multiplicative band for outlier rejection: samples outside
-    /// `[median / f, median * f]` are dropped before re-taking the
-    /// median.
-    pub outlier_factor: f64,
     /// *Consecutive* hard (quarantineable) failures a version must
     /// accumulate before it is actually quarantined; every successful
     /// launch resets the version's strike count (circuit-breaker
@@ -82,31 +97,11 @@ pub struct ResiliencePolicy {
     /// rare — and a genuinely dead version still fails straight
     /// through its budget.
     pub quarantine_strikes: u32,
-    /// Scale factor from a measurement's observed relative spread
-    /// ([`RobustMeasure::rel_spread`]) to the noise margin of the
-    /// walk's degradation test. At ±5% uniform jitter the
-    /// expected spread of 7 samples is ~7.5%, so 0.75 yields a ~5.6%
-    /// margin — several σ of the clipped-mean error — while clean data
-    /// keeps a zero margin and the paper's exact walk. The margin
-    /// replaces a smaller degradation threshold rather than adding to
-    /// it, so it can never mask a genuine over-threshold slowdown on
-    /// the downward walk.
-    pub noise_margin_factor: f64,
-    /// Upper bound on the noise margin, whatever the observed spread.
-    pub noise_margin_cap: f64,
 }
 
 impl Default for ResiliencePolicy {
     fn default() -> Self {
-        ResiliencePolicy {
-            max_retries: 3,
-            backoff_base_cycles: 1_000,
-            samples: 7,
-            outlier_factor: 4.0,
-            quarantine_strikes: 3,
-            noise_margin_factor: 0.75,
-            noise_margin_cap: 0.15,
-        }
+        ResiliencePolicy { max_retries: 3, samples: 7, quarantine_strikes: 3 }
     }
 }
 
@@ -143,21 +138,21 @@ pub struct RobustMeasure {
 }
 
 /// Mean-of-k with multiplicative outlier rejection: sorts the samples,
-/// drops everything outside `[median / f, median * f]`, and returns the
-/// *mean* of the survivors together with their relative spread. The
-/// median only guards the rejection band; once the heavy tail is
-/// clipped, the remaining jitter is light-tailed and the clipped mean
-/// is the tighter estimator (under uniform ±5% jitter, median-of-5 has
-/// ~2.2% error, the clipped mean ~1.3%). With all samples rejected
-/// (impossible for `f >= 1`) or a single sample, that sample wins with
-/// zero spread.
-pub fn robust_measure(samples: &mut [u64], outlier_factor: f64) -> RobustMeasure {
+/// drops everything outside `[median / f, median * f]` (`f` is
+/// [`OUTLIER_FACTOR`]), and returns the *mean* of the survivors
+/// together with their relative spread. The median only guards the
+/// rejection band; once the heavy tail is clipped, the remaining jitter
+/// is light-tailed and the clipped mean is the tighter estimator (under
+/// uniform ±5% jitter, median-of-5 has ~2.2% error, the clipped mean
+/// ~1.3%). With all samples rejected (impossible, as `f >= 1`) or a
+/// single sample, that sample wins with zero spread.
+pub fn robust_measure(samples: &mut [u64]) -> RobustMeasure {
     if samples.is_empty() {
         return RobustMeasure { cycles: 0, rel_spread: 0.0 };
     }
     samples.sort_unstable();
     let med = samples[samples.len() / 2].max(1);
-    let f = outlier_factor.max(1.0);
+    let f = OUTLIER_FACTOR;
     let lo = (med as f64 / f) as u64;
     let hi = (med as f64 * f).min(u64::MAX as f64) as u64;
     let kept: Vec<u64> = samples.iter().copied().filter(|&s| s >= lo && s <= hi).collect();
@@ -358,11 +353,11 @@ mod tests {
     fn robust_measure_rejects_outliers() {
         // [100, 102] survive the ×4 band around the median; their mean.
         let mut s = [100, 102, 5000];
-        assert_eq!(robust_measure(&mut s, 4.0).cycles, 101);
+        assert_eq!(robust_measure(&mut s).cycles, 101);
         let mut s = [100];
-        assert_eq!(robust_measure(&mut s, 4.0).cycles, 100);
+        assert_eq!(robust_measure(&mut s).cycles, 100);
         let mut s = [90, 100, 110];
-        assert_eq!(robust_measure(&mut s, 4.0).cycles, 100);
-        assert_eq!(robust_measure(&mut [], 4.0).cycles, 0);
+        assert_eq!(robust_measure(&mut s).cycles, 100);
+        assert_eq!(robust_measure(&mut []).cycles, 0);
     }
 }

@@ -44,10 +44,9 @@ pub enum TuneReason {
     /// The finalized version itself was quarantined; the tuner fell
     /// back to the fail-safe / original / best surviving version.
     FellBack,
-    /// A service policy budget (deadline, wall budget, retry budget)
-    /// expired mid-walk; the tuner settled on its safest live version
-    /// instead of erroring (the paper's fail-safe philosophy lifted to
-    /// the service plane).
+    /// The service deadline was reached mid-walk; the tuner settled on
+    /// its safest live version instead of erroring (the paper's
+    /// fail-safe philosophy lifted to the service plane).
     Degraded,
 }
 

@@ -22,11 +22,11 @@
 //! same code path degenerates to strictly sequential execution — the
 //! service bench's apples-to-apples baseline.
 //!
-//! Sessions start in **longest-job-first** order within each admission
-//! priority class: per-job costs are estimated from the
-//! probe-time occupancy curves (grid lanes × iterations, scaled by the
-//! deepest candidate's occupancy rounds), so tail kernels are dispatched
-//! early and don't strand backend workers at the end of the batch. The
+//! Sessions start in **longest-job-first** order: per-job costs are
+//! estimated from the probe-time occupancy curves (grid lanes ×
+//! iterations, scaled by the deepest candidate's occupancy rounds), so
+//! tail kernels are dispatched early and don't strand backend workers
+//! at the end of the batch. The
 //! dispatch order is a pure function of the job set — sessions are
 //! always started from the head of the sorted queue, whatever the
 //! completion interleaving — and is recorded in
@@ -44,8 +44,8 @@
 //!   scheduler is caught per step — either way the job resolves to its
 //!   own quarantined report instead of tearing the batch down.
 //! * **Definite outcomes** — every submitted job terminates with
-//!   exactly one [`JobDisposition`]: `Finalized`, `Quarantined`,
-//!   `Degraded`, or `Rejected`. Jobs in equals definite outcomes out,
+//!   exactly one [`JobDisposition`]: `Finalized`, `Quarantined`, or
+//!   `Degraded`. Jobs in equals definite outcomes out,
 //!   whatever the backend, the allocator, or a worker thread does — the
 //!   chaos test `tests::chaos_batch_is_accounted_and_deterministic`
 //!   checks exactly this invariant.
@@ -63,7 +63,7 @@
 //!
 //! One per-job state machine drives every job, whether it arrives
 //! through [`OrionService::run`] or [`OrionService::tune_one`]: it
-//! builds the session, gates each launch on the job's budgets, draws
+//! builds the session, gates each launch on the job's deadline, draws
 //! chaos, and derives the disposition and metrics. The two entry points
 //! differ only in how they execute the launches it asks for.
 //!
@@ -84,21 +84,16 @@
 //! ## Job lifecycle
 //!
 //! ```text
-//! submit ──► Admitted ──► Running ──► Finalized
-//!    │                       ├──────► Quarantined   (errors, panics)
-//!    │                       └──────► Degraded      (budget expired)
-//!    └──► Rejected   (admission queue full, shed by priority)
+//! submit ──► Running ──► Finalized
+//!               ├──────► Quarantined   (errors, panics)
+//!               └──────► Degraded      (deadline reached)
 //! ```
 //!
-//! Admission happens before any worker runs: with
-//! [`ServiceConfig::queue_capacity`] set, a batch larger than the queue
-//! sheds its lowest-priority (then latest-submitted) jobs, which report
-//! [`OrionError::Overloaded`] immediately. Running jobs are metered
-//! against their [`JobPolicy`] — a simulated-cycle deadline, a
-//! wall-clock budget, and a retry budget shared across candidates — and
-//! a blown budget resolves the session to **Degraded**: the tuner
-//! settles on its fail-safe selection (the paper's §4 philosophy — the
-//! original kernel always remains runnable) instead of erroring.
+//! Running jobs are metered against their [`JobPolicy`]'s
+//! simulated-cycle deadline, and a reached deadline resolves the
+//! session to **Degraded**: the tuner settles on its fail-safe
+//! selection (the paper's §4 philosophy — the original kernel always
+//! remains runnable) instead of erroring.
 //!
 //! [`TuningSession`]: crate::session::TuningSession
 
@@ -122,74 +117,22 @@ use std::cmp::Reverse;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Default admission priority (midpoint of the `u8` range, so callers
-/// can step both up and down from the default).
-pub const DEFAULT_PRIORITY: u8 = 100;
-
-/// Per-job execution budgets and admission priority, enforced by the
-/// service around the session. All budgets default to *unlimited*: a
-/// default-policy job behaves exactly as before this type existed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Per-job deadline and search policy, enforced by the service around
+/// the session. The default has no deadline and runs the paper's walk.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JobPolicy {
     /// Simulated-cycle deadline across the whole session, retry backoff
     /// included ([`TuningSession::total_cycles_so_far`]). Deterministic:
-    /// safe inside bit-equality gates. Exceeding it degrades the job.
+    /// safe inside bit-equality gates. Reaching it degrades the job.
     pub deadline_cycles: Option<u64>,
-    /// Wall-clock budget for the whole job (compile excluded). **Not**
-    /// deterministic — leave `None` in any run that must be bit-equal
-    /// across worker counts. Exceeding it degrades the job.
-    pub wall_budget: Option<Duration>,
-    /// Retry budget shared across all candidates: once the session has
-    /// spent *more* than this many retries in total, the job degrades
-    /// (`Some(0)` allows no retries). `None` defers entirely to the
-    /// per-launch [`ResiliencePolicy::max_retries`].
-    pub retry_budget: Option<u32>,
-    /// Admission priority; higher survives shedding longer. Ties shed
-    /// the later submission first.
-    pub priority: u8,
     /// Per-job [`SearchPolicy`](crate::policy::SearchPolicy); `None`
     /// is [`PolicyKind::PaperWalk`], the paper's exact Figure 9 walk.
     /// The policy only changes *which* candidate the session measures
-    /// next — budgets, quarantine, fallback, and scheduling are
+    /// next — the deadline, quarantine, fallback, and scheduling are
     /// session-level and apply identically under any search policy.
     pub search: Option<PolicyKind>,
-}
-
-impl Default for JobPolicy {
-    fn default() -> Self {
-        JobPolicy {
-            deadline_cycles: None,
-            wall_budget: None,
-            retry_budget: None,
-            priority: DEFAULT_PRIORITY,
-            search: None,
-        }
-    }
-}
-
-/// Which [`JobPolicy`] budget expired and degraded a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DegradeReason {
-    /// [`JobPolicy::deadline_cycles`] was reached.
-    DeadlineCycles,
-    /// [`JobPolicy::wall_budget`] elapsed.
-    WallBudget,
-    /// [`JobPolicy::retry_budget`] was exhausted.
-    RetryBudget,
-}
-
-impl DegradeReason {
-    /// Stable lowercase tag (journal records, reports).
-    #[must_use]
-    pub fn tag(self) -> &'static str {
-        match self {
-            DegradeReason::DeadlineCycles => "deadline_cycles",
-            DegradeReason::WallBudget => "wall_budget",
-            DegradeReason::RetryBudget => "retry_budget",
-        }
-    }
 }
 
 /// The definite outcome of one submitted [`KernelJob`]. Every job gets
@@ -202,10 +145,9 @@ pub enum JobDisposition {
     /// The session died: every candidate quarantined, a fatal launch or
     /// compile error, or a worker panic.
     Quarantined,
-    /// A policy budget expired; the job reports its fail-safe selection.
-    Degraded(DegradeReason),
-    /// Shed at admission ([`OrionError::Overloaded`]); never ran.
-    Rejected,
+    /// The [`JobPolicy::deadline_cycles`] deadline was reached; the job
+    /// reports its fail-safe selection.
+    Degraded,
 }
 
 impl JobDisposition {
@@ -215,8 +157,7 @@ impl JobDisposition {
         match self {
             JobDisposition::Finalized => "finalized",
             JobDisposition::Quarantined => "quarantined",
-            JobDisposition::Degraded(_) => "degraded",
-            JobDisposition::Rejected => "rejected",
+            JobDisposition::Degraded => "degraded",
         }
     }
 }
@@ -230,7 +171,7 @@ pub struct ServiceConfig {
     /// deterministic backend are bit-identical at any worker count.
     pub workers: usize,
     /// Maximum sessions with a launch in flight at once; `0` means
-    /// unlimited (every admitted session). `1` is the strictly
+    /// unlimited (every session). `1` is the strictly
     /// sequential baseline: one session runs start-to-finish before the
     /// next is dispatched, on the very same code path. Results on a
     /// deterministic backend are bit-identical at any limit.
@@ -240,12 +181,6 @@ pub struct ServiceConfig {
     /// `Some` drives resilient sessions (retry/quarantine/fallback);
     /// `None` drives the paper's exact fault-free walk.
     pub policy: Option<ResiliencePolicy>,
-    /// Admission-queue bound: `None` admits every batch unbounded (the
-    /// pre-resilience behavior); `Some(k)` admits at most `k` jobs per
-    /// batch and sheds the rest by ascending priority (ties: latest
-    /// submission first). `Some(0)` rejects everything — useful as a
-    /// drain switch and in tests.
-    pub queue_capacity: Option<usize>,
     /// Service-boundary chaos plan: per-job launch-fault injection,
     /// injected worker panics, and injected deadline pressure, drawn
     /// deterministically per submission index. Inert when `None`.
@@ -259,7 +194,6 @@ impl Default for ServiceConfig {
             in_flight_limit: 0,
             threshold: 0.02,
             policy: Some(ResiliencePolicy::default()),
-            queue_capacity: None,
             chaos: None,
         }
     }
@@ -414,7 +348,7 @@ pub struct KernelJob {
     pub iterations: u32,
     /// Compile-time tuning configuration (block size, version budget).
     pub tuning: TuningConfig,
-    /// Execution budgets and admission priority for this job.
+    /// Deadline and search policy for this job.
     pub policy: JobPolicy,
 }
 
@@ -464,9 +398,10 @@ pub struct KernelReport {
     /// per-kernel: one dead kernel never aborts the batch.
     pub outcome: Result<SessionOutcome, OrionError>,
     /// The job's definite disposition (see [`JobDisposition`]). Always
-    /// consistent with `outcome`: `Rejected` and `Quarantined` carry
-    /// errors, `Degraded` carries an `Ok` outcome whose session state
-    /// is [`SessionState::Degraded`].
+    /// consistent with `outcome`: `Quarantined` carries an error (or an
+    /// `Ok` outcome whose session state is
+    /// [`SessionState::Quarantined`]), `Degraded` carries an `Ok`
+    /// outcome whose session state is [`SessionState::Degraded`].
     pub disposition: JobDisposition,
     /// Latency observations for this kernel's session.
     pub metrics: KernelMetrics,
@@ -504,15 +439,15 @@ pub struct ServiceReport {
     /// carry the session lane for attribution.
     pub journal: JournalDrain,
     /// Worker threads the batch actually ran on (after clamping to the
-    /// admitted job count).
+    /// job count).
     pub workers: usize,
     /// The in-flight session cap the batch actually ran with (the
-    /// configured limit, or the admitted count when configured `0`).
+    /// configured limit, or the job count when configured `0`).
     pub in_flight_limit: usize,
     /// Job indices in the order the event loop started their sessions —
-    /// a pure function of the job set (priorities, then estimated
-    /// cost, longest first), independent of completion
-    /// interleaving. Rejected and compile-failed jobs don't appear.
+    /// a pure function of the job set (estimated cost, longest first),
+    /// independent of completion interleaving. Compile-failed jobs
+    /// don't appear.
     pub dispatch_order: Vec<usize>,
 }
 
@@ -535,7 +470,7 @@ impl ServiceReport {
     }
 
     /// Count kernels whose disposition matches `pred` (e.g.
-    /// `|d| matches!(d, JobDisposition::Degraded(_))`).
+    /// `|d| d == JobDisposition::Degraded`).
     #[must_use]
     pub fn count_dispositions(&self, pred: impl Fn(JobDisposition) -> bool) -> usize {
         self.kernels.iter().filter(|k| pred(k.disposition)).count()
@@ -569,22 +504,19 @@ fn estimate_cost(ck: &CompiledKernel, job: &KernelJob) -> u64 {
     lanes * rounds * u64::from(job.iterations.max(1))
 }
 
-/// One admitted job's tuning state machine — the one per-job driver
+/// One job's tuning state machine — the one per-job driver
 /// behind both [`OrionService::run`] and [`OrionService::tune_one`]. It
-/// owns session construction, the budget gate, chaos injection, the
+/// owns session construction, the deadline gate, chaos injection, the
 /// disposition and the metrics; the caller only executes the launches
 /// it asks for, with the fault draw each one carries. The session borrows its compiled kernel (`'k`).
 struct ActiveJob<'k> {
     name: String,
     lane: u32,
     session: TuningSession<'k>,
-    policy: JobPolicy,
     /// Effective cycle deadline (policy ∧ injected pressure).
     deadline: Option<u64>,
     injector: Option<FaultInjector>,
     panic_after: Option<u32>,
-    wall_start: Instant,
-    degrade_reason: Option<DegradeReason>,
     launches_done: u32,
     compile_wall_us: u64,
     dispatch_wait_us: u64,
@@ -626,12 +558,9 @@ impl<'k> ActiveJob<'k> {
             name: job.name.clone(),
             lane,
             session,
-            policy: job.policy,
             deadline,
             injector: faults.plan.map(FaultInjector::new),
             panic_after: faults.panic_after_launches,
-            wall_start: Instant::now(),
-            degrade_reason: None,
             launches_done: 0,
             compile_wall_us,
             dispatch_wait_us: 0,
@@ -682,49 +611,34 @@ impl<'k> ActiveJob<'k> {
         })
     }
 
-    /// Finish a session that stopped cleanly (walk done, or a budget
+    /// Finish a session that stopped cleanly (walk done, or a deadline
     /// degrade) and derive its disposition.
     fn seal_settled(&mut self) -> Pump {
         let outcome = self.session.clone().finish();
-        let disposition = match (self.degrade_reason, outcome.state) {
-            (Some(reason), SessionState::Degraded) => JobDisposition::Degraded(reason),
+        let disposition = match outcome.state {
+            // Only the deadline gate in `pump` degrades a session.
+            SessionState::Degraded => JobDisposition::Degraded,
             // A degrade with every version quarantined (or a session
             // that died on its own) is a quarantine.
-            _ if outcome.state == SessionState::Quarantined => JobDisposition::Quarantined,
+            SessionState::Quarantined => JobDisposition::Quarantined,
             _ => JobDisposition::Finalized,
         };
         self.seal(Ok(outcome), disposition)
     }
 
-    /// Which [`JobPolicy`] budget (if any) has expired, against the
-    /// effective cycle deadline.
-    fn blown_budget(&self) -> Option<DegradeReason> {
-        self.deadline
-            .filter(|&d| self.session.total_cycles_so_far() >= d)
-            .map(|_| DegradeReason::DeadlineCycles)
-            .or_else(|| {
-                self.policy
-                    .wall_budget
-                    .filter(|&w| self.wall_start.elapsed() >= w)
-                    .map(|_| DegradeReason::WallBudget)
-            })
-            .or_else(|| {
-                self.policy
-                    .retry_budget
-                    .filter(|&r| self.session.stats().retries > u64::from(r))
-                    .map(|_| DegradeReason::RetryBudget)
-            })
+    /// Whether the session has reached the effective cycle deadline.
+    fn past_deadline(&self) -> bool {
+        self.deadline.is_some_and(|d| self.session.total_cycles_so_far() >= d)
     }
 
     /// Advance the session until it asks for a launch or resolves to a
     /// definite report. May unwind (injected chaos, a hostile session).
     fn pump(&mut self) -> Pump {
-        // Policy gates come first: a blown budget resolves the session
-        // to Degraded *before* the next launch is issued, so a deadline
-        // can never be overshot by more than one launch chain.
-        if let Some(reason) = self.blown_budget() {
-            self.session.degrade(reason.tag());
-            self.degrade_reason = Some(reason);
+        // The deadline gate comes first: a reached deadline resolves
+        // the session to Degraded *before* the next launch is issued,
+        // so it can never be overshot by more than one launch chain.
+        if self.past_deadline() {
+            self.session.degrade();
             return self.seal_settled();
         }
         let step = match self.session.next_step() {
@@ -782,10 +696,10 @@ impl<B: AsyncBackend> OrionService<B> {
     /// per-job state machine as [`OrionService::run`]. Each launch runs
     /// inline through [`Backend::launch`](crate::backend::Backend::launch)
     /// with default options (so one launch may fan out across SMs), and
-    /// mutates `job.global` in place. The job's [`JobPolicy`] budgets
-    /// are enforced; admission control, chaos, telemetry lanes and panic
-    /// isolation are `run`-only (there is no queue here, and a panic on
-    /// the caller's own thread is the caller's to catch).
+    /// mutates `job.global` in place. The job's [`JobPolicy`] deadline
+    /// is enforced; chaos, telemetry lanes and panic isolation are
+    /// `run`-only (a panic on the caller's own thread is the caller's to
+    /// catch).
     ///
     /// # Errors
     /// Compile failures, fatal launch errors, or
@@ -844,9 +758,8 @@ impl<B: AsyncBackend> OrionService<B> {
 
     /// Tune every job on the event loop and report in submission order.
     /// Every submitted job comes back with a definite
-    /// [`JobDisposition`] — rejected at admission, or run to
-    /// finalized/quarantined/degraded — no matter what the backend or a
-    /// worker thread does.
+    /// [`JobDisposition`] — finalized, quarantined or degraded — no
+    /// matter what the backend or a worker thread does.
     pub fn run(&self, jobs: Vec<KernelJob>) -> ServiceReport {
         let submitted = jobs.len();
         let host_cores =
@@ -854,49 +767,26 @@ impl<B: AsyncBackend> OrionService<B> {
         let reg = registry::global().scope("service");
         let in_flight_gauge =
             reg.register_gauge("in_flight", "Launches submitted and not yet completed", "");
-        let queue_depth_gauge =
-            reg.register_gauge("queue_depth", "Admitted sessions awaiting dispatch", "");
+        let queue_depth_gauge = reg.register_gauge("queue_depth", "Sessions awaiting dispatch", "");
         let sessions_gauge =
             reg.register_gauge("in_flight_sessions", "Sessions currently tuning", "");
-        let shed_counter =
-            reg.register_counter("shed", "Jobs shed at admission over the process lifetime", "");
         let degraded_counter = reg.register_counter(
             "degraded",
-            "Jobs degraded by policy budgets over the process lifetime",
+            "Jobs degraded by their deadline over the process lifetime",
             "",
         );
         let cache_before = cache::stats();
-        // Names and priorities outlive the job slots: shed,
-        // compile-failure and backstop reports need them after a slot
-        // has been emptied.
+        // Names outlive the job slots: compile-failure and backstop
+        // reports need them after a slot has been emptied.
         let names: Vec<String> = jobs.iter().map(|j| j.name.clone()).collect();
-        let priorities: Vec<u8> = jobs.iter().map(|j| j.policy.priority).collect();
         let lane_of = |i: usize| u32::try_from(i).unwrap_or(u32::MAX).saturating_add(1);
-        // Admission control: shed down to the queue capacity, lowest
-        // priority first, ties shedding the latest submission.
-        let mut admitted = vec![true; submitted];
-        if let Some(capacity) = self.cfg.queue_capacity {
-            if submitted > capacity {
-                let mut by_priority: Vec<usize> = (0..submitted).collect();
-                by_priority.sort_by_key(|&i| (priorities[i], Reverse(i)));
-                for &i in by_priority.iter().take(submitted - capacity) {
-                    admitted[i] = false;
-                    shed_counter.inc();
-                    journal::record(JournalEvent::Shed {
-                        kernel: names[i].clone(),
-                        priority: priorities[i],
-                    });
-                }
-            }
-        }
-        let admitted_count = admitted.iter().filter(|&&a| a).count();
         reg.register_counter("sessions_total", "Sessions started over the process lifetime", "")
-            .add(admitted_count as u64);
+            .add(submitted as u64);
         let workers = match self.cfg.workers {
             0 => host_cores,
             w => w,
         }
-        .min(admitted_count.max(1));
+        .min(submitted.max(1));
         // Execution parallelism lives entirely in the backend's pool:
         // `workers <= 1` keeps the pool empty so every launch runs
         // inline on the scheduler thread (zero extra threads — the
@@ -904,25 +794,10 @@ impl<B: AsyncBackend> OrionService<B> {
         // thread per worker.
         self.backend.configure_pool(if workers <= 1 { 0 } else { workers });
         let in_flight_limit = match self.cfg.in_flight_limit {
-            0 => admitted_count.max(1),
+            0 => submitted.max(1),
             k => k,
         };
         let mut reports: Vec<Option<KernelReport>> = (0..submitted).map(|_| None).collect();
-        // Shed jobs resolve immediately, before anything runs.
-        for i in 0..submitted {
-            if !admitted[i] {
-                reports[i] = Some(KernelReport {
-                    name: names[i].clone(),
-                    lane: lane_of(i),
-                    outcome: Err(OrionError::Overloaded {
-                        capacity: self.cfg.queue_capacity.unwrap_or(usize::MAX),
-                        submitted,
-                    }),
-                    disposition: JobDisposition::Rejected,
-                    metrics: KernelMetrics::default(),
-                });
-            }
-        }
         // Compile phase: sequential, in submission order, on the
         // scheduler thread — cache hit/miss accounting stays a pure
         // function of the job set, and a compile panic (or error)
@@ -932,11 +807,7 @@ impl<B: AsyncBackend> OrionService<B> {
         let mut cks: Vec<Option<Arc<CompiledKernel>>> = (0..submitted).map(|_| None).collect();
         let mut compile_us: Vec<u64> = vec![0; submitted];
         for i in 0..submitted {
-            if !admitted[i] {
-                jobs[i] = None;
-                continue;
-            }
-            let job = jobs[i].as_ref().expect("an admitted slot holds its job");
+            let job = jobs[i].as_ref().expect("every slot holds its job before compiling");
             orion_telemetry::set_scope(lane_of(i));
             let compile_start = Instant::now();
             let caught = catch_unwind(AssertUnwindSafe(|| {
@@ -974,13 +845,13 @@ impl<B: AsyncBackend> OrionService<B> {
         // downstream outcome) is deterministic.
         let mut order: Vec<usize> =
             (0..submitted).filter(|&i| cks[i].is_some() && jobs[i].is_some()).collect();
-        // Longest job first within each priority class.
+        // Longest job first; ties go to the earlier submission.
         order.sort_by_key(|&i| {
             let cost = estimate_cost(
                 cks[i].as_deref().expect("order is filtered to compiled jobs"),
                 jobs[i].as_ref().expect("order is filtered to live jobs"),
             );
-            (Reverse(priorities[i]), Reverse(cost), i)
+            (Reverse(cost), i)
         });
         let dispatch_order = order.clone();
         // The event loop: keep up to `in_flight_limit` sessions with a
@@ -1100,8 +971,7 @@ impl<B: AsyncBackend> OrionService<B> {
             })
             .collect();
         degraded_counter.add(
-            kernels.iter().filter(|k| matches!(k.disposition, JobDisposition::Degraded(_))).count()
-                as u64,
+            kernels.iter().filter(|k| k.disposition == JobDisposition::Degraded).count() as u64,
         );
         // Merge per-kernel distributions in submission order (the merge
         // is order-independent, but fixing the order keeps even the
@@ -1299,48 +1169,6 @@ mod tests {
     }
 
     #[test]
-    fn saturated_queue_sheds_by_priority_and_rejects_cleanly() {
-        let svc = OrionService::new(
-            SimBackend::new(DeviceSpec::gtx680()),
-            ServiceConfig { workers: 2, queue_capacity: Some(3), ..ServiceConfig::default() },
-        );
-        // Five jobs, capacity three: the two lowest-priority jobs are
-        // shed; within equal priority the later submission goes first.
-        let mut jobs: Vec<KernelJob> = (0..5).map(|i| job(&format!("j{i}"), 3, 3)).collect();
-        jobs[1].policy.priority = 10; // lowest: shed
-        jobs[2].policy.priority = 200; // highest: safe
-                                       // j0, j3, j4 tie at default priority; j4 (latest) is shed.
-        let report = svc.run(jobs);
-        let dispositions: Vec<JobDisposition> =
-            report.kernels.iter().map(|k| k.disposition).collect();
-        assert_eq!(
-            dispositions,
-            [
-                JobDisposition::Finalized,
-                JobDisposition::Rejected,
-                JobDisposition::Finalized,
-                JobDisposition::Finalized,
-                JobDisposition::Rejected,
-            ],
-            "{dispositions:?}"
-        );
-        for k in &report.kernels {
-            if k.disposition == JobDisposition::Rejected {
-                let err = k.outcome.as_ref().unwrap_err();
-                assert!(
-                    matches!(
-                        err.root_cause(),
-                        OrionError::Overloaded { capacity: 3, submitted: 5 }
-                    ),
-                    "unexpected rejection error: {err}"
-                );
-            }
-        }
-        // Rejection is admission-time: shed jobs never compiled.
-        assert_eq!(report.count_dispositions(|d| d == JobDisposition::Rejected), 2);
-    }
-
-    #[test]
     fn deadline_degrades_to_fail_safe_not_error() {
         // One simulated launch of this toy kernel costs well over 100
         // cycles, so a 100-cycle deadline fires after the baseline
@@ -1354,7 +1182,7 @@ mod tests {
         j.policy.deadline_cycles = Some(100);
         let report = svc.run(vec![j]);
         let k = &report.kernels[0];
-        assert_eq!(k.disposition, JobDisposition::Degraded(DegradeReason::DeadlineCycles));
+        assert_eq!(k.disposition, JobDisposition::Degraded);
         let o = k.outcome.as_ref().expect("degraded jobs report an outcome, not an error");
         assert_eq!(o.state, SessionState::Degraded);
         assert_eq!(o.selected, 0, "fail-safe selection is the original version");
@@ -1380,7 +1208,7 @@ mod tests {
         let report = svc.run(jobs);
         assert_eq!(report.kernels.len(), 6);
         for k in &report.kernels {
-            assert_eq!(k.disposition, JobDisposition::Degraded(DegradeReason::DeadlineCycles));
+            assert_eq!(k.disposition, JobDisposition::Degraded);
             assert!(k.outcome.as_ref().is_ok_and(|o| o.state == SessionState::Degraded));
         }
     }
@@ -1388,7 +1216,7 @@ mod tests {
     #[test]
     fn in_flight_limit_does_not_change_outcomes() {
         // The strictly sequential baseline (limit 1) and the fully
-        // multiplexed run (limit 0 = every admitted session) are the
+        // multiplexed run (limit 0 = every session) are the
         // same code path and must be bit-identical, in simple mode (the
         // paper's exact walk) and in the resilient default.
         let mk = || (1..=6).map(|i| job(&format!("k{i}"), i64::from(i), 6)).collect::<Vec<_>>();
@@ -1420,29 +1248,22 @@ mod tests {
     fn ljf_dispatch_order_is_deterministic_and_longest_first() {
         // Same job set, different worker counts and in-flight limits —
         // the dispatch order is a pure function of the job set.
-        let mk = || {
-            vec![job("short", 2, 1), job("long", 3, 32), job("medium", 4, 8), job("urgent", 5, 1)]
-        };
-        let mut with_priority = mk();
-        with_priority[3].policy.priority = 200;
+        let mk =
+            || vec![job("short", 2, 1), job("long", 3, 32), job("medium", 4, 8), job("tiny", 5, 1)];
         let a = OrionService::new(
             SimBackend::new(DeviceSpec::gtx680()),
             ServiceConfig { workers: 1, in_flight_limit: 1, ..ServiceConfig::default() },
         )
-        .run({
-            let mut j = mk();
-            j[3].policy.priority = 200;
-            j
-        });
+        .run(mk());
         let b = OrionService::new(
             SimBackend::new(DeviceSpec::gtx680()),
             ServiceConfig { workers: 4, in_flight_limit: 0, ..ServiceConfig::default() },
         )
-        .run(with_priority);
+        .run(mk());
         assert_eq!(a.dispatch_order, b.dispatch_order);
-        // Priority dominates; within a class, larger estimated cost
-        // (more iterations here) dispatches first.
-        assert_eq!(a.dispatch_order, vec![3, 1, 2, 0]);
+        // Larger estimated cost (more iterations here) dispatches first;
+        // equal costs keep submission order.
+        assert_eq!(a.dispatch_order, vec![1, 2, 0, 3]);
     }
 
     /// The two entry points share one per-job driver and differ only in
@@ -1514,62 +1335,49 @@ mod tests {
     /// Service chaos end to end on the simulator, swept over launch-fault
     /// rates 0, 10% and 25%: launch faults, worker panics and deadline
     /// pressure, at two scheduler shapes. Every job comes back with one
-    /// definite disposition coherent with its outcome, bit-identically
-    /// at both shapes; the clean rate finalizes everything; the 25%
-    /// point adds a fault storm and a saturated admission queue, which
-    /// sheds exactly the overflow.
+    /// definite disposition coherent with its outcome, in submission
+    /// order, bit-identically at both shapes; the clean rate finalizes
+    /// everything; the 25% point adds a fault storm.
     #[test]
     fn chaos_batch_is_accounted_and_deterministic() {
         const SEED: u64 = 0x0710_2024;
         const JOBS: usize = 9;
-        let (mut panics, mut shed, mut launch_faults) = (0, 0, 0);
+        let (mut panics, mut launch_faults) = (0, 0);
         for rate in [0.0, 0.10, 0.25] {
             let mut plan = if rate == 0.0 {
                 ServiceFaultPlan::none(SEED)
             } else {
                 ServiceFaultPlan::chaos(SEED ^ (rate * 100.0) as u64, rate, 0.25)
             };
-            let mut queue_capacity = None;
             if rate >= 0.25 {
                 plan.storm =
                     Some(FaultStorm { start_job: JOBS / 3, len: JOBS / 3, multiplier: 2.0 });
-                queue_capacity = Some(JOBS - 2);
             }
             let run = |workers, in_flight_limit| {
                 let cfg = ServiceConfig {
                     workers,
                     in_flight_limit,
-                    queue_capacity,
                     chaos: Some(plan),
                     ..ServiceConfig::default()
                 };
-                // Spread priorities so saturation sheds a non-trivial subset.
-                let jobs = (0..JOBS)
-                    .map(|i| {
-                        let mut j = job(&format!("c{i}"), i as i64 + 1, 12);
-                        j.policy.priority = 50 + (i as u8 % 3) * 50;
-                        j
-                    })
-                    .collect();
+                let jobs = (0..JOBS).map(|i| job(&format!("c{i}"), i as i64 + 1, 12)).collect();
                 OrionService::new(SimBackend::new(DeviceSpec::gtx680()), cfg).run(jobs)
             };
             let seq = run(1, 1);
             let conc = run(4, 0);
             for r in [&seq, &conc] {
                 assert_eq!(r.kernels.len(), JOBS, "rate {rate}: jobs in == reports out");
-                for k in &r.kernels {
+                for (i, k) in r.kernels.iter().enumerate() {
+                    assert_eq!(k.name, format!("c{i}"), "rate {rate}: submission order");
                     let definite = match k.disposition {
                         JobDisposition::Finalized => k.outcome.is_ok(),
-                        JobDisposition::Degraded(_) => {
+                        JobDisposition::Degraded => {
                             k.outcome.as_ref().is_ok_and(|o| o.state == SessionState::Degraded)
                         }
                         JobDisposition::Quarantined => k
                             .outcome
                             .as_ref()
                             .map_or(true, |o| o.state == SessionState::Quarantined),
-                        JobDisposition::Rejected => k.outcome.as_ref().is_err_and(|e| {
-                            matches!(e.root_cause(), OrionError::Overloaded { .. })
-                        }),
                     };
                     assert!(
                         definite,
@@ -1588,8 +1396,6 @@ mod tests {
                     _ => panic!("rate {rate}, {}: outcome kind diverged across shapes", a.name),
                 }
             }
-            let rejected = conc.count_dispositions(|d| d == JobDisposition::Rejected);
-            assert_eq!(rejected, JOBS - queue_capacity.unwrap_or(JOBS), "rate {rate}: shed");
             if rate == 0.0 {
                 assert_eq!(
                     conc.count_dispositions(|d| d == JobDisposition::Finalized),
@@ -1597,7 +1403,6 @@ mod tests {
                     "a clean batch finalizes every job"
                 );
             }
-            shed += rejected;
             panics += conc
                 .kernels
                 .iter()
@@ -1616,7 +1421,6 @@ mod tests {
         }
         // A chaos sweep that never injects anything checks nothing.
         assert!(panics > 0, "the sweep caught no worker panic");
-        assert!(shed > 0, "the sweep shed no job");
         assert!(launch_faults > 0, "the sweep caused no retry or quarantine");
     }
 

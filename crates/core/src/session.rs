@@ -32,7 +32,7 @@
 //! * **Finalized** — a version won; remaining iterations run it.
 //! * **Quarantined** — every candidate (fallbacks included) died;
 //!   terminal.
-//! * **Degraded** — a service policy budget expired
+//! * **Degraded** — the service deadline was reached
 //!   ([`TuningSession::degrade`]); the session settled on its fail-safe
 //!   selection. Terminal.
 //!
@@ -54,7 +54,10 @@
 use crate::compiler::{CompiledKernel, Direction, KernelVersion};
 use crate::error::OrionError;
 use crate::policy::{Measurement, PolicyKind, PolicyVerdict, SearchPolicy};
-use crate::resilient::{robust_measure, should_quarantine, ResiliencePolicy, ResilienceStats};
+use crate::resilient::{
+    robust_measure, should_quarantine, ResiliencePolicy, ResilienceStats, RobustMeasure,
+    BACKOFF_BASE_CYCLES, NOISE_MARGIN_CAP, NOISE_MARGIN_FACTOR,
+};
 use crate::runtime::{TuneDecision, TuneReason};
 use orion_telemetry::hist::Histogram;
 use orion_telemetry::journal::{self, JournalEvent};
@@ -74,9 +77,8 @@ pub enum SessionState {
     Finalized,
     /// Every runnable version has been quarantined. Terminal.
     Quarantined,
-    /// A service policy budget (deadline / wall budget / retry budget)
-    /// expired; the session settled on its fail-safe selection and
-    /// stopped. Terminal.
+    /// The service deadline was reached; the session settled on its
+    /// fail-safe selection and stopped. Terminal.
     Degraded,
 }
 
@@ -374,16 +376,6 @@ impl<'k> TuningSession<'k> {
         &self.obs
     }
 
-    /// Failure accounting so far (retries, strikes, backoff). The
-    /// service reads this to enforce a [`JobPolicy`] retry budget
-    /// mid-session.
-    ///
-    /// [`JobPolicy`]: crate::service::JobPolicy
-    #[must_use]
-    pub fn stats(&self) -> &ResilienceStats {
-        &self.stats
-    }
-
     /// Total simulated cycles consumed so far, *including* backoff
     /// cycles charged by resilient retries — the quantity a sim-cycle
     /// deadline meters.
@@ -395,16 +387,14 @@ impl<'k> TuningSession<'k> {
         }
     }
 
-    /// Terminate the session because a service policy budget expired
-    /// (`reason` is a stable tag for the journal: `"deadline_cycles"`,
-    /// `"wall_budget"`, `"retry_budget"`). The policy settles on its
-    /// fail-safe selection ([`SearchPolicy::degrade_to_fallback`]): an
-    /// already finalized version is kept, an unfinished search resolves
-    /// to the original. Any outstanding launch request and sampling pass
+    /// Terminate the session because its service deadline was reached.
+    /// The policy settles on its fail-safe selection
+    /// ([`SearchPolicy::degrade_to_fallback`]): an already finalized
+    /// version is kept, an unfinished search resolves to the original. Any outstanding launch request and sampling pass
     /// are dropped. Returns the settled version; `None` means every
     /// version was already quarantined and the session died as
     /// [`SessionState::Quarantined`] instead.
-    pub fn degrade(&mut self, reason: &'static str) -> Option<usize> {
+    pub fn degrade(&mut self) -> Option<usize> {
         if self.state.is_settled() && self.aborted {
             return self.finalized(); // already terminal
         }
@@ -414,7 +404,7 @@ impl<'k> TuningSession<'k> {
         let settled = self.policy.degrade_to_fallback();
         if settled.is_some() {
             if orion_telemetry::is_enabled() {
-                journal::record(JournalEvent::Degraded { kernel: self.kernel.clone(), reason });
+                journal::record(JournalEvent::Degraded { kernel: self.kernel.clone() });
             }
             self.transition(SessionState::Degraded);
         } else {
@@ -581,7 +571,7 @@ impl<'k> TuningSession<'k> {
                 self.pending_backoff = 0;
                 if let Some(mut pass) = self.pass.take() {
                     pass.samples.push(cycles);
-                    self.advance_pass(pass, policy);
+                    self.advance_pass(pass);
                 }
                 self.refresh_state();
                 Ok(())
@@ -591,7 +581,7 @@ impl<'k> TuningSession<'k> {
                 // simulated cycles; the same launch is re-issued.
                 self.stats.failed_launches += 1;
                 self.stats.retries += 1;
-                let backoff = policy.backoff_base_cycles << pending.attempt.min(20);
+                let backoff = BACKOFF_BASE_CYCLES << pending.attempt.min(20);
                 self.stats.backoff_cycles = self.stats.backoff_cycles.saturating_add(backoff);
                 self.pending_backoff = self.pending_backoff.saturating_add(backoff);
                 if orion_telemetry::is_enabled() {
@@ -631,7 +621,7 @@ impl<'k> TuningSession<'k> {
                     // re-sampled cleanly if it survived).
                     pass.struck = true;
                     pass.dead = dead;
-                    self.settle_pass(pass, policy);
+                    self.settle_pass(pass);
                 }
                 self.refresh_state();
                 Ok(())
@@ -685,7 +675,7 @@ impl<'k> TuningSession<'k> {
 
     /// After a successful sample: keep sampling, extend on a borderline
     /// verdict, or settle the pass.
-    fn advance_pass(&mut self, pass: SamplePass, policy: &ResiliencePolicy) {
+    fn advance_pass(&mut self, pass: SamplePass) {
         // Keep sampling while the pass lacks samples and iterations
         // remain.
         if pass.samples.len() < pass.target && self.it < self.iterations {
@@ -693,16 +683,15 @@ impl<'k> TuningSession<'k> {
             return;
         }
         if self.it >= self.iterations || pass.samples.len() < pass.target || pass.target > pass.k {
-            self.settle_pass(pass, policy);
+            self.settle_pass(pass);
             return;
         }
         // Full first-round measurement in hand — is the stop verdict
         // within half a noise margin of the decision boundary? Then a
         // jitter swing could flip it; double the sample set once.
         let mut pass = pass;
-        let m = robust_measure(&mut pass.samples, policy.outlier_factor);
-        let margin = (m.rel_spread * policy.noise_margin_factor)
-            .clamp(0.0, policy.noise_margin_cap.max(0.0));
+        let m = robust_measure(&mut pass.samples);
+        let margin = noise_margin(&m);
         let borderline = margin > 0.0
             && self.policy.probe_slowdown(m.cycles).is_some_and(|slow| {
                 let boundary = match self.ck.direction {
@@ -715,19 +704,17 @@ impl<'k> TuningSession<'k> {
             pass.target += pass.k;
             self.pass = Some(pass);
         } else {
-            self.settle_pass(pass, policy);
+            self.settle_pass(pass);
         }
     }
 
     /// Close a pass: record a full mean-of-k, or whatever we have if
     /// the iteration budget ran out; a strike-interrupted partial with
     /// budget remaining is discarded instead.
-    fn settle_pass(&mut self, mut pass: SamplePass, policy: &ResiliencePolicy) {
+    fn settle_pass(&mut self, mut pass: SamplePass) {
         if !pass.dead && !pass.samples.is_empty() && (!pass.struck || self.it >= self.iterations) {
-            let m = robust_measure(&mut pass.samples, policy.outlier_factor);
-            let margin = (m.rel_spread * policy.noise_margin_factor)
-                .clamp(0.0, policy.noise_margin_cap.max(0.0));
-            self.policy.observe(pass.version, Measurement::noisy(m.cycles, margin));
+            let m = robust_measure(&mut pass.samples);
+            self.policy.observe(pass.version, Measurement::noisy(m.cycles, noise_margin(&m)));
         }
         self.pass = None;
     }
@@ -780,6 +767,13 @@ impl<'k> TuningSession<'k> {
             state: self.state,
         }
     }
+}
+
+/// The degradation test's noise margin for a robust measurement: its
+/// relative spread scaled by [`NOISE_MARGIN_FACTOR`], capped at
+/// [`NOISE_MARGIN_CAP`].
+fn noise_margin(m: &RobustMeasure) -> f64 {
+    (m.rel_spread * NOISE_MARGIN_FACTOR).clamp(0.0, NOISE_MARGIN_CAP)
 }
 
 #[cfg(test)]
@@ -950,7 +944,7 @@ mod tests {
         s.on_cycles(100 + v as u64);
         assert_eq!(s.state(), SessionState::Walking);
         assert_eq!(s.total_cycles_so_far(), 100);
-        let settled = s.degrade("deadline_cycles");
+        let settled = s.degrade();
         assert_eq!(settled, Some(0), "unfinished walk degrades to the original");
         assert_eq!(s.state(), SessionState::Degraded);
         assert_eq!(s.next_step().unwrap(), SessionStep::Done, "degraded sessions stop");
@@ -974,7 +968,7 @@ mod tests {
             let SessionStep::Launch(v) = s.next_step().unwrap() else { panic!() };
             s.on_cycles(times[v]);
         }
-        assert_eq!(s.degrade("wall_budget"), Some(1), "finalized pick survives the cut");
+        assert_eq!(s.degrade(), Some(1), "finalized pick survives the cut");
         assert_eq!(s.state(), SessionState::Degraded);
     }
 
@@ -986,7 +980,7 @@ mod tests {
         while let Ok(SessionStep::Launch(_)) = s.next_step() {
             s.on_launch_result(Err(SimError::Watchdog { budget: 9 }.into())).unwrap();
         }
-        assert_eq!(s.degrade("retry_budget"), None, "no survivor to degrade onto");
+        assert_eq!(s.degrade(), None, "no survivor to degrade onto");
         assert_eq!(s.state(), SessionState::Quarantined);
     }
 }

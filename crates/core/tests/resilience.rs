@@ -1,16 +1,12 @@
-//! Service-resilience edge cases on the deterministic [`ReplayBackend`]:
-//! the admission queue's degenerate zero-capacity configuration, and a
-//! job whose every candidate blows its sim-cycle deadline. Both must
-//! resolve to definite, coherent dispositions — the service's core
-//! contract — without touching a real simulator.
+//! Service-resilience edge case on the deterministic [`ReplayBackend`]:
+//! a job whose every candidate blows its sim-cycle deadline must resolve
+//! to a definite, coherent disposition — the service's core contract —
+//! without touching a real simulator.
 
 use orion_core::backend::ReplayBackend;
 use orion_core::compiler::TuningConfig;
-use orion_core::error::OrionError;
 use orion_core::runtime::TuneReason;
-use orion_core::service::{
-    DegradeReason, JobDisposition, JobPolicy, KernelJob, OrionService, ServiceConfig,
-};
+use orion_core::service::{JobDisposition, JobPolicy, KernelJob, OrionService, ServiceConfig};
 use orion_core::session::SessionState;
 use orion_gpusim::device::DeviceSpec;
 use orion_gpusim::exec::Launch;
@@ -43,37 +39,6 @@ fn job(name: &str, iterations: u32, policy: JobPolicy) -> KernelJob {
 }
 
 #[test]
-fn zero_capacity_queue_rejects_every_job_cleanly() {
-    // The drain-switch configuration: nothing is admitted, so nothing
-    // runs — every job must still come back, in order, with a definite
-    // Rejected disposition and an Overloaded error naming the capacity.
-    let svc = OrionService::new(
-        ReplayBackend::new(DeviceSpec::gtx680(), 500),
-        ServiceConfig { workers: 2, queue_capacity: Some(0), ..ServiceConfig::default() },
-    );
-    let names = ["a", "b", "c"];
-    let report = svc.run(names.iter().map(|n| job(n, 4, JobPolicy::default())).collect());
-    assert_eq!(report.kernels.len(), names.len(), "no job may be lost at admission");
-    for (k, want) in report.kernels.iter().zip(names) {
-        assert_eq!(k.name, want, "reports stay in submission order");
-        assert_eq!(k.disposition, JobDisposition::Rejected);
-        let err = k.outcome.as_ref().unwrap_err();
-        assert!(
-            matches!(err.root_cause(), OrionError::Overloaded { capacity: 0, submitted: 3 }),
-            "unexpected rejection error: {err}"
-        );
-        // Rejection happens before any work: no launches, no compile.
-        assert_eq!(k.metrics.launch_cycles.count(), 0);
-        assert_eq!(k.metrics.compile_wall_us, 0);
-    }
-    // Priority cannot save a job from a zero-capacity queue.
-    let mut high = job("vip", 4, JobPolicy::default());
-    high.policy.priority = u8::MAX;
-    let report = svc.run(vec![high]);
-    assert_eq!(report.kernels[0].disposition, JobDisposition::Rejected);
-}
-
-#[test]
 fn every_candidate_over_deadline_lands_degraded_on_the_original() {
     // Every replayed launch costs 10_000 cycles against a 5_000-cycle
     // deadline: the baseline measurement alone blows the budget, so the
@@ -85,7 +50,7 @@ fn every_candidate_over_deadline_lands_degraded_on_the_original() {
     let policy = JobPolicy { deadline_cycles: Some(5_000), ..JobPolicy::default() };
     let report = svc.run(vec![job("late", 8, policy)]);
     let k = &report.kernels[0];
-    assert_eq!(k.disposition, JobDisposition::Degraded(DegradeReason::DeadlineCycles));
+    assert_eq!(k.disposition, JobDisposition::Degraded);
     let o = k.outcome.as_ref().expect("degraded jobs report an outcome, not an error");
     assert_eq!(o.state, SessionState::Degraded);
     assert_eq!(o.selected, 0, "the fail-safe selection is the original version");

@@ -234,7 +234,7 @@ impl FaultInjector {
         }
         // A launch that fails before running never produces a
         // measurement, so measurement faults are tallied only when the
-        // launch can reach one. Tally launch faults in priority order
+        // launch can reach one. Tally launch faults in precedence order
         // (transient masks the rest, matching the order the launch path
         // applies them). Journal the injected fault kinds (typed, per
         // launch) next to the aggregate telemetry counters.

@@ -44,10 +44,8 @@ pub enum JournalEvent {
     FaultInjected { kind: &'static str, launch: u64 },
     /// A launch exceeded its watchdog cycle budget.
     Watchdog { kernel: String, budget_cycles: u64 },
-    /// Admission control shed a job from a saturated submission queue.
-    Shed { kernel: String, priority: u8 },
-    /// A job blew a policy budget and resolved to its fail-safe version.
-    Degraded { kernel: String, reason: &'static str },
+    /// A job reached its deadline and resolved to its fail-safe version.
+    Degraded { kernel: String },
     /// A worker panicked mid-session; the kernel was quarantined.
     SessionPanic { kernel: String },
     /// The poisoned compile cache was cleared and returned to service.
@@ -75,7 +73,6 @@ impl JournalEvent {
             JournalEvent::CacheEvicted { .. } => "cache_evicted",
             JournalEvent::FaultInjected { .. } => "fault_injected",
             JournalEvent::Watchdog { .. } => "watchdog",
-            JournalEvent::Shed { .. } => "shed",
             JournalEvent::Degraded { .. } => "degraded",
             JournalEvent::SessionPanic { .. } => "session_panic",
             JournalEvent::PoisonRecovered => "poison_recovered",
@@ -180,17 +177,7 @@ fn write_record(out: &mut String, r: &JournalRecord) {
             escape_json(out, kernel);
             let _ = write!(out, ",\"budget_cycles\":{budget_cycles}");
         }
-        JournalEvent::Shed { kernel, priority } => {
-            out.push_str(",\"kernel\":");
-            escape_json(out, kernel);
-            let _ = write!(out, ",\"priority\":{priority}");
-        }
-        JournalEvent::Degraded { kernel, reason } => {
-            out.push_str(",\"kernel\":");
-            escape_json(out, kernel);
-            let _ = write!(out, ",\"reason\":\"{reason}\"");
-        }
-        JournalEvent::SessionPanic { kernel } => {
+        JournalEvent::Degraded { kernel } | JournalEvent::SessionPanic { kernel } => {
             out.push_str(",\"kernel\":");
             escape_json(out, kernel);
         }
