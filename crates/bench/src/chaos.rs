@@ -80,15 +80,6 @@ pub struct ChaosRow {
     pub absorbed: ResilienceStats,
 }
 
-fn opts(extra_smem: u32) -> LaunchOptions {
-    LaunchOptions {
-        extra_smem_per_block: extra_smem,
-        cta_range: None,
-        cycle_budget: None,
-        ..LaunchOptions::default()
-    }
-}
-
 /// Run the fault-free reference and the chaotic walk for one workload
 /// at one fault rate, both over the same compiled candidate set.
 pub fn chaos_run(
@@ -109,7 +100,8 @@ pub fn chaos_run(
     let reference = TuningSession::simple(&compiled, iters, DOWNWARD_THRESHOLD).drive(|v| {
         let params = w.params_for(iter_no);
         iter_no += 1;
-        run_launch_opts(dev, &v.machine, w.launch(), params, &mut global, opts(v.extra_smem))
+        let opts = v.launch_options(LaunchOptions::default());
+        run_launch_opts(dev, &v.machine, w.launch(), params, &mut global, opts)
             .map(|r| r.cycles)
             .map_err(orion_core::OrionError::from)
     })?;
@@ -123,7 +115,8 @@ pub fn chaos_run(
         .drive(|v| {
             let params = w.params_for(iter_no);
             iter_no += 1;
-            let opts = LaunchOptions { faults: injector.draw(), ..opts(v.extra_smem) };
+            let opts =
+                v.launch_options(LaunchOptions { faults: injector.draw(), ..Default::default() });
             run_launch_opts(dev, &v.machine, w.launch(), params, &mut global, opts)
                 .map(|r| r.cycles)
                 .map_err(orion_core::OrionError::from)

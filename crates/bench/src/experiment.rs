@@ -63,19 +63,8 @@ pub fn run_version_once(
     v: &KernelVersion,
 ) -> Result<RunResult, SimError> {
     let mut global = w.init_global.clone();
-    run_launch_opts(
-        dev,
-        &v.machine,
-        w.launch(),
-        &w.params,
-        &mut global,
-        LaunchOptions {
-            extra_smem_per_block: v.extra_smem,
-            cta_range: None,
-            cycle_budget: None,
-            ..LaunchOptions::default()
-        },
-    )
+    let opts = v.launch_options(LaunchOptions::default());
+    run_launch_opts(dev, &v.machine, w.launch(), &w.params, &mut global, opts)
 }
 
 /// Sweep every achievable occupancy level of `w` on `dev` — the engine
@@ -188,21 +177,10 @@ fn orion_select_impl(
     let outcome = TuningSession::simple(&compiled, iters, DOWNWARD_THRESHOLD).drive(|v| {
         let params = w.params_for(iter_no);
         iter_no += 1;
-        run_launch_opts(
-            dev,
-            &v.machine,
-            w.launch(),
-            params,
-            &mut global,
-            LaunchOptions {
-                extra_smem_per_block: v.extra_smem,
-                cta_range: None,
-                cycle_budget: None,
-                ..LaunchOptions::default()
-            },
-        )
-        .map(|r| r.cycles)
-        .map_err(orion_core::OrionError::from)
+        let opts = v.launch_options(LaunchOptions::default());
+        run_launch_opts(dev, &v.machine, w.launch(), params, &mut global, opts)
+            .map(|r| r.cycles)
+            .map_err(orion_core::OrionError::from)
     })?;
     let selected = &compiled.versions[outcome.selected];
     let sel_run = run_version_once(dev, w, selected)?;

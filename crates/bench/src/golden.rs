@@ -740,7 +740,7 @@ fn launch_cases() -> Vec<Case> {
                 let dev = DeviceSpec::gtx680();
                 let sweep = Orion::new(dev.clone(), w.block).sweep(&w.module).expect("sweep");
                 let v = if end == "first" { sweep.first() } else { sweep.last() }.expect("version");
-                workload_launch(&dev, &w, &v.machine, v.extra_smem)
+                workload_launch(&dev, &w, &v.machine, v.launch_options(serial()))
             }));
         }
     }
@@ -754,7 +754,7 @@ fn launch_cases() -> Vec<Case> {
                     let w = by_name(name).expect("workload");
                     let a =
                         allocate(&w.module, budget, &AllocOptions::default()).expect("allocate");
-                    workload_launch(&DeviceSpec::gtx680(), &w, &a.machine, 0)
+                    workload_launch(&DeviceSpec::gtx680(), &w, &a.machine, serial())
                 },
             ));
         }
@@ -793,9 +793,13 @@ fn tiny_sequence_entry(dev: &DeviceSpec, machine: &MModule, seed: u64) -> Entry 
     }
 }
 
-fn workload_launch(dev: &DeviceSpec, w: &Workload, machine: &MModule, extra_smem: u32) -> Entry {
+fn workload_launch(
+    dev: &DeviceSpec,
+    w: &Workload,
+    machine: &MModule,
+    opts: LaunchOptions,
+) -> Entry {
     let mut global = w.init_global.clone();
-    let opts = serial().with_extra_smem(extra_smem);
     let r = run_launch_opts(dev, machine, w.launch(), &w.params, &mut global, opts);
     launch_entry(&r, &global, None)
 }
@@ -817,6 +821,7 @@ fn fake_version(warps: u32, fail_safe: bool) -> KernelVersion {
         achieved_warps: warps,
         occupancy: f64::from(warps) / 48.0,
         extra_smem: 0,
+        cache_config: None,
         report: AllocReport {
             kernel_max_live: 0,
             regs_per_thread: 16,
@@ -1072,11 +1077,8 @@ impl App {
     fn launch(&mut self, v: &KernelVersion) -> Result<u64, OrionError> {
         let params = self.w.params_for(self.iter_no);
         self.iter_no += 1;
-        let opts = LaunchOptions {
-            extra_smem_per_block: v.extra_smem,
-            faults: self.injector.as_ref().map_or(LaunchFaults::NONE, FaultInjector::draw),
-            ..LaunchOptions::default()
-        };
+        let faults = self.injector.as_ref().map_or(LaunchFaults::NONE, FaultInjector::draw);
+        let opts = v.launch_options(LaunchOptions { faults, ..LaunchOptions::default() });
         run_launch_opts(&self.dev, &v.machine, self.w.launch(), params, &mut self.global, opts)
             .map(|r| r.cycles)
             .map_err(OrionError::from)
@@ -1128,7 +1130,7 @@ fn sim_walk_cases(cases: &mut Vec<Case>) {
             let ck = Orion::new(dev.clone(), w.block).compile(&w.module).expect("compile");
             drive(Driver::Simple, "", &ck, w.iterations, 0.02, |v| {
                 let mut global = w.init_global.clone();
-                let opts = serial().with_extra_smem(v.extra_smem);
+                let opts = v.launch_options(serial());
                 run_launch_opts(&dev, &v.machine, w.launch(), &w.params, &mut global, opts)
                     .map(|r| r.cycles)
                     .map_err(OrionError::from)

@@ -4,8 +4,9 @@
 //! Runs the tier-1 workloads through the widened candidate space
 //! (occupancy level × L1/shared split × split granularity, see
 //! [`CandidateSpace`]) under both shipped [`SearchPolicy`]
-//! implementations, across clean and seeded-chaos measurement streams,
-//! and records two axes per (workload, seed, policy) cell:
+//! implementations, launching through [`SimBackend`]'s
+//! [`Backend::launch`], across clean and seeded-chaos measurement
+//! streams, and records two axes per (workload, seed, policy) cell:
 //!
 //! * **launches-to-converge** — simulated launches (each grid slice
 //!   counts) spent before the policy finalizes;
@@ -30,8 +31,8 @@
 
 use crate::error::BenchError;
 use crate::figures::Figure;
-use orion_core::compiler::CompiledKernel;
-use orion_core::error::OrionError;
+use orion_core::backend::{Backend, SimBackend};
+use orion_core::compiler::KernelVersion;
 use orion_core::orion::Orion;
 use orion_core::policy::{
     analytic_bound, BanditConfig, BanditPolicy, BoundCtx, PolicyKind, SearchPolicy,
@@ -42,7 +43,7 @@ use orion_core::splitting::split_ranges;
 use orion_core::version::CandidateSpace;
 use orion_gpusim::device::DeviceSpec;
 use orion_gpusim::faults::{FaultInjector, FaultPlan, LaunchFaults};
-use orion_gpusim::sim::{run_launch_opts, LaunchOptions};
+use orion_gpusim::sim::LaunchOptions;
 use orion_workloads::{by_name, Workload};
 use serde::Serialize;
 
@@ -133,23 +134,23 @@ struct SearchRun {
     selected: usize,
 }
 
-/// Drive `policy` over the space on a [`TuningSession`] (version `i` of
-/// `ck` is arm `i`), through the fault seam. Each pull runs its arm's
-/// grid slices and reports their summed cycles, or the first failed
-/// slice's error, as one launch result. One sample per pass and no
-/// retries make every failed pull a strike: the session quarantines an
-/// arm after [`ResiliencePolicy::quarantine_strikes`] consecutive ones.
-/// Runs until the policy settles, or the launch budget (each slice
-/// counts) is spent.
+/// Drive `policy` over the space on a [`TuningSession`], through the
+/// fault seam. Each pull runs its version's grid slices and reports
+/// their summed cycles, or the first failed slice's error, as one
+/// launch result. One sample per pass and no retries make every failed
+/// pull a strike: the session quarantines a version after
+/// [`ResiliencePolicy::quarantine_strikes`] consecutive ones. Runs
+/// until the policy settles, or the launch budget (each slice counts)
+/// is spent.
 fn drive(
-    dev: &DeviceSpec,
+    backend: &SimBackend,
     w: &Workload,
     space: &CandidateSpace,
-    ck: &CompiledKernel,
     policy: Box<dyn SearchPolicy>,
     injector: Option<&FaultInjector>,
 ) -> SearchRun {
-    let budget = 32 * space.arms.len().max(1) as u64;
+    let ck = &space.kernel;
+    let budget = 32 * ck.versions.len().max(1) as u64;
     let mode = SessionMode::Resilient(ResiliencePolicy {
         samples: 1,
         max_retries: 0,
@@ -162,18 +163,18 @@ fn drive(
     let mut launches = 0u64;
     while !session.state().is_settled() && launches < budget {
         let Ok(SessionStep::Launch(i)) = session.next_step() else { break };
-        let arm = &space.arms[i];
-        let cycles =
-            split_ranges(w.launch().grid, arm.pieces).into_iter().try_fold(0u64, |sum, range| {
-                let params = w.params_for(iter_no);
-                iter_no += 1;
-                let faults = injector.map_or(LaunchFaults::NONE, FaultInjector::draw);
-                let opts = LaunchOptions { faults, ..arm.launch_options(Some(range)) };
-                launches += 1;
-                run_launch_opts(dev, &arm.version.machine, w.launch(), params, &mut global, opts)
-                    .map(|r| sum.saturating_add(r.cycles))
-            });
-        if session.on_launch_result(cycles.map_err(OrionError::from)).is_err() {
+        let slices = split_ranges(w.launch().grid, space.pieces[i]);
+        let cycles = slices.into_iter().try_fold(0u64, |sum, range| {
+            let params = w.params_for(iter_no);
+            iter_no += 1;
+            let faults = injector.map_or(LaunchFaults::NONE, FaultInjector::draw);
+            let opts = LaunchOptions { cta_range: Some(range), faults, ..Default::default() };
+            launches += 1;
+            backend
+                .launch(&ck.versions[i], w.launch(), params, &mut global, opts)
+                .map(|c| sum.saturating_add(c))
+        });
+        if session.on_launch_result(cycles).is_err() {
             break;
         }
     }
@@ -181,15 +182,13 @@ fn drive(
     SearchRun { launches, quarantined, selected: session.finish().selected }
 }
 
-/// One clean whole-grid run of an arm under its steady-state launch
+/// One clean whole-grid run of a version under its steady-state launch
 /// options — the quality axis, noise-free on both sides.
-fn final_pick_cycles(dev: &DeviceSpec, w: &Workload, space: &CandidateSpace, arm: usize) -> u64 {
-    let arm = &space.arms[arm];
+fn final_pick_cycles(backend: &SimBackend, w: &Workload, v: &KernelVersion) -> u64 {
     let mut global = w.init_global.clone();
-    let opts = arm.launch_options(None);
-    run_launch_opts(dev, &arm.version.machine, w.launch(), w.params_for(0), &mut global, opts)
+    backend
+        .launch(v, w.launch(), w.params_for(0), &mut global, LaunchOptions::default())
         .expect("clean steady-state run")
-        .cycles
 }
 
 /// Run the ablation over [`WORKLOADS`] × `seeds` × both policies, the
@@ -200,6 +199,7 @@ fn final_pick_cycles(dev: &DeviceSpec, w: &Workload, space: &CandidateSpace, arm
 /// steady-state run of a pick fails.
 #[must_use]
 pub fn ablation(dev: &DeviceSpec, seeds: &[u64], cfg: BanditConfig) -> SearchDoc {
+    let backend = SimBackend::new(dev.clone());
     let mut cells = Vec::new();
     for name in WORKLOADS {
         let w = by_name(name).expect("tier-1 workload");
@@ -209,7 +209,7 @@ pub fn ablation(dev: &DeviceSpec, seeds: &[u64], cfg: BanditConfig) -> SearchDoc
         let space =
             CandidateSpace::enumerate(dev, w.block, &w.module, ck.direction, w.launch().grid)
                 .expect("candidate space enumerates");
-        let synthetic = space.to_compiled(ck.max_live);
+        let lattice = &space.kernel;
         let ctx = BoundCtx::new(w.block, w.launch().grid, dev.num_sms, dev.warp_size);
         // Launch-economy bounds: one pull of a `pieces`-way split arm
         // costs `pieces` simulated launches for the same steady-state
@@ -217,35 +217,32 @@ pub fn ablation(dev: &DeviceSpec, seeds: &[u64], cfg: BanditConfig) -> SearchDoc
         // measurement), so the bound is cost-weighted by the split
         // factor. Under the default slack this prunes split twins
         // unless their unsplit version is itself dominated.
-        let bounds: Vec<Option<u64>> = space
-            .arms
-            .iter()
-            .map(|a| {
-                Some(analytic_bound(&a.version, &ctx).saturating_mul(u64::from(a.pieces.max(1))))
-            })
-            .collect();
+        let bound = |i: usize, v: &KernelVersion| {
+            analytic_bound(v, &ctx).saturating_mul(u64::from(space.pieces[i].max(1)))
+        };
         for &seed in seeds {
             let plan = (seed != 0).then(|| FaultPlan::chaos(seed, 0.10, 0.05));
             for kind in [WALK, BANDIT] {
                 let (policy, arms_pruned): (Box<dyn SearchPolicy>, usize) = if kind == BANDIT {
-                    let p = BanditPolicy::new(&bounds, space.original, cfg);
+                    let p = BanditPolicy::new(lattice, bound, cfg);
                     let pruned = p.pruned_arms();
                     (Box::new(p), pruned)
                 } else {
-                    (PolicyKind::PaperWalk.build(&synthetic, THRESHOLD), 0)
+                    (PolicyKind::PaperWalk.build(lattice, THRESHOLD), 0)
                 };
                 let injector = plan.map(FaultInjector::new);
-                let run = drive(dev, &w, &space, &synthetic, policy, injector.as_ref());
+                let run = drive(&backend, &w, &space, policy, injector.as_ref());
+                let picked = &lattice.versions[run.selected];
                 cells.push(Cell {
                     workload: name.to_string(),
                     seed,
                     policy: kind.to_string(),
-                    arms: space.arms.len(),
+                    arms: lattice.versions.len(),
                     arms_pruned,
                     launches_to_converge: run.launches,
                     quarantined: run.quarantined,
-                    selected_label: space.arms[run.selected].version.label.clone(),
-                    final_pick_cycles: final_pick_cycles(dev, &w, &space, run.selected),
+                    selected_label: picked.label.clone(),
+                    final_pick_cycles: final_pick_cycles(&backend, &w, picked),
                 });
             }
         }

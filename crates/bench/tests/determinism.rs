@@ -54,7 +54,7 @@ fn parallel_matches_serial_across_workloads_and_occupancy() {
                     w.launch(),
                     &w.params,
                     &mut global,
-                    LaunchOptions { extra_smem_per_block: v.extra_smem, ..opts },
+                    v.launch_options(opts),
                 )
                 .expect("launch");
                 (r, global)
@@ -88,7 +88,7 @@ fn tune_with(orion: &Orion, w: &orion_workloads::Workload, opts: LaunchOptions) 
                 w.launch(),
                 &w.params,
                 &mut global,
-                LaunchOptions { extra_smem_per_block: v.extra_smem, ..opts },
+                v.launch_options(opts),
             )
             .map(|r| r.cycles)
             .map_err(orion_core::OrionError::from)

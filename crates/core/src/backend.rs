@@ -89,9 +89,10 @@ pub trait Backend: Sync {
     ) -> Result<CompiledKernel, OrionError>;
 
     /// Launch one version once and return its cycle count. The
-    /// version's driver-side shared-memory padding is wired in by the
-    /// backend; `opts` carries everything else (CTA range for
-    /// splitting, cycle budgets, scheduler choice, injected faults).
+    /// version's driver-side settings (padding and L1/shared split,
+    /// [`KernelVersion::launch_options`]) are wired in by the backend;
+    /// `opts` carries everything else (CTA range for splitting, cycle
+    /// budgets, parallelism, injected faults).
     ///
     /// # Errors
     /// Propagates launch/execution failures.
@@ -290,15 +291,8 @@ impl SimCore {
         global: &mut [u8],
         opts: LaunchOptions,
     ) -> Result<u64, OrionError> {
-        let r = run_launch_opts(
-            &self.dev,
-            &version.machine,
-            launch,
-            params,
-            global,
-            opts.with_extra_smem(version.extra_smem),
-        )?;
-        Ok(r.cycles)
+        let opts = version.launch_options(opts);
+        Ok(run_launch_opts(&self.dev, &version.machine, launch, params, global, opts)?.cycles)
     }
 }
 
@@ -690,6 +684,9 @@ impl<B: Backend> AsyncBackend for InlineAsync<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiler::Direction;
+    use crate::version::CandidateSpace;
+    use orion_gpusim::device::CacheConfig;
     use orion_kir::builder::FunctionBuilder;
     use orion_kir::inst::Operand;
     use orion_kir::types::{MemSpace, SpecialReg, Width};
@@ -697,9 +694,12 @@ mod tests {
     fn toy_module() -> Module {
         let mut b = FunctionBuilder::kernel("k");
         let tid = b.mov(Operand::Special(SpecialReg::TidX));
-        let addr = b.imad(tid, Operand::Imm(4), Operand::Param(0));
+        let cta = b.mov(Operand::Special(SpecialReg::CtaIdX));
+        let nt = b.mov(Operand::Special(SpecialReg::NTidX));
+        let gid = b.imad(cta, nt, tid);
+        let addr = b.imad(gid, Operand::Imm(4), Operand::Param(0));
         let x = b.ld(MemSpace::Global, Width::W32, addr, 0);
-        let y = b.imul(x, tid);
+        let y = b.imul(x, gid);
         b.st(MemSpace::Global, Width::W32, addr, y, 0);
         Module::new(b.finish())
     }
@@ -732,6 +732,39 @@ mod tests {
             )
             .unwrap();
         assert_eq!(c, c2);
+    }
+
+    /// A lattice version carries its L1/shared split and the backend
+    /// honours it: the launch equals the recipe spelled out by hand, and
+    /// differs from the same padding under the default split.
+    #[test]
+    fn sim_backend_launches_a_lattice_version_under_its_own_split() {
+        let dev = DeviceSpec::gtx680();
+        let space =
+            CandidateSpace::enumerate(&dev, 32, &toy_module(), Direction::Decreasing, 64).unwrap();
+        // Padded to one block per SM under the large-L1 split's 16 KB of
+        // shared memory; the default split's 48 KB fits more.
+        let v = space
+            .kernel
+            .versions
+            .iter()
+            .filter(|v| v.label.ends_with("/l1-large"))
+            .min_by_key(|v| v.achieved_warps)
+            .expect("an l1-large version");
+        assert_eq!(v.cache_config, Some(CacheConfig::LargeCache));
+        let launch = Launch { grid: 64, block: 32 };
+        let run = |opts| {
+            let mut g = vec![0u8; 4 * 64 * 32];
+            let r = run_launch_opts(&dev, &v.machine, launch, &[0], &mut g, opts).unwrap();
+            (r.cycles, g)
+        };
+        let mut global = vec![0u8; 4 * 64 * 32];
+        let cycles = SimBackend::new(dev.clone())
+            .launch(v, launch, &[0], &mut global, LaunchOptions::default())
+            .unwrap();
+        let padded = LaunchOptions::default().with_extra_smem(v.extra_smem);
+        assert_eq!((cycles, global), run(padded.with_cache_config(CacheConfig::LargeCache)));
+        assert_ne!(cycles, run(padded).0, "the split changes this launch");
     }
 
     #[test]

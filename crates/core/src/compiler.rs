@@ -22,8 +22,9 @@ use crate::budget::budget_for_warps;
 use crate::error::OrionError;
 use crate::version::VersionBuilder;
 use orion_alloc::realize::{kernel_max_live, AllocReport, SlotBudget};
-use orion_gpusim::device::DeviceSpec;
+use orion_gpusim::device::{CacheConfig, DeviceSpec};
 use orion_gpusim::occupancy::{occupancy, KernelResources};
+use orion_gpusim::sim::LaunchOptions;
 use orion_kir::function::Module;
 use orion_kir::mir::MModule;
 use serde::{Deserialize, Serialize};
@@ -62,7 +63,8 @@ impl TuningConfig {
     }
 }
 
-/// One candidate kernel binary at a specific occupancy level.
+/// One candidate: a kernel binary plus the driver-side launch settings
+/// that put it at a specific occupancy level.
 #[derive(Debug, Clone)]
 pub struct KernelVersion {
     /// The compiled binary.
@@ -75,6 +77,10 @@ pub struct KernelVersion {
     pub occupancy: f64,
     /// Driver-side shared-memory padding (downward tuning).
     pub extra_smem: u32,
+    /// Driver-side L1/shared-memory split (`cudaFuncSetCacheConfig`);
+    /// `None` keeps the device's configured split. The occupancy above
+    /// already reflects the split's shared-memory capacity.
+    pub cache_config: Option<CacheConfig>,
     /// Allocator report for this version.
     pub report: AllocReport,
     /// True for the opposite-direction fail-safe version.
@@ -90,6 +96,19 @@ impl KernelVersion {
             regs_per_thread: self.machine.regs_per_thread,
             smem_per_block: self.machine.smem_bytes_per_block(block) + self.extra_smem,
             block_size: block,
+        }
+    }
+
+    /// `opts` with this version's driver-side settings applied: its
+    /// shared-memory padding, and its L1/shared split when it carries
+    /// one. Everything else in `opts` (CTA range, budgets, parallelism,
+    /// faults) is the caller's.
+    #[must_use]
+    pub fn launch_options(&self, opts: LaunchOptions) -> LaunchOptions {
+        LaunchOptions {
+            extra_smem_per_block: self.extra_smem,
+            cache_config: self.cache_config.or(opts.cache_config),
+            ..opts
         }
     }
 }
@@ -146,7 +165,7 @@ pub fn compile(
     // Original: minimal registers holding all live values (or hw cap).
     let original_regs = (max_live.min(u32::from(dev.max_regs_per_thread)) as u16).max(2);
     let original =
-        vb.realize(SlotBudget { reg_slots: original_regs, smem_slots: 0 }, 0, "original")?;
+        vb.realize(SlotBudget { reg_slots: original_regs, smem_slots: 0 }, "original")?;
 
     let mut versions: Vec<KernelVersion> = vec![original];
     let original_idx = 0usize;
@@ -197,7 +216,7 @@ pub fn compile(
                 } else {
                     format!("occ={w}")
                 };
-                let v = vb.realize(budget, 0, label)?;
+                let v = vb.realize(budget, label)?;
                 // Skip duplicates (same achieved occupancy as an
                 // existing version).
                 if versions.iter().any(|x| {
@@ -259,7 +278,7 @@ pub fn compile(
                 {
                     let budget = budget_for_warps(dev, cfg.block, module.user_smem_bytes, w)
                         .expect("achievable");
-                    let v = vb.realize(budget, 0, "static")?;
+                    let v = vb.realize(budget, "static")?;
                     versions = vec![v];
                 }
             } else {
@@ -402,6 +421,25 @@ mod tests {
         let ck = compile(&m, &dev, &cfg).unwrap();
         assert_eq!(ck.versions.len(), 1);
         assert_eq!(ck.versions[0].label, "static");
+    }
+
+    #[test]
+    fn launch_options_apply_the_version_settings_and_keep_the_callers() {
+        let dev = DeviceSpec::c2075();
+        let ck = compile(&pressure_kernel(4), &dev, &TuningConfig::new(192)).unwrap();
+        let mut v =
+            ck.versions.iter().find(|v| v.extra_smem > 0).expect("a padded version").clone();
+        let faults = orion_gpusim::faults::LaunchFaults { jitter_ppm: 7, ..Default::default() };
+        let caller =
+            LaunchOptions { cta_range: Some((2, 3)), parallelism: 2, faults, ..Default::default() };
+        let opts = v.launch_options(caller);
+        assert_eq!((opts.extra_smem_per_block, opts.cache_config), (v.extra_smem, None));
+        assert_eq!((opts.cta_range, opts.parallelism, opts.faults), (Some((2, 3)), 2, faults));
+        // The version's own split wins; without one, the caller's stays.
+        let caller = caller.with_cache_config(CacheConfig::SmallCache);
+        assert_eq!(v.launch_options(caller).cache_config, Some(CacheConfig::SmallCache));
+        v.cache_config = Some(CacheConfig::LargeCache);
+        assert_eq!(v.launch_options(caller).cache_config, Some(CacheConfig::LargeCache));
     }
 
     #[test]

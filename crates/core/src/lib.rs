@@ -118,4 +118,4 @@ pub use service::{
 pub use session::{
     SessionMode, SessionObs, SessionOutcome, SessionState, SessionStep, TuningSession,
 };
-pub use version::{CandidateSpace, SpaceArm, VersionBuilder};
+pub use version::{CandidateSpace, VersionBuilder};

@@ -43,44 +43,28 @@ impl Orion {
         orion_kir::verify::verify(module)?;
         let max_live = kernel_max_live(module)?;
         let regs = (max_live.min(u32::from(self.dev.max_regs_per_thread)) as u16).max(2);
-        VersionBuilder::new(&self.dev, self.cfg.block, module).realize(
-            SlotBudget { reg_slots: regs, smem_slots: 0 },
-            0,
-            "nvcc",
-        )
+        let budget = SlotBudget { reg_slots: regs, smem_slots: 0 };
+        VersionBuilder::new(&self.dev, self.cfg.block, module).realize(budget, "nvcc")
     }
 
-    /// One version per achievable occupancy level (block-granular),
-    /// ascending — the exhaustive sweep behind Figures 1/2/10/14/15 and
-    /// the Orion-Min/Max bars of Figure 11. Levels above what register
-    /// re-allocation can reach are pruned; levels below the binary's
-    /// natural occupancy are realized by shared-memory padding.
+    /// [`VersionBuilder::sweep`] of a verified module: one version per
+    /// achievable occupancy level, ascending — the exhaustive sweep
+    /// behind Figures 1/2/10/14/15 and the Orion-Min/Max bars of
+    /// Figure 11.
     ///
     /// # Errors
     /// Fails when no level is achievable at all.
     pub fn sweep(&self, module: &Module) -> Result<Vec<KernelVersion>, OrionError> {
         orion_kir::verify::verify(module)?;
-        let vb = VersionBuilder::new(&self.dev, self.cfg.block, module);
-        let warps_per_block = self.cfg.block.div_ceil(self.dev.warp_size);
-        let mut out: Vec<KernelVersion> = Vec::new();
-        let mut w = warps_per_block;
-        while w <= self.dev.max_warps_per_sm {
-            if let Some(v) = vb.sweep_level(w)? {
-                if !out.iter().any(|x| x.achieved_warps == v.achieved_warps) {
-                    out.push(v);
-                }
-            }
-            w += warps_per_block;
-        }
+        let out = VersionBuilder::new(&self.dev, self.cfg.block, module).sweep()?;
         if out.is_empty() {
             return Err(OrionError::NoAchievableOccupancy);
         }
-        out.sort_by_key(|v| v.achieved_warps);
         Ok(out)
     }
 
-    /// Simulate one launch of a version (wires the version's driver-side
-    /// shared-memory padding into the launch).
+    /// Simulate one launch of a version under its driver-side launch
+    /// settings ([`KernelVersion::launch_options`]).
     ///
     /// # Errors
     /// Propagates simulator failures.
@@ -91,19 +75,8 @@ impl Orion {
         params: &[u32],
         global: &mut [u8],
     ) -> Result<RunResult, OrionError> {
-        Ok(run_launch_opts(
-            &self.dev,
-            &version.machine,
-            launch,
-            params,
-            global,
-            LaunchOptions {
-                extra_smem_per_block: version.extra_smem,
-                cta_range: None,
-                cycle_budget: None,
-                ..LaunchOptions::default()
-            },
-        )?)
+        let opts = version.launch_options(LaunchOptions::default());
+        Ok(run_launch_opts(&self.dev, &version.machine, launch, params, global, opts)?)
     }
 }
 

@@ -15,12 +15,16 @@
 //!   and state held in the policy itself. It is the default everywhere
 //!   and is pinned by the golden walk fixtures of `orion-bench`.
 //! * [`BanditPolicy`] — a seeded, deterministic UCB search intended for
-//!   wider candidate spaces ([`CandidateSpace`]): arms are pre-pruned by
-//!   a cheap analytic performance bound derived from the compile-probe
-//!   occupancy curves ([`analytic_bound`]), so no simulated launch is
-//!   spent on dominated arms; the survivors are measured once each in
-//!   ascending-bound order and then refined until no arm's optimistic
-//!   estimate can beat the incumbent.
+//!   wider candidate sets such as the [`CandidateSpace`] lattice: arms
+//!   are pre-pruned by a cheap analytic performance bound derived from
+//!   the compile-probe occupancy curves ([`analytic_bound`]), so no
+//!   simulated launch is spent on dominated arms; the survivors are
+//!   measured once each in ascending-bound order and then refined until
+//!   no arm's optimistic estimate can beat the incumbent.
+//!
+//! Both are built over a [`CompiledKernel`], and a candidate id is
+//! always an index into its `versions`: the lattice is a
+//! [`CompiledKernel`] too ([`CandidateSpace::kernel`]).
 //!
 //! # Determinism rules
 //!
@@ -31,6 +35,7 @@
 //! mean ties, so the same seed always yields the same arm sequence.
 //!
 //! [`CandidateSpace`]: crate::version::CandidateSpace
+//! [`CandidateSpace::kernel`]: crate::version::CandidateSpace::kernel
 
 use crate::compiler::{CompiledKernel, Direction, KernelVersion};
 use crate::runtime::{TuneDecision, TuneReason};
@@ -88,10 +93,10 @@ pub enum PolicyVerdict {
 /// candidate, the caller measures it however it likes, and
 /// [`SearchPolicy::observe`] feeds the result back.
 ///
-/// Candidate ids are indices into whatever candidate list the policy
-/// was built over — [`CompiledKernel::versions`] for session-driven
-/// policies, a [`CandidateSpace`](crate::version::CandidateSpace) arm
-/// list for space-driven search.
+/// Candidate ids are always indices into the [`CompiledKernel::versions`]
+/// the policy was built over: the compiler's ≤ 5 versions, or the
+/// search lattice's
+/// ([`CandidateSpace::kernel`](crate::version::CandidateSpace::kernel)).
 pub trait SearchPolicy: std::fmt::Debug + Send {
     /// The candidate to measure (or run, once finalized) next. `None`
     /// once every candidate has been quarantined — the policy is dead.
@@ -709,24 +714,30 @@ pub struct BanditPolicy {
 }
 
 impl BanditPolicy {
-    /// A bandit over explicit per-candidate bounds. `bounds[i] = None`
-    /// marks candidate `i` as a fail-safe-style fallback: never
-    /// explored, available to the fallback chain. `original` is the
-    /// last-resort candidate (the untuned version / the space's
-    /// baseline arm).
+    /// A bandit over `ck`'s versions, arm `i` bounded by `bound(i,
+    /// &ck.versions[i])`. Fail-safe versions get no bound: never
+    /// explored, available to the fallback chain. `ck.original` is the
+    /// last-resort candidate (the untuned version).
     #[must_use]
-    pub fn new(bounds: &[Option<u64>], original: usize, cfg: BanditConfig) -> Self {
-        let mut arms: Vec<Arm> = bounds
+    pub fn new(
+        ck: &CompiledKernel,
+        bound: impl Fn(usize, &KernelVersion) -> u64,
+        cfg: BanditConfig,
+    ) -> Self {
+        let mut arms: Vec<Arm> = ck
+            .versions
             .iter()
-            .map(|b| Arm {
-                bound: b.unwrap_or(u64::MAX),
+            .enumerate()
+            .map(|(i, v)| Arm {
+                bound: if v.fail_safe { u64::MAX } else { bound(i, v) },
                 pulls: 0,
                 total: 0,
                 quarantined: false,
-                pruned: b.is_none(),
+                pruned: v.fail_safe,
             })
             .collect();
-        let fail_safe = bounds.iter().position(Option::is_none);
+        let original = ck.original;
+        let fail_safe = ck.versions.iter().position(|v| v.fail_safe);
         // Pre-prune: drop every arm whose bound exceeds the best bound
         // by more than the slack — no simulated launch is ever spent on
         // them. The original always survives (it is the fail-safe
@@ -786,12 +797,7 @@ impl BanditPolicy {
         // the *relative* ordering the pruner consumes; only the
         // quantization points shift.
         let ctx = BoundCtx { block: 32, blocks_per_sm: 64, warp_size: 32 };
-        let bounds: Vec<Option<u64>> = ck
-            .versions
-            .iter()
-            .map(|v| if v.fail_safe { None } else { Some(analytic_bound(v, &ctx)) })
-            .collect();
-        BanditPolicy::new(&bounds, ck.original, cfg)
+        BanditPolicy::new(ck, |_, v| analytic_bound(v, &ctx), cfg)
     }
 
     /// Arms dropped by the analytic-bound pre-prune — the launches the
@@ -1388,8 +1394,8 @@ mod tests {
     }
 
     fn bandit(bounds: &[u64], cfg: BanditConfig) -> BanditPolicy {
-        let b: Vec<Option<u64>> = bounds.iter().map(|&x| Some(x)).collect();
-        BanditPolicy::new(&b, 0, cfg)
+        let ck = fake_compiled(&vec![8; bounds.len()], Direction::Increasing);
+        BanditPolicy::new(&ck, |i, _| bounds[i], cfg)
     }
 
     fn drive(policy: &mut dyn SearchPolicy, times: &[u64]) -> Vec<usize> {

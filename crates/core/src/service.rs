@@ -97,7 +97,7 @@
 //!
 //! [`TuningSession`]: crate::session::TuningSession
 
-use crate::backend::{AsyncBackend, LaunchRequest, TicketId};
+use crate::backend::{panic_detail, AsyncBackend, LaunchRequest, TicketId};
 use crate::cache;
 use crate::compiler::{CompiledKernel, TuningConfig};
 use crate::error::OrionError;
@@ -475,15 +475,6 @@ impl ServiceReport {
     pub fn count_dispositions(&self, pred: impl Fn(JobDisposition) -> bool) -> usize {
         self.kernels.iter().filter(|k| pred(k.disposition)).count()
     }
-}
-
-/// Extract a human-readable detail from a caught panic payload.
-fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 /// Estimated whole-session cost for longest-job-first dispatch, from

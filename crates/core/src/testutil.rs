@@ -22,6 +22,7 @@ pub(crate) fn fake_version(warps: u32, fail_safe: bool) -> KernelVersion {
         achieved_warps: warps,
         occupancy: f64::from(warps) / 48.0,
         extra_smem: 0,
+        cache_config: None,
         report: AllocReport {
             kernel_max_live: 0,
             regs_per_thread: 16,

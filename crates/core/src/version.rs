@@ -1,9 +1,10 @@
 //! Shared construction of [`KernelVersion`]s.
 //!
 //! The compile stage ([`crate::compiler::compile`]), the nvcc-like
-//! baseline, and the exhaustive occupancy sweep all produce the same
-//! artifact — a compiled binary annotated with the occupancy the driver
-//! will schedule it at. [`VersionBuilder`] is the single place that
+//! baseline, the exhaustive occupancy sweep and the search lattice
+//! ([`CandidateSpace`]) all produce the same artifact — a compiled
+//! binary plus the driver-side launch settings (padding, L1/shared
+//! split) that fix the occupancy the driver will schedule it at. [`VersionBuilder`] is the single place that
 //! assembles one, always through the compile cache
 //! ([`crate::cache::allocate_cached`]), so every caller shares both the
 //! construction logic and the cached allocations. It fingerprints its
@@ -14,101 +15,131 @@ use crate::cache::{allocate_cached, FingerprintedModule};
 use crate::compiler::{CompiledKernel, Direction, KernelVersion};
 use crate::error::OrionError;
 use crate::splitting::{can_split, SPLIT_PIECES};
-use orion_alloc::realize::{AllocOptions, SlotBudget};
+use orion_alloc::realize::{kernel_max_live, AllocOptions, SlotBudget};
 use orion_gpusim::device::{CacheConfig, DeviceSpec};
-use orion_gpusim::occupancy::{occupancy, KernelResources};
-use orion_gpusim::sim::LaunchOptions;
+use orion_gpusim::occupancy::{occupancy, OccupancyInfo};
 use orion_kir::function::Module;
+use std::borrow::Cow;
 
 /// Builds [`KernelVersion`]s for one module on one device at one block
-/// size.
-#[derive(Debug, Clone, Copy)]
+/// size, under one L1/shared split.
+#[derive(Debug, Clone)]
 pub struct VersionBuilder<'a> {
-    dev: &'a DeviceSpec,
+    /// The device, already re-split when `cache_config` is set.
+    dev: Cow<'a, DeviceSpec>,
     block: u32,
     module: FingerprintedModule<'a>,
+    cache_config: Option<CacheConfig>,
 }
 
 impl<'a> VersionBuilder<'a> {
     /// A builder for `module` on `dev` launched with `block` threads per
-    /// block.
+    /// block, under the device's configured split.
     pub fn new(dev: &'a DeviceSpec, block: u32, module: &'a Module) -> Self {
-        VersionBuilder { dev, block, module: FingerprintedModule::new(module) }
-    }
-
-    /// Driver-visible resources of a compiled binary plus `extra_smem`
-    /// bytes of per-block padding.
-    fn resources(&self, machine: &orion_kir::mir::MModule, extra_smem: u32) -> KernelResources {
-        KernelResources {
-            regs_per_thread: machine.regs_per_thread,
-            smem_per_block: machine.smem_bytes_per_block(self.block) + extra_smem,
-            block_size: self.block,
+        VersionBuilder {
+            dev: Cow::Borrowed(dev),
+            block,
+            module: FingerprintedModule::new(module),
+            cache_config: None,
         }
     }
 
+    /// This builder under the L1/shared split `cfg`: every version it
+    /// builds carries the split, and its occupancy reflects the split's
+    /// shared-memory capacity.
+    #[must_use]
+    pub fn with_cache_config(self, cfg: CacheConfig) -> Self {
+        VersionBuilder {
+            dev: Cow::Owned(self.dev.with_cache_config(cfg)),
+            cache_config: Some(cfg),
+            ..self
+        }
+    }
+
+    /// Allocate under `budget` through the compile cache, as an
+    /// unpadded version whose occupancy is not yet derived.
+    fn allocate(&self, budget: SlotBudget, label: String) -> Result<KernelVersion, OrionError> {
+        let alloc = allocate_cached(self.module, budget, &AllocOptions::default())?;
+        Ok(KernelVersion {
+            machine: alloc.machine,
+            target_warps: 0,
+            achieved_warps: 0,
+            occupancy: 0.0,
+            extra_smem: 0,
+            cache_config: self.cache_config,
+            report: alloc.report,
+            fail_safe: false,
+            label,
+        })
+    }
+
+    /// Set `v`'s driver-side padding to `pad` bytes and re-derive the
+    /// occupancy the driver schedules it at.
+    fn set_padding(&self, v: &mut KernelVersion, pad: u32) -> OccupancyInfo {
+        v.extra_smem = pad;
+        let occ = occupancy(&self.dev, &v.resources(self.block));
+        v.achieved_warps = occ.active_warps;
+        v.occupancy = occ.occupancy;
+        occ
+    }
+
     /// Allocate under `budget` (through the compile cache) and derive
-    /// the occupancy the driver will schedule, with `extra_smem` bytes
-    /// of per-block padding already applied.
+    /// the occupancy the driver will schedule, unpadded.
     ///
     /// # Errors
     /// Propagates allocation failures.
     pub fn realize(
         &self,
         budget: SlotBudget,
-        extra_smem: u32,
         label: impl Into<String>,
     ) -> Result<KernelVersion, OrionError> {
-        let alloc = allocate_cached(self.module, budget, &AllocOptions::default())?;
-        let occ = occupancy(self.dev, &self.resources(&alloc.machine, extra_smem));
-        Ok(KernelVersion {
-            target_warps: occ.active_warps,
-            achieved_warps: occ.active_warps,
-            occupancy: occ.occupancy,
-            extra_smem,
-            report: alloc.report,
-            machine: alloc.machine,
-            fail_safe: false,
-            label: label.into(),
-        })
+        let mut v = self.allocate(budget, label.into())?;
+        self.set_padding(&mut v, 0);
+        v.target_warps = v.achieved_warps;
+        Ok(v)
     }
 
     /// One sweep level: reallocate for `target_warps` warps per SM,
     /// padding shared memory down to the target when the binary's
     /// natural occupancy exceeds it. `None` when the level is not
     /// achievable (no budget, or zero schedulable blocks).
+    fn sweep_level(&self, target_warps: u32) -> Result<Option<KernelVersion>, OrionError> {
+        let user_smem = self.module.module().user_smem_bytes;
+        let Some(budget) = budget_for_warps(&self.dev, self.block, user_smem, target_warps) else {
+            return Ok(None);
+        };
+        let mut v = self.allocate(budget, String::new())?;
+        let pad = smem_padding_for_warps(&self.dev, &v.resources(self.block), target_warps);
+        if self.set_padding(&mut v, pad.unwrap_or(0)).active_blocks == 0 {
+            return Ok(None);
+        }
+        v.target_warps = target_warps;
+        v.label = format!("sweep-occ={}", v.achieved_warps);
+        Ok(Some(v))
+    }
+
+    /// One version per achievable occupancy level (block-granular),
+    /// ascending by achieved warps. Levels above what register
+    /// re-allocation can reach are pruned; levels below the binary's
+    /// natural occupancy are realized by shared-memory padding. Empty
+    /// when no level is achievable.
     ///
     /// # Errors
     /// Propagates allocation failures.
-    pub fn sweep_level(&self, target_warps: u32) -> Result<Option<KernelVersion>, OrionError> {
-        let Some(budget) = budget_for_warps(
-            self.dev,
-            self.block,
-            self.module.module().user_smem_bytes,
-            target_warps,
-        ) else {
-            return Ok(None);
-        };
-        let alloc = allocate_cached(self.module, budget, &AllocOptions::default())?;
-        let mut res = self.resources(&alloc.machine, 0);
-        let mut extra = 0;
-        if let Some(pad) = smem_padding_for_warps(self.dev, &res, target_warps) {
-            extra = pad;
-            res.smem_per_block += pad;
+    pub fn sweep(&self) -> Result<Vec<KernelVersion>, OrionError> {
+        let warps_per_block = self.block.div_ceil(self.dev.warp_size);
+        let mut out: Vec<KernelVersion> = Vec::new();
+        let mut w = warps_per_block;
+        while w <= self.dev.max_warps_per_sm {
+            if let Some(v) = self.sweep_level(w)? {
+                if !out.iter().any(|x| x.achieved_warps == v.achieved_warps) {
+                    out.push(v);
+                }
+            }
+            w += warps_per_block;
         }
-        let occ = occupancy(self.dev, &res);
-        if occ.active_blocks == 0 {
-            return Ok(None);
-        }
-        Ok(Some(KernelVersion {
-            target_warps,
-            achieved_warps: occ.active_warps,
-            occupancy: occ.occupancy,
-            extra_smem: extra,
-            report: alloc.report,
-            machine: alloc.machine,
-            fail_safe: false,
-            label: format!("sweep-occ={}", occ.active_warps),
-        }))
+        out.sort_by_key(|v| v.achieved_warps);
+        Ok(out)
     }
 
     /// Re-derive `base` at `target_warps` by setting its driver-side
@@ -117,14 +148,11 @@ impl<'a> VersionBuilder<'a> {
     /// `occ=<achieved>`; callers override it (and `fail_safe`) as
     /// needed.
     pub fn repad(&self, base: &KernelVersion, target_warps: u32, pad: u32) -> KernelVersion {
-        let occ = occupancy(self.dev, &self.resources(&base.machine, pad));
         let mut v = base.clone();
-        v.extra_smem = pad;
+        self.set_padding(&mut v, pad);
         v.target_warps = target_warps;
-        v.achieved_warps = occ.active_warps;
-        v.occupancy = occ.occupancy;
         v.fail_safe = false;
-        v.label = format!("occ={}", occ.active_warps);
+        v.label = format!("occ={}", v.achieved_warps);
         v
     }
 
@@ -132,80 +160,52 @@ impl<'a> VersionBuilder<'a> {
     /// down to `target_warps` warps per SM. `None` when no amount of
     /// padding yields that level.
     pub fn padded(&self, base: &KernelVersion, target_warps: u32) -> Option<KernelVersion> {
-        let res = self.resources(&base.machine, 0);
-        let pad = smem_padding_for_warps(self.dev, &res, target_warps)?;
+        // The binary's own footprint, without whatever padding it has.
+        let mut res = base.resources(self.block);
+        res.smem_per_block -= base.extra_smem;
+        let pad = smem_padding_for_warps(&self.dev, &res, target_warps)?;
         Some(self.repad(base, target_warps, pad))
     }
 }
 
-/// One arm of the widened tuning lattice: a realized version plus the
-/// per-launch execution knobs that distinguish it from its siblings.
-#[derive(Debug, Clone)]
-pub struct SpaceArm {
-    /// The version, realized against the arm's L1/shared split (the
-    /// occupancy baked into it already reflects that split's
-    /// shared-memory capacity).
-    pub version: KernelVersion,
-    /// Per-launch L1/shared-memory split override
-    /// (`cudaFuncSetCacheConfig`); `None` keeps the device's configured
-    /// split.
-    pub cache_config: Option<CacheConfig>,
-    /// Grid slices per measurement pull (`1` = whole grid in one
-    /// launch). Slices cover the grid exactly once per pull, so arms of
-    /// different granularity stay directly comparable by total cycles.
-    pub pieces: u32,
-}
-
-impl SpaceArm {
-    /// Launch options running this arm's version under its L1/shared
-    /// split over `cta_range` (`None` = the whole grid, the steady-state
-    /// shape: split granularity only shapes *measurement*).
-    #[must_use]
-    pub fn launch_options(&self, cta_range: Option<(u32, u32)>) -> LaunchOptions {
-        LaunchOptions {
-            extra_smem_per_block: self.version.extra_smem,
-            cta_range,
-            cache_config: self.cache_config,
-            ..LaunchOptions::default()
-        }
-    }
-}
-
-/// The widened candidate space of the bandit search (ISSUE 10): the
-/// cross product **occupancy level × L1/shared split × split
-/// granularity**, in place of the paper's linear ≤ 5-version occupancy
-/// list. Each point is a [`SpaceArm`]; dominated arms are cheap to
-/// pre-prune analytically ([`crate::policy::analytic_bound`]) because
-/// every arm carries its compile-probe occupancy curve.
+/// The widened candidate space of the bandit search: the cross product
+/// **occupancy level × L1/shared split × split granularity**, in place
+/// of the paper's linear ≤ 5-version occupancy list. Each point is a
+/// version of [`CandidateSpace::kernel`] that carries its own split;
+/// dominated versions are cheap to pre-prune analytically
+/// ([`crate::policy::analytic_bound`]) because every one carries its
+/// compile-probe occupancy.
 #[derive(Debug, Clone)]
 pub struct CandidateSpace {
-    /// The arms, sorted along the tuning direction (ascending occupancy
-    /// for [`Direction::Increasing`], descending for
-    /// [`Direction::Decreasing`]), default split before override,
-    /// whole-grid before split pulls.
-    pub arms: Vec<SpaceArm>,
-    /// The arm standing in for the untuned launch: default split, whole
-    /// grid, at the binary's highest achievable occupancy (the driver's
-    /// untouched schedule). Fallback chains settle here.
-    pub original: usize,
-    /// The tuning direction the space was enumerated for.
-    pub direction: Direction,
+    /// The lattice as a candidate set, versions sorted along the tuning
+    /// direction (ascending occupancy for [`Direction::Increasing`],
+    /// descending for [`Direction::Decreasing`]), default split before
+    /// override, whole-grid before split pulls. Its original stands in
+    /// for the untuned launch: default split, whole grid, at the
+    /// binary's highest achievable occupancy (the driver's untouched
+    /// schedule); fallback chains settle there. The tuning order is the
+    /// original first, then the rest in direction order — the
+    /// convention [`crate::compiler::compile`] emits.
+    pub kernel: CompiledKernel,
+    /// Grid slices per measurement pull of each version (`1` = whole
+    /// grid in one launch), indexed like `kernel.versions`. Slices
+    /// cover the grid exactly once per pull, so versions of different
+    /// granularity stay directly comparable by total cycles.
+    pub pieces: Vec<u32>,
 }
 
 impl CandidateSpace {
     /// Enumerate the lattice for `module` on `dev` at `block` threads
     /// per block, launched over `grid` blocks. Occupancy levels come
-    /// from the same block-granular sweep as [`Orion::sweep`]
-    /// (per split, since the split changes shared-memory capacity and
-    /// with it which levels are achievable); the split-granularity axis
-    /// (whole grid, or [`SPLIT_PIECES`] slices) is gated by
-    /// [`can_split`] so undersized grids only get whole-grid arms.
-    ///
-    /// [`Orion::sweep`]: crate::orion::Orion::sweep
+    /// from [`VersionBuilder::sweep`] per split, since the split changes
+    /// shared-memory capacity and with it which levels are achievable;
+    /// the split-granularity axis (whole grid, or [`SPLIT_PIECES`]
+    /// slices) is gated by [`can_split`] so undersized grids only get
+    /// whole-grid versions.
     ///
     /// # Errors
     /// [`OrionError::NoAchievableOccupancy`] when no level is achievable
-    /// under any split; allocation failures propagate.
+    /// under any split; liveness and allocation failures propagate.
     pub fn enumerate(
         dev: &DeviceSpec,
         block: u32,
@@ -219,80 +219,58 @@ impl CandidateSpace {
         };
         let granularities: &[u32] =
             if can_split(grid, dev.num_sms, SPLIT_PIECES) { &[1, SPLIT_PIECES] } else { &[1] };
-        let mut arms: Vec<SpaceArm> = Vec::new();
-        for cache in [None, Some(alt)] {
-            let dev_c = cache.map_or_else(|| dev.clone(), |c| dev.with_cache_config(c));
-            let vb = VersionBuilder::new(&dev_c, block, module);
-            let warps_per_block = block.div_ceil(dev_c.warp_size);
-            let mut levels: Vec<KernelVersion> = Vec::new();
-            let mut w = warps_per_block;
-            while w <= dev_c.max_warps_per_sm {
-                if let Some(v) = vb.sweep_level(w)? {
-                    if !levels.iter().any(|x| x.achieved_warps == v.achieved_warps) {
-                        levels.push(v);
-                    }
-                }
-                w += warps_per_block;
-            }
-            for v in levels {
+        let default = VersionBuilder::new(dev, block, module);
+        let mut arms: Vec<(KernelVersion, u32)> = Vec::new();
+        for vb in [default.clone(), default.with_cache_config(alt)] {
+            for v in vb.sweep()? {
                 for &pieces in granularities {
                     let mut version = v.clone();
                     version.label = format!(
                         "occ={}/{}{}",
                         version.achieved_warps,
-                        match cache {
+                        match vb.cache_config {
                             None => "l1-default",
                             Some(CacheConfig::SmallCache) => "l1-small",
                             Some(CacheConfig::LargeCache) => "l1-large",
                         },
                         if pieces > 1 { format!("/p{pieces}") } else { String::new() },
                     );
-                    arms.push(SpaceArm { version, cache_config: cache, pieces });
+                    arms.push((version, pieces));
                 }
             }
         }
         if arms.is_empty() {
             return Err(OrionError::NoAchievableOccupancy);
         }
-        // Direction-ordered: the paper walk visits arms the way Figure 9
-        // walks occupancy levels; ties resolve default-split-first, then
-        // coarsest granularity, so the walk's anchor sequence is stable.
-        arms.sort_by_key(|a| {
-            let warps = i64::from(a.version.achieved_warps);
+        // Direction-ordered: the paper walk visits versions the way
+        // Figure 9 walks occupancy levels; ties resolve
+        // default-split-first, then coarsest granularity, so the walk's
+        // anchor sequence is stable.
+        arms.sort_by_key(|(v, pieces)| {
+            let warps = i64::from(v.achieved_warps);
             let dir = match direction {
                 Direction::Increasing => warps,
                 Direction::Decreasing => -warps,
             };
-            (dir, u8::from(a.cache_config.is_some()), a.pieces)
+            (dir, u8::from(v.cache_config.is_some()), *pieces)
         });
         let original = arms
             .iter()
             .enumerate()
-            .filter(|(_, a)| a.cache_config.is_none() && a.pieces == 1)
-            .max_by_key(|(_, a)| a.version.achieved_warps)
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        Ok(CandidateSpace { arms, original, direction })
-    }
-
-    /// View the space as a [`CompiledKernel`] so any
-    /// [`SearchPolicy`](crate::policy::SearchPolicy) built over kernel
-    /// versions (the paper walk included) runs over the arms unchanged:
-    /// version `i` is arm `i`, and the tuning order is the original
-    /// first, then the remaining arms in direction order — the same
-    /// convention [`crate::compiler::compile`] emits.
-    #[must_use]
-    pub fn to_compiled(&self, max_live: u32) -> CompiledKernel {
-        let tuning_order: Vec<usize> = std::iter::once(self.original)
-            .chain((0..self.arms.len()).filter(|&i| i != self.original))
-            .collect();
-        CompiledKernel {
-            versions: self.arms.iter().map(|a| a.version.clone()).collect(),
-            direction: self.direction,
-            original: self.original,
-            max_live,
+            .filter(|(_, (v, pieces))| v.cache_config.is_none() && *pieces == 1)
+            .max_by_key(|(_, (v, _))| v.achieved_warps)
+            .map_or(0, |(i, _)| i);
+        let tuning_order: Vec<usize> =
+            std::iter::once(original).chain((0..arms.len()).filter(|&i| i != original)).collect();
+        let (versions, pieces) = arms.into_iter().unzip();
+        let kernel = CompiledKernel {
+            versions,
+            direction,
+            original,
+            max_live: kernel_max_live(module)?,
             tuning_order,
-        }
+        };
+        Ok(CandidateSpace { kernel, pieces })
     }
 }
 
@@ -322,7 +300,7 @@ mod tests {
         let dev = DeviceSpec::gtx680();
         let m = kernel(8);
         let vb = VersionBuilder::new(&dev, 256, &m);
-        let v = vb.realize(SlotBudget { reg_slots: 16, smem_slots: 0 }, 0, "t").unwrap();
+        let v = vb.realize(SlotBudget { reg_slots: 16, smem_slots: 0 }, "t").unwrap();
         assert_eq!(v.label, "t");
         assert_eq!(v.target_warps, v.achieved_warps);
         assert!(v.achieved_warps > 0);
@@ -334,7 +312,7 @@ mod tests {
         let dev = DeviceSpec::c2075();
         let m = kernel(4);
         let vb = VersionBuilder::new(&dev, 192, &m);
-        let base = vb.realize(SlotBudget { reg_slots: 16, smem_slots: 0 }, 0, "base").unwrap();
+        let base = vb.realize(SlotBudget { reg_slots: 16, smem_slots: 0 }, "base").unwrap();
         let warps_per_block = 192u32.div_ceil(dev.warp_size);
         let target = base.achieved_warps - warps_per_block;
         let down = vb.padded(&base, target).expect("padding achievable");
@@ -349,7 +327,7 @@ mod tests {
         let dev = DeviceSpec::c2075();
         let m = kernel(4);
         let vb = VersionBuilder::new(&dev, 192, &m);
-        let base = vb.realize(SlotBudget { reg_slots: 16, smem_slots: 0 }, 0, "base").unwrap();
+        let base = vb.realize(SlotBudget { reg_slots: 16, smem_slots: 0 }, "base").unwrap();
         let same = vb.repad(&base, base.achieved_warps, 0);
         assert_eq!(same.achieved_warps, base.achieved_warps);
         assert_eq!(same.extra_smem, 0);
@@ -361,35 +339,32 @@ mod tests {
         let m = kernel(8);
         // grid 64 over 8 SMs supports 8-way splitting.
         let space = CandidateSpace::enumerate(&dev, 64, &m, Direction::Increasing, 64).unwrap();
+        let versions = &space.kernel.versions;
+        assert_eq!(space.pieces.len(), versions.len());
         assert!(
-            space.arms.iter().any(|a| a.cache_config.is_none())
-                && space.arms.iter().any(|a| a.cache_config.is_some()),
+            versions.iter().any(|v| v.cache_config.is_none())
+                && versions.iter().any(|v| v.cache_config == Some(CacheConfig::LargeCache)),
             "both L1/shared splits must appear"
         );
         assert!(
-            space.arms.iter().any(|a| a.pieces == 1) && space.arms.iter().any(|a| a.pieces == 8),
+            space.pieces.contains(&1) && space.pieces.contains(&8),
             "both split granularities must appear"
         );
         let occs: std::collections::BTreeSet<u32> =
-            space.arms.iter().map(|a| a.version.achieved_warps).collect();
+            versions.iter().map(|v| v.achieved_warps).collect();
         assert!(occs.len() >= 3, "several occupancy levels: {occs:?}");
         // Direction order with stable ties.
-        assert!(space
-            .arms
-            .windows(2)
-            .all(|w| w[0].version.achieved_warps <= w[1].version.achieved_warps));
-        // The original arm is the untouched schedule: default split,
-        // whole grid, highest occupancy.
-        let orig = &space.arms[space.original];
-        assert!(orig.cache_config.is_none());
-        assert_eq!(orig.pieces, 1);
+        assert!(versions.windows(2).all(|w| w[0].achieved_warps <= w[1].achieved_warps));
+        // The original is the untouched schedule: default split, whole
+        // grid, highest occupancy.
+        let orig = space.kernel.original;
+        assert!(versions[orig].cache_config.is_none());
+        assert_eq!(space.pieces[orig], 1);
         assert_eq!(
-            orig.version.achieved_warps,
-            space
-                .arms
-                .iter()
-                .filter(|a| a.cache_config.is_none() && a.pieces == 1)
-                .map(|a| a.version.achieved_warps)
+            versions[orig].achieved_warps,
+            (0..versions.len())
+                .filter(|&i| versions[i].cache_config.is_none() && space.pieces[i] == 1)
+                .map(|i| versions[i].achieved_warps)
                 .max()
                 .unwrap()
         );
@@ -400,27 +375,28 @@ mod tests {
         let dev = DeviceSpec::gtx680(); // 8 SMs: 8-way split needs ≥ 64 blocks
         let m = kernel(4);
         let space = CandidateSpace::enumerate(&dev, 32, &m, Direction::Decreasing, 16).unwrap();
-        assert!(space.arms.iter().all(|a| a.pieces == 1));
+        assert!(space.pieces.iter().all(|&p| p == 1));
         assert!(space
-            .arms
+            .kernel
+            .versions
             .windows(2)
-            .all(|w| w[0].version.achieved_warps >= w[1].version.achieved_warps));
+            .all(|w| w[0].achieved_warps >= w[1].achieved_warps));
     }
 
     #[test]
-    fn to_compiled_preserves_arm_indices_and_walk_order() {
+    fn lattice_is_tuned_original_first_then_in_direction_order() {
         let dev = DeviceSpec::c2075();
         let m = kernel(6);
         let space = CandidateSpace::enumerate(&dev, 192, &m, Direction::Increasing, 28).unwrap();
-        let ck = space.to_compiled(12);
-        assert_eq!(ck.versions.len(), space.arms.len());
-        assert_eq!(ck.original, space.original);
-        assert_eq!(ck.tuning_order[0], space.original, "walk starts at the original arm");
-        let mut seen: Vec<usize> = ck.tuning_order.clone();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..space.arms.len()).collect::<Vec<_>>(), "order covers every arm once");
-        for (arm, v) in space.arms.iter().zip(&ck.versions) {
-            assert_eq!(arm.version.label, v.label);
+        let ck = &space.kernel;
+        assert_eq!(ck.tuning_order[0], ck.original, "walk starts at the original version");
+        let rest: Vec<usize> = (0..ck.versions.len()).filter(|&i| i != ck.original).collect();
+        assert_eq!(ck.tuning_order[1..], rest[..], "then every other version, in lattice order");
+        assert_eq!(ck.max_live, kernel_max_live(&m).unwrap());
+        // A split's occupancy is derived under that split's capacity.
+        for v in &ck.versions {
+            let split = v.cache_config.map_or_else(|| dev.clone(), |c| dev.with_cache_config(c));
+            assert_eq!(occupancy(&split, &v.resources(192)).active_warps, v.achieved_warps);
         }
     }
 }

@@ -67,36 +67,28 @@ fn analytic_bound_never_prunes_the_exhaustive_winner() {
         let Ok(space) = CandidateSpace::enumerate(&dev, block, &module, ck.direction, grid) else {
             continue;
         };
-        if space.arms.len() < 2 {
+        let versions = &space.kernel.versions;
+        if versions.len() < 2 {
             continue;
         }
         instances += 1;
 
         let launch = Launch { grid, block };
         let ctx = BoundCtx::new(block, grid, dev.num_sms, dev.warp_size);
-        let bounds: Vec<u64> =
-            space.arms.iter().map(|a| analytic_bound(&a.version, &ctx)).collect();
-        let measured: Vec<u64> = space
-            .arms
+        let bounds: Vec<u64> = versions.iter().map(|v| analytic_bound(v, &ctx)).collect();
+        let measured: Vec<u64> = versions
             .iter()
-            .map(|arm| {
+            .map(|v| {
                 let mut global = vec![0u8; 4 * (grid as usize) * (block as usize)];
-                let opts = LaunchOptions {
-                    extra_smem_per_block: arm.version.extra_smem,
-                    ..LaunchOptions::default()
-                };
-                let opts = match arm.cache_config {
-                    Some(c) => opts.with_cache_config(c),
-                    None => opts,
-                };
-                run_launch_opts(&dev, &arm.version.machine, launch, &[0], &mut global, opts)
-                    .unwrap_or_else(|e| panic!("arm {} failed: {e}", arm.version.label))
+                let opts = v.launch_options(LaunchOptions::default());
+                run_launch_opts(&dev, &v.machine, launch, &[0], &mut global, opts)
+                    .unwrap_or_else(|e| panic!("version {} failed: {e}", v.label))
                     .cycles
             })
             .collect();
 
         let winner =
-            (0..space.arms.len()).min_by_key(|&i| (measured[i], i)).expect("non-empty space");
+            (0..versions.len()).min_by_key(|&i| (measured[i], i)).expect("non-empty space");
         let best_bound = u128::from(*bounds.iter().min().expect("non-empty bounds"));
         let limit = u64::try_from(best_bound * (100 + slack) / 100).unwrap_or(u64::MAX);
         assert!(
@@ -106,7 +98,7 @@ fn analytic_bound_never_prunes_the_exhaustive_winner() {
              (best bound {best_bound}, slack {slack}%) — pruning would drop the true best arm.\n\
              bounds: {bounds:?}\nmeasured: {measured:?}",
             dev.num_sms,
-            space.arms[winner].version.label,
+            versions[winner].label,
             measured[winner],
             bounds[winner],
             limit,

@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             w.launch(),
             &w.params,
             &mut global,
-            LaunchOptions { extra_smem_per_block: v.extra_smem, ..Default::default() },
+            v.launch_options(LaunchOptions::default()),
         );
         if let Ok(r) = r {
             results.push((v, r.cycles));

@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             w.launch(),
             w.params_for(iter),
             &mut global,
-            LaunchOptions { extra_smem_per_block: v.extra_smem, ..Default::default() },
+            v.launch_options(LaunchOptions::default()),
         )?;
         let status = match walk.verdict() {
             PolicyVerdict::Finalized(_) => "steady",

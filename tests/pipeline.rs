@@ -87,7 +87,7 @@ fn every_workload_runs_correctly_at_every_candidate() {
                 launch,
                 &w.params,
                 &mut global,
-                LaunchOptions { extra_smem_per_block: v.extra_smem, ..Default::default() },
+                v.launch_options(LaunchOptions::default()),
             )
             .unwrap_or_else(|e| panic!("{} version {}: {e}", w.name, v.label));
             assert_eq!(
@@ -162,21 +162,21 @@ fn kernel_splitting_covers_grid_exactly() {
     let orion = Orion::new(dev.clone(), w.block);
     let base = orion.baseline(&w.module).unwrap();
     let launch = Launch { grid: 8, block: w.block };
-    // A lattice arm under another register budget, its padding and its
-    // L1/shared split override applied: the slices alternate between it
+    // A lattice version under another register budget, its padding and
+    // its L1/shared split applied: the slices alternate between it
     // and the baseline, the way a search mixes versions across the
     // slices of one invocation.
     let ck = orion.compile(&w.module).unwrap();
     let space =
         CandidateSpace::enumerate(&dev, w.block, &w.module, ck.direction, launch.grid).unwrap();
     let other = space
-        .arms
+        .kernel
+        .versions
         .iter()
-        .find(|a| {
-            a.cache_config.is_some()
-                && a.version.machine.regs_per_thread != base.machine.regs_per_thread
+        .find(|v| {
+            v.cache_config.is_some() && v.machine.regs_per_thread != base.machine.regs_per_thread
         })
-        .expect("an overridden-split arm with another register budget");
+        .expect("an overridden-split version with another register budget");
 
     // Whole launch.
     let mut whole = w.init_global.clone();
@@ -185,12 +185,9 @@ fn kernel_splitting_covers_grid_exactly() {
     // Split into 4 pieces, alternating versions.
     let mut split = w.init_global.clone();
     for (k, range) in split_ranges(launch.grid, 4).into_iter().enumerate() {
-        let (machine, opts) = if k % 2 == 0 {
-            (&base.machine, LaunchOptions { cta_range: Some(range), ..LaunchOptions::default() })
-        } else {
-            (&other.version.machine, other.launch_options(Some(range)))
-        };
-        run_launch_opts(&dev, machine, launch, &w.params, &mut split, opts).unwrap();
+        let v = if k % 2 == 0 { &base } else { other };
+        let opts = v.launch_options(LaunchOptions { cta_range: Some(range), ..Default::default() });
+        run_launch_opts(&dev, &v.machine, launch, &w.params, &mut split, opts).unwrap();
     }
     assert_eq!(whole, split, "mixed-version split launches must compute the same result");
 }
@@ -214,7 +211,7 @@ fn downward_selection_saves_registers_or_keeps_speed() {
                 launch,
                 &w.params,
                 &mut global,
-                LaunchOptions { extra_smem_per_block: v.extra_smem, ..Default::default() },
+                v.launch_options(LaunchOptions::default()),
             )
             .map(|r| r.cycles)
             .map_err(orion::core::OrionError::from)
