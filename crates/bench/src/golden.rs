@@ -34,7 +34,7 @@ use orion_alloc::realize::{
 use orion_core::compiler::{CompiledKernel, Direction, KernelVersion};
 use orion_core::error::OrionError;
 use orion_core::orion::Orion;
-use orion_core::policy::PolicyKind;
+use orion_core::policy::{BanditConfig, PolicyKind};
 use orion_core::resilient::{ResiliencePolicy, ResilienceStats};
 use orion_core::runtime::TuneDecision;
 use orion_core::session::{SessionMode, SessionOutcome, TuningSession};
@@ -357,13 +357,13 @@ fn serial() -> LaunchOptions {
 enum Driver {
     /// The fault-free walk.
     Simple,
-    /// The fault-free walk, with the paper's walk requested explicitly
-    /// through the search-policy seam.
-    SimplePolicy,
+    /// The fault-free session under a search policy requested
+    /// explicitly through the search-policy seam.
+    SimplePolicy(PolicyKind),
     /// The resilient walk under the given policy.
     Resilient(ResiliencePolicy),
-    /// The resilient walk through the search-policy seam.
-    ResilientPolicy(ResiliencePolicy),
+    /// The resilient session through the search-policy seam.
+    ResilientPolicy(ResiliencePolicy, PolicyKind),
 }
 
 fn drive(
@@ -381,28 +381,28 @@ fn drive(
     };
     let (session, resilient) = match driver {
         Driver::Simple => (TuningSession::simple(ck, iterations, threshold), false),
-        Driver::SimplePolicy => (
+        Driver::SimplePolicy(search) => (
             TuningSession::with_policy(
                 kernel,
                 ck,
                 iterations,
                 threshold,
                 SessionMode::Simple,
-                PolicyKind::PaperWalk,
+                search,
             ),
             false,
         ),
         Driver::Resilient(policy) => {
             (TuningSession::resilient(kernel, ck, iterations, threshold, policy), true)
         }
-        Driver::ResilientPolicy(policy) => (
+        Driver::ResilientPolicy(policy, search) => (
             TuningSession::with_policy(
                 kernel,
                 ck,
                 iterations,
                 threshold,
                 SessionMode::Resilient(policy),
-                PolicyKind::PaperWalk,
+                search,
             ),
             true,
         ),
@@ -1032,33 +1032,40 @@ fn synthetic_walk_cases(cases: &mut Vec<Case>) {
         }
     }
 
-    // The same walk requested explicitly through the search-policy seam.
-    let seam = Driver::ResilientPolicy(ResiliencePolicy::default());
-    for (d, dir) in DIRECTIONS {
-        for it in [0u32, 1, 3, 10, 40] {
-            cases.push(Case::new(
-                format!("seam/plain/clean/{d}/it{it}"),
-                false,
-                clean(Driver::SimplePolicy, "", FIVE, dir, it),
-            ));
+    // The same streams through the search-policy seam: the paper's walk
+    // requested explicitly, and the bandit at its default schedule.
+    let seams = [
+        ("seam", PolicyKind::PaperWalk),
+        ("seam-bandit", PolicyKind::Bandit(BanditConfig::default())),
+    ];
+    for (prefix, search) in seams {
+        let resilient = Driver::ResilientPolicy(ResiliencePolicy::default(), search);
+        for (d, dir) in DIRECTIONS {
+            for it in [0u32, 1, 3, 10, 40] {
+                cases.push(Case::new(
+                    format!("{prefix}/plain/clean/{d}/it{it}"),
+                    false,
+                    clean(Driver::SimplePolicy(search), "", FIVE, dir, it),
+                ));
+            }
         }
-    }
-    for (d, dir) in DIRECTIONS {
-        for seed in 0..40u64 {
-            cases.push(Case::new(
-                format!("seam/plain/noise/{d}/s{seed}"),
-                false,
-                faulty(Driver::SimplePolicy, "", FIVE, dir, 30, seed, [0, 0, 0]),
-            ));
+        for (d, dir) in DIRECTIONS {
+            for seed in 0..40u64 {
+                cases.push(Case::new(
+                    format!("{prefix}/plain/noise/{d}/s{seed}"),
+                    false,
+                    faulty(Driver::SimplePolicy(search), "", FIVE, dir, 30, seed, [0, 0, 0]),
+                ));
+            }
         }
-    }
-    for (d, dir) in DIRECTIONS {
-        for seed in 0..60u64 {
-            cases.push(Case::new(
-                format!("seam/resilient/faults/{d}/s{seed}"),
-                false,
-                faulty(seam, "eq", FIVE, dir, 60, seed, [80, 30, 30]),
-            ));
+        for (d, dir) in DIRECTIONS {
+            for seed in 0..60u64 {
+                cases.push(Case::new(
+                    format!("{prefix}/resilient/faults/{d}/s{seed}"),
+                    false,
+                    faulty(resilient, "eq", FIVE, dir, 60, seed, [80, 30, 30]),
+                ));
+            }
         }
     }
 }
