@@ -3,8 +3,8 @@
 //!
 //! Runs the tier-1 workloads through the widened candidate space
 //! (occupancy level × L1/shared split × split granularity, see
-//! [`CandidateSpace`]) under both shipped [`SearchPolicy`]
-//! implementations, launching through [`SimBackend`]'s
+//! [`CandidateSpace`]) under both shipped search rules ([`Policy`]),
+//! launching through [`SimBackend`]'s
 //! [`Backend::launch`], across clean and seeded-chaos measurement
 //! streams, and records two axes per (workload, seed, policy) cell:
 //!
@@ -34,9 +34,7 @@ use crate::figures::Figure;
 use orion_core::backend::{Backend, SimBackend};
 use orion_core::compiler::KernelVersion;
 use orion_core::orion::Orion;
-use orion_core::policy::{
-    analytic_bound, BanditConfig, BanditPolicy, BoundCtx, PolicyKind, SearchPolicy,
-};
+use orion_core::policy::{analytic_bound, BanditConfig, BoundCtx, Policy, PolicyKind};
 use orion_core::resilient::ResiliencePolicy;
 use orion_core::session::{SessionMode, SessionStep, TuningSession};
 use orion_core::splitting::split_ranges;
@@ -64,25 +62,23 @@ const WALK: &str = "paper_walk";
 const BANDIT: &str = "bandit";
 
 /// The bandit schedule the ablation ships: prune on the analytic bound
-/// at default slack, confirm the incumbent once, and stop after at most
-/// two pulls per surviving arm. Deterministic for a fixed seed.
+/// at 15% slack, pull every surviving arm once in ascending-bound order,
+/// and pick the fastest. The cap of two total pulls is checked only
+/// after that sweep, so the confirm pull and the UCB refinement run only
+/// if quarantines leave a single live arm.
 #[must_use]
 pub fn bandit_config() -> BanditConfig {
-    BanditConfig {
-        seed: 0x5EA_2C4,
-        exploration_milli: 200,
-        prune_slack_pct: 15,
-        confirm_pulls: 1,
-        max_pulls: 2,
-    }
+    BanditConfig { exploration_milli: 200, prune_slack_pct: 15, confirm_pulls: 1, max_pulls: 2 }
 }
 
-/// No pruning, every arm swept, the incumbent confirmed over and over:
-/// the schedule the convergence gate exists to reject.
+/// No pruning: the sweep pulls every arm of the 32–40-arm lattice once
+/// and the fastest is picked. The sweep alone reaches the 16-pull cap,
+/// so the confirm and UCB pulls run only if quarantines leave fewer
+/// than 16 live arms. The schedule the convergence gate exists to
+/// reject.
 #[must_use]
 pub fn greedy_config() -> BanditConfig {
     BanditConfig {
-        seed: 0x5EA_2C4,
         exploration_milli: 4000,
         prune_slack_pct: u32::MAX,
         confirm_pulls: 16,
@@ -146,7 +142,7 @@ fn drive(
     backend: &SimBackend,
     w: &Workload,
     space: &CandidateSpace,
-    policy: Box<dyn SearchPolicy>,
+    policy: Policy,
     injector: Option<&FaultInjector>,
 ) -> SearchRun {
     let ck = &space.kernel;
@@ -223,13 +219,12 @@ pub fn ablation(dev: &DeviceSpec, seeds: &[u64], cfg: BanditConfig) -> SearchDoc
         for &seed in seeds {
             let plan = (seed != 0).then(|| FaultPlan::chaos(seed, 0.10, 0.05));
             for kind in [WALK, BANDIT] {
-                let (policy, arms_pruned): (Box<dyn SearchPolicy>, usize) = if kind == BANDIT {
-                    let p = BanditPolicy::new(lattice, bound, cfg);
-                    let pruned = p.pruned_arms();
-                    (Box::new(p), pruned)
+                let policy = if kind == BANDIT {
+                    Policy::bandit(lattice, bound, cfg)
                 } else {
-                    (PolicyKind::PaperWalk.build(lattice, THRESHOLD), 0)
+                    PolicyKind::PaperWalk.build(lattice, THRESHOLD)
                 };
+                let arms_pruned = policy.pruned_arms();
                 let injector = plan.map(FaultInjector::new);
                 let run = drive(&backend, &w, &space, policy, injector.as_ref());
                 let picked = &lattice.versions[run.selected];

@@ -16,9 +16,13 @@
 use orion_core::backend::SimBackend;
 use orion_core::cache;
 use orion_core::compiler::TuningConfig;
+use orion_core::orion::Orion;
+use orion_core::policy::{BanditConfig, PolicyKind};
+use orion_core::resilient::ResiliencePolicy;
 use orion_core::service::{JobPolicy, KernelJob, OrionService, ServiceConfig, ServiceReport};
+use orion_core::session::{SessionMode, SessionStep, TuningSession};
 use orion_gpusim::device::DeviceSpec;
-use orion_gpusim::exec::Launch;
+use orion_gpusim::exec::{Launch, SimError};
 use orion_kir::builder::FunctionBuilder;
 use orion_kir::function::Module;
 use orion_kir::inst::Operand;
@@ -144,6 +148,56 @@ fn service_observability_end_to_end() {
     assert!(matches!(parsed, serde_json::Value::Map(_)), "snapshot JSON is an object");
 
     orion_telemetry::set_enabled(false);
+}
+
+/// A bandit session whose finalized arm dies journals the fallback
+/// once: as the session's `fallback` record naming the replacement.
+#[test]
+fn a_dead_bandit_pick_is_journaled_as_one_fallback() {
+    let _guard = GLOBAL_STATE.lock().unwrap_or_else(PoisonError::into_inner);
+    orion_telemetry::set_enabled(true);
+    journal::clear();
+    let w = orion_workloads::by_name("matrixMul").expect("workload");
+    let ck = Orion::new(DeviceSpec::gtx680(), w.block).compile(&w.module).expect("compiles");
+    assert!(ck.versions.len() > 1, "a pick to lose and a version to fall back to");
+    let mode = SessionMode::Resilient(ResiliencePolicy {
+        samples: 1,
+        quarantine_strikes: 1,
+        ..ResiliencePolicy::default()
+    });
+    // No pruning: every version is an arm, so a survivor remains.
+    let search =
+        PolicyKind::Bandit(BanditConfig { prune_slack_pct: u32::MAX, ..BanditConfig::default() });
+    let mut session = TuningSession::with_policy("dying", &ck, 200, 0.02, mode, search);
+    // Every version measures cleanly until the bandit has finalized;
+    // then its pick hangs once, which quarantines it.
+    let mut dead = None;
+    while let SessionStep::Launch(v) = session.next_step().expect("a survivor remains") {
+        let result = if dead.is_none() && session.finalized() == Some(v) {
+            dead = Some(v);
+            Err(SimError::Watchdog { budget: 9 }.into())
+        } else {
+            Ok(100 + v as u64)
+        };
+        session.on_launch_result(result).expect("a hang is absorbed");
+    }
+    let dead = dead.expect("the bandit finalized a pick");
+    assert_ne!(session.finish().selected, dead, "a survivor replaces the dead pick");
+    let records = journal::drain().records;
+    let fallbacks: Vec<_> = records
+        .iter()
+        .filter(|r| {
+            matches!(
+                r.event,
+                JournalEvent::Fallback { .. }
+                    | JournalEvent::PolicyDecision { action: "fallback", .. }
+            )
+        })
+        .collect();
+    let expected = usize::from(orion_telemetry::is_enabled());
+    assert_eq!(fallbacks.len(), expected, "one fallback, one record: {fallbacks:?}");
+    orion_telemetry::set_enabled(false);
+    journal::clear();
 }
 
 #[test]

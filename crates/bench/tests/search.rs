@@ -47,7 +47,7 @@ fn greedy_bandit_fires_the_convergence_gate() {
     let failures = convergence_failures(&doc);
     assert!(
         failures.len() == 1 && failures[0].starts_with("convergence gate:"),
-        "pruning off and every arm re-pulled must fail the convergence gate: {failures:?}"
+        "pruning off, so every arm pulled, must fail the convergence gate: {failures:?}"
     );
 }
 

@@ -107,8 +107,8 @@ pub use compiler::{compile, CompiledKernel, Direction, KernelVersion, TuningConf
 pub use error::{ErrorContext, OrionError};
 pub use orion::Orion;
 pub use policy::{
-    analytic_bound, BanditConfig, BanditPolicy, BoundCtx, Measurement, PaperWalkPolicy, PolicyKind,
-    PolicyVerdict, SearchPolicy,
+    analytic_bound, BanditConfig, BanditPolicy, BoundCtx, Measurement, Policy, PolicyKind,
+    PolicyVerdict,
 };
 pub use resilient::{robust_measure, ResiliencePolicy, ResilienceStats, RobustMeasure};
 pub use runtime::{TuneDecision, TuneReason};

@@ -25,7 +25,7 @@
 //! * **per-candidate quarantine** — a version accumulating
 //!   [`ResiliencePolicy::quarantine_strikes`] *consecutive* hard
 //!   failures is removed from the walk
-//!   ([`SearchPolicy::quarantine`](crate::policy::SearchPolicy::quarantine))
+//!   ([`Policy::quarantine`](crate::policy::Policy::quarantine))
 //!   and tuning continues over the survivors. Successes reset the
 //!   count (circuit-breaker style), so sporadic unlucky hangs are
 //!   forgiven no matter how long the run — only persistent breakage
@@ -41,14 +41,14 @@
 //! with kernel name and failure cycle via
 //! [`OrionError::with_context`].
 //!
-//! All four defenses live in the *session* layer
-//! ([`TuningSession`](crate::session::TuningSession)), not in the
-//! search policy: a session running any
-//! [`SearchPolicy`](crate::policy::SearchPolicy) — the default
-//! [`PaperWalkPolicy`](crate::policy::PaperWalkPolicy) or the
-//! [`BanditPolicy`](crate::policy::BanditPolicy) — gets identical
-//! retry, robust-measurement, quarantine, and fallback semantics; the
-//! policy only chooses which candidate each exploration step measures.
+//! Retries, robust measurement and strikes live in the *session* layer
+//! ([`TuningSession`](crate::session::TuningSession)); quarantine and
+//! fallback live in the policy's roster
+//! ([`Policy`](crate::policy::Policy)), written once for every search
+//! rule. A session running the paper's walk or the bandit gets
+//! identical retry, robust-measurement, quarantine and fallback
+//! semantics; the rule only chooses which candidate each exploration
+//! step measures.
 
 use crate::error::OrionError;
 use serde::{Deserialize, Serialize};

@@ -14,7 +14,7 @@
 //! * the surviving version is **finalized** and runs for the remaining
 //!   iterations. Convergence typically takes ~3 iterations.
 //!
-//! The walk itself is [`PaperWalkPolicy`](crate::policy::PaperWalkPolicy);
+//! The walk itself is [`Policy::walk`](crate::policy::Policy::walk);
 //! [`TuningSession::drive`](crate::session::TuningSession::drive) runs
 //! it for one kernel, and [`OrionService`](crate::service::OrionService)
 //! runs it for many kernels at once, ordered longest-job-first from the

@@ -127,11 +127,11 @@ pub struct JobPolicy {
     /// included ([`TuningSession::total_cycles_so_far`]). Deterministic:
     /// safe inside bit-equality gates. Reaching it degrades the job.
     pub deadline_cycles: Option<u64>,
-    /// Per-job [`SearchPolicy`](crate::policy::SearchPolicy); `None`
-    /// is [`PolicyKind::PaperWalk`], the paper's exact Figure 9 walk.
-    /// The policy only changes *which* candidate the session measures
-    /// next — the deadline, quarantine, fallback, and scheduling are
-    /// session-level and apply identically under any search policy.
+    /// Per-job search rule; `None` is [`PolicyKind::PaperWalk`], the
+    /// paper's exact Figure 9 walk. The rule only changes *which*
+    /// candidate the session measures next — the deadline, quarantine,
+    /// fallback, and scheduling apply identically under either rule
+    /// ([`Policy`](crate::policy::Policy)).
     pub search: Option<PolicyKind>,
 }
 

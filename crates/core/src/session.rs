@@ -53,7 +53,7 @@
 
 use crate::compiler::{CompiledKernel, Direction, KernelVersion};
 use crate::error::OrionError;
-use crate::policy::{Measurement, PolicyKind, PolicyVerdict, SearchPolicy};
+use crate::policy::{Measurement, Policy, PolicyKind, PolicyVerdict};
 use crate::resilient::{
     robust_measure, should_quarantine, ResiliencePolicy, ResilienceStats, RobustMeasure,
     BACKOFF_BASE_CYCLES, NOISE_MARGIN_CAP, NOISE_MARGIN_FACTOR,
@@ -230,9 +230,9 @@ pub struct TuningSession<'k> {
     threshold: f64,
     iterations: u32,
     /// The decision core: which candidate next, what a measurement
-    /// means, when to commit ([`crate::policy`]). Defaults to
-    /// [`PaperWalkPolicy`](crate::policy::PaperWalkPolicy).
-    policy: Box<dyn SearchPolicy>,
+    /// means, when to commit, what replaces a dead candidate
+    /// ([`crate::policy`]). Defaults to the paper's walk.
+    policy: Policy,
     state: SessionState,
     /// Completed application iterations.
     it: u32,
@@ -288,7 +288,7 @@ impl<'k> TuningSession<'k> {
         iterations: u32,
         threshold: f64,
         mode: SessionMode,
-        policy: Box<dyn SearchPolicy>,
+        policy: Policy,
     ) -> Self {
         let state = if matches!(policy.verdict(), PolicyVerdict::Finalized(_)) {
             SessionState::Finalized
@@ -349,11 +349,10 @@ impl<'k> TuningSession<'k> {
         }
     }
 
-    /// The search policy driving this session (e.g. for its
-    /// [`name`](SearchPolicy::name) in reports).
+    /// The search policy driving this session.
     #[must_use]
-    pub fn policy(&self) -> &dyn SearchPolicy {
-        self.policy.as_ref()
+    pub fn policy(&self) -> &Policy {
+        &self.policy
     }
 
     /// The decision log so far.
@@ -388,12 +387,12 @@ impl<'k> TuningSession<'k> {
     }
 
     /// Terminate the session because its service deadline was reached.
-    /// The policy settles on its fail-safe selection
-    /// ([`SearchPolicy::degrade_to_fallback`]): an already finalized
-    /// version is kept, an unfinished search resolves to the original. Any outstanding launch request and sampling pass
-    /// are dropped. Returns the settled version; `None` means every
-    /// version was already quarantined and the session died as
-    /// [`SessionState::Quarantined`] instead.
+    /// The policy settles on its fail-safe selection ([`Policy::degrade`]):
+    /// an already finalized version is kept, and an unfinished search
+    /// resolves to the original. Any outstanding launch request and
+    /// sampling pass are dropped. Returns the settled version; `None`
+    /// means every version was already quarantined and the session died
+    /// as [`SessionState::Quarantined`] instead.
     pub fn degrade(&mut self) -> Option<usize> {
         if self.state.is_settled() && self.aborted {
             return self.finalized(); // already terminal
@@ -401,7 +400,7 @@ impl<'k> TuningSession<'k> {
         self.current = None;
         self.pass = None;
         self.aborted = true;
-        let settled = self.policy.degrade_to_fallback();
+        let settled = self.policy.degrade();
         if settled.is_some() {
             if orion_telemetry::is_enabled() {
                 journal::record(JournalEvent::Degraded { kernel: self.kernel.clone() });
@@ -646,25 +645,18 @@ impl<'k> TuningSession<'k> {
         }
         self.strikes[version] += 1;
         if self.strikes[version] >= policy.quarantine_strikes.max(1) {
-            self.policy.quarantine(version);
+            let replacement = self.policy.quarantine(version);
             if orion_telemetry::is_enabled() {
                 journal::record(JournalEvent::Quarantine {
                     kernel: self.kernel.clone(),
                     version,
                     strikes: self.strikes[version],
                 });
-                // The policy logs a FellBack decision when the dead
-                // version was the finalized one; mirror it as a typed
-                // journal record naming the replacement.
-                if let Some(d) =
-                    self.policy.decisions().last().filter(|d| d.reason == TuneReason::FellBack)
-                {
-                    if let Some(to) = d.finalized {
-                        journal::record(JournalEvent::Fallback {
-                            kernel: self.kernel.clone(),
-                            version: to,
-                        });
-                    }
+                if let Some(to) = replacement {
+                    journal::record(JournalEvent::Fallback {
+                        kernel: self.kernel.clone(),
+                        version: to,
+                    });
                 }
             }
             true
@@ -747,7 +739,7 @@ impl<'k> TuningSession<'k> {
             SessionMode::Simple => self.policy.trials(),
             SessionMode::Resilient(_) => self.converged_after.unwrap_or(self.iters.len()),
         };
-        let decisions = self.policy.into_decisions();
+        let decisions = self.policy.decisions().to_vec();
         // Reconcile quarantine/fallback stats with the decision log.
         self.stats.quarantined =
             decisions.iter().filter(|d| d.reason == TuneReason::Quarantined).count() as u64;

@@ -6,7 +6,7 @@ mod common;
 
 use common::{fake_compiled, noisy};
 use orion_core::compiler::{Direction, KernelVersion};
-use orion_core::policy::{Measurement, PaperWalkPolicy, PolicyVerdict, SearchPolicy};
+use orion_core::policy::{Measurement, Policy, PolicyVerdict};
 use orion_core::resilient::ResiliencePolicy;
 use orion_core::session::TuningSession;
 use orion_gpusim::faults::splitmix64;
@@ -51,7 +51,7 @@ fn never_finalizes_a_quarantined_version() {
         let mut rng = seed ^ 0x5eed;
         let victim = (splitmix64(&mut rng) % 5) as usize;
         let kill_at = splitmix64(&mut rng) % 8;
-        let mut tuner = PaperWalkPolicy::new(&ck, 0.02);
+        let mut tuner = Policy::walk(&ck, 0.02);
         for step in 0..40u64 {
             if step == kill_at {
                 tuner.quarantine(victim);

@@ -6,7 +6,7 @@
 //! ```
 
 use orion::core::orion::Orion;
-use orion::core::policy::{Measurement, PaperWalkPolicy, PolicyVerdict, SearchPolicy};
+use orion::core::policy::{Measurement, Policy, PolicyVerdict};
 use orion::gpusim::device::DeviceSpec;
 use orion::gpusim::sim::{run_launch_opts, LaunchOptions};
 
@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         compiled.max_live
     );
 
-    let mut walk = PaperWalkPolicy::new(&compiled, 0.02);
+    let mut walk = Policy::walk(&compiled, 0.02);
     let mut global = w.init_global.clone();
     for iter in 0..w.iterations {
         let vidx = walk.select();
