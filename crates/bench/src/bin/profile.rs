@@ -1,10 +1,9 @@
 //! Profiler CLI: run a workload's occupancy sweep with telemetry
 //! enabled, print stall-attributed counters per level, and export the
 //! recorded events as a Chrome `trace_event` timeline plus a flat JSON
-//! metrics report — and, since the observability PR, the full
-//! service-plane surface: registry snapshots (Prometheus text or
-//! JSON), the structured run journal, and a per-lane critical-path
-//! timeline.
+//! metrics report — and the service-plane surface: the tuning run's
+//! metric snapshot (Prometheus text or JSON), the structured run
+//! journal, and a per-lane critical-path timeline.
 //!
 //! ```sh
 //! cargo run --release -p orion-bench --bin profile -- \
@@ -19,11 +18,12 @@
 //! invariant: the six stall buckets sum to `cycles × num_sms` exactly.
 //!
 //! `--tune N` additionally drives an `OrionService` tuning run (N
-//! application iterations) over the workload, which populates the
-//! latency histograms, gauges, and journal that `--out` / `--prom` /
-//! `--journal` export. The CLI exits non-zero when the capture is
-//! empty (telemetry compiled out or nothing recorded) instead of
-//! silently writing hollow artifacts.
+//! application iterations) over the workload. Its report's
+//! `ServiceReport::snapshot` is what `--prom` writes and what `--out`
+//! embeds as `"registry"` (`{}` without `--tune`), and its journal is
+//! what `--journal` prints. `--prom` without `--tune` is an error. The
+//! CLI exits non-zero when the capture is empty (telemetry compiled out
+//! or nothing recorded) instead of silently writing hollow artifacts.
 
 use orion_bench::error::write_file;
 use orion_bench::experiment::run_version_once;
@@ -32,8 +32,9 @@ use orion_core::compiler::TuningConfig;
 use orion_core::orion::Orion;
 use orion_core::service::{JobPolicy, KernelJob, OrionService, ServiceConfig};
 use orion_gpusim::DeviceSpec;
+use orion_telemetry::export::{self, MetricsSnapshot};
 use orion_telemetry::metrics::{aggregate_counters, MetricsReport};
-use orion_telemetry::{export, journal, registry, timeline};
+use orion_telemetry::{journal, timeline};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut workload = "imageDenoising".to_string();
@@ -80,6 +81,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 positionals += 1;
             }
         }
+    }
+    if prom_path.is_some() && tune_iters.is_none() {
+        return Err("--prom needs --tune N: the metrics come from a tuning run".into());
     }
     let dev = match device.as_str() {
         "c2075" => DeviceSpec::c2075(),
@@ -161,8 +165,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.merge_prefixed(&format!("occ{}", v.achieved_warps), &vr);
     }
 
-    // Optional tuning run: drives the service plane so the registry
-    // histograms/gauges and the journal have live data to export.
+    // Optional tuning run: drives the service plane; its report is the
+    // metric snapshot and the journal the exporters write.
+    let mut snap = MetricsSnapshot::default();
     if let Some(iterations) = tune_iters {
         let svc = OrionService::new(
             SimBackend::new(dev.clone()),
@@ -190,6 +195,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             sr.journal.records.len(),
             sr.journal.dropped,
         );
+        snap = sr.snapshot();
         if dump_journal {
             for rec in &sr.journal.records {
                 println!(
@@ -231,15 +237,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         write_file("metrics report", path, &report.to_json())?;
         eprintln!("wrote {path} ({} metrics)", report.len());
     }
-    let snap = registry::global().snapshot();
     if let Some(path) = &prom_path {
         write_file("prometheus snapshot", path, &export::prometheus_text(&snap))?;
         eprintln!("wrote {path} ({} metrics)", snap.samples.len());
     }
     if let Some(path) = &out_path {
         // One combined observability document: the flat metrics report,
-        // the registry snapshot, and the lane timelines. The parts are
-        // already JSON strings, so compose them textually.
+        // the tuning run's metric snapshot, and the lane timelines. The
+        // parts are already JSON strings, so compose them textually.
         let lanes = timeline::lane_timelines(&events);
         let doc = format!(
             "{{\"metrics\":{},\"registry\":{},\"lanes\":{}}}\n",

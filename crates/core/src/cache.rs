@@ -71,9 +71,11 @@
 //! callers treat them as exceptional.
 //!
 //! Hit/miss/eviction counters are exported programmatically
-//! ([`stats`]), as `orion-telemetry` counters under the `compile_cache`
-//! category, as registry gauges (`cache/entries`, `cache/hit_rate`),
-//! and evictions are journaled
+//! ([`stats`]) and as `orion-telemetry` counters under the
+//! `compile_cache` category; a service batch reports its delta
+//! ([`crate::service::ServiceReport::cache`]), which its metric snapshot
+//! exports as `cache/entries`, `cache/hit_rate` and
+//! `cache/poison_recovered`; and evictions are journaled
 //! ([`orion_telemetry::journal::JournalEvent::CacheEvicted`]).
 
 use orion_alloc::realize::{allocate, AllocError, AllocOptions, Allocated, SlotBudget};
@@ -142,10 +144,7 @@ struct Cache {
 static CACHE: OnceLock<Cache> = OnceLock::new();
 
 fn cache() -> &'static Cache {
-    CACHE.get_or_init(|| {
-        register_gauges();
-        Cache::default()
-    })
+    CACHE.get_or_init(Cache::default)
 }
 
 /// Lock the cache, recovering from poison instead of propagating it.
@@ -190,23 +189,6 @@ impl Drop for InflightGuard {
         lock().inflight.remove(&self.key);
         cache().resolved.notify_all();
     }
-}
-
-/// Register the cache's live registry gauges (sampled at snapshot time).
-fn register_gauges() {
-    let scope = orion_telemetry::registry::global().scope("cache");
-    scope.register_gauge_fn("entries", "Resident compile-cache entries", "entries", || {
-        CACHE.get().map_or(0.0, |_| stats().entries as f64)
-    });
-    scope.register_gauge_fn("hit_rate", "Lifetime compile-cache hit rate", "", || {
-        CACHE.get().map_or(0.0, |_| stats().hit_rate())
-    });
-    scope.register_gauge_fn(
-        "poison_recovered",
-        "Poisoned compile-cache mutexes recovered",
-        "events",
-        || CACHE.get().map_or(0.0, |_| stats().poison_recovered as f64),
-    );
 }
 
 /// Counter snapshot of the process-wide compile cache.

@@ -48,7 +48,6 @@
 use crate::compiler::{CompiledKernel, Direction, KernelVersion};
 use crate::runtime::{TuneDecision, TuneReason};
 use orion_telemetry::journal::{self, JournalEvent};
-use orion_telemetry::registry;
 use serde::{Deserialize, Serialize};
 
 /// One successful measurement reported to a policy.
@@ -274,9 +273,6 @@ impl Policy {
     pub fn observe(&mut self, candidate: usize, m: Measurement) {
         if self.finalized.is_some() {
             return;
-        }
-        if orion_telemetry::is_enabled() {
-            search_metrics().launches.inc();
         }
         let trial = self.trials;
         let Reading { norm, reason, verdict } = self.rule.observe(candidate, m);
@@ -818,15 +814,12 @@ impl Bandit {
             .filter(|&i| i == ck.original || arms[i].bound <= limit)
             .collect();
         let pruned = explored.len() - live.len();
-        if orion_telemetry::is_enabled() {
-            search_metrics().arms_pruned.add(pruned as u64);
-            if pruned > 0 {
-                journal::record(JournalEvent::PolicyDecision {
-                    policy: "bandit",
-                    action: "prune",
-                    candidate: pruned,
-                });
-            }
+        if pruned > 0 {
+            journal::record(JournalEvent::PolicyDecision {
+                policy: "bandit",
+                action: "prune",
+                candidate: pruned,
+            });
         }
         Bandit { cfg, arms, live, pruned }
     }
@@ -914,28 +907,6 @@ impl Bandit {
         let reason = if baseline { TuneReason::Baseline } else { TuneReason::NotDegraded };
         let verdict = if self.next().is_none() { Verdict::Exhausted } else { Verdict::Continue };
         Reading { norm, reason: Some(reason), verdict }
-    }
-}
-
-/// Handles to the `search/*` counters (idempotent registration).
-struct SearchMetrics {
-    arms_pruned: registry::CounterHandle,
-    launches: registry::CounterHandle,
-}
-
-fn search_metrics() -> SearchMetrics {
-    let scope = registry::global().scope("search");
-    SearchMetrics {
-        arms_pruned: scope.register_counter(
-            "arms_pruned",
-            "Candidate arms dropped by the analytic bound before any launch",
-            "",
-        ),
-        launches: scope.register_counter(
-            "launches",
-            "Measurements consumed by search policies",
-            "",
-        ),
     }
 }
 

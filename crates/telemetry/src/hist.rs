@@ -33,9 +33,9 @@
 //! Recording and merging are pure integer arithmetic: bucket counts,
 //! total, sum, min and max all add (or min/max) commutatively and
 //! associatively, so merging per-worker histograms in *any* order
-//! yields a bit-identical result. The service bench and the
-//! observability suite gate sequential-vs-concurrent runs on exactly
-//! this property.
+//! yields a bit-identical result. The service's worker-count tests
+//! (`orion_core::service::tests`) and the observability suite gate
+//! sequential-vs-concurrent runs on exactly this property.
 
 /// Bits of sub-octave precision; bucket relative width is `2^-SUB_BITS`.
 pub const SUB_BITS: u32 = 4;

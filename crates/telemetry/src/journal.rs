@@ -21,7 +21,7 @@ use std::sync::Mutex;
 
 use crate::escape_json;
 
-/// Default ring capacity; tuned so a full quick service bench fits with
+/// Default ring capacity; tuned so a chaotic service batch fits with
 /// headroom while a runaway retry loop stays bounded.
 pub const DEFAULT_CAPACITY: usize = 4096;
 

@@ -7,13 +7,14 @@
 //! (per-iteration decisions), and the simulator (phase timeline), plus
 //! exporters to Chrome `trace_event` JSON and a flat metrics report.
 //!
-//! Beyond the raw event stream, the service plane builds on four typed
+//! Beyond the raw event stream, the service plane builds on three typed
 //! layers: [`hist`] (log-bucketed latency histograms with deterministic
-//! merge), [`registry`] (a scoped, enumerable metric schema of counters,
-//! gauges and histograms), [`journal`] (a bounded ring of typed runtime
-//! decisions — retries, quarantines, evictions, fault injections), and
-//! [`export`]/[`timeline`] (Prometheus text + JSON snapshot exporters
-//! and a span-derived per-lane critical-path view).
+//! merge), [`journal`] (a bounded ring of typed runtime decisions —
+//! retries, quarantines, evictions, fault injections), and
+//! [`export`]/[`timeline`] (Prometheus text + JSON exporters over a
+//! plain [`export::MetricsSnapshot`] value, and a span-derived per-lane
+//! critical-path view). A snapshot holds no state of its own: the
+//! service derives one from its batch report.
 //!
 //! # Gating
 //!
@@ -41,7 +42,6 @@ pub mod export;
 pub mod hist;
 pub mod journal;
 pub mod metrics;
-pub mod registry;
 pub mod timeline;
 
 use std::sync::atomic::{AtomicBool, Ordering};
