@@ -2,8 +2,8 @@
 //! enabled, print stall-attributed counters per level, and export the
 //! recorded events as a Chrome `trace_event` timeline plus a flat JSON
 //! metrics report — and the service-plane surface: the tuning run's
-//! metric snapshot (Prometheus text or JSON), the structured run
-//! journal, and a per-lane critical-path timeline.
+//! metric snapshot (Prometheus text or JSON), the jobs' run journals,
+//! and a per-lane critical-path timeline.
 //!
 //! ```sh
 //! cargo run --release -p orion-bench --bin profile -- \
@@ -21,7 +21,8 @@
 //! application iterations) over the workload. Its report's
 //! `ServiceReport::snapshot` is what `--prom` writes and what `--out`
 //! embeds as `"registry"` (`{}` without `--tune`), and its journal is
-//! what `--journal` prints. `--prom` without `--tune` is an error. The
+//! what `--journal` prints, one `job`/`seq`/tag line per record.
+//! `--prom` or `--journal` without `--tune` is an error. The
 //! CLI exits non-zero when the capture is empty (telemetry compiled out
 //! or nothing recorded) instead of silently writing hollow artifacts.
 
@@ -34,7 +35,7 @@ use orion_core::service::{JobPolicy, KernelJob, OrionService, ServiceConfig};
 use orion_gpusim::DeviceSpec;
 use orion_telemetry::export::{self, MetricsSnapshot};
 use orion_telemetry::metrics::{aggregate_counters, MetricsReport};
-use orion_telemetry::{journal, timeline};
+use orion_telemetry::timeline;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut workload = "imageDenoising".to_string();
@@ -85,6 +86,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if prom_path.is_some() && tune_iters.is_none() {
         return Err("--prom needs --tune N: the metrics come from a tuning run".into());
     }
+    if dump_journal && tune_iters.is_none() {
+        return Err("--journal needs --tune N: the journal comes from a tuning run".into());
+    }
     let dev = match device.as_str() {
         "c2075" => DeviceSpec::c2075(),
         "gtx680" => DeviceSpec::gtx680(),
@@ -95,7 +99,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     orion_telemetry::set_enabled(true);
     orion_telemetry::clear();
-    journal::clear();
     if !orion_telemetry::is_enabled() {
         eprintln!(
             "note: telemetry feature disabled (--no-default-features); trace/metrics will be empty"
@@ -166,7 +169,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Optional tuning run: drives the service plane; its report is the
-    // metric snapshot and the journal the exporters write.
+    // metric snapshot the exporters write and the journal `--journal`
+    // prints.
     let mut snap = MetricsSnapshot::default();
     if let Some(iterations) = tune_iters {
         let svc = OrionService::new(
@@ -184,33 +188,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             policy: JobPolicy::default(),
         }]);
         let l = &sr.metrics.launch_cycles;
+        let journal = sr.journal();
         println!(
             "tune: {iterations} iterations; launch cycles p50 {} / p99 {} (n={}); \
-             cache {} hits / {} misses; journal {} records ({} dropped)",
+             cache {} hits / {} misses; journal {} records",
             l.p50(),
             l.p99(),
             l.count(),
             sr.cache.hits,
             sr.cache.misses,
-            sr.journal.records.len(),
-            sr.journal.dropped,
+            journal.len(),
         );
         snap = sr.snapshot();
         if dump_journal {
-            for rec in &sr.journal.records {
-                println!(
-                    "journal[{}] lane {} +{}us {}",
-                    rec.seq,
-                    rec.lane,
-                    rec.ts_us,
-                    rec.event.tag()
-                );
+            for (job, seq, event) in &journal {
+                println!("journal job {job} seq {seq} {}", event.tag());
             }
-        }
-    } else if dump_journal {
-        let drained = journal::drain();
-        for rec in &drained.records {
-            println!("journal[{}] lane {} +{}us {}", rec.seq, rec.lane, rec.ts_us, rec.event.tag());
         }
     }
 

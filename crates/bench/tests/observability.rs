@@ -1,29 +1,29 @@
 //! End-to-end observability tests over the service plane: the
-//! sequential-vs-concurrent determinism of the latency histograms and
-//! cache deltas (the acceptance gate of the observability PR), the run
-//! journal draining into [`ServiceReport`], the metric snapshot the
-//! report derives, and the exporters.
+//! sequential-vs-concurrent determinism of the latency histograms,
+//! journals and cache deltas, the per-job journals of batches that run
+//! at once, the metric snapshot the report derives, and the exporters.
 //!
 //! The batch uses a tiny toy kernel (not the tier-1 workloads) so the
 //! whole suite stays debug-mode fast; the same worker-count gate runs
 //! over real candidate sets in `orion_core::service`'s unit tests.
 //!
-//! These tests share process-global state (the compile cache, the
-//! journal ring, the telemetry switch), so everything service-driven
-//! runs inside ONE `#[test]`, and every test touching the global
-//! journal serializes on [`GLOBAL_STATE`] — Rust's parallel test
-//! runner would otherwise interleave drains.
+//! The journal is a value of each job's report, so no test here needs
+//! a lock. The compile cache is still process-wide, and
+//! `service_observability_end_to_end` gates a warm batch at zero
+//! misses; so every test here compiles only the modules of [`batch`]
+//! under its tuning config, keys that batch's first run has already
+//! filled.
 
-use orion_core::backend::SimBackend;
+use orion_core::backend::{Backend, SimBackend};
 use orion_core::cache;
 use orion_core::compiler::TuningConfig;
-use orion_core::orion::Orion;
 use orion_core::policy::{BanditConfig, PolicyKind};
 use orion_core::resilient::ResiliencePolicy;
+use orion_core::runtime::TuneReason;
 use orion_core::service::{
     JobDisposition, JobPolicy, KernelJob, KernelMetrics, OrionService, ServiceConfig, ServiceReport,
 };
-use orion_core::session::{SessionMode, SessionStep, TuningSession};
+use orion_core::session::{JournalEvent, SessionMode, SessionState, SessionStep, TuningSession};
 use orion_gpusim::device::DeviceSpec;
 use orion_gpusim::exec::{Launch, SimError};
 use orion_kir::builder::FunctionBuilder;
@@ -32,12 +32,7 @@ use orion_kir::inst::Operand;
 use orion_kir::types::{MemSpace, SpecialReg, Width};
 use orion_telemetry::export::{self, MetricSample, MetricValue, MetricsSnapshot};
 use orion_telemetry::hist::Histogram;
-use orion_telemetry::journal::{self, JournalEvent};
-use std::sync::{Mutex, PoisonError};
-
-/// Serializes the tests that mutate the process-global journal ring
-/// and telemetry switch.
-static GLOBAL_STATE: Mutex<()> = Mutex::new(());
+use std::sync::Barrier;
 
 /// `out[gid] = in[gid] * mul` — distinct `mul` gives each kernel a
 /// distinct module fingerprint; repeats share compile-cache entries.
@@ -71,11 +66,11 @@ fn batch(iterations: u32) -> Vec<KernelJob> {
 }
 
 fn run(workers: usize, jobs: Vec<KernelJob>) -> ServiceReport {
-    let svc = OrionService::new(
-        SimBackend::new(DeviceSpec::gtx680()),
-        ServiceConfig { workers, policy: None, ..ServiceConfig::default() },
-    );
-    svc.run(jobs)
+    run_with(ServiceConfig { workers, policy: None, ..ServiceConfig::default() }, jobs)
+}
+
+fn run_with(cfg: ServiceConfig, jobs: Vec<KernelJob>) -> ServiceReport {
+    OrionService::new(SimBackend::new(DeviceSpec::gtx680()), cfg).run(jobs)
 }
 
 /// The names `ServiceReport::snapshot` exports, in export order.
@@ -127,9 +122,6 @@ fn assert_snapshot_reconciles(report: &ServiceReport) {
 
 #[test]
 fn service_observability_end_to_end() {
-    let _guard = GLOBAL_STATE.lock().unwrap_or_else(PoisonError::into_inner);
-    orion_telemetry::set_enabled(true);
-    orion_telemetry::journal::clear();
     cache::reset();
 
     // --- Determinism gate: sequential vs concurrent ----------------
@@ -157,6 +149,7 @@ fn service_observability_end_to_end() {
     assert_eq!(seq.metrics.launch_cycles, conc.metrics.launch_cycles);
     assert_eq!(seq.metrics.queue_wait_cycles, conc.metrics.queue_wait_cycles);
     assert_eq!(seq.metrics.session_cycles, conc.metrics.session_cycles);
+    assert_eq!(seq.journal(), conc.journal(), "journals must not depend on worker count");
 
     // Cache deltas: with in-flight coalescing the hit/miss totals are a
     // pure function of the job multiset. The second (concurrent) run
@@ -165,23 +158,24 @@ fn service_observability_end_to_end() {
     assert_eq!(conc.cache.misses, 0, "warm concurrent run must not re-allocate");
     assert!(conc.cache.hits > 0);
 
-    // --- Journal: session transitions reach the report --------------
-    // Only with the telemetry feature compiled in AND switched on;
-    // under --no-default-features the ring is a no-op and stays empty.
-    let journal = &conc.journal;
-    if orion_telemetry::is_enabled() {
-        assert!(!journal.is_empty(), "enabled telemetry journals session transitions");
+    // --- Journal: every job's session transitions reach the report ---
+    // Fault-free simple walks journal transitions and nothing else,
+    // whether telemetry is compiled in, switched on, or neither.
+    let journal = conc.journal();
+    for job in 0..conc.kernels.len() {
         assert!(
-            journal.count_tag("session_transition") > 0,
-            "transitions recorded; got tags {:?}",
-            journal.records.iter().map(|r| r.event.tag()).collect::<Vec<_>>()
+            journal.iter().any(|&(j, _, e)| j == job
+                && e == JournalEvent::SessionTransition {
+                    from: SessionState::Warmup,
+                    to: SessionState::Walking
+                }),
+            "job {job} journals its walk; got {journal:?}"
         );
-    } else {
-        assert!(journal.is_empty(), "disabled telemetry journals nothing");
     }
-    // Fault-free walk: no retries, quarantines, or fallbacks.
-    assert_eq!(journal.count_tag("retry"), 0);
-    assert_eq!(journal.count_tag("quarantine"), 0);
+    assert!(
+        journal.iter().all(|(_, _, e)| e.tag() == "session_transition"),
+        "a fault-free walk journals only transitions: {journal:?}"
+    );
 
     // --- The metric snapshot is a view of the report -----------------
     for report in [&seq, &conc] {
@@ -209,19 +203,73 @@ fn service_observability_end_to_end() {
     let json = export::snapshot_json(&snap);
     let parsed: serde_json::Value = serde_json::from_str(&json).expect("snapshot JSON parses");
     assert!(matches!(parsed, serde_json::Value::Map(_)), "snapshot JSON is an object");
-
-    orion_telemetry::set_enabled(false);
 }
 
-/// A bandit session whose finalized arm dies journals the fallback
-/// once: as the session's `fallback` record naming the replacement.
+/// Two batches that run at once on two threads, with telemetry on,
+/// each report exactly their own jobs' journals: the same journals as
+/// each batch run alone with telemetry off.
+#[test]
+fn concurrent_batches_keep_their_own_journals() {
+    // Batch A: six simple walks. Batch B: two resilient bandit jobs,
+    // one of them cut by a deadline, so the two journals differ.
+    let batch_b = || {
+        let mut jobs = batch(6);
+        jobs.truncate(2);
+        for j in &mut jobs {
+            j.policy.search = Some(PolicyKind::Bandit(BanditConfig::default()));
+        }
+        jobs[1].policy.deadline_cycles = Some(1);
+        jobs
+    };
+    let resilient = ServiceConfig { workers: 2, ..ServiceConfig::default() };
+    let alone_a = run(2, batch(6));
+    let alone_b = run_with(resilient, batch_b());
+    orion_telemetry::set_enabled(true);
+    // Both batches start together, so their sessions overlap.
+    let start = Barrier::new(2);
+    let (a, b) = std::thread::scope(|s| {
+        let a = s.spawn(|| {
+            start.wait();
+            run(2, batch(6))
+        });
+        let b = s.spawn(|| {
+            start.wait();
+            run_with(resilient, batch_b())
+        });
+        (a.join().expect("batch A"), b.join().expect("batch B"))
+    });
+    orion_telemetry::set_enabled(false);
+    assert_eq!(a.journal(), alone_a.journal(), "batch A's journal is its own");
+    assert_eq!(b.journal(), alone_b.journal(), "batch B's journal is its own");
+    assert_ne!(a.journal(), b.journal());
+    for (report, jobs) in [(&a, 6), (&b, 2)] {
+        let journal = report.journal();
+        assert!(journal.iter().all(|&(job, _, _)| job < jobs), "{journal:?}");
+        for job in 0..jobs {
+            assert!(journal.iter().any(|&(j, _, _)| j == job), "job {job} journals: {journal:?}");
+        }
+    }
+    assert!(
+        b.journal().iter().any(|&(job, _, e)| job == 1
+            && matches!(e, JournalEvent::SessionTransition { to: SessionState::Degraded, .. })),
+        "B's deadline job journals its degrade: {:?}",
+        b.journal()
+    );
+    assert!(
+        b.journal().iter().any(|(_, _, e)| matches!(e, JournalEvent::Pruned { arms } if *arms > 0)),
+        "B's bandit jobs journal their pre-prune: {:?}",
+        b.journal()
+    );
+}
+
+/// A bandit session whose finalized arm dies records the fallback once:
+/// as one `FellBack` decision. Its journal adds only the hang that
+/// killed the pick, never a copy of the decision.
 #[test]
 fn a_dead_bandit_pick_is_journaled_as_one_fallback() {
-    let _guard = GLOBAL_STATE.lock().unwrap_or_else(PoisonError::into_inner);
-    orion_telemetry::set_enabled(true);
-    journal::clear();
-    let w = orion_workloads::by_name("matrixMul").expect("workload");
-    let ck = Orion::new(DeviceSpec::gtx680(), w.block).compile(&w.module).expect("compiles");
+    let ck = SimBackend::new(DeviceSpec::gtx680())
+        .compile_probe(&toy_module(2), &TuningConfig::new(64))
+        .expect("compiles");
     assert!(ck.versions.len() > 1, "a pick to lose and a version to fall back to");
     let mode = SessionMode::Resilient(ResiliencePolicy {
         samples: 1,
@@ -245,60 +293,18 @@ fn a_dead_bandit_pick_is_journaled_as_one_fallback() {
         session.on_launch_result(result).expect("a hang is absorbed");
     }
     let dead = dead.expect("the bandit finalized a pick");
-    assert_ne!(session.finish().selected, dead, "a survivor replaces the dead pick");
-    let records = journal::drain().records;
-    let fallbacks: Vec<_> = records
-        .iter()
-        .filter(|r| {
-            matches!(
-                r.event,
-                JournalEvent::Fallback { .. }
-                    | JournalEvent::PolicyDecision { action: "fallback", .. }
-            )
-        })
-        .collect();
-    let expected = usize::from(orion_telemetry::is_enabled());
-    assert_eq!(fallbacks.len(), expected, "one fallback, one record: {fallbacks:?}");
-    orion_telemetry::set_enabled(false);
-    journal::clear();
-}
-
-#[test]
-fn journal_overflow_under_concurrent_writers() {
-    // N threads racing `record_always` past the ring's capacity: the
-    // ring must keep exactly the newest `capacity` records, assign a
-    // gapless monotone sequence across all writers, and account for
-    // every dropped record — the overflow contract the service relies
-    // on when a chaotic batch floods the journal.
-    let _guard = GLOBAL_STATE.lock().unwrap_or_else(PoisonError::into_inner);
-    const CAPACITY: usize = 64;
-    const WRITERS: u64 = 8;
-    const PER_WRITER: u64 = 100;
-    journal::clear();
-    journal::set_capacity(CAPACITY);
-    std::thread::scope(|scope| {
-        for w in 0..WRITERS {
-            scope.spawn(move || {
-                for i in 0..PER_WRITER {
-                    journal::record_always(JournalEvent::Degraded { kernel: format!("w{w}#{i}") });
-                }
-            });
-        }
-    });
-    let d = journal::drain();
-    let total = WRITERS * PER_WRITER;
-    assert_eq!(d.records.len(), CAPACITY, "ring retains exactly its capacity");
-    assert_eq!(d.dropped, total - CAPACITY as u64, "every overflow is counted");
-    // Sequence numbers are globally monotone and gapless even under
-    // racing writers, and the *newest* records are the ones retained:
-    // after `clear()` reset the counter, the survivors are exactly the
-    // last CAPACITY of `total` sequence numbers.
-    for (i, r) in d.records.iter().enumerate() {
-        assert_eq!(r.seq, total - CAPACITY as u64 + i as u64, "records: {:?}", d.records);
-    }
-    // Restore the default for whichever test runs next.
-    journal::set_capacity(journal::DEFAULT_CAPACITY);
-    journal::clear();
+    let journal = session.journal().to_vec();
+    let out = session.finish();
+    assert_ne!(out.selected, dead, "a survivor replaces the dead pick");
+    let fallbacks = out.decisions.iter().filter(|d| d.reason == TuneReason::FellBack).count();
+    assert_eq!(fallbacks, 1, "one fallback, one decision: {:?}", out.decisions);
+    let facts: Vec<_> =
+        journal.iter().filter(|e| !matches!(e, JournalEvent::SessionTransition { .. })).collect();
+    assert_eq!(
+        facts,
+        [&JournalEvent::Watchdog { version: dead, budget_cycles: 9 }],
+        "the journal holds the hang, not the fallback"
+    );
 }
 
 #[test]

@@ -55,8 +55,8 @@
 //! future compile. All locking goes through one poison-tolerant helper:
 //! a poisoned cache is *cleared* (entries are pure memoization, so
 //! dropping them is always safe — the next request simply recompiles),
-//! the event is counted ([`CompileCacheStats::poison_recovered`], the
-//! `cache/poison_recovered` gauge, a journal record) and the mutex is
+//! the event is counted ([`CompileCacheStats::poison_recovered`], which
+//! the `cache/poison_recovered` gauge exports) and the mutex is
 //! un-poisoned. In-flight markers are cleaned up by an unwind-safe drop
 //! guard plus a bounded condvar wait, so coalesced waiters can never
 //! strand on an allocation whose owner died.
@@ -75,12 +75,10 @@
 //! `compile_cache` category; a service batch reports its delta
 //! ([`crate::service::ServiceReport::cache`]), which its metric snapshot
 //! exports as `cache/entries`, `cache/hit_rate` and
-//! `cache/poison_recovered`; and evictions are journaled
-//! ([`orion_telemetry::journal::JournalEvent::CacheEvicted`]).
+//! `cache/poison_recovered`.
 
 use orion_alloc::realize::{allocate, AllocError, AllocOptions, Allocated, SlotBudget};
 use orion_kir::function::Module;
-use orion_telemetry::journal::{self, JournalEvent};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
@@ -116,18 +114,13 @@ struct State {
 
 impl State {
     /// Insert a freshly allocated entry, FIFO-evicting down to
-    /// capacity first (and journaling the eviction).
+    /// capacity first.
     fn insert(&mut self, key: Key, value: Allocated) {
-        let mut evicted = 0;
         while self.map.len() >= CACHE_CAPACITY {
             let Some(oldest) = self.order.pop_front() else { break };
             self.map.remove(&oldest);
-            evicted += 1;
+            self.evictions += 1;
             orion_telemetry::counter("compile_cache", "evictions", 1);
-        }
-        if evicted > 0 {
-            self.evictions += evicted;
-            journal::record(JournalEvent::CacheEvicted { entries: evicted });
         }
         self.order.push_back(key);
         self.map.insert(key, Arc::new(value));
@@ -154,10 +147,10 @@ fn cache() -> &'static Cache {
 /// allocation will never resolve). Recovery therefore *clears* the
 /// cache — resident entries, FIFO order, and in-flight markers — which
 /// is always safe because entries are pure memoization, then counts the
-/// event ([`CompileCacheStats::poison_recovered`], journal
-/// [`JournalEvent::PoisonRecovered`]), un-poisons the mutex so every
-/// future compile proceeds normally, and wakes any waiters coalesced on
-/// a cleared in-flight key so they retry their own allocation.
+/// event ([`CompileCacheStats::poison_recovered`]), un-poisons the mutex
+/// so every future compile proceeds normally, and wakes any waiters
+/// coalesced on a cleared in-flight key so they retry their own
+/// allocation.
 fn lock() -> MutexGuard<'static, State> {
     let cache = cache();
     match cache.state.lock() {
@@ -170,7 +163,6 @@ fn lock() -> MutexGuard<'static, State> {
             st.poisoned += 1;
             cache.state.clear_poison();
             orion_telemetry::counter("compile_cache", "poison_recovered", 1);
-            journal::record(JournalEvent::PoisonRecovered);
             cache.resolved.notify_all();
             st
         }

@@ -47,7 +47,6 @@
 
 use crate::compiler::{CompiledKernel, Direction, KernelVersion};
 use crate::runtime::{TuneDecision, TuneReason};
-use orion_telemetry::journal::{self, JournalEvent};
 use serde::{Deserialize, Serialize};
 
 /// One successful measurement reported to a policy.
@@ -109,8 +108,7 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    /// Stable lowercase name (reports, journal records, bench
-    /// artifacts).
+    /// Stable lowercase name (reports, bench artifacts).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -295,13 +293,6 @@ impl Policy {
             if let Some(best) = self.rule.best_guess() {
                 self.finalized = Some(best);
                 self.push(entry(TuneReason::Exhausted, self.finalized));
-                if orion_telemetry::is_enabled() {
-                    journal::record(JournalEvent::PolicyDecision {
-                        policy: self.rule.kind().name(),
-                        action: "finalize",
-                        candidate: best,
-                    });
-                }
             }
         }
     }
@@ -510,13 +501,6 @@ impl Rule {
         match self {
             Rule::Walk(w) => w.forget(candidate),
             Rule::Bandit(b) => b.live.retain(|&i| i != candidate),
-        }
-    }
-
-    fn kind(&self) -> PolicyKind {
-        match self {
-            Rule::Walk(_) => PolicyKind::PaperWalk,
-            Rule::Bandit(b) => PolicyKind::Bandit(b.cfg),
         }
     }
 }
@@ -814,13 +798,6 @@ impl Bandit {
             .filter(|&i| i == ck.original || arms[i].bound <= limit)
             .collect();
         let pruned = explored.len() - live.len();
-        if pruned > 0 {
-            journal::record(JournalEvent::PolicyDecision {
-                policy: "bandit",
-                action: "prune",
-                candidate: pruned,
-            });
-        }
         Bandit { cfg, arms, live, pruned }
     }
 
@@ -955,7 +932,10 @@ mod tests {
     fn for_both_rules(ck: &CompiledKernel, check: impl Fn(&mut Policy)) {
         let cfg = BanditConfig { prune_slack_pct: u32::MAX, ..BanditConfig::default() };
         for mut policy in [Policy::walk(ck, 0.02), Policy::bandit(ck, |_, _| 100, cfg)] {
-            eprintln!("rule: {}", policy.rule.kind().name());
+            eprintln!(
+                "rule: {}",
+                if matches!(policy.rule, Rule::Walk(_)) { "walk" } else { "bandit" }
+            );
             check(&mut policy);
         }
     }

@@ -61,7 +61,10 @@
 //!   module fingerprint reuse allocations; [`ServiceReport::cache`]
 //!   reports hit rates across the batch) and one telemetry buffer,
 //!   with each session stamped onto its own lane
-//!   ([`orion_telemetry::set_scope`]) so traces stay separable.
+//!   ([`orion_telemetry::set_scope`]) so traces stay separable. The
+//!   run journal is not shared: each job's session keeps its own
+//!   ([`KernelReport::journal`]), so a batch's journal holds exactly its
+//!   own jobs' records, whatever else runs in the process.
 //!
 //! One per-job state machine drives every job, whether it arrives
 //! through [`OrionService::run`] or [`OrionService::tune_one`]: it
@@ -106,14 +109,15 @@ use crate::error::OrionError;
 use crate::policy::PolicyKind;
 use crate::resilient::ResiliencePolicy;
 use crate::runtime::TuneDecision;
-use crate::session::{SessionMode, SessionOutcome, SessionState, SessionStep, TuningSession};
+use crate::session::{
+    JournalEvent, SessionMode, SessionOutcome, SessionState, SessionStep, TuningSession,
+};
 use orion_gpusim::exec::Launch;
 use orion_gpusim::faults::{splitmix64, unit, FaultInjector, FaultPlan, LaunchFaults};
 use orion_gpusim::sim::LaunchOptions;
 use orion_kir::function::Module;
 use orion_telemetry::export::{MetricSample, MetricValue, MetricsSnapshot};
 use orion_telemetry::hist::Histogram;
-use orion_telemetry::journal::{self, JournalDrain, JournalEvent};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{HashMap, VecDeque};
@@ -407,6 +411,25 @@ pub struct KernelReport {
     pub disposition: JobDisposition,
     /// Latency observations for this kernel's session.
     pub metrics: KernelMetrics,
+    /// The session's journal ([`TuningSession::journal`]): the facts
+    /// its outcome does not already hold, oldest first. Deterministic,
+    /// like the outcome; empty when no session started.
+    pub journal: Vec<JournalEvent>,
+}
+
+impl KernelReport {
+    /// The report of a job that failed with `err` before its session
+    /// could report: quarantined, with only its compile time measured.
+    fn failed(name: &str, lane: u32, err: OrionError, compile_wall_us: u64) -> Self {
+        KernelReport {
+            name: name.to_string(),
+            lane,
+            outcome: Err(err),
+            disposition: JobDisposition::Quarantined,
+            metrics: KernelMetrics { compile_wall_us, ..KernelMetrics::default() },
+            journal: Vec::new(),
+        }
+    }
 }
 
 /// Batch-wide latency distributions: the per-kernel cycle-domain
@@ -422,7 +445,11 @@ pub struct ServiceMetrics {
     pub session_cycles: Histogram,
 }
 
-/// A completed service batch.
+/// A completed service batch. Its outcomes, decision logs, journals and
+/// histograms are values the batch's own sessions produced, so batches
+/// that run at once in one process never see each other's records. The
+/// one exception is [`ServiceReport::cache`], a delta of the
+/// process-wide compile cache's counters.
 #[derive(Debug, Clone)]
 pub struct ServiceReport {
     /// Per-kernel reports, in submission order.
@@ -435,11 +462,6 @@ pub struct ServiceReport {
     pub cache: cache::CompileCacheStats,
     /// Batch-wide latency distributions.
     pub metrics: ServiceMetrics,
-    /// Typed runtime decisions journaled during the batch (drained from
-    /// the global ring — empty unless telemetry is enabled). A process
-    /// running several services concurrently shares one journal; records
-    /// carry the session lane for attribution.
-    pub journal: JournalDrain,
     /// Worker threads the batch actually ran on (after clamping to the
     /// job count).
     pub workers: usize,
@@ -462,6 +484,17 @@ impl ServiceReport {
             .iter()
             .filter_map(|k| k.outcome.as_ref().ok().map(|o| (k.name.as_str(), o)))
             .flat_map(|(name, o)| o.decisions.iter().map(move |d| (name, d)))
+            .collect()
+    }
+
+    /// All journals flattened deterministically as `(job, seq, event)`:
+    /// jobs in submission order, each job's records in session order.
+    #[must_use]
+    pub fn journal(&self) -> Vec<(usize, usize, JournalEvent)> {
+        self.kernels
+            .iter()
+            .enumerate()
+            .flat_map(|(job, k)| k.journal.iter().enumerate().map(move |(seq, &e)| (job, seq, e)))
             .collect()
     }
 
@@ -668,27 +701,20 @@ impl<'k> ActiveJob<'k> {
                 dispatch_wait_us: self.dispatch_wait_us,
                 execute_us: self.execute_us,
             },
+            journal: self.session.journal().to_vec(),
         }))
     }
 
     /// The definite report after a step of this job (or its completion
-    /// callback) unwound on the scheduler: counted, journaled,
-    /// quarantined.
+    /// callback) unwound on the scheduler: counted and quarantined,
+    /// keeping what the session journaled before the panic.
     fn panic_report(&self, payload: &(dyn std::any::Any + Send)) -> Box<KernelReport> {
         let detail = panic_detail(payload);
         orion_telemetry::counter("resilience", "session_panic", 1);
-        journal::record(JournalEvent::SessionPanic { kernel: self.name.clone() });
+        let err = OrionError::SessionPanicked { detail }.with_context(self.name.clone(), None);
         Box::new(KernelReport {
-            name: self.name.clone(),
-            lane: self.lane,
-            outcome: Err(
-                OrionError::SessionPanicked { detail }.with_context(self.name.clone(), None)
-            ),
-            disposition: JobDisposition::Quarantined,
-            metrics: KernelMetrics {
-                compile_wall_us: self.compile_wall_us,
-                ..KernelMetrics::default()
-            },
+            journal: self.session.journal().to_vec(),
+            ..KernelReport::failed(&self.name, self.lane, err, self.compile_wall_us)
         })
     }
 
@@ -891,21 +917,11 @@ impl<B: AsyncBackend> OrionService<B> {
                 Err(payload) => {
                     let detail = panic_detail(payload.as_ref());
                     orion_telemetry::counter("resilience", "session_panic", 1);
-                    journal::record(JournalEvent::SessionPanic { kernel: names[i].clone() });
                     OrionError::SessionPanicked { detail }.with_context(names[i].clone(), None)
                 }
             };
             jobs[i] = None;
-            reports[i] = Some(KernelReport {
-                name: names[i].clone(),
-                lane: lane_of(i),
-                outcome: Err(err),
-                disposition: JobDisposition::Quarantined,
-                metrics: KernelMetrics {
-                    compile_wall_us: compile_us[i],
-                    ..KernelMetrics::default()
-                },
-            });
+            reports[i] = Some(KernelReport::failed(&names[i], lane_of(i), err, compile_us[i]));
         }
         // Dispatch order: a pure function of the job set. Sessions are
         // always started from the head of this queue, whatever the
@@ -966,18 +982,11 @@ impl<B: AsyncBackend> OrionService<B> {
                 // definite reports rather than spin forever.
                 for (_ticket, i) in pending.drain() {
                     active[i] = None;
-                    reports[i] = Some(KernelReport {
-                        name: names[i].clone(),
-                        lane: lane_of(i),
-                        outcome: Err(OrionError::SessionPanicked {
-                            detail: "backend lost an in-flight ticket".into(),
-                        }),
-                        disposition: JobDisposition::Quarantined,
-                        metrics: KernelMetrics {
-                            compile_wall_us: compile_us[i],
-                            ..KernelMetrics::default()
-                        },
-                    });
+                    let err = OrionError::SessionPanicked {
+                        detail: "backend lost an in-flight ticket".into(),
+                    };
+                    reports[i] =
+                        Some(KernelReport::failed(&names[i], lane_of(i), err, compile_us[i]));
                 }
                 continue;
             }
@@ -1015,14 +1024,11 @@ impl<B: AsyncBackend> OrionService<B> {
             .into_iter()
             .enumerate()
             .map(|(i, r)| {
-                r.unwrap_or_else(|| KernelReport {
-                    name: names[i].clone(),
-                    lane: lane_of(i),
-                    outcome: Err(OrionError::SessionPanicked {
+                r.unwrap_or_else(|| {
+                    let err = OrionError::SessionPanicked {
                         detail: "scheduler produced no report".into(),
-                    }),
-                    disposition: JobDisposition::Quarantined,
-                    metrics: KernelMetrics::default(),
+                    };
+                    KernelReport::failed(&names[i], lane_of(i), err, compile_us[i])
                 })
             })
             .collect();
@@ -1041,7 +1047,6 @@ impl<B: AsyncBackend> OrionService<B> {
             kernels,
             cache: cache::stats().delta_since(&cache_before),
             metrics,
-            journal: orion_telemetry::journal::drain(),
             workers,
             in_flight_limit,
             dispatch_order,
@@ -1130,6 +1135,7 @@ mod tests {
             assert_eq!(a.disposition, b.disposition);
         }
         assert_eq!(seq.merged_decisions().len(), par.merged_decisions().len());
+        assert_eq!(seq.journal(), par.journal());
     }
 
     #[test]
@@ -1255,6 +1261,7 @@ mod tests {
             assert_eq!(par.in_flight_limit, 6);
             assert_eq!(seq.dispatch_order, par.dispatch_order, "{policy:?}");
             assert_eq!(seq.merged_decisions(), par.merged_decisions(), "{policy:?}");
+            assert_eq!(seq.journal(), par.journal(), "{policy:?}");
             for (a, b) in seq.kernels.iter().zip(&par.kernels) {
                 assert_eq!(
                     a.outcome.as_ref().unwrap(),
@@ -1360,13 +1367,14 @@ mod tests {
     /// rates 0, 10% and 25%: launch faults, worker panics and deadline
     /// pressure, at two scheduler shapes. Every job comes back with one
     /// definite disposition coherent with its outcome, in submission
-    /// order, bit-identically at both shapes; the clean rate finalizes
-    /// everything; the 25% point adds a fault storm.
+    /// order, bit-identically at both shapes, journals included; each
+    /// job's `Retry` records fold to its retry stats; the clean rate
+    /// finalizes everything; the 25% point adds a fault storm.
     #[test]
     fn chaos_batch_is_accounted_and_deterministic() {
         const SEED: u64 = 0x0710_2024;
         const JOBS: usize = 9;
-        let (mut panics, mut launch_faults) = (0, 0);
+        let (mut panics, mut launch_faults, mut retries) = (0, 0, 0);
         for rate in [0.0, 0.10, 0.25] {
             let mut plan = if rate == 0.0 {
                 ServiceFaultPlan::none(SEED)
@@ -1414,6 +1422,25 @@ mod tests {
             for (a, b) in seq.kernels.iter().zip(&conc.kernels) {
                 assert_eq!(a.disposition, b.disposition, "rate {rate}, {}", a.name);
                 assert_eq!(a.metrics.cycle_domain(), b.metrics.cycle_domain(), "{}", a.name);
+                assert_eq!(a.journal, b.journal, "rate {rate}, {}", a.name);
+                if let Ok(o) = &a.outcome {
+                    let backoffs: Vec<u64> = a
+                        .journal
+                        .iter()
+                        .filter_map(|e| match *e {
+                            JournalEvent::Retry { backoff_cycles, .. } => Some(backoff_cycles),
+                            _ => None,
+                        })
+                        .collect();
+                    assert_eq!(backoffs.len() as u64, o.stats.retries, "rate {rate}, {}", a.name);
+                    retries += backoffs.len();
+                    assert_eq!(
+                        backoffs.iter().sum::<u64>(),
+                        o.stats.backoff_cycles,
+                        "rate {rate}, {}",
+                        a.name
+                    );
+                }
                 match (&a.outcome, &b.outcome) {
                     (Ok(x), Ok(y)) => assert_eq!(x, y, "rate {rate}, {}", a.name),
                     (Err(x), Err(y)) => assert_eq!(x.to_string(), y.to_string(), "{}", a.name),
@@ -1446,6 +1473,7 @@ mod tests {
         // A chaos sweep that never injects anything checks nothing.
         assert!(panics > 0, "the sweep caught no worker panic");
         assert!(launch_faults > 0, "the sweep caused no retry or quarantine");
+        assert!(retries > 0, "the sweep journaled no retry");
     }
 
     /// A backend whose launches always panic — the hostile case panic

@@ -60,7 +60,6 @@ use crate::resilient::{
 };
 use crate::runtime::{TuneDecision, TuneReason};
 use orion_telemetry::hist::Histogram;
-use orion_telemetry::journal::{self, JournalEvent};
 use serde::{Deserialize, Serialize};
 
 /// Observable phase of a [`TuningSession`] (see the module docs for the
@@ -107,17 +106,38 @@ impl SessionState {
     pub fn is_settled(self) -> bool {
         matches!(self, SessionState::Finalized | SessionState::Quarantined | SessionState::Degraded)
     }
+}
 
-    /// Stable lowercase name (journal records, exporters).
+/// One fact a [`TuningSession`] journals that no other part of its
+/// outcome holds. Quarantines, fallbacks, degrades and policy verdicts
+/// are [`TuneDecision`]s and are never journaled again: a record that
+/// needs a decision's place in the order carries the decision's index
+/// in the log, not a copy of it. The journal is a pure function of the
+/// session's inputs, so it is bit-identical across worker counts and
+/// telemetry settings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JournalEvent {
+    /// The session moved between states.
+    SessionTransition { from: SessionState, to: SessionState },
+    /// A transient launch failure of `version` scheduled retry
+    /// `attempt` after `backoff_cycles` simulated cycles.
+    Retry { version: usize, attempt: u32, backoff_cycles: u64 },
+    /// A launch of `version` exceeded its watchdog cycle budget.
+    Watchdog { version: usize, budget_cycles: u64 },
+    /// The bandit's analytic pre-prune dropped `arms` arms before any
+    /// launch.
+    Pruned { arms: usize },
+}
+
+impl JournalEvent {
+    /// Stable lowercase tag naming the variant.
     #[must_use]
-    pub fn name(self) -> &'static str {
+    pub fn tag(&self) -> &'static str {
         match self {
-            SessionState::Warmup => "warmup",
-            SessionState::Walking => "walking",
-            SessionState::Probing => "probing",
-            SessionState::Finalized => "finalized",
-            SessionState::Quarantined => "quarantined",
-            SessionState::Degraded => "degraded",
+            JournalEvent::SessionTransition { .. } => "session_transition",
+            JournalEvent::Retry { .. } => "retry",
+            JournalEvent::Watchdog { .. } => "watchdog",
+            JournalEvent::Pruned { .. } => "pruned",
         }
     }
 }
@@ -250,6 +270,8 @@ pub struct TuningSession<'k> {
     /// retries; folded into `obs.queue_wait_cycles` when it resolves.
     pending_backoff: u64,
     obs: SessionObs,
+    /// This session's journal, in the order the facts happened.
+    journal: Vec<JournalEvent>,
 }
 
 impl<'k> TuningSession<'k> {
@@ -295,6 +317,10 @@ impl<'k> TuningSession<'k> {
         } else {
             SessionState::Warmup
         };
+        let journal = match policy.pruned_arms() {
+            0 => Vec::new(),
+            arms => vec![JournalEvent::Pruned { arms }],
+        };
         TuningSession {
             kernel: kernel.into(),
             mode,
@@ -312,6 +338,7 @@ impl<'k> TuningSession<'k> {
             aborted: false,
             pending_backoff: 0,
             obs: SessionObs::default(),
+            journal,
             policy,
             ck,
         }
@@ -375,6 +402,14 @@ impl<'k> TuningSession<'k> {
         &self.obs
     }
 
+    /// The session's journal so far, oldest first. Read (and clone)
+    /// before [`TuningSession::finish`] consumes the session, as
+    /// `OrionService` does for each job's report.
+    #[must_use]
+    pub fn journal(&self) -> &[JournalEvent] {
+        &self.journal
+    }
+
     /// Total simulated cycles consumed so far, *including* backoff
     /// cycles charged by resilient retries — the quantity a sim-cycle
     /// deadline meters.
@@ -402,9 +437,6 @@ impl<'k> TuningSession<'k> {
         self.aborted = true;
         let settled = self.policy.degrade();
         if settled.is_some() {
-            if orion_telemetry::is_enabled() {
-                journal::record(JournalEvent::Degraded { kernel: self.kernel.clone() });
-            }
             self.transition(SessionState::Degraded);
         } else {
             self.transition(SessionState::Quarantined);
@@ -419,12 +451,8 @@ impl<'k> TuningSession<'k> {
             "illegal session transition {:?} -> {to:?}",
             self.state
         );
-        if self.state != to && orion_telemetry::is_enabled() {
-            journal::record(JournalEvent::SessionTransition {
-                kernel: self.kernel.clone(),
-                from: self.state.name(),
-                to: to.name(),
-            });
+        if self.state != to {
+            self.journal.push(JournalEvent::SessionTransition { from: self.state, to });
         }
         self.state = to;
     }
@@ -583,15 +611,12 @@ impl<'k> TuningSession<'k> {
                 let backoff = BACKOFF_BASE_CYCLES << pending.attempt.min(20);
                 self.stats.backoff_cycles = self.stats.backoff_cycles.saturating_add(backoff);
                 self.pending_backoff = self.pending_backoff.saturating_add(backoff);
-                if orion_telemetry::is_enabled() {
-                    orion_telemetry::counter("resilience", "retry", 1);
-                    journal::record(JournalEvent::Retry {
-                        kernel: self.kernel.clone(),
-                        version: pending.version,
-                        attempt: pending.attempt + 1,
-                        backoff_cycles: backoff,
-                    });
-                }
+                orion_telemetry::counter("resilience", "retry", 1);
+                self.journal.push(JournalEvent::Retry {
+                    version: pending.version,
+                    attempt: pending.attempt + 1,
+                    backoff_cycles: backoff,
+                });
                 self.current =
                     Some(PendingLaunch { version: pending.version, attempt: pending.attempt + 1 });
                 Ok(())
@@ -603,15 +628,13 @@ impl<'k> TuningSession<'k> {
                 // still queue time.
                 self.obs.queue_wait_cycles.record(self.pending_backoff);
                 self.pending_backoff = 0;
-                if orion_telemetry::is_enabled() {
-                    if let OrionError::Sim(orion_gpusim::exec::SimError::Watchdog { budget }) =
-                        e.root_cause()
-                    {
-                        journal::record(JournalEvent::Watchdog {
-                            kernel: self.kernel.clone(),
-                            budget_cycles: *budget,
-                        });
-                    }
+                if let OrionError::Sim(orion_gpusim::exec::SimError::Watchdog { budget }) =
+                    e.root_cause()
+                {
+                    self.journal.push(JournalEvent::Watchdog {
+                        version: pending.version,
+                        budget_cycles: *budget,
+                    });
                 }
                 let dead = self.strike(pending.version, policy);
                 if let Some(mut pass) = self.pass.take() {
@@ -640,25 +663,10 @@ impl<'k> TuningSession<'k> {
     /// budget. Returns whether the version died.
     fn strike(&mut self, version: usize, policy: &ResiliencePolicy) -> bool {
         self.stats.strikes += 1;
-        if orion_telemetry::is_enabled() {
-            orion_telemetry::counter("resilience", "strike", 1);
-        }
+        orion_telemetry::counter("resilience", "strike", 1);
         self.strikes[version] += 1;
         if self.strikes[version] >= policy.quarantine_strikes.max(1) {
-            let replacement = self.policy.quarantine(version);
-            if orion_telemetry::is_enabled() {
-                journal::record(JournalEvent::Quarantine {
-                    kernel: self.kernel.clone(),
-                    version,
-                    strikes: self.strikes[version],
-                });
-                if let Some(to) = replacement {
-                    journal::record(JournalEvent::Fallback {
-                        kernel: self.kernel.clone(),
-                        version: to,
-                    });
-                }
-            }
+            self.policy.quarantine(version);
             true
         } else {
             false
@@ -896,7 +904,13 @@ mod tests {
         assert!(matches!(err.root_cause(), OrionError::AllCandidatesFailed { quarantined: 2 }));
         assert!(err.to_string().contains("dead"));
         assert_eq!(s.state(), SessionState::Quarantined);
+        let watchdogs = s
+            .journal()
+            .iter()
+            .filter(|e| matches!(e, JournalEvent::Watchdog { budget_cycles: 9, .. }))
+            .count();
         let out = s.finish();
+        assert_eq!(watchdogs as u64, out.stats.strikes, "every strike here is a journaled hang");
         assert_eq!(out.state, SessionState::Quarantined);
         assert_eq!(
             out.decisions.iter().filter(|d| d.reason == TuneReason::Quarantined).count(),

@@ -236,16 +236,8 @@ impl FaultInjector {
         // measurement, so measurement faults are tallied only when the
         // launch can reach one. Tally launch faults in precedence order
         // (transient masks the rest, matching the order the launch path
-        // applies them). Journal the injected fault kinds (typed, per
-        // launch) next to the aggregate telemetry counters.
-        let tally = |kind: &'static str| {
-            orion_telemetry::counter("faults", kind, 1);
-            if orion_telemetry::is_enabled() {
-                orion_telemetry::journal::record(
-                    orion_telemetry::journal::JournalEvent::FaultInjected { kind, launch: idx },
-                );
-            }
-        };
+        // applies them).
+        let tally = |kind: &'static str| orion_telemetry::counter("faults", kind, 1);
         if f.transient {
             self.stats.transient.fetch_add(1, Ordering::Relaxed);
             tally("transient");

@@ -7,18 +7,19 @@
 //! (per-iteration decisions), and the simulator (phase timeline), plus
 //! exporters to Chrome `trace_event` JSON and a flat metrics report.
 //!
-//! Beyond the raw event stream, the service plane builds on three typed
+//! Beyond the raw event stream, the service plane builds on two typed
 //! layers: [`hist`] (log-bucketed latency histograms with deterministic
-//! merge), [`journal`] (a bounded ring of typed runtime decisions —
-//! retries, quarantines, evictions, fault injections), and
-//! [`export`]/[`timeline`] (Prometheus text + JSON exporters over a
-//! plain [`export::MetricsSnapshot`] value, and a span-derived per-lane
-//! critical-path view). A snapshot holds no state of its own: the
-//! service derives one from its batch report.
+//! merge) and [`export`]/[`timeline`] (Prometheus text + JSON exporters
+//! over a plain [`export::MetricsSnapshot`] value, and a span-derived
+//! per-lane critical-path view). A snapshot holds no state of its own:
+//! the service derives one from its batch report. The run journal is
+//! not here either: each tuning session keeps its own as a plain value
+//! (`orion_core::session::JournalEvent`), which no gate below applies
+//! to.
 //!
 //! # Gating
 //!
-//! Recording is double-gated:
+//! Event recording is double-gated:
 //!
 //! * **Compile time** — the `enabled` cargo feature. Without it every
 //!   probe body compiles away entirely; instrumented hot paths cost a
@@ -40,7 +41,6 @@
 pub mod chrome;
 pub mod export;
 pub mod hist;
-pub mod journal;
 pub mod metrics;
 pub mod timeline;
 
@@ -208,21 +208,6 @@ pub fn take_events() -> Vec<Event> {
 #[inline]
 fn now_us() -> u64 {
     START.get_or_init(Instant::now).elapsed().as_micros() as u64
-}
-
-/// Microseconds since telemetry session start. Always available (the
-/// journal stamps records through it); in builds without the `enabled`
-/// feature there is no session clock and this returns 0.
-#[must_use]
-pub fn current_us() -> u64 {
-    #[cfg(feature = "enabled")]
-    {
-        now_us()
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        0
-    }
 }
 
 #[cfg(feature = "enabled")]
