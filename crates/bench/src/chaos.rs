@@ -4,10 +4,9 @@
 //! For each workload × fault-rate point we run the tuning walk twice
 //! over the same compiled candidates:
 //!
-//! 1. a **fault-free reference** with a
-//!    [`SessionMode::Simple`](orion_core::session::SessionMode) session;
-//! 2. a **chaotic run** through a
-//!    [`SessionMode::Resilient`](orion_core::session::SessionMode) one,
+//! 1. a **fault-free reference** walk under
+//!    [`ResiliencePolicy::PAPER`];
+//! 2. a **chaotic run** under [`ResiliencePolicy::default`],
 //!    with a seeded [`FaultPlan`] injecting transient launch failures,
 //!    perturbed-device resource rejections, stuck-warp hangs, and timing
 //!    jitter/outliers.
@@ -111,8 +110,8 @@ pub fn chaos_run(
     let mut global = w.init_global.clone();
     let mut iter_no = 0u32;
     let policy = ResiliencePolicy::default();
-    let chaotic = TuningSession::resilient(w.name, &compiled, iters, DOWNWARD_THRESHOLD, policy)
-        .drive(|v| {
+    let chaotic =
+        TuningSession::new(w.name, &compiled, iters, DOWNWARD_THRESHOLD, policy).drive(|v| {
             let params = w.params_for(iter_no);
             iter_no += 1;
             let opts =

@@ -37,7 +37,7 @@ use orion_core::orion::Orion;
 use orion_core::policy::{BanditConfig, PolicyKind};
 use orion_core::resilient::{ResiliencePolicy, ResilienceStats};
 use orion_core::runtime::TuneDecision;
-use orion_core::session::{SessionMode, SessionOutcome, TuningSession};
+use orion_core::session::{SessionOutcome, TuningSession};
 use orion_gpusim::device::DeviceSpec;
 use orion_gpusim::exec::Launch;
 use orion_gpusim::faults::{splitmix64, FaultInjector, FaultPlan, FaultSnapshot, LaunchFaults};
@@ -283,7 +283,8 @@ fn launch_entry(
 }
 
 /// What a walk reports, whichever driver ran it: the fields of a
-/// session outcome, with the failure accounting only in resilient mode.
+/// session outcome, with the failure accounting only for walks that
+/// run off [`ResiliencePolicy::PAPER`].
 #[derive(Debug, Clone, PartialEq)]
 struct Walk {
     selected: usize,
@@ -291,13 +292,14 @@ struct Walk {
     converged_after: usize,
     total_cycles: u64,
     decisions: Vec<TuneDecision>,
-    /// Failure accounting (resilient walks only).
+    /// Failure accounting; `None` for paper walks, whose fixture
+    /// entries pin the outcome without it.
     stats: Option<ResilienceStats>,
 }
 
 impl Walk {
-    /// The reported fields of `o`; a simple walk's all-zero failure
-    /// accounting is left out.
+    /// The reported fields of `o`; a paper walk's failure accounting is
+    /// left out.
     fn of(o: SessionOutcome, resilient: bool) -> Self {
         Walk {
             selected: o.selected,
@@ -352,19 +354,13 @@ fn serial() -> LaunchOptions {
     LaunchOptions { parallelism: 1, ..LaunchOptions::default() }
 }
 
-/// Which driver a walk case runs.
+/// Which session a walk case runs: its resilience policy and its
+/// search rule.
 #[derive(Debug, Clone, Copy)]
-enum Driver {
-    /// The fault-free walk.
-    Simple,
-    /// The fault-free session under a search policy requested
-    /// explicitly through the search-policy seam.
-    SimplePolicy(PolicyKind),
-    /// The resilient walk under the given policy.
-    Resilient(ResiliencePolicy),
-    /// The resilient session through the search-policy seam.
-    ResilientPolicy(ResiliencePolicy, PolicyKind),
-}
+struct Driver(ResiliencePolicy, PolicyKind);
+
+/// The paper's exact walk.
+const PAPER: Driver = Driver(ResiliencePolicy::PAPER, PolicyKind::PaperWalk);
 
 fn drive(
     driver: Driver,
@@ -379,34 +375,9 @@ fn drive(
         launches += 1;
         run(v)
     };
-    let (session, resilient) = match driver {
-        Driver::Simple => (TuningSession::simple(ck, iterations, threshold), false),
-        Driver::SimplePolicy(search) => (
-            TuningSession::with_policy(
-                kernel,
-                ck,
-                iterations,
-                threshold,
-                SessionMode::Simple,
-                search,
-            ),
-            false,
-        ),
-        Driver::Resilient(policy) => {
-            (TuningSession::resilient(kernel, ck, iterations, threshold, policy), true)
-        }
-        Driver::ResilientPolicy(policy, search) => (
-            TuningSession::with_policy(
-                kernel,
-                ck,
-                iterations,
-                threshold,
-                SessionMode::Resilient(policy),
-                search,
-            ),
-            true,
-        ),
-    };
+    let Driver(resilience, search) = driver;
+    let session = TuningSession::with_policy(kernel, ck, iterations, threshold, resilience, search);
+    let resilient = resilience != ResiliencePolicy::PAPER;
     let out = session.drive(counted).map(|o| Walk::of(o, resilient));
     walk_entry(&out, launches)
 }
@@ -897,7 +868,7 @@ const DIRECTIONS: [(&str, Direction); 2] =
 #[allow(clippy::too_many_lines)]
 fn synthetic_walk_cases(cases: &mut Vec<Case>) {
     const FIVE: &[u32] = &[8, 16, 24, 32, 48];
-    let resilient = Driver::Resilient(ResiliencePolicy::default());
+    let resilient = Driver(ResiliencePolicy::default(), PolicyKind::PaperWalk);
     let clean = |driver, kernel: &'static str, levels: &'static [u32], dir, iterations| {
         move || {
             let ck = fake_compiled(levels, dir);
@@ -923,7 +894,7 @@ fn synthetic_walk_cases(cases: &mut Vec<Case>) {
             cases.push(Case::new(
                 format!("synth/plain/clean/{d}/it{it}"),
                 false,
-                clean(Driver::Simple, "", FIVE, dir, it),
+                clean(PAPER, "", FIVE, dir, it),
             ));
         }
     }
@@ -932,7 +903,7 @@ fn synthetic_walk_cases(cases: &mut Vec<Case>) {
             cases.push(Case::new(format!("synth/plain/noise/{d}/s{seed}"), false, move || {
                 let ck = fake_compiled(FIVE, dir);
                 let mut rng = seed ^ 0xab5e;
-                drive(Driver::Simple, "", &ck, 30, 0.02, |v| {
+                drive(PAPER, "", &ck, 30, 0.02, |v| {
                     Ok(noisy(&mut rng, BASE[ck.index_of(&v.label)?], 0.05))
                 })
             }));
@@ -941,7 +912,7 @@ fn synthetic_walk_cases(cases: &mut Vec<Case>) {
     cases.push(Case::new("synth/plain/error-after-4", false, || {
         let ck = fake_compiled(&[8, 16, 24, 32], Direction::Increasing);
         let mut calls = 0u32;
-        drive(Driver::Simple, "", &ck, 20, 0.02, |v| {
+        drive(PAPER, "", &ck, 20, 0.02, |v| {
             calls += 1;
             if calls > 4 {
                 return Err(SimError::Deadlock.into());
@@ -995,7 +966,7 @@ fn synthetic_walk_cases(cases: &mut Vec<Case>) {
         cases.push(Case::new(
             format!("synth/solo/plain/{d}"),
             false,
-            clean(Driver::Simple, "", &[16], dir, 12),
+            clean(PAPER, "", &[16], dir, 12),
         ));
         for seed in 0..10u64 {
             cases.push(Case::new(
@@ -1020,7 +991,7 @@ fn synthetic_walk_cases(cases: &mut Vec<Case>) {
                 format!("synth/policy-{p}/s{seed}"),
                 false,
                 faulty(
-                    Driver::Resilient(policy),
+                    Driver(policy, PolicyKind::PaperWalk),
                     "pol",
                     &[8, 16, 24, 32],
                     Direction::Decreasing,
@@ -1039,13 +1010,13 @@ fn synthetic_walk_cases(cases: &mut Vec<Case>) {
         ("seam-bandit", PolicyKind::Bandit(BanditConfig::default())),
     ];
     for (prefix, search) in seams {
-        let resilient = Driver::ResilientPolicy(ResiliencePolicy::default(), search);
+        let resilient = Driver(ResiliencePolicy::default(), search);
         for (d, dir) in DIRECTIONS {
             for it in [0u32, 1, 3, 10, 40] {
                 cases.push(Case::new(
                     format!("{prefix}/plain/clean/{d}/it{it}"),
                     false,
-                    clean(Driver::SimplePolicy(search), "", FIVE, dir, it),
+                    clean(Driver(ResiliencePolicy::PAPER, search), "", FIVE, dir, it),
                 ));
             }
         }
@@ -1054,7 +1025,15 @@ fn synthetic_walk_cases(cases: &mut Vec<Case>) {
                 cases.push(Case::new(
                     format!("{prefix}/plain/noise/{d}/s{seed}"),
                     false,
-                    faulty(Driver::SimplePolicy(search), "", FIVE, dir, 30, seed, [0, 0, 0]),
+                    faulty(
+                        Driver(ResiliencePolicy::PAPER, search),
+                        "",
+                        FIVE,
+                        dir,
+                        30,
+                        seed,
+                        [0, 0, 0],
+                    ),
                 ));
             }
         }
@@ -1098,7 +1077,7 @@ impl App {
 fn sim_walk_cases(cases: &mut Vec<Case>) {
     const ITERS: u32 = 32;
     const THRESHOLD: f64 = 0.05;
-    let resilient = Driver::Resilient(ResiliencePolicy::default());
+    let resilient = Driver(ResiliencePolicy::default(), PolicyKind::PaperWalk);
     let run = |name: &'static str, driver: Driver, chaos: Option<u64>| {
         move || {
             let dev = DeviceSpec::gtx680();
@@ -1114,7 +1093,7 @@ fn sim_walk_cases(cases: &mut Vec<Case>) {
         }
     };
     for name in WORKLOADS {
-        cases.push(Case::new(format!("sim/plain/{name}"), true, run(name, Driver::Simple, None)));
+        cases.push(Case::new(format!("sim/plain/{name}"), true, run(name, PAPER, None)));
         cases.push(Case::new(
             format!("sim/resilient/clean/{name}"),
             true,
@@ -1135,7 +1114,7 @@ fn sim_walk_cases(cases: &mut Vec<Case>) {
             let dev = DeviceSpec::gtx680();
             let w = by_name(name).expect("workload");
             let ck = Orion::new(dev.clone(), w.block).compile(&w.module).expect("compile");
-            drive(Driver::Simple, "", &ck, w.iterations, 0.02, |v| {
+            drive(PAPER, "", &ck, w.iterations, 0.02, |v| {
                 let mut global = w.init_global.clone();
                 let opts = v.launch_options(serial());
                 run_launch_opts(&dev, &v.machine, w.launch(), &w.params, &mut global, opts)

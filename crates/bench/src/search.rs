@@ -36,7 +36,7 @@ use orion_core::compiler::KernelVersion;
 use orion_core::orion::Orion;
 use orion_core::policy::{analytic_bound, BanditConfig, BoundCtx, Policy, PolicyKind};
 use orion_core::resilient::ResiliencePolicy;
-use orion_core::session::{SessionMode, SessionStep, TuningSession};
+use orion_core::session::{SessionStep, TuningSession};
 use orion_core::splitting::split_ranges;
 use orion_core::version::CandidateSpace;
 use orion_gpusim::device::DeviceSpec;
@@ -147,13 +147,9 @@ fn drive(
 ) -> SearchRun {
     let ck = &space.kernel;
     let budget = 32 * ck.versions.len().max(1) as u64;
-    let mode = SessionMode::Resilient(ResiliencePolicy {
-        samples: 1,
-        max_retries: 0,
-        ..ResiliencePolicy::default()
-    });
+    let resilience = ResiliencePolicy { samples: 1, max_retries: 0, ..ResiliencePolicy::default() };
     let iterations = u32::try_from(budget).unwrap_or(u32::MAX);
-    let mut session = TuningSession::over(w.name, ck, iterations, THRESHOLD, mode, policy);
+    let mut session = TuningSession::over(w.name, ck, iterations, THRESHOLD, resilience, policy);
     let mut global = w.init_global.clone();
     let mut iter_no = 0u32;
     let mut launches = 0u64;

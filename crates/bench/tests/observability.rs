@@ -7,15 +7,12 @@
 //! whole suite stays debug-mode fast; the same worker-count gate runs
 //! over real candidate sets in `orion_core::service`'s unit tests.
 //!
-//! The journal is a value of each job's report, so no test here needs
-//! a lock. The compile cache is still process-wide, and
-//! `service_observability_end_to_end` gates a warm batch at zero
-//! misses; so every test here compiles only the modules of [`batch`]
-//! under its tuning config, keys that batch's first run has already
-//! filled.
+//! The journal is a value of each job's report, and a report's cache
+//! counters are its calling thread's own, so no test here needs a
+//! lock, and none clears the shared compile cache: a clear would turn
+//! another test's warm lookups into misses.
 
 use orion_core::backend::{Backend, SimBackend};
-use orion_core::cache;
 use orion_core::compiler::TuningConfig;
 use orion_core::policy::{BanditConfig, PolicyKind};
 use orion_core::resilient::ResiliencePolicy;
@@ -23,7 +20,7 @@ use orion_core::runtime::TuneReason;
 use orion_core::service::{
     JobDisposition, JobPolicy, KernelJob, KernelMetrics, OrionService, ServiceConfig, ServiceReport,
 };
-use orion_core::session::{JournalEvent, SessionMode, SessionState, SessionStep, TuningSession};
+use orion_core::session::{JournalEvent, SessionState, SessionStep, TuningSession};
 use orion_gpusim::device::DeviceSpec;
 use orion_gpusim::exec::{Launch, SimError};
 use orion_kir::builder::FunctionBuilder;
@@ -122,8 +119,6 @@ fn assert_snapshot_reconciles(report: &ServiceReport) {
 
 #[test]
 fn service_observability_end_to_end() {
-    cache::reset();
-
     // --- Determinism gate: sequential vs concurrent ----------------
     let seq = run(1, batch(6));
     let conc = run(6, batch(6));
@@ -159,7 +154,7 @@ fn service_observability_end_to_end() {
     assert!(conc.cache.hits > 0);
 
     // --- Journal: every job's session transitions reach the report ---
-    // Fault-free simple walks journal transitions and nothing else,
+    // Fault-free paper walks journal transitions and nothing else,
     // whether telemetry is compiled in, switched on, or neither.
     let journal = conc.journal();
     for job in 0..conc.kernels.len() {
@@ -210,7 +205,7 @@ fn service_observability_end_to_end() {
 /// each batch run alone with telemetry off.
 #[test]
 fn concurrent_batches_keep_their_own_journals() {
-    // Batch A: six simple walks. Batch B: two resilient bandit jobs,
+    // Batch A: six paper walks. Batch B: two resilient bandit jobs,
     // one of them cut by a deadline, so the two journals differ.
     let batch_b = || {
         let mut jobs = batch(6);
@@ -271,15 +266,12 @@ fn a_dead_bandit_pick_is_journaled_as_one_fallback() {
         .compile_probe(&toy_module(2), &TuningConfig::new(64))
         .expect("compiles");
     assert!(ck.versions.len() > 1, "a pick to lose and a version to fall back to");
-    let mode = SessionMode::Resilient(ResiliencePolicy {
-        samples: 1,
-        quarantine_strikes: 1,
-        ..ResiliencePolicy::default()
-    });
+    let resilience =
+        ResiliencePolicy { samples: 1, quarantine_strikes: 1, ..ResiliencePolicy::default() };
     // No pruning: every version is an arm, so a survivor remains.
     let search =
         PolicyKind::Bandit(BanditConfig { prune_slack_pct: u32::MAX, ..BanditConfig::default() });
-    let mut session = TuningSession::with_policy("dying", &ck, 200, 0.02, mode, search);
+    let mut session = TuningSession::with_policy("dying", &ck, 200, 0.02, resilience, search);
     // Every version measures cleanly until the bandit has finalized;
     // then its pick hangs once, which quarantines it.
     let mut dead = None;
@@ -304,6 +296,45 @@ fn a_dead_bandit_pick_is_journaled_as_one_fallback() {
         facts,
         [&JournalEvent::Watchdog { version: dead, budget_cycles: 9 }],
         "the journal holds the hang, not the fallback"
+    );
+}
+
+/// A batch's cache counters are its own lookups, even while another
+/// thread compiles: a batch over cold modules reads the same hits and
+/// misses alone as beside a thread compiling distinct cold modules,
+/// each twice.
+#[test]
+fn a_batch_counts_only_its_own_cache_lookups() {
+    // Cold sets of one shape: each module twice, multipliers no other
+    // test compiles.
+    let jobs = |base: i64| {
+        let mut jobs = batch(4);
+        for (i, job) in (0i64..).zip(&mut jobs) {
+            job.module = toy_module(base + i % 2);
+        }
+        jobs
+    };
+    let alone = run(1, jobs(1_000));
+    let start = Barrier::new(2);
+    let beside = std::thread::scope(|s| {
+        s.spawn(|| {
+            let backend = SimBackend::new(DeviceSpec::gtx680());
+            start.wait();
+            // A bounded set, so it cannot evict other tests' entries.
+            for mul in 2_000..2_016 {
+                for _ in 0..2 {
+                    backend.compile_probe(&toy_module(mul), &TuningConfig::new(64)).unwrap();
+                }
+            }
+        });
+        start.wait();
+        run(1, jobs(3_000))
+    });
+    assert!(alone.cache.hits > 0 && alone.cache.misses > 0, "{:?}", alone.cache);
+    assert_eq!(
+        (beside.cache.hits, beside.cache.misses),
+        (alone.cache.hits, alone.cache.misses),
+        "the other thread's lookups are not the batch's"
     );
 }
 

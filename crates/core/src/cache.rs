@@ -72,13 +72,16 @@
 //!
 //! Hit/miss/eviction counters are exported programmatically
 //! ([`stats`]) and as `orion-telemetry` counters under the
-//! `compile_cache` category; a service batch reports its delta
-//! ([`crate::service::ServiceReport::cache`]), which its metric snapshot
-//! exports as `cache/entries`, `cache/hit_rate` and
-//! `cache/poison_recovered`.
+//! `compile_cache` category. Each thread also keeps a tally of its own
+//! operations next to the process-wide counters; a service batch
+//! reports the delta of its calling thread's tally
+//! ([`crate::service::ServiceReport::cache`]), so a batch counts only
+//! its own lookups, and its metric snapshot exports it as
+//! `cache/entries`, `cache/hit_rate` and `cache/poison_recovered`.
 
 use orion_alloc::realize::{allocate, AllocError, AllocOptions, Allocated, SlotBudget};
 use orion_kir::function::Module;
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
@@ -104,12 +107,21 @@ struct State {
     order: VecDeque<Key>,
     /// Keys some thread is currently allocating (coalescing).
     inflight: HashSet<Key>,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    coalesced: u64,
-    /// Times the mutex was found poisoned and recovered.
-    poisoned: u64,
+    /// Process-wide counters (`entries` unused: it is `map.len()`).
+    counters: CompileCacheStats,
+}
+
+thread_local! {
+    /// The counters of this thread's own cache operations, kept next to
+    /// the process-wide ones so a caller can meter just its own work
+    /// while other threads compile.
+    static THREAD_COUNTERS: RefCell<CompileCacheStats> = RefCell::default();
+}
+
+/// Apply `bump` to the process-wide counters and to this thread's.
+fn count(counters: &mut CompileCacheStats, bump: impl Fn(&mut CompileCacheStats)) {
+    bump(counters);
+    THREAD_COUNTERS.with_borrow_mut(bump);
 }
 
 impl State {
@@ -119,7 +131,7 @@ impl State {
         while self.map.len() >= CACHE_CAPACITY {
             let Some(oldest) = self.order.pop_front() else { break };
             self.map.remove(&oldest);
-            self.evictions += 1;
+            count(&mut self.counters, |c| c.evictions += 1);
             orion_telemetry::counter("compile_cache", "evictions", 1);
         }
         self.order.push_back(key);
@@ -160,7 +172,7 @@ fn lock() -> MutexGuard<'static, State> {
             st.map.clear();
             st.order.clear();
             st.inflight.clear();
-            st.poisoned += 1;
+            count(&mut st.counters, |c| c.poison_recovered += 1);
             cache.state.clear_poison();
             orion_telemetry::counter("compile_cache", "poison_recovered", 1);
             cache.resolved.notify_all();
@@ -271,10 +283,10 @@ pub fn allocate_cached(
     let mut waited = false;
     loop {
         if let Some(hit) = st.map.get(&key).cloned() {
-            st.hits += 1;
-            if waited {
-                st.coalesced += 1;
-            }
+            count(&mut st.counters, |c| {
+                c.hits += 1;
+                c.coalesced += u64::from(waited);
+            });
             drop(st);
             orion_telemetry::counter("compile_cache", "hit", 1);
             return Ok((*hit).clone());
@@ -294,7 +306,7 @@ pub fn allocate_cached(
             }
         };
     }
-    st.misses += 1;
+    count(&mut st.counters, |c| c.misses += 1);
     // Armed before the allocation runs: if `allocate` (or this thread,
     // between here and return) unwinds, the guard still clears the
     // in-flight marker and wakes waiters, so nobody coalesces forever
@@ -315,18 +327,20 @@ pub fn allocate_cached(
     out
 }
 
-/// Snapshot the hit/miss/eviction/coalesce counters and the resident
-/// entry count.
+/// Snapshot the process-wide hit/miss/eviction/coalesce counters and
+/// the resident entry count.
 pub fn stats() -> CompileCacheStats {
     let st = lock();
-    CompileCacheStats {
-        hits: st.hits,
-        misses: st.misses,
-        evictions: st.evictions,
-        coalesced: st.coalesced,
-        poison_recovered: st.poisoned,
-        entries: st.map.len(),
-    }
+    CompileCacheStats { entries: st.map.len(), ..st.counters.clone() }
+}
+
+/// Snapshot the counters of the calling thread's own cache operations
+/// and the resident entry count. A delta of two such snapshots meters
+/// only the work between them on this thread, whatever other threads
+/// compile meanwhile.
+pub(crate) fn thread_stats() -> CompileCacheStats {
+    let entries = lock().map.len();
+    CompileCacheStats { entries, ..THREAD_COUNTERS.with_borrow(Clone::clone) }
 }
 
 /// Drop every entry and zero the performance counters (cold-cache
@@ -337,10 +351,10 @@ pub fn reset() {
     let mut st = lock();
     st.map.clear();
     st.order.clear();
-    st.hits = 0;
-    st.misses = 0;
-    st.evictions = 0;
-    st.coalesced = 0;
+    st.counters = CompileCacheStats {
+        poison_recovered: st.counters.poison_recovered,
+        ..CompileCacheStats::default()
+    };
 }
 
 /// Deliberately poison the cache's mutex: spawn a thread that takes the

@@ -115,7 +115,5 @@ pub use runtime::{TuneDecision, TuneReason};
 pub use service::{
     JobDisposition, JobPolicy, KernelJob, KernelReport, OrionService, ServiceConfig, ServiceReport,
 };
-pub use session::{
-    SessionMode, SessionObs, SessionOutcome, SessionState, SessionStep, TuningSession,
-};
+pub use session::{SessionObs, SessionOutcome, SessionState, SessionStep, TuningSession};
 pub use version::{CandidateSpace, VersionBuilder};

@@ -57,7 +57,7 @@ pub struct Measurement {
     /// §4.2 work normalization factor (e.g. a grid slice's block
     /// count); `None` compares raw cycles. Policies read 0 as 1.
     pub work: Option<u64>,
-    /// Relative noise margin from robust measurement (resilient mode);
+    /// Relative noise margin from robust measurement (mean-of-k);
     /// `None` is a noise-free single sample.
     pub noise_margin: Option<f64>,
 }

@@ -1,13 +1,13 @@
 //! Resilient runtime adaptation — the chaos-hardened Figure 9 walk.
 //!
-//! A [`SessionMode::Simple`](crate::session::SessionMode) session
-//! assumes every launch succeeds and every measurement is trustworthy.
-//! Real devices violate both: launches fail transiently (driver
-//! hiccups, ECC retries), kernels hang (watchdog), perturbed resource
-//! limits reject a version outright, and timing is noisy. A
-//! [`SessionMode::Resilient`](crate::session::SessionMode) session
-//! wraps the same walk with four defenses, configured by
-//! [`ResiliencePolicy`]:
+//! The paper's walk ([`ResiliencePolicy::PAPER`]) assumes every launch
+//! succeeds and every measurement is trustworthy. Real devices violate
+//! both: launches fail transiently (driver hiccups, ECC retries),
+//! kernels hang (watchdog), perturbed resource limits reject a version
+//! outright, and timing is noisy. Every
+//! [`TuningSession`](crate::session::TuningSession) runs one walk with
+//! four defenses, sized by its [`ResiliencePolicy`]; the paper's walk
+//! is the policy that turns each of them off:
 //!
 //! * **bounded retry with backoff** — transient launch failures are
 //!   retried up to [`ResiliencePolicy::max_retries`] times, charging an
@@ -39,7 +39,8 @@
 //! Failures that are neither transient nor quarantineable (out-of-bounds
 //! accesses, deadlocks) are real bugs and propagate immediately, wrapped
 //! with kernel name and failure cycle via
-//! [`OrionError::with_context`].
+//! [`OrionError::with_context`]; under [`ResiliencePolicy::PAPER`] every
+//! launch error does.
 //!
 //! Retries, robust measurement and strikes live in the *session* layer
 //! ([`TuningSession`](crate::session::TuningSession)); quarantine and
@@ -51,6 +52,7 @@
 //! step measures.
 
 use crate::error::OrionError;
+use crate::session::SessionMode;
 use serde::{Deserialize, Serialize};
 
 /// Simulated-cycle cost of the first backoff wait; doubles per retry
@@ -95,13 +97,30 @@ pub struct ResiliencePolicy {
     /// eviction of a perfectly good finalized version over a long
     /// run, while three consecutive random faults stay vanishingly
     /// rare — and a genuinely dead version still fails straight
-    /// through its budget.
+    /// through its budget. `0` turns quarantine off: the first
+    /// quarantineable failure is fatal, like any other launch error.
     pub quarantine_strikes: u32,
+}
+
+impl ResiliencePolicy {
+    /// The paper's exact walk: one raw measurement per iteration, no
+    /// retry, no quarantine — the first launch error aborts the session.
+    pub const PAPER: ResiliencePolicy =
+        ResiliencePolicy { max_retries: 0, samples: 1, quarantine_strikes: 0 };
 }
 
 impl Default for ResiliencePolicy {
     fn default() -> Self {
         ResiliencePolicy { max_retries: 3, samples: 7, quarantine_strikes: 3 }
+    }
+}
+
+impl From<SessionMode> for ResiliencePolicy {
+    fn from(mode: SessionMode) -> Self {
+        match mode {
+            SessionMode::Simple => ResiliencePolicy::PAPER,
+            SessionMode::Resilient(policy) => policy,
+        }
     }
 }
 
@@ -208,7 +227,7 @@ mod tests {
         policy: &ResiliencePolicy,
         run: impl FnMut(&KernelVersion) -> Result<u64, OrionError>,
     ) -> Result<SessionOutcome, OrionError> {
-        TuningSession::resilient(kernel, ck, iterations, 0.02, *policy).drive(run)
+        TuningSession::new(kernel, ck, iterations, 0.02, *policy).drive(run)
     }
 
     #[test]

@@ -109,9 +109,7 @@ use crate::error::OrionError;
 use crate::policy::PolicyKind;
 use crate::resilient::ResiliencePolicy;
 use crate::runtime::TuneDecision;
-use crate::session::{
-    JournalEvent, SessionMode, SessionOutcome, SessionState, SessionStep, TuningSession,
-};
+use crate::session::{JournalEvent, SessionOutcome, SessionState, SessionStep, TuningSession};
 use orion_gpusim::exec::Launch;
 use orion_gpusim::faults::{splitmix64, unit, FaultInjector, FaultPlan, LaunchFaults};
 use orion_gpusim::sim::LaunchOptions;
@@ -184,8 +182,9 @@ pub struct ServiceConfig {
     pub in_flight_limit: usize,
     /// Slowdown threshold for every session (the paper's 2%).
     pub threshold: f64,
-    /// `Some` drives resilient sessions (retry/quarantine/fallback);
-    /// `None` drives the paper's exact fault-free walk.
+    /// The resilience policy every session runs under
+    /// (retry/quarantine/fallback); `None` runs the paper's exact walk,
+    /// [`ResiliencePolicy::PAPER`].
     pub policy: Option<ResiliencePolicy>,
     /// Service-boundary chaos plan: per-job launch-fault injection,
     /// injected worker panics, and injected deadline pressure, drawn
@@ -445,20 +444,19 @@ pub struct ServiceMetrics {
     pub session_cycles: Histogram,
 }
 
-/// A completed service batch. Its outcomes, decision logs, journals and
-/// histograms are values the batch's own sessions produced, so batches
-/// that run at once in one process never see each other's records. The
-/// one exception is [`ServiceReport::cache`], a delta of the
-/// process-wide compile cache's counters.
+/// A completed service batch. Its outcomes, decision logs, journals,
+/// histograms and compile-cache counters are values the batch's own
+/// work produced, so batches that run at once in one process never see
+/// each other's records.
 #[derive(Debug, Clone)]
 pub struct ServiceReport {
     /// Per-kernel reports, in submission order.
     pub kernels: Vec<KernelReport>,
-    /// Compile-cache activity **during this batch** (the delta between
-    /// the before/after [`cache::stats`] snapshots;
-    /// `entries` is the resident count after the batch). With in-flight
-    /// coalescing, hit/miss totals are a pure function of the job set,
-    /// not the interleaving.
+    /// This batch's own compile-cache activity: the delta of the
+    /// calling thread's cache counters across the batch, whose compile
+    /// phase makes every lookup of the batch on that thread. Lookups
+    /// other threads make meanwhile are not counted. `entries` is the
+    /// process-wide resident count after the batch.
     pub cache: cache::CompileCacheStats,
     /// Batch-wide latency distributions.
     pub metrics: ServiceMetrics,
@@ -655,13 +653,16 @@ impl<'k> ActiveJob<'k> {
         faults: &JobFaults,
         compile_wall_us: u64,
     ) -> Self {
-        let (kernel, mode) = match cfg.policy {
-            Some(policy) => (job.name.as_str(), SessionMode::Resilient(policy)),
-            None => ("", SessionMode::Simple),
-        };
+        let resilience = cfg.policy.unwrap_or(ResiliencePolicy::PAPER);
         let search = job.policy.search.unwrap_or_default();
-        let session =
-            TuningSession::with_policy(kernel, ck, job.iterations, cfg.threshold, mode, search);
+        let session = TuningSession::with_policy(
+            job.name.as_str(),
+            ck,
+            job.iterations,
+            cfg.threshold,
+            resilience,
+            search,
+        );
         // Injected deadline pressure composes with the job's own
         // deadline: the tighter one wins.
         let deadline = match (job.policy.deadline_cycles, faults.deadline_cycles) {
@@ -871,7 +872,7 @@ impl<B: AsyncBackend> OrionService<B> {
         let submitted = jobs.len();
         let host_cores =
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let cache_before = cache::stats();
+        let cache_before = cache::thread_stats();
         // Names outlive the job slots: compile-failure and backstop
         // reports need them after a slot has been emptied.
         let names: Vec<String> = jobs.iter().map(|j| j.name.clone()).collect();
@@ -1045,7 +1046,7 @@ impl<B: AsyncBackend> OrionService<B> {
         }
         ServiceReport {
             kernels,
-            cache: cache::stats().delta_since(&cache_before),
+            cache: cache::thread_stats().delta_since(&cache_before),
             metrics,
             workers,
             in_flight_limit,
@@ -1247,8 +1248,8 @@ mod tests {
     fn in_flight_limit_does_not_change_outcomes() {
         // The strictly sequential baseline (limit 1) and the fully
         // multiplexed run (limit 0 = every session) are the
-        // same code path and must be bit-identical, in simple mode (the
-        // paper's exact walk) and in the resilient default.
+        // same code path and must be bit-identical, under the paper's
+        // exact walk and under the resilient default.
         let mk = || (1..=6).map(|i| job(&format!("k{i}"), i64::from(i), 6)).collect::<Vec<_>>();
         for policy in [None, Some(ResiliencePolicy::default())] {
             let run = |in_flight_limit| {

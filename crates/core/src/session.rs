@@ -1,9 +1,10 @@
 //! The tuning state machine.
 //!
 //! [`TuningSession`] is the one implementation of the Figure 9 runtime
-//! walk — fault-free ([`SessionMode::Simple`]) or chaos-hardened
-//! ([`SessionMode::Resilient`]: retry, robust measurement, quarantine,
-//! fallback) — behind one *pull-based* interface: the session never
+//! walk, sized by a [`ResiliencePolicy`] — the paper's exact walk
+//! ([`ResiliencePolicy::PAPER`]) or a chaos-hardened one (retry, robust
+//! measurement, quarantine, fallback) — behind one *pull-based*
+//! interface: the session never
 //! launches anything itself — it hands out [`SessionStep::Launch`]
 //! requests, the caller executes them however it likes (a
 //! [`Backend`](crate::backend::Backend), a closure, a replay log) and
@@ -28,7 +29,8 @@
 //! * **Walking** — stepping through the candidate order, applying the
 //!   degradation test per measurement.
 //! * **Probing** — a borderline verdict earned an extension round of
-//!   extra samples before the walk commits (resilient mode only).
+//!   extra samples before the walk commits (only with a noise margin,
+//!   so never under [`ResiliencePolicy::PAPER`]).
 //! * **Finalized** — a version won; remaining iterations run it.
 //! * **Quarantined** — every candidate (fallbacks included) died;
 //!   terminal.
@@ -159,16 +161,13 @@ pub struct SessionObs {
     pub queue_wait_cycles: Histogram,
 }
 
-/// How a [`TuningSession`] treats measurements and failures.
+/// The two session presets by name. A session holds only a
+/// [`ResiliencePolicy`]; this enum names one and converts into it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SessionMode {
-    /// The paper's exact walk: one raw measurement per iteration, first
-    /// launch error aborts.
+    /// [`ResiliencePolicy::PAPER`].
     Simple,
-    /// The chaos-hardened walk: retry with backoff, mean-of-k robust
-    /// measurement with noise margins and borderline extension rounds,
-    /// consecutive-strike quarantine, fail-safe fallback (see
-    /// [`crate::resilient`]).
+    /// The given policy.
     Resilient(ResiliencePolicy),
 }
 
@@ -194,20 +193,22 @@ pub struct SessionOutcome {
     pub selected: usize,
     /// `(version, cycles)` per successful application iteration.
     pub iterations: Vec<(usize, u64)>,
-    /// Iterations spent exploring before the selection was final.
+    /// The completed iterations before the first iteration that ran
+    /// the finalized pick — all of them if the search never finalized.
     pub converged_after: usize,
-    /// Total simulated cycles (resilient sessions include backoff).
+    /// Total simulated cycles, retry backoff included.
     pub total_cycles: u64,
     /// Per-decision log, including quarantine and fallback entries.
     pub decisions: Vec<TuneDecision>,
-    /// Failure accounting (all-zero for fault-free simple sessions).
+    /// Launch and failure accounting: `launches` counts every attempt,
+    /// the failure fields stay zero on a fault-free run.
     pub stats: ResilienceStats,
     /// State at [`TuningSession::finish`] time.
     pub state: SessionState,
 }
 
 /// An in-flight launch request: version index plus the retry attempt
-/// (resilient mode relaunches transients up to the policy budget).
+/// (transients are relaunched up to the policy's retry budget).
 #[derive(Debug, Clone, Copy)]
 struct PendingLaunch {
     version: usize,
@@ -246,7 +247,7 @@ struct SamplePass {
 pub struct TuningSession<'k> {
     ck: &'k CompiledKernel,
     kernel: String,
-    mode: SessionMode,
+    resilience: ResiliencePolicy,
     threshold: f64,
     iterations: u32,
     /// The decision core: which candidate next, what a measurement
@@ -275,30 +276,34 @@ pub struct TuningSession<'k> {
 }
 
 impl<'k> TuningSession<'k> {
-    /// A session over `ck`'s candidates in the given mode, driven by
-    /// the default [`PolicyKind::PaperWalk`] search policy.
+    /// A session over `ck`'s candidates under `resilience`, driven by
+    /// the default [`PolicyKind::PaperWalk`] search policy; `kernel`
+    /// names the kernel in error context.
     pub fn new(
         kernel: impl Into<String>,
         ck: &'k CompiledKernel,
         iterations: u32,
         threshold: f64,
-        mode: SessionMode,
+        resilience: ResiliencePolicy,
     ) -> Self {
-        TuningSession::with_policy(kernel, ck, iterations, threshold, mode, PolicyKind::PaperWalk)
+        let search = PolicyKind::PaperWalk;
+        TuningSession::with_policy(kernel, ck, iterations, threshold, resilience, search)
     }
 
     /// A session whose decision core is chosen by `search` — the
     /// per-job policy-selection entry point
     /// ([`JobPolicy::search`](crate::service::JobPolicy::search)).
+    /// `resilience` also takes a [`SessionMode`].
     pub fn with_policy(
         kernel: impl Into<String>,
         ck: &'k CompiledKernel,
         iterations: u32,
         threshold: f64,
-        mode: SessionMode,
+        resilience: impl Into<ResiliencePolicy>,
         search: PolicyKind,
     ) -> Self {
-        TuningSession::over(kernel, ck, iterations, threshold, mode, search.build(ck, threshold))
+        let policy = search.build(ck, threshold);
+        TuningSession::over(kernel, ck, iterations, threshold, resilience.into(), policy)
     }
 
     /// A session driven by an already-built `policy` whose candidate
@@ -309,7 +314,7 @@ impl<'k> TuningSession<'k> {
         ck: &'k CompiledKernel,
         iterations: u32,
         threshold: f64,
-        mode: SessionMode,
+        resilience: ResiliencePolicy,
         policy: Policy,
     ) -> Self {
         let state = if matches!(policy.verdict(), PolicyVerdict::Finalized(_)) {
@@ -323,7 +328,7 @@ impl<'k> TuningSession<'k> {
         };
         TuningSession {
             kernel: kernel.into(),
-            mode,
+            resilience,
             threshold,
             iterations,
             state,
@@ -344,21 +349,10 @@ impl<'k> TuningSession<'k> {
         }
     }
 
-    /// A fault-free session over the paper walk.
+    /// The paper's exact walk ([`ResiliencePolicy::PAPER`]) over an
+    /// unnamed kernel.
     pub fn simple(ck: &'k CompiledKernel, iterations: u32, threshold: f64) -> Self {
-        TuningSession::new("", ck, iterations, threshold, SessionMode::Simple)
-    }
-
-    /// A chaos-hardened session over the paper walk; `kernel` names the
-    /// kernel in error context.
-    pub fn resilient(
-        kernel: impl Into<String>,
-        ck: &'k CompiledKernel,
-        iterations: u32,
-        threshold: f64,
-        policy: ResiliencePolicy,
-    ) -> Self {
-        TuningSession::new(kernel, ck, iterations, threshold, SessionMode::Resilient(policy))
+        TuningSession::new("", ck, iterations, threshold, ResiliencePolicy::PAPER)
     }
 
     /// Current observable state.
@@ -411,14 +405,11 @@ impl<'k> TuningSession<'k> {
     }
 
     /// Total simulated cycles consumed so far, *including* backoff
-    /// cycles charged by resilient retries — the quantity a sim-cycle
-    /// deadline meters.
+    /// cycles charged by retries — the quantity a sim-cycle deadline
+    /// meters.
     #[must_use]
     pub fn total_cycles_so_far(&self) -> u64 {
-        match self.mode {
-            SessionMode::Simple => self.total,
-            SessionMode::Resilient(_) => self.total.saturating_add(self.stats.backoff_cycles),
-        }
+        self.total.saturating_add(self.stats.backoff_cycles)
     }
 
     /// Terminate the session because its service deadline was reached.
@@ -485,8 +476,8 @@ impl<'k> TuningSession<'k> {
     ///
     /// # Errors
     /// [`OrionError::AllCandidatesFailed`] (with kernel context) once
-    /// every version, fallbacks included, has been quarantined.
-    /// Simple-mode sessions never error.
+    /// every version, fallbacks included, has been quarantined (never
+    /// under [`ResiliencePolicy::PAPER`], which quarantines nothing).
     pub fn next_step(&mut self) -> Result<SessionStep, OrionError> {
         if let Some(p) = self.current {
             return Ok(SessionStep::Launch(p.version));
@@ -501,90 +492,42 @@ impl<'k> TuningSession<'k> {
             }
             .with_context(self.kernel.clone(), Some(self.total)));
         };
-        match self.mode {
-            SessionMode::Simple => {
-                self.current = Some(PendingLaunch { version: v, attempt: 0 });
-            }
-            SessionMode::Resilient(policy) => {
-                if self.finalized().is_some() {
-                    // Steady state: single launch per iteration.
-                    self.pass = None;
-                    self.converged_after.get_or_insert(self.iters.len());
-                    self.current = Some(PendingLaunch { version: v, attempt: 0 });
-                } else {
-                    // Exploration: open (or continue) a sampling pass.
-                    if self.pass.is_none() {
-                        let k = policy.samples.max(1);
-                        self.pass = Some(SamplePass {
-                            version: v,
-                            samples: Vec::with_capacity(2 * k),
-                            target: k,
-                            k,
-                            struck: false,
-                            dead: false,
-                        });
-                    }
-                    let v = self.pass.as_ref().map_or(v, |p| p.version);
-                    self.current = Some(PendingLaunch { version: v, attempt: 0 });
-                }
-            }
-        }
-        Ok(SessionStep::Launch(self.current.expect("just set").version))
+        let version = if self.finalized().is_some() {
+            // Steady state: single launch per iteration.
+            self.pass = None;
+            self.converged_after.get_or_insert(self.iters.len());
+            v
+        } else {
+            // Exploration: open (or continue) a sampling pass.
+            let k = self.resilience.samples.max(1);
+            let pass = self.pass.get_or_insert_with(|| SamplePass {
+                version: v,
+                samples: Vec::with_capacity(2 * k),
+                target: k,
+                k,
+                struck: false,
+                dead: false,
+            });
+            pass.version
+        };
+        self.current = Some(PendingLaunch { version, attempt: 0 });
+        Ok(SessionStep::Launch(version))
     }
 
     /// Report the outcome of the launch requested by the last
-    /// [`TuningSession::next_step`].
+    /// [`TuningSession::next_step`]: retry, strike, sample, verdict.
     ///
     /// # Errors
-    /// Fatal launch errors (non-transient, non-quarantineable in
-    /// resilient mode; any error in simple mode) propagate back,
-    /// wrapped with kernel context in resilient mode; the session is
-    /// aborted. Reporting with no launch outstanding is
-    /// [`OrionError::Tuner`].
+    /// A fatal launch error — one the policy neither retries nor
+    /// quarantines; under [`ResiliencePolicy::PAPER`], any — propagates
+    /// back wrapped with kernel context, and the session is aborted.
+    /// Reporting with no launch outstanding is [`OrionError::Tuner`].
     pub fn on_launch_result(&mut self, result: Result<u64, OrionError>) -> Result<(), OrionError> {
         let Some(pending) = self.current else {
             return Err(OrionError::Tuner(
                 "launch result reported with no launch outstanding".into(),
             ));
         };
-        match self.mode {
-            SessionMode::Simple => {
-                self.current = None;
-                match result {
-                    Ok(cycles) => {
-                        self.total += cycles;
-                        self.iters.push((pending.version, cycles));
-                        self.policy.observe(pending.version, Measurement::raw(cycles));
-                        self.it += 1;
-                        self.obs.launch_cycles.record(cycles);
-                        self.obs.queue_wait_cycles.record(0);
-                        self.refresh_state();
-                        Ok(())
-                    }
-                    Err(e) => {
-                        self.aborted = true;
-                        Err(e)
-                    }
-                }
-            }
-            SessionMode::Resilient(policy) => self.on_resilient_result(pending, &policy, result),
-        }
-    }
-
-    /// Report a successful measurement (sugar over
-    /// [`TuningSession::on_launch_result`] for drivers whose error type
-    /// isn't [`OrionError`]).
-    pub fn on_cycles(&mut self, cycles: u64) {
-        self.on_launch_result(Ok(cycles)).expect("a successful measurement cannot fail");
-    }
-
-    /// Resilient-mode result handling: retry, strike, sample, verdict.
-    fn on_resilient_result(
-        &mut self,
-        pending: PendingLaunch,
-        policy: &ResiliencePolicy,
-        result: Result<u64, OrionError>,
-    ) -> Result<(), OrionError> {
         self.stats.launches += 1;
         match result {
             Ok(cycles) => {
@@ -603,7 +546,7 @@ impl<'k> TuningSession<'k> {
                 self.refresh_state();
                 Ok(())
             }
-            Err(e) if e.is_transient() && pending.attempt < policy.max_retries => {
+            Err(e) if e.is_transient() && pending.attempt < self.resilience.max_retries => {
                 // Bounded retry with exponential backoff, charged in
                 // simulated cycles; the same launch is re-issued.
                 self.stats.failed_launches += 1;
@@ -621,7 +564,7 @@ impl<'k> TuningSession<'k> {
                     Some(PendingLaunch { version: pending.version, attempt: pending.attempt + 1 });
                 Ok(())
             }
-            Err(e) if should_quarantine(&e) => {
+            Err(e) if self.resilience.quarantine_strikes > 0 && should_quarantine(&e) => {
                 self.stats.failed_launches += 1;
                 self.current = None;
                 // The chain resolved (in failure): its waited backoff is
@@ -636,7 +579,7 @@ impl<'k> TuningSession<'k> {
                         budget_cycles: *budget,
                     });
                 }
-                let dead = self.strike(pending.version, policy);
+                let dead = self.strike(pending.version);
                 if let Some(mut pass) = self.pass.take() {
                     // A strike ends the sampling pass; the partial
                     // measurement is discarded (the version will be
@@ -659,13 +602,20 @@ impl<'k> TuningSession<'k> {
         }
     }
 
+    /// Report a successful measurement (sugar over
+    /// [`TuningSession::on_launch_result`] for drivers whose error type
+    /// isn't [`OrionError`]).
+    pub fn on_cycles(&mut self, cycles: u64) {
+        self.on_launch_result(Ok(cycles)).expect("a successful measurement cannot fail");
+    }
+
     /// Charge a hard failure; quarantine on the consecutive-strike
     /// budget. Returns whether the version died.
-    fn strike(&mut self, version: usize, policy: &ResiliencePolicy) -> bool {
+    fn strike(&mut self, version: usize) -> bool {
         self.stats.strikes += 1;
         orion_telemetry::counter("resilience", "strike", 1);
         self.strikes[version] += 1;
-        if self.strikes[version] >= policy.quarantine_strikes.max(1) {
+        if self.strikes[version] >= self.resilience.quarantine_strikes {
             self.policy.quarantine(version);
             true
         } else {
@@ -723,11 +673,10 @@ impl<'k> TuningSession<'k> {
     /// with `run`.
     ///
     /// # Errors
-    /// * Simple mode: the first launch error, returned unchanged.
-    /// * Resilient mode: [`OrionError::AllCandidatesFailed`] once every
-    ///   version (fallbacks included) is quarantined, or the first
-    ///   launch error that is neither transient nor quarantineable —
-    ///   both wrapped with the kernel name and cycle of failure.
+    /// [`OrionError::AllCandidatesFailed`] once every version (fallbacks
+    /// included) is quarantined, or the first launch error the policy
+    /// neither retries nor quarantines — both wrapped with the kernel
+    /// name and cycle of failure.
     pub fn drive(
         mut self,
         mut run: impl FnMut(&KernelVersion) -> Result<u64, OrionError>,
@@ -743,25 +692,17 @@ impl<'k> TuningSession<'k> {
     #[must_use]
     pub fn finish(mut self) -> SessionOutcome {
         let selected = self.finalized().unwrap_or_else(|| self.policy.select());
-        let converged_after = match self.mode {
-            SessionMode::Simple => self.policy.trials(),
-            SessionMode::Resilient(_) => self.converged_after.unwrap_or(self.iters.len()),
-        };
         let decisions = self.policy.decisions().to_vec();
         // Reconcile quarantine/fallback stats with the decision log.
         self.stats.quarantined =
             decisions.iter().filter(|d| d.reason == TuneReason::Quarantined).count() as u64;
         self.stats.fellback =
             decisions.iter().filter(|d| d.reason == TuneReason::FellBack).count() as u64;
-        let total_cycles = match self.mode {
-            SessionMode::Simple => self.total,
-            SessionMode::Resilient(_) => self.total.saturating_add(self.stats.backoff_cycles),
-        };
         SessionOutcome {
             selected,
+            converged_after: self.converged_after.unwrap_or(self.iters.len()),
+            total_cycles: self.total_cycles_so_far(),
             iterations: self.iters,
-            converged_after,
-            total_cycles,
             decisions,
             stats: self.stats,
             state: self.state,
@@ -847,14 +788,26 @@ mod tests {
         assert_eq!(out.total_cycles, 165);
     }
 
+    /// The paper's walk neither retries nor quarantines: a fatal, a
+    /// quarantineable and a transient error each abort the session.
     #[test]
     fn simple_session_aborts_on_first_error() {
         let ck = fake_compiled(&[8, 16], Direction::Increasing);
-        let mut s = TuningSession::simple(&ck, 4, 0.02);
-        let SessionStep::Launch(_) = s.next_step().unwrap() else { panic!() };
-        let err = s.on_launch_result(Err(SimError::Deadlock.into())).unwrap_err();
-        assert!(matches!(err.root_cause(), OrionError::Sim(SimError::Deadlock)));
-        assert_eq!(s.next_step().unwrap(), SessionStep::Done);
+        let errors = [
+            SimError::Deadlock,
+            SimError::Watchdog { budget: 9 },
+            SimError::TransientLaunchFailure { code: 1 },
+        ];
+        for sim in errors {
+            let mut s = TuningSession::new("k", &ck, 4, 0.02, ResiliencePolicy::PAPER);
+            let SessionStep::Launch(_) = s.next_step().unwrap() else { panic!() };
+            let err = s.on_launch_result(Err(sim.clone().into())).unwrap_err();
+            assert!(matches!(err.root_cause(), OrionError::Sim(e) if *e == sim), "{err}");
+            assert_eq!(s.next_step().unwrap(), SessionStep::Done, "{sim:?} aborts");
+            let out = s.finish();
+            assert_eq!((out.stats.retries, out.stats.strikes), (0, 0), "{sim:?}");
+            assert!(out.decisions.iter().all(|d| d.reason != TuneReason::Quarantined), "{sim:?}");
+        }
     }
 
     #[test]
@@ -863,7 +816,7 @@ mod tests {
         // boundary with jittery samples, forcing an extension round.
         let ck = fake_compiled(&[48, 36, 24], Direction::Decreasing);
         let policy = ResiliencePolicy { samples: 3, ..ResiliencePolicy::default() };
-        let mut s = TuningSession::resilient("k", &ck, 30, 0.02, policy);
+        let mut s = TuningSession::new("k", &ck, 30, 0.02, policy);
         let mut n1 = 0u32;
         let mut saw_probing = false;
         while let SessionStep::Launch(v) = s.next_step().unwrap() {
@@ -890,7 +843,7 @@ mod tests {
     fn quarantining_everything_is_terminal_with_coherent_log() {
         let ck = fake_compiled(&[8, 16], Direction::Increasing);
         let policy = ResiliencePolicy::default();
-        let mut s = TuningSession::resilient("dead", &ck, 12, 0.02, policy);
+        let mut s = TuningSession::new("dead", &ck, 12, 0.02, policy);
         let err = loop {
             match s.next_step() {
                 Ok(SessionStep::Launch(_)) => {
@@ -982,7 +935,7 @@ mod tests {
     fn degrade_with_everything_quarantined_dies_quarantined() {
         let ck = fake_compiled(&[8, 16], Direction::Increasing);
         let policy = ResiliencePolicy { quarantine_strikes: 1, ..ResiliencePolicy::default() };
-        let mut s = TuningSession::resilient("k", &ck, 8, 0.02, policy);
+        let mut s = TuningSession::new("k", &ck, 8, 0.02, policy);
         while let Ok(SessionStep::Launch(_)) = s.next_step() {
             s.on_launch_result(Err(SimError::Watchdog { budget: 9 }.into())).unwrap();
         }

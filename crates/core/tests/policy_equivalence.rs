@@ -17,7 +17,7 @@ use orion_core::error::OrionError;
 use orion_core::policy::{BanditConfig, PolicyKind};
 use orion_core::resilient::ResiliencePolicy;
 use orion_core::runtime::TuneReason;
-use orion_core::session::{SessionMode, SessionOutcome, TuningSession};
+use orion_core::session::{SessionOutcome, TuningSession};
 use orion_gpusim::exec::SimError;
 use orion_gpusim::faults::splitmix64;
 
@@ -48,26 +48,16 @@ fn faulty_run<'c>(
     }
 }
 
-/// Drive a simple-mode session under an explicitly requested policy.
-fn drive_simple(
+/// Drive a session under `resilience` and an explicitly requested
+/// search policy.
+fn drive(
     ck: &CompiledKernel,
     iterations: u32,
+    resilience: ResiliencePolicy,
     kind: PolicyKind,
     run: impl FnMut(&KernelVersion) -> Result<u64, OrionError>,
 ) -> Result<SessionOutcome, OrionError> {
-    TuningSession::with_policy("", ck, iterations, 0.02, SessionMode::Simple, kind).drive(run)
-}
-
-/// Drive a resilient-mode session under an explicitly requested policy.
-fn drive_resilient(
-    ck: &CompiledKernel,
-    iterations: u32,
-    policy: &ResiliencePolicy,
-    kind: PolicyKind,
-    run: impl FnMut(&KernelVersion) -> Result<u64, OrionError>,
-) -> Result<SessionOutcome, OrionError> {
-    TuningSession::with_policy("eq", ck, iterations, 0.02, SessionMode::Resilient(*policy), kind)
-        .drive(run)
+    TuningSession::with_policy("eq", ck, iterations, 0.02, resilience, kind).drive(run)
 }
 
 /// The seed is the measurement stream's: the same noisy stream gives
@@ -79,7 +69,8 @@ fn bandit_policy_is_a_pure_function_of_its_seed() {
     for seed in [0u64, 1, 7, 1337, u64::MAX] {
         let run = || {
             let ck = fake_compiled(&[8, 16, 24, 32, 48], Direction::Increasing);
-            drive_simple(&ck, 30, kind, faulty_run(&ck, seed ^ 0xFEED, 0, 0, 0)).unwrap()
+            drive(&ck, 30, ResiliencePolicy::PAPER, kind, faulty_run(&ck, seed ^ 0xFEED, 0, 0, 0))
+                .unwrap()
         };
         assert_eq!(run(), run(), "stream seed {seed}");
     }
@@ -94,7 +85,7 @@ fn bandit_policy_survives_chaos_deterministically() {
     let kind = PolicyKind::Bandit(BanditConfig::default());
     for seed in 0..30u64 {
         let ck = fake_compiled(&[8, 16, 24, 32, 48], Direction::Increasing);
-        let run = || drive_resilient(&ck, 60, &policy, kind, faulty_run(&ck, seed, 80, 30, 30));
+        let run = || drive(&ck, 60, policy, kind, faulty_run(&ck, seed, 80, 30, 30));
         let a = run();
         let b = run();
         assert_eq!(a, b, "seed {seed} not deterministic");

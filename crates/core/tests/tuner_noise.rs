@@ -23,7 +23,7 @@ fn convergence_is_stable_under_5pct_noise() {
     let policy = ResiliencePolicy::default();
     for seed in 0..50u64 {
         let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xdead_beef;
-        let out = TuningSession::resilient("noisy", &ck, 60, 0.02, policy)
+        let out = TuningSession::new("noisy", &ck, 60, 0.02, policy)
             .drive(|v| {
                 let i = ck.index_of(&v.label).unwrap();
                 Ok(noisy(&mut rng, base[i], 0.05))
@@ -78,8 +78,7 @@ fn noise_free_resilient_walk_matches_plain_tuner() {
     let idx = |v: &KernelVersion| ck.index_of(&v.label).unwrap();
     let plain = TuningSession::simple(&ck, 60, 0.02).drive(|v| Ok(base[idx(v)])).unwrap();
     let policy = ResiliencePolicy::default();
-    let resilient = TuningSession::resilient("clean", &ck, 60, 0.02, policy)
-        .drive(|v| Ok(base[idx(v)]))
-        .unwrap();
+    let resilient =
+        TuningSession::new("clean", &ck, 60, 0.02, policy).drive(|v| Ok(base[idx(v)])).unwrap();
     assert_eq!(plain.selected, resilient.selected);
 }

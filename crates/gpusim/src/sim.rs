@@ -11,6 +11,7 @@ use crate::faults::LaunchFaults;
 use crate::occupancy::{occupancy, KernelResources, OccupancyInfo};
 use orion_kir::mir::MModule;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Driver-level launch options.
 ///
@@ -38,11 +39,12 @@ pub struct LaunchOptions {
     /// the budget fails with [`SimError::Watchdog`] instead of running
     /// (or hanging) forever.
     pub cycle_budget: Option<u64>,
-    /// Worker threads running the per-SM engines: `0` (the default)
-    /// means one worker per available host core, `1` is the exact
-    /// single-threaded path (engines run in sm-id order over the shared
-    /// global buffer), `N > 1` fans SMs out over `N` scoped threads.
-    /// Always clamped to the device's SM count. Results are
+    /// Workers running the per-SM engines: `0` (the default) means one
+    /// worker per available host core, `1` is the exact single-threaded
+    /// path (engines run in sm-id order over the shared global buffer),
+    /// `N > 1` runs one worker on the launching thread and `N - 1` on
+    /// scoped threads, each claiming the next unclaimed SM until none
+    /// is left. Always clamped to the device's SM count. Results are
     /// bit-identical at every setting for conforming kernels (CUDA
     /// forbids inter-block communication within a launch).
     pub parallelism: u32,
@@ -455,21 +457,24 @@ fn apply_runs(global: &mut [u8], runs: &WriteRuns) {
     }
 }
 
-/// Fan the per-SM engines out over `workers` scoped threads.
+/// Fan the per-SM engines out over `workers` workers: the calling
+/// thread and `workers - 1` scoped threads, each claiming the next
+/// unclaimed SM from one counter until none is left.
 ///
 /// Each worker copies the pristine global buffer once and reports the
 /// byte runs each of its SMs wrote. An engine marks the 64-byte chunks
 /// its global stores touch (`DirtyChunks`); after the SM finishes,
 /// only those chunks are diffed against the pristine buffer and then
-/// reset from it for the worker's next SM. Chunks no store touched equal
-/// the pristine bytes, so the runs are exactly those a whole-buffer diff
-/// would find (a store of the pristine value leaves no run).
-/// The caller's buffer is untouched until every engine has finished,
-/// then the runs are applied in sm-id order — reproducing the serial
-/// engine order exactly. On failure, serial semantics are preserved the
-/// same way: the lowest-sm-id error wins, writes of the SMs before it
-/// (plus the failing SM's partial writes) land, and later SMs' work is
-/// discarded.
+/// reset from it for the worker's next SM, so every engine starts from
+/// the pristine bytes whichever worker claims it. Chunks no store
+/// touched equal the pristine bytes, so the runs are exactly those a
+/// whole-buffer diff would find (a store of the pristine value leaves
+/// no run). The caller's buffer is untouched until every engine has
+/// finished, then the runs are applied in sm-id order — reproducing the
+/// serial engine order exactly. On failure, serial semantics are
+/// preserved the same way: the lowest-sm-id error wins, writes of the
+/// SMs before it (plus the failing SM's partial writes) land, and later
+/// SMs' work is discarded.
 #[allow(clippy::too_many_arguments)]
 fn run_sms_parallel(
     dev: &DeviceSpec,
@@ -487,56 +492,58 @@ fn run_sms_parallel(
         (0..num_sms).map(|_| None).collect();
     {
         let pristine: &[u8] = global;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers as usize);
-            for k in 0..workers as usize {
-                handles.push(scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut buf: Vec<u8> = Vec::new();
-                    let mut dirty = DirtyChunks::new(pristine.len());
-                    for sm in (k..num_sms).step_by(workers as usize) {
-                        if partition[sm].is_empty() {
-                            continue;
-                        }
-                        // One copy per worker, made for its first SM
-                        // with blocks; `drain` below restores it after each.
-                        if buf.is_empty() {
-                            buf.extend_from_slice(pristine);
-                        }
-                        let mut engine = SmEngine::new(
-                            dev,
-                            prog,
-                            launch,
-                            params,
-                            &mut buf,
-                            sm as u32,
-                            guards_for(sm as u32),
-                        )
-                        .track_writes(&mut dirty);
-                        let r = engine.run(&partition[sm], residency);
-                        let stats = engine.stats;
-                        let per_warp = std::mem::take(&mut engine.per_warp_issued);
-                        drop(engine);
-                        let mut runs = WriteRuns::new();
-                        dirty.drain(buf.len(), |range| {
-                            diff_runs(
-                                &pristine[range.clone()],
-                                &buf[range.clone()],
-                                range.start,
-                                &mut runs,
-                            );
-                            buf[range.clone()].copy_from_slice(&pristine[range]);
-                        });
-                        let run = r.map(|c| SmRun { cycles: c, stats, per_warp });
-                        out.push((sm, run, runs));
-                    }
-                    out
-                }));
-            }
-            for handle in handles {
-                for (sm, run, runs) in handle.join().expect("sim worker panicked") {
-                    results[sm] = Some((run, runs));
+        // The counter only hands out SM ids; each worker's results come
+        // back through `join`, so `Relaxed` suffices.
+        let next_sm = AtomicUsize::new(0);
+        let worker = || {
+            let mut out = Vec::new();
+            let mut buf: Vec<u8> = Vec::new();
+            let mut dirty = DirtyChunks::new(pristine.len());
+            let claims = std::iter::from_fn(|| Some(next_sm.fetch_add(1, Ordering::Relaxed)));
+            for sm in claims.take_while(|&sm| sm < num_sms) {
+                if partition[sm].is_empty() {
+                    continue;
                 }
+                // One copy per worker, made for its first SM with
+                // blocks; `drain` below restores it after each.
+                if buf.is_empty() {
+                    buf.extend_from_slice(pristine);
+                }
+                let mut engine = SmEngine::new(
+                    dev,
+                    prog,
+                    launch,
+                    params,
+                    &mut buf,
+                    sm as u32,
+                    guards_for(sm as u32),
+                )
+                .track_writes(&mut dirty);
+                let r = engine.run(&partition[sm], residency);
+                let stats = engine.stats;
+                let per_warp = std::mem::take(&mut engine.per_warp_issued);
+                drop(engine);
+                let mut runs = WriteRuns::new();
+                dirty.drain(buf.len(), |range| {
+                    diff_runs(
+                        &pristine[range.clone()],
+                        &buf[range.clone()],
+                        range.start,
+                        &mut runs,
+                    );
+                    buf[range.clone()].copy_from_slice(&pristine[range]);
+                });
+                let run = r.map(|c| SmRun { cycles: c, stats, per_warp });
+                out.push((sm, run, runs));
+            }
+            out
+        };
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
+            let mine = worker();
+            let theirs = handles.into_iter().flat_map(|h| h.join().expect("sim worker panicked"));
+            for (sm, run, runs) in mine.into_iter().chain(theirs) {
+                results[sm] = Some((run, runs));
             }
         });
     }
