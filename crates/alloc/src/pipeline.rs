@@ -34,8 +34,8 @@
 //! Release builds without the feature skip all of it.
 //!
 //! Each pass runs under an `orion-telemetry` span (`alloc/<stage>`), so
-//! traces show per-stage timing alongside the existing allocator
-//! counters.
+//! traces show per-stage timing; the allocator's counts live in
+//! [`AllocReport`].
 
 use crate::chaitin::{color, validate};
 use crate::interference::InterferenceGraph;
@@ -308,7 +308,6 @@ impl Pass for ColorPass {
                     calls.push(CallSiteCtx { callee, live_units: lu });
                 }
             }
-            orion_telemetry::counter("alloc", "spilled_webs", coloring.spilled.len() as u64);
             funcs[fid.0 as usize] = Some(ColoredFunc { coloring, units, calls, base });
         }
         st.colored = Some(ColoredModule { funcs, bases });
@@ -497,7 +496,7 @@ fn run_layout(st: &mut PipelineState<'_>, stage: &str, optimized: bool) -> Resul
     let mut predicted_moves: Vec<u32> = vec![0; st.module.funcs.len()];
     for &fid in &norm.topdown {
         let i = fid.0 as usize;
-        let (Some(nf), Some(cf)) = (&norm.funcs[i], colored.funcs[i].as_mut()) else {
+        let (Some(_), Some(cf)) = (&norm.funcs[i], colored.funcs[i].as_mut()) else {
             return Err(AllocError::Internal(format!("{stage}: function {i} missing an artifact")));
         };
         let infos = &stack.call_infos[i];
@@ -507,19 +506,6 @@ fn run_layout(st: &mut PipelineState<'_>, stage: &str, optimized: bool) -> Resul
             identity_layout(&cf.units, infos)
         };
         predicted_moves[i] = plan.total_moves;
-        if orion_telemetry::is_enabled() {
-            // The Kuhn-Munkres objective value: compression moves the
-            // chosen layout is predicted to cost across all call sites.
-            orion_telemetry::instant(
-                "alloc",
-                "layout_plan",
-                vec![
-                    ("func", nf.nf.name.as_str().into()),
-                    ("predicted_moves", plan.total_moves.into()),
-                    ("optimized", optimized.into()),
-                ],
-            );
-        }
         apply_layout(&mut cf.coloring.slot_of, &cf.units, &plan);
         for (u, &start) in cf.units.iter_mut().zip(&plan.new_start) {
             u.start = start;
@@ -825,13 +811,6 @@ impl Pass for LowerPass {
         }
         let regs_per_thread = budget.reg_slots.min(peak_abs);
         let smem_slots_per_thread = peak_abs.saturating_sub(regs_per_thread);
-        orion_telemetry::counter("alloc", "smem_promoted_slots", u64::from(smem_slots_per_thread));
-        orion_telemetry::counter(
-            "alloc",
-            "spill_slots",
-            u64::from(spills.local_slots.saturating_sub(SCRATCH_SLOTS)),
-        );
-        orion_telemetry::counter("alloc", "static_moves", u64::from(static_moves));
 
         let mut per_func = Vec::with_capacity(topdown.len());
         for f in topdown {

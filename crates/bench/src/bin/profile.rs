@@ -23,8 +23,8 @@
 //! embeds as `"registry"` (`{}` without `--tune`), and its journal is
 //! what `--journal` prints, one `job`/`seq`/tag line per record.
 //! `--prom` or `--journal` without `--tune` is an error. The
-//! CLI exits non-zero when the capture is empty (telemetry compiled out
-//! or nothing recorded) instead of silently writing hollow artifacts.
+//! CLI exits non-zero when the capture is empty instead of silently
+//! writing hollow artifacts.
 
 use orion_bench::error::write_file;
 use orion_bench::experiment::run_version_once;
@@ -34,7 +34,7 @@ use orion_core::orion::Orion;
 use orion_core::service::{JobPolicy, KernelJob, OrionService, ServiceConfig};
 use orion_gpusim::DeviceSpec;
 use orion_telemetry::export::{self, MetricsSnapshot};
-use orion_telemetry::metrics::{aggregate_counters, MetricsReport};
+use orion_telemetry::metrics::MetricsReport;
 use orion_telemetry::timeline;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -99,11 +99,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     orion_telemetry::set_enabled(true);
     orion_telemetry::clear();
-    if !orion_telemetry::is_enabled() {
-        eprintln!(
-            "note: telemetry feature disabled (--no-default-features); trace/metrics will be empty"
-        );
-    }
 
     let orion = Orion::new(dev.clone(), w.block);
     let versions = orion.sweep(&w.module)?;
@@ -210,8 +205,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let events = orion_telemetry::take_events();
     if events.is_empty() {
         eprintln!(
-            "profile: empty capture — no telemetry events were recorded \
-             (built with --no-default-features?); refusing to write hollow artifacts"
+            "profile: empty capture — no telemetry events were recorded; \
+             refusing to write hollow artifacts"
         );
         std::process::exit(2);
     }
@@ -221,7 +216,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         print!("{}", timeline::render_text(&lanes));
     }
 
-    report.merge_prefixed("counters", &aggregate_counters(&events));
     if let Some(path) = &trace_path {
         write_file("chrome trace", path, &orion_telemetry::chrome::trace_json(&events))?;
         eprintln!("wrote {path} ({} events)", events.len());

@@ -13,9 +13,9 @@
 //!
 //! Both picks are then re-measured *fault-free* and compared: the
 //! acceptance bar is the chaotic pick landing within 5% of the reference
-//! pick at a ≤10% fault rate. Injected, retried, and quarantined counts
-//! are recorded per row so `BENCH_chaos.json` reconciles exactly with
-//! the telemetry counters the injector and tuner emit.
+//! pick at a ≤10% fault rate. Each row records the injector's
+//! [`FaultSnapshot`] and the executor's [`ResilienceStats`], the one
+//! copy of each tally; the sweep does not touch telemetry.
 
 use crate::experiment::{run_version_once, ExperimentError, DOWNWARD_THRESHOLD};
 use crate::figures::Figure;
@@ -161,32 +161,6 @@ pub fn chaos_run(
     })
 }
 
-/// Do a row's injected/absorbed tallies reconcile with the telemetry
-/// counters collected over the run? `metrics` is the
-/// [`aggregate_counters`](orion_telemetry::metrics::aggregate_counters)
-/// report of the events recorded while (only) this row ran; pass `None`
-/// when telemetry is disabled (the check vacuously holds).
-pub fn reconciles(
-    row: &ChaosRow,
-    metrics: Option<&orion_telemetry::metrics::MetricsReport>,
-) -> bool {
-    let Some(m) = metrics else { return true };
-    let c = |k: &str| m.get_u64(k).unwrap_or(0);
-    let injected_ok = c("faults/transient") == row.injected.transient
-        && c("faults/resource") == row.injected.resource
-        && c("faults/hang") == row.injected.hangs
-        && c("faults/jitter") == row.injected.jitter
-        && c("faults/outlier") == row.injected.outliers;
-    // A gave-up row loses its executor stats with the error, so only
-    // the injector side can be checked.
-    let absorbed_ok = row.gave_up
-        || (c("resilience/retry") == row.absorbed.retries
-            && c("resilience/strike") == row.absorbed.strikes
-            && c("resilience/quarantined") == row.absorbed.quarantined
-            && c("resilience/fellback") == row.absorbed.fellback);
-    injected_ok && absorbed_ok
-}
-
 /// Workloads the chaos bench sweeps (one upward, one plateau, one
 /// downward-tunable — three distinct tuning shapes).
 pub const CHAOS_WORKLOADS: [&str; 3] = ["gaussian", "matrixMul", "srad"];
@@ -213,11 +187,6 @@ pub struct ChaosSummary {
     pub converges_at_10pct: bool,
     /// The zero-fault control rows picked exactly the reference version.
     pub control_exact: bool,
-    /// Every row's injected/absorbed tallies matched its telemetry
-    /// counters (vacuously true when telemetry is off).
-    pub telemetry_reconciled: bool,
-    /// Whether telemetry was actually collected for the reconciliation.
-    pub telemetry_active: bool,
     pub total_injected: u64,
     pub total_retries: u64,
     pub total_quarantined: u64,
@@ -237,40 +206,16 @@ pub struct ChaosSweep {
 }
 
 /// Run the full chaos sweep ([`CHAOS_WORKLOADS`] × [`CHAOS_RATES`]).
-/// Telemetry (when compiled in) is switched on, captured per row and
-/// reconciled against the injector/executor tallies; on every exit the
-/// switch goes back to where the caller had it.
 ///
 /// # Errors
 /// A row's compile or fault-free run failing.
 pub fn chaos_sweep(dev: &DeviceSpec) -> Result<ChaosSweep, ExperimentError> {
-    /// Puts the telemetry switch back when dropped — on the `?` paths
-    /// and on a panic too.
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            orion_telemetry::set_enabled(self.0);
-        }
-    }
-    let _restore = Restore(orion_telemetry::is_enabled());
-    orion_telemetry::set_enabled(true);
-    let telemetry = orion_telemetry::is_enabled();
     let mut rows: Vec<ChaosRow> = Vec::new();
-    let mut reconciled_all = true;
     for (wi, name) in CHAOS_WORKLOADS.iter().enumerate() {
         let w = orion_workloads::by_name(name).expect("chaos workload exists");
         for (ri, &rate) in CHAOS_RATES.iter().enumerate() {
-            if telemetry {
-                orion_telemetry::clear();
-            }
             let jitter = if rate > 0.0 { CHAOS_JITTER } else { 0.0 };
-            let row = chaos_run(dev, &w, row_seed(wi, ri), rate, jitter)?;
-            if telemetry {
-                let events = orion_telemetry::take_events();
-                let metrics = orion_telemetry::metrics::aggregate_counters(&events);
-                reconciled_all &= reconciles(&row, Some(&metrics));
-            }
-            rows.push(row);
+            rows.push(chaos_run(dev, &w, row_seed(wi, ri), rate, jitter)?);
         }
     }
     let summary = ChaosSummary {
@@ -282,8 +227,6 @@ pub fn chaos_sweep(dev: &DeviceSpec) -> Result<ChaosSweep, ExperimentError> {
             .iter()
             .filter(|r| r.fault_rate == 0.0)
             .all(|r| r.chaos_selected == r.fault_free_selected),
-        telemetry_reconciled: reconciled_all,
-        telemetry_active: telemetry,
         total_injected: rows.iter().map(|r| r.injected.total_faults()).sum(),
         total_retries: rows.iter().map(|r| r.absorbed.retries).sum(),
         total_quarantined: rows.iter().map(|r| r.absorbed.quarantined).sum(),
@@ -339,14 +282,11 @@ impl ChaosSweep {
             "Chaos bench: resilient Figure 9 loop under injected faults ({})\n\
              plan: seeded transients/resource/hangs at the listed rate, \
              ±{:.0}% jitter at nonzero rates\n{table}\
-             converges within {:.0}% of fault-free pick at ≤10% faults: {}\n\
-             telemetry reconciliation ({}): {}\n",
+             converges within {:.0}% of fault-free pick at ≤10% faults: {}\n",
             self.device,
             CHAOS_JITTER * 100.0,
             CHAOS_TOLERANCE * 100.0,
             if summary.converges_at_10pct { "PASS" } else { "FAIL" },
-            if summary.telemetry_active { "active" } else { "telemetry off, vacuous" },
-            if summary.telemetry_reconciled { "exact" } else { "MISMATCH" },
         );
         let data = serde_json::to_value(self).unwrap_or(serde_json::Value::Null);
         Figure::new("chaos", text, data)

@@ -5,31 +5,16 @@
 use orion_bench::experiment::run_version_once;
 use orion_core::orion::Orion;
 use orion_gpusim::DeviceSpec;
-use orion_telemetry::metrics::{aggregate_counters, MetricsReport};
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// Telemetry's on/off switch and event buffer are process-global, and
-/// the test harness runs this file's tests in parallel: every test that
-/// toggles or drains them holds this lock for its whole body.
-static TELEMETRY: Mutex<()> = Mutex::new(());
-
-fn telemetry_lock() -> MutexGuard<'static, ()> {
-    TELEMETRY.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// The exporter output parses as JSON, carries the required
-/// trace_event keys, and is sorted by timestamp.
+/// trace_event keys, and is sorted by timestamp. It is the only test in
+/// this file that switches telemetry on.
 #[test]
 fn chrome_trace_exports_valid_sorted_json() {
-    let _serial = telemetry_lock();
     orion_telemetry::set_enabled(true);
-    if !orion_telemetry::is_enabled() {
-        return; // probes compiled out (--no-default-features)
-    }
     orion_telemetry::clear();
     {
         let _outer = orion_telemetry::span("snap", "outer");
-        orion_telemetry::counter("snap", "widgets", 3);
         orion_telemetry::instant("snap", "marker", vec![("k", "v".into())]);
         let _inner = orion_telemetry::span("snap", "inner");
     }
@@ -44,12 +29,11 @@ fn chrome_trace_exports_valid_sorted_json() {
     let evs =
         parsed.get("traceEvents").and_then(serde_json::Value::as_array).expect("traceEvents array");
 
-    // Other tests may run concurrently and append to the global buffer;
-    // only assert on our own category.
+    // Only assert on our own category.
     let snap: Vec<&serde_json::Value> =
         evs.iter().filter(|e| e.get("cat").and_then(|c| c.as_str()) == Some("snap")).collect();
-    // outer B+E, inner B+E, counter, instant, 2 completes = 8 events.
-    assert_eq!(snap.len(), 8, "every probe appears exactly once");
+    // outer B+E, inner B+E, instant, 2 completes = 7 events.
+    assert_eq!(snap.len(), 7, "every probe appears exactly once");
     for e in &snap {
         assert!(e.get("ph").is_some() && e.get("name").is_some() && e.get("ts").is_some());
         assert!(e.get("pid").is_some() && e.get("tid").is_some());
@@ -63,28 +47,6 @@ fn chrome_trace_exports_valid_sorted_json() {
     // Global ordering invariant: ts is monotonically non-decreasing.
     let ts: Vec<i64> = evs.iter().map(|e| e["ts"].as_i64().expect("numeric ts")).collect();
     assert!(ts.windows(2).all(|w| w[0] <= w[1]), "timestamps sorted: {ts:?}");
-}
-
-#[test]
-fn counter_aggregation_rolls_up_by_category() {
-    let _serial = telemetry_lock();
-    orion_telemetry::set_enabled(true);
-    if !orion_telemetry::is_enabled() {
-        return; // probes compiled out (--no-default-features)
-    }
-    orion_telemetry::clear();
-    orion_telemetry::counter("agg", "things", 2);
-    orion_telemetry::counter("agg", "things", 5);
-    let events = orion_telemetry::take_events();
-    orion_telemetry::set_enabled(false);
-
-    let report = aggregate_counters(&events);
-    assert_eq!(report.get_u64("agg/things"), Some(7), "counters sum per (cat, name)");
-    let mut top = MetricsReport::new();
-    top.merge_prefixed("counters", &report);
-    let parsed: serde_json::Value =
-        serde_json::from_str(&top.to_json()).expect("metrics report is valid JSON");
-    assert_eq!(parsed["counters/agg/things"].as_u64(), Some(7));
 }
 
 /// The six stall buckets partition `cycles × num_sms` exactly — checked

@@ -71,8 +71,7 @@
 //! callers treat them as exceptional.
 //!
 //! Hit/miss/eviction counters are exported programmatically
-//! ([`stats`]) and as `orion-telemetry` counters under the
-//! `compile_cache` category. Each thread also keeps a tally of its own
+//! ([`stats`]). Each thread also keeps a tally of its own
 //! operations next to the process-wide counters; a service batch
 //! reports the delta of its calling thread's tally
 //! ([`crate::service::ServiceReport::cache`]), so a batch counts only
@@ -132,7 +131,6 @@ impl State {
             let Some(oldest) = self.order.pop_front() else { break };
             self.map.remove(&oldest);
             count(&mut self.counters, |c| c.evictions += 1);
-            orion_telemetry::counter("compile_cache", "evictions", 1);
         }
         self.order.push_back(key);
         self.map.insert(key, Arc::new(value));
@@ -174,7 +172,6 @@ fn lock() -> MutexGuard<'static, State> {
             st.inflight.clear();
             count(&mut st.counters, |c| c.poison_recovered += 1);
             cache.state.clear_poison();
-            orion_telemetry::counter("compile_cache", "poison_recovered", 1);
             cache.resolved.notify_all();
             st
         }
@@ -288,7 +285,6 @@ pub fn allocate_cached(
                 c.coalesced += u64::from(waited);
             });
             drop(st);
-            orion_telemetry::counter("compile_cache", "hit", 1);
             return Ok((*hit).clone());
         }
         if !st.inflight.contains(&key) {
@@ -314,7 +310,6 @@ pub fn allocate_cached(
     st.inflight.insert(key);
     let _inflight = InflightGuard { key };
     drop(st);
-    orion_telemetry::counter("compile_cache", "miss", 1);
     let out = allocate(module.module, budget, opts);
     if let Ok(v) = &out {
         let mut st = lock();

@@ -307,32 +307,6 @@ pub fn compile(
     let tuning_order: Vec<usize> = std::iter::once(original_idx)
         .chain((0..versions.len()).filter(|&i| i != original_idx && !versions[i].fail_safe))
         .collect();
-    if orion_telemetry::is_enabled() {
-        orion_telemetry::instant(
-            "compile",
-            "kernel",
-            vec![
-                ("max_live", max_live.into()),
-                ("direction", format!("{direction:?}").into()),
-                ("candidates", versions.iter().filter(|v| !v.fail_safe).count().into()),
-                ("versions", versions.len().into()),
-            ],
-        );
-        for v in &versions {
-            orion_telemetry::instant(
-                "compile",
-                "version",
-                vec![
-                    ("label", v.label.as_str().into()),
-                    ("achieved_warps", v.achieved_warps.into()),
-                    ("regs_per_thread", v.machine.regs_per_thread.into()),
-                    ("extra_smem", v.extra_smem.into()),
-                    ("occupancy", v.occupancy.into()),
-                    ("fail_safe", v.fail_safe.into()),
-                ],
-            );
-        }
-    }
     Ok(CompiledKernel { versions, direction, original: original_idx, max_live, tuning_order })
 }
 

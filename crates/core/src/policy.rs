@@ -405,37 +405,9 @@ impl Policy {
             .or_else(|| self.rule.best_guess())
     }
 
-    /// Log a decision, with its `tuner/decision` event and, for the
-    /// failure reasons, its `resilience/*` counter.
+    /// Log a decision: the decision log is the one record of the walk's
+    /// choices, quarantines, fallbacks and degradations.
     fn push(&mut self, decision: TuneDecision) {
-        if orion_telemetry::is_enabled() {
-            let counter = match decision.reason {
-                TuneReason::Quarantined => Some("quarantined"),
-                TuneReason::FellBack => Some("fellback"),
-                TuneReason::Degraded => Some("degraded"),
-                _ => None,
-            };
-            if let Some(name) = counter {
-                orion_telemetry::counter("resilience", name, 1);
-            }
-            orion_telemetry::instant(
-                "tuner",
-                "decision",
-                vec![
-                    ("trial", decision.trial.into()),
-                    ("version", decision.version.into()),
-                    ("cycles", decision.cycles.into()),
-                    ("norm_cycles", decision.norm_cycles.into()),
-                    ("reason", format!("{:?}", decision.reason).into()),
-                    (
-                        "finalized",
-                        decision.finalized.map_or(orion_telemetry::ArgValue::Bool(false), |v| {
-                            orion_telemetry::ArgValue::U64(v as u64)
-                        }),
-                    ),
-                ],
-            );
-        }
         self.decisions.push(decision);
     }
 }

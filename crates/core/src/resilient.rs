@@ -86,7 +86,8 @@ pub struct ResiliencePolicy {
     /// timing jitter — comfortably inside the paper's degradation
     /// thresholds; median-of-3 measurably flips walk decisions at that
     /// noise level. A borderline verdict gets one extension round of
-    /// another k samples before the walk commits.
+    /// another k samples before the walk commits. `0` is read as `1`:
+    /// one raw measurement per pass, as under [`ResiliencePolicy::PAPER`].
     pub samples: usize,
     /// *Consecutive* hard (quarantineable) failures a version must
     /// accumulate before it is actually quarantined; every successful
@@ -174,11 +175,10 @@ pub fn robust_measure(samples: &mut [u64]) -> RobustMeasure {
     let f = OUTLIER_FACTOR;
     let lo = (med as f64 / f) as u64;
     let hi = (med as f64 * f).min(u64::MAX as f64) as u64;
-    let kept: Vec<u64> = samples.iter().copied().filter(|&s| s >= lo && s <= hi).collect();
-    let rejected = samples.len() - kept.len();
-    if rejected > 0 && orion_telemetry::is_enabled() {
-        orion_telemetry::counter("resilience", "outlier_rejected", rejected as u64);
-    }
+    // Sorted, so the survivors are one contiguous run.
+    let (first, end) =
+        (samples.partition_point(|&s| s < lo), samples.partition_point(|&s| s <= hi));
+    let kept = &samples[first..end];
     if kept.is_empty() {
         RobustMeasure { cycles: med, rel_spread: 0.0 }
     } else {

@@ -711,7 +711,6 @@ impl<'k> ActiveJob<'k> {
     /// keeping what the session journaled before the panic.
     fn panic_report(&self, payload: &(dyn std::any::Any + Send)) -> Box<KernelReport> {
         let detail = panic_detail(payload);
-        orion_telemetry::counter("resilience", "session_panic", 1);
         let err = OrionError::SessionPanicked { detail }.with_context(self.name.clone(), None);
         Box::new(KernelReport {
             journal: self.session.journal().to_vec(),
@@ -917,7 +916,6 @@ impl<B: AsyncBackend> OrionService<B> {
                 Ok(Err(e)) => e,
                 Err(payload) => {
                     let detail = panic_detail(payload.as_ref());
-                    orion_telemetry::counter("resilience", "session_panic", 1);
                     OrionError::SessionPanicked { detail }.with_context(names[i].clone(), None)
                 }
             };

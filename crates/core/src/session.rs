@@ -147,9 +147,9 @@ impl JournalEvent {
 /// Deterministic per-session latency observations, recorded in
 /// *simulated cycles* so they are bit-identical across thread
 /// interleavings and worker counts (unlike wall-clock telemetry).
-/// Always collected — the histograms are a few hundred machine words
-/// and the service's determinism gate needs them in
-/// `--no-default-features` builds too.
+/// Always collected, whatever the telemetry switch says: the histograms
+/// are a few hundred machine words and the service's determinism gate
+/// reads them.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionObs {
     /// Cycles of every successful launch (the paper's measurement
@@ -554,7 +554,6 @@ impl<'k> TuningSession<'k> {
                 let backoff = BACKOFF_BASE_CYCLES << pending.attempt.min(20);
                 self.stats.backoff_cycles = self.stats.backoff_cycles.saturating_add(backoff);
                 self.pending_backoff = self.pending_backoff.saturating_add(backoff);
-                orion_telemetry::counter("resilience", "retry", 1);
                 self.journal.push(JournalEvent::Retry {
                     version: pending.version,
                     attempt: pending.attempt + 1,
@@ -613,7 +612,6 @@ impl<'k> TuningSession<'k> {
     /// budget. Returns whether the version died.
     fn strike(&mut self, version: usize) -> bool {
         self.stats.strikes += 1;
-        orion_telemetry::counter("resilience", "strike", 1);
         self.strikes[version] += 1;
         if self.strikes[version] >= self.resilience.quarantine_strikes {
             self.policy.quarantine(version);
@@ -837,6 +835,32 @@ mod tests {
         assert!(saw_probing, "borderline verdict must enter Probing");
         let out = s.finish();
         assert!(out.state.is_settled());
+    }
+
+    /// `samples: 0` is read as one sample per pass: on the same
+    /// jittery stream with a transient failure it tunes exactly like
+    /// `samples: 1`.
+    #[test]
+    fn zero_samples_tunes_like_one_sample() {
+        let ck = fake_compiled(&[8, 16, 32, 48], Direction::Increasing);
+        let run = |samples| {
+            let policy = ResiliencePolicy { samples, ..ResiliencePolicy::default() };
+            let mut s = TuningSession::new("k", &ck, 20, 0.02, policy);
+            let mut n = 0u64;
+            while let SessionStep::Launch(v) = s.next_step().unwrap() {
+                n += 1;
+                let result = if n == 3 {
+                    Err(SimError::TransientLaunchFailure { code: 1 }.into())
+                } else {
+                    Ok(1000 - 30 * v as u64 + (n * 7) % 13)
+                };
+                s.on_launch_result(result).expect("a transient failure is retried");
+            }
+            s.finish()
+        };
+        let one = run(1);
+        assert_eq!(one.stats.retries, 1);
+        assert_eq!(run(0), one);
     }
 
     #[test]

@@ -143,8 +143,9 @@ impl LaunchFaults {
     }
 }
 
-/// Monotone tally of injected faults, for reconciliation against
-/// telemetry counters and `BENCH_chaos.json`.
+/// Monotone tally of injected faults: the one record of what the
+/// injector produced, read through [`FaultSnapshot`] (the chaos bench's
+/// `injected` column).
 #[derive(Debug, Default)]
 pub struct FaultStats {
     pub launches: AtomicU64,
@@ -237,10 +238,8 @@ impl FaultInjector {
         // launch can reach one. Tally launch faults in precedence order
         // (transient masks the rest, matching the order the launch path
         // applies them).
-        let tally = |kind: &'static str| orion_telemetry::counter("faults", kind, 1);
         if f.transient {
             self.stats.transient.fetch_add(1, Ordering::Relaxed);
-            tally("transient");
             f.resource = false;
             f.hang = false;
             f.jitter_ppm = 0;
@@ -248,21 +247,17 @@ impl FaultInjector {
         } else {
             if f.resource {
                 self.stats.resource.fetch_add(1, Ordering::Relaxed);
-                tally("resource");
             }
             if f.hang {
                 self.stats.hangs.fetch_add(1, Ordering::Relaxed);
-                tally("hang");
                 f.jitter_ppm = 0;
                 f.outlier = false;
             } else {
                 if f.jitter_ppm != 0 {
                     self.stats.jitter.fetch_add(1, Ordering::Relaxed);
-                    tally("jitter");
                 }
                 if f.outlier {
                     self.stats.outliers.fetch_add(1, Ordering::Relaxed);
-                    tally("outlier");
                 }
             }
         }

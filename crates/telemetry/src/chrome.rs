@@ -15,7 +15,6 @@ fn phase_code(ph: Phase) -> &'static str {
         Phase::End => "E",
         Phase::Complete => "X",
         Phase::Instant => "i",
-        Phase::Counter => "C",
     }
 }
 
@@ -87,7 +86,7 @@ mod tests {
         let events = vec![
             ev("late", Phase::Instant, 30),
             ev("early", Phase::Complete, 10),
-            ev("mid", Phase::Counter, 20),
+            ev("mid", Phase::Begin, 20),
         ];
         let json = trace_json(&events);
         let early = json.find("early").unwrap();

@@ -2,10 +2,14 @@
 //!
 //! The paper's whole premise (§3.3–3.4) is a feedback loop: the compiler
 //! and runtime *observe* kernel behaviour and pick occupancy levels from
-//! it. This crate is the observation side: a lightweight event API used
-//! by the allocator (spill/promotion/compression counters), the tuner
-//! (per-iteration decisions), and the simulator (phase timeline), plus
-//! exporters to Chrome `trace_event` JSON and a flat metrics report.
+//! it. This crate is the observation side of *timing*: a lightweight
+//! event API whose spans time the allocator's passes and each simulated
+//! launch, whose simulator `complete` events lay out each launch's
+//! per-SM timeline, plus exporters to Chrome `trace_event` JSON and a flat
+//! metrics report. Facts (spill counts, fault tallies, retries, cache
+//! hits, decisions) are not events: each lives once in its typed record
+//! (`AllocReport`, `CompiledKernel`, `FaultSnapshot`, `ResilienceStats`,
+//! `CompileCacheStats`, `ServiceReport`).
 //!
 //! Beyond the raw event stream, the service plane builds on two typed
 //! layers: [`hist`] (log-bucketed latency histograms with deterministic
@@ -19,20 +23,14 @@
 //!
 //! # Gating
 //!
-//! Event recording is double-gated:
-//!
-//! * **Compile time** — the `enabled` cargo feature. Without it every
-//!   probe body compiles away entirely; instrumented hot paths cost a
-//!   few dead arguments at most. Exporters ([`chrome`], [`metrics`]) and
-//!   the [`Event`] type are always compiled so downstream code can
-//!   consume telemetry artifacts regardless.
-//! * **Run time** — [`set_enabled`]. Even an `enabled` build records
-//!   nothing until a collector (the profiler CLI, a test) opts in, so
-//!   library users never pay for a global buffer they did not ask for.
+//! Recording has one gate, the run-time switch [`set_enabled`]. Every
+//! probe is always compiled; until a collector (the profiler CLI, a
+//! test, the benchmark) opts in, each one is a relaxed atomic load and
+//! library users never pay for a global buffer they did not ask for.
 //!
 //! # Clock domains
 //!
-//! Wall-clock events ([`span`], [`instant`], [`counter`]) are stamped in
+//! Wall-clock events ([`span`], [`instant`]) are stamped in
 //! microseconds since the first probe. The simulator instead emits
 //! *simulated-time* [`complete`] events whose `ts`/`dur` are in GPU
 //! cycles with the SM index as `tid` — loading the trace into Chrome
@@ -60,15 +58,12 @@ pub enum Phase {
     Complete,
     /// Point event (`"i"`).
     Instant,
-    /// Counter sample (`"C"`).
-    Counter,
 }
 
 /// A structured argument value attached to an event.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArgValue {
     U64(u64),
-    I64(i64),
     F64(f64),
     Bool(bool),
     Str(String),
@@ -86,21 +81,9 @@ impl From<u32> for ArgValue {
     }
 }
 
-impl From<u16> for ArgValue {
-    fn from(v: u16) -> Self {
-        ArgValue::U64(u64::from(v))
-    }
-}
-
 impl From<usize> for ArgValue {
     fn from(v: usize) -> Self {
         ArgValue::U64(v as u64)
-    }
-}
-
-impl From<i64> for ArgValue {
-    fn from(v: i64) -> Self {
-        ArgValue::I64(v)
     }
 }
 
@@ -122,17 +105,10 @@ impl From<&str> for ArgValue {
     }
 }
 
-impl From<String> for ArgValue {
-    fn from(v: String) -> Self {
-        ArgValue::Str(v)
-    }
-}
-
 /// One recorded telemetry event.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
-    /// Category: which subsystem emitted this (`"alloc"`, `"tuner"`,
-    /// `"sim"`, `"compile"`, ...).
+    /// Category: which subsystem emitted this (`"alloc"`, `"sim"`, ...).
     pub cat: &'static str,
     /// Event name; dynamic so call sites can label per-object events.
     pub name: String,
@@ -156,7 +132,7 @@ std::thread_local! {
 }
 
 /// Set this thread's telemetry *scope lane*: every wall-clock event
-/// ([`span`], [`instant`], [`counter`]) recorded by this thread carries
+/// ([`span`], [`instant`]) recorded by this thread carries
 /// it as `tid`, so concurrent tuning sessions stay separable in one
 /// shared trace (`OrionService` assigns one lane per kernel session).
 /// Lane `0` is the unscoped default and keeps the pre-scoping output
@@ -171,27 +147,23 @@ pub fn scope() -> u32 {
     SCOPE.with(std::cell::Cell::get)
 }
 
-// The buffer exists in disabled builds too (so `take_events` always has
-// one definition); it just never fills.
 static EVENTS: Mutex<Vec<Event>> = Mutex::new(Vec::new());
 
 static START: OnceLock<Instant> = OnceLock::new();
 
-/// Whether recording is active (compile-time feature AND runtime switch).
+/// Whether recording is switched on.
 #[inline]
 pub fn is_enabled() -> bool {
-    cfg!(feature = "enabled") && ON.load(Ordering::Relaxed)
+    ON.load(Ordering::Relaxed)
 }
 
-/// Turn recording on or off at runtime. A no-op in builds without the
-/// `enabled` feature. Enabling anchors the wall clock if it isn't yet.
+/// Turn recording on or off. Enabling anchors the wall clock if it
+/// isn't yet.
 pub fn set_enabled(on: bool) {
-    if cfg!(feature = "enabled") {
-        if on {
-            START.get_or_init(Instant::now);
-        }
-        ON.store(on, Ordering::Relaxed);
+    if on {
+        START.get_or_init(Instant::now);
     }
+    ON.store(on, Ordering::Relaxed);
 }
 
 /// Drop all buffered events (e.g. between profiling sessions).
@@ -204,41 +176,19 @@ pub fn take_events() -> Vec<Event> {
     std::mem::take(&mut *EVENTS.lock().unwrap())
 }
 
-#[cfg(feature = "enabled")]
 #[inline]
 fn now_us() -> u64 {
     START.get_or_init(Instant::now).elapsed().as_micros() as u64
 }
 
-#[cfg(feature = "enabled")]
 #[inline]
 fn push(event: Event) {
     EVENTS.lock().unwrap().push(event);
 }
 
-/// Record a counter sample.
-#[inline]
-pub fn counter(cat: &'static str, name: &str, value: u64) {
-    #[cfg(feature = "enabled")]
-    if is_enabled() {
-        push(Event {
-            cat,
-            name: name.to_string(),
-            ph: Phase::Counter,
-            ts: now_us(),
-            dur: 0,
-            tid: scope(),
-            args: vec![("value", ArgValue::U64(value))],
-        });
-    }
-    #[cfg(not(feature = "enabled"))]
-    let _ = (cat, name, value);
-}
-
 /// Record a point event with arguments.
 #[inline]
 pub fn instant(cat: &'static str, name: &str, args: Vec<(&'static str, ArgValue)>) {
-    #[cfg(feature = "enabled")]
     if is_enabled() {
         push(Event {
             cat,
@@ -250,8 +200,6 @@ pub fn instant(cat: &'static str, name: &str, args: Vec<(&'static str, ArgValue)
             args,
         });
     }
-    #[cfg(not(feature = "enabled"))]
-    let _ = (cat, name, args);
 }
 
 /// Record a self-contained span on an explicit timeline: `ts`/`dur` are
@@ -266,51 +214,38 @@ pub fn complete(
     dur: u64,
     args: Vec<(&'static str, ArgValue)>,
 ) {
-    #[cfg(feature = "enabled")]
     if is_enabled() {
         push(Event { cat, name: name.to_string(), ph: Phase::Complete, ts, dur, tid, args });
     }
-    #[cfg(not(feature = "enabled"))]
-    let _ = (cat, name, tid, ts, dur, args);
 }
 
 /// Open a wall-clock span, closed when the returned guard drops.
 #[must_use = "the span closes when the guard is dropped"]
 #[inline]
 pub fn span(cat: &'static str, name: &str) -> SpanGuard {
-    #[cfg(feature = "enabled")]
-    {
-        if is_enabled() {
-            push(Event {
-                cat,
-                name: name.to_string(),
-                ph: Phase::Begin,
-                ts: now_us(),
-                dur: 0,
-                tid: scope(),
-                args: Vec::new(),
-            });
-            return SpanGuard { open: Some((cat, name.to_string())) };
-        }
-        SpanGuard { open: None }
+    if !is_enabled() {
+        return SpanGuard { open: None };
     }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = (cat, name);
-        SpanGuard {}
-    }
+    push(Event {
+        cat,
+        name: name.to_string(),
+        ph: Phase::Begin,
+        ts: now_us(),
+        dur: 0,
+        tid: scope(),
+        args: Vec::new(),
+    });
+    SpanGuard { open: Some((cat, name.to_string())) }
 }
 
 /// RAII guard closing a [`span`].
 #[derive(Debug)]
 pub struct SpanGuard {
-    #[cfg(feature = "enabled")]
     open: Option<(&'static str, String)>,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        #[cfg(feature = "enabled")]
         if let Some((cat, name)) = self.open.take() {
             push(Event {
                 cat,
@@ -352,9 +287,6 @@ pub(crate) fn write_arg_value(out: &mut String, v: &ArgValue) {
         ArgValue::U64(x) => {
             let _ = write!(out, "{x}");
         }
-        ArgValue::I64(x) => {
-            let _ = write!(out, "{x}");
-        }
         ArgValue::F64(x) => {
             if x.is_finite() {
                 let _ = write!(out, "{x}");
@@ -373,16 +305,15 @@ pub(crate) fn write_arg_value(out: &mut String, v: &ArgValue) {
 mod tests {
     use super::*;
 
-    // Recording tests live in the workspace integration tests (which run
-    // with the feature enabled via orion-bench); here we only pin the
-    // always-on surface.
+    // Recording tests live in the workspace integration tests; no test
+    // in this crate turns the switch on, so it stays off here.
     #[test]
     fn disabled_by_default_and_guards_are_cheap() {
-        assert!(!is_enabled() || cfg!(feature = "enabled"));
-        counter("t", "c", 1);
+        assert!(!is_enabled());
         instant("t", "i", vec![("k", ArgValue::from(2u64))]);
         complete("t", "x", 0, 0, 10, vec![]);
-        let _g = span("t", "s");
+        drop(span("t", "s"));
+        assert!(take_events().is_empty(), "probes with the switch off recorded events");
     }
 
     #[test]

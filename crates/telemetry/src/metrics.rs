@@ -1,12 +1,12 @@
 //! Flat metrics report: an insertion-ordered `key → scalar` table with a
-//! JSON renderer, plus an aggregator folding counter events into it.
+//! JSON renderer.
 //!
 //! Keys use `/`-separated paths (`"alloc/spills"`, `"sim/stall/barrier"`)
 //! so consumers can group without a nested schema. `crates/bench` builds
 //! its `BENCH_*.json` artifacts and the profiler CLI's `--metrics`
 //! output on top of this type.
 
-use crate::{escape_json, write_arg_value, ArgValue, Event, Phase};
+use crate::{escape_json, write_arg_value, ArgValue};
 
 /// An insertion-ordered flat metrics table.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -30,35 +30,8 @@ impl MetricsReport {
         }
     }
 
-    /// Add `delta` to an unsigned counter, creating it at zero.
-    pub fn add(&mut self, key: impl Into<String>, delta: u64) {
-        let key = key.into();
-        if let Some((_, ArgValue::U64(v))) = self.entries.iter_mut().find(|(k, _)| *k == key) {
-            *v += delta;
-        } else {
-            self.entries.push((key, ArgValue::U64(delta)));
-        }
-    }
-
     pub fn get(&self, key: &str) -> Option<&ArgValue> {
         self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    pub fn get_u64(&self, key: &str) -> Option<u64> {
-        match self.get(key)? {
-            ArgValue::U64(v) => Some(*v),
-            ArgValue::I64(v) => u64::try_from(*v).ok(),
-            _ => None,
-        }
-    }
-
-    pub fn get_f64(&self, key: &str) -> Option<f64> {
-        match self.get(key)? {
-            ArgValue::F64(v) => Some(*v),
-            ArgValue::U64(v) => Some(*v as f64),
-            ArgValue::I64(v) => Some(*v as f64),
-            _ => None,
-        }
     }
 
     pub fn iter(&self) -> impl Iterator<Item = (&str, &ArgValue)> {
@@ -98,21 +71,6 @@ impl MetricsReport {
     }
 }
 
-/// Fold all [`Phase::Counter`] events into a report, summing samples per
-/// `cat/name` key.
-pub fn aggregate_counters(events: &[Event]) -> MetricsReport {
-    let mut report = MetricsReport::new();
-    for e in events {
-        if e.ph != Phase::Counter {
-            continue;
-        }
-        if let Some((_, ArgValue::U64(v))) = e.args.iter().find(|(k, _)| *k == "value") {
-            report.add(format!("{}/{}", e.cat, e.name), *v);
-        }
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,12 +78,11 @@ mod tests {
     #[test]
     fn set_add_get_roundtrip() {
         let mut r = MetricsReport::new();
-        r.add("a/x", 3);
-        r.add("a/x", 4);
+        r.set("a/x", 3u64);
         r.set("b", 1.5f64);
         r.set("b", 2.5f64);
-        assert_eq!(r.get_u64("a/x"), Some(7));
-        assert_eq!(r.get_f64("b"), Some(2.5));
+        assert_eq!(r.get("a/x"), Some(&ArgValue::U64(3)));
+        assert_eq!(r.get("b"), Some(&ArgValue::F64(2.5)));
         assert_eq!(r.len(), 2);
     }
 
@@ -137,21 +94,5 @@ mod tests {
         let json = r.to_json();
         assert!(json.find("\"z\"").unwrap() < json.find("\"a\"").unwrap());
         assert!(json.contains("\"a\": true"));
-    }
-
-    #[test]
-    fn aggregates_counter_events() {
-        let ev = |name: &str, v: u64| Event {
-            cat: "alloc",
-            name: name.to_string(),
-            ph: Phase::Counter,
-            ts: 0,
-            dur: 0,
-            tid: 0,
-            args: vec![("value", ArgValue::U64(v))],
-        };
-        let r = aggregate_counters(&[ev("spills", 2), ev("spills", 3), ev("moves", 1)]);
-        assert_eq!(r.get_u64("alloc/spills"), Some(5));
-        assert_eq!(r.get_u64("alloc/moves"), Some(1));
     }
 }

@@ -105,7 +105,7 @@ pub fn lane_timelines(events: &[Event]) -> Vec<LaneTimeline> {
                     depth,
                 });
             }
-            Phase::Instant | Phase::Counter => {}
+            Phase::Instant => {}
         }
     }
     spans
