@@ -23,8 +23,9 @@
 //! embeds as `"registry"` (`{}` without `--tune`), and its journal is
 //! what `--journal` prints, one `job`/`seq`/tag line per record.
 //! `--prom` or `--journal` without `--tune` is an error. The
-//! CLI exits non-zero when the capture is empty instead of silently
-//! writing hollow artifacts.
+//! CLI exits with status 2 instead of writing hollow artifacts when
+//! `--warps` names no swept level (the message lists the levels) or the
+//! capture is empty.
 
 use orion_bench::error::write_file;
 use orion_bench::experiment::run_version_once;
@@ -102,6 +103,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let orion = Orion::new(dev.clone(), w.block);
     let versions = orion.sweep(&w.module)?;
+    if let Some(f) = warps_filter.filter(|&f| versions.iter().all(|v| v.achieved_warps != f)) {
+        let levels: Vec<String> = versions.iter().map(|v| v.achieved_warps.to_string()).collect();
+        eprintln!(
+            "profile: no version of {} on {} runs at {f} warps; swept levels: {}",
+            w.name,
+            dev.name,
+            levels.join(", ")
+        );
+        std::process::exit(2);
+    }
     let mut report = MetricsReport::new();
     report.set("workload", w.name);
     report.set("device", dev.name.as_str());

@@ -71,14 +71,13 @@ fn run_with(cfg: ServiceConfig, jobs: Vec<KernelJob>) -> ServiceReport {
 }
 
 /// The names `ServiceReport::snapshot` exports, in export order.
-const SNAPSHOT_NAMES: [&str; 11] = [
+const SNAPSHOT_NAMES: [&str; 10] = [
     "service/sessions_total",
     "service/degraded",
     "service/launch_cycles",
     "service/queue_wait_cycles",
     "service/session_cycles",
     "service/compile_wall_us",
-    "service/dispatch_wait_us",
     "service/execute_us",
     "cache/entries",
     "cache/hit_rate",
@@ -110,7 +109,6 @@ fn assert_snapshot_reconciles(report: &ServiceReport) {
         Some(MetricValue::Histogram(h))
     };
     assert_eq!(get("service/compile_wall_us"), per_kernel(|m| m.compile_wall_us));
-    assert_eq!(get("service/dispatch_wait_us"), per_kernel(|m| m.dispatch_wait_us));
     assert_eq!(get("service/execute_us"), per_kernel(|m| m.execute_us));
     assert_eq!(get("cache/entries"), gauge(report.cache.entries as f64));
     assert_eq!(get("cache/hit_rate"), gauge(report.cache.hit_rate()));
@@ -233,6 +231,8 @@ fn concurrent_batches_keep_their_own_journals() {
         });
         (a.join().expect("batch A"), b.join().expect("batch B"))
     });
+    // Leave no events in the process-wide buffer for later tests.
+    drop(orion_telemetry::take_events());
     orion_telemetry::set_enabled(false);
     assert_eq!(a.journal(), alone_a.journal(), "batch A's journal is its own");
     assert_eq!(b.journal(), alone_b.journal(), "batch B's journal is its own");

@@ -22,19 +22,14 @@
 //!
 //! ## Asynchronous submission
 //!
-//! The event-loop service plane needs more than the blocking
-//! [`Backend::launch`]: one scheduler thread multiplexing many sessions
-//! must be able to *submit* a launch and move on. [`AsyncBackend`] is
-//! that extension — [`AsyncBackend::submit`] hands back a [`TicketId`]
-//! immediately, and [`AsyncBackend::poll_completions`] /
-//! [`AsyncBackend::wait_completions`] deliver [`Completion`]s as
-//! launches retire. [`SimBackend`] executes submissions on an internal
-//! worker pool (sized by [`AsyncBackend::configure_pool`]; size 0 runs
-//! them inline on the submitter); [`ReplayBackend`] completes
-//! synchronously at submit time; [`InlineAsync`] adapts any other
-//! [`Backend`] the same way. A launch that *panics* never loses its
-//! ticket: the panic is caught on the executing thread and surfaces as
-//! an [`OrionError::SessionPanicked`] completion.
+//! [`AsyncBackend`] ([`AsyncBackend::submit`] → [`TicketId`] →
+//! [`Completion`]) is a ticket-based view of a backend.
+//! [`SimBackend`] implements it inline: a submission runs at once on
+//! the submitter and its completion waits in a mailbox until polled.
+//! Nothing in the workspace calls it — [`OrionService`] runs each job
+//! on a worker thread through the blocking [`Backend::launch`] — and
+//! the benchmark's tracing wrapper is its only user outside the
+//! workspace; ROADMAP item 9 deletes it with that wrapper.
 //!
 //! [`TuningSession`]: crate::session::TuningSession
 //! [`OrionService`]: crate::service::OrionService
@@ -48,8 +43,8 @@ use orion_kir::function::Module;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// What a [`Backend`] can and cannot do. Callers branch on these
@@ -66,7 +61,7 @@ pub struct BackendCaps {
 /// The contract is deliberately small — the tuning layers only ever
 /// compile once and then launch versions repeatedly. `Sync` is
 /// required so [`OrionService`](crate::service::OrionService) can share
-/// one backend across session worker threads.
+/// one backend across its job threads.
 pub trait Backend: Sync {
     /// Human-readable backend name (appears in telemetry and benches).
     fn name(&self) -> &'static str;
@@ -149,16 +144,18 @@ pub struct Completion {
     /// The request's global image, handed back to the owner.
     pub global: Vec<u8>,
     /// Wall-clock microseconds the request waited in the backend queue
-    /// before a worker picked it up. **Not** deterministic — excluded
-    /// from every bit-equality gate.
+    /// before it started (0 for an inline backend). **Not**
+    /// deterministic — excluded from every bit-equality gate.
     pub queue_wait_us: u64,
     /// Wall-clock microseconds the launch spent executing. **Not**
     /// deterministic either.
     pub exec_us: u64,
 }
 
-/// Non-blocking submission on top of [`Backend`] — the seam the
-/// event-loop service plane schedules against.
+/// Non-blocking submission on top of [`Backend`]. Nothing in the
+/// workspace calls it; the benchmark's tracing wrapper implements and
+/// calls it, and ROADMAP item 9 deletes it (with [`TicketId`],
+/// [`LaunchRequest`] and [`Completion`]).
 ///
 /// Contract:
 ///
@@ -167,9 +164,8 @@ pub struct Completion {
 /// * [`AsyncBackend::wait_completions`] blocks until at least one
 ///   completion is deliverable, and returns empty only when nothing is
 ///   in flight;
-/// * completion *order* across distinct tickets is unspecified (pool
-///   backends retire in wall-clock order), so callers must key off the
-///   ticket, never the position.
+/// * completion *order* across distinct tickets is unspecified, so
+///   callers must key off the ticket, never the position.
 pub trait AsyncBackend: Backend {
     /// Enqueue one launch; returns immediately.
     fn submit(&self, req: LaunchRequest) -> TicketId;
@@ -203,86 +199,68 @@ pub(crate) fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// Run one [`LaunchRequest`] against a closure, converting a panic into
-/// an [`OrionError::SessionPanicked`] so the ticket still completes.
-fn guarded_launch(
-    req: &LaunchRequest,
+/// [`Backend::launch`] with its unwinding caught: a launch that panics
+/// returns [`OrionError::SessionPanicked`] carrying the panic message,
+/// so the caller's error handling decides what the panic means.
+pub(crate) fn guarded_launch<B: Backend + ?Sized>(
+    backend: &B,
+    version: &KernelVersion,
+    launch: Launch,
+    params: &[u32],
     global: &mut [u8],
-    f: impl FnOnce(&KernelVersion, Launch, &[u32], &mut [u8], LaunchOptions) -> Result<u64, OrionError>,
+    opts: LaunchOptions,
 ) -> Result<u64, OrionError> {
-    let Some(version) = req.kernel.versions.get(req.version) else {
-        return Err(OrionError::Tuner(format!(
-            "async launch requested version {} of a {}-version kernel",
-            req.version,
-            req.kernel.versions.len()
-        )));
-    };
-    catch_unwind(AssertUnwindSafe(|| f(version, req.launch, &req.params, global, req.opts)))
+    catch_unwind(AssertUnwindSafe(|| backend.launch(version, launch, params, global, opts)))
         .unwrap_or_else(|payload| {
             Err(OrionError::SessionPanicked { detail: panic_detail(payload.as_ref()) })
         })
 }
 
-/// Completion mailbox shared by every [`AsyncBackend`] implementation
-/// here: tickets, the retired-completion queue, and the in-flight
-/// account (submitted and not yet *delivered*).
-#[derive(Debug, Default)]
-struct Mailbox {
+/// The `orion-gpusim` simulated device as a [`Backend`].
+///
+/// As an [`AsyncBackend`] it runs each submission inline on the
+/// submitter and keeps the completion until it is polled.
+#[derive(Debug)]
+pub struct SimBackend {
+    dev: DeviceSpec,
     next_ticket: AtomicU64,
     done: Mutex<Vec<Completion>>,
-    done_cv: Condvar,
-    in_flight: AtomicUsize,
 }
 
-impl Mailbox {
-    fn issue(&self) -> TicketId {
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        TicketId(self.next_ticket.fetch_add(1, Ordering::Relaxed))
+impl SimBackend {
+    /// A simulator backend.
+    #[must_use]
+    pub fn new(dev: DeviceSpec) -> Self {
+        SimBackend { dev, next_ticket: AtomicU64::new(0), done: Mutex::new(Vec::new()) }
     }
 
-    fn retire(&self, completion: Completion) {
-        self.done.lock().unwrap_or_else(PoisonError::into_inner).push(completion);
-        self.done_cv.notify_all();
-    }
-
-    fn deliver(&self, batch: Vec<Completion>) -> Vec<Completion> {
-        self.in_flight.fetch_sub(batch.len(), Ordering::SeqCst);
-        batch
-    }
-
-    fn poll(&self) -> Vec<Completion> {
-        let batch = std::mem::take(&mut *self.done.lock().unwrap_or_else(PoisonError::into_inner));
-        self.deliver(batch)
-    }
-
-    fn wait(&self) -> Vec<Completion> {
-        let mut done = self.done.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if !done.is_empty() {
-                let batch = std::mem::take(&mut *done);
-                drop(done);
-                return self.deliver(batch);
-            }
-            if self.in_flight.load(Ordering::SeqCst) == 0 {
-                return Vec::new();
-            }
-            done = self.done_cv.wait(done).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    fn in_flight(&self) -> usize {
-        self.in_flight.load(Ordering::SeqCst)
+    /// Every completion retired and not yet delivered.
+    fn take_done(&self) -> Vec<Completion> {
+        std::mem::take(&mut *self.done.lock().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
-/// The simulated device plus whatever the pool workers need — shared
-/// between the owning [`SimBackend`] and its worker threads.
-#[derive(Debug)]
-struct SimCore {
-    dev: DeviceSpec,
-}
+impl Backend for SimBackend {
+    fn name(&self) -> &'static str {
+        "gpusim"
+    }
 
-impl SimCore {
+    fn device_spec(&self) -> &DeviceSpec {
+        &self.dev
+    }
+
+    fn caps(&self) -> BackendCaps {
+        BackendCaps { deterministic: true }
+    }
+
+    fn compile_probe(
+        &self,
+        module: &Module,
+        cfg: &TuningConfig,
+    ) -> Result<CompiledKernel, OrionError> {
+        compile(module, &self.dev, cfg)
+    }
+
     fn launch(
         &self,
         version: &KernelVersion,
@@ -296,176 +274,40 @@ impl SimCore {
     }
 }
 
-/// Work queue feeding the [`SimBackend`] pool threads.
-#[derive(Debug, Default)]
-struct PoolQueue {
-    queue: Mutex<VecDeque<(TicketId, LaunchRequest, Instant)>>,
-    work_cv: Condvar,
-    shutdown: AtomicBool,
-}
-
-/// The `orion-gpusim` simulated device as a [`Backend`].
-///
-/// As an [`AsyncBackend`] it owns a lazily-spawned worker pool:
-/// [`AsyncBackend::configure_pool`] sets the target size, submissions
-/// queue through an internal pool queue, and each worker retires
-/// launches into a shared completion mailbox. With a pool size of 0
-/// (the default)
-/// submissions execute inline on the submitter thread — the exact
-/// sequential semantics of [`Backend::launch`].
-#[derive(Debug)]
-pub struct SimBackend {
-    core: Arc<SimCore>,
-    mailbox: Arc<Mailbox>,
-    pool: Arc<PoolQueue>,
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    pool_target: AtomicUsize,
-}
-
-impl SimBackend {
-    /// A simulator backend.
-    #[must_use]
-    pub fn new(dev: DeviceSpec) -> Self {
-        SimBackend {
-            core: Arc::new(SimCore { dev }),
-            mailbox: Arc::new(Mailbox::default()),
-            pool: Arc::new(PoolQueue::default()),
-            workers: Mutex::new(Vec::new()),
-            pool_target: AtomicUsize::new(0),
-        }
-    }
-
-    /// Ensure the worker pool matches the configured target (spawn-only;
-    /// shrinking waits for [`Drop`]).
-    fn ensure_workers(&self) {
-        let target = self.pool_target.load(Ordering::SeqCst);
-        let mut workers = self.workers.lock().unwrap_or_else(PoisonError::into_inner);
-        while workers.len() < target {
-            let core = Arc::clone(&self.core);
-            let mailbox = Arc::clone(&self.mailbox);
-            let pool = Arc::clone(&self.pool);
-            workers.push(std::thread::spawn(move || loop {
-                let item = {
-                    let mut queue = pool.queue.lock().unwrap_or_else(PoisonError::into_inner);
-                    loop {
-                        if let Some(item) = queue.pop_front() {
-                            break Some(item);
-                        }
-                        if pool.shutdown.load(Ordering::SeqCst) {
-                            break None;
-                        }
-                        queue = pool.work_cv.wait(queue).unwrap_or_else(PoisonError::into_inner);
-                    }
-                };
-                let Some((ticket, mut req, queued_at)) = item else { return };
-                let queue_wait_us = queued_at.elapsed().as_micros() as u64;
-                orion_telemetry::set_scope(req.lane);
-                let exec_start = Instant::now();
-                let mut global = std::mem::take(&mut req.global);
-                let result =
-                    guarded_launch(&req, &mut global, |v, l, p, g, o| core.launch(v, l, p, g, o));
-                mailbox.retire(Completion {
-                    ticket,
-                    result,
-                    global,
-                    queue_wait_us,
-                    exec_us: exec_start.elapsed().as_micros() as u64,
-                });
-            }));
-        }
-    }
-}
-
-impl Drop for SimBackend {
-    fn drop(&mut self) {
-        self.pool.shutdown.store(true, Ordering::SeqCst);
-        self.pool.work_cv.notify_all();
-        let workers =
-            std::mem::take(&mut *self.workers.lock().unwrap_or_else(PoisonError::into_inner));
-        for w in workers {
-            let _ = w.join();
-        }
-    }
-}
-
-impl Backend for SimBackend {
-    fn name(&self) -> &'static str {
-        "gpusim"
-    }
-
-    fn device_spec(&self) -> &DeviceSpec {
-        &self.core.dev
-    }
-
-    fn caps(&self) -> BackendCaps {
-        BackendCaps { deterministic: true }
-    }
-
-    fn compile_probe(
-        &self,
-        module: &Module,
-        cfg: &TuningConfig,
-    ) -> Result<CompiledKernel, OrionError> {
-        compile(module, &self.core.dev, cfg)
-    }
-
-    fn launch(
-        &self,
-        version: &KernelVersion,
-        launch: Launch,
-        params: &[u32],
-        global: &mut [u8],
-        opts: LaunchOptions,
-    ) -> Result<u64, OrionError> {
-        self.core.launch(version, launch, params, global, opts)
-    }
-}
-
 impl AsyncBackend for SimBackend {
     fn submit(&self, mut req: LaunchRequest) -> TicketId {
-        let ticket = self.mailbox.issue();
-        if self.pool_target.load(Ordering::SeqCst) == 0 {
-            // Inline path: execute on the submitter, complete at once.
-            let mut global = std::mem::take(&mut req.global);
-            let exec_start = Instant::now();
-            let result =
-                guarded_launch(&req, &mut global, |v, l, p, g, o| self.core.launch(v, l, p, g, o));
-            self.mailbox.retire(Completion {
-                ticket,
-                result,
-                global,
-                queue_wait_us: 0,
-                exec_us: exec_start.elapsed().as_micros() as u64,
-            });
-            return ticket;
-        }
-        self.ensure_workers();
-        self.pool.queue.lock().unwrap_or_else(PoisonError::into_inner).push_back((
+        let ticket = TicketId(self.next_ticket.fetch_add(1, Ordering::Relaxed));
+        let exec_start = Instant::now();
+        let result = match req.kernel.versions.get(req.version) {
+            Some(v) => guarded_launch(self, v, req.launch, &req.params, &mut req.global, req.opts),
+            None => Err(OrionError::Tuner(format!(
+                "async launch requested version {} of a {}-version kernel",
+                req.version,
+                req.kernel.versions.len()
+            ))),
+        };
+        self.done.lock().unwrap_or_else(PoisonError::into_inner).push(Completion {
             ticket,
-            req,
-            Instant::now(),
-        ));
-        self.pool.work_cv.notify_one();
+            result,
+            global: req.global,
+            queue_wait_us: 0,
+            exec_us: exec_start.elapsed().as_micros() as u64,
+        });
         ticket
     }
 
     fn poll_completions(&self) -> Vec<Completion> {
-        self.mailbox.poll()
+        self.take_done()
     }
 
+    /// Every submission has retired by the time `submit` returns, so
+    /// this never blocks.
     fn wait_completions(&self) -> Vec<Completion> {
-        self.mailbox.wait()
+        self.take_done()
     }
 
     fn in_flight(&self) -> usize {
-        self.mailbox.in_flight()
-    }
-
-    fn configure_pool(&self, workers: usize) {
-        self.pool_target.store(workers, Ordering::SeqCst);
-        if workers > 0 {
-            self.ensure_workers();
-        }
+        self.done.lock().unwrap_or_else(PoisonError::into_inner).len()
     }
 }
 
@@ -483,7 +325,6 @@ pub struct ReplayBackend {
     dev: DeviceSpec,
     script: Mutex<HashMap<String, VecDeque<Result<u64, SimError>>>>,
     default_cycles: u64,
-    mailbox: Mailbox,
 }
 
 impl ReplayBackend {
@@ -491,12 +332,7 @@ impl ReplayBackend {
     /// returns `default_cycles` until scripted otherwise.
     #[must_use]
     pub fn new(dev: DeviceSpec, default_cycles: u64) -> Self {
-        ReplayBackend {
-            dev,
-            script: Mutex::new(HashMap::new()),
-            default_cycles,
-            mailbox: Mailbox::default(),
-        }
+        ReplayBackend { dev, script: Mutex::new(HashMap::new()), default_cycles }
     }
 
     /// Append outcomes to the queue for the version labeled `label`.
@@ -563,121 +399,6 @@ impl Backend for ReplayBackend {
         _opts: LaunchOptions,
     ) -> Result<u64, OrionError> {
         self.play(&version.label).map_err(OrionError::from)
-    }
-}
-
-/// Execute a submission synchronously through [`Backend::launch`] and
-/// retire its completion at once — the inline [`AsyncBackend`] path
-/// shared by [`ReplayBackend`] and [`InlineAsync`].
-fn inline_submit<B: Backend + ?Sized>(
-    backend: &B,
-    mailbox: &Mailbox,
-    mut req: LaunchRequest,
-) -> TicketId {
-    let ticket = mailbox.issue();
-    let mut global = std::mem::take(&mut req.global);
-    let exec_start = Instant::now();
-    let result = guarded_launch(&req, &mut global, |v, l, p, g, o| backend.launch(v, l, p, g, o));
-    mailbox.retire(Completion {
-        ticket,
-        result,
-        global,
-        queue_wait_us: 0,
-        exec_us: exec_start.elapsed().as_micros() as u64,
-    });
-    ticket
-}
-
-impl AsyncBackend for ReplayBackend {
-    fn submit(&self, req: LaunchRequest) -> TicketId {
-        inline_submit(self, &self.mailbox, req)
-    }
-
-    fn poll_completions(&self) -> Vec<Completion> {
-        self.mailbox.poll()
-    }
-
-    fn wait_completions(&self) -> Vec<Completion> {
-        self.mailbox.wait()
-    }
-
-    fn in_flight(&self) -> usize {
-        self.mailbox.in_flight()
-    }
-}
-
-/// Adapt any [`Backend`] into an [`AsyncBackend`] that completes every
-/// submission synchronously on the submitter thread — the bridge for
-/// custom test backends (and any future backend without a native
-/// submission queue) into the event-loop service plane.
-#[derive(Debug)]
-pub struct InlineAsync<B: Backend> {
-    inner: B,
-    mailbox: Mailbox,
-}
-
-impl<B: Backend> InlineAsync<B> {
-    /// Wrap `inner`; launches execute inline at submit time.
-    #[must_use]
-    pub fn new(inner: B) -> Self {
-        InlineAsync { inner, mailbox: Mailbox::default() }
-    }
-
-    /// The wrapped backend.
-    #[must_use]
-    pub fn inner(&self) -> &B {
-        &self.inner
-    }
-}
-
-impl<B: Backend> Backend for InlineAsync<B> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn device_spec(&self) -> &DeviceSpec {
-        self.inner.device_spec()
-    }
-
-    fn caps(&self) -> BackendCaps {
-        self.inner.caps()
-    }
-
-    fn compile_probe(
-        &self,
-        module: &Module,
-        cfg: &TuningConfig,
-    ) -> Result<CompiledKernel, OrionError> {
-        self.inner.compile_probe(module, cfg)
-    }
-
-    fn launch(
-        &self,
-        version: &KernelVersion,
-        launch: Launch,
-        params: &[u32],
-        global: &mut [u8],
-        opts: LaunchOptions,
-    ) -> Result<u64, OrionError> {
-        self.inner.launch(version, launch, params, global, opts)
-    }
-}
-
-impl<B: Backend> AsyncBackend for InlineAsync<B> {
-    fn submit(&self, req: LaunchRequest) -> TicketId {
-        inline_submit(&self.inner, &self.mailbox, req)
-    }
-
-    fn poll_completions(&self) -> Vec<Completion> {
-        self.mailbox.poll()
-    }
-
-    fn wait_completions(&self) -> Vec<Completion> {
-        self.mailbox.wait()
-    }
-
-    fn in_flight(&self) -> usize {
-        self.mailbox.in_flight()
     }
 }
 
@@ -788,132 +509,47 @@ mod tests {
         assert_eq!(go(&v).unwrap(), 42);
     }
 
-    fn request(ck: &Arc<CompiledKernel>, version: usize, lane: u32) -> LaunchRequest {
-        LaunchRequest {
-            kernel: Arc::clone(ck),
-            version,
-            launch: Launch { grid: 2, block: 32 },
-            params: vec![0],
-            global: vec![0u8; 4 * 64],
-            opts: LaunchOptions::default(),
-            lane,
-        }
-    }
-
+    /// The inline ticket path runs the very launch [`Backend::launch`]
+    /// runs: same cycles, same memory, and the image comes back.
     #[test]
-    fn async_pool_completes_every_ticket_with_sync_identical_cycles() {
+    fn async_submit_completes_every_ticket_with_sync_identical_cycles() {
         let be = SimBackend::new(DeviceSpec::gtx680());
         let ck = Arc::new(be.compile_probe(&toy_module(), &TuningConfig::new(32)).unwrap());
-        // Reference cycles via the blocking path.
-        let mut reference = Vec::new();
-        for v in &ck.versions {
-            let mut g = vec![0u8; 4 * 64];
-            reference.push(
-                be.launch(v, Launch { grid: 2, block: 32 }, &[0], &mut g, LaunchOptions::default())
-                    .unwrap(),
-            );
+        let launch = Launch { grid: 2, block: 32 };
+        let init: Vec<u8> = (0..4 * 64).map(|b| b as u8).collect();
+        let mut tickets = Vec::new();
+        for version in 0..ck.versions.len() {
+            tickets.push(be.submit(LaunchRequest {
+                kernel: Arc::clone(&ck),
+                version,
+                launch,
+                params: vec![0],
+                global: init.clone(),
+                opts: LaunchOptions::default(),
+                lane: 1,
+            }));
         }
-        be.configure_pool(2);
-        let tickets: Vec<TicketId> =
-            (0..ck.versions.len()).map(|v| be.submit(request(&ck, v, 1))).collect();
-        let mut got: HashMap<TicketId, u64> = HashMap::new();
-        while got.len() < tickets.len() {
-            let batch = be.wait_completions();
-            assert!(!batch.is_empty(), "launches in flight but nothing completed");
-            for c in batch {
-                assert_eq!(c.global.len(), 4 * 64, "the global image comes back");
-                got.insert(c.ticket, c.result.unwrap());
-            }
-        }
+        assert_eq!(be.in_flight(), ck.versions.len(), "completions wait until polled");
+        let done = be.poll_completions();
         assert_eq!(be.in_flight(), 0);
-        for (t, want) in tickets.iter().zip(&reference) {
-            assert_eq!(got[t], *want, "pooled cycles match the blocking launch");
+        assert_eq!(done.iter().map(|c| c.ticket).collect::<Vec<_>>(), tickets);
+        for (v, c) in ck.versions.iter().zip(done) {
+            let mut g = init.clone();
+            let cycles = be.launch(v, launch, &[0], &mut g, LaunchOptions::default()).unwrap();
+            assert_eq!((c.result.unwrap(), c.global), (cycles, g), "{}", v.label);
         }
-    }
-
-    #[test]
-    fn async_inline_pool_size_zero_is_synchronous() {
-        let be = SimBackend::new(DeviceSpec::gtx680());
-        let ck = Arc::new(be.compile_probe(&toy_module(), &TuningConfig::new(32)).unwrap());
-        let t = be.submit(request(&ck, 0, 1));
-        // Inline submission retires before submit returns.
-        assert_eq!(be.in_flight(), 1);
-        let batch = be.poll_completions();
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].ticket, t);
-        assert!(batch[0].result.is_ok());
-        assert_eq!(be.in_flight(), 0);
         assert!(be.wait_completions().is_empty(), "nothing in flight returns empty, no hang");
-    }
-
-    #[test]
-    fn async_replay_and_out_of_range_version_complete_as_errors() {
-        let be =
-            ReplayBackend::new(DeviceSpec::gtx680(), 42).script("occ=8", [Err(SimError::Deadlock)]);
-        let ck = be.compile_probe(&toy_module(), &TuningConfig::new(32)).unwrap();
-        let mut ck = ck;
-        ck.versions[0].label = "occ=8".into();
-        let ck = Arc::new(ck);
-        be.submit(request(&ck, 0, 1));
-        let batch = be.wait_completions();
-        assert!(matches!(batch[0].result, Err(ref e)
-            if matches!(e.root_cause(), OrionError::Sim(SimError::Deadlock))));
         // A version index past the candidate set still completes.
-        be.submit(request(&ck, 99, 1));
-        let batch = be.wait_completions();
-        assert!(matches!(batch[0].result, Err(OrionError::Tuner(_))));
-        assert_eq!(be.in_flight(), 0);
-    }
-
-    /// A backend whose launches always panic.
-    struct ExplodingBackend(SimBackend);
-
-    impl Backend for ExplodingBackend {
-        fn name(&self) -> &'static str {
-            "exploding"
-        }
-        fn device_spec(&self) -> &DeviceSpec {
-            self.0.device_spec()
-        }
-        fn caps(&self) -> BackendCaps {
-            self.0.caps()
-        }
-        fn compile_probe(
-            &self,
-            module: &Module,
-            cfg: &TuningConfig,
-        ) -> Result<CompiledKernel, OrionError> {
-            self.0.compile_probe(module, cfg)
-        }
-        fn launch(
-            &self,
-            _version: &KernelVersion,
-            _launch: Launch,
-            _params: &[u32],
-            _global: &mut [u8],
-            _opts: LaunchOptions,
-        ) -> Result<u64, OrionError> {
-            panic!("backend exploded mid-launch");
-        }
-    }
-
-    #[test]
-    fn async_panic_never_loses_the_ticket() {
-        let prior_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let be = InlineAsync::new(ExplodingBackend(SimBackend::new(DeviceSpec::gtx680())));
-        let ck = Arc::new(be.compile_probe(&toy_module(), &TuningConfig::new(32)).unwrap());
-        let t = be.submit(request(&ck, 0, 1));
-        std::panic::set_hook(prior_hook);
-        let batch = be.wait_completions();
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].ticket, t);
-        assert!(
-            matches!(batch[0].result, Err(OrionError::SessionPanicked { ref detail })
-                if detail.contains("exploded")),
-            "panic must surface as a completion: {:?}",
-            batch[0].result
-        );
-        assert_eq!(batch[0].global.len(), 4 * 64, "the global image survives the panic");
+        let req = LaunchRequest {
+            kernel: Arc::clone(&ck),
+            version: 99,
+            launch,
+            params: vec![0],
+            global: init,
+            opts: LaunchOptions::default(),
+            lane: 1,
+        };
+        be.submit(req);
+        assert!(matches!(be.poll_completions()[0].result, Err(OrionError::Tuner(_))));
     }
 }

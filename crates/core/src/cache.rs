@@ -28,9 +28,9 @@
 //!
 //! The cache is **one mutex** over the entry map, its FIFO order, and
 //! the counters. Compiles run on one thread at a time in practice:
-//! `OrionService::run` compiles its batch sequentially on the scheduler
-//! thread and `OrionService::tune_one` on the caller's thread, while
-//! the backend pool only runs launches. Compiling is a fraction of a
+//! `OrionService::run` compiles its batch sequentially on the calling
+//! thread before its job threads start, and `OrionService::tune_one`
+//! on the caller's thread; job threads only run launches. Compiling is a fraction of a
 //! percent of a tuning run's wall time, so there is no contention to
 //! stripe away.
 //!

@@ -22,10 +22,9 @@
 //! [`session::TuningSession`], executed on a pluggable
 //! [`backend::Backend`] (the `orion-gpusim` simulator, or a scripted
 //! [`backend::ReplayBackend`] for tests). Whole applications — many
-//! kernels, one device — go through [`service::OrionService`], an
-//! event loop multiplexing one session per kernel over the backend's
-//! async submission queue, sharing one compile cache and telemetry
-//! stream:
+//! kernels, one device — go through [`service::OrionService`], which
+//! runs one session per kernel on worker threads that each own whole
+//! jobs, sharing one compile cache and telemetry stream:
 //!
 //! ```
 //! use orion_core::backend::SimBackend;
@@ -99,8 +98,8 @@ mod testutil;
 pub mod version;
 
 pub use backend::{
-    AsyncBackend, Backend, BackendCaps, Completion, InlineAsync, LaunchRequest, ReplayBackend,
-    SimBackend, TicketId,
+    AsyncBackend, Backend, BackendCaps, Completion, LaunchRequest, ReplayBackend, SimBackend,
+    TicketId,
 };
 pub use cache::{allocate_cached, CompileCacheStats, FingerprintedModule};
 pub use compiler::{compile, CompiledKernel, Direction, KernelVersion, TuningConfig};

@@ -3,35 +3,42 @@
 //! Real applications don't tune one kernel in a vacuum: a Rodinia-style
 //! app launches several kernels, each wanting its own occupancy walk,
 //! all sharing one device, one compile cache, and one telemetry stream.
-//! [`OrionService`] is that multi-kernel driver: it owns an
-//! [`AsyncBackend`], accepts a batch of named [`KernelJob`]s, and
-//! multiplexes one [`TuningSession`] per kernel over the backend's
-//! submission queue from a single event loop.
+//! [`OrionService`] is that multi-kernel driver: it owns a [`Backend`],
+//! accepts a batch of named [`KernelJob`]s, and runs one
+//! [`TuningSession`] per kernel.
 //!
-//! ## The event loop
+//! ## One job loop
 //!
-//! The sessions are pull-based state machines — `next_step()` hands out
-//! a launch request, `on_launch_result()` folds the measurement back —
-//! so tuning logic needs no thread of its own. The scheduler keeps up
-//! to [`ServiceConfig::in_flight_limit`] sessions in flight: it *pumps*
-//! each ready session until it emits a launch, submits that launch to
-//! the backend ([`AsyncBackend::submit`]), and resumes the session when
-//! its [`crate::backend::Completion`] arrives. Execution
-//! parallelism lives entirely in the backend's worker pool (sized by
-//! [`ServiceConfig::workers`]); with `in_flight_limit = 1` the very
-//! same code path degenerates to strictly sequential execution — the
-//! apples-to-apples baseline of the worker-count and in-flight-limit
-//! tests.
+//! The paper's runtime (§3.4, Figure 9) is one feedback loop per
+//! kernel: each launch waits for the verdict on the previous one, so a
+//! job is a sequential loop and a batch is concurrent only *across*
+//! jobs. One drive loop runs every job, whether it arrives through
+//! [`OrionService::run`] or [`OrionService::tune_one`]: it pumps the
+//! session until it asks for a launch (the deadline gate and the chaos
+//! draw happen here), runs the launch through [`Backend::launch`], and
+//! resumes the session with the result, until the job resolves to its
+//! report.
 //!
-//! Sessions start in **longest-job-first** order: per-job costs are
-//! estimated from the probe-time occupancy curves (grid lanes ×
-//! iterations, scaled by the deepest candidate's occupancy rounds), so
-//! tail kernels are dispatched early and don't strand backend workers
-//! at the end of the batch. The
-//! dispatch order is a pure function of the job set — sessions are
-//! always started from the head of the sorted queue, whatever the
-//! completion interleaving — and is recorded in
-//! [`ServiceReport::dispatch_order`].
+//! `run` compiles the batch first, sequentially on the calling thread,
+//! then runs the jobs on `min(`[`ServiceConfig::workers`]`,`
+//! [`ServiceConfig::in_flight_limit`]`, jobs)` scoped threads while the
+//! calling thread waits. Each thread owns whole jobs: it takes
+//! the next job from a **longest-job-first** queue and drives it to the
+//! end. Per-job costs are estimated from the probe-time occupancy
+//! curves (grid lanes × iterations, scaled by the deepest candidate's
+//! occupancy rounds), so long jobs start early and don't leave one
+//! thread running alone at the end of the batch. The queue order is a
+//! pure function of the job set, recorded in
+//! [`ServiceReport::dispatch_order`]. `tune_one` is the same loop on the
+//! caller's thread.
+//!
+//! Each launch fans its SMs out over the batch's share of the host
+//! cores: the core count divided by the batch's job threads, at least
+//! one, so `tune_one` gets every core. The simulator's results are
+//! bit-identical at any fan-out, so this is a resource choice that no
+//! outcome can see. (Re-sharing the cores as jobs finish, so that a
+//! batch's tail fans out, raised perfbench's `service-batch` peak RSS
+//! by 9% with no throughput gain.)
 //!
 //! Four properties the service guarantees:
 //!
@@ -39,11 +46,11 @@
 //!   candidates, global-memory image, and session; a kernel whose every
 //!   candidate dies reports [`OrionError::AllCandidatesFailed`] in its
 //!   own [`KernelReport`] without disturbing its neighbours. Panics are
-//!   caught at two boundaries: a backend worker that unwinds mid-launch
-//!   surfaces as an [`OrionError::SessionPanicked`] *completion*, and a
-//!   session step (or completion callback) that unwinds on the
-//!   scheduler is caught per step — either way the job resolves to its
-//!   own quarantined report instead of tearing the batch down.
+//!   caught at two boundaries: a launch that unwinds returns
+//!   [`OrionError::SessionPanicked`] to the session, whose own error
+//!   handling decides the job's fate, and a session step that unwinds
+//!   resolves the job to its own quarantined report — either way the
+//!   batch is never torn down.
 //! * **Definite outcomes** — every submitted job terminates with
 //!   exactly one [`JobDisposition`]: `Finalized`, `Quarantined`, or
 //!   `Degraded`. Jobs in equals definite outcomes out,
@@ -54,23 +61,18 @@
 //!   whatever the thread interleaving, and
 //!   [`ServiceReport::merged_decisions`] is a deterministic flattening
 //!   of the per-kernel decision logs. On a deterministic backend the
-//!   per-kernel outcomes are bit-identical at any worker count (the
-//!   unit test `tests::worker_count_does_not_change_outcomes` enforces
-//!   exactly this).
+//!   per-kernel outcomes are bit-identical at any worker count or
+//!   in-flight limit (the unit test
+//!   `tests::in_flight_limit_does_not_change_outcomes` enforces exactly
+//!   this).
 //! * **Shared infrastructure** — one compile cache (kernels sharing a
 //!   module fingerprint reuse allocations; [`ServiceReport::cache`]
 //!   reports hit rates across the batch) and one telemetry buffer,
-//!   with each session stamped onto its own lane
+//!   with each job stamped onto its own lane
 //!   ([`orion_telemetry::set_scope`]) so traces stay separable. The
 //!   run journal is not shared: each job's session keeps its own
 //!   ([`KernelReport::journal`]), so a batch's journal holds exactly its
 //!   own jobs' records, whatever else runs in the process.
-//!
-//! One per-job state machine drives every job, whether it arrives
-//! through [`OrionService::run`] or [`OrionService::tune_one`]: it
-//! builds the session, gates each launch on the job's deadline, draws
-//! chaos, and derives the disposition and metrics. The two entry points
-//! differ only in how they execute the launches it asks for.
 //!
 //! ## Chaos
 //!
@@ -102,7 +104,7 @@
 //!
 //! [`TuningSession`]: crate::session::TuningSession
 
-use crate::backend::{panic_detail, AsyncBackend, LaunchRequest, TicketId};
+use crate::backend::{guarded_launch, panic_detail, Backend};
 use crate::cache;
 use crate::compiler::{CompiledKernel, TuningConfig};
 use crate::error::OrionError;
@@ -118,9 +120,9 @@ use orion_telemetry::export::{MetricSample, MetricValue, MetricsSnapshot};
 use orion_telemetry::hist::Histogram;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Per-job deadline and search policy, enforced by the service around
@@ -169,16 +171,13 @@ impl JobDisposition {
 /// Service-wide knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceConfig {
-    /// Backend execution workers; `0` means one per host core. The
-    /// scheduler itself is single-threaded — this sizes the
-    /// [`AsyncBackend`] pool launches execute on. Results on a
-    /// deterministic backend are bit-identical at any worker count.
+    /// Threads a batch runs its jobs on; `0` means one per host core. Results on a deterministic backend
+    /// are bit-identical at any worker count.
     pub workers: usize,
-    /// Maximum sessions with a launch in flight at once; `0` means
-    /// unlimited (every session). `1` is the strictly
-    /// sequential baseline: one session runs start-to-finish before the
-    /// next is dispatched, on the very same code path. Results on a
-    /// deterministic backend are bit-identical at any limit.
+    /// A further cap on the jobs running at once; `0` means no cap. `1`
+    /// is the strictly sequential baseline: one job runs start to
+    /// finish before the next starts. Results on a deterministic
+    /// backend are bit-identical at any limit.
     pub in_flight_limit: usize,
     /// Slowdown threshold for every session (the paper's 2%).
     pub threshold: f64,
@@ -372,12 +371,8 @@ pub struct KernelMetrics {
     /// Wall-clock microseconds spent in `compile_probe` for this job
     /// (candidate generation + allocation; cache hits make it cheap).
     pub compile_wall_us: u64,
-    /// Wall-clock microseconds this job's launches spent queued behind
-    /// the backend's worker pool (submission → execution start), summed
-    /// across launches. Excluded from every determinism gate.
-    pub dispatch_wait_us: u64,
-    /// Wall-clock microseconds this job's launches spent executing on a
-    /// backend worker, summed across launches. Excluded from every
+    /// Wall-clock microseconds this job's launches spent in
+    /// [`Backend::launch`], summed across launches. Excluded from every
     /// determinism gate.
     pub execute_us: u64,
 }
@@ -460,16 +455,13 @@ pub struct ServiceReport {
     pub cache: cache::CompileCacheStats,
     /// Batch-wide latency distributions.
     pub metrics: ServiceMetrics,
-    /// Worker threads the batch actually ran on (after clamping to the
-    /// job count).
+    /// Threads the batch ran its jobs on: [`ServiceConfig::workers`]
+    /// capped by the in-flight limit and the number of jobs to run.
     pub workers: usize,
-    /// The in-flight session cap the batch actually ran with (the
-    /// configured limit, or the job count when configured `0`).
-    pub in_flight_limit: usize,
-    /// Job indices in the order the event loop started their sessions —
-    /// a pure function of the job set (estimated cost, longest first),
-    /// independent of completion interleaving. Compile-failed jobs
-    /// don't appear.
+    /// Job indices in the order the job threads took them — a pure
+    /// function of the job set (estimated cost, longest first),
+    /// independent of thread interleaving. Compile-failed jobs don't
+    /// appear.
     pub dispatch_order: Vec<usize>,
 }
 
@@ -564,12 +556,6 @@ impl ServiceReport {
                 per_kernel(|k| k.compile_wall_us),
             ),
             MetricSample::new(
-                "service/dispatch_wait_us",
-                "Per-kernel wall time launches waited behind the backend pool",
-                "us",
-                per_kernel(|k| k.dispatch_wait_us),
-            ),
-            MetricSample::new(
                 "service/execute_us",
                 "Per-kernel wall time launches spent executing on the backend",
                 "us",
@@ -619,11 +605,12 @@ fn estimate_cost(ck: &CompiledKernel, job: &KernelJob) -> u64 {
 /// One job's tuning state machine — the one per-job driver
 /// behind both [`OrionService::run`] and [`OrionService::tune_one`]. It
 /// owns session construction, the deadline gate, chaos injection, the
-/// disposition and the metrics; the caller only executes the launches
-/// it asks for, with the fault draw each one carries. The session borrows its compiled kernel (`'k`).
+/// disposition and the metrics, and [`ActiveJob::drive`] runs it to its
+/// report. The session borrows its compiled kernel (`'k`).
 struct ActiveJob<'k> {
     name: String,
     lane: u32,
+    ck: &'k CompiledKernel,
     session: TuningSession<'k>,
     /// Effective cycle deadline (policy ∧ injected pressure).
     deadline: Option<u64>,
@@ -631,12 +618,11 @@ struct ActiveJob<'k> {
     panic_after: Option<u32>,
     launches_done: u32,
     compile_wall_us: u64,
-    dispatch_wait_us: u64,
     execute_us: u64,
 }
 
-/// What one pump of a job produced: a launch for the caller to execute
-/// (a version index and its fault draw), or a definite report.
+/// What one pump of a job produced: a launch to run (a version index
+/// and its fault draw), or a definite report.
 enum Pump {
     Launch(usize, LaunchFaults),
     Finished(Box<KernelReport>),
@@ -672,13 +658,13 @@ impl<'k> ActiveJob<'k> {
         ActiveJob {
             name: job.name.clone(),
             lane,
+            ck,
             session,
             deadline,
             injector: faults.plan.map(FaultInjector::new),
             panic_after: faults.panic_after_launches,
             launches_done: 0,
             compile_wall_us,
-            dispatch_wait_us: 0,
             execute_us: 0,
         }
     }
@@ -699,23 +685,21 @@ impl<'k> ActiveJob<'k> {
                 launch_cycles: obs.launch_cycles,
                 queue_wait_cycles: obs.queue_wait_cycles,
                 compile_wall_us: self.compile_wall_us,
-                dispatch_wait_us: self.dispatch_wait_us,
                 execute_us: self.execute_us,
             },
             journal: self.session.journal().to_vec(),
         }))
     }
 
-    /// The definite report after a step of this job (or its completion
-    /// callback) unwound on the scheduler: counted and quarantined,
-    /// keeping what the session journaled before the panic.
-    fn panic_report(&self, payload: &(dyn std::any::Any + Send)) -> Box<KernelReport> {
+    /// The definite report after a step of this job unwound:
+    /// quarantined, keeping what the session journaled before the panic.
+    fn panic_report(&self, payload: &(dyn std::any::Any + Send)) -> KernelReport {
         let detail = panic_detail(payload);
         let err = OrionError::SessionPanicked { detail }.with_context(self.name.clone(), None);
-        Box::new(KernelReport {
+        KernelReport {
             journal: self.session.journal().to_vec(),
             ..KernelReport::failed(&self.name, self.lane, err, self.compile_wall_us)
-        })
+        }
     }
 
     /// Finish a session that stopped cleanly (walk done, or a deadline
@@ -779,16 +763,61 @@ impl<'k> ActiveJob<'k> {
         }
         self.pump()
     }
+
+    /// Run the job to its definite report on this thread: each step
+    /// pumps the session, launches on `backend` over `parallelism`
+    /// simulator workers, and resumes the session with the result. A launch that unwinds returns
+    /// [`OrionError::SessionPanicked`] to the session; a step that
+    /// unwinds resolves the job to its [`ActiveJob::panic_report`].
+    fn drive<B: Backend + ?Sized>(
+        mut self,
+        backend: &B,
+        job: &mut KernelJob,
+        parallelism: u32,
+    ) -> KernelReport {
+        let mut step = catch_unwind(AssertUnwindSafe(|| self.pump()));
+        loop {
+            let (v, faults) = match step {
+                Ok(Pump::Launch(v, faults)) => (v, faults),
+                Ok(Pump::Finished(report)) => return *report,
+                Err(payload) => return self.panic_report(payload.as_ref()),
+            };
+            let opts = LaunchOptions { parallelism, faults, ..LaunchOptions::default() };
+            let started = Instant::now();
+            let result = guarded_launch(
+                backend,
+                &self.ck.versions[v],
+                job.launch,
+                &job.params,
+                &mut job.global,
+                opts,
+            );
+            self.execute_us += started.elapsed().as_micros() as u64;
+            step = catch_unwind(AssertUnwindSafe(|| self.resume(result)));
+        }
+    }
+}
+
+/// The host's cores.
+fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// [`LaunchOptions::parallelism`] for the launches of a batch run on
+/// `threads` job threads: the host's cores shared evenly among them, at
+/// least one each.
+fn fan_out(threads: usize) -> u32 {
+    u32::try_from((host_cores() / threads.max(1)).max(1)).unwrap_or(u32::MAX)
 }
 
 /// The multi-kernel tuning service. See the module docs.
 #[derive(Debug)]
-pub struct OrionService<B: AsyncBackend> {
+pub struct OrionService<B: Backend> {
     backend: B,
     cfg: ServiceConfig,
 }
 
-impl<B: AsyncBackend> OrionService<B> {
+impl<B: Backend> OrionService<B> {
     /// A service over `backend` with the given configuration.
     pub fn new(backend: B, cfg: ServiceConfig) -> Self {
         OrionService { backend, cfg }
@@ -799,109 +828,43 @@ impl<B: AsyncBackend> OrionService<B> {
         &self.backend
     }
 
-    /// Tune one job to completion on the current thread, on the same
-    /// per-job state machine as [`OrionService::run`]. Each launch runs
-    /// inline through [`Backend::launch`](crate::backend::Backend::launch)
-    /// with default options (so one launch may fan out across SMs), and
-    /// mutates `job.global` in place. The job's [`JobPolicy`] deadline
-    /// is enforced; chaos, telemetry lanes and panic isolation are
-    /// `run`-only (a panic on the caller's own thread is the caller's to
-    /// catch).
+    /// Tune one job to completion on the current thread: the drive loop
+    /// of [`OrionService::run`] as a batch of one, without chaos. Each
+    /// launch fans out over every host core and mutates `job.global` in
+    /// place. The job's [`JobPolicy`] deadline is enforced, and a panic
+    /// in a launch or a session step comes back as
+    /// [`OrionError::SessionPanicked`].
     ///
     /// # Errors
-    /// Compile failures, fatal launch errors, or
+    /// Compile failures, fatal launch errors, panics, or
     /// [`OrionError::AllCandidatesFailed`], wrapped with the kernel
     /// name where the session applies context.
     pub fn tune_one(&self, job: &mut KernelJob) -> Result<SessionOutcome, OrionError> {
         let ck = self.backend.compile_probe(&job.module, &job.tuning)?;
-        let mut a = ActiveJob::start(&self.cfg, job, 0, &ck, &JobFaults::NONE, 0);
-        let mut pump = a.pump();
-        loop {
-            match pump {
-                Pump::Launch(v, faults) => {
-                    let result = self.backend.launch(
-                        &ck.versions[v],
-                        job.launch,
-                        &job.params,
-                        &mut job.global,
-                        LaunchOptions { faults, ..LaunchOptions::default() },
-                    );
-                    pump = a.resume(result);
-                }
-                Pump::Finished(report) => return report.outcome,
-            }
-        }
+        let a = ActiveJob::start(&self.cfg, job, 0, &ck, &JobFaults::NONE, 0);
+        a.drive(&self.backend, job, fan_out(1)).outcome
     }
 
-    /// Submit the launch a pump asked for through the async backend; a
-    /// pump that resolved the job hands back its report instead.
-    fn submit(
-        &self,
-        pump: Pump,
-        ck: &Arc<CompiledKernel>,
-        job: &mut KernelJob,
-        lane: u32,
-    ) -> Result<TicketId, Box<KernelReport>> {
-        let (v, faults) = match pump {
-            Pump::Launch(v, faults) => (v, faults),
-            Pump::Finished(report) => return Err(report),
-        };
-        Ok(self.backend.submit(LaunchRequest {
-            kernel: Arc::clone(ck),
-            version: v,
-            launch: job.launch,
-            params: job.params.clone(),
-            // Moved out for the launch; restored from its completion.
-            global: std::mem::take(&mut job.global),
-            // Inner launch parallelism stays at 1: the service's
-            // parallelism is *across* in-flight sessions, one backend
-            // worker per launch. Sim results are bit-identical at every
-            // parallelism setting, so this is a resource choice, not a
-            // semantic one.
-            opts: LaunchOptions { parallelism: 1, faults, ..LaunchOptions::default() },
-            lane,
-        }))
-    }
-
-    /// Tune every job on the event loop and report in submission order.
-    /// Every submitted job comes back with a definite
-    /// [`JobDisposition`] — finalized, quarantined or degraded — no
-    /// matter what the backend or a worker thread does.
+    /// Tune every job and report in submission order. Every submitted
+    /// job comes back with a definite [`JobDisposition`] — finalized,
+    /// quarantined or degraded — no matter what the backend or a worker
+    /// thread does.
     pub fn run(&self, jobs: Vec<KernelJob>) -> ServiceReport {
         let submitted = jobs.len();
-        let host_cores =
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         let cache_before = cache::thread_stats();
-        // Names outlive the job slots: compile-failure and backstop
-        // reports need them after a slot has been emptied.
+        // Names outlive the jobs: compile-failure and backstop reports
+        // need them after a job has moved to its thread.
         let names: Vec<String> = jobs.iter().map(|j| j.name.clone()).collect();
         let lane_of = |i: usize| u32::try_from(i).unwrap_or(u32::MAX).saturating_add(1);
-        let workers = match self.cfg.workers {
-            0 => host_cores,
-            w => w,
-        }
-        .min(submitted.max(1));
-        // Execution parallelism lives entirely in the backend's pool:
-        // `workers <= 1` keeps the pool empty so every launch runs
-        // inline on the scheduler thread (zero extra threads — the
-        // strictly sequential baseline), otherwise the pool gets one
-        // thread per worker.
-        self.backend.configure_pool(if workers <= 1 { 0 } else { workers });
-        let in_flight_limit = match self.cfg.in_flight_limit {
-            0 => submitted.max(1),
-            k => k,
-        };
         let mut reports: Vec<Option<KernelReport>> = (0..submitted).map(|_| None).collect();
         // Compile phase: sequential, in submission order, on the
-        // scheduler thread — cache hit/miss accounting stays a pure
+        // calling thread — cache hit/miss accounting stays a pure
         // function of the job set, and a compile panic (or error)
         // quarantines only its own job. The candidate table is frozen
-        // before the event loop starts; sessions borrow from it.
-        let mut jobs: Vec<Option<KernelJob>> = jobs.into_iter().map(Some).collect();
-        let mut cks: Vec<Option<Arc<CompiledKernel>>> = (0..submitted).map(|_| None).collect();
+        // before any job runs; sessions borrow from it.
+        let mut cks: Vec<Option<CompiledKernel>> = (0..submitted).map(|_| None).collect();
         let mut compile_us: Vec<u64> = vec![0; submitted];
-        for i in 0..submitted {
-            let job = jobs[i].as_ref().expect("every slot holds its job before compiling");
+        for (i, job) in jobs.iter().enumerate() {
             orion_telemetry::set_scope(lane_of(i));
             let compile_start = Instant::now();
             let caught = catch_unwind(AssertUnwindSafe(|| {
@@ -910,7 +873,7 @@ impl<B: AsyncBackend> OrionService<B> {
             compile_us[i] = compile_start.elapsed().as_micros() as u64;
             let err = match caught {
                 Ok(Ok(ck)) => {
-                    cks[i] = Some(Arc::new(ck));
+                    cks[i] = Some(ck);
                     continue;
                 }
                 Ok(Err(e)) => e,
@@ -919,113 +882,67 @@ impl<B: AsyncBackend> OrionService<B> {
                     OrionError::SessionPanicked { detail }.with_context(names[i].clone(), None)
                 }
             };
-            jobs[i] = None;
             reports[i] = Some(KernelReport::failed(&names[i], lane_of(i), err, compile_us[i]));
         }
-        // Dispatch order: a pure function of the job set. Sessions are
-        // always started from the head of this queue, whatever the
-        // completion interleaving, so the recorded order (and every
-        // downstream outcome) is deterministic.
-        let mut order: Vec<usize> =
-            (0..submitted).filter(|&i| cks[i].is_some() && jobs[i].is_some()).collect();
-        // Longest job first; ties go to the earlier submission.
+        // Dispatch order: a pure function of the job set, longest job
+        // first; ties go to the earlier submission.
+        let mut order: Vec<usize> = (0..submitted).filter(|&i| cks[i].is_some()).collect();
         order.sort_by_key(|&i| {
-            let cost = estimate_cost(
-                cks[i].as_deref().expect("order is filtered to compiled jobs"),
-                jobs[i].as_ref().expect("order is filtered to live jobs"),
-            );
-            (Reverse(cost), i)
+            let ck = cks[i].as_ref().expect("order is filtered to compiled jobs");
+            (Reverse(estimate_cost(ck, &jobs[i])), i)
         });
-        let dispatch_order = order.clone();
-        // The event loop: keep up to `in_flight_limit` sessions with a
-        // launch in flight; pump each ready session until it submits or
-        // settles, and resume it when its completion arrives.
-        let mut queue: VecDeque<usize> = order.into_iter().collect();
-        let mut pending: HashMap<TicketId, usize> = HashMap::new();
-        let mut active: Vec<Option<ActiveJob<'_>>> = (0..submitted).map(|_| None).collect();
-        while !queue.is_empty() || !pending.is_empty() {
-            // Fill free in-flight slots from the head of the dispatch
-            // queue. A session that settles without submitting frees
-            // its slot immediately, so the head keeps draining.
-            while pending.len() < in_flight_limit {
-                let Some(i) = queue.pop_front() else { break };
-                let job = jobs[i].as_mut().expect("dispatch queue holds live jobs");
-                let ck = cks[i].as_ref().expect("dispatch queue holds compiled jobs");
-                let faults = match &self.cfg.chaos {
-                    Some(plan) => plan.job_faults(i),
-                    None => JobFaults::NONE,
-                };
-                let mut a =
-                    ActiveJob::start(&self.cfg, job, lane_of(i), ck, &faults, compile_us[i]);
-                orion_telemetry::set_scope(a.lane);
-                // Panic isolation, boundary one: a session step that
-                // unwinds on the scheduler resolves only its own job.
-                let step =
-                    catch_unwind(AssertUnwindSafe(|| self.submit(a.pump(), ck, job, a.lane)))
-                        .unwrap_or_else(|payload| Err(a.panic_report(payload.as_ref())));
-                match step {
-                    Ok(t) => {
-                        pending.insert(t, i);
-                        active[i] = Some(a);
-                    }
-                    Err(report) => reports[i] = Some(*report),
-                }
-            }
-            if pending.is_empty() {
-                continue;
-            }
-            let completions = self.backend.wait_completions();
-            if completions.is_empty() {
-                // Defensive backstop: the backend claims nothing is in
-                // flight while we still hold tickets. Resolve them to
-                // definite reports rather than spin forever.
-                for (_ticket, i) in pending.drain() {
-                    active[i] = None;
-                    let err = OrionError::SessionPanicked {
-                        detail: "backend lost an in-flight ticket".into(),
-                    };
-                    reports[i] =
-                        Some(KernelReport::failed(&names[i], lane_of(i), err, compile_us[i]));
-                }
-                continue;
-            }
-            for c in completions {
-                // Unknown tickets (a foreign submitter sharing the
-                // backend) are not ours to resolve.
-                let Some(i) = pending.remove(&c.ticket) else { continue };
-                let mut a = active[i].take().expect("pending ticket has an active session");
-                let job = jobs[i].as_mut().expect("an active session keeps its job");
-                let ck = cks[i].as_ref().expect("an active session has its candidates");
-                orion_telemetry::set_scope(a.lane);
-                job.global = c.global;
-                a.dispatch_wait_us += c.queue_wait_us;
-                a.execute_us += c.exec_us;
-                // Panic isolation, boundary two: a completion callback
-                // that unwinds (injected chaos) resolves only its job.
-                let step = catch_unwind(AssertUnwindSafe(|| {
-                    self.submit(a.resume(c.result), ck, job, a.lane)
-                }))
-                .unwrap_or_else(|payload| Err(a.panic_report(payload.as_ref())));
-                match step {
-                    Ok(t) => {
-                        pending.insert(t, i);
-                        active[i] = Some(a);
-                    }
-                    Err(report) => reports[i] = Some(*report),
-                }
-            }
-        }
+        let mut jobs: Vec<Option<KernelJob>> = jobs.into_iter().map(Some).collect();
+        let queue: Mutex<VecDeque<(usize, KernelJob)>> = Mutex::new(
+            order.iter().map(|&i| (i, jobs[i].take().expect("each job queues once"))).collect(),
+        );
+        let workers = match self.cfg.workers {
+            0 => host_cores(),
+            w => w,
+        };
+        let limit = match self.cfg.in_flight_limit {
+            0 => usize::MAX,
+            k => k,
+        };
+        let threads = workers.min(limit).min(order.len()).max(1);
+        let parallelism = fan_out(threads);
         orion_telemetry::set_scope(0);
-        // No job may be lost: even if the loop exited in a way the
-        // catches above couldn't express, every slot still resolves to
-        // a definite (quarantined) report.
+        // One job thread: take the next job off the queue, drive it to
+        // its report, repeat until the queue is empty.
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                let next = queue.lock().unwrap_or_else(PoisonError::into_inner).pop_front();
+                let Some((i, mut job)) = next else { break };
+                let ck = cks[i].as_ref().expect("queued jobs are compiled");
+                let faults = self.cfg.chaos.map_or(JobFaults::NONE, |plan| plan.job_faults(i));
+                orion_telemetry::set_scope(lane_of(i));
+                let a = ActiveJob::start(&self.cfg, &job, lane_of(i), ck, &faults, compile_us[i]);
+                done.push((i, a.drive(&self.backend, &mut job, parallelism)));
+            }
+            done
+        };
+        // The calling thread only waits: jobs simulated on it left its
+        // heap slower for what it allocates next (perfbench's set-up
+        // after each `service-batch` batch took 24% longer on a 2-core
+        // host).
+        let finished: Vec<(usize, KernelReport)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads).map(|_| s.spawn(work)).collect();
+            // A thread that died keeps its jobs out of `finished`; the
+            // backstop below reports them.
+            handles.into_iter().flat_map(|h| h.join().unwrap_or_default()).collect()
+        });
+        for (i, report) in finished {
+            reports[i] = Some(report);
+        }
+        // No job may be lost: every slot resolves to a definite
+        // (quarantined) report, even one whose thread died.
         let kernels: Vec<KernelReport> = reports
             .into_iter()
             .enumerate()
             .map(|(i, r)| {
                 r.unwrap_or_else(|| {
                     let err = OrionError::SessionPanicked {
-                        detail: "scheduler produced no report".into(),
+                        detail: "the job's thread produced no report".into(),
                     };
                     KernelReport::failed(&names[i], lane_of(i), err, compile_us[i])
                 })
@@ -1046,9 +963,8 @@ impl<B: AsyncBackend> OrionService<B> {
             kernels,
             cache: cache::thread_stats().delta_since(&cache_before),
             metrics,
-            workers,
-            in_flight_limit,
-            dispatch_order,
+            workers: threads,
+            dispatch_order: order,
         }
     }
 }
@@ -1056,7 +972,7 @@ impl<B: AsyncBackend> OrionService<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{Backend, BackendCaps, InlineAsync, ReplayBackend, SimBackend};
+    use crate::backend::{BackendCaps, ReplayBackend, SimBackend};
     use crate::compiler::{CompiledKernel, KernelVersion};
     use crate::session::SessionState;
     use orion_gpusim::device::DeviceSpec;
@@ -1109,32 +1025,6 @@ mod tests {
         // records where it ran.
         assert_eq!(report.count_dispositions(|d| d == JobDisposition::Finalized), 5);
         assert_eq!(report.workers, 2);
-    }
-
-    #[test]
-    fn worker_count_does_not_change_outcomes() {
-        let mk = || (1..=6).map(|i| job(&format!("k{i}"), i64::from(i), 6)).collect::<Vec<_>>();
-        let seq = OrionService::new(
-            SimBackend::new(DeviceSpec::gtx680()),
-            ServiceConfig { workers: 1, ..ServiceConfig::default() },
-        )
-        .run(mk());
-        let par = OrionService::new(
-            SimBackend::new(DeviceSpec::gtx680()),
-            ServiceConfig { workers: 4, ..ServiceConfig::default() },
-        )
-        .run(mk());
-        for (a, b) in seq.kernels.iter().zip(&par.kernels) {
-            assert_eq!(
-                a.outcome.as_ref().unwrap(),
-                b.outcome.as_ref().unwrap(),
-                "kernel {} diverged across worker counts",
-                a.name
-            );
-            assert_eq!(a.disposition, b.disposition);
-        }
-        assert_eq!(seq.merged_decisions().len(), par.merged_decisions().len());
-        assert_eq!(seq.journal(), par.journal());
     }
 
     #[test]
@@ -1244,32 +1134,35 @@ mod tests {
 
     #[test]
     fn in_flight_limit_does_not_change_outcomes() {
-        // The strictly sequential baseline (limit 1) and the fully
-        // multiplexed run (limit 0 = every session) are the
-        // same code path and must be bit-identical, under the paper's
-        // exact walk and under the resilient default.
+        // The strictly sequential baseline (one thread, or a limit of
+        // one job at a time) and every concurrent shape run the same
+        // loop and must be bit-identical, under the paper's exact walk
+        // and under the resilient default.
         let mk = || (1..=6).map(|i| job(&format!("k{i}"), i64::from(i), 6)).collect::<Vec<_>>();
         for policy in [None, Some(ResiliencePolicy::default())] {
-            let run = |in_flight_limit| {
-                let cfg =
-                    ServiceConfig { workers: 4, in_flight_limit, policy, ..Default::default() };
+            let run = |workers, in_flight_limit| {
+                let cfg = ServiceConfig { workers, in_flight_limit, policy, ..Default::default() };
                 OrionService::new(SimBackend::new(DeviceSpec::gtx680()), cfg).run(mk())
             };
-            let (seq, par) = (run(1), run(0));
-            assert_eq!(seq.in_flight_limit, 1);
-            assert_eq!(par.in_flight_limit, 6);
-            assert_eq!(seq.dispatch_order, par.dispatch_order, "{policy:?}");
-            assert_eq!(seq.merged_decisions(), par.merged_decisions(), "{policy:?}");
-            assert_eq!(seq.journal(), par.journal(), "{policy:?}");
-            for (a, b) in seq.kernels.iter().zip(&par.kernels) {
-                assert_eq!(
-                    a.outcome.as_ref().unwrap(),
-                    b.outcome.as_ref().unwrap(),
-                    "kernel {} diverged across in-flight limits ({policy:?})",
-                    a.name
-                );
-                assert_eq!(a.disposition, b.disposition);
-                assert_eq!(a.metrics.cycle_domain(), b.metrics.cycle_domain(), "{policy:?}");
+            let seq = run(1, 0);
+            assert_eq!(seq.workers, 1);
+            for (workers, limit, threads) in [(2, 0, 2), (4, 1, 1), (4, 0, 4)] {
+                let par = run(workers, limit);
+                let shape = format!("workers {workers}, limit {limit}, {policy:?}");
+                assert_eq!(par.workers, threads, "{shape}");
+                assert_eq!(seq.dispatch_order, par.dispatch_order, "{shape}");
+                assert_eq!(seq.merged_decisions(), par.merged_decisions(), "{shape}");
+                assert_eq!(seq.journal(), par.journal(), "{shape}");
+                for (a, b) in seq.kernels.iter().zip(&par.kernels) {
+                    assert_eq!(
+                        a.outcome.as_ref().unwrap(),
+                        b.outcome.as_ref().unwrap(),
+                        "kernel {} diverged ({shape})",
+                        a.name
+                    );
+                    assert_eq!(a.disposition, b.disposition, "{shape}");
+                    assert_eq!(a.metrics.cycle_domain(), b.metrics.cycle_domain(), "{shape}");
+                }
             }
         }
     }
@@ -1296,9 +1189,8 @@ mod tests {
         assert_eq!(a.dispatch_order, vec![1, 2, 0, 3]);
     }
 
-    /// The two entry points share one per-job driver and differ only in
-    /// how a launch executes (inline with default options vs. through
-    /// the async queue at parallelism 1), so the same job yields the
+    /// The two entry points run one drive loop and differ only in the
+    /// thread and the fan-out a launch gets, so the same job yields the
     /// same outcome through either: both session modes, both search
     /// policies, and a deadline that degrades the job.
     #[test]
@@ -1516,21 +1408,25 @@ mod tests {
         let prior_hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let svc = OrionService::new(
-            InlineAsync::new(PanickingBackend { inner: SimBackend::new(DeviceSpec::gtx680()) }),
+            PanickingBackend { inner: SimBackend::new(DeviceSpec::gtx680()) },
             ServiceConfig { workers: 2, ..ServiceConfig::default() },
         );
         let report = svc.run(vec![job("boom1", 2, 4), job("boom2", 3, 4)]);
+        let inline = svc.tune_one(&mut job("boom3", 4, 4));
         std::panic::set_hook(prior_hook);
         assert_eq!(report.kernels.len(), 2, "no job may be lost to a panic");
-        for k in &report.kernels {
-            assert_eq!(k.disposition, JobDisposition::Quarantined);
-            let err = k.outcome.as_ref().unwrap_err();
+        let exploded = |name: &str, err: &OrionError| {
             assert!(
                 matches!(err.root_cause(), OrionError::SessionPanicked { detail }
                     if detail.contains("exploded")),
                 "unexpected error: {err}"
             );
-            assert!(err.to_string().contains(&k.name), "context names the kernel: {err}");
+            assert!(err.to_string().contains(name), "context names the kernel: {err}");
+        };
+        for k in &report.kernels {
+            assert_eq!(k.disposition, JobDisposition::Quarantined);
+            exploded(&k.name, k.outcome.as_ref().unwrap_err());
         }
+        exploded("boom3", &inline.unwrap_err());
     }
 }

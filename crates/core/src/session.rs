@@ -9,10 +9,9 @@
 //! requests, the caller executes them however it likes (a
 //! [`Backend`](crate::backend::Backend), a closure, a replay log) and
 //! feeds the result back. [`TuningSession::drive`] is the closure
-//! driver; [`OrionService`](crate::service::OrionService)'s event loop
-//! multiplexes many suspended sessions over one async submission queue:
-//! a session parked at a [`SessionStep::Launch`] is just a value,
-//! costing nothing while its ticket is in flight.
+//! driver; [`OrionService`](crate::service::OrionService) runs each
+//! job's session on one thread, launching on a
+//! [`Backend`](crate::backend::Backend) step by step.
 //!
 //! The session is a typed state machine:
 //!
