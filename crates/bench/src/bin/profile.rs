@@ -1,31 +1,33 @@
 //! Profiler CLI: run a workload's occupancy sweep with telemetry
 //! enabled, print stall-attributed counters per level, and export the
 //! recorded events as a Chrome `trace_event` timeline plus a flat JSON
-//! metrics report — and the service-plane surface: the tuning run's
-//! metric snapshot (Prometheus text or JSON), the jobs' run journals,
-//! and a per-lane critical-path timeline.
+//! metrics report — and the service-plane surface: the jobs' run
+//! journals and a per-lane critical-path timeline.
 //!
 //! ```sh
 //! cargo run --release -p orion-bench --bin profile -- \
 //!     [workload] [gtx680|c2075] [--warps N] [--tune N] \
 //!     [--trace trace.json] [--metrics metrics.json] \
-//!     [--out snapshot.json] [--prom metrics.prom] [--journal] [--timeline]
+//!     [--out snapshot.json] [--journal] [--timeline]
 //! ```
 //!
-//! The trace loads in `chrome://tracing` / Perfetto: one lane per SM on
-//! a cycle axis, one slice per CTA. The metrics report nests every
-//! version under `occ<warps>/` and checks the stall-accounting
-//! invariant: the six stall buckets sum to `cycles × num_sms` exactly.
+//! The trace loads in `chrome://tracing` / Perfetto: the simulated
+//! events under one process with a thread per SM on a cycle axis, one
+//! slice per CTA; the wall-clock spans under another. The metrics
+//! report nests every version under `occ<warps>/` and checks the
+//! stall-accounting invariant: the six stall buckets sum to
+//! `cycles × num_sms` exactly. `--out` writes the metrics report and
+//! the timeline's lane count as one document; `--timeline` prints the
+//! wall-clock lanes (µs) and the SM lanes (cycles) apart.
 //!
 //! `--tune N` additionally drives an `OrionService` tuning run (N
-//! application iterations) over the workload. Its report's
-//! `ServiceReport::snapshot` is what `--prom` writes and what `--out`
-//! embeds as `"registry"` (`{}` without `--tune`), and its journal is
-//! what `--journal` prints, one `job`/`seq`/tag line per record.
-//! `--prom` or `--journal` without `--tune` is an error. The
-//! CLI exits with status 2 instead of writing hollow artifacts when
-//! `--warps` names no swept level (the message lists the levels) or the
-//! capture is empty.
+//! application iterations) over the workload and prints the minimum,
+//! median and maximum of its launches' cycles, read from the session
+//! outcome. Its journal is what `--journal` prints, one
+//! `job`/`seq`/tag line per record; `--journal` without `--tune` is an
+//! error. The CLI exits with status 2 instead of writing hollow
+//! artifacts when `--warps` names no swept level (the message lists the
+//! levels) or the capture is empty.
 
 use orion_bench::error::write_file;
 use orion_bench::experiment::run_version_once;
@@ -34,7 +36,6 @@ use orion_core::compiler::TuningConfig;
 use orion_core::orion::Orion;
 use orion_core::service::{JobPolicy, KernelJob, OrionService, ServiceConfig};
 use orion_gpusim::DeviceSpec;
-use orion_telemetry::export::{self, MetricsSnapshot};
 use orion_telemetry::metrics::MetricsReport;
 use orion_telemetry::timeline;
 
@@ -44,7 +45,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut trace_path: Option<String> = None;
     let mut metrics_path: Option<String> = None;
     let mut out_path: Option<String> = None;
-    let mut prom_path: Option<String> = None;
     let mut warps_filter: Option<u32> = None;
     let mut tune_iters: Option<u32> = None;
     let mut dump_journal = false;
@@ -56,7 +56,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--trace" => trace_path = Some(args.next().ok_or("--trace needs a path")?),
             "--metrics" => metrics_path = Some(args.next().ok_or("--metrics needs a path")?),
             "--out" => out_path = Some(args.next().ok_or("--out needs a path")?),
-            "--prom" => prom_path = Some(args.next().ok_or("--prom needs a path")?),
             "--journal" => dump_journal = true,
             "--timeline" => dump_timeline = true,
             "--warps" => {
@@ -68,8 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: profile [workload] [gtx680|c2075] [--warps N] [--tune N] \
-                     [--trace FILE] [--metrics FILE] [--out FILE] [--prom FILE] \
-                     [--journal] [--timeline]"
+                     [--trace FILE] [--metrics FILE] [--out FILE] [--journal] [--timeline]"
                 );
                 return Ok(());
             }
@@ -83,9 +81,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 positionals += 1;
             }
         }
-    }
-    if prom_path.is_some() && tune_iters.is_none() {
-        return Err("--prom needs --tune N: the metrics come from a tuning run".into());
     }
     if dump_journal && tune_iters.is_none() {
         return Err("--journal needs --tune N: the journal comes from a tuning run".into());
@@ -174,10 +169,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.merge_prefixed(&format!("occ{}", v.achieved_warps), &vr);
     }
 
-    // Optional tuning run: drives the service plane; its report is the
-    // metric snapshot the exporters write and the journal `--journal`
-    // prints.
-    let mut snap = MetricsSnapshot::default();
+    // Optional tuning run: drives the service plane; its outcome holds
+    // every launch's cycles and its journal is what `--journal` prints.
     if let Some(iterations) = tune_iters {
         let svc = OrionService::new(
             SimBackend::new(dev.clone()),
@@ -193,19 +186,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             tuning: TuningConfig::new(w.block),
             policy: JobPolicy::default(),
         }]);
-        let l = &sr.metrics.launch_cycles;
+        // Every successful launch, once; the median is a launch that
+        // ran (the upper one of an even count), never an interpolation.
+        let mut cycles: Vec<u64> = sr
+            .kernels
+            .iter()
+            .filter_map(|k| k.outcome.as_ref().ok())
+            .flat_map(|o| o.iterations.iter().map(|&(_, c)| c))
+            .collect();
+        cycles.sort_unstable();
         let journal = sr.journal();
         println!(
-            "tune: {iterations} iterations; launch cycles p50 {} / p99 {} (n={}); \
+            "tune: {iterations} iterations; launch cycles min {} / median {} / max {} (n={}); \
              cache {} hits / {} misses; journal {} records",
-            l.p50(),
-            l.p99(),
-            l.count(),
+            cycles.first().copied().unwrap_or(0),
+            cycles.get(cycles.len() / 2).copied().unwrap_or(0),
+            cycles.last().copied().unwrap_or(0),
+            cycles.len(),
             sr.cache.hits,
             sr.cache.misses,
             journal.len(),
         );
-        snap = sr.snapshot();
         if dump_journal {
             for (job, seq, event) in &journal {
                 println!("journal job {job} seq {seq} {}", event.tag());
@@ -235,21 +236,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         write_file("metrics report", path, &report.to_json())?;
         eprintln!("wrote {path} ({} metrics)", report.len());
     }
-    if let Some(path) = &prom_path {
-        write_file("prometheus snapshot", path, &export::prometheus_text(&snap))?;
-        eprintln!("wrote {path} ({} metrics)", snap.samples.len());
-    }
     if let Some(path) = &out_path {
-        // One combined observability document: the flat metrics report,
-        // the tuning run's metric snapshot, and the lane timelines. The
-        // parts are already JSON strings, so compose them textually.
+        // One combined observability document: the flat metrics report
+        // and the lane count. The report is already a JSON string, so
+        // compose it textually.
         let lanes = timeline::lane_timelines(&events);
-        let doc = format!(
-            "{{\"metrics\":{},\"registry\":{},\"lanes\":{}}}\n",
-            report.to_json(),
-            export::snapshot_json(&snap),
-            lanes.len(),
-        );
+        let doc = format!("{{\"metrics\":{},\"lanes\":{}}}\n", report.to_json(), lanes.len());
         write_file("observability snapshot", path, &doc)?;
         eprintln!("wrote {path}");
     }

@@ -75,8 +75,7 @@
 //! operations next to the process-wide counters; a service batch
 //! reports the delta of its calling thread's tally
 //! ([`crate::service::ServiceReport::cache`]), so a batch counts only
-//! its own lookups, and its metric snapshot exports it as
-//! `cache/entries`, `cache/hit_rate` and `cache/poison_recovered`.
+//! its own lookups.
 
 use orion_alloc::realize::{allocate, AllocError, AllocOptions, Allocated, SlotBudget};
 use orion_kir::function::Module;

@@ -114,5 +114,5 @@ pub use runtime::{TuneDecision, TuneReason};
 pub use service::{
     JobDisposition, JobPolicy, KernelJob, KernelReport, OrionService, ServiceConfig, ServiceReport,
 };
-pub use session::{SessionObs, SessionOutcome, SessionState, SessionStep, TuningSession};
+pub use session::{SessionOutcome, SessionState, SessionStep, TuningSession};
 pub use version::{CandidateSpace, VersionBuilder};

@@ -64,7 +64,9 @@
 //!   per-kernel outcomes are bit-identical at any worker count or
 //!   in-flight limit (the unit test
 //!   `tests::in_flight_limit_does_not_change_outcomes` enforces exactly
-//!   this).
+//!   this). Each launch's cycles are recorded once, in its job's
+//!   outcome ([`SessionOutcome::iterations`]); a job's wall times
+//!   ([`KernelMetrics`]) are excluded from every determinism gate.
 //! * **Shared infrastructure** — one compile cache (kernels sharing a
 //!   module fingerprint reuse allocations; [`ServiceReport::cache`]
 //!   reports hit rates across the batch) and one telemetry buffer,
@@ -116,8 +118,6 @@ use orion_gpusim::exec::Launch;
 use orion_gpusim::faults::{splitmix64, unit, FaultInjector, FaultPlan, LaunchFaults};
 use orion_gpusim::sim::LaunchOptions;
 use orion_kir::function::Module;
-use orion_telemetry::export::{MetricSample, MetricValue, MetricsSnapshot};
-use orion_telemetry::hist::Histogram;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::VecDeque;
@@ -356,34 +356,18 @@ pub struct KernelJob {
     pub policy: JobPolicy,
 }
 
-/// Per-kernel latency observations. The cycle-domain histograms come
-/// from the session ([`crate::session::SessionObs`]) and are
-/// **deterministic**: bit-identical across worker counts and thread
-/// interleavings on a deterministic backend. `compile_wall_us` is
-/// wall-clock and excluded from every determinism gate.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Where one job's wall time went. Both fields are wall-clock and
+/// excluded from every determinism gate; the job's simulated cycles are
+/// its outcome's ([`SessionOutcome::iterations`],
+/// [`SessionOutcome::total_cycles`]) and its journal's `Retry` records.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelMetrics {
-    /// Simulated cycles of each successful launch.
-    pub launch_cycles: Histogram,
-    /// Simulated backoff cycles each launch chain waited (0 without
-    /// retries).
-    pub queue_wait_cycles: Histogram,
     /// Wall-clock microseconds spent in `compile_probe` for this job
     /// (candidate generation + allocation; cache hits make it cheap).
     pub compile_wall_us: u64,
     /// Wall-clock microseconds this job's launches spent in
-    /// [`Backend::launch`], summed across launches. Excluded from every
-    /// determinism gate.
+    /// [`Backend::launch`], summed across launches.
     pub execute_us: u64,
-}
-
-impl KernelMetrics {
-    /// The deterministic (simulated-cycle) half of the metrics — what
-    /// the sequential-vs-concurrent gates compare.
-    #[must_use]
-    pub fn cycle_domain(&self) -> (&Histogram, &Histogram) {
-        (&self.launch_cycles, &self.queue_wait_cycles)
-    }
 }
 
 /// What happened to one [`KernelJob`].
@@ -403,7 +387,7 @@ pub struct KernelReport {
     /// [`SessionState::Quarantined`]), `Degraded` carries an `Ok`
     /// outcome whose session state is [`SessionState::Degraded`].
     pub disposition: JobDisposition,
-    /// Latency observations for this kernel's session.
+    /// Wall time this job spent compiling and launching.
     pub metrics: KernelMetrics,
     /// The session's journal ([`TuningSession::journal`]): the facts
     /// its outcome does not already hold, oldest first. Deterministic,
@@ -426,21 +410,8 @@ impl KernelReport {
     }
 }
 
-/// Batch-wide latency distributions: the per-kernel cycle-domain
-/// histograms merged in submission order (merge is order-independent,
-/// so this is deterministic too), plus per-session totals.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ServiceMetrics {
-    /// Every kernel's launch cycles, merged.
-    pub launch_cycles: Histogram,
-    /// Every kernel's queue waits, merged.
-    pub queue_wait_cycles: Histogram,
-    /// One sample per kernel: the session's `total_cycles`.
-    pub session_cycles: Histogram,
-}
-
 /// A completed service batch. Its outcomes, decision logs, journals,
-/// histograms and compile-cache counters are values the batch's own
+/// wall times and compile-cache counters are values the batch's own
 /// work produced, so batches that run at once in one process never see
 /// each other's records.
 #[derive(Debug, Clone)]
@@ -453,8 +424,6 @@ pub struct ServiceReport {
     /// other threads make meanwhile are not counted. `entries` is the
     /// process-wide resident count after the batch.
     pub cache: cache::CompileCacheStats,
-    /// Batch-wide latency distributions.
-    pub metrics: ServiceMetrics,
     /// Threads the batch ran its jobs on: [`ServiceConfig::workers`]
     /// capped by the in-flight limit and the number of jobs to run.
     pub workers: usize,
@@ -500,88 +469,6 @@ impl ServiceReport {
     pub fn count_dispositions(&self, pred: impl Fn(JobDisposition) -> bool) -> usize {
         self.kernels.iter().filter(|k| pred(k.disposition)).count()
     }
-
-    /// This batch's metrics as one exportable value, derived from the
-    /// report alone: the counts from `kernels`, the cycle histograms
-    /// from `metrics`, one wall-time sample per kernel from its
-    /// [`KernelMetrics`], and the cache gauges from `cache`. The
-    /// wall-time histograms (`*_us`) are excluded from every
-    /// determinism gate.
-    #[must_use]
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let per_kernel = |wall_us: fn(&KernelMetrics) -> u64| {
-            let mut h = Histogram::new();
-            for k in &self.kernels {
-                h.record(wall_us(&k.metrics));
-            }
-            MetricValue::Histogram(h)
-        };
-        let degraded = self.count_dispositions(|d| d == JobDisposition::Degraded);
-        let m = &self.metrics;
-        let samples = vec![
-            MetricSample::new(
-                "service/sessions_total",
-                "Sessions submitted in this batch",
-                "",
-                MetricValue::Counter(self.kernels.len() as u64),
-            ),
-            MetricSample::new(
-                "service/degraded",
-                "Jobs of this batch degraded by their deadline",
-                "",
-                MetricValue::Counter(degraded as u64),
-            ),
-            MetricSample::new(
-                "service/launch_cycles",
-                "Per-launch simulated cycles",
-                "cycles",
-                MetricValue::Histogram(m.launch_cycles.clone()),
-            ),
-            MetricSample::new(
-                "service/queue_wait_cycles",
-                "Per-chain retry backoff",
-                "cycles",
-                MetricValue::Histogram(m.queue_wait_cycles.clone()),
-            ),
-            MetricSample::new(
-                "service/session_cycles",
-                "Per-session total simulated cycles",
-                "cycles",
-                MetricValue::Histogram(m.session_cycles.clone()),
-            ),
-            MetricSample::new(
-                "service/compile_wall_us",
-                "Per-kernel candidate-set compile wall time",
-                "us",
-                per_kernel(|k| k.compile_wall_us),
-            ),
-            MetricSample::new(
-                "service/execute_us",
-                "Per-kernel wall time launches spent executing on the backend",
-                "us",
-                per_kernel(|k| k.execute_us),
-            ),
-            MetricSample::new(
-                "cache/entries",
-                "Resident compile-cache entries",
-                "entries",
-                MetricValue::Gauge(self.cache.entries as f64),
-            ),
-            MetricSample::new(
-                "cache/hit_rate",
-                "Compile-cache hit rate over this batch",
-                "",
-                MetricValue::Gauge(self.cache.hit_rate()),
-            ),
-            MetricSample::new(
-                "cache/poison_recovered",
-                "Poisoned compile-cache mutexes recovered in this batch",
-                "events",
-                MetricValue::Gauge(self.cache.poison_recovered as f64),
-            ),
-        ];
-        MetricsSnapshot { samples }
-    }
 }
 
 /// Estimated whole-session cost for longest-job-first dispatch, from
@@ -617,8 +504,8 @@ struct ActiveJob<'k> {
     injector: Option<FaultInjector>,
     panic_after: Option<u32>,
     launches_done: u32,
-    compile_wall_us: u64,
-    execute_us: u64,
+    /// Wall time so far: the compile, then each launch as it returns.
+    metrics: KernelMetrics,
 }
 
 /// What one pump of a job produced: a launch to run (a version index
@@ -664,8 +551,7 @@ impl<'k> ActiveJob<'k> {
             injector: faults.plan.map(FaultInjector::new),
             panic_after: faults.panic_after_launches,
             launches_done: 0,
-            compile_wall_us,
-            execute_us: 0,
+            metrics: KernelMetrics { compile_wall_us, execute_us: 0 },
         }
     }
 
@@ -675,30 +561,26 @@ impl<'k> ActiveJob<'k> {
         outcome: Result<SessionOutcome, OrionError>,
         disposition: JobDisposition,
     ) -> Pump {
-        let obs = self.session.observations().clone();
         Pump::Finished(Box::new(KernelReport {
             name: self.name.clone(),
             lane: self.lane,
             outcome,
             disposition,
-            metrics: KernelMetrics {
-                launch_cycles: obs.launch_cycles,
-                queue_wait_cycles: obs.queue_wait_cycles,
-                compile_wall_us: self.compile_wall_us,
-                execute_us: self.execute_us,
-            },
+            metrics: self.metrics,
             journal: self.session.journal().to_vec(),
         }))
     }
 
     /// The definite report after a step of this job unwound:
-    /// quarantined, keeping what the session journaled before the panic.
+    /// quarantined, keeping what the session journaled and the launch
+    /// time it spent before the panic.
     fn panic_report(&self, payload: &(dyn std::any::Any + Send)) -> KernelReport {
         let detail = panic_detail(payload);
         let err = OrionError::SessionPanicked { detail }.with_context(self.name.clone(), None);
         KernelReport {
+            metrics: self.metrics,
             journal: self.session.journal().to_vec(),
-            ..KernelReport::failed(&self.name, self.lane, err, self.compile_wall_us)
+            ..KernelReport::failed(&self.name, self.lane, err, self.metrics.compile_wall_us)
         }
     }
 
@@ -792,7 +674,7 @@ impl<'k> ActiveJob<'k> {
                 &mut job.global,
                 opts,
             );
-            self.execute_us += started.elapsed().as_micros() as u64;
+            self.metrics.execute_us += started.elapsed().as_micros() as u64;
             step = catch_unwind(AssertUnwindSafe(|| self.resume(result)));
         }
     }
@@ -948,21 +830,9 @@ impl<B: Backend> OrionService<B> {
                 })
             })
             .collect();
-        // Merge per-kernel distributions in submission order (the merge
-        // is order-independent, but fixing the order keeps even the
-        // iteration deterministic).
-        let mut metrics = ServiceMetrics::default();
-        for k in &kernels {
-            metrics.launch_cycles.merge(&k.metrics.launch_cycles);
-            metrics.queue_wait_cycles.merge(&k.metrics.queue_wait_cycles);
-            if let Ok(o) = &k.outcome {
-                metrics.session_cycles.record(o.total_cycles);
-            }
-        }
         ServiceReport {
             kernels,
             cache: cache::thread_stats().delta_since(&cache_before),
-            metrics,
             workers: threads,
             dispatch_order: order,
         }
@@ -1161,7 +1031,6 @@ mod tests {
                         a.name
                     );
                     assert_eq!(a.disposition, b.disposition, "{shape}");
-                    assert_eq!(a.metrics.cycle_domain(), b.metrics.cycle_domain(), "{shape}");
                 }
             }
         }
@@ -1307,12 +1176,21 @@ mod tests {
                         "rate {rate}, {}: {:?} vs {:?}",
                         k.name, k.disposition, k.outcome
                     );
+                    // Injected panics fire only after a launch, and the
+                    // panicked job's report keeps that launch's time.
+                    let panicked = k.outcome.as_ref().is_err_and(|e| {
+                        matches!(e.root_cause(), OrionError::SessionPanicked { .. })
+                    });
+                    assert!(
+                        !panicked || k.metrics.execute_us > 0,
+                        "rate {rate}, {}: a panicked job lost its launch time",
+                        k.name
+                    );
                 }
             }
             assert_eq!(seq.dispatch_order, conc.dispatch_order, "rate {rate}");
             for (a, b) in seq.kernels.iter().zip(&conc.kernels) {
                 assert_eq!(a.disposition, b.disposition, "rate {rate}, {}", a.name);
-                assert_eq!(a.metrics.cycle_domain(), b.metrics.cycle_domain(), "{}", a.name);
                 assert_eq!(a.journal, b.journal, "rate {rate}, {}", a.name);
                 if let Ok(o) = &a.outcome {
                     let backoffs: Vec<u64> = a

@@ -60,7 +60,6 @@ use crate::resilient::{
     BACKOFF_BASE_CYCLES, NOISE_MARGIN_CAP, NOISE_MARGIN_FACTOR,
 };
 use crate::runtime::{TuneDecision, TuneReason};
-use orion_telemetry::hist::Histogram;
 use serde::{Deserialize, Serialize};
 
 /// Observable phase of a [`TuningSession`] (see the module docs for the
@@ -141,23 +140,6 @@ impl JournalEvent {
             JournalEvent::Pruned { .. } => "pruned",
         }
     }
-}
-
-/// Deterministic per-session latency observations, recorded in
-/// *simulated cycles* so they are bit-identical across thread
-/// interleavings and worker counts (unlike wall-clock telemetry).
-/// Always collected, whatever the telemetry switch says: the histograms
-/// are a few hundred machine words and the service's determinism gate
-/// reads them.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SessionObs {
-    /// Cycles of every successful launch (the paper's measurement
-    /// stream), exploration and steady-state alike.
-    pub launch_cycles: Histogram,
-    /// Simulated backoff cycles a launch chain waited before resolving
-    /// (0 for launches that succeeded first try — the common case —
-    /// so `count` tracks resolved chains, not just retried ones).
-    pub queue_wait_cycles: Histogram,
 }
 
 /// The two session presets by name. A session holds only a
@@ -266,10 +248,6 @@ pub struct TuningSession<'k> {
     pass: Option<SamplePass>,
     /// Set once the session aborted with a fatal error or ran dry.
     aborted: bool,
-    /// Backoff cycles accumulated by the outstanding launch chain's
-    /// retries; folded into `obs.queue_wait_cycles` when it resolves.
-    pending_backoff: u64,
-    obs: SessionObs,
     /// This session's journal, in the order the facts happened.
     journal: Vec<JournalEvent>,
 }
@@ -340,8 +318,6 @@ impl<'k> TuningSession<'k> {
             current: None,
             pass: None,
             aborted: false,
-            pending_backoff: 0,
-            obs: SessionObs::default(),
             journal,
             policy,
             ck,
@@ -385,14 +361,6 @@ impl<'k> TuningSession<'k> {
     #[must_use]
     pub fn iterations_done(&self) -> u32 {
         self.it
-    }
-
-    /// The session's deterministic latency observations so far. Read
-    /// (and clone) before [`TuningSession::finish`] consumes the
-    /// session; `OrionService` folds these into its per-kernel report.
-    #[must_use]
-    pub fn observations(&self) -> &SessionObs {
-        &self.obs
     }
 
     /// The session's journal so far, oldest first. Read (and clone)
@@ -535,9 +503,6 @@ impl<'k> TuningSession<'k> {
                 self.total = self.total.saturating_add(cycles);
                 self.iters.push((pending.version, cycles));
                 self.it += 1;
-                self.obs.launch_cycles.record(cycles);
-                self.obs.queue_wait_cycles.record(self.pending_backoff);
-                self.pending_backoff = 0;
                 if let Some(mut pass) = self.pass.take() {
                     pass.samples.push(cycles);
                     self.advance_pass(pass);
@@ -552,7 +517,6 @@ impl<'k> TuningSession<'k> {
                 self.stats.retries += 1;
                 let backoff = BACKOFF_BASE_CYCLES << pending.attempt.min(20);
                 self.stats.backoff_cycles = self.stats.backoff_cycles.saturating_add(backoff);
-                self.pending_backoff = self.pending_backoff.saturating_add(backoff);
                 self.journal.push(JournalEvent::Retry {
                     version: pending.version,
                     attempt: pending.attempt + 1,
@@ -565,10 +529,6 @@ impl<'k> TuningSession<'k> {
             Err(e) if self.resilience.quarantine_strikes > 0 && should_quarantine(&e) => {
                 self.stats.failed_launches += 1;
                 self.current = None;
-                // The chain resolved (in failure): its waited backoff is
-                // still queue time.
-                self.obs.queue_wait_cycles.record(self.pending_backoff);
-                self.pending_backoff = 0;
                 if let OrionError::Sim(orion_gpusim::exec::SimError::Watchdog { budget }) =
                     e.root_cause()
                 {
@@ -592,8 +552,6 @@ impl<'k> TuningSession<'k> {
             Err(e) => {
                 self.stats.failed_launches += 1;
                 self.current = None;
-                self.obs.queue_wait_cycles.record(self.pending_backoff);
-                self.pending_backoff = 0;
                 self.aborted = true;
                 Err(e.with_context(self.kernel.clone(), Some(self.total)))
             }

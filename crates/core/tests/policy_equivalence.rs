@@ -167,6 +167,5 @@ fn bandit_jobs_are_bit_identical_across_worker_counts() {
             "kernel {} diverged between 1 and 4 workers",
             a.name
         );
-        assert_eq!(a.metrics.cycle_domain(), b.metrics.cycle_domain());
     }
 }

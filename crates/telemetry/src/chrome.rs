@@ -5,8 +5,13 @@
 //! loads directly into `chrome://tracing` or Perfetto. Events are
 //! emitted sorted by timestamp (stable, so same-`ts` events keep their
 //! recording order), which downstream snapshot tests rely on.
+//!
+//! The two clock domains go under separate processes, so no thread row
+//! mixes microseconds with cycles: wall-clock events under `pid` 1 (one
+//! thread per scope lane), the simulator's cycle-stamped events under
+//! `pid` 2 (one thread per SM).
 
-use crate::{escape_json, write_arg_value, Event, Phase};
+use crate::{escape_json, write_arg_value, Clock, Event, Phase};
 use std::fmt::Write;
 
 fn phase_code(ph: Phase) -> &'static str {
@@ -34,9 +39,13 @@ pub fn trace_json(events: &[Event]) -> String {
         escape_json(&mut out, e.cat);
         let _ = write!(
             out,
-            ",\"ph\":\"{}\",\"ts\":{},\"pid\":1,\"tid\":{}",
+            ",\"ph\":\"{}\",\"ts\":{},\"pid\":{},\"tid\":{}",
             phase_code(e.ph),
             e.ts,
+            match e.clock() {
+                Clock::Wall => 1,
+                Clock::Sim => 2,
+            },
             e.tid
         );
         if e.ph == Phase::Complete {
@@ -95,6 +104,9 @@ mod tests {
         assert!(early < mid && mid < late);
         assert!(json.contains("\\\"q"));
         assert!(json.contains("\"dur\":5"));
+        // The simulated span sits under its own process.
+        assert!(json.contains("\"ph\":\"X\",\"ts\":10,\"pid\":2,\"tid\":1"), "{json}");
+        assert!(json.contains("\"ph\":\"B\",\"ts\":20,\"pid\":1,\"tid\":1"), "{json}");
     }
 
     #[test]

@@ -9,17 +9,13 @@
 //! metrics report. Facts (spill counts, fault tallies, retries, cache
 //! hits, decisions) are not events: each lives once in its typed record
 //! (`AllocReport`, `CompiledKernel`, `FaultSnapshot`, `ResilienceStats`,
-//! `CompileCacheStats`, `ServiceReport`).
+//! `CompileCacheStats`, `ServiceReport`). Launch cycles are not here
+//! either: each session's outcome holds every successful launch once
+//! (`orion_core::session::SessionOutcome::iterations`), and its journal
+//! holds each retry's backoff (`orion_core::session::JournalEvent`).
 //!
-//! Beyond the raw event stream, the service plane builds on two typed
-//! layers: [`hist`] (log-bucketed latency histograms with deterministic
-//! merge) and [`export`]/[`timeline`] (Prometheus text + JSON exporters
-//! over a plain [`export::MetricsSnapshot`] value, and a span-derived
-//! per-lane critical-path view). A snapshot holds no state of its own:
-//! the service derives one from its batch report. The run journal is
-//! not here either: each tuning session keeps its own as a plain value
-//! (`orion_core::session::JournalEvent`), which no gate below applies
-//! to.
+//! [`timeline`] folds the event stream into a per-lane critical-path
+//! view, keeping the two clock domains below in separate lanes.
 //!
 //! # Gating
 //!
@@ -33,12 +29,13 @@
 //! Wall-clock events ([`span`], [`instant`]) are stamped in
 //! microseconds since the first probe. The simulator instead emits
 //! *simulated-time* [`complete`] events whose `ts`/`dur` are in GPU
-//! cycles with the SM index as `tid` — loading the trace into Chrome
-//! gives one lane per SM on a cycle axis.
+//! cycles with the SM index as `tid` ([`Event::clock`] tells them
+//! apart). The two never share a lane: [`chrome::trace_json`] puts the
+//! simulated events under a process of their own (one thread per SM on
+//! a cycle axis), and [`timeline::lane_timelines`] gives them SM lanes
+//! of their own.
 
 pub mod chrome;
-pub mod export;
-pub mod hist;
 pub mod metrics;
 pub mod timeline;
 
@@ -58,6 +55,28 @@ pub enum Phase {
     Complete,
     /// Point event (`"i"`).
     Instant,
+}
+
+/// The clock an [`Event`]'s `ts` and `dur` are read on (see the crate
+/// docs' clock domains). Spans on different clocks never share a lane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Clock {
+    /// Host wall clock in microseconds ([`span`], [`instant`]); `tid`
+    /// is the recording thread's scope lane.
+    Wall,
+    /// Simulated GPU cycles ([`complete`]); `tid` is the SM index.
+    Sim,
+}
+
+impl Clock {
+    /// The unit of a timestamp on this clock.
+    #[must_use]
+    pub fn unit(self) -> &'static str {
+        match self {
+            Clock::Wall => "us",
+            Clock::Sim => "cycles",
+        }
+    }
 }
 
 /// A structured argument value attached to an event.
@@ -122,6 +141,19 @@ pub struct Event {
     /// 0 for host-side events).
     pub tid: u32,
     pub args: Vec<(&'static str, ArgValue)>,
+}
+
+impl Event {
+    /// The clock this event's `ts`/`dur` are on: simulated cycles for
+    /// [`Phase::Complete`] (only the simulator records those), the wall
+    /// clock for every other phase.
+    #[must_use]
+    pub fn clock(&self) -> Clock {
+        match self.ph {
+            Phase::Complete => Clock::Sim,
+            Phase::Begin | Phase::End | Phase::Instant => Clock::Wall,
+        }
+    }
 }
 
 static ON: AtomicBool = AtomicBool::new(false);

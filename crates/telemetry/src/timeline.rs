@@ -3,10 +3,12 @@
 //! The Chrome trace ([`crate::chrome`]) already renders spans visually,
 //! but answering "where did this kernel's wall time go" requires a
 //! browser. This module folds the same [`Event`] stream into a textual
-//! per-lane summary: for every lane (`tid` — one per kernel session under
-//! `OrionService`, SM index for simulator events) it pairs
-//! [`Phase::Begin`]/[`Phase::End`] spans on a per-lane stack, absorbs
-//! [`Phase::Complete`] spans directly, and reports
+//! per-lane summary. A lane is a clock and a `tid`: wall-clock lanes
+//! (µs, one per kernel session under `OrionService`) pair
+//! [`Phase::Begin`]/[`Phase::End`] spans on a per-lane stack, and SM
+//! lanes (simulated cycles, `tid` = SM index) hold the simulator's
+//! [`Phase::Complete`] spans. The two clocks never share a lane, so no
+//! total adds cycles to microseconds. Each lane reports
 //!
 //! * the lane's busy time (top-level span coverage, nested spans not
 //!   double-counted),
@@ -18,7 +20,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::{Event, Phase};
+use crate::{Clock, Event, Phase};
 
 /// One completed span occurrence on a lane.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,9 +33,11 @@ pub struct TimelineSpan {
     pub depth: usize,
 }
 
-/// The reconstructed activity of one `tid` lane.
+/// The reconstructed activity of one lane: one `tid` on one clock.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaneTimeline {
+    /// The clock every time on this lane is read on.
+    pub clock: Clock,
     pub lane: u32,
     /// Completed spans in start order.
     pub spans: Vec<TimelineSpan>,
@@ -68,14 +72,16 @@ impl LaneTimeline {
     }
 }
 
-/// Reconstruct per-lane timelines from an event stream. Lanes are
-/// returned in ascending `tid` order. Unclosed `Begin` spans are dropped
-/// (the stream was cut), stray `End`s are ignored.
+/// Reconstruct per-lane timelines from an event stream. Wall-clock
+/// lanes come first, then SM lanes, each in ascending `tid` order.
+/// Unclosed `Begin` spans are dropped (the stream was cut), stray
+/// `End`s are ignored.
 #[must_use]
 pub fn lane_timelines(events: &[Event]) -> Vec<LaneTimeline> {
-    // Per-lane stack of open Begin events: (cat, name, start, depth).
+    // Per wall-clock lane, the stack of open Begin events:
+    // (cat, name, start).
     let mut open: BTreeMap<u32, Vec<(&'static str, String, u64)>> = BTreeMap::new();
-    let mut spans: BTreeMap<u32, Vec<TimelineSpan>> = BTreeMap::new();
+    let mut spans: BTreeMap<(Clock, u32), Vec<TimelineSpan>> = BTreeMap::new();
     for e in events {
         match e.ph {
             Phase::Begin => {
@@ -85,7 +91,7 @@ pub fn lane_timelines(events: &[Event]) -> Vec<LaneTimeline> {
                 if let Some(stack) = open.get_mut(&e.tid) {
                     if let Some((cat, name, start)) = stack.pop() {
                         let depth = stack.len();
-                        spans.entry(e.tid).or_default().push(TimelineSpan {
+                        spans.entry((Clock::Wall, e.tid)).or_default().push(TimelineSpan {
                             cat,
                             name,
                             start,
@@ -95,14 +101,14 @@ pub fn lane_timelines(events: &[Event]) -> Vec<LaneTimeline> {
                     }
                 }
             }
+            // A simulated span never nests in a wall-clock one.
             Phase::Complete => {
-                let depth = open.get(&e.tid).map_or(0, Vec::len);
-                spans.entry(e.tid).or_default().push(TimelineSpan {
+                spans.entry((Clock::Sim, e.tid)).or_default().push(TimelineSpan {
                     cat: e.cat,
                     name: e.name.clone(),
                     start: e.ts,
                     dur: e.dur,
-                    depth,
+                    depth: 0,
                 });
             }
             Phase::Instant => {}
@@ -110,26 +116,32 @@ pub fn lane_timelines(events: &[Event]) -> Vec<LaneTimeline> {
     }
     spans
         .into_iter()
-        .map(|(lane, mut spans)| {
+        .map(|((clock, lane), mut spans)| {
             spans.sort_by_key(|s| (s.start, s.depth));
             let first = spans.iter().map(|s| s.start).min().unwrap_or(0);
             let last = spans.iter().map(|s| s.start + s.dur).max().unwrap_or(0);
             let busy = spans.iter().filter(|s| s.depth == 0).map(|s| s.dur).sum();
-            LaneTimeline { lane, spans, first, last, busy }
+            LaneTimeline { clock, lane, spans, first, last, busy }
         })
         .collect()
 }
 
 /// Render the timelines as an indented text report: one block per lane,
-/// the critical-path chain with durations, and per-name totals.
+/// headed `lane N` (wall clock) or `sm N` (simulated) with the lane's
+/// unit, then its spans and the critical-path chain with durations.
 #[must_use]
 pub fn render_text(lanes: &[LaneTimeline]) -> String {
     let mut out = String::new();
     for lane in lanes {
+        let kind = match lane.clock {
+            Clock::Wall => "lane",
+            Clock::Sim => "sm",
+        };
         let _ = writeln!(
             out,
-            "lane {:<3} extent {:>8}  busy {:>8}  spans {}",
+            "{kind:<4} {:<3} {:<6} extent {:>8}  busy {:>8}  spans {}",
             lane.lane,
+            lane.clock.unit(),
             lane.extent(),
             lane.busy,
             lane.spans.len()
@@ -222,8 +234,26 @@ mod tests {
         assert_eq!(lanes.len(), 1);
         assert_eq!(lanes[0].spans.len(), 1);
         assert_eq!(lanes[0].spans[0].name, "ok");
-        // The open "cut" span nests "ok" one deep.
-        assert_eq!(lanes[0].spans[0].depth, 1);
+        // The open wall-clock "cut" span does not nest the simulated
+        // "ok": they share a `tid`, not a clock.
+        assert_eq!((lanes[0].clock, lanes[0].spans[0].depth), (Clock::Sim, 0));
+    }
+
+    #[test]
+    fn wall_and_simulated_spans_on_one_tid_keep_separate_lanes() {
+        let events = vec![
+            ev("run_launch", Phase::Begin, 100, 0, 1),
+            ev("cta1", Phase::Complete, 0, 9000, 1),
+            ev("sm1", Phase::Complete, 0, 20000, 1),
+            ev("run_launch", Phase::End, 140, 0, 1),
+        ];
+        let lanes = lane_timelines(&events);
+        let got: Vec<_> = lanes.iter().map(|l| (l.clock, l.lane, l.busy)).collect();
+        assert_eq!(got, [(Clock::Wall, 1, 40), (Clock::Sim, 1, 29000)]);
+        assert_eq!(lanes[0].spans.len(), 1, "the wall lane holds no simulated span");
+        let text = render_text(&lanes);
+        assert!(text.contains("lane 1   us     extent"), "{text}");
+        assert!(text.contains("sm   1   cycles extent"), "{text}");
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!   runtime adaptation (Figure 9);
 //! * [`workloads`] — the paper's twelve benchmarks plus `matrixMul`,
 //!   rebuilt with their Table 2 characteristics;
-//! * [`telemetry`] — structured-event tracing: allocator counters, tuner
-//!   decision logs, stall-attributed simulator timelines, and exporters
-//!   to Chrome `trace_event` JSON and flat metrics reports.
+//! * [`telemetry`] — timing only: wall-clock spans over the allocator's
+//!   passes and each launch, per-SM simulator timelines in GPU cycles,
+//!   a per-lane critical-path view, and exporters to Chrome
+//!   `trace_event` JSON and flat metrics reports.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour and DESIGN.md /
 //! EXPERIMENTS.md for the reproduction methodology and results.
