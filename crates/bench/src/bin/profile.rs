@@ -30,11 +30,10 @@
 //! levels) or the capture is empty.
 
 use orion_bench::error::write_file;
-use orion_bench::experiment::run_version_once;
 use orion_core::backend::SimBackend;
-use orion_core::compiler::TuningConfig;
-use orion_core::orion::Orion;
+use orion_core::compiler::{sweep, TuningConfig};
 use orion_core::service::{JobPolicy, KernelJob, OrionService, ServiceConfig};
+use orion_gpusim::sim::LaunchOptions;
 use orion_gpusim::DeviceSpec;
 use orion_telemetry::metrics::MetricsReport;
 use orion_telemetry::timeline;
@@ -96,8 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     orion_telemetry::set_enabled(true);
     orion_telemetry::clear();
 
-    let orion = Orion::new(dev.clone(), w.block);
-    let versions = orion.sweep(&w.module)?;
+    let versions = sweep(&w.module, &dev, w.block)?;
     if let Some(f) = warps_filter.filter(|&f| versions.iter().all(|v| v.achieved_warps != f)) {
         let levels: Vec<String> = versions.iter().map(|v| v.achieved_warps.to_string()).collect();
         eprintln!(
@@ -112,6 +110,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     report.set("workload", w.name);
     report.set("device", dev.name.as_str());
 
+    let backend = SimBackend::new(dev.clone());
     println!("{} on {}", w.name, dev.name);
     println!(
         "{:>5} {:>4} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
@@ -130,7 +129,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if warps_filter.is_some_and(|f| v.achieved_warps != f) {
             continue;
         }
-        let r = match run_version_once(&dev, &w, v) {
+        let global = &mut w.init_global.clone();
+        let r = match backend.run(v, w.launch(), &w.params, global, LaunchOptions::default()) {
             Ok(r) => r,
             Err(e) => {
                 println!("{:>5} ERROR {e}", v.achieved_warps);
@@ -173,7 +173,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // every launch's cycles and its journal is what `--journal` prints.
     if let Some(iterations) = tune_iters {
         let svc = OrionService::new(
-            SimBackend::new(dev.clone()),
+            backend,
             ServiceConfig { workers: 1, policy: None, ..ServiceConfig::default() },
         );
         let sr = svc.run(vec![KernelJob {

@@ -1,31 +1,35 @@
 //! The chaos experiment: does the resilient Figure 9 loop still pick a
 //! near-optimal version when launches fail and timing is noisy?
 //!
-//! For each workload × fault-rate point we run the tuning walk twice
-//! over the same compiled candidates:
+//! Each workload × fault-rate point compares two tuning walks over the
+//! same compiled candidates:
 //!
 //! 1. a **fault-free reference** walk under
-//!    [`ResiliencePolicy::PAPER`];
+//!    [`ResiliencePolicy::PAPER`], which does not depend on the rate,
+//!    so the sweep runs it (and re-measures its pick) once per
+//!    workload;
 //! 2. a **chaotic run** under [`ResiliencePolicy::default`],
 //!    with a seeded [`FaultPlan`] injecting transient launch failures,
 //!    perturbed-device resource rejections, stuck-warp hangs, and timing
 //!    jitter/outliers.
 //!
-//! Both picks are then re-measured *fault-free* and compared: the
+//! Both picks are re-measured *fault-free* and compared: the
 //! acceptance bar is the chaotic pick landing within 5% of the reference
 //! pick at a ≤10% fault rate. Each row records the injector's
 //! [`FaultSnapshot`] and the executor's [`ResilienceStats`], the one
 //! copy of each tally; the sweep does not touch telemetry.
 
-use crate::experiment::{run_version_once, ExperimentError, DOWNWARD_THRESHOLD};
+use crate::app::{compile_workload, App};
+use crate::experiment::{ExperimentError, DOWNWARD_THRESHOLD};
 use crate::figures::Figure;
 use crate::report::render_table;
-use orion_core::orion::Orion;
+use orion_core::backend::SimBackend;
+use orion_core::compiler::KernelVersion;
 use orion_core::resilient::{ResiliencePolicy, ResilienceStats};
 use orion_core::session::TuningSession;
 use orion_gpusim::device::DeviceSpec;
 use orion_gpusim::faults::{FaultInjector, FaultPlan, FaultSnapshot};
-use orion_gpusim::sim::{run_launch_opts, LaunchOptions};
+use orion_gpusim::sim::LaunchOptions;
 use orion_workloads::Workload;
 use serde::{Deserialize, Serialize};
 
@@ -88,77 +92,75 @@ pub fn chaos_run(
     fault_rate: f64,
     jitter_frac: f64,
 ) -> Result<ChaosRow, ExperimentError> {
-    let mut orion = Orion::new(dev.clone(), w.block);
-    orion.cfg.can_tune = w.can_tune;
-    let compiled = orion.compile(&w.module)?;
+    Ok(chaos_rows(dev, w, &[(seed, fault_rate, jitter_frac)])?.remove(0))
+}
+
+/// One row of `w` per `(seed, fault rate, jitter)` point. The compile,
+/// the fault-free reference walk and the re-measure of its pick do not
+/// depend on the point, so they run once.
+fn chaos_rows(
+    dev: &DeviceSpec,
+    w: &Workload,
+    points: &[(u64, f64, f64)],
+) -> Result<Vec<ChaosRow>, ExperimentError> {
+    let backend = SimBackend::new(dev.clone());
+    // Steady state: one fault-free launch from fresh memory.
+    let steady = |v: &KernelVersion| {
+        backend.run(v, w.launch(), &w.params, &mut w.init_global.clone(), LaunchOptions::default())
+    };
+    let compiled = compile_workload(dev, w)?;
     let iters = w.iterations.max(CHAOS_ITERS);
-
-    // Fault-free reference walk.
-    let mut global = w.init_global.clone();
-    let mut iter_no = 0u32;
-    let reference = TuningSession::simple(&compiled, iters, DOWNWARD_THRESHOLD).drive(|v| {
-        let params = w.params_for(iter_no);
-        iter_no += 1;
-        let opts = v.launch_options(LaunchOptions::default());
-        run_launch_opts(dev, &v.machine, w.launch(), params, &mut global, opts)
-            .map(|r| r.cycles)
-            .map_err(orion_core::OrionError::from)
-    })?;
-
-    // Chaotic walk through the resilient executor.
-    let injector = FaultInjector::new(FaultPlan::chaos(seed, fault_rate, jitter_frac));
-    let mut global = w.init_global.clone();
-    let mut iter_no = 0u32;
-    let policy = ResiliencePolicy::default();
-    let chaotic =
-        TuningSession::new(w.name, &compiled, iters, DOWNWARD_THRESHOLD, policy).drive(|v| {
-            let params = w.params_for(iter_no);
-            iter_no += 1;
-            let opts =
-                v.launch_options(LaunchOptions { faults: injector.draw(), ..Default::default() });
-            run_launch_opts(dev, &v.machine, w.launch(), params, &mut global, opts)
-                .map(|r| r.cycles)
-                .map_err(orion_core::OrionError::from)
-        });
-    // Candidate exhaustion at a stress rate is a *result*, not a sweep
-    // failure: record the row as gave-up (the app falls back to its
-    // original kernel) instead of aborting the whole bench.
-    let (chaos_selected, converged_after, absorbed, gave_up) = match chaotic {
-        Ok(out) => (out.selected, out.converged_after, out.stats, false),
-        Err(e) if matches!(e.root_cause(), orion_core::OrionError::AllCandidatesFailed { .. }) => {
-            (compiled.original, 0, ResilienceStats::default(), true)
-        }
-        Err(e) => return Err(e.into()),
-    };
-
-    // Steady-state comparison: both picks measured without faults.
+    let mut app = App::new(&backend, w, None);
+    let reference =
+        TuningSession::simple(&compiled, iters, DOWNWARD_THRESHOLD).drive(|v| app.launch(v))?;
     let ff_pick = &compiled.versions[reference.selected];
-    let ch_pick = &compiled.versions[chaos_selected];
-    let ff_cycles = run_version_once(dev, w, ff_pick)?.cycles;
-    let ch_cycles = if chaos_selected == reference.selected {
-        ff_cycles
-    } else {
-        run_version_once(dev, w, ch_pick)?.cycles
+    let ff_cycles = steady(ff_pick)?.cycles;
+
+    let row = |&(seed, fault_rate, jitter_frac): &(u64, f64, f64)| {
+        // Chaotic walk through the resilient executor.
+        let injector = FaultInjector::new(FaultPlan::chaos(seed, fault_rate, jitter_frac));
+        let mut app = App::new(&backend, w, Some(&injector));
+        let policy = ResiliencePolicy::default();
+        let chaotic = TuningSession::new(w.name, &compiled, iters, DOWNWARD_THRESHOLD, policy)
+            .drive(|v| app.launch(v));
+        // Candidate exhaustion at a stress rate is a *result*, not a sweep
+        // failure: record the row as gave-up (the app falls back to its
+        // original kernel) instead of aborting the whole bench.
+        let (chaos_selected, converged_after, absorbed, gave_up) = match chaotic {
+            Ok(out) => (out.selected, out.converged_after, out.stats, false),
+            Err(e)
+                if matches!(e.root_cause(), orion_core::OrionError::AllCandidatesFailed { .. }) =>
+            {
+                (compiled.original, 0, ResilienceStats::default(), true)
+            }
+            Err(e) => return Err(e.into()),
+        };
+
+        // Steady-state comparison: both picks measured without faults.
+        let ch_pick = &compiled.versions[chaos_selected];
+        let ch_cycles =
+            if chaos_selected == reference.selected { ff_cycles } else { steady(ch_pick)?.cycles };
+        let rel_gap = (ch_cycles as f64 - ff_cycles as f64) / ff_cycles.max(1) as f64;
+        Ok(ChaosRow {
+            workload: w.name.to_string(),
+            seed,
+            fault_rate,
+            jitter_frac,
+            fault_free_selected: reference.selected,
+            fault_free_label: ff_pick.label.clone(),
+            fault_free_cycles: ff_cycles,
+            chaos_selected,
+            chaos_label: ch_pick.label.clone(),
+            chaos_cycles: ch_cycles,
+            rel_gap,
+            within_tolerance: !gave_up && rel_gap <= CHAOS_TOLERANCE,
+            converged_after,
+            gave_up,
+            injected: injector.snapshot(),
+            absorbed,
+        })
     };
-    let rel_gap = (ch_cycles as f64 - ff_cycles as f64) / ff_cycles.max(1) as f64;
-    Ok(ChaosRow {
-        workload: w.name.to_string(),
-        seed,
-        fault_rate,
-        jitter_frac,
-        fault_free_selected: reference.selected,
-        fault_free_label: ff_pick.label.clone(),
-        fault_free_cycles: ff_cycles,
-        chaos_selected,
-        chaos_label: ch_pick.label.clone(),
-        chaos_cycles: ch_cycles,
-        rel_gap,
-        within_tolerance: !gave_up && rel_gap <= CHAOS_TOLERANCE,
-        converged_after,
-        gave_up,
-        injected: injector.snapshot(),
-        absorbed,
-    })
+    points.iter().map(row).collect()
 }
 
 /// Workloads the chaos bench sweeps (one upward, one plateau, one
@@ -213,10 +215,12 @@ pub fn chaos_sweep(dev: &DeviceSpec) -> Result<ChaosSweep, ExperimentError> {
     let mut rows: Vec<ChaosRow> = Vec::new();
     for (wi, name) in CHAOS_WORKLOADS.iter().enumerate() {
         let w = orion_workloads::by_name(name).expect("chaos workload exists");
-        for (ri, &rate) in CHAOS_RATES.iter().enumerate() {
-            let jitter = if rate > 0.0 { CHAOS_JITTER } else { 0.0 };
-            rows.push(chaos_run(dev, &w, row_seed(wi, ri), rate, jitter)?);
-        }
+        let points: Vec<(u64, f64, f64)> = (CHAOS_RATES.iter().enumerate())
+            .map(|(ri, &rate)| {
+                (row_seed(wi, ri), rate, if rate > 0.0 { CHAOS_JITTER } else { 0.0 })
+            })
+            .collect();
+        rows.extend(chaos_rows(dev, &w, &points)?);
     }
     let summary = ChaosSummary {
         converges_at_10pct: rows

@@ -1,14 +1,15 @@
 //! The shared experiment engine: sweeps, Orion end-to-end runs,
 //! baselines, ablations, and energy accounting over the workloads.
 
+use crate::app::{compile_workload, App};
 use orion_alloc::realize::{allocate, AllocOptions, SlotBudget};
-use orion_core::compiler::KernelVersion;
-use orion_core::orion::Orion;
+use orion_core::backend::SimBackend;
+use orion_core::compiler::{original, sweep};
 use orion_core::session::TuningSession;
 use orion_gpusim::device::DeviceSpec;
 use orion_gpusim::exec::SimError;
 use orion_gpusim::power::{energy, EnergyReport, PowerModel};
-use orion_gpusim::sim::{run_launch_opts, LaunchOptions, RunResult};
+use orion_gpusim::sim::{run_launch, LaunchOptions, RunResult};
 use orion_workloads::Workload;
 use serde::{Deserialize, Serialize};
 
@@ -55,27 +56,16 @@ pub struct CurvePoint {
     pub energy_pj: f64,
 }
 
-/// Run one launch of a compiled version on the workload's representative
-/// parameters (fresh global memory each time).
-pub fn run_version_once(
-    dev: &DeviceSpec,
-    w: &Workload,
-    v: &KernelVersion,
-) -> Result<RunResult, SimError> {
-    let mut global = w.init_global.clone();
-    let opts = v.launch_options(LaunchOptions::default());
-    run_launch_opts(dev, &v.machine, w.launch(), &w.params, &mut global, opts)
-}
-
 /// Sweep every achievable occupancy level of `w` on `dev` — the engine
 /// behind Figures 1, 2, 10, 14, 15 and the Orion-Min/Max bars.
 pub fn sweep_curve(dev: &DeviceSpec, w: &Workload) -> Result<Vec<CurvePoint>, ExperimentError> {
-    let orion = Orion::new(dev.clone(), w.block);
-    let versions = orion.sweep(&w.module)?;
+    let versions = sweep(&w.module, dev, w.block)?;
+    let backend = SimBackend::new(dev.clone());
     let model = PowerModel::default();
     let mut out = Vec::with_capacity(versions.len());
     for v in &versions {
-        match run_version_once(dev, w, v) {
+        let global = &mut w.init_global.clone();
+        match backend.run(v, w.launch(), &w.params, global, LaunchOptions::default()) {
             Ok(r) => out.push(CurvePoint {
                 warps: v.achieved_warps,
                 occupancy: v.occupancy,
@@ -161,30 +151,22 @@ fn orion_select_impl(
     w: &Workload,
     with_sweep: bool,
 ) -> Result<SelectOutcome, ExperimentError> {
-    let mut orion = Orion::new(dev.clone(), w.block);
-    orion.cfg.can_tune = w.can_tune;
-    let compiled = orion.compile(&w.module)?;
-    let baseline = orion.baseline(&w.module)?;
+    let compiled = compile_workload(dev, w)?;
+    let baseline = original(&w.module, dev, w.block)?;
     let sweep = if with_sweep { sweep_curve(dev, w)? } else { Vec::new() };
     let model = PowerModel::default();
 
-    // Tune across the application's iterations (per-iteration params for
-    // variable-work apps; global memory persists across iterations as in
-    // the real application loop).
-    let mut global = w.init_global.clone();
+    // Tune across the application's iterations.
+    let backend = SimBackend::new(dev.clone());
+    let mut app = App::new(&backend, w, None);
     let iters = w.iterations.max(1);
-    let mut iter_no = 0u32;
-    let outcome = TuningSession::simple(&compiled, iters, DOWNWARD_THRESHOLD).drive(|v| {
-        let params = w.params_for(iter_no);
-        iter_no += 1;
-        let opts = v.launch_options(LaunchOptions::default());
-        run_launch_opts(dev, &v.machine, w.launch(), params, &mut global, opts)
-            .map(|r| r.cycles)
-            .map_err(orion_core::OrionError::from)
-    })?;
+    let outcome =
+        TuningSession::simple(&compiled, iters, DOWNWARD_THRESHOLD).drive(|v| app.launch(v))?;
+    let opts = LaunchOptions::default();
     let selected = &compiled.versions[outcome.selected];
-    let sel_run = run_version_once(dev, w, selected)?;
-    let nvcc_run = run_version_once(dev, w, &baseline)?;
+    // Steady state and baseline, each from fresh memory.
+    let fresh = |v| backend.run(v, w.launch(), &w.params, &mut w.init_global.clone(), opts);
+    let (sel_run, nvcc_run) = (fresh(selected)?, fresh(&baseline)?);
     // Tuning overhead amortized over the application horizon.
     let explored: u64 =
         outcome.iterations.iter().take(outcome.converged_after).map(|&(_, c)| c).sum();
@@ -240,14 +222,7 @@ pub fn run_with_alloc_options(
 ) -> Result<(u64, u32), ExperimentError> {
     let alloc = allocate(&w.module, budget, opts).map_err(orion_core::OrionError::from)?;
     let mut global = w.init_global.clone();
-    let r = run_launch_opts(
-        dev,
-        &alloc.machine,
-        w.launch(),
-        &w.params,
-        &mut global,
-        LaunchOptions::default(),
-    )?;
+    let r = run_launch(dev, &alloc.machine, w.launch(), &w.params, &mut global)?;
     Ok((r.cycles, alloc.machine.static_stack_moves))
 }
 

@@ -27,20 +27,23 @@
 //! entry that changed. Case order is fixed by the generators, so
 //! re-blessing unchanged code is byte-identical.
 
+use crate::app::{compile_workload, App};
 use crate::error::BenchError;
 use orion_alloc::realize::{
     allocate, AllocError, AllocOptions, AllocReport, Allocated, SlotBudget,
 };
-use orion_core::compiler::{CompiledKernel, Direction, KernelVersion};
+use orion_core::backend::SimBackend;
+use orion_core::compiler::{
+    compile, sweep, CompiledKernel, Direction, KernelVersion, TuningConfig,
+};
 use orion_core::error::OrionError;
-use orion_core::orion::Orion;
 use orion_core::policy::{BanditConfig, PolicyKind};
 use orion_core::resilient::{ResiliencePolicy, ResilienceStats};
 use orion_core::runtime::TuneDecision;
 use orion_core::session::{SessionOutcome, TuningSession};
 use orion_gpusim::device::DeviceSpec;
 use orion_gpusim::exec::Launch;
-use orion_gpusim::faults::{splitmix64, FaultInjector, FaultPlan, FaultSnapshot, LaunchFaults};
+use orion_gpusim::faults::{splitmix64, FaultInjector, FaultPlan, FaultSnapshot};
 use orion_gpusim::sim::{run_launch_opts, LaunchOptions, RunResult};
 use orion_gpusim::SimError;
 use orion_kir::builder::{build_fdiv_device, FunctionBuilder};
@@ -709,9 +712,11 @@ fn launch_cases() -> Vec<Case> {
             cases.push(Case::new(format!("{name}/gtx680/sweep-{end}"), true, move || {
                 let w = by_name(name).expect("workload");
                 let dev = DeviceSpec::gtx680();
-                let sweep = Orion::new(dev.clone(), w.block).sweep(&w.module).expect("sweep");
+                let sweep = sweep(&w.module, &dev, w.block).expect("sweep");
                 let v = if end == "first" { sweep.first() } else { sweep.last() }.expect("version");
-                workload_launch(&dev, &w, &v.machine, v.launch_options(serial()))
+                let mut global = w.init_global.clone();
+                let r = SimBackend::new(dev).run(v, w.launch(), &w.params, &mut global, serial());
+                launch_entry(&r, &global, None)
             }));
         }
     }
@@ -725,7 +730,7 @@ fn launch_cases() -> Vec<Case> {
                     let w = by_name(name).expect("workload");
                     let a =
                         allocate(&w.module, budget, &AllocOptions::default()).expect("allocate");
-                    workload_launch(&DeviceSpec::gtx680(), &w, &a.machine, serial())
+                    workload_launch(&DeviceSpec::gtx680(), &w, &a.machine)
                 },
             ));
         }
@@ -764,14 +769,10 @@ fn tiny_sequence_entry(dev: &DeviceSpec, machine: &MModule, seed: u64) -> Entry 
     }
 }
 
-fn workload_launch(
-    dev: &DeviceSpec,
-    w: &Workload,
-    machine: &MModule,
-    opts: LaunchOptions,
-) -> Entry {
+/// A serial launch of a raw allocation of `w`'s kernel.
+fn workload_launch(dev: &DeviceSpec, w: &Workload, machine: &MModule) -> Entry {
     let mut global = w.init_global.clone();
-    let r = run_launch_opts(dev, machine, w.launch(), &w.params, &mut global, opts);
+    let r = run_launch_opts(dev, machine, w.launch(), &w.params, &mut global, serial());
     launch_entry(&r, &global, None)
 }
 
@@ -1049,28 +1050,6 @@ fn synthetic_walk_cases(cases: &mut Vec<Case>) {
     }
 }
 
-/// One application run over a real workload: fresh global memory,
-/// per-iteration parameters, and an optional seeded fault injector.
-struct App {
-    dev: DeviceSpec,
-    w: Workload,
-    global: Vec<u8>,
-    iter_no: u32,
-    injector: Option<FaultInjector>,
-}
-
-impl App {
-    fn launch(&mut self, v: &KernelVersion) -> Result<u64, OrionError> {
-        let params = self.w.params_for(self.iter_no);
-        self.iter_no += 1;
-        let faults = self.injector.as_ref().map_or(LaunchFaults::NONE, FaultInjector::draw);
-        let opts = v.launch_options(LaunchOptions { faults, ..LaunchOptions::default() });
-        run_launch_opts(&self.dev, &v.machine, self.w.launch(), params, &mut self.global, opts)
-            .map(|r| r.cycles)
-            .map_err(OrionError::from)
-    }
-}
-
 /// Walks over real simulated launches of the tier-1 workloads: the
 /// plain walk, the fault-free resilient walk, the resilient walk under
 /// seeded chaos, and the plain walk over fresh-memory launches.
@@ -1082,14 +1061,11 @@ fn sim_walk_cases(cases: &mut Vec<Case>) {
         move || {
             let dev = DeviceSpec::gtx680();
             let w = by_name(name).expect("workload");
-            let mut orion = Orion::new(dev.clone(), w.block);
-            orion.cfg.can_tune = w.can_tune;
-            let ck = orion.compile(&w.module).expect("tier-1 workload compiles");
-            let global = w.init_global.clone();
+            let ck = compile_workload(&dev, &w).expect("tier-1 workload compiles");
+            let backend = SimBackend::new(dev);
             let injector = chaos.map(|seed| FaultInjector::new(FaultPlan::chaos(seed, 0.10, 0.05)));
-            let mut app = App { dev, w, global, iter_no: 0, injector };
-            let kernel = app.w.name;
-            drive(driver, kernel, &ck, ITERS, THRESHOLD, |v| app.launch(v))
+            let mut app = App::new(&backend, &w, injector.as_ref());
+            drive(driver, w.name, &ck, ITERS, THRESHOLD, |v| app.launch(v))
         }
     };
     for name in WORKLOADS {
@@ -1108,18 +1084,18 @@ fn sim_walk_cases(cases: &mut Vec<Case>) {
         }
     }
     // The plain walk at the workload's own iteration count, each launch
-    // from fresh memory at the serial engine settings.
+    // from fresh memory at the serial engine settings, over the
+    // dynamic-tuning candidates whatever the workload's `can_tune`.
     for name in WORKLOADS {
         cases.push(Case::new(format!("sim/fresh/{name}"), true, move || {
             let dev = DeviceSpec::gtx680();
             let w = by_name(name).expect("workload");
-            let ck = Orion::new(dev.clone(), w.block).compile(&w.module).expect("compile");
+            let ck = compile(&w.module, &dev, &TuningConfig::new(w.block)).expect("compile");
+            let backend = SimBackend::new(dev);
             drive(PAPER, "", &ck, w.iterations, 0.02, |v| {
-                let mut global = w.init_global.clone();
-                let opts = v.launch_options(serial());
-                run_launch_opts(&dev, &v.machine, w.launch(), &w.params, &mut global, opts)
-                    .map(|r| r.cycles)
-                    .map_err(OrionError::from)
+                Ok(backend
+                    .run(v, w.launch(), &w.params, &mut w.init_global.clone(), serial())?
+                    .cycles)
             })
         }));
     }

@@ -4,8 +4,8 @@
 //! Runs the tier-1 workloads through the widened candidate space
 //! (occupancy level × L1/shared split × split granularity, see
 //! [`CandidateSpace`]) under both shipped search rules ([`Policy`]),
-//! launching through [`SimBackend`]'s
-//! [`Backend::launch`], across clean and seeded-chaos measurement
+//! launching through [`SimBackend::run`] in one application run
+//! ([`App`]) per cell, across clean and seeded-chaos measurement
 //! streams, and records two axes per (workload, seed, policy) cell:
 //!
 //! * **launches-to-converge** — simulated launches (each grid slice
@@ -29,18 +29,18 @@
 //! [`bandit_config`]) as the committed `BENCH_search.json`;
 //! `tests/search.rs` gates it and pins the record byte for byte.
 
+use crate::app::{compile_workload, App};
 use crate::error::BenchError;
 use crate::figures::Figure;
-use orion_core::backend::{Backend, SimBackend};
+use orion_core::backend::SimBackend;
 use orion_core::compiler::KernelVersion;
-use orion_core::orion::Orion;
 use orion_core::policy::{analytic_bound, BanditConfig, BoundCtx, Policy, PolicyKind};
 use orion_core::resilient::ResiliencePolicy;
 use orion_core::session::{SessionStep, TuningSession};
 use orion_core::splitting::split_ranges;
 use orion_core::version::CandidateSpace;
 use orion_gpusim::device::DeviceSpec;
-use orion_gpusim::faults::{FaultInjector, FaultPlan, LaunchFaults};
+use orion_gpusim::faults::{FaultInjector, FaultPlan};
 use orion_gpusim::sim::LaunchOptions;
 use orion_workloads::{by_name, Workload};
 use serde::Serialize;
@@ -150,37 +150,30 @@ fn drive(
     let resilience = ResiliencePolicy { samples: 1, max_retries: 0, ..ResiliencePolicy::default() };
     let iterations = u32::try_from(budget).unwrap_or(u32::MAX);
     let mut session = TuningSession::over(w.name, ck, iterations, THRESHOLD, resilience, policy);
-    let mut global = w.init_global.clone();
-    let mut iter_no = 0u32;
-    let mut launches = 0u64;
-    while !session.state().is_settled() && launches < budget {
+    let mut app = App::new(backend, w, injector);
+    while !session.state().is_settled() && u64::from(app.launches()) < budget {
         let Ok(SessionStep::Launch(i)) = session.next_step() else { break };
         let slices = split_ranges(w.launch().grid, space.pieces[i]);
         let cycles = slices.into_iter().try_fold(0u64, |sum, range| {
-            let params = w.params_for(iter_no);
-            iter_no += 1;
-            let faults = injector.map_or(LaunchFaults::NONE, FaultInjector::draw);
-            let opts = LaunchOptions { cta_range: Some(range), faults, ..Default::default() };
-            launches += 1;
-            backend
-                .launch(&ck.versions[i], w.launch(), params, &mut global, opts)
-                .map(|c| sum.saturating_add(c))
+            let opts = LaunchOptions { cta_range: Some(range), ..LaunchOptions::default() };
+            let r = app.run(&ck.versions[i], opts)?;
+            Ok(sum.saturating_add(r.cycles))
         });
         if session.on_launch_result(cycles).is_err() {
             break;
         }
     }
     let quarantined = session.policy().quarantined_count();
-    SearchRun { launches, quarantined, selected: session.finish().selected }
+    SearchRun { launches: app.launches().into(), quarantined, selected: session.finish().selected }
 }
 
 /// One clean whole-grid run of a version under its steady-state launch
 /// options — the quality axis, noise-free on both sides.
 fn final_pick_cycles(backend: &SimBackend, w: &Workload, v: &KernelVersion) -> u64 {
-    let mut global = w.init_global.clone();
     backend
-        .launch(v, w.launch(), w.params_for(0), &mut global, LaunchOptions::default())
+        .run(v, w.launch(), w.params_for(0), &mut w.init_global.clone(), LaunchOptions::default())
         .expect("clean steady-state run")
+        .cycles
 }
 
 /// Run the ablation over [`WORKLOADS`] × `seeds` × both policies, the
@@ -195,9 +188,7 @@ pub fn ablation(dev: &DeviceSpec, seeds: &[u64], cfg: BanditConfig) -> SearchDoc
     let mut cells = Vec::new();
     for name in WORKLOADS {
         let w = by_name(name).expect("tier-1 workload");
-        let mut orion = Orion::new(dev.clone(), w.block);
-        orion.cfg.can_tune = w.can_tune;
-        let ck = orion.compile(&w.module).expect("tier-1 workload compiles");
+        let ck = compile_workload(dev, &w).expect("tier-1 workload compiles");
         let space =
             CandidateSpace::enumerate(dev, w.block, &w.module, ck.direction, w.launch().grid)
                 .expect("candidate space enumerates");

@@ -9,7 +9,8 @@
 //! buffer; the golden launch fixtures pin its results.
 
 use orion_bench::golden;
-use orion_core::orion::Orion;
+use orion_core::backend::SimBackend;
+use orion_core::compiler::{compile, sweep, TuningConfig};
 use orion_core::session::{SessionOutcome, TuningSession};
 use orion_gpusim::device::DeviceSpec;
 use orion_gpusim::exec::Launch;
@@ -39,24 +40,15 @@ fn fanout_opts() -> [LaunchOptions; 2] {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "sim-heavy; run with --release")]
 fn parallel_matches_serial_across_workloads_and_occupancy() {
-    let dev = DeviceSpec::gtx680();
+    let backend = SimBackend::new(DeviceSpec::gtx680());
     for name in WORKLOADS {
         let w = by_name(name).expect("workload");
-        let orion = Orion::new(dev.clone(), w.block);
-        let sweep = orion.sweep(&w.module).expect("sweep");
+        let sweep = sweep(&w.module, &DeviceSpec::gtx680(), w.block).expect("sweep");
         let levels = [sweep.first().unwrap(), sweep.last().unwrap()];
         for v in levels {
             let run = |opts: LaunchOptions| -> (RunResult, Vec<u8>) {
                 let mut global = w.init_global.clone();
-                let r = run_launch_opts(
-                    &dev,
-                    &v.machine,
-                    w.launch(),
-                    &w.params,
-                    &mut global,
-                    v.launch_options(opts),
-                )
-                .expect("launch");
+                let r = backend.run(v, w.launch(), &w.params, &mut global, opts).expect("launch");
                 (r, global)
             };
             let (reference, ref_global) = run(serial_opts());
@@ -77,21 +69,15 @@ fn parallel_matches_serial_across_workloads_and_occupancy() {
     }
 }
 
-fn tune_with(orion: &Orion, w: &orion_workloads::Workload, opts: LaunchOptions) -> SessionOutcome {
-    let compiled = orion.compile(&w.module).expect("compile");
+/// The paper's walk over `w`'s candidates, each launch from fresh
+/// memory under `opts`.
+fn tune_with(w: &orion_workloads::Workload, opts: LaunchOptions) -> SessionOutcome {
+    let dev = DeviceSpec::gtx680();
+    let compiled = compile(&w.module, &dev, &TuningConfig::new(w.block)).expect("compile");
+    let backend = SimBackend::new(dev);
     TuningSession::simple(&compiled, w.iterations, 0.02)
         .drive(|v| {
-            let mut global = w.init_global.clone();
-            run_launch_opts(
-                &orion.dev,
-                &v.machine,
-                w.launch(),
-                &w.params,
-                &mut global,
-                v.launch_options(opts),
-            )
-            .map(|r| r.cycles)
-            .map_err(orion_core::OrionError::from)
+            Ok(backend.run(v, w.launch(), &w.params, &mut w.init_global.clone(), opts)?.cycles)
         })
         .expect("tune loop")
 }
@@ -102,13 +88,11 @@ fn tune_with(orion: &Orion, w: &orion_workloads::Workload, opts: LaunchOptions) 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "sim-heavy; run with --release")]
 fn tuner_decisions_identical_across_fanout() {
-    let dev = DeviceSpec::gtx680();
     for name in WORKLOADS {
         let w = by_name(name).expect("workload");
-        let orion = Orion::new(dev.clone(), w.block);
-        let reference = tune_with(&orion, &w, serial_opts());
+        let reference = tune_with(&w, serial_opts());
         for opts in fanout_opts() {
-            let outcome = tune_with(&orion, &w, opts);
+            let outcome = tune_with(&w, opts);
             assert_eq!(outcome.selected, reference.selected, "{name}: selected version");
             assert_eq!(outcome.iterations, reference.iterations, "{name}: iteration walk");
             assert_eq!(

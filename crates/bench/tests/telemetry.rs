@@ -2,8 +2,9 @@
 //! emit valid, monotonically ordered JSON, and the stall-attribution
 //! invariant must hold across real workloads at multiple occupancies.
 
-use orion_bench::experiment::run_version_once;
-use orion_core::orion::Orion;
+use orion_core::backend::SimBackend;
+use orion_core::compiler::sweep;
+use orion_gpusim::sim::LaunchOptions;
 use orion_gpusim::DeviceSpec;
 
 /// The exporter output parses as JSON, carries the required
@@ -55,13 +56,15 @@ fn chrome_trace_exports_valid_sorted_json() {
 #[cfg_attr(debug_assertions, ignore = "simulator sweeps need --release")]
 fn stall_buckets_partition_on_real_workloads() {
     let dev = DeviceSpec::gtx680();
+    let backend = SimBackend::new(dev.clone());
     for name in ["matrixMul", "backprop", "hotspot"] {
         let w = orion_workloads::by_name(name).expect("known workload");
-        let orion = Orion::new(dev.clone(), w.block);
-        let versions = orion.sweep(&w.module).expect("sweep compiles");
+        let versions = sweep(&w.module, &dev, w.block).expect("sweep compiles");
         assert!(versions.len() >= 2, "{name}: need at least two occupancy levels");
         for v in [versions.first().unwrap(), versions.last().unwrap()] {
-            let r = run_version_once(&dev, &w, v).expect("run succeeds");
+            let r = backend
+                .run(v, w.launch(), &w.params, &mut w.init_global.clone(), LaunchOptions::default())
+                .expect("run succeeds");
             let st = &r.stats.stalls;
             assert_eq!(
                 st.total(),

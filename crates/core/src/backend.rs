@@ -38,7 +38,7 @@ use crate::compiler::{compile, CompiledKernel, KernelVersion, TuningConfig};
 use crate::error::OrionError;
 use orion_gpusim::device::DeviceSpec;
 use orion_gpusim::exec::{Launch, SimError};
-use orion_gpusim::sim::{run_launch_opts, LaunchOptions};
+use orion_gpusim::sim::{run_launch_opts, LaunchOptions, RunResult};
 use orion_kir::function::Module;
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -234,6 +234,24 @@ impl SimBackend {
         SimBackend { dev, next_ticket: AtomicU64::new(0), done: Mutex::new(Vec::new()) }
     }
 
+    /// Simulate one launch of `version`: the one place that applies the
+    /// version's driver-side settings ([`KernelVersion::launch_options`])
+    /// over the caller's `opts` and runs the simulator.
+    ///
+    /// # Errors
+    /// Propagates simulator failures, injected faults included.
+    pub fn run(
+        &self,
+        version: &KernelVersion,
+        launch: Launch,
+        params: &[u32],
+        global: &mut [u8],
+        opts: LaunchOptions,
+    ) -> Result<RunResult, SimError> {
+        let opts = version.launch_options(opts);
+        run_launch_opts(&self.dev, &version.machine, launch, params, global, opts)
+    }
+
     /// Every completion retired and not yet delivered.
     fn take_done(&self) -> Vec<Completion> {
         std::mem::take(&mut *self.done.lock().unwrap_or_else(PoisonError::into_inner))
@@ -269,8 +287,7 @@ impl Backend for SimBackend {
         global: &mut [u8],
         opts: LaunchOptions,
     ) -> Result<u64, OrionError> {
-        let opts = version.launch_options(opts);
-        Ok(run_launch_opts(&self.dev, &version.machine, launch, params, global, opts)?.cycles)
+        Ok(self.run(version, launch, params, global, opts)?.cycles)
     }
 }
 

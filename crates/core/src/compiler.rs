@@ -161,13 +161,7 @@ pub fn compile(
         if max_live >= MAX_LIVE_THRESHOLD { Direction::Increasing } else { Direction::Decreasing };
     let warps_per_block = cfg.block.div_ceil(dev.warp_size);
     let vb = VersionBuilder::new(dev, cfg.block, module);
-
-    // Original: minimal registers holding all live values (or hw cap).
-    let original_regs = (max_live.min(u32::from(dev.max_regs_per_thread)) as u16).max(2);
-    let original =
-        vb.realize(SlotBudget { reg_slots: original_regs, smem_slots: 0 }, "original")?;
-
-    let mut versions: Vec<KernelVersion> = vec![original];
+    let mut versions: Vec<KernelVersion> = vec![realize_original(&vb, dev, max_live)?];
     let original_idx = 0usize;
 
     match direction {
@@ -310,6 +304,54 @@ pub fn compile(
     Ok(CompiledKernel { versions, direction, original: original_idx, max_live, tuning_order })
 }
 
+/// The nvcc-like original: every live value in registers, and whatever
+/// occupancy the driver derives from that. [`compile`] starts from it;
+/// the experiments' nvcc baseline is it, whatever [`compile`] selected.
+///
+/// # Errors
+/// Propagates verifier and allocator failures.
+pub fn original(
+    module: &Module,
+    dev: &DeviceSpec,
+    block: u32,
+) -> Result<KernelVersion, OrionError> {
+    orion_kir::verify::verify(module)?;
+    let max_live = kernel_max_live(module)?;
+    realize_original(&VersionBuilder::new(dev, block, module), dev, max_live)
+}
+
+/// The original's register budget, the one place it is set: the
+/// kernel's max-live registers (capped by the hardware, at least two),
+/// no shared-memory slots.
+fn realize_original(
+    vb: &VersionBuilder<'_>,
+    dev: &DeviceSpec,
+    max_live: u32,
+) -> Result<KernelVersion, OrionError> {
+    let regs = (max_live.min(u32::from(dev.max_regs_per_thread)) as u16).max(2);
+    vb.realize(SlotBudget { reg_slots: regs, smem_slots: 0 }, "original")
+}
+
+/// [`VersionBuilder::sweep`] of a verified module: one version per
+/// achievable occupancy level, ascending — the exhaustive sweep behind
+/// Figures 1/2/10/14/15 and the Orion-Min/Max bars of Figure 11.
+///
+/// # Errors
+/// Propagates verifier and allocator failures, and fails when no level
+/// is achievable at all.
+pub fn sweep(
+    module: &Module,
+    dev: &DeviceSpec,
+    block: u32,
+) -> Result<Vec<KernelVersion>, OrionError> {
+    orion_kir::verify::verify(module)?;
+    let out = VersionBuilder::new(dev, block, module).sweep()?;
+    if out.is_empty() {
+        return Err(OrionError::NoAchievableOccupancy);
+    }
+    Ok(out)
+}
+
 /// Static estimate of the fewest warps that still cover memory latency
 /// (the Figure 8 `WS * CDI / DL` test, interpreted as: each warp issues
 /// roughly `insts_per_mem × issue interval` cycles of work per memory
@@ -342,6 +384,33 @@ mod tests {
         }
         b.st(MemSpace::Global, Width::W32, addr, acc, 0);
         Module::new(b.finish())
+    }
+
+    #[test]
+    fn sweep_covers_many_levels() {
+        let sweep = sweep(&pressure_kernel(8), &DeviceSpec::c2075(), 192).unwrap();
+        assert!(sweep.len() >= 5, "{}", sweep.len());
+        // Ascending occupancy, including the hardware max.
+        assert!(sweep.windows(2).all(|w| w[0].achieved_warps < w[1].achieved_warps));
+        assert_eq!(sweep.last().unwrap().achieved_warps, 48);
+        // Low levels pad, high levels don't.
+        assert!(sweep.first().unwrap().extra_smem > 0);
+        assert_eq!(sweep.last().unwrap().extra_smem, 0);
+    }
+
+    #[test]
+    fn original_uses_maxlive_registers() {
+        let dev = DeviceSpec::gtx680();
+        let m = pressure_kernel(40);
+        let base = original(&m, &dev, 256).unwrap();
+        assert!(base.machine.regs_per_thread >= 40);
+        assert_eq!(base.machine.smem_slots_per_thread, 0);
+        assert!(base.occupancy < 1.0);
+        // The candidate set starts from the very same version.
+        let ck = compile(&m, &dev, &TuningConfig::new(256)).unwrap();
+        let cand = &ck.versions[ck.original];
+        assert_eq!((cand.label.as_str(), cand.achieved_warps), ("original", base.achieved_warps));
+        assert_eq!(cand.machine, base.machine);
     }
 
     #[test]

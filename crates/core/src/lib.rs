@@ -9,7 +9,10 @@
 //! 1. **Compile-time tuning** ([`compiler`], Figure 8): decide the
 //!    tuning direction from the *max-live* metric, realize candidate
 //!    occupancy levels through on-chip memory allocation
-//!    (`orion-alloc`), and emit ≤ 5 kernel versions.
+//!    (`orion-alloc`), and emit ≤ 5 kernel versions. Beside
+//!    [`compiler::compile`] sit the nvcc-like original it starts from
+//!    ([`compiler::original`], the experiments' baseline) and the
+//!    exhaustive occupancy sweep ([`compiler::sweep`]).
 //! 2. **Runtime adaptation** ([`session`], Figure 9): walk the
 //!    candidates across application iterations, finalizing the best (or
 //!    the lowest occupancy within 2% of the best when tuning downward,
@@ -21,7 +24,9 @@
 //! The runtime walk is one typed state machine,
 //! [`session::TuningSession`], executed on a pluggable
 //! [`backend::Backend`] (the `orion-gpusim` simulator, or a scripted
-//! [`backend::ReplayBackend`] for tests). Whole applications — many
+//! [`backend::ReplayBackend`] for tests). [`backend::SimBackend::run`]
+//! is the one way to simulate a [`compiler::KernelVersion`]: it applies
+//! the version's padding and L1/shared split to every launch. Whole applications — many
 //! kernels, one device — go through [`service::OrionService`], which
 //! runs one session per kernel on worker threads that each own whole
 //! jobs, sharing one compile cache and telemetry stream:
@@ -86,7 +91,6 @@ pub mod budget;
 pub mod cache;
 pub mod compiler;
 pub mod error;
-pub mod orion;
 pub mod policy;
 pub mod resilient;
 pub mod runtime;
@@ -104,7 +108,6 @@ pub use backend::{
 pub use cache::{allocate_cached, CompileCacheStats, FingerprintedModule};
 pub use compiler::{compile, CompiledKernel, Direction, KernelVersion, TuningConfig};
 pub use error::{ErrorContext, OrionError};
-pub use orion::Orion;
 pub use policy::{
     analytic_bound, BanditConfig, BanditPolicy, BoundCtx, Measurement, Policy, PolicyKind,
     PolicyVerdict,

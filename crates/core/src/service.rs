@@ -87,7 +87,7 @@
 //! at any worker count. The service only *draws* launch faults: each
 //! draw rides to the backend in [`LaunchOptions::faults`], and the
 //! simulator applies it exactly as for any direct caller
-//! ([`orion_gpusim::sim::run_launch_opts`]). Backends that never run
+//! ([`crate::backend::SimBackend::run`]). Backends that never run
 //! the simulator (e.g. [`crate::backend::ReplayBackend`]) ignore it.
 //!
 //! ## Job lifecycle

@@ -1,7 +1,8 @@
 //! Shared construction of [`KernelVersion`]s.
 //!
-//! The compile stage ([`crate::compiler::compile`]), the nvcc-like
-//! baseline, the exhaustive occupancy sweep and the search lattice
+//! The compile stage ([`crate::compiler::compile`]), its nvcc-like
+//! original ([`crate::compiler::original`]), the exhaustive occupancy
+//! sweep ([`crate::compiler::sweep`]) and the search lattice
 //! ([`CandidateSpace`]) all produce the same artifact — a compiled
 //! binary plus the driver-side launch settings (padding, L1/shared
 //! split) that fix the occupancy the driver will schedule it at. [`VersionBuilder`] is the single place that

@@ -13,13 +13,14 @@
 //! enumerated candidate space exhaustively on the simulator, and
 //! asserts the measured winner is inside the default prune window.
 
+use orion_core::compiler::{compile, TuningConfig};
 use orion_core::policy::{analytic_bound, BanditConfig, BoundCtx};
 use orion_core::version::CandidateSpace;
-use orion_core::Orion;
+use orion_core::SimBackend;
 use orion_gpusim::device::DeviceSpec;
 use orion_gpusim::exec::Launch;
 use orion_gpusim::faults::splitmix64;
-use orion_gpusim::sim::{run_launch_opts, LaunchOptions};
+use orion_gpusim::sim::LaunchOptions;
 use orion_kir::builder::FunctionBuilder;
 use orion_kir::function::Module;
 use orion_kir::inst::Operand;
@@ -59,8 +60,7 @@ fn analytic_bound_never_prunes_the_exhaustive_winner() {
         let grid = (splitmix64(&mut rng) % 24 + 2) as u32;
         let live = (splitmix64(&mut rng) % 36 + 4) as usize;
         let module = kernel(live);
-        let orion = Orion::new(dev.clone(), block);
-        let Ok(ck) = orion.compile(&module) else { continue };
+        let Ok(ck) = compile(&module, &dev, &TuningConfig::new(block)) else { continue };
         // Grids of at most 25 blocks never pass `can_split` on either
         // device, so the space is the occupancy × cache lattice alone:
         // the split axis only re-measures the same work in slices.
@@ -76,12 +76,13 @@ fn analytic_bound_never_prunes_the_exhaustive_winner() {
         let launch = Launch { grid, block };
         let ctx = BoundCtx::new(block, grid, dev.num_sms, dev.warp_size);
         let bounds: Vec<u64> = versions.iter().map(|v| analytic_bound(v, &ctx)).collect();
+        let backend = SimBackend::new(dev.clone());
         let measured: Vec<u64> = versions
             .iter()
             .map(|v| {
                 let mut global = vec![0u8; 4 * (grid as usize) * (block as usize)];
-                let opts = v.launch_options(LaunchOptions::default());
-                run_launch_opts(&dev, &v.machine, launch, &[0], &mut global, opts)
+                backend
+                    .run(v, launch, &[0], &mut global, LaunchOptions::default())
                     .unwrap_or_else(|e| panic!("version {} failed: {e}", v.label))
                     .cycles
             })

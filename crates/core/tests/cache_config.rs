@@ -8,7 +8,7 @@
 
 use orion_alloc::realize::{AllocOptions, SlotBudget};
 use orion_core::cache::{self, FingerprintedModule, CACHE_CAPACITY};
-use orion_core::orion::Orion;
+use orion_core::compiler::{compile, TuningConfig};
 use orion_gpusim::device::DeviceSpec;
 use orion_kir::builder::FunctionBuilder;
 use orion_kir::function::Module;
@@ -118,12 +118,12 @@ fn capacity_bounds_entries_and_counts_evictions() {
     // A warm rebuild of a kernel's candidate set re-allocates nothing:
     // every lookup of the second compile hits. (A reset between the two
     // compiles zeroes the counters, so the warm delta would read no hits.)
-    let orion = Orion::new(DeviceSpec::gtx680(), 128);
+    let (dev, cfg) = (DeviceSpec::gtx680(), TuningConfig::new(128));
     let m = module(300);
     let before = cache::stats();
-    orion.compile(&m).expect("cold compile");
+    compile(&m, &dev, &cfg).expect("cold compile");
     let after_cold = cache::stats();
-    orion.compile(&m).expect("warm compile");
+    compile(&m, &dev, &cfg).expect("warm compile");
     let cold = after_cold.delta_since(&before);
     let warm = cache::stats().delta_since(&after_cold);
     assert!(cold.misses > 0, "the cold compile allocates: {cold:?}");

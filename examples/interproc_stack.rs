@@ -1,6 +1,8 @@
 //! Inspect the compressible stack (§3.2): how inter-procedural
 //! allocation lays out frames, and what the Figure 5 ablations
-//! (no space minimization / no data-movement minimization) cost.
+//! (no space minimization / no data-movement minimization) cost. Each
+//! configuration is a raw allocation, so it runs on the simulator
+//! directly (`sim::run_launch`), with no version settings to apply.
 //!
 //! ```sh
 //! cargo run --release --example interproc_stack -- cfd
@@ -8,7 +10,7 @@
 
 use orion::alloc::realize::{allocate, AllocOptions, SlotBudget};
 use orion::gpusim::device::DeviceSpec;
-use orion::gpusim::sim::{run_launch_opts, LaunchOptions};
+use orion::gpusim::sim::run_launch;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().collect();
@@ -42,14 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         let mut global = w.init_global.clone();
-        let r = run_launch_opts(
-            &dev,
-            &alloc.machine,
-            w.launch(),
-            &w.params,
-            &mut global,
-            LaunchOptions::default(),
-        )?;
+        let r = run_launch(&dev, &alloc.machine, w.launch(), &w.params, &mut global)?;
         println!(
             "{:<30} {:>6} {:>6} {:>7} {:>12}",
             label,

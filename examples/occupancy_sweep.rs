@@ -1,13 +1,16 @@
-//! Reproduce a Figure 1-style occupancy curve for any bundled benchmark.
+//! Reproduce a Figure 1-style occupancy curve for any bundled benchmark:
+//! every level of `compiler::sweep`, each launched once from fresh memory
+//! through `SimBackend::run`.
 //!
 //! ```sh
 //! cargo run --release --example occupancy_sweep -- imageDenoising gtx680
 //! cargo run --release --example occupancy_sweep -- srad c2075
 //! ```
 
-use orion::core::orion::Orion;
+use orion::core::backend::SimBackend;
+use orion::core::compiler::sweep;
 use orion::gpusim::device::DeviceSpec;
-use orion::gpusim::sim::{run_launch_opts, LaunchOptions};
+use orion::gpusim::sim::LaunchOptions;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().collect();
@@ -29,20 +32,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "occupancy", "warps", "regs", "smem", "cycles", "norm"
     );
 
-    let orion = Orion::new(dev.clone(), w.block);
-    let versions = orion.sweep(&w.module)?;
+    let versions = sweep(&w.module, &dev, w.block)?;
+    let backend = SimBackend::new(dev);
     let mut results = Vec::new();
     for v in &versions {
-        let mut global = w.init_global.clone();
-        let r = run_launch_opts(
-            &dev,
-            &v.machine,
-            w.launch(),
-            &w.params,
-            &mut global,
-            v.launch_options(LaunchOptions::default()),
-        );
-        if let Ok(r) = r {
+        let global = &mut w.init_global.clone();
+        if let Ok(r) = backend.run(v, w.launch(), &w.params, global, LaunchOptions::default()) {
             results.push((v, r.cycles));
         }
     }

@@ -1,14 +1,18 @@
-//! Five-minute tour: build a kernel, let Orion pick its occupancy, and
-//! compare with the nvcc-like baseline on the simulated GTX680.
+//! Five-minute tour: build a kernel, compile its candidates
+//! (`compiler::compile`), let the Figure 9 walk pick its occupancy over
+//! `SimBackend::run` launches, and compare with the nvcc-like original
+//! (`compiler::original`) on the simulated GTX680.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
 
-use orion::core::orion::Orion;
+use orion::core::backend::SimBackend;
+use orion::core::compiler::{compile, original, TuningConfig};
 use orion::core::session::TuningSession;
 use orion::gpusim::device::DeviceSpec;
 use orion::gpusim::exec::Launch;
+use orion::gpusim::sim::LaunchOptions;
 use orion::kir::builder::FunctionBuilder;
 use orion::kir::function::Module;
 use orion::kir::inst::Operand;
@@ -40,8 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- 2. Compile with Orion (Figure 8) -------------------------------
     let dev = DeviceSpec::gtx680();
-    let orion = Orion::new(dev.clone(), 256);
-    let compiled = orion.compile(&module)?;
+    let compiled = compile(&module, &dev, &TuningConfig::new(256))?;
     println!("max-live           : {} words", compiled.max_live);
     println!("tuning direction   : {:?}", compiled.direction);
     println!("candidate versions : {}", compiled.num_candidates());
@@ -53,11 +56,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- 3. Tune at runtime (Figure 9) ----------------------------------
+    let backend = SimBackend::new(dev.clone());
     let n: u32 = 64 * 256;
     let launch = Launch { grid: 64, block: 256 };
+    let (params, opts) = ([0, 4 * n], LaunchOptions::default());
     let mut global = vec![0u8; (8 * n) as usize];
     let outcome = TuningSession::simple(&compiled, 8, 0.02)
-        .drive(|v| orion.run_version(v, launch, &[0, 4 * n], &mut global).map(|r| r.cycles))?;
+        .drive(|v| Ok(backend.run(v, launch, &params, &mut global, opts)?.cycles))?;
     let sel = &compiled.versions[outcome.selected];
     println!(
         "\nselected after {} trials: {} (occupancy {:.2})",
@@ -65,11 +70,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- 4. Compare with the nvcc-like baseline -------------------------
-    let baseline = orion.baseline(&module)?;
+    let baseline = original(&module, &dev, 256)?;
     let mut g1 = vec![0u8; (8 * n) as usize];
-    let sel_cycles = orion.run_version(sel, launch, &[0, 4 * n], &mut g1)?.cycles;
+    let sel_cycles = backend.run(sel, launch, &params, &mut g1, opts)?.cycles;
     let mut g2 = vec![0u8; (8 * n) as usize];
-    let nvcc_cycles = orion.run_version(&baseline, launch, &[0, 4 * n], &mut g2)?.cycles;
+    let nvcc_cycles = backend.run(&baseline, launch, &params, &mut g2, opts)?.cycles;
     assert_eq!(g1, g2, "same results regardless of occupancy");
     println!(
         "orion {} cycles vs nvcc {} cycles -> speedup {:.2}x",

@@ -1,14 +1,16 @@
 //! Watch the Figure 9 dynamic tuner at work: iteration-by-iteration
-//! version selection on a real benchmark's application loop.
+//! version selection on a real benchmark's application loop (one
+//! memory image, each iteration's parameters, `SimBackend::run`).
 //!
 //! ```sh
 //! cargo run --release --example runtime_adaptation -- srad
 //! ```
 
-use orion::core::orion::Orion;
+use orion::core::backend::SimBackend;
+use orion::core::compiler::{compile, TuningConfig};
 use orion::core::policy::{Measurement, Policy, PolicyVerdict};
 use orion::gpusim::device::DeviceSpec;
-use orion::gpusim::sim::{run_launch_opts, LaunchOptions};
+use orion::gpusim::sim::LaunchOptions;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().collect();
@@ -18,10 +20,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Some("gtx680") => DeviceSpec::gtx680(),
         _ => DeviceSpec::c2075(),
     };
-    let mut orion = Orion::new(dev.clone(), w.block);
-    orion.cfg.can_tune = w.can_tune;
-
-    let compiled = orion.compile(&w.module)?;
+    let cfg = TuningConfig { can_tune: w.can_tune, ..TuningConfig::new(w.block) };
+    let compiled = compile(&w.module, &dev, &cfg)?;
     println!(
         "{}: direction {:?}, {} candidates, max-live {}",
         w.name,
@@ -30,19 +30,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         compiled.max_live
     );
 
+    let backend = SimBackend::new(dev);
     let mut walk = Policy::walk(&compiled, 0.02);
     let mut global = w.init_global.clone();
     for iter in 0..w.iterations {
         let vidx = walk.select();
         let v = &compiled.versions[vidx];
-        let r = run_launch_opts(
-            &dev,
-            &v.machine,
-            w.launch(),
-            w.params_for(iter),
-            &mut global,
-            v.launch_options(LaunchOptions::default()),
-        )?;
+        let params = w.params_for(iter);
+        let r = backend.run(v, w.launch(), params, &mut global, LaunchOptions::default())?;
         let status = match walk.verdict() {
             PolicyVerdict::Finalized(_) => "steady",
             _ => "tuning",
