@@ -21,12 +21,26 @@ pub fn compile_workload(dev: &DeviceSpec, w: &Workload) -> Result<CompiledKernel
     compile(&w.module, dev, &TuningConfig { can_tune: w.can_tune, ..TuningConfig::new(w.block) })
 }
 
+/// The steady state of `v` on `w`: one fault-free whole-grid launch on
+/// a fresh copy of `w.init_global`, at the workload's representative
+/// parameters `w.params` (for bfs, a large level, not the first).
+///
+/// # Errors
+/// Propagates simulator failures.
+pub fn steady_run(
+    backend: &SimBackend,
+    w: &Workload,
+    v: &KernelVersion,
+) -> Result<RunResult, SimError> {
+    let global = &mut w.init_global.clone();
+    backend.run(v, w.launch(), &w.params, global, LaunchOptions::default())
+}
+
 /// One run of `w`'s application on a [`SimBackend`]: one global-memory
 /// image that every launch updates, the workload's parameters for each
 /// launch's iteration ([`Workload::params_for`]), and an optional fault
 /// injector drawn once per launch. A launch from fresh memory is not an
-/// application run: call [`SimBackend::run`] on a clone of
-/// `w.init_global` instead.
+/// application run: call [`steady_run`] instead.
 #[derive(Debug)]
 pub struct App<'a> {
     backend: &'a SimBackend,
@@ -111,5 +125,21 @@ mod tests {
         assert_eq!(got, want, "per-launch cycles");
         assert_eq!(app.launches(), 4);
         assert!(app.global() == global.as_slice(), "final memory");
+    }
+
+    /// The steady state is measured at bfs's representative level
+    /// (`w.params`, 672 of 672 blocks busy), not at the first level's
+    /// small frontier (96 busy).
+    #[test]
+    fn steady_run_measures_bfs_at_its_representative_params() {
+        let w = orion_workloads::by_name("bfs").expect("bfs");
+        assert_ne!(w.params.as_slice(), w.params_for(0));
+        let dev = DeviceSpec::gtx680();
+        let backend = SimBackend::new(dev.clone());
+        let v = original(&w.module, &dev, w.block).expect("original");
+        let global = &mut w.init_global.clone();
+        let at_params = backend.run(&v, w.launch(), &w.params, global, LaunchOptions::default());
+        let steady = steady_run(&backend, &w, &v).expect("steady run");
+        assert_eq!(steady.cycles, at_params.expect("launch").cycles);
     }
 }

@@ -36,24 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("Figure 12 (C2075)", figures::fig12(&c2075)?),
         ("Figure 12 (GTX680)", figures::fig12(&gtx680)?),
         ("Figure 13", figures::fig13()?),
-        (
-            "Figure 14",
-            figures::curve_pair(
-                &c2075,
-                ["gaussian", "streamcluster"],
-                "Figure 14",
-                "paper: gaussian insensitive; streamcluster best ~0.75, flat above 0.5",
-            )?,
-        ),
-        (
-            "Figure 15",
-            figures::curve_pair(
-                &gtx680,
-                ["backprop", "bfs"],
-                "Figure 15",
-                "paper: backprop bell best ~0.75; bfs best at max, flat above 0.5",
-            )?,
-        ),
+        ("Figure 14", figures::fig14()?),
+        ("Figure 15", figures::fig15()?),
     ];
     for (name, fig) in sections {
         eprintln!("== {name} done ==");

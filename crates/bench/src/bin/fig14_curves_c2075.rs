@@ -1,11 +1,5 @@
 //! Figure 14: gaussian and streamcluster occupancy curves on C2075.
-use orion_gpusim::DeviceSpec;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    orion_bench::emit(&orion_bench::figures::curve_pair(
-        &DeviceSpec::c2075(),
-        ["gaussian", "streamcluster"],
-        "Figure 14",
-        "paper: gaussian insensitive to occupancy; streamcluster skewed bell, best ~0.75, flat above 0.5",
-    )?)?;
+    orion_bench::emit(&orion_bench::figures::fig14()?)?;
     Ok(())
 }

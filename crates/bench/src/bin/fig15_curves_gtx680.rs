@@ -1,11 +1,5 @@
 //! Figure 15: backprop and bfs occupancy curves on GTX680.
-use orion_gpusim::DeviceSpec;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    orion_bench::emit(&orion_bench::figures::curve_pair(
-        &DeviceSpec::gtx680(),
-        ["backprop", "bfs"],
-        "Figure 15",
-        "paper: backprop skewed bell (best ~0.75); bfs best at max occupancy, flat above 0.5",
-    )?)?;
+    orion_bench::emit(&orion_bench::figures::fig15()?)?;
     Ok(())
 }

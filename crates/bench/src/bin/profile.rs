@@ -33,7 +33,6 @@ use orion_bench::error::write_file;
 use orion_core::backend::SimBackend;
 use orion_core::compiler::{sweep, TuningConfig};
 use orion_core::service::{JobPolicy, KernelJob, OrionService, ServiceConfig};
-use orion_gpusim::sim::LaunchOptions;
 use orion_gpusim::DeviceSpec;
 use orion_telemetry::metrics::MetricsReport;
 use orion_telemetry::timeline;
@@ -129,8 +128,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if warps_filter.is_some_and(|f| v.achieved_warps != f) {
             continue;
         }
-        let global = &mut w.init_global.clone();
-        let r = match backend.run(v, w.launch(), &w.params, global, LaunchOptions::default()) {
+        let r = match orion_bench::steady_run(&backend, &w, v) {
             Ok(r) => r,
             Err(e) => {
                 println!("{:>5} ERROR {e}", v.achieved_warps);

@@ -19,7 +19,7 @@
 //! [`FaultSnapshot`] and the executor's [`ResilienceStats`], the one
 //! copy of each tally; the sweep does not touch telemetry.
 
-use crate::app::{compile_workload, App};
+use crate::app::{compile_workload, steady_run, App};
 use crate::experiment::{ExperimentError, DOWNWARD_THRESHOLD};
 use crate::figures::Figure;
 use crate::report::render_table;
@@ -29,7 +29,6 @@ use orion_core::resilient::{ResiliencePolicy, ResilienceStats};
 use orion_core::session::TuningSession;
 use orion_gpusim::device::DeviceSpec;
 use orion_gpusim::faults::{FaultInjector, FaultPlan, FaultSnapshot};
-use orion_gpusim::sim::LaunchOptions;
 use orion_workloads::Workload;
 use serde::{Deserialize, Serialize};
 
@@ -104,10 +103,7 @@ fn chaos_rows(
     points: &[(u64, f64, f64)],
 ) -> Result<Vec<ChaosRow>, ExperimentError> {
     let backend = SimBackend::new(dev.clone());
-    // Steady state: one fault-free launch from fresh memory.
-    let steady = |v: &KernelVersion| {
-        backend.run(v, w.launch(), &w.params, &mut w.init_global.clone(), LaunchOptions::default())
-    };
+    let steady = |v: &KernelVersion| steady_run(&backend, w, v);
     let compiled = compile_workload(dev, w)?;
     let iters = w.iterations.max(CHAOS_ITERS);
     let mut app = App::new(&backend, w, None);

@@ -1,7 +1,7 @@
 //! The shared experiment engine: sweeps, Orion end-to-end runs,
 //! baselines, ablations, and energy accounting over the workloads.
 
-use crate::app::{compile_workload, App};
+use crate::app::{compile_workload, steady_run, App};
 use orion_alloc::realize::{allocate, AllocOptions, SlotBudget};
 use orion_core::backend::SimBackend;
 use orion_core::compiler::{original, sweep};
@@ -9,7 +9,7 @@ use orion_core::session::TuningSession;
 use orion_gpusim::device::DeviceSpec;
 use orion_gpusim::exec::SimError;
 use orion_gpusim::power::{energy, EnergyReport, PowerModel};
-use orion_gpusim::sim::{run_launch, LaunchOptions, RunResult};
+use orion_gpusim::sim::{run_launch, RunResult};
 use orion_workloads::Workload;
 use serde::{Deserialize, Serialize};
 
@@ -64,8 +64,7 @@ pub fn sweep_curve(dev: &DeviceSpec, w: &Workload) -> Result<Vec<CurvePoint>, Ex
     let model = PowerModel::default();
     let mut out = Vec::with_capacity(versions.len());
     for v in &versions {
-        let global = &mut w.init_global.clone();
-        match backend.run(v, w.launch(), &w.params, global, LaunchOptions::default()) {
+        match steady_run(&backend, w, v) {
             Ok(r) => out.push(CurvePoint {
                 warps: v.achieved_warps,
                 occupancy: v.occupancy,
@@ -162,11 +161,9 @@ fn orion_select_impl(
     let iters = w.iterations.max(1);
     let outcome =
         TuningSession::simple(&compiled, iters, DOWNWARD_THRESHOLD).drive(|v| app.launch(v))?;
-    let opts = LaunchOptions::default();
     let selected = &compiled.versions[outcome.selected];
-    // Steady state and baseline, each from fresh memory.
-    let fresh = |v| backend.run(v, w.launch(), &w.params, &mut w.init_global.clone(), opts);
-    let (sel_run, nvcc_run) = (fresh(selected)?, fresh(&baseline)?);
+    let (sel_run, nvcc_run) =
+        (steady_run(&backend, w, selected)?, steady_run(&backend, w, &baseline)?);
     // Tuning overhead amortized over the application horizon.
     let explored: u64 =
         outcome.iterations.iter().take(outcome.converged_after).map(|&(_, c)| c).sum();

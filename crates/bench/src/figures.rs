@@ -400,8 +400,28 @@ pub fn fig13() -> Result<Figure, ExperimentError> {
     Ok(Figure::new("fig13", text, obj(vec![("rows", Value::Seq(data_rows))])))
 }
 
+/// Figure 14: gaussian and streamcluster occupancy curves on C2075.
+pub fn fig14() -> Result<Figure, ExperimentError> {
+    curve_pair(
+        &DeviceSpec::c2075(),
+        ["gaussian", "streamcluster"],
+        "Figure 14",
+        "paper: gaussian insensitive; streamcluster best ~0.75, flat above 0.5",
+    )
+}
+
+/// Figure 15: backprop and bfs occupancy curves on GTX680.
+pub fn fig15() -> Result<Figure, ExperimentError> {
+    curve_pair(
+        &DeviceSpec::gtx680(),
+        ["backprop", "bfs"],
+        "Figure 15",
+        "paper: backprop bell best ~0.75; bfs best at max, flat above 0.5",
+    )
+}
+
 /// Figures 14/15: occupancy curves for two benchmarks on one device.
-pub fn curve_pair(
+fn curve_pair(
     dev: &DeviceSpec,
     names: [&str; 2],
     figure: &str,

@@ -7,7 +7,10 @@
 //! accounting. Every compiled version runs through
 //! [`orion_core::backend::SimBackend::run`]; every tuning run over a
 //! workload's application loop (experiments, chaos sweep, search
-//! ablation, golden walks) is one [`app::App`]. `cargo run --release -p orion-bench --bin all_experiments`
+//! ablation, golden walks) is one [`app::App`], and every steady-state
+//! measurement of a pick or a sweep level (experiments, chaos sweep,
+//! search ablation, `profile`) is one [`app::steady_run`].
+//! `cargo run --release -p orion-bench --bin all_experiments`
 //! regenerates every result, rewrites `EXPERIMENTS.md`, and drops a
 //! `BENCH_<slug>.json` artifact per figure with the structured numbers.
 //!
@@ -24,7 +27,7 @@ pub mod golden;
 pub mod report;
 pub mod search;
 
-pub use app::{compile_workload, App};
+pub use app::{compile_workload, steady_run, App};
 pub use chaos::{chaos_run, chaos_sweep, ChaosRow, ChaosSummary, ChaosSweep};
 pub use error::BenchError;
 pub use experiment::{orion_select, sweep_curve, CurvePoint, ExperimentError, SelectOutcome};

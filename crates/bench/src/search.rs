@@ -29,7 +29,7 @@
 //! [`bandit_config`]) as the committed `BENCH_search.json`;
 //! `tests/search.rs` gates it and pins the record byte for byte.
 
-use crate::app::{compile_workload, App};
+use crate::app::{compile_workload, steady_run, App};
 use crate::error::BenchError;
 use crate::figures::Figure;
 use orion_core::backend::SimBackend;
@@ -167,15 +167,6 @@ fn drive(
     SearchRun { launches: app.launches().into(), quarantined, selected: session.finish().selected }
 }
 
-/// One clean whole-grid run of a version under its steady-state launch
-/// options — the quality axis, noise-free on both sides.
-fn final_pick_cycles(backend: &SimBackend, w: &Workload, v: &KernelVersion) -> u64 {
-    backend
-        .run(v, w.launch(), w.params_for(0), &mut w.init_global.clone(), LaunchOptions::default())
-        .expect("clean steady-state run")
-        .cycles
-}
-
 /// Run the ablation over [`WORKLOADS`] × `seeds` × both policies, the
 /// bandit on schedule `cfg`.
 ///
@@ -224,7 +215,9 @@ pub fn ablation(dev: &DeviceSpec, seeds: &[u64], cfg: BanditConfig) -> SearchDoc
                     launches_to_converge: run.launches,
                     quarantined: run.quarantined,
                     selected_label: picked.label.clone(),
-                    final_pick_cycles: final_pick_cycles(&backend, &w, picked),
+                    final_pick_cycles: steady_run(&backend, &w, picked)
+                        .expect("clean steady-state run")
+                        .cycles,
                 });
             }
         }

@@ -12,8 +12,9 @@
 //! Two implementations ship:
 //!
 //! * [`SimBackend`] — the `orion-gpusim` simulated device; it applies
-//!   the fault draw a launch carries in [`LaunchOptions::faults`]
-//!   (chaos runs draw them per job, `ServiceConfig::chaos`);
+//!   the fault draw a launch carries in [`LaunchOptions::faults`] (the
+//!   caller draws it: the service draws none, the chaos benches draw
+//!   one per launch from a `FaultInjector`);
 //! * [`ReplayBackend`] — a scripted backend that plays back a recorded
 //!   (or hand-written) sequence of per-version launch outcomes. It
 //!   never executes anything, which makes session-level tests — e.g.
@@ -27,9 +28,10 @@
 //! [`SimBackend`] implements it inline: a submission runs at once on
 //! the submitter and its completion waits in a mailbox until polled.
 //! Nothing in the workspace calls it — [`OrionService`] runs each job
-//! on a worker thread through the blocking [`Backend::launch`] — and
-//! the benchmark's tracing wrapper is its only user outside the
-//! workspace; ROADMAP item 9 deletes it with that wrapper.
+//! on a worker thread through the blocking [`Backend::launch`], under
+//! the job's one panic boundary — and the benchmark's tracing wrapper
+//! is its only user outside the workspace; ROADMAP item 9 deletes it
+//! with that wrapper and `guarded_launch`, its panic boundary.
 //!
 //! [`TuningSession`]: crate::session::TuningSession
 //! [`OrionService`]: crate::service::OrionService
@@ -201,7 +203,8 @@ pub(crate) fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// [`Backend::launch`] with its unwinding caught: a launch that panics
 /// returns [`OrionError::SessionPanicked`] carrying the panic message,
-/// so the caller's error handling decides what the panic means.
+/// so the caller's error handling decides what the panic means. The
+/// inline [`AsyncBackend`] submission is its one caller.
 pub(crate) fn guarded_launch<B: Backend + ?Sized>(
     backend: &B,
     version: &KernelVersion,
@@ -423,30 +426,15 @@ impl Backend for ReplayBackend {
 mod tests {
     use super::*;
     use crate::compiler::Direction;
+    use crate::testutil::toy_module;
     use crate::version::CandidateSpace;
     use orion_gpusim::device::CacheConfig;
-    use orion_kir::builder::FunctionBuilder;
-    use orion_kir::inst::Operand;
-    use orion_kir::types::{MemSpace, SpecialReg, Width};
-
-    fn toy_module() -> Module {
-        let mut b = FunctionBuilder::kernel("k");
-        let tid = b.mov(Operand::Special(SpecialReg::TidX));
-        let cta = b.mov(Operand::Special(SpecialReg::CtaIdX));
-        let nt = b.mov(Operand::Special(SpecialReg::NTidX));
-        let gid = b.imad(cta, nt, tid);
-        let addr = b.imad(gid, Operand::Imm(4), Operand::Param(0));
-        let x = b.ld(MemSpace::Global, Width::W32, addr, 0);
-        let y = b.imul(x, gid);
-        b.st(MemSpace::Global, Width::W32, addr, y, 0);
-        Module::new(b.finish())
-    }
 
     #[test]
     fn sim_backend_compiles_and_launches() {
         let be = SimBackend::new(DeviceSpec::gtx680());
         assert!(be.caps().deterministic);
-        let ck = be.compile_probe(&toy_module(), &TuningConfig::new(32)).unwrap();
+        let ck = be.compile_probe(&toy_module(3), &TuningConfig::new(32)).unwrap();
         let mut g = vec![0u8; 4 * 64];
         let c = be
             .launch(
@@ -479,7 +467,7 @@ mod tests {
     fn sim_backend_launches_a_lattice_version_under_its_own_split() {
         let dev = DeviceSpec::gtx680();
         let space =
-            CandidateSpace::enumerate(&dev, 32, &toy_module(), Direction::Decreasing, 64).unwrap();
+            CandidateSpace::enumerate(&dev, 32, &toy_module(3), Direction::Decreasing, 64).unwrap();
         // Padded to one block per SM under the large-L1 split's 16 KB of
         // shared memory; the default split's 48 KB fits more.
         let v = space
@@ -509,7 +497,7 @@ mod tests {
     fn replay_backend_plays_script_then_repeats_last() {
         let be = ReplayBackend::new(DeviceSpec::gtx680(), 42)
             .script("occ=8", [Ok(100), Ok(90), Err(SimError::Deadlock)]);
-        let ck = be.compile_probe(&toy_module(), &TuningConfig::new(32)).unwrap();
+        let ck = be.compile_probe(&toy_module(3), &TuningConfig::new(32)).unwrap();
         let mut v = ck.versions[0].clone();
         v.label = "occ=8".into();
         let mut g = [];
@@ -531,7 +519,7 @@ mod tests {
     #[test]
     fn async_submit_completes_every_ticket_with_sync_identical_cycles() {
         let be = SimBackend::new(DeviceSpec::gtx680());
-        let ck = Arc::new(be.compile_probe(&toy_module(), &TuningConfig::new(32)).unwrap());
+        let ck = Arc::new(be.compile_probe(&toy_module(3), &TuningConfig::new(32)).unwrap());
         let launch = Launch { grid: 2, block: 32 };
         let init: Vec<u8> = (0..4 * 64).map(|b| b as u8).collect();
         let mut tickets = Vec::new();

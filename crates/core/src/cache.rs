@@ -55,9 +55,8 @@
 //! future compile. All locking goes through one poison-tolerant helper:
 //! a poisoned cache is *cleared* (entries are pure memoization, so
 //! dropping them is always safe — the next request simply recompiles),
-//! the event is counted ([`CompileCacheStats::poison_recovered`], which
-//! the `cache/poison_recovered` gauge exports) and the mutex is
-//! un-poisoned. In-flight markers are cleaned up by an unwind-safe drop
+//! the event is counted ([`CompileCacheStats::poison_recovered`]) and
+//! the mutex is un-poisoned. In-flight markers are cleaned up by an unwind-safe drop
 //! guard plus a bounded condvar wait, so coalesced waiters can never
 //! strand on an allocation whose owner died.
 //!

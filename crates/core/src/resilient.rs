@@ -210,11 +210,6 @@ mod tests {
     use crate::testutil::fake_compiled_with_fail_safe;
     use orion_gpusim::exec::SimError;
 
-    /// Upward-tuned candidates at `warp_levels`, plus a fail-safe.
-    fn fake_compiled(warp_levels: &[u32]) -> CompiledKernel {
-        fake_compiled_with_fail_safe(warp_levels, Direction::Increasing)
-    }
-
     fn idx_of(ck: &CompiledKernel, v: &KernelVersion) -> usize {
         ck.index_of(&v.label).unwrap()
     }
@@ -232,7 +227,7 @@ mod tests {
 
     #[test]
     fn transient_failures_are_retried_and_tuning_converges() {
-        let ck = fake_compiled(&[8, 16, 32, 48]);
+        let ck = fake_compiled_with_fail_safe(&[8, 16, 32, 48], Direction::Increasing);
         let times = [100u64, 80, 90, 70, 120];
         let mut flaky = 0u32;
         let policy = ResiliencePolicy::default();
@@ -258,7 +253,7 @@ mod tests {
     fn outliers_do_not_flip_the_degradation_test() {
         // v1 is genuinely faster, but its second sample is a wild
         // outlier; median-of-k with rejection keeps the walk on course.
-        let ck = fake_compiled(&[8, 16, 32]);
+        let ck = fake_compiled_with_fail_safe(&[8, 16, 32], Direction::Increasing);
         let mut calls = std::collections::HashMap::new();
         let policy = ResiliencePolicy { samples: 3, ..ResiliencePolicy::default() };
         let out = resilient_run("k", &ck, 30, &policy, |v| {
@@ -274,7 +269,7 @@ mod tests {
 
     #[test]
     fn persistently_failing_candidate_is_quarantined() {
-        let ck = fake_compiled(&[8, 16, 32, 48]);
+        let ck = fake_compiled_with_fail_safe(&[8, 16, 32, 48], Direction::Increasing);
         let times = [100u64, 0, 90, 95, 120];
         let policy = ResiliencePolicy::default();
         let out = resilient_run("k", &ck, 24, &policy, |v| {
@@ -296,7 +291,7 @@ mod tests {
 
     #[test]
     fn finalized_version_dying_falls_back_to_fail_safe() {
-        let ck = fake_compiled(&[8, 16, 32]);
+        let ck = fake_compiled_with_fail_safe(&[8, 16, 32], Direction::Increasing);
         let times = [100u64, 80, 90, 120];
         let mut steady_runs = 0u32;
         let policy = ResiliencePolicy { samples: 1, ..ResiliencePolicy::default() };
@@ -322,7 +317,7 @@ mod tests {
         // A hang on every 5th launch of the winner: over a long run a
         // lifetime strike tally would inevitably quarantine it, but
         // successes reset the consecutive count, so it survives.
-        let ck = fake_compiled(&[8, 16, 32]);
+        let ck = fake_compiled_with_fail_safe(&[8, 16, 32], Direction::Increasing);
         let times = [100u64, 80, 90, 120];
         let mut n = 0u32;
         let policy = ResiliencePolicy { samples: 1, ..ResiliencePolicy::default() };
@@ -345,7 +340,7 @@ mod tests {
 
     #[test]
     fn all_candidates_failing_reports_all_candidates_failed() {
-        let ck = fake_compiled(&[8, 16]);
+        let ck = fake_compiled_with_fail_safe(&[8, 16], Direction::Increasing);
         let policy = ResiliencePolicy::default();
         let err = resilient_run("matmul", &ck, 8, &policy, |_| {
             Err(SimError::ResourceExceeded { detail: "regs".into() }.into())
@@ -360,7 +355,7 @@ mod tests {
 
     #[test]
     fn fatal_errors_propagate_with_context() {
-        let ck = fake_compiled(&[8, 16]);
+        let ck = fake_compiled_with_fail_safe(&[8, 16], Direction::Increasing);
         let policy = ResiliencePolicy::default();
         let err =
             resilient_run("srad", &ck, 8, &policy, |_| Err(SimError::Deadlock.into())).unwrap_err();

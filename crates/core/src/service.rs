@@ -13,11 +13,10 @@
 //! kernel: each launch waits for the verdict on the previous one, so a
 //! job is a sequential loop and a batch is concurrent only *across*
 //! jobs. One drive loop runs every job, whether it arrives through
-//! [`OrionService::run`] or [`OrionService::tune_one`]: it pumps the
-//! session until it asks for a launch (the deadline gate and the chaos
-//! draw happen here), runs the launch through [`Backend::launch`], and
-//! resumes the session with the result, until the job resolves to its
-//! report.
+//! [`OrionService::run`] or [`OrionService::tune_one`]: it checks the
+//! job's deadline, asks the session for its next step, runs the launch
+//! through [`Backend::launch`], and hands the session the result, until
+//! the job resolves to its report.
 //!
 //! `run` compiles the batch first, sequentially on the calling thread,
 //! then runs the jobs on `min(`[`ServiceConfig::workers`]`,`
@@ -45,18 +44,18 @@
 //! * **Per-session isolation** — each job gets its own compiled
 //!   candidates, global-memory image, and session; a kernel whose every
 //!   candidate dies reports [`OrionError::AllCandidatesFailed`] in its
-//!   own [`KernelReport`] without disturbing its neighbours. Panics are
-//!   caught at two boundaries: a launch that unwinds returns
-//!   [`OrionError::SessionPanicked`] to the session, whose own error
-//!   handling decides the job's fate, and a session step that unwinds
-//!   resolves the job to its own quarantined report — either way the
-//!   batch is never torn down.
+//!   own [`KernelReport`] without disturbing its neighbours. The whole
+//!   drive loop runs under one panic boundary: a launch or a session
+//!   step that unwinds resolves the job to its own quarantined report
+//!   naming the kernel and the cycle at failure, and the batch is never
+//!   torn down.
 //! * **Definite outcomes** — every submitted job terminates with
 //!   exactly one [`JobDisposition`]: `Finalized`, `Quarantined`, or
 //!   `Degraded`. Jobs in equals definite outcomes out,
 //!   whatever the backend, the allocator, or a worker thread does — the
-//!   chaos test `tests::chaos_batch_is_accounted_and_deterministic`
-//!   checks exactly this invariant.
+//!   test `tests::chaos_batch_is_accounted_and_deterministic` checks
+//!   exactly this invariant over a backend that injects launch faults
+//!   and panics per job.
 //! * **Deterministic merge** — reports come back in submission order
 //!   whatever the thread interleaving, and
 //!   [`ServiceReport::merged_decisions`] is a deterministic flattening
@@ -76,37 +75,33 @@
 //!   ([`KernelReport::journal`]), so a batch's journal holds exactly its
 //!   own jobs' records, whatever else runs in the process.
 //!
-//! ## Chaos
+//! ## Faults
 //!
-//! [`ServiceConfig::chaos`] takes a [`ServiceFaultPlan`]: per-job
-//! launch faults plus the failure modes only a service has — worker
-//! panics mid-session and injected deadline pressure — and an optional
-//! [`FaultStorm`]. Each job's [`JobFaults`] is a pure function of
-//! `(seed, job index)`, and each launch's fault draw is a pure function
-//! of `(job, launch index)`, so a chaos batch replays bit-identically
-//! at any worker count. The service only *draws* launch faults: each
-//! draw rides to the backend in [`LaunchOptions::faults`], and the
-//! simulator applies it exactly as for any direct caller
-//! ([`crate::backend::SimBackend::run`]). Backends that never run
-//! the simulator (e.g. [`crate::backend::ReplayBackend`]) ignore it.
+//! The service draws no faults of its own. A fault comes from the
+//! backend: a launch error goes to the session, whose
+//! [`ResiliencePolicy`] retries, quarantines or aborts, and a panic
+//! ends the job at the panic boundary. A backend that wants simulated
+//! faults sets [`LaunchOptions::faults`](orion_gpusim::sim::LaunchOptions::faults)
+//! on the launches it forwards to the simulator
+//! ([`crate::backend::SimBackend::run`]).
 //!
 //! ## Job lifecycle
 //!
 //! ```text
 //! submit ──► Running ──► Finalized
-//!               ├──────► Quarantined   (errors, panics)
+//!               ├──────► Quarantined   (fatal errors, panics)
 //!               └──────► Degraded      (deadline reached)
 //! ```
 //!
 //! Running jobs are metered against their [`JobPolicy`]'s
-//! simulated-cycle deadline, and a reached deadline resolves the
-//! session to **Degraded**: the tuner settles on its fail-safe
-//! selection (the paper's §4 philosophy — the original kernel always
-//! remains runnable) instead of erroring.
+//! simulated-cycle deadline before every launch, and a reached deadline
+//! resolves the session to **Degraded**: the tuner settles on its
+//! fail-safe selection (the paper's §4 philosophy — the original kernel
+//! always remains runnable) instead of erroring.
 //!
 //! [`TuningSession`]: crate::session::TuningSession
 
-use crate::backend::{guarded_launch, panic_detail, Backend};
+use crate::backend::{panic_detail, Backend};
 use crate::cache;
 use crate::compiler::{CompiledKernel, TuningConfig};
 use crate::error::OrionError;
@@ -115,10 +110,8 @@ use crate::resilient::ResiliencePolicy;
 use crate::runtime::TuneDecision;
 use crate::session::{JournalEvent, SessionOutcome, SessionState, SessionStep, TuningSession};
 use orion_gpusim::exec::Launch;
-use orion_gpusim::faults::{splitmix64, unit, FaultInjector, FaultPlan, LaunchFaults};
 use orion_gpusim::sim::LaunchOptions;
 use orion_kir::function::Module;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -185,10 +178,6 @@ pub struct ServiceConfig {
     /// (retry/quarantine/fallback); `None` runs the paper's exact walk,
     /// [`ResiliencePolicy::PAPER`].
     pub policy: Option<ResiliencePolicy>,
-    /// Service-boundary chaos plan: per-job launch-fault injection,
-    /// injected worker panics, and injected deadline pressure, drawn
-    /// deterministically per submission index. Inert when `None`.
-    pub chaos: Option<ServiceFaultPlan>,
 }
 
 impl Default for ServiceConfig {
@@ -198,139 +187,8 @@ impl Default for ServiceConfig {
             in_flight_limit: 0,
             threshold: 0.02,
             policy: Some(ResiliencePolicy::default()),
-            chaos: None,
         }
     }
-}
-
-/// A window of jobs hit by elevated fault rates — modeling a *fault
-/// storm* (a flaky driver episode, thermal throttling, a bad rack
-/// neighbour) rather than uniformly sprinkled failures. Jobs whose
-/// submission index falls in `[start_job, start_job + len)` have their
-/// launch-fault rates multiplied by `multiplier` (clamped to
-/// probability 1) and their panic/deadline pressure doubled.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FaultStorm {
-    /// First job index inside the storm window.
-    pub start_job: usize,
-    /// Number of consecutive jobs in the window.
-    pub len: usize,
-    /// Rate multiplier applied to the per-launch fault plan.
-    pub multiplier: f64,
-}
-
-impl FaultStorm {
-    /// Whether `job_index` falls inside the storm window.
-    #[must_use]
-    pub fn covers(&self, job_index: usize) -> bool {
-        job_index >= self.start_job && job_index - self.start_job < self.len
-    }
-}
-
-/// Service-boundary chaos scenario: a per-launch [`FaultPlan`] template
-/// plus job-granular failure modes the launch path cannot express —
-/// worker panics mid-session and injected deadline pressure — and an
-/// optional [`FaultStorm`] window. Every per-job decision is a pure
-/// function of `(seed, job index)`, drawn from the same
-/// [`splitmix64`] stream as the launch-level injector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ServiceFaultPlan {
-    /// Seed for the per-job fault streams.
-    pub seed: u64,
-    /// Template for each job's launch-level faults; the per-job plan
-    /// gets its own derived seed (and storm-scaled rates).
-    pub launch: FaultPlan,
-    /// Probability a job's session panics mid-walk (after a
-    /// deterministic number of launches).
-    pub panic_rate: f64,
-    /// Probability a job is put under deadline pressure: its sim-cycle
-    /// deadline is overridden with [`ServiceFaultPlan::deadline_cycles`].
-    pub deadline_rate: f64,
-    /// The injected tight deadline (simulated cycles).
-    pub deadline_cycles: u64,
-    /// Optional elevated-rate window over the job sequence.
-    pub storm: Option<FaultStorm>,
-}
-
-impl ServiceFaultPlan {
-    /// A plan that injects nothing at the service boundary.
-    #[must_use]
-    pub fn none(seed: u64) -> Self {
-        ServiceFaultPlan {
-            seed,
-            launch: FaultPlan::none(seed),
-            panic_rate: 0.0,
-            deadline_rate: 0.0,
-            deadline_cycles: 0,
-            storm: None,
-        }
-    }
-
-    /// The service chaos scenario: launch faults per
-    /// [`FaultPlan::chaos`] at `rate`, worker panics at `panic_rate`,
-    /// and 10% deadline pressure with a 50k-cycle injected deadline.
-    #[must_use]
-    pub fn chaos(seed: u64, rate: f64, panic_rate: f64) -> Self {
-        ServiceFaultPlan {
-            seed,
-            launch: FaultPlan::chaos(seed, rate, 0.05),
-            panic_rate,
-            deadline_rate: 0.1,
-            deadline_cycles: 50_000,
-            storm: None,
-        }
-    }
-
-    /// Fault decisions for the job at `job_index`. Pure in
-    /// `(self.seed, job_index)`; independent of scheduling, worker
-    /// count, and every other job.
-    #[must_use]
-    pub fn job_faults(&self, job_index: usize) -> JobFaults {
-        let mut s = self.seed ^ (job_index as u64).wrapping_mul(0xa076_1d64_78bd_642f);
-        let _ = splitmix64(&mut s); // burn one to mix the xor in
-        let stormy = self.storm.is_some_and(|w| w.covers(job_index));
-        let scale = if stormy { self.storm.map_or(1.0, |w| w.multiplier.max(0.0)) } else { 1.0 };
-        let pressure = if stormy { 2.0 } else { 1.0 };
-        let rate = |r: f64| (r * scale).clamp(0.0, 1.0);
-        // Per-job launch plan: derived seed, storm-scaled rates.
-        let plan = FaultPlan {
-            seed: splitmix64(&mut s),
-            transient_rate: rate(self.launch.transient_rate),
-            resource_rate: rate(self.launch.resource_rate),
-            jitter_frac: self.launch.jitter_frac,
-            outlier_rate: rate(self.launch.outlier_rate),
-            hang_rate: rate(self.launch.hang_rate),
-        };
-        let panics = unit(&mut s) < (self.panic_rate * pressure).clamp(0.0, 1.0);
-        // Panic after 1..=8 launches — deep enough to catch sessions
-        // mid-walk, deterministic per job.
-        let panic_after = (splitmix64(&mut s) % 8 + 1) as u32;
-        let deadline = unit(&mut s) < (self.deadline_rate * pressure).clamp(0.0, 1.0);
-        JobFaults {
-            plan: (!plan.is_quiet()).then_some(plan),
-            panic_after_launches: panics.then_some(panic_after),
-            deadline_cycles: (deadline && self.deadline_cycles > 0).then_some(self.deadline_cycles),
-        }
-    }
-}
-
-/// The per-job slice of a [`ServiceFaultPlan`] draw: what the service
-/// injects into one job's session.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JobFaults {
-    /// Launch-level fault plan, drawn per launch through a per-job
-    /// [`FaultInjector`] (`None` = clean).
-    pub plan: Option<FaultPlan>,
-    /// Panic the session after this many launches.
-    pub panic_after_launches: Option<u32>,
-    /// Override the job's sim-cycle deadline with this tight budget.
-    pub deadline_cycles: Option<u64>,
-}
-
-impl JobFaults {
-    /// No service-level faults.
-    pub const NONE: JobFaults =
-        JobFaults { plan: None, panic_after_launches: None, deadline_cycles: None };
 }
 
 /// One kernel the service should tune: the module plus everything
@@ -366,7 +224,8 @@ pub struct KernelMetrics {
     /// (candidate generation + allocation; cache hits make it cheap).
     pub compile_wall_us: u64,
     /// Wall-clock microseconds this job's launches spent in
-    /// [`Backend::launch`], summed across launches.
+    /// [`Backend::launch`], summed across the launches that returned (a
+    /// launch that panics ends the job before its time is added).
     pub execute_us: u64,
 }
 
@@ -491,39 +350,28 @@ fn estimate_cost(ck: &CompiledKernel, job: &KernelJob) -> u64 {
 
 /// One job's tuning state machine — the one per-job driver
 /// behind both [`OrionService::run`] and [`OrionService::tune_one`]. It
-/// owns session construction, the deadline gate, chaos injection, the
-/// disposition and the metrics, and [`ActiveJob::drive`] runs it to its
-/// report. The session borrows its compiled kernel (`'k`).
+/// owns session construction, the deadline gate, the disposition and
+/// the metrics, and [`ActiveJob::drive`] runs it to its report. The
+/// session borrows its compiled kernel (`'k`).
 struct ActiveJob<'k> {
     name: String,
     lane: u32,
     ck: &'k CompiledKernel,
     session: TuningSession<'k>,
-    /// Effective cycle deadline (policy ∧ injected pressure).
+    /// The job's simulated-cycle deadline ([`JobPolicy::deadline_cycles`]).
     deadline: Option<u64>,
-    injector: Option<FaultInjector>,
-    panic_after: Option<u32>,
-    launches_done: u32,
     /// Wall time so far: the compile, then each launch as it returns.
     metrics: KernelMetrics,
 }
 
-/// What one pump of a job produced: a launch to run (a version index
-/// and its fault draw), or a definite report.
-enum Pump {
-    Launch(usize, LaunchFaults),
-    Finished(Box<KernelReport>),
-}
-
 impl<'k> ActiveJob<'k> {
     /// Open `job`'s session over its compiled candidates `ck` under the
-    /// service configuration and the chaos drawn for it.
+    /// service configuration.
     fn start(
         cfg: &ServiceConfig,
         job: &KernelJob,
         lane: u32,
         ck: &'k CompiledKernel,
-        faults: &JobFaults,
         compile_wall_us: u64,
     ) -> Self {
         let resilience = cfg.policy.unwrap_or(ResiliencePolicy::PAPER);
@@ -536,60 +384,50 @@ impl<'k> ActiveJob<'k> {
             resilience,
             search,
         );
-        // Injected deadline pressure composes with the job's own
-        // deadline: the tighter one wins.
-        let deadline = match (job.policy.deadline_cycles, faults.deadline_cycles) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
         ActiveJob {
             name: job.name.clone(),
             lane,
             ck,
             session,
-            deadline,
-            injector: faults.plan.map(FaultInjector::new),
-            panic_after: faults.panic_after_launches,
-            launches_done: 0,
+            deadline: job.policy.deadline_cycles,
             metrics: KernelMetrics { compile_wall_us, execute_us: 0 },
         }
     }
 
     /// Resolve this job to its definite report.
     fn seal(
-        &mut self,
+        &self,
         outcome: Result<SessionOutcome, OrionError>,
         disposition: JobDisposition,
-    ) -> Pump {
-        Pump::Finished(Box::new(KernelReport {
+    ) -> KernelReport {
+        KernelReport {
             name: self.name.clone(),
             lane: self.lane,
             outcome,
             disposition,
             metrics: self.metrics,
             journal: self.session.journal().to_vec(),
-        }))
+        }
     }
 
-    /// The definite report after a step of this job unwound:
-    /// quarantined, keeping what the session journaled and the launch
-    /// time it spent before the panic.
+    /// The definite report after the drive loop unwound: quarantined,
+    /// naming the kernel and the session's cycle at failure, and keeping
+    /// what the session journaled and the launch time it spent before
+    /// the panic.
     fn panic_report(&self, payload: &(dyn std::any::Any + Send)) -> KernelReport {
         let detail = panic_detail(payload);
-        let err = OrionError::SessionPanicked { detail }.with_context(self.name.clone(), None);
-        KernelReport {
-            metrics: self.metrics,
-            journal: self.session.journal().to_vec(),
-            ..KernelReport::failed(&self.name, self.lane, err, self.metrics.compile_wall_us)
-        }
+        let cycle = self.session.total_cycles_so_far();
+        let err =
+            OrionError::SessionPanicked { detail }.with_context(self.name.clone(), Some(cycle));
+        self.seal(Err(err), JobDisposition::Quarantined)
     }
 
     /// Finish a session that stopped cleanly (walk done, or a deadline
     /// degrade) and derive its disposition.
-    fn seal_settled(&mut self) -> Pump {
+    fn seal_settled(&self) -> KernelReport {
         let outcome = self.session.clone().finish();
         let disposition = match outcome.state {
-            // Only the deadline gate in `pump` degrades a session.
+            // Only the deadline gate in `drive` degrades a session.
             SessionState::Degraded => JobDisposition::Degraded,
             // A degrade with every version quarantined (or a session
             // that died on its own) is a quarantine.
@@ -599,75 +437,35 @@ impl<'k> ActiveJob<'k> {
         self.seal(Ok(outcome), disposition)
     }
 
-    /// Whether the session has reached the effective cycle deadline.
-    fn past_deadline(&self) -> bool {
-        self.deadline.is_some_and(|d| self.session.total_cycles_so_far() >= d)
-    }
-
-    /// Advance the session until it asks for a launch or resolves to a
-    /// definite report. May unwind (injected chaos, a hostile session).
-    fn pump(&mut self) -> Pump {
-        // The deadline gate comes first: a reached deadline resolves
-        // the session to Degraded *before* the next launch is issued,
-        // so it can never be overshot by more than one launch chain.
-        if self.past_deadline() {
-            self.session.degrade();
-            return self.seal_settled();
-        }
-        let step = match self.session.next_step() {
-            Ok(step) => step,
-            Err(e) => return self.seal(Err(e), JobDisposition::Quarantined),
-        };
-        let SessionStep::Launch(v) = step else {
-            return self.seal_settled();
-        };
-        // Service-boundary chaos: the draw is deterministic per
-        // (job, launch index) — identical at any worker count or
-        // in-flight limit — and the launch itself applies it.
-        let faults = self.injector.as_ref().map_or(LaunchFaults::NONE, FaultInjector::draw);
-        Pump::Launch(v, faults)
-    }
-
-    /// Count the launch the last pump asked for, fold its result into
-    /// the session, then pump onward. May unwind (injected chaos).
-    fn resume(&mut self, result: Result<u64, OrionError>) -> Pump {
-        self.launches_done += 1;
-        if let Err(e) = self.session.on_launch_result(result) {
-            return self.seal(Err(e), JobDisposition::Quarantined);
-        }
-        // Injected worker-panic chaos: unwinds once the launch count
-        // reaches the plan's threshold. The message is deterministic,
-        // so panic reports stay bit-identical across worker counts.
-        if let Some(after) = self.panic_after {
-            if self.launches_done >= after {
-                panic!("chaos: injected worker panic after {} launches", self.launches_done);
-            }
-        }
-        self.pump()
-    }
-
-    /// Run the job to its definite report on this thread: each step
-    /// pumps the session, launches on `backend` over `parallelism`
-    /// simulator workers, and resumes the session with the result. A launch that unwinds returns
-    /// [`OrionError::SessionPanicked`] to the session; a step that
-    /// unwinds resolves the job to its [`ActiveJob::panic_report`].
+    /// Run the job to its definite report on this thread. Each turn of
+    /// the loop checks the deadline, asks the session for its next
+    /// step, launches on `backend` over `parallelism` simulator workers,
+    /// and hands the session the result. The loop runs under one panic
+    /// boundary: a launch or a step that unwinds resolves the job to its
+    /// [`ActiveJob::panic_report`].
     fn drive<B: Backend + ?Sized>(
         mut self,
         backend: &B,
         job: &mut KernelJob,
         parallelism: u32,
     ) -> KernelReport {
-        let mut step = catch_unwind(AssertUnwindSafe(|| self.pump()));
-        loop {
-            let (v, faults) = match step {
-                Ok(Pump::Launch(v, faults)) => (v, faults),
-                Ok(Pump::Finished(report)) => return *report,
-                Err(payload) => return self.panic_report(payload.as_ref()),
+        let opts = LaunchOptions { parallelism, ..LaunchOptions::default() };
+        let run = catch_unwind(AssertUnwindSafe(|| loop {
+            // The deadline gate comes first: a reached deadline resolves
+            // the session to Degraded *before* the next launch is
+            // issued, so it can never be overshot by more than one
+            // launch chain.
+            if self.deadline.is_some_and(|d| self.session.total_cycles_so_far() >= d) {
+                self.session.degrade();
+                return self.seal_settled();
+            }
+            let v = match self.session.next_step() {
+                Ok(SessionStep::Launch(v)) => v,
+                Ok(SessionStep::Done) => return self.seal_settled(),
+                Err(e) => return self.seal(Err(e), JobDisposition::Quarantined),
             };
-            let opts = LaunchOptions { parallelism, faults, ..LaunchOptions::default() };
             let started = Instant::now();
-            let result = guarded_launch(
-                backend,
+            let result = backend.launch(
                 &self.ck.versions[v],
                 job.launch,
                 &job.params,
@@ -675,8 +473,11 @@ impl<'k> ActiveJob<'k> {
                 opts,
             );
             self.metrics.execute_us += started.elapsed().as_micros() as u64;
-            step = catch_unwind(AssertUnwindSafe(|| self.resume(result)));
-        }
+            if let Err(e) = self.session.on_launch_result(result) {
+                return self.seal(Err(e), JobDisposition::Quarantined);
+            }
+        }));
+        run.unwrap_or_else(|payload| self.panic_report(payload.as_ref()))
     }
 }
 
@@ -711,11 +512,11 @@ impl<B: Backend> OrionService<B> {
     }
 
     /// Tune one job to completion on the current thread: the drive loop
-    /// of [`OrionService::run`] as a batch of one, without chaos. Each
-    /// launch fans out over every host core and mutates `job.global` in
-    /// place. The job's [`JobPolicy`] deadline is enforced, and a panic
-    /// in a launch or a session step comes back as
-    /// [`OrionError::SessionPanicked`].
+    /// of [`OrionService::run`] as a batch of one. Each launch fans out
+    /// over every host core and mutates `job.global` in place. The job's
+    /// [`JobPolicy`] deadline is enforced, and a panic in a launch or a
+    /// session step comes back as [`OrionError::SessionPanicked`],
+    /// naming the kernel and the cycle at failure.
     ///
     /// # Errors
     /// Compile failures, fatal launch errors, panics, or
@@ -723,7 +524,7 @@ impl<B: Backend> OrionService<B> {
     /// name where the session applies context.
     pub fn tune_one(&self, job: &mut KernelJob) -> Result<SessionOutcome, OrionError> {
         let ck = self.backend.compile_probe(&job.module, &job.tuning)?;
-        let a = ActiveJob::start(&self.cfg, job, 0, &ck, &JobFaults::NONE, 0);
+        let a = ActiveJob::start(&self.cfg, job, 0, &ck, 0);
         a.drive(&self.backend, job, fan_out(1)).outcome
     }
 
@@ -796,9 +597,8 @@ impl<B: Backend> OrionService<B> {
                 let next = queue.lock().unwrap_or_else(PoisonError::into_inner).pop_front();
                 let Some((i, mut job)) = next else { break };
                 let ck = cks[i].as_ref().expect("queued jobs are compiled");
-                let faults = self.cfg.chaos.map_or(JobFaults::NONE, |plan| plan.job_faults(i));
                 orion_telemetry::set_scope(lane_of(i));
-                let a = ActiveJob::start(&self.cfg, &job, lane_of(i), ck, &faults, compile_us[i]);
+                let a = ActiveJob::start(&self.cfg, &job, lane_of(i), ck, compile_us[i]);
                 done.push((i, a.drive(&self.backend, &mut job, parallelism)));
             }
             done
@@ -845,24 +645,10 @@ mod tests {
     use crate::backend::{BackendCaps, ReplayBackend, SimBackend};
     use crate::compiler::{CompiledKernel, KernelVersion};
     use crate::session::SessionState;
+    use crate::testutil::{toy_module, ChaosBackend};
     use orion_gpusim::device::DeviceSpec;
     use orion_gpusim::exec::SimError;
-    use orion_kir::builder::FunctionBuilder;
-    use orion_kir::inst::Operand;
-    use orion_kir::types::{MemSpace, SpecialReg, Width};
-
-    fn toy_module(mul: i64) -> Module {
-        let mut b = FunctionBuilder::kernel("k");
-        let tid = b.mov(Operand::Special(SpecialReg::TidX));
-        let cta = b.mov(Operand::Special(SpecialReg::CtaIdX));
-        let nt = b.mov(Operand::Special(SpecialReg::NTidX));
-        let gid = b.imad(cta, nt, tid);
-        let addr = b.imad(gid, Operand::Imm(4), Operand::Param(0));
-        let x = b.ld(MemSpace::Global, Width::W32, addr, 0);
-        let y = b.imul(x, Operand::Imm(mul));
-        b.st(MemSpace::Global, Width::W32, addr, y, 0);
-        Module::new(b.finish())
-    }
+    use orion_gpusim::faults::{splitmix64, unit};
 
     fn job(name: &str, mul: i64, iterations: u32) -> KernelJob {
         KernelJob {
@@ -1084,76 +870,41 @@ mod tests {
         }
     }
 
-    #[test]
-    fn quiet_service_plan_draws_no_job_faults() {
-        let plan = ServiceFaultPlan::none(11);
-        for i in 0..64 {
-            assert_eq!(plan.job_faults(i), JobFaults::NONE, "quiet plan, job {i}");
-        }
-    }
-
-    #[test]
-    fn job_faults_are_deterministic_and_per_job() {
-        let plan = ServiceFaultPlan::chaos(42, 0.2, 0.3);
-        let a: Vec<JobFaults> = (0..128).map(|i| plan.job_faults(i)).collect();
-        let b: Vec<JobFaults> = (0..128).map(|i| plan.job_faults(i)).collect();
-        assert_eq!(a, b, "draws must be pure in (seed, job index)");
-        let other = ServiceFaultPlan::chaos(43, 0.2, 0.3);
-        let c: Vec<JobFaults> = (0..128).map(|i| other.job_faults(i)).collect();
-        assert_ne!(a, c, "different seeds must give different job streams");
-        // Per-job launch plans carry distinct derived seeds.
-        let seeds: std::collections::HashSet<u64> =
-            a.iter().filter_map(|f| f.plan.map(|p| p.seed)).collect();
-        assert!(seeds.len() > 100, "per-job plans must not share a seed");
-        // Panic and deadline pressure land at roughly the configured rates.
-        let panics = a.iter().filter(|f| f.panic_after_launches.is_some()).count();
-        assert!((20..=60).contains(&panics), "panic draws at 30%: {panics}/128");
-        assert!(a.iter().all(|f| f.panic_after_launches.is_none_or(|n| (1..=8).contains(&n))));
-    }
-
-    #[test]
-    fn storm_window_elevates_rates() {
-        let mut plan = ServiceFaultPlan::chaos(7, 0.05, 0.1);
-        plan.storm = Some(FaultStorm { start_job: 10, len: 10, multiplier: 8.0 });
-        assert!(plan.storm.unwrap().covers(10) && plan.storm.unwrap().covers(19));
-        assert!(!plan.storm.unwrap().covers(9) && !plan.storm.unwrap().covers(20));
-        let inside = plan.job_faults(12).plan.expect("stormy job has a launch plan");
-        let outside = plan.job_faults(30).plan.expect("chaos plan is never quiet");
-        assert!(inside.transient_rate > outside.transient_rate);
-        assert!(inside.transient_rate <= 1.0, "storm rates clamp to probability 1");
-    }
-
-    /// Service chaos end to end on the simulator, swept over launch-fault
-    /// rates 0, 10% and 25%: launch faults, worker panics and deadline
-    /// pressure, at two scheduler shapes. Every job comes back with one
-    /// definite disposition coherent with its outcome, in submission
-    /// order, bit-identically at both shapes, journals included; each
-    /// job's `Retry` records fold to its retry stats; the clean rate
-    /// finalizes everything; the 25% point adds a fault storm.
+    /// Service chaos end to end over [`ChaosBackend`], swept over
+    /// launch-fault rates 0, 10% and 25%: launch faults and panics the
+    /// backend injects per job, and deadlines the test draws per job, at
+    /// two scheduler shapes. Every job comes back with one definite
+    /// disposition coherent with its outcome, in submission order,
+    /// bit-identically at both shapes, journals included; each job's
+    /// `Retry` records fold to its retry stats; the clean rate finalizes
+    /// everything.
     #[test]
     fn chaos_batch_is_accounted_and_deterministic() {
         const SEED: u64 = 0x0710_2024;
         const JOBS: usize = 9;
-        let (mut panics, mut launch_faults, mut retries) = (0, 0, 0);
+        let (mut panics, mut launch_faults, mut retries, mut degraded) = (0, 0, 0, 0);
         for rate in [0.0, 0.10, 0.25] {
-            let mut plan = if rate == 0.0 {
-                ServiceFaultPlan::none(SEED)
-            } else {
-                ServiceFaultPlan::chaos(SEED ^ (rate * 100.0) as u64, rate, 0.25)
+            let (seed, panic_rate) =
+                if rate == 0.0 { (SEED, 0.0) } else { (SEED ^ (rate * 100.0) as u64, 0.25) };
+            // Deadline pressure: 10% of the jobs of a chaotic batch get a
+            // 2k-cycle deadline, drawn per job (a clean job takes ~5k).
+            let deadline = |i: usize| {
+                let mut s = seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                let _ = splitmix64(&mut s);
+                (rate > 0.0 && unit(&mut s) < 0.1).then_some(2_000)
             };
-            if rate >= 0.25 {
-                plan.storm =
-                    Some(FaultStorm { start_job: JOBS / 3, len: JOBS / 3, multiplier: 2.0 });
-            }
             let run = |workers, in_flight_limit| {
-                let cfg = ServiceConfig {
-                    workers,
-                    in_flight_limit,
-                    chaos: Some(plan),
-                    ..ServiceConfig::default()
-                };
-                let jobs = (0..JOBS).map(|i| job(&format!("c{i}"), i as i64 + 1, 12)).collect();
-                OrionService::new(SimBackend::new(DeviceSpec::gtx680()), cfg).run(jobs)
+                let cfg = ServiceConfig { workers, in_flight_limit, ..ServiceConfig::default() };
+                let jobs = (0..JOBS)
+                    .map(|i| {
+                        let mut j = job(&format!("c{i}"), i as i64 + 1, 12);
+                        j.params.push(i as u32);
+                        j.policy.deadline_cycles = deadline(i);
+                        j
+                    })
+                    .collect();
+                let backend = ChaosBackend::new(DeviceSpec::gtx680(), seed, rate, panic_rate);
+                OrionService::new(backend, cfg).run(jobs)
             };
             let seq = run(1, 1);
             let conc = run(4, 0);
@@ -1176,8 +927,9 @@ mod tests {
                         "rate {rate}, {}: {:?} vs {:?}",
                         k.name, k.disposition, k.outcome
                     );
-                    // Injected panics fire only after a launch, and the
-                    // panicked job's report keeps that launch's time.
+                    // Injected panics fire only after a launch returned,
+                    // and the panicked job's report keeps that launch's
+                    // time.
                     let panicked = k.outcome.as_ref().is_err_and(|e| {
                         matches!(e.root_cause(), OrionError::SessionPanicked { .. })
                     });
@@ -1223,6 +975,7 @@ mod tests {
                     "a clean batch finalizes every job"
                 );
             }
+            degraded += conc.count_dispositions(|d| d == JobDisposition::Degraded);
             panics += conc
                 .kernels
                 .iter()
@@ -1243,6 +996,7 @@ mod tests {
         assert!(panics > 0, "the sweep caught no worker panic");
         assert!(launch_faults > 0, "the sweep caused no retry or quarantine");
         assert!(retries > 0, "the sweep journaled no retry");
+        assert!(degraded > 0, "the sweep degraded no job");
     }
 
     /// A backend whose launches always panic — the hostile case panic
@@ -1300,6 +1054,10 @@ mod tests {
                 "unexpected error: {err}"
             );
             assert!(err.to_string().contains(name), "context names the kernel: {err}");
+            // The one panic boundary names the cycle at failure, as a
+            // launch error does: no launch returned before the panic.
+            let at_failure = format!("kernel \"{name}\" failed at cycle 0:");
+            assert!(err.to_string().starts_with(&at_failure), "context names the cycle: {err}");
         };
         for k in &report.kernels {
             assert_eq!(k.disposition, JobDisposition::Quarantined);

@@ -7,8 +7,13 @@
 //! (µs, one per kernel session under `OrionService`) pair
 //! [`Phase::Begin`]/[`Phase::End`] spans on a per-lane stack, and SM
 //! lanes (simulated cycles, `tid` = SM index) hold the simulator's
-//! [`Phase::Complete`] spans. The two clocks never share a lane, so no
-//! total adds cycles to microseconds. Each lane reports
+//! [`Phase::Complete`] spans. Every launch starts its SM lanes at cycle
+//! 0, so times alone cannot tell launches apart; record order can. The
+//! simulator records a launch's CTA spans on an SM, then the SM's span,
+//! whose `blocks` arg counts those CTAs, so each SM span nests the
+//! `blocks` spans recorded on its lane just before it. The two clocks
+//! never share a lane, so no total adds cycles to microseconds. Each
+//! lane reports
 //!
 //! * the lane's busy time (top-level span coverage, nested spans not
 //!   double-counted),
@@ -20,7 +25,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::{Clock, Event, Phase};
+use crate::{ArgValue, Clock, Event, Phase};
 
 /// One completed span occurrence on a lane.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,7 +44,9 @@ pub struct LaneTimeline {
     /// The clock every time on this lane is read on.
     pub clock: Clock,
     pub lane: u32,
-    /// Completed spans in start order.
+    /// Completed spans. On a wall-clock lane in start order; on an SM
+    /// lane each top-level span in record order, followed by the spans
+    /// it nests in start order.
     pub spans: Vec<TimelineSpan>,
     /// Earliest span start on this lane.
     pub first: u64,
@@ -81,7 +88,10 @@ pub fn lane_timelines(events: &[Event]) -> Vec<LaneTimeline> {
     // Per wall-clock lane, the stack of open Begin events:
     // (cat, name, start).
     let mut open: BTreeMap<u32, Vec<(&'static str, String, u64)>> = BTreeMap::new();
-    let mut spans: BTreeMap<(Clock, u32), Vec<TimelineSpan>> = BTreeMap::new();
+    let mut wall: BTreeMap<u32, Vec<TimelineSpan>> = BTreeMap::new();
+    // Per SM lane, its simulated spans in record order, each with the
+    // number of spans before it that it nests.
+    let mut sim: BTreeMap<u32, Vec<(TimelineSpan, usize)>> = BTreeMap::new();
     for e in events {
         match e.ph {
             Phase::Begin => {
@@ -91,7 +101,7 @@ pub fn lane_timelines(events: &[Event]) -> Vec<LaneTimeline> {
                 if let Some(stack) = open.get_mut(&e.tid) {
                     if let Some((cat, name, start)) = stack.pop() {
                         let depth = stack.len();
-                        spans.entry((Clock::Wall, e.tid)).or_default().push(TimelineSpan {
+                        wall.entry(e.tid).or_default().push(TimelineSpan {
                             cat,
                             name,
                             start,
@@ -103,27 +113,63 @@ pub fn lane_timelines(events: &[Event]) -> Vec<LaneTimeline> {
             }
             // A simulated span never nests in a wall-clock one.
             Phase::Complete => {
-                spans.entry((Clock::Sim, e.tid)).or_default().push(TimelineSpan {
+                let nests = e.args.iter().find_map(|(k, v)| match (*k, v) {
+                    ("blocks", ArgValue::U64(n)) => usize::try_from(*n).ok(),
+                    _ => None,
+                });
+                let span = TimelineSpan {
                     cat: e.cat,
                     name: e.name.clone(),
                     start: e.ts,
                     dur: e.dur,
                     depth: 0,
-                });
+                };
+                sim.entry(e.tid).or_default().push((span, nests.unwrap_or(0)));
             }
             Phase::Instant => {}
         }
     }
-    spans
-        .into_iter()
-        .map(|((clock, lane), mut spans)| {
-            spans.sort_by_key(|s| (s.start, s.depth));
+    let wall = wall.into_iter().map(|(lane, mut spans)| {
+        spans.sort_by_key(|s| (s.start, s.depth));
+        (Clock::Wall, lane, spans)
+    });
+    let sim = sim.into_iter().map(|(lane, spans)| (Clock::Sim, lane, nest_recorded(spans)));
+    wall.chain(sim)
+        .map(|(clock, lane, spans)| {
             let first = spans.iter().map(|s| s.start).min().unwrap_or(0);
             let last = spans.iter().map(|s| s.start + s.dur).max().unwrap_or(0);
             let busy = spans.iter().filter(|s| s.depth == 0).map(|s| s.dur).sum();
             LaneTimeline { clock, lane, spans, first, last, busy }
         })
         .collect()
+}
+
+/// Nest one SM lane's spans, given in record order with the number of
+/// spans before each that it nests: a span is listed before the ones it
+/// nests, those in start order and one level in. A span that no later
+/// span nests (a CTA of a launch that failed, say), or that its nesting
+/// span does not contain, stays top level.
+fn nest_recorded(spans: Vec<(TimelineSpan, usize)>) -> Vec<TimelineSpan> {
+    let mut out = Vec::with_capacity(spans.len());
+    // Top-level spans since the last span that nested any.
+    let mut loose: Vec<TimelineSpan> = Vec::new();
+    for (span, nests) in spans {
+        if nests == 0 {
+            loose.push(span);
+            continue;
+        }
+        let claimed = loose.split_off(loose.len().saturating_sub(nests));
+        let end = span.start + span.dur;
+        let (mut nested, mut stray): (Vec<_>, Vec<_>) =
+            claimed.into_iter().partition(|s| span.start <= s.start && s.start + s.dur <= end);
+        nested.sort_by_key(|s| s.start);
+        out.append(&mut loose);
+        out.append(&mut stray);
+        out.push(span);
+        out.extend(nested.into_iter().map(|s| TimelineSpan { depth: 1, ..s }));
+    }
+    out.append(&mut loose);
+    out
 }
 
 /// Render the timelines as an indented text report: one block per lane,
@@ -169,7 +215,6 @@ pub fn render_text(lanes: &[LaneTimeline]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ArgValue;
 
     fn ev(name: &str, ph: Phase, ts: u64, dur: u64, tid: u32) -> Event {
         Event {
@@ -181,6 +226,11 @@ mod tests {
             tid,
             args: Vec::<(&str, ArgValue)>::new(),
         }
+    }
+
+    /// An SM span that nests the `blocks` spans recorded before it.
+    fn sm(name: &str, ts: u64, dur: u64, tid: u32, blocks: u64) -> Event {
+        Event { args: vec![("blocks", blocks.into())], ..ev(name, Phase::Complete, ts, dur, tid) }
     }
 
     #[test]
@@ -244,16 +294,47 @@ mod tests {
         let events = vec![
             ev("run_launch", Phase::Begin, 100, 0, 1),
             ev("cta1", Phase::Complete, 0, 9000, 1),
-            ev("sm1", Phase::Complete, 0, 20000, 1),
+            sm("sm1", 0, 20000, 1, 1),
             ev("run_launch", Phase::End, 140, 0, 1),
         ];
         let lanes = lane_timelines(&events);
         let got: Vec<_> = lanes.iter().map(|l| (l.clock, l.lane, l.busy)).collect();
-        assert_eq!(got, [(Clock::Wall, 1, 40), (Clock::Sim, 1, 29000)]);
+        assert_eq!(got, [(Clock::Wall, 1, 40), (Clock::Sim, 1, 20000)]);
         assert_eq!(lanes[0].spans.len(), 1, "the wall lane holds no simulated span");
         let text = render_text(&lanes);
         assert!(text.contains("lane 1   us     extent"), "{text}");
         assert!(text.contains("sm   1   cycles extent"), "{text}");
+    }
+
+    /// The simulator records an SM's span after that launch's CTA spans
+    /// on the SM: the CTAs nest under it, so the lane's busy time is the
+    /// SM span's alone, and the next launch's spans start a new group.
+    #[test]
+    fn sm_span_nests_the_cta_spans_recorded_before_it() {
+        // Two launches; in the first, CTA 8 outlasts CTA 0, and the
+        // second launch's SM span is shorter than the first's.
+        let events = vec![
+            ev("cta0", Phase::Complete, 0, 700, 0),
+            ev("cta8", Phase::Complete, 0, 900, 0),
+            sm("sm0", 0, 1000, 0, 2),
+            ev("cta0", Phase::Complete, 0, 400, 0),
+            sm("sm0", 0, 500, 0, 1),
+        ];
+        let lanes = lane_timelines(&events);
+        assert_eq!(lanes.len(), 1);
+        assert_eq!(lanes[0].busy, 1500, "each launch's SM span, no CTA counted twice");
+        let got: Vec<_> =
+            lanes[0].spans.iter().map(|s| (s.name.as_str(), s.dur, s.depth)).collect();
+        let want = [
+            ("sm0", 1000, 0),
+            ("cta0", 700, 1),
+            ("cta8", 900, 1),
+            ("sm0", 500, 0),
+            ("cta0", 400, 1),
+        ];
+        assert_eq!(got, want);
+        let text = render_text(&lanes);
+        assert!(text.contains("\n    cta8 "), "a CTA prints one level in: {text}");
     }
 
     #[test]
